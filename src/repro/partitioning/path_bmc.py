@@ -41,9 +41,7 @@ class PathBMC(PartitioningMethod):
         starts = sorted(
             (v for v in graph.vertices if not graph.in_edges(v)), key=str
         )
-        covered: Set[Triple] = set()
-        for v in starts:
-            covered.update(self._reachable(v, graph))
+        covered = self._reachable(starts, graph)
         if len(covered) < len(graph):
             # cyclic residue: anchor uncovered triples at canonical vertices
             uncovered_subjects = sorted(
@@ -53,20 +51,21 @@ class PathBMC(PartitioningMethod):
             for v in uncovered_subjects:
                 if not remaining:
                     break
-                reach = self._reachable(v, graph)
+                reach = self._reachable([v], graph)
                 if reach & remaining:
                     starts.append(v)
                     remaining -= reach
         return starts
 
     def combine(self, vertex: Term, graph: RDFGraph) -> FrozenSet[Triple]:
-        return frozenset(self._reachable(vertex, graph))
+        return frozenset(self._reachable([vertex], graph))
 
     @staticmethod
-    def _reachable(vertex: Term, graph: RDFGraph) -> Set[Triple]:
+    def _reachable(sources: List[Term], graph: RDFGraph) -> Set[Triple]:
+        """Triples reachable from any of *sources* along edge directions."""
         result: Set[Triple] = set()
-        seen: Set[Term] = {vertex}
-        frontier = [vertex]
+        seen: Set[Term] = set(sources)
+        frontier = list(sources)
         while frontier:
             v = frontier.pop()
             for t in graph.out_edges(v):

@@ -9,13 +9,17 @@ prototype.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, Optional
 
 from .encoding import EncodedGraph, TermDictionary
 from .terms import Term
 from .triples import RDFGraph, Triple
+
+
+_FIRST = itemgetter(0)
 
 
 @dataclass
@@ -42,7 +46,6 @@ class Dataset:
         #: any cluster built from this dataset share it, so ids are
         #: join-compatible across the whole cluster
         self.dictionary = TermDictionary()
-        self._encoded: Optional[EncodedGraph] = None
         self.refresh()
 
     @classmethod
@@ -52,41 +55,32 @@ class Dataset:
     def refresh(self) -> None:
         """Recompute all statistics from the current graph contents.
 
-        The same single pass feeds the :class:`TermDictionary`, so
-        loading a dataset never iterates the full graph a second time
-        just to intern terms.  Interning is idempotent: terms that were
-        already assigned ids keep them across refreshes.
+        One pass over the graph: :meth:`EncodedGraph.from_graph` interns
+        every term (idempotently — terms that already have ids keep
+        them across refreshes) and leaves the triples as three integer
+        columns; the per-predicate counts are then derived from those
+        columns, so no term is hashed a second time.
         """
-        subjects: Dict[Term, set] = defaultdict(set)
-        objects: Dict[Term, set] = defaultdict(set)
-        counts: Dict[Term, int] = defaultdict(int)
-        encode = self.dictionary.encode
-        for t in self.graph:
-            counts[t.predicate] += 1
-            subjects[t.predicate].add(t.subject)
-            objects[t.predicate].add(t.object)
-            encode(t.subject)
-            encode(t.predicate)
-            encode(t.object)
-        self._encoded = None
+        self._encoded = encoded = EncodedGraph.from_graph(self.graph, self.dictionary)
+        subjects, predicates, objects = encoded._subjects, encoded._predicates, encoded._objects
+        distinct_subjects = Counter(map(_FIRST, set(zip(predicates, subjects))))
+        distinct_objects = Counter(map(_FIRST, set(zip(predicates, objects))))
         self._predicate_stats = {
-            p: PredicateStatistics(
-                triple_count=counts[p],
-                distinct_subjects=len(subjects[p]),
-                distinct_objects=len(objects[p]),
+            self.dictionary.decode(p): PredicateStatistics(
+                triple_count=count,
+                distinct_subjects=distinct_subjects[p],
+                distinct_objects=distinct_objects[p],
             )
-            for p in counts
+            for p, count in Counter(predicates).items()
         }
 
     def encoded_graph(self) -> EncodedGraph:
-        """The whole dataset as one :class:`EncodedGraph` (cached).
+        """The whole dataset as one :class:`EncodedGraph`.
 
-        Single-node columnar evaluation and tests use this; clusters
-        encode per-worker fragments instead (sharing
-        :attr:`dictionary`), so this is only built on demand.
+        Built by :meth:`refresh`; single-node columnar evaluation and
+        tests use it, while clusters encode per-worker fragments
+        (sharing :attr:`dictionary`).
         """
-        if self._encoded is None:
-            self._encoded = EncodedGraph.from_graph(self.graph, self.dictionary)
         return self._encoded
 
     # ------------------------------------------------------------------

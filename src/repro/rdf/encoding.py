@@ -26,11 +26,12 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .terms import BlankNode, IRI, Literal, Term
-from .triples import RDFGraph
+from .triples import _TERMS_OF, RDFGraph
 
 #: an encoded triple: (subject id, predicate id, object id)
 IdTriple = Tuple[int, int, int]
@@ -70,6 +71,18 @@ class TermDictionary:
             self._ids[term] = ident
             self._terms.append(term)
         return ident
+
+    def _encode_all(self, terms: List[Term]) -> List[int]:
+        """:meth:`encode` each of *terms*, in order, with no per-term call."""
+        id_of = self._ids.__getitem__
+        try:
+            return list(map(id_of, terms))
+        except KeyError:  # some are new: intern them in first-seen order
+            for term in dict.fromkeys(terms):
+                if term not in self._ids:
+                    self._ids[term] = len(self._terms)
+                    self._terms.append(term)
+            return list(map(id_of, terms))
 
     def lookup(self, term: Term) -> Optional[int]:
         """The id of *term*, or ``None`` if it was never interned.
@@ -210,18 +223,16 @@ class EncodedGraph:
 
     @classmethod
     def from_graph(cls, graph: RDFGraph, dictionary: TermDictionary) -> "EncodedGraph":
-        """Encode *graph* against *dictionary* (interning as needed)."""
+        """Encode *graph* against *dictionary* (interning as needed).
+
+        One flat s, p, o, s, p, o, ... term sequence, looked up with no
+        Python-level loop; ids are assigned in that (first-seen) order.
+        """
         encoded = cls(dictionary)
-        encode = dictionary.encode
-        subjects, predicates, objects = (
-            encoded._subjects,
-            encoded._predicates,
-            encoded._objects,
-        )
-        for triple in graph:
-            subjects.append(encode(triple.subject))
-            predicates.append(encode(triple.predicate))
-            objects.append(encode(triple.object))
+        ids = dictionary._encode_all(list(chain.from_iterable(map(_TERMS_OF, graph))))
+        encoded._subjects = array("q", ids[0::3])
+        encoded._predicates = array("q", ids[1::3])
+        encoded._objects = array("q", ids[2::3])
         return encoded
 
     def add_ids(self, subject: int, predicate: int, object_: int) -> None:

@@ -8,8 +8,9 @@ language tag, plus ``#`` comments and blank lines.
 from __future__ import annotations
 
 import io
+import re
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Dict, Iterable, Iterator, TextIO, Union
 
 from .terms import BlankNode, IRI, Literal, Term
 from .triples import RDFGraph, Triple
@@ -24,14 +25,45 @@ class NTriplesError(ValueError):
         self.line_number = line_number
 
 
+#: The canonical line shape — what serializers (ours included) write:
+#: three terms and the dot, no escapes, no trailing comment.  It only
+#: splits the line into term tokens; each group ends exactly where
+#: :func:`_parse_term` would stop (an IRI at its first ``>``, a blank
+#: node label at whitespace), so a token means the same alone as in its
+#: line.  Anything else goes through the strict parser below.
+_NODE = r"<[^>]*>|_:[^ \t]*(?=[ \t])"
+_CANONICAL_LINE = re.compile(
+    rf"({_NODE})[ \t]*(<[^>]*>)[ \t]*"
+    rf'({_NODE}|"[^"\\]*"(?:@[A-Za-z0-9-]+|\^\^<[^>]*>)?)[ \t]*\.'
+)
+
+
 def parse_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
-    """Yield triples from an N-Triples document (string or file object)."""
+    """Yield triples from an N-Triples document (string or file object).
+
+    Equal terms of one document are one object: a token's term is
+    parsed once and then served from a per-document memo, so a graph
+    holds (and hashes) each distinct term once.
+    """
     stream = io.StringIO(source) if isinstance(source, str) else source
+    memo: Dict[str, Term] = {}
     for line_number, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield _parse_line(line, line_number)
+        shape = _CANONICAL_LINE.fullmatch(line)
+        if shape is None:
+            yield _parse_line(line, line_number)
+            continue
+        s, p, o = shape.groups()
+        try:
+            triple = Triple(memo[s], memo[p], memo[o])
+        except KeyError:  # a token's first appearance
+            for token in (s, p, o):
+                if token not in memo:
+                    memo[token] = _parse_term(token, 0, line_number)[0]
+            triple = Triple(memo[s], memo[p], memo[o])
+        yield triple
 
 
 def load_ntriples(path: Union[str, Path]) -> RDFGraph:
@@ -108,6 +140,13 @@ def _parse_term(line: str, pos: int, line_number: int) -> tuple[Term, int]:
     raise NTriplesError(f"unexpected character {char!r}", line_number)
 
 
+#: the single-character escapes of the N-Triples grammar (ECHAR)
+_ECHAR = {
+    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+    '"': '"', "'": "'", "\\": "\\",
+}
+
+
 def _parse_literal(line: str, pos: int, line_number: int) -> tuple[Literal, int]:
     chars = []
     i = pos + 1
@@ -117,16 +156,16 @@ def _parse_literal(line: str, pos: int, line_number: int) -> tuple[Literal, int]
             if i + 1 >= len(line):
                 raise NTriplesError("dangling escape", line_number)
             escape = line[i + 1]
-            mapping = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
-            if escape == "u":
-                if i + 6 > len(line):
-                    raise NTriplesError("short \\u escape", line_number)
-                chars.append(chr(int(line[i + 2 : i + 6], 16)))
-                i += 6
+            if escape in "uU":
+                end = i + (6 if escape == "u" else 10)
+                if end > len(line):
+                    raise NTriplesError(f"short \\{escape} escape", line_number)
+                chars.append(chr(int(line[i + 2 : end], 16)))
+                i = end
                 continue
-            if escape not in mapping:
+            if escape not in _ECHAR:
                 raise NTriplesError(f"unknown escape \\{escape}", line_number)
-            chars.append(mapping[escape])
+            chars.append(_ECHAR[escape])
             i += 2
             continue
         if c == '"':

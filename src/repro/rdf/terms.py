@@ -11,14 +11,48 @@ dictionary keys, set members, and sort keys throughout the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from operator import attrgetter
+from typing import Any, Callable, Union
+
+
+class _HashSlot:
+    """Base of the term and triple classes: one slot that caches the hash.
+
+    Every dict/set touch hashes its key, and a graph touches each term
+    thousands of times.  The slot is not a dataclass field: ``==``,
+    ordering, ``repr``, ``dataclasses.fields`` and the pickled state never
+    see it, so an unpickled object (string hashes are per-process) starts
+    with the slot empty and fills it on first use.
+    """
+
+    __slots__ = ("_hash",)
+
+
+def _hash_once(key: Callable[[Any], tuple]) -> Callable[[Any], int]:
+    """A ``__hash__`` computing ``hash(key(self))`` once per object.
+
+    *key* returns the tuple of fields the generated dataclass hash would
+    use, so values (and every set/dict iteration order) are unchanged.
+    """
+
+    def __hash__(self: Any) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(key(self))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    return __hash__
 
 
 @dataclass(frozen=True, slots=True, order=True)
-class IRI:
+class IRI(_HashSlot):
     """An IRI reference, e.g. ``<http://example.org/alice>``."""
 
     value: str
+
+    __hash__ = _hash_once(lambda self: (self.value,))
 
     def __str__(self) -> str:
         return f"<{self.value}>"
@@ -30,7 +64,7 @@ class IRI:
 
 
 @dataclass(frozen=True, slots=True, order=True)
-class Literal:
+class Literal(_HashSlot):
     """An RDF literal with optional datatype IRI and language tag.
 
     ``datatype`` and ``language`` are mutually exclusive per the RDF 1.1
@@ -44,6 +78,8 @@ class Literal:
     def __post_init__(self) -> None:
         if self.datatype and self.language:
             raise ValueError("a literal cannot have both datatype and language")
+
+    __hash__ = _hash_once(attrgetter("lexical", "datatype", "language"))
 
     def __str__(self) -> str:
         escaped = (
@@ -65,10 +101,12 @@ class Literal:
 
 
 @dataclass(frozen=True, slots=True, order=True)
-class BlankNode:
+class BlankNode(_HashSlot):
     """A blank node, e.g. ``_:b42``."""
 
     label: str
+
+    __hash__ = _hash_once(lambda self: (self.label,))
 
     def __str__(self) -> str:
         return f"_:{self.label}"
@@ -80,10 +118,12 @@ class BlankNode:
 
 
 @dataclass(frozen=True, slots=True, order=True)
-class Variable:
+class Variable(_HashSlot):
     """A SPARQL query variable, e.g. ``?x``."""
 
     name: str
+
+    __hash__ = _hash_once(lambda self: (self.name,))
 
     def __str__(self) -> str:
         return f"?{self.name}"

@@ -1,29 +1,52 @@
 """Triples and the in-memory RDF graph.
 
-:class:`RDFGraph` is the storage substrate of the reproduction: a fully
-indexed in-memory triple store playing the role RDF-3X plays in the
-paper's prototype.  It maintains all six permutation indexes
-(SPO, SOP, PSO, POS, OSP, OPS) so that any triple-pattern access path is
-a hash/sort lookup, plus adjacency indexes used by the partitioning
-algorithms (outgoing/incoming edges per vertex).
+:class:`RDFGraph` is the storage substrate of the reproduction: an
+in-memory triple store playing the role RDF-3X plays in the paper's
+prototype.  Only the insertion-ordered triple set is maintained
+eagerly; an index is built in one bulk pass by its first reader and
+maintained incrementally from then on.  Two groups:
+
+* *adjacency* (outgoing and incoming triples per vertex, built
+  together), which the partitioning algorithms walk;
+* *permutation* (SPO, POS, OSP nested lookups, built one by one — most
+  workloads only ever probe POS) behind :meth:`RDFGraph.match`.
+
+A graph that is only iterated — a worker's partition under the encoded
+engines, a merged replica — pays for neither.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .terms import IRI, BlankNode, Literal, Term, Variable
+from .terms import IRI, BlankNode, Literal, Term, Variable, _hash_once, _HashSlot
+
+#: vertex -> triples where the vertex is subject (or object)
+_Adjacency = Dict[Term, List["Triple"]]
+#: leading term -> second term -> set of third terms
+_Permutation = Dict[Term, Dict[Term, Set[Term]]]
+_TERMS_OF = attrgetter("subject", "predicate", "object")
+#: the three permutation orders, as triple -> (leading, second, third)
+_SPO, _POS, _OSP = range(3)
+_ORDERS = (
+    _TERMS_OF,
+    attrgetter("predicate", "object", "subject"),
+    attrgetter("object", "subject", "predicate"),
+)
+_UNBUILT = [None] * len(_ORDERS)
 
 
 @dataclass(frozen=True, slots=True, order=True)
-class Triple:
+class Triple(_HashSlot):
     """An RDF triple ``(subject, predicate, object)``."""
 
     subject: Term
     predicate: Term
     object: Term
+
+    __hash__ = _hash_once(_TERMS_OF)
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
@@ -45,20 +68,44 @@ class RDFGraph:
     * vertex-neighborhood queries used by the ``combine`` functions of
       the generic partitioning model (Section II-C),
     * deterministic iteration (insertion order is preserved).
+
+    Reads never change an index's key set: looking up an absent term
+    finds nothing and leaves nothing behind.
     """
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None) -> None:
         self._triples: Dict[Triple, None] = {}
-        # permutation indexes: leading-term lookup dictionaries
-        self._spo: Dict[Term, Dict[Term, Set[Term]]] = defaultdict(lambda: defaultdict(set))
-        self._pos: Dict[Term, Dict[Term, Set[Term]]] = defaultdict(lambda: defaultdict(set))
-        self._osp: Dict[Term, Dict[Term, Set[Term]]] = defaultdict(lambda: defaultdict(set))
-        # adjacency: vertex -> triples where the vertex is subject/object
-        self._out: Dict[Term, List[Triple]] = defaultdict(list)
-        self._in: Dict[Term, List[Triple]] = defaultdict(list)
+        # every index stays ``None`` until first read (see _adjacency /
+        # _permutation); only then do add/discard maintain it
+        self._out: Optional[_Adjacency] = None
+        self._in: Optional[_Adjacency] = None
+        self._permutations: List[Optional[_Permutation]] = list(_UNBUILT)
         if triples is not None:
-            for triple in triples:
-                self.add(triple)
+            self.add_all(triples)
+
+    # ------------------------------------------------------------------
+    # on-demand indexes
+    # ------------------------------------------------------------------
+    def _adjacency(self) -> Tuple[_Adjacency, _Adjacency]:
+        """The (outgoing, incoming) adjacency maps, built on first use."""
+        if self._out is None:
+            self._out, self._in = {}, {}
+            for triple in self._triples:
+                self._link(triple)
+        return self._out, self._in  # type: ignore[return-value]
+
+    def _link(self, triple: Triple) -> None:
+        self._out.setdefault(triple.subject, []).append(triple)
+        self._in.setdefault(triple.object, []).append(triple)
+
+    def _permutation(self, order: int) -> _Permutation:
+        """The lookup map of one of :data:`_ORDERS`, built on first use."""
+        index = self._permutations[order]
+        if index is None:
+            index = self._permutations[order] = {}
+            for a, b, c in map(_ORDERS[order], self._triples):
+                index.setdefault(a, {}).setdefault(b, set()).add(c)
+        return index
 
     # ------------------------------------------------------------------
     # mutation
@@ -68,29 +115,43 @@ class RDFGraph:
         if triple in self._triples:
             return False
         self._triples[triple] = None
-        s, p, o = triple.terms()
-        self._spo[s][p].add(o)
-        self._pos[p][o].add(s)
-        self._osp[o][s].add(p)
-        self._out[s].append(triple)
-        self._in[o].append(triple)
+        if self._out is not None:
+            self._link(triple)
+        for index, order in zip(self._permutations, _ORDERS):
+            if index is not None:
+                a, b, c = order(triple)
+                index.setdefault(a, {}).setdefault(b, set()).add(c)
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert every triple; return the number actually added."""
-        return sum(1 for t in triples if self.add(t))
+        """Insert every triple; return the number actually added.
+
+        While no index exists this is one dictionary fill (first
+        occurrence wins, as with repeated :meth:`add`); hashes already
+        stored in a source graph, set or dict are reused.
+        """
+        if self._out is not None or self._permutations != _UNBUILT:
+            return sum(1 for t in triples if self.add(t))  # keeps them current
+        if isinstance(triples, RDFGraph):
+            triples = triples._triples
+        before = len(self._triples)
+        self._triples.update(dict.fromkeys(triples))
+        return len(self._triples) - before
 
     def discard(self, triple: Triple) -> bool:
         """Remove *triple* if present; return whether it was removed."""
         if triple not in self._triples:
             return False
         del self._triples[triple]
-        s, p, o = triple.terms()
-        self._spo[s][p].discard(o)
-        self._pos[p][o].discard(s)
-        self._osp[o][s].discard(p)
-        self._out[s].remove(triple)
-        self._in[o].remove(triple)
+        if self._out is not None:
+            for index, vertex in ((self._out, triple.subject), (self._in, triple.object)):
+                index[vertex].remove(triple)
+                if not index[vertex]:
+                    del index[vertex]
+        for index, order in zip(self._permutations, _ORDERS):
+            if index is not None:
+                a, b, c = order(triple)
+                index[a][b].discard(c)
         return True
 
     # ------------------------------------------------------------------
@@ -108,40 +169,36 @@ class RDFGraph:
     @property
     def vertices(self) -> Set[Term]:
         """All subjects and objects (V_R)."""
-        verts: Set[Term] = set()
-        verts.update(self._out.keys())
-        verts.update(self._in.keys())
-        return {v for v in verts if self._out[v] or self._in[v]}
+        outgoing, incoming = self._adjacency()
+        return outgoing.keys() | incoming.keys()
 
     @property
     def predicates(self) -> Set[Term]:
         """All predicates with at least one stored triple."""
-        return {p for p, objs in self._pos.items() if any(objs.values())}
+        by_predicate = self._permutation(_POS)
+        return {p for p, objs in by_predicate.items() if any(objs.values())}
 
     def out_edges(self, vertex: Term) -> List[Triple]:
         """Triples whose subject is *vertex*."""
-        return list(self._out.get(vertex, ()))
+        return list(self._adjacency()[0].get(vertex, ()))
 
     def in_edges(self, vertex: Term) -> List[Triple]:
         """Triples whose object is *vertex*."""
-        return list(self._in.get(vertex, ()))
+        return list(self._adjacency()[1].get(vertex, ()))
 
     def edges(self, vertex: Term) -> List[Triple]:
         """All triples incident to *vertex* (subject or object)."""
-        seen: Dict[Triple, None] = {}
-        for t in self._out.get(vertex, ()):
-            seen[t] = None
-        for t in self._in.get(vertex, ()):
-            seen[t] = None
-        return list(seen)
+        outgoing, incoming = self._adjacency()
+        # a self-loop is in both lists; it counts once
+        return list(
+            dict.fromkeys(outgoing.get(vertex, []) + incoming.get(vertex, []))
+        )
 
     def neighbors(self, vertex: Term) -> Set[Term]:
         """Vertices one (undirected) hop from *vertex*."""
-        result: Set[Term] = set()
-        for t in self._out.get(vertex, ()):
-            result.add(t.object)
-        for t in self._in.get(vertex, ()):
-            result.add(t.subject)
+        outgoing, incoming = self._adjacency()
+        result = {t.object for t in outgoing.get(vertex, ())}
+        result.update(t.subject for t in incoming.get(vertex, ()))
         result.discard(vertex)
         return result
 
@@ -169,25 +226,25 @@ class RDFGraph:
                 yield triple
             return
         if s is not None and p is not None:
-            for obj in self._spo.get(s, {}).get(p, ()):
+            for obj in self._permutation(_SPO).get(s, {}).get(p, ()):
                 yield Triple(s, p, obj)
             return
         if p is not None and o is not None:
-            for subj in self._pos.get(p, {}).get(o, ()):
+            for subj in self._permutation(_POS).get(p, {}).get(o, ()):
                 yield Triple(subj, p, o)
             return
         if s is not None and o is not None:
-            for pred in self._osp.get(o, {}).get(s, ()):
+            for pred in self._permutation(_OSP).get(o, {}).get(s, ()):
                 yield Triple(s, pred, o)
             return
         if s is not None:
-            yield from self._out.get(s, ())
+            yield from self._adjacency()[0].get(s, ())
             return
         if o is not None:
-            yield from self._in.get(o, ())
+            yield from self._adjacency()[1].get(o, ())
             return
         if p is not None:
-            for obj, subjects in self._pos.get(p, {}).items():
+            for obj, subjects in self._permutation(_POS).get(p, {}).items():
                 for subj in subjects:
                     yield Triple(subj, p, obj)
             return

@@ -114,7 +114,7 @@ class BGPQuery:
         return list(seen)
 
     def __str__(self) -> str:
-        head = ", ".join(str(v) for v in self.projection) or "*"
+        head = " ".join(str(v) for v in self.projection) or "*"
         body = "\n  ".join(str(tp) for tp in self.patterns)
         return f"SELECT {head} WHERE {{\n  {body}\n}}"
 

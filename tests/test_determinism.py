@@ -79,3 +79,120 @@ class TestParserRoundTrip:
         assert set(JoinGraph(reparsed).join_variables) == set(
             JoinGraph(query).join_variables if len(query) > 0 else set()
         )
+
+
+# the storage layer, pinned against the commit before its rewrite ------------
+_PIN_SCRIPT = '''
+import hashlib, json
+from repro import OptimizeOptions, Optimizer
+from repro.__main__ import PARTITIONINGS
+from repro.engine import Cluster, Executor
+from repro.workloads.lubm import generate_lubm, lubm_query
+
+def digest(lines):
+    sha = hashlib.sha256()
+    for line in lines:
+        sha.update(line.encode("utf-8") + b"\\n")
+    return sha.hexdigest()[:16]
+
+dataset = generate_lubm(scale=1.0, seed=2017)
+pinned = {"triples": len(dataset.graph)}
+for name in ("hash-so", "2f", "path-bmc", "un-1-hop"):
+    method = PARTITIONINGS[name]()
+    partitioning = method.partition(dataset, 4)
+    session = Optimizer(OptimizeOptions(dataset=dataset, partitioning=method,
+                                        engine="columnar"))
+    executor = Executor(Cluster(partitioning, dataset.dictionary), engine="columnar")
+    metrics = {}
+    for label in ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8"):
+        query = lubm_query(label)
+        _, m = executor.execute(session.optimize(query).plan, query)
+        metrics[label] = [m.total_tuples_read, m.total_tuples_shipped,
+                          m.total_tuples_produced, m.result_rows]
+    pinned[name] = {
+        "placement": digest(f"{v} {n}" for v, n in partitioning.vertex_placement.items()),
+        "node_order": [digest(map(str, graph)) for graph in partitioning.node_graphs],
+        "node_sizes": [len(graph) for graph in partitioning.node_graphs],
+        "replication_factor": partitioning.replication_factor(len(dataset.graph)),
+        "metrics": metrics,
+    }
+print(json.dumps(pinned))
+'''
+
+#: What ``_PIN_SCRIPT`` printed at commit bd95a0e (eager five-index graph,
+#: per-call dataclass hashing) under ``PYTHONHASHSEED=0``.  ``placement``
+#: digests ``vertex_placement`` in dict order; ``node_order`` digests each
+#: node's triples in iteration order, which follows the iteration order of
+#: frozensets of triples and therefore the string-hash seed — hence the
+#: subprocess.  ``metrics`` is [tuples read, shipped, produced, result rows].
+_PINNED = {
+    "triples": 12808,
+    "hash-so": {
+        "placement": "1b3d74a6207401d2",
+        "node_order": ["2b39dd8d83153414", "88c3856d4c254b97",
+                       "3767377a84b5ebba", "be11174e82a3be80"],
+        "node_sizes": [4974, 4985, 6860, 5050],
+        "replication_factor": 1.7074484697064334,
+        "metrics": {"L1": [734, 0, 369, 2], "L2": [1504, 0, 815, 52],
+                    "L3": [11188, 16, 5603, 4], "L4": [2869, 52, 1605, 26],
+                    "L5": [15621, 36, 8254, 1], "L6": [19048, 8, 10239, 1],
+                    "L7": [11866, 448, 6653, 259], "L8": [20826, 1846, 12220, 832]},
+    },
+    "2f": {
+        "placement": "7ec90e0fbe60e5b0",
+        "node_order": ["b84e2566e62b84bd", "949e94b345700dcf",
+                       "ccde6650856bff59", "f7362e3433a85364"],
+        "node_sizes": [4904, 4904, 4904, 4904],
+        "replication_factor": 1.5315427857589008,
+        "metrics": {"L1": [420, 0, 212, 2], "L2": [1768, 0, 988, 52],
+                    "L3": [8536, 20, 4276, 4], "L4": [3848, 0, 2002, 26],
+                    "L5": [17845, 36, 9774, 1], "L6": [19416, 8, 10543, 1],
+                    "L7": [8800, 0, 4775, 259], "L8": [16224, 0, 8944, 832]},
+    },
+    "path-bmc": {
+        "placement": "01996c7a10d55013",
+        "node_order": ["0a83ec8f11e4e56b", "4fbb4597eb551d29",
+                       "c3c0fc4585206a8c", "225d9eece825e1eb"],
+        "node_sizes": [4612, 4698, 4661, 4545],
+        "replication_factor": 1.4456589631480325,
+        "metrics": {"L1": [420, 0, 212, 2], "L2": [1852, 0, 1034, 52],
+                    "L3": [7605, 20, 3809, 4], "L4": [4016, 0, 2090, 26],
+                    "L5": [16995, 36, 9392, 1], "L6": [18524, 8, 10118, 1],
+                    "L7": [7552, 0, 4035, 259], "L8": [15472, 0, 8568, 832]},
+    },
+    "un-1-hop": {
+        "placement": "7e376b6fd8c0787a",
+        "node_order": ["dd705d57a223b45e", "7e613bb0ea40adfb",
+                       "28ea51858c85ea89", "a8528a0803e0666e"],
+        "node_sizes": [5965, 4129, 4827, 5674],
+        "replication_factor": 1.6079793878825734,
+        "metrics": {"L1": [836, 0, 420, 2], "L2": [1186, 0, 645, 52],
+                    "L3": [12062, 16, 6041, 4], "L4": [2297, 52, 1285, 26],
+                    "L5": [12287, 36, 6569, 1], "L6": [15984, 8, 8618, 1],
+                    "L7": [11514, 448, 6432, 259], "L8": [20722, 1619, 12158, 832]},
+    },
+}
+
+
+class TestStoragePin:
+    def test_partitions_and_counters_match_the_recorded_commit(self):
+        """Placement, per-node triple *order*, replication and the columnar
+        counters of L1-L8 under all four CLI partitioners are what the eager
+        store produced: the on-demand bulk index build preserves insertion
+        order, and the cached hashes equal the generated ones."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", _PIN_SCRIPT],
+            env=dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        measured = json.loads(done.stdout)
+        for name, expected in _PINNED.items():
+            assert measured[name] == expected, name

@@ -1,11 +1,18 @@
 """Unit tests for the SPARQL subset parser."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.join_graph import QueryShape
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.sparql import SPARQLSyntaxError, parse_query
+from repro.sparql.ast import BGPQuery
+from repro.workloads.generators import generate_query
 from repro.workloads.lubm import lubm_queries
 from repro.workloads.uniprot import uniprot_queries
+from repro.workloads.watdiv import WatDivGenerator, instantiate
 
 
 class TestBasics:
@@ -121,3 +128,46 @@ class TestPaperQueries:
     def test_projection_variables_appear_in_patterns(self):
         for q in {**lubm_queries(), **uniprot_queries()}.values():
             assert set(q.projection) <= q.variables()
+
+
+class TestStrRoundTrip:
+    """``parse_query(str(q))`` is ``q``: same patterns, same projection."""
+
+    @staticmethod
+    def assert_round_trips(query):
+        reparsed = parse_query(str(query), name=query.name)
+        assert reparsed.patterns == query.patterns
+        assert reparsed.projection == query.projection
+
+    def test_projection_is_space_separated(self):
+        query = parse_query("SELECT ?x ?y WHERE { ?x <http://e/p> ?y . }")
+        assert str(query).startswith("SELECT ?x ?y WHERE {")
+
+    def test_benchmark_queries(self):
+        for query in {**lubm_queries(), **uniprot_queries()}.values():
+            assert len(query.projection) >= 1
+            self.assert_round_trips(query)
+
+    def test_watdiv_sample(self):
+        rng = random.Random(5)
+        for template in WatDivGenerator(seed=2017).templates(40):
+            query, _ = instantiate(template, 0, rng)
+            self.assert_round_trips(template.query)
+            self.assert_round_trips(query)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([QueryShape.CHAIN, QueryShape.CYCLE, QueryShape.STAR,
+                         QueryShape.TREE, QueryShape.DENSE]),
+        st.integers(min_value=4, max_value=14),
+        st.integers(min_value=0, max_value=2**31),
+        st.data(),
+    )
+    def test_generated_queries(self, shape, size, seed, data):
+        query = generate_query(shape, size, random.Random(seed))
+        self.assert_round_trips(query)
+        # and with an explicit projection over some of its variables
+        variables = sorted(query.variables(), key=str)
+        chosen = data.draw(st.lists(st.sampled_from(variables), min_size=1,
+                                    max_size=4, unique=True))
+        self.assert_round_trips(BGPQuery(query.patterns, projection=chosen))
