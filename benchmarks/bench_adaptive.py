@@ -23,12 +23,11 @@ Reported per run (``BENCH_adaptive.json``):
 
 The ``--baseline`` gate is machine-independent: shipped-tuple counts
 are deterministic properties of (workload, layout), not of the runner.
-It requires, per materialized engine (reference and columnar), a
-post-warm-up shipping reduction of at least ``max(2.0, baseline
-reduction / 2)`` — the adapted layout must ship at most half of what
-the static layout ships, with slack for workload re-tuning.  The
-pipelined engine's counts are reported but not gated (streaming global
-joins ship per-chunk, a different unit).
+It requires, for every registered engine (all run the same operators,
+so all ship the same tuples), a post-warm-up shipping reduction of at
+least ``max(2.0, baseline reduction / 2)`` — the adapted layout must
+ship at most half of what the static layout ships, with slack for
+workload re-tuning.
 
 Usage::
 
@@ -61,10 +60,6 @@ HOT = ("L7", "L8")
 COLD = ("L1", "L2")
 #: one workload round — 8 hot, 2 cold (the 80/20 skew)
 ROUND = ("L7", "L8", "L7", "L8", "L7", "L8", "L7", "L8", "L1", "L2")
-
-#: engines whose shipped-tuple counts the gate applies to (identical
-#: materialized shuffles); pipelined ships per-chunk and is only reported
-GATED_ENGINES = ("reference", "columnar")
 
 
 def _workload(rounds: int):
@@ -278,7 +273,7 @@ def bench_micro_matching(repetitions: int):
 
 
 def check_baseline(report: dict, baseline_path: Path) -> int:
-    """Gate post-warm-up shipping reduction per materialized engine.
+    """Gate post-warm-up shipping reduction per registered engine.
 
     ``reduction: null`` means the adapted layout shipped nothing — the
     strongest possible pass.  Otherwise the reduction must reach
@@ -287,7 +282,7 @@ def check_baseline(report: dict, baseline_path: Path) -> int:
     """
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     failed = False
-    for engine in GATED_ENGINES:
+    for engine in ENGINES:
         entry = report["adaptive"]["per_engine"][engine]
         base_entry = baseline["adaptive"]["per_engine"].get(engine, {})
         base_reduction = base_entry.get("reduction")
@@ -360,11 +355,10 @@ def main(argv=None) -> int:
         entry = adaptive["per_engine"][engine]
         reduction = entry["reduction"]
         shown = "inf" if reduction is None else f"{reduction:.2f}"
-        gated = "gated" if engine in GATED_ENGINES else "reported"
         print(
             f"{engine:>10s}: shipped {entry['shipped_before']} -> "
             f"{entry['shipped_after']} post-warm-up "
-            f"(reduction {shown}x, {gated})"
+            f"(reduction {shown}x)"
         )
     if args.micro:
         report["micro_matching"] = bench_micro_matching(

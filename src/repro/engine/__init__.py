@@ -5,7 +5,6 @@ from .base import (
     Engine,
     EngineSpec,
     ReferenceEngine,
-    StreamingContext,
     engine_spec,
     engine_specs,
     register_engine,
@@ -16,12 +15,17 @@ from .columnar import (
     EncodedRelation,
     evaluate_encoded,
     hash_join_encoded,
-    iter_pattern_rows,
     multi_join_encoded,
     scan_pattern_encoded,
 )
-from .executor import ENGINES, ExecutionError, Executor, evaluate_reference
-from .pipelined import PipelinedEngine, plan_depth
+from .executor import (
+    ENGINES,
+    ExecutionError,
+    Executor,
+    evaluate_reference,
+    plan_depth,
+)
+from .pipelined import PipelinedEngine
 from .explain import ExplainReport, OperatorExplain, explain
 from .faults import (
     FailStop,
@@ -34,7 +38,6 @@ from .faults import (
     default_models,
 )
 from .mapreduce import (
-    COLUMNAR_SHUFFLE_FACTOR,
     CrossoverAnalysis,
     MapReduceSchedule,
     MapReduceSimulator,
@@ -90,7 +93,6 @@ __all__ = [
     "ENGINES",
     "Engine",
     "EngineSpec",
-    "StreamingContext",
     "ReferenceEngine",
     "ColumnarEngine",
     "PipelinedEngine",
@@ -99,8 +101,6 @@ __all__ = [
     "register_engine",
     "resolve_engine",
     "plan_depth",
-    "iter_pattern_rows",
-    "COLUMNAR_SHUFFLE_FACTOR",
     "EncodedRelation",
     "scan_pattern_encoded",
     "hash_join_encoded",

@@ -1,21 +1,21 @@
 """The engine protocol: a formal contract for physical execution backends.
 
-Historically the executor dispatched on a hard-coded tuple
-``ENGINES = ("reference", "columnar")`` with per-method string
-branching.  This module replaces that with an explicit surface:
+The executor runs one pull-based operator pipeline for every backend
+(:mod:`repro.engine.executor`); a backend only chooses the row
+representation and how many rows an operator hands over at a time:
 
 * :class:`Engine` — the abstract protocol every backend implements:
   how to scan a pattern on the cluster, how to multi-join co-located
-  relations, how to route a binding for repartitioning, and how to
-  materialize the final result (:meth:`Engine.decode`);
+  relations, how to route a binding for repartitioning, how to make an
+  empty relation for a schema, how to materialize the final result
+  (:meth:`Engine.decode`), and :attr:`Engine.chunk_size`;
 * :class:`EngineSpec` — one registry entry per backend: the factory
   plus the analytic properties other subsystems derive choices from
-  (the MapReduce simulator's shuffle discount, whether the backend is
-  encoded/streaming);
-* :data:`ENGINES` — a live *view* over the registry that keeps the
-  historical tuple ergonomics (``in``, ``list()``, iteration for test
-  parametrization, tuple-style ``repr`` in error messages), so nothing
-  hand-maintains the set of engine names anymore.
+  (the MapReduce simulator's shuffle discount, whether rows are
+  dictionary-encoded);
+* :data:`ENGINES` — the registry's own live key view (``in``,
+  ``len()``, iteration in registration order), so nothing
+  hand-maintains the set of engine names.
 
 The CLI ``--engine`` choices, ``OptimizeOptions.engine`` validation,
 :class:`~repro.engine.executor.Executor` dispatch, and
@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from ..rdf.terms import Variable
 from ..sparql.ast import TriplePattern
 from .columnar import (
     EncodedRelation,
@@ -47,22 +48,24 @@ class Engine(ABC):
 
     Implementations choose the row representation (term tuples,
     dictionary ids, …) and the access paths; the executor keeps operator
-    semantics, plan shapes, and the priced cost model engine-neutral.
-    A backend with :attr:`streaming` set additionally implements
-    :meth:`run_streaming` and takes over the whole plan, pulling
-    fixed-size row chunks through scan→join→project instead of
-    materializing every intermediate.
+    semantics, plan shapes, distribution, fault handling and the priced
+    cost model engine-neutral.
     """
 
     #: registry name of the backend (matches its :class:`EngineSpec`)
     name: str = ""
-    #: True when the backend executes plans as a chunk pipeline via
-    #: :meth:`run_streaming` instead of the materialized operator walk
-    streaming: bool = False
+    #: most rows an operator on the plan's probe spine hands its
+    #: consumer at once; ``None`` means every operator emits exactly
+    #: once (its whole per-worker output)
+    chunk_size: Optional[int] = None
 
     @abstractmethod
-    def scan(self, cluster: "Cluster", pattern: TriplePattern) -> List[object]:
-        """Evaluate one triple pattern per worker; one relation per slot."""
+    def scan(self, cluster: "Cluster", pattern: TriplePattern) -> Iterable[object]:
+        """One relation of matches per worker slot, in slot order.
+
+        May be lazy: the executor consumes slot by slot and can emit a
+        worker's rows before the next worker is scanned.
+        """
 
     @abstractmethod
     def join(self, relations: List[object]) -> object:
@@ -77,46 +80,16 @@ class Engine(ABC):
         worker that owns it.
         """
 
-    def empty_like(self, relation: object) -> object:
-        """A fresh empty relation with *relation*'s schema."""
-        return relation.empty_like()  # type: ignore[attr-defined]
+    @abstractmethod
+    def relation(self, cluster: "Cluster", variables: Iterable[Variable]) -> object:
+        """An empty relation over *variables* in this representation."""
 
     def decode(self, relation: object) -> Relation:
         """Materialize the final result as a term-level :class:`Relation`."""
         return relation.decode()  # type: ignore[attr-defined]
 
-    def run_streaming(self, context: "StreamingContext") -> Tuple[object, float]:
-        """Execute a whole plan as a chunk pipeline (streaming backends).
-
-        Returns ``(result relation, critical path cost)``; only called
-        when :attr:`streaming` is True.
-        """
-        raise NotImplementedError(
-            f"engine {self.name!r} does not support streaming execution"
-        )
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
-
-
-@dataclass
-class StreamingContext:
-    """Everything a streaming backend needs for one ``execute()`` run.
-
-    Built by the executor so streaming engines share the exact
-    governance envelope, recovery manager, and metrics sink of the
-    materialized path.
-    """
-
-    cluster: "Cluster"
-    parameters: object
-    plan: object
-    query: object
-    metrics: object
-    recovery: object
-    budget: object
-    limit: "int | None"
-    started: float
 
 
 class ReferenceEngine(Engine):
@@ -124,14 +97,17 @@ class ReferenceEngine(Engine):
 
     name = "reference"
 
-    def scan(self, cluster: "Cluster", pattern: TriplePattern) -> List[Relation]:
-        return [scan_pattern(graph, pattern) for graph in cluster.worker_graphs()]
+    def scan(self, cluster: "Cluster", pattern: TriplePattern) -> Iterable[Relation]:
+        return (scan_pattern(graph, pattern) for graph in cluster.worker_graphs())
 
     def join(self, relations: List[Relation]) -> Relation:
         return multi_join(relations)
 
     def route(self, cluster: "Cluster") -> Callable[[object], int]:
         return cluster.route
+
+    def relation(self, cluster: "Cluster", variables: Iterable[Variable]) -> Relation:
+        return Relation(variables)
 
 
 class ColumnarEngine(Engine):
@@ -141,17 +117,23 @@ class ColumnarEngine(Engine):
 
     def scan(
         self, cluster: "Cluster", pattern: TriplePattern
-    ) -> List[EncodedRelation]:
-        return [
-            scan_pattern_encoded(fragment, pattern)
-            for fragment in cluster.worker_fragments()
-        ]
+    ) -> Iterable[EncodedRelation]:
+        # fragments are fetched (and, cold, encoded) one worker at a time
+        return (
+            scan_pattern_encoded(cluster.worker_fragment(worker), pattern)
+            for worker in range(cluster.size)
+        )
 
     def join(self, relations: List[EncodedRelation]) -> EncodedRelation:
         return multi_join_encoded(relations)
 
     def route(self, cluster: "Cluster") -> Callable[[object], int]:
         return cluster.route_id
+
+    def relation(
+        self, cluster: "Cluster", variables: Iterable[Variable]
+    ) -> EncodedRelation:
+        return EncodedRelation(variables, cluster.dictionary)
 
 
 @dataclass(frozen=True)
@@ -170,12 +152,13 @@ class EngineSpec:
     shuffle_factor: float = 1.0
     #: whether rows are dictionary-encoded ids (late materialization)
     encoded: bool = False
-    #: whether the backend pipelines chunks instead of materializing
-    streaming: bool = False
 
 
 #: registration-ordered registry of engine specs
 _REGISTRY: Dict[str, EngineSpec] = {}
+
+#: names of the engines plans can run on — the registry's live key view
+ENGINES = _REGISTRY.keys()
 
 
 def register_engine(spec: EngineSpec) -> EngineSpec:
@@ -194,7 +177,7 @@ def engine_spec(name: str) -> EngineSpec:
     """
     spec = _REGISTRY.get(name)
     if spec is None:
-        raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
+        raise ValueError(f"unknown engine {name!r}; expected one of {tuple(ENGINES)}")
     return spec
 
 
@@ -213,40 +196,6 @@ def resolve_engine(engine: Union[str, Engine]) -> Tuple[str, Engine]:
     if isinstance(engine, Engine):
         return engine.name or type(engine).__name__, engine
     return engine, engine_spec(engine).factory()
-
-
-class _EngineRegistryView:
-    """A live, tuple-flavoured view of the registered engine names.
-
-    Keeps every historical ``ENGINES`` idiom working against the
-    registry: ``"columnar" in ENGINES``, ``list(ENGINES)``, pytest
-    parametrization, and f-string interpolation in error messages
-    (``repr`` renders like the tuple it replaced).
-    """
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(_REGISTRY)
-
-    def __contains__(self, name: object) -> bool:
-        return name in _REGISTRY
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __getitem__(self, index: int) -> str:
-        return tuple(_REGISTRY)[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, list)):
-            return tuple(_REGISTRY) == tuple(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(tuple(_REGISTRY))
-
-
-#: execution engines plans can run on — a live view over the registry
-ENGINES = _EngineRegistryView()
 
 
 register_engine(

@@ -51,8 +51,10 @@ class Cluster:
             )
         self._dictionary = dictionary
         # liveness/fragment state below is unlocked by design: a Cluster
-        # is owned by one executor thread (chaos suites mutate liveness
-        # between queries, never during one).  A multi-threaded server
+        # is owned by one executor thread.  Liveness changes between
+        # queries, or during one from that same thread (fault recovery;
+        # a chaos test killing a worker mid-scan, which the scan's epoch
+        # check turns into a replay).  A multi-threaded server
         # must either confine each Cluster to a session thread or add a
         # lock + `#: guarded-by:` declarations (concurrency audit, PR 8).
         #: lazily encoded per-worker fragments; invalidated per worker
@@ -66,10 +68,11 @@ class Cluster:
         #: closing once its quarantined workers come back)
         self._heal_listeners: List[Callable[[], None]] = []
         #: layout epoch: bumped on every liveness change
-        #: (:meth:`fail_worker` and :meth:`heal`).  Streaming scans
-        #: snapshot it and restart from the degraded layout when it
-        #: moves mid-stream — the sink's set semantics absorb the
-        #: re-emitted prefix, so restart-from-scratch is idempotent.
+        #: (:meth:`fail_worker` and :meth:`heal`).  Every scan
+        #: snapshots it and the executor replays the plan on the
+        #: degraded layout when it moves while the scan is emitting —
+        #: the sink's set semantics absorb the re-emitted rows, so the
+        #: replay is idempotent.
         self.epoch = 0
 
     @classmethod

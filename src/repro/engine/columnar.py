@@ -224,82 +224,6 @@ def _scan_bound_predicate(
     return relation
 
 
-def iter_pattern_rows(
-    fragment: EncodedGraph, pattern: TriplePattern
-) -> Iterator[IdRow]:
-    """Stream one pattern's binding rows from an encoded fragment.
-
-    The generator twin of :func:`scan_pattern_encoded` for the
-    pipelined engine: rows come out one at a time (schema order:
-    variables sorted by name) instead of being materialized into a
-    relation, so a consumer can chunk, bound its buffering, and stop
-    early on ``LIMIT``.  Rows are *not* deduplicated here — downstream
-    set semantics (chunk joins, the sink) absorb duplicates, exactly as
-    cross-worker duplicates are absorbed in the materialized engines.
-    """
-    dictionary = fragment.dictionary
-    subject, predicate, object_ = pattern.subject, pattern.predicate, pattern.object
-
-    subject_id = object_id = predicate_id = None
-    if not isinstance(subject, Variable):
-        subject_id = dictionary.lookup(subject)
-        if subject_id is None:
-            return
-    if not isinstance(object_, Variable):
-        object_id = dictionary.lookup(object_)
-        if object_id is None:
-            return
-    if not isinstance(predicate, Variable):
-        predicate_id = dictionary.lookup(predicate)
-        if predicate_id is None:
-            return
-        index = fragment.index_for(predicate_id)
-        if index is None:
-            return
-        subject_var = subject if isinstance(subject, Variable) else None
-        object_var = object_ if isinstance(object_, Variable) else None
-        if subject_var is not None and object_var is not None:
-            if subject_var == object_var:
-                for s, o in zip(index.spo_subjects, index.spo_objects):
-                    if s == o:
-                        yield (s,)
-            elif subject_var.name <= object_var.name:
-                yield from zip(index.spo_subjects, index.spo_objects)
-            else:
-                yield from zip(index.spo_objects, index.spo_subjects)
-        elif subject_var is not None:
-            assert object_id is not None
-            for s in index.subjects_for(object_id):
-                yield (s,)
-        elif object_var is not None:
-            assert subject_id is not None
-            for o in index.objects_for(subject_id):
-                yield (o,)
-        else:
-            assert subject_id is not None and object_id is not None
-            if index.contains(subject_id, object_id):
-                yield ()
-        return
-
-    # variable predicate: generic path, same repeated-variable checks
-    # as scan_pattern_encoded
-    variables = sorted(pattern.variables(), key=lambda v: v.name)
-    terms = pattern.terms()
-    first_source: Dict[Variable, int] = {}
-    checks: List[Tuple[int, int]] = []
-    for position, term in enumerate(terms):
-        if isinstance(term, Variable):
-            if term in first_source:
-                checks.append((first_source[term], position))
-            else:
-                first_source[term] = position
-    emit = _row_getter([first_source[v] for v in variables])
-    for t in fragment.scan(subject_id, None, object_id):
-        if checks and any(t[a] != t[b] for a, b in checks):
-            continue
-        yield emit(t)
-
-
 def hash_join_encoded(
     left: EncodedRelation, right: EncodedRelation
 ) -> EncodedRelation:

@@ -1,15 +1,27 @@
-"""The plan executor: runs k-ary bushy plans on the simulated cluster.
+"""The plan executor: one pull-based operator pipeline for every engine.
 
-Every plan node is evaluated into a *distributed relation* — one
-:class:`~repro.engine.relations.Relation` per worker:
+Every plan node *opens* into a generator of **batches** — a batch maps
+worker slots to the rows that worker holds — and the executor drains
+the root through one sink.  Distribution is a property of the join
+operator, not of the driver:
 
 * **scan** — each worker matches the pattern against its local graph;
-* **local join** — each worker joins its own child relations, no data
-  moves (correct exactly when the optimizer proved the subquery local);
-* **broadcast join** — the k−1 globally smaller inputs are collected
-  and replicated to every worker holding the largest input;
+* **local join** — each worker joins its own rows, no data moves
+  (correct exactly when the optimizer proved the subquery local);
+* **broadcast join** — the build inputs are collected and replicated to
+  every worker holding the probe input;
 * **repartition join** — every input row is rehashed to the worker
   owning its join-variable binding, then joined there.
+
+A join streams its *probe* child (the one the optimizer estimates
+largest) and holds the others as per-worker *build tables*.  An engine
+chooses the row representation and :attr:`Engine.chunk_size`: ``None``
+makes every operator emit exactly once (whole per-worker relations flow
+from operator to operator), a number bounds the batches on the plan's
+probe spine, which is what gives an early first row, a ``LIMIT`` that
+stops the pull, and bounded inter-operator buffering.  Nothing else
+differs between engines — counters, governance, fault handling and
+spans come from the same lines.
 
 The executor records actual tuple movement per operator and prices the
 plan's critical path with the paper's cost model (Eq. 3 over measured
@@ -17,18 +29,37 @@ counts), which is the "query processing time" the Table V reproduction
 reports alongside wall-clock time.
 
 Execution is optionally *fault-tolerant*: given a
-:class:`~repro.engine.faults.FaultInjector`, every operator attempt
-passes an operator boundary where a seeded fault may fire, and a
-:class:`~repro.engine.recovery.RecoveryManager` retries, re-routes
-crashed workers' partitions, and prices the recovery overhead into the
-critical path.  Without an injector (or with ``fault_rate=0``) the
-executor takes exactly the historical zero-overhead path.
+:class:`~repro.engine.faults.FaultInjector`, every operator passes one
+boundary where seeded faults may fire while the plan is being opened
+(:meth:`~repro.engine.recovery.RecoveryManager.negotiate`: scans when
+they open, joins once their build sides are drained, i.e. plan
+post-order).  Crashed workers' partitions are re-routed, build tables
+still waiting for their probe are migrated, and the recovery overhead
+is priced into the critical path.  A layout change *while a scan is
+emitting* (nothing the executor does itself; a chaos test may) is
+caught by the cluster's layout ``epoch``: the plan is replayed on the
+degraded layout and the sink's set semantics absorb the re-emitted
+rows.  Without an injector (or with ``fault_rate=0``) none of this
+costs anything.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import islice
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis → core)
     from ..analysis.plan_verifier import PlanVerifier
@@ -37,33 +68,47 @@ from ..core.cost import CostParameters, PAPER_PARAMETERS
 from ..core.governance import QueryAborted, QueryBudget
 from ..core.plans import JoinAlgorithm, JoinNode, PlanNode, ScanNode
 from ..observability import runtime as obs
-from ..observability.spans import NULL_SPAN, Span
+from ..observability.spans import NULL_SPAN
 from ..rdf.terms import Variable
 from ..rdf.triples import RDFGraph
 from ..sparql.ast import BGPQuery
-from .base import (
-    ENGINES,
-    Engine,
-    StreamingContext,
-    resolve_engine,
-)
+from .base import ENGINES, Engine, resolve_engine
 from .cluster import Cluster
 from .faults import FaultInjector
 from .metrics import ExecutionMetrics, OperatorMetrics
 from .recovery import (
     DEFAULT_RETRY_POLICY,
     CircuitBreaker,
+    FaultOutcome,
     RecoveryManager,
     RetryPolicy,
 )
 from .relations import Relation, multi_join, scan_pattern
 
-# importing the streaming backend registers its EngineSpec, so every
+# importing the pipelined backend registers its EngineSpec, so every
 # consumer of ENGINES (CLI choices, session validation, benchmarks)
 # sees "pipelined" as soon as the executor is importable
 from . import pipelined as _pipelined  # noqa: F401  (registration side effect)
 
-DistributedRelation = List[Relation]
+#: what flows between operators: worker slot -> that worker's rows (a
+#: relation in the engine's representation).  A yielded batch belongs to
+#: its consumer, which adopts its relations or clears it when done.
+Batch = Dict[int, Relation]
+BatchStream = Iterator[Batch]
+
+
+def plan_depth(plan: PlanNode) -> int:
+    """Operators on the longest root-to-leaf path (the pipeline depth).
+
+    ``metrics.peak_buffered_rows`` is bounded by
+    ``chunk_size × plan_depth(plan)``: at most one in-flight batch per
+    stage of the probe spine, and the spine is no longer than the
+    deepest root-to-leaf operator path.
+    """
+    children = getattr(plan, "children", ())
+    if not children:
+        return 1
+    return 1 + max(plan_depth(child) for child in children)
 
 
 def _subtree_predicates(node: PlanNode) -> List[str]:
@@ -87,6 +132,33 @@ class ExecutionError(RuntimeError):
     """Raised when a plan cannot be executed (malformed node)."""
 
 
+class _LayoutChanged(Exception):
+    """A scan saw ``cluster.epoch`` move while it was emitting."""
+
+    def __init__(self, operator: str) -> None:
+        super().__init__(operator)
+        self.operator = operator
+
+
+@dataclass
+class _Operator:
+    """One opened plan node: its metrics record and its batch stream."""
+
+    op: OperatorMetrics
+    variables: FrozenSet[Variable] = frozenset()
+    stream: BatchStream = iter(())
+    children: Sequence["_Operator"] = ()
+    #: this operator's negotiated faults (fault injection only)
+    outcome: Optional[FaultOutcome] = None
+    span: "obs.SpanLike" = NULL_SPAN
+    #: priced critical path of the subtree, set by ``Executor._settle``
+    critical: float = 0.0
+
+
+def _rows(batch: Batch) -> int:
+    return sum(map(len, batch.values()))
+
+
 class Executor:
     """Executes plans against a :class:`Cluster`.
 
@@ -100,18 +172,18 @@ class Executor:
     * ``"columnar"`` — :class:`~repro.engine.columnar.EncodedRelation`
       over dictionary ids with indexed fragment scans; terms are only
       materialized once, on the final projected result.
-    * ``"pipelined"`` — chunked streaming over encoded ids
-      (:mod:`~repro.engine.pipelined`); identical result rows, bounded
-      inter-operator buffering, early first row and ``LIMIT`` pushdown.
+    * ``"pipelined"`` — the columnar access paths with batches of at
+      most ``chunk_size`` rows on the probe spine: identical result
+      rows, bounded inter-operator buffering, early first row and
+      ``LIMIT`` pushdown.
 
-    Every engine executes the *same* plans and returns the same result
-    rows.  The two materialized engines additionally match each other's
-    tuple counts and priced critical path exactly (the engine changes
-    wall-clock time, never the cost model's inputs); the streaming
-    engine evaluates joins globally, so its counts price the pipeline
-    topology it actually ran — without the cross-worker duplicate
-    production replicated partitionings cause — and its critical path
-    can come out lower.
+    Every engine executes the *same* plans through the *same* operators
+    and returns the same result rows.  ``reference`` and ``columnar``
+    (one batch per operator) match each other's tuple counts and priced
+    critical path exactly; bounded batches never count less, and differ
+    only where a repartition join sits on the probe spine: it
+    re-produces a row whose cross-worker duplicates arrive in different
+    batches (replayed work is real work).
 
     With a fault injector, a cluster that loses workers stays degraded
     after :meth:`execute` returns (as a real cluster would); call
@@ -147,11 +219,20 @@ class Executor:
         #: optional pre-execution gate: a plan failing invariant
         #: verification raises before any operator runs (``--verify``)
         self.plan_verifier = plan_verifier
+        # per-execute() state, reset at the top of every run
         self._recovery: Optional[RecoveryManager] = None
         self._budget: Optional[QueryBudget] = None
-        #: distributed relations computed but not yet consumed; a
-        #: fail-stop migrates the dead worker's slice in each of them
-        self._inflight: List[DistributedRelation] = []
+        self._metrics = ExecutionMetrics()
+        #: id(plan node) -> its opened operator, in registration order
+        #: (plan post-order: children before parents)
+        self._operators: Dict[int, _Operator] = {}
+        #: id(join node) -> its build tables, from the moment they are
+        #: drained until the join starts consuming them; a fail-stop
+        #: migrates the dead worker's slice in each of them
+        self._inflight: Dict[int, List[Batch]] = {}
+        self._buffered = 0
+        #: seconds already attributed to some operator (see _own_time)
+        self._timed = 0.0
 
     # ------------------------------------------------------------------
     # public API
@@ -165,25 +246,26 @@ class Executor:
     ) -> Tuple[Relation, ExecutionMetrics]:
         """Run *plan*; return the (deduplicated, projected) result.
 
-        When *query* is given and has a projection, the final relation
-        is projected onto it.
+        When *query* is given and has a projection, every batch is
+        projected onto it as the sink admits it.
 
-        A *limit* caps the result at that many rows.  Streaming engines
-        push it into the pipeline (execution stops as soon as the limit
-        is reached; ``metrics.limit_pushdown`` is set); materialized
-        engines truncate the final result deterministically (rows
-        sorted by string form).  The two selections may keep different
-        rows — a LIMIT without ORDER BY never promises which.
+        A *limit* caps the result at that many rows: the sink stops
+        pulling once it holds at least *limit* distinct rows and keeps
+        the *limit* smallest by string form.  With bounded batches that
+        stops execution early (``metrics.limit_pushdown`` is set); when
+        every operator emits once it is a deterministic truncation of
+        the full result.  The two may keep different rows — a LIMIT
+        without ORDER BY never promises which.
 
-        A *budget* is checked at every operator boundary (streaming
-        engines: at every chunk boundary): the produced rows are
-        charged against its row budget, its deadline and cancellation
-        token are polled, and the recovery manager charges every retry
-        against its query-wide retry budget.  A breach raises
-        :class:`~repro.core.governance.QueryAborted` enriched with the
-        partial metrics, the fault-event attempt history, and the open
-        span trace — execution never degrades partially, there is no
-        partial answer to degrade to.
+        A *budget* is checked once per emitted batch — per operator
+        when operators emit once, per chunk otherwise: the batch's rows
+        are charged against its row budget, its deadline and
+        cancellation token are polled, and the recovery manager charges
+        every retry against its query-wide retry budget.  A breach
+        raises :class:`~repro.core.governance.QueryAborted` enriched
+        with the partial metrics, the fault-event attempt history, and
+        the open span trace — execution never degrades partially, there
+        is no partial answer to degrade to.
         """
         if self.plan_verifier is not None:
             self.plan_verifier.check(plan)
@@ -204,53 +286,38 @@ class Executor:
         else:
             self._recovery = None
         self._budget = budget
-        self._inflight = []
+        self._metrics = metrics
+        self._operators = {}
+        self._inflight = {}
+        self._buffered = 0
+        self._timed = 0.0
+        chunk = self._impl.chunk_size
         with obs.span(
             "execute",
             workers=self.cluster.size,
             fault_injection=metrics.fault_injection_enabled,
             engine=self.engine,
-            streaming=self._impl.streaming,
         ) as sp:
             started = time.perf_counter()
             try:
-                if self._impl.streaming:
-                    # the engine pulls chunks through the whole plan;
-                    # projection/LIMIT already happened in its sink
-                    context = StreamingContext(
-                        cluster=self.cluster,
-                        parameters=self.parameters,
-                        plan=plan,
-                        query=query,
-                        metrics=metrics,
-                        recovery=self._recovery,
-                        budget=budget,
-                        limit=limit,
-                        started=started,
-                    )
-                    streamed, critical = self._impl.run_streaming(context)
-                    result = self._impl.decode(streamed)
-                else:
-                    distributed, critical = self._execute(plan, metrics)
-                    result = self._collect(distributed)
-                    if query is not None and query.projection:
-                        result = result.project(query.projection)
-                    # late materialization: decode only the final rows
-                    # (the reference engine's decode is the identity)
-                    result = self._impl.decode(result)
-                    if limit is not None and len(result) > limit:
-                        kept = set(sorted(result.rows, key=str)[:limit])
-                        result = Relation(result.variables, kept)
+                admitted = self._run(plan, query, limit, chunk, started)
             except QueryAborted as abort:
+                self._settle()
                 metrics.wall_seconds = time.perf_counter() - started
                 self._enrich_abort(abort, metrics, query)
                 raise
+            metrics.critical_path_cost = self._settle()
+            # late materialization: decode only the final rows (the
+            # reference engine's decode is the identity)
+            result = self._impl.decode(admitted)
+            if limit is not None and len(result) > limit:
+                kept = set(sorted(result.rows, key=str)[:limit])
+                result = Relation(result.variables, kept)
+            metrics.limit_pushdown = limit is not None and chunk is not None
             metrics.wall_seconds = time.perf_counter() - started
             metrics.result_rows = len(result)
-            metrics.critical_path_cost = critical
             if metrics.first_row_seconds is None:
-                # materialized engines: the first row is only available
-                # once the whole result is — reconcile to wall time
+                # an empty result: that there is no row is known at the end
                 metrics.first_row_seconds = metrics.wall_seconds
             if self._recovery is not None:
                 metrics.workers_failed = self._recovery.workers_failed
@@ -263,20 +330,109 @@ class Executor:
                     workers_failed=metrics.workers_failed,
                 )
                 self._flush_metrics(metrics)
-        self._inflight = []
         return result, metrics
+
+    # ------------------------------------------------------------------
+    # the driver: open the plan, drain the root, replay on a layout change
+    # ------------------------------------------------------------------
+    def _run(
+        self,
+        plan: PlanNode,
+        query: Optional[BGPQuery],
+        limit: Optional[int],
+        chunk: Optional[int],
+        started: float,
+    ) -> Relation:
+        admitted: Optional[Relation] = None
+        while True:
+            try:
+                root = self._open(plan, chunk)
+                if admitted is None:
+                    kept = root.variables
+                    if query is not None and query.projection:
+                        kept = [v for v in query.projection if v in kept]
+                    admitted = self._impl.relation(self.cluster, kept)
+                self._drain(root.stream, admitted, limit, started)
+                return admitted
+            except _LayoutChanged as moved:
+                # replay on the degraded layout: the operators keep
+                # their records (replayed work is real work) and the
+                # sink's set semantics absorb the re-emitted rows
+                obs.event(
+                    "executor.stream_restart",
+                    operator=moved.operator,
+                    epoch=self.cluster.epoch,
+                )
+                self._inflight.clear()
+
+    def _drain(
+        self,
+        stream: BatchStream,
+        admitted: Relation,
+        limit: Optional[int],
+        started: float,
+    ) -> None:
+        """The sink: project each batch, dedup, stop at ``limit`` rows."""
+        metrics = self._metrics
+        try:
+            while limit is None or len(admitted) < limit:  # lint: disable=LINT014 every batch pulled here was charged and polled by its producer's _pump
+                batch = next(stream, None)
+                if batch is None:
+                    break
+                for relation in batch.values():  # lint: disable=LINT014 bounded by cluster size, within one polled batch
+                    admitted.union_inplace(relation.project(admitted.variables))
+                batch.clear()  # consumed
+                if metrics.first_row_seconds is None and admitted.rows:
+                    first = time.perf_counter() - started
+                    metrics.first_row_seconds = first
+                    obs.event(
+                        "executor.first_row", seconds=first, engine=self.engine
+                    )
+        finally:
+            stream.close()  # halts every upstream operator still suspended
+
+    def _settle(self) -> float:
+        """Finalize the operators from their final counts; price the plan.
+
+        Stamps every negotiated fault outcome and every operator span,
+        and returns the critical path (Eq. 3 over measured counts plus
+        recovery) of the last operator registered — the root, once the
+        plan opened.
+        """
+        critical = 0.0
+        self._metrics.operators = [o.op for o in self._operators.values()]
+        for operator in self._operators.values():
+            op = operator.op
+            if operator.outcome is not None:
+                operator.outcome.apply(op, self.parameters)
+            below = max((child.critical for child in operator.children), default=0.0)
+            critical = operator.critical = below + op.total_cost(self.parameters)
+            if operator.span is not NULL_SPAN:
+                priced = {} if op.algorithm == "scan" else {
+                    "simulated_cost": op.simulated_cost(self.parameters)
+                }
+                operator.span.set(
+                    operator=op.operator,
+                    tuples_read=op.tuples_read,
+                    tuples_shipped=op.tuples_shipped,
+                    tuples_produced=op.tuples_produced,
+                    wall_seconds=op.wall_seconds,
+                    retries=op.retries,
+                    faults_injected=op.faults_injected,
+                    recovery_cost=op.recovery_cost,
+                    **priced,
+                )
+        return critical
 
     # ------------------------------------------------------------------
     # governance
     # ------------------------------------------------------------------
-    def _govern(self, op: OperatorMetrics) -> None:
-        """One operator-boundary budget check (no budget → no-op)."""
+    def _govern(self, op: OperatorMetrics, rows: int) -> None:
+        """One per-batch budget check (no budget → no-op)."""
         budget = self._budget
         if budget is None:
             return
-        budget.charge_rows(
-            op.tuples_produced, phase="execute", operator=op.operator
-        )
+        budget.charge_rows(rows, phase="execute", operator=op.operator)
         budget.check_deadline(phase="execute", operator=op.operator)
         budget.check_cancelled(phase="execute", operator=op.operator)
 
@@ -334,226 +490,281 @@ class Executor:
             ).inc(count)
 
     # ------------------------------------------------------------------
-    # node evaluation
+    # the operator protocol: open(node, chunk) -> schema + batch stream
     # ------------------------------------------------------------------
-    def _execute(
-        self, node: PlanNode, metrics: ExecutionMetrics
-    ) -> Tuple[DistributedRelation, float]:
+    def _open(self, node: PlanNode, chunk: Optional[int]) -> _Operator:
         if isinstance(node, ScanNode):
-            return self._execute_scan(node, metrics)
+            return self._open_scan(node, chunk)
         if isinstance(node, JoinNode):
-            return self._execute_join(node, metrics)
+            return self._open_join(node, chunk)
         raise ExecutionError(f"unknown plan node type {type(node).__name__}")
 
-    def _execute_scan(
-        self, node: ScanNode, metrics: ExecutionMetrics
-    ) -> Tuple[DistributedRelation, float]:
-        if node.pattern is None:
-            raise ExecutionError("scan node carries no pattern")
-        sp = obs.span("scan", pattern=node.pattern_index)
-        started = time.perf_counter()
+    def _record(self, node: PlanNode, label: str, algorithm: str) -> _Operator:
+        """The node's operator record — its existing one when a replay re-opens it."""
+        return self._operators.get(id(node)) or _Operator(
+            OperatorMetrics(operator=label, algorithm=algorithm)
+        )
 
-        def run_once() -> Tuple[DistributedRelation, OperatorMetrics]:
-            relations = self._impl.scan(self.cluster, node.pattern)
-            produced = sum(len(r) for r in relations)
-            op = OperatorMetrics(
-                operator=f"scan[{node.pattern_index}]",
-                algorithm="scan",
-                tuples_read=produced,
-                tuples_produced=produced,
-            )
-            return relations, op
+    def _negotiate(self, operator: _Operator) -> None:
+        """This operator's fault boundary (crossed once, also across replays)."""
+        if self._recovery is None or operator.outcome is not None:
+            return
+        inflight = [
+            table
+            for tables in self._inflight.values()
+            for table in tables
+            if table is not None
+        ]
+        operator.outcome = self._recovery.negotiate(operator.op.operator, inflight)
 
-        with sp:
-            if self._recovery is None:
-                relations, op = run_once()
-            else:
-                relations, op = self._recovery.run_operator(
-                    f"scan[{node.pattern_index}]", run_once, self._inflight
-                )
-                self._inflight.append(relations)
-            op.wall_seconds = time.perf_counter() - started
-            if sp is not NULL_SPAN:
-                self._annotate(sp, op)
-        metrics.operators.append(op)
-        self._govern(op)
-        return relations, op.recovery_cost
+    @contextmanager
+    def _own_time(self, op: OperatorMetrics) -> Iterator[None]:
+        """Add the enclosed time to *op*, net of operators nested in it."""
+        started, nested = time.perf_counter(), self._timed
+        try:
+            yield
+        finally:
+            own = time.perf_counter() - started - (self._timed - nested)
+            op.wall_seconds += own
+            self._timed += own
 
-    def _execute_join(
-        self, node: JoinNode, metrics: ExecutionMetrics
-    ) -> Tuple[DistributedRelation, float]:
-        with obs.span(
-            "join", algorithm=node.algorithm.value, arity=node.arity
-        ) as sp:
-            children: List[DistributedRelation] = []
-            child_critical = 0.0
-            for child in node.children:
-                relation, critical = self._execute(child, metrics)
-                children.append(relation)
-                child_critical = max(child_critical, critical)
-            started = time.perf_counter()
+    def _pump(
+        self, op: OperatorMetrics, body: BatchStream, chunk: Optional[int]
+    ) -> BatchStream:
+        """Drive one operator's body: what every emitted batch goes through.
 
-            def run_once() -> Tuple[DistributedRelation, OperatorMetrics]:
-                if node.algorithm is JoinAlgorithm.LOCAL:
-                    return self._local_join(node, children)
-                if node.algorithm is JoinAlgorithm.BROADCAST:
-                    return self._broadcast_join(node, children)
-                return self._repartition_join(node, children)
-
-            if self._recovery is None:
-                result, op = run_once()
-            else:
-                result, op = self._recovery.run_operator(
-                    self._label(node), run_once, self._inflight
-                )
-                for child in children:  # lint: disable=LINT014 bounded by operator arity; _govern polls at the operator boundary below
-                    self._discard_inflight(child)
-                self._inflight.append(result)
-            op.wall_seconds = time.perf_counter() - started
-            if sp is not NULL_SPAN:
-                self._annotate(sp, op, simulated_cost=op.simulated_cost(self.parameters))
-        metrics.operators.append(op)
-        self._govern(op)
-        return result, child_critical + op.total_cost(self.parameters)
+        Own time, the produced count, the budget (rows charged, deadline
+        and cancellation polled — once per batch) and, on the chunked
+        spine, the buffered-rows accounting: a batch is buffered from
+        the moment it is yielded until its consumer comes back for the
+        next one (or closes the stream).
+        """
+        metrics = self._metrics
+        try:
+            while True:
+                with self._own_time(op):
+                    batch = next(body, None)
+                if batch is None:
+                    return
+                rows = _rows(batch)
+                op.tuples_produced += rows
+                self._govern(op, rows)
+                if chunk is None:
+                    # whole relations handed to their consumer are its
+                    # working state, not inter-operator buffering
+                    yield batch
+                    continue
+                self._buffered += rows
+                if self._buffered > metrics.peak_buffered_rows:
+                    metrics.peak_buffered_rows = self._buffered
+                try:
+                    yield batch
+                finally:
+                    self._buffered -= rows
+        finally:
+            body.close()
 
     @staticmethod
-    def _annotate(sp: "Span", op: OperatorMetrics, **extra: float) -> None:
-        """Copy one operator's counters onto its span (tracing active)."""
-        sp.set(
-            operator=op.operator,
-            tuples_read=op.tuples_read,
-            tuples_shipped=op.tuples_shipped,
-            tuples_produced=op.tuples_produced,
-            wall_seconds=op.wall_seconds,
-            retries=op.retries,
-            faults_injected=op.faults_injected,
-            recovery_cost=op.recovery_cost,
-            **extra,
-        )
+    def _slices(batch: Batch, chunk: Optional[int]) -> BatchStream:
+        """Re-slice *batch* into batches of at most *chunk* rows.
 
-    # -- local ----------------------------------------------------------
-    def _local_join(
-        self, node: JoinNode, children: Sequence[DistributedRelation]
-    ) -> Tuple[DistributedRelation, OperatorMetrics]:
-        read = sum(len(r) for child in children for r in child)
-        result: DistributedRelation = []
-        for worker in range(self.cluster.size):
-            result.append(self._multi_join([child[worker] for child in children]))
-        op = OperatorMetrics(
-            operator=self._label(node),
-            algorithm=JoinAlgorithm.LOCAL.value,
-            tuples_read=read,
-            tuples_shipped=0,
-            tuples_produced=sum(len(r) for r in result),
-        )
-        return result, op
-
-    # -- broadcast -------------------------------------------------------
-    def _broadcast_join(
-        self, node: JoinNode, children: Sequence[DistributedRelation]
-    ) -> Tuple[DistributedRelation, OperatorMetrics]:
-        read = sum(len(r) for child in children for r in child)
-        sizes = [sum(len(r) for r in child) for child in children]
-        largest = max(range(len(children)), key=lambda i: sizes[i])
-        broadcast: List[Relation] = []
-        shipped = 0
-        by_predicate: Dict[str, int] = {}
-        for i, child in enumerate(children):  # lint: disable=LINT014 operator-boundary cadence: _govern charges rows and polls after every operator
-            if i == largest:
+        Unbounded: the batch itself, every slot, even when empty (the
+        operator emits exactly once).  Bounded: one slot per batch,
+        empty slots dropped, relations that already fit adopted as they
+        are.
+        """
+        if chunk is None:
+            yield batch
+            return
+        for slot, relation in batch.items():
+            if len(relation) <= chunk:
+                if relation.rows:
+                    yield {slot: relation}
                 continue
-            collected = self._collect(child)
-            moved = len(collected) * self.cluster.live_size
-            shipped += moved
-            predicates = _subtree_predicates(node.children[i])
-            for predicate in predicates:
-                by_predicate[predicate] = by_predicate.get(predicate, 0) + moved
-            broadcast.append(collected)
-        result: DistributedRelation = []
-        for worker in range(self.cluster.size):
-            result.append(
-                self._multi_join([children[largest][worker]] + broadcast)
-            )
-        op = OperatorMetrics(
-            operator=self._label(node),
-            algorithm=JoinAlgorithm.BROADCAST.value,
-            tuples_read=read,
-            tuples_shipped=shipped,
-            tuples_produced=sum(len(r) for r in result),
-            shipped_by_predicate=by_predicate,
-        )
-        return result, op
+            rows = iter(relation.rows)
+            for _ in range(0, len(relation), chunk):
+                piece = relation.empty_like()
+                piece.rows.update(islice(rows, chunk))
+                yield {slot: piece}
 
-    # -- repartition ------------------------------------------------------
-    def _repartition_join(
-        self, node: JoinNode, children: Sequence[DistributedRelation]
-    ) -> Tuple[DistributedRelation, OperatorMetrics]:
-        variable = node.join_variable or self._common_variable(children)
-        read = sum(len(r) for child in children for r in child)
-        shipped = 0
-        by_predicate: Dict[str, int] = {}
-        route = self._route
-        repartitioned: List[List[Relation]] = []
-        for index, child in enumerate(children):  # lint: disable=LINT014 operator-boundary cadence: _govern charges rows and polls after every operator
-            buckets = [child[0].empty_like() for _ in range(self.cluster.size)]
-            child_shipped = 0
-            for relation in child:  # lint: disable=LINT014 operator-boundary cadence: _govern charges rows and polls after every operator
-                if not relation.has_variable(variable):
+    # -- scan -------------------------------------------------------------
+    def _open_scan(self, node: ScanNode, chunk: Optional[int]) -> _Operator:
+        if node.pattern is None:
+            raise ExecutionError("scan node carries no pattern")
+        operator = self._record(node, f"scan[{node.pattern_index}]", "scan")
+        self._operators[id(node)] = operator
+        operator.variables = frozenset(node.pattern.variables())
+        with obs.span("scan", pattern=node.pattern_index) as operator.span:
+            with self._own_time(operator.op):
+                self._negotiate(operator)
+        operator.stream = self._pump(
+            operator.op, self._scan(node, operator.op, chunk), chunk
+        )
+        return operator
+
+    def _scan(
+        self, node: ScanNode, op: OperatorMetrics, chunk: Optional[int]
+    ) -> BatchStream:
+        """Each worker's matches, slot by slot, re-sliced to *chunk* rows.
+
+        Raises :class:`_LayoutChanged` when the cluster's layout epoch
+        moved while this scan was emitting: what it handed out so far
+        came from a layout that no longer exists.
+        """
+        cluster = self.cluster
+        epoch = cluster.epoch
+        whole: Batch = {}
+        for slot, relation in enumerate(self._impl.scan(cluster, node.pattern)):
+            if cluster.epoch != epoch:
+                raise _LayoutChanged(op.operator)
+            op.tuples_read += len(relation)
+            if chunk is None:
+                whole[slot] = relation
+            else:
+                yield from self._slices({slot: relation}, chunk)
+        if cluster.epoch != epoch:
+            raise _LayoutChanged(op.operator)
+        if chunk is None:
+            yield whole
+
+    # -- join -------------------------------------------------------------
+    def _open_join(self, node: JoinNode, chunk: Optional[int]) -> _Operator:
+        operator = self._record(node, self._label(node), node.algorithm.value)
+        op = operator.op
+        # the probe (streamed) child is the one the optimizer estimates
+        # largest; ties break on the lowest child index.  Every other
+        # child is a build side: opened unchunked — its consumer holds
+        # all its rows anyway — and drained before the next sibling
+        # opens, its single batch adopted as the per-worker build tables
+        # (index-aligned with the children; None at the probe).
+        sizes = [child.cardinality for child in node.children]
+        probe = max(range(len(sizes)), key=lambda i: (sizes[i], -i))
+        tables: List[Optional[Batch]] = []
+        self._inflight[id(node)] = tables
+        children: List[_Operator] = []
+        with obs.span(
+            "join", algorithm=node.algorithm.value, arity=node.arity
+        ) as operator.span, self._own_time(op):
+            for index, child in enumerate(node.children):  # lint: disable=LINT014 bounded by operator arity; the batch drained here was charged and polled by its producer's _pump
+                opened = self._open(child, chunk if index == probe else None)
+                children.append(opened)
+                if index == probe:
+                    tables.append(None)
+                else:
+                    (table,) = opened.stream  # unchunked: emits exactly once
+                    op.tuples_read += _rows(table)
+                    tables.append(table)
+            # registered after the children: plan post-order
+            self._operators.setdefault(id(node), operator)
+            operator.children = children
+            operator.variables = frozenset().union(*(c.variables for c in children))
+            variable: Optional[Variable] = None
+            if node.algorithm is JoinAlgorithm.REPARTITION:
+                variable = node.join_variable or self._common_variable(children)
+                if not all(variable in child.variables for child in children):
                     raise ExecutionError(
                         f"repartition input lacks join variable {variable}"
                     )
-                position = relation.position(variable)
-                for row in relation.rows:
-                    target = route(row[position])
-                    buckets[target].rows.add(row)
-                    child_shipped += 1
-            shipped += child_shipped
-            predicates = _subtree_predicates(node.children[index])
-            for predicate in predicates:
-                by_predicate[predicate] = (
-                    by_predicate.get(predicate, 0) + child_shipped
-                )
-            repartitioned.append(buckets)
-        result: DistributedRelation = []
-        for worker in range(self.cluster.size):
-            result.append(
-                self._multi_join([child[worker] for child in repartitioned])
-            )
-        op = OperatorMetrics(
-            operator=self._label(node),
-            algorithm=JoinAlgorithm.REPARTITION.value,
-            tuples_read=read,
-            tuples_shipped=shipped,
-            tuples_produced=sum(len(r) for r in result),
-            shipped_by_predicate=by_predicate,
+            self._negotiate(operator)
+        operator.stream = self._pump(
+            op,
+            self._join(node, op, children[probe], probe, tables, variable, chunk),
+            chunk,
         )
-        return result, op
+        return operator
+
+    def _join(
+        self,
+        node: JoinNode,
+        op: OperatorMetrics,
+        probe: _Operator,
+        probe_index: int,
+        tables: List[Optional[Batch]],
+        variable: Optional[Variable],
+        chunk: Optional[int],
+    ) -> BatchStream:
+        """Stream the probe child through the build tables.
+
+        Runs from the first pull on: the build tables leave the
+        in-flight registry (no fault is negotiated while a stream is
+        flowing), are placed where the algorithm wants them — LOCAL
+        leaves them on their worker, BROADCAST collects each once and
+        replicates it, REPARTITION routes every row to the slot owning
+        its binding — and every probe batch's slot is then joined with
+        the tables of that slot.
+        """
+        self._inflight.pop(id(node), None)
+        cluster = self.cluster
+        broadcast = node.algorithm is JoinAlgorithm.BROADCAST
+        repartition = node.algorithm is JoinAlgorithm.REPARTITION
+        # LOCAL joins ship nothing, so nothing is attributed
+        predicates = (
+            [_subtree_predicates(child) for child in node.children]
+            if broadcast or repartition
+            else []
+        )
+
+        def ship(index: int, moved: int) -> None:
+            op.tuples_shipped += moved
+            for predicate in predicates[index]:
+                op.shipped_by_predicate[predicate] = (
+                    op.shipped_by_predicate.get(predicate, 0) + moved
+                )
+
+        for index, table in enumerate(tables):  # lint: disable=LINT014 bounded by operator arity; _pump polls once this operator's first batch is out
+            if table is None:
+                continue
+            if broadcast:
+                collected = table[0].empty_like()
+                for relation in table.values():  # lint: disable=LINT014 bounded by cluster size
+                    collected.union_inplace(relation)
+                ship(index, len(collected) * cluster.live_size)
+                tables[index] = dict.fromkeys(range(cluster.size), collected)
+            elif repartition:
+                ship(index, _rows(table))
+                tables[index] = self._rehash(table, variable)
+        try:
+            for batch in probe.stream:
+                rows = _rows(batch)
+                op.tuples_read += rows
+                if repartition:
+                    ship(probe_index, rows)
+                    batch = self._rehash(batch, variable)
+                joined = {
+                    slot: self._multi_join(
+                        [
+                            piece if index == probe_index else table[slot]
+                            for index, table in enumerate(tables)
+                        ]
+                    )
+                    for slot, piece in batch.items()
+                    if piece.rows or chunk is None  # emitting once: every slot
+                }
+                batch.clear()  # consumed: free the probe rows before handing on
+                yield from self._slices(joined, chunk)
+        finally:
+            probe.stream.close()
+
+    def _rehash(self, batch: Batch, variable: Variable) -> Batch:
+        """Move every row of *batch* to the slot owning its *variable* binding."""
+        route = self._route
+        template = next(iter(batch.values()))
+        position = template.position(variable)
+        buckets = [template.empty_like() for _ in range(self.cluster.size)]
+        for relation in batch.values():  # lint: disable=LINT014 per-batch row loop; _pump polls at every batch boundary
+            for row in relation.rows:
+                buckets[route(row[position])].rows.add(row)
+        batch.clear()  # moved: the source-keyed relations are dropped here
+        return dict(enumerate(buckets))
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _collect(self, distributed: DistributedRelation) -> Relation:
-        """Union a distributed relation on one node (deduplicating)."""
-        if not distributed:
-            raise ExecutionError(
-                "cannot collect a distributed relation with no workers"
-            )
-        merged = distributed[0].empty_like()
-        for relation in distributed:
-            merged.union_inplace(relation)
-        return merged
-
-    def _discard_inflight(self, distributed: DistributedRelation) -> None:
-        """Drop a consumed distributed relation from the in-flight registry."""
-        for index, candidate in enumerate(self._inflight):
-            if candidate is distributed:
-                del self._inflight[index]
-                return
-
     @staticmethod
-    def _common_variable(children: Sequence[DistributedRelation]) -> Variable:
-        shared = set(children[0][0].variables)
+    def _common_variable(children: Sequence[_Operator]) -> Variable:
+        shared = set(children[0].variables)
         for child in children[1:]:
-            shared &= set(child[0].variables)
+            shared &= set(child.variables)
         if not shared:
             raise ExecutionError("repartition join without a shared variable")
         return sorted(shared, key=lambda v: v.name)[0]

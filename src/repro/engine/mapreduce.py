@@ -32,17 +32,6 @@ from .executor import ENGINES  # importing the executor registers all backends
 from .base import engine_spec
 from .recovery import DEFAULT_RETRY_POLICY, RetryPolicy
 
-#: shuffle-width discount of the encoded engines: a dictionary-encoded
-#: row ships 8-byte ids instead of serialized terms, so the per-tuple
-#: transfer constants (β) shrink by roughly this factor.  The value is
-#: a deliberate round figure — the simulator studies *trends*, and the
-#: executor's priced costs stay engine-neutral; only this opt-in
-#: analytic model applies the discount.  Kept as a named constant for
-#: API compatibility; the registry's per-engine ``shuffle_factor``
-#: (see :class:`~repro.engine.base.EngineSpec`) is what the simulator
-#: actually reads.
-COLUMNAR_SHUFFLE_FACTOR = 0.25
-
 
 @dataclass
 class Stage:
@@ -143,9 +132,11 @@ class MapReduceSimulator:
     The per-tuple transfer constants (β) are scaled by the registered
     engine's ``shuffle_factor`` (:class:`~repro.engine.base.EngineSpec`)
     before pricing — the encoded engines (``columnar``, ``pipelined``)
-    shuffle fixed-width dictionary ids instead of serialized terms and
-    declare :data:`COLUMNAR_SHUFFLE_FACTOR`.  The default engine keeps
-    the historical engine-neutral pricing.
+    shuffle fixed-width dictionary ids instead of serialized terms, so
+    their specs declare a discount (a deliberate round figure: the
+    simulator studies *trends*, and the executor's priced costs stay
+    engine-neutral).  The default engine keeps the historical
+    engine-neutral pricing.
     """
 
     def __init__(

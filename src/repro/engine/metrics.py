@@ -45,8 +45,7 @@ class OperatorMetrics:
     #: several predicates credits its full count to each of them, so
     #: the breakdown can sum to more than ``tuples_shipped`` — it
     #: answers "which predicates' data moved", not "how do the bytes
-    #: split".  Populated by the materialized engines; streaming
-    #: operators price their own topology and leave it empty.
+    #: split".
     shipped_by_predicate: Dict[str, int] = field(default_factory=dict)
 
     def simulated_cost(self, parameters: CostParameters) -> float:
@@ -93,20 +92,20 @@ class ExecutionMetrics:
     #: run was stopped by governance (empty for completed runs)
     abort_cause: str = ""
     #: seconds from execution start until the first distinct result row
-    #: was available.  Streaming engines stamp it when the sink admits
-    #: its first row (with an ``executor.first_row`` span event);
-    #: materialized engines reconcile it to ``wall_seconds`` — their
-    #: first row only exists once everything does.
+    #: was available: stamped when the sink admits its first row (with
+    #: an ``executor.first_row`` span event); an empty result
+    #: reconciles it to ``wall_seconds``.
     first_row_seconds: Optional[float] = None
-    #: high-water mark of rows held in inter-operator chunk buffers
-    #: (streaming engines only; bounded by chunk_size × pipeline depth).
-    #: Operator working state — hash build tables, the sink's dedup set
-    #: — is deliberately outside this accounting: the bound is about
-    #: what pipelining buffers *between* operators.
+    #: high-water mark of rows in batches handed over on the chunked
+    #: probe spine and not yet consumed (engines with a ``chunk_size``
+    #: only; bounded by chunk_size × pipeline depth).  Operator working
+    #: state — build tables, the sink's dedup set — is deliberately
+    #: outside this accounting: the bound is about what pipelining
+    #: buffers *between* operators.
     peak_buffered_rows: int = 0
-    #: True when a LIMIT was pushed into the pipeline (execution
-    #: stopped as soon as the limit was reached, instead of truncating
-    #: a fully materialized result)
+    #: True when a LIMIT ran on bounded batches (execution stopped as
+    #: soon as the limit was reached, instead of truncating the full
+    #: result)
     limit_pushdown: bool = False
 
     @property
@@ -130,8 +129,7 @@ class ExecutionMetrics:
 
         See :attr:`OperatorMetrics.shipped_by_predicate` for the
         attribution rule (an operator may credit one shipment to
-        several predicates).  Empty when nothing was shipped or the
-        engine does not attribute shipments (streaming).
+        several predicates).  Empty when nothing was shipped.
         """
         merged: Dict[str, int] = {}
         for op in self.operators:

@@ -1,432 +1,38 @@
-"""Streaming pipelined execution: chunked generators over encoded rows.
+"""The pipelined backend: the columnar access paths with bounded batches.
 
-Both materialized engines evaluate every plan node into a complete
-distributed relation before its parent runs, which caps result sizes
-and makes "time to first row" equal "time to last row".  This backend
-pipelines instead: every operator is a generator of fixed-size id-tuple
-chunks, pulled lazily from the sink down through scan→join→project —
-the streaming-partial-matches idea of the partial-evaluation literature
-(PAPERS.md), applied to the encoded/columnar representation.
-
-Shape of one plan's pipeline:
-
-* the **spine** is the chain of probe sides — per join, the child the
-  optimizer estimates largest streams through; the remaining children
-  are materialized into deduplicated hash build tables (they are the
-  globally smaller inputs, mirroring which sides the broadcast join
-  collects);
-* joins are evaluated *globally* (one conceptual stream, not one per
-  worker).  That is result-invariant: per-worker results always union
-  into the global join, and it frees the stream from the data layout —
-  which is what makes fail-stop recovery a pure replay;
-* **projection and LIMIT push down** into the sink: every chunk is
-  projected as it arrives, and reaching ``LIMIT`` distinct rows stops
-  pulling — generator laziness halts every upstream operator;
-* **buffering is bounded**: each inter-operator stream holds at most
-  one chunk at a time (acquire-on-yield / release-on-consume
-  accounting feeds ``metrics.peak_buffered_rows``), so the buffered
-  high-water mark is ≤ chunk_size × pipeline depth by construction.
-  Hash build tables and the sink's dedup set are working state, not
-  inter-operator buffers, and sit outside the bound.
-* **governance is per chunk**: produced rows are charged against
-  ``QueryBudget.charge_rows`` and the deadline/cancellation polled at
-  every chunk boundary — a streaming query aborts mid-stream instead
-  of after materializing.
-
-Fault handling is *eagerly negotiated*: before any chunk flows, the
-recovery manager resolves every operator's seeded fault draws in plan
-post-order (:meth:`~repro.engine.recovery.RecoveryManager.negotiate`),
-applying fail-stops to the cluster immediately; the stream then runs on
-the final degraded layout, which cannot change the result because
-:meth:`~repro.engine.cluster.Cluster.fail_worker` preserves the global
-triple set.  Mid-stream layout changes (a worker killed *while* a scan
-streams, as a chaos test may do) are caught by the cluster's layout
-``epoch``: the scan restarts from the degraded layout and the sink's
-set semantics absorb the re-emitted prefix.
+Not a driver — the executor runs the same pull-based operator pipeline
+for every engine (:mod:`repro.engine.executor`).  This backend only
+sets :attr:`~repro.engine.base.Engine.chunk_size`, so the operators on
+the plan's probe spine hand over at most that many rows at a time:
+the first row arrives early, ``LIMIT`` stops the pull, and
+inter-operator buffering is bounded by ``chunk_size × plan_depth``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from .base import ColumnarEngine, EngineSpec, engine_spec, register_engine
 
-from ..core.plans import JoinAlgorithm, JoinNode, PlanNode, ScanNode
-from ..observability import runtime as obs
-from .base import (
-    ColumnarEngine,
-    EngineSpec,
-    StreamingContext,
-    engine_spec,
-    register_engine,
-)
-from .columnar import (
-    EncodedRelation,
-    IdRow,
-    _row_getter,
-    hash_join_encoded,
-    iter_pattern_rows,
-)
-from .metrics import OperatorMetrics
-
-#: default rows per chunk; small enough to bound buffering, large
-#: enough that per-chunk governance polls are amortized
+#: default rows per batch; small enough to bound buffering, large
+#: enough that per-batch governance polls are amortized
 DEFAULT_CHUNK_SIZE = 1024
-
-#: one pipelined stream: chunks of encoded rows in the schema's order
-ChunkStream = Iterator[List[IdRow]]
-
-
-def plan_depth(plan: PlanNode) -> int:
-    """Operators on the longest root-to-leaf path (the pipeline depth).
-
-    The buffered-row bound the bench gates is
-    ``chunk_size × plan_depth(plan)``: at most one in-flight chunk per
-    stream stage, and no chain of concurrently live stages is longer
-    than the deepest root-to-leaf operator path.
-    """
-    children = getattr(plan, "children", ())
-    if not children:
-        return 1
-    return 1 + max(plan_depth(child) for child in children)
-
-
-def _label(node: JoinNode) -> str:
-    """The executor's operator label (kept identical across engines)."""
-    variable = f"?{node.join_variable.name}" if node.join_variable else "?"
-    return f"{node.algorithm.value}-join({node.arity}) on {variable}"
-
-
-def _postorder(plan: PlanNode) -> List[PlanNode]:
-    result: List[PlanNode] = []
-
-    def walk(node: PlanNode) -> None:
-        for child in getattr(node, "children", ()):
-            walk(child)
-        result.append(node)
-
-    walk(plan)
-    return result
 
 
 class PipelinedEngine(ColumnarEngine):
-    """Chunked streaming execution over the encoded representation.
-
-    Inherits the columnar access paths (the registry's materialized
-    fallbacks for :meth:`scan`/:meth:`join`/:meth:`route`), but the
-    executor routes whole plans through :meth:`run_streaming` instead.
-    Results are identical (as row multisets) to the columnar engine.
-    """
+    """Encoded rows, indexed scans, at most ``chunk_size`` rows per batch."""
 
     name = "pipelined"
-    streaming = True
 
     def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
 
-    def run_streaming(
-        self, context: StreamingContext
-    ) -> Tuple[EncodedRelation, float]:
-        return _StreamingRun(self, context).execute()
-
-
-class _StreamingRun:
-    """One plan's pipeline: compilation, draining, and accounting."""
-
-    def __init__(self, engine: PipelinedEngine, context: StreamingContext) -> None:
-        self.engine = engine
-        self.ctx = context
-        self.cluster = context.cluster
-        self.parameters = context.parameters
-        self.metrics = context.metrics
-        self.recovery = context.recovery
-        self.budget = context.budget
-        self.chunk_size = engine.chunk_size
-        self._buffered = 0
-        self._peak = 0
-        #: id(plan node) -> its OperatorMetrics record
-        self._ops: Dict[int, OperatorMetrics] = {}
-
-    # ------------------------------------------------------------------
-    # top level
-    # ------------------------------------------------------------------
-    def execute(self) -> Tuple[EncodedRelation, float]:
-        plan = self.ctx.plan
-        nodes = _postorder(plan)
-        outcomes = {}
-        if self.recovery is not None:
-            # eager fault negotiation: resolve every operator's seeded
-            # draws (same draw order as the materialized post-order
-            # walk) before any chunk flows; fail-stops degrade the
-            # cluster now and the stream runs on the final layout
-            for node in nodes:
-                outcomes[id(node)] = self.recovery.negotiate(
-                    self._node_label(node)
-                )
-        template, stream = self._compile(plan)
-        result = self._drain(template, stream)
-        self.metrics.peak_buffered_rows = self._peak
-        for node in nodes:
-            outcome = outcomes.get(id(node))
-            if outcome is not None:
-                outcome.apply(self._ops[id(node)], self.parameters)
-        return result, self._critical_path(plan)
-
-    @staticmethod
-    def _node_label(node: PlanNode) -> str:
-        if isinstance(node, ScanNode):
-            return f"scan[{node.pattern_index}]"
-        return _label(node)
-
-    def _critical_path(self, node: PlanNode) -> float:
-        child_critical = 0.0
-        for child in getattr(node, "children", ()):  # lint: disable=LINT014 bounded by plan arity; runs once post-drain
-            child_critical = max(child_critical, self._critical_path(child))
-        op = self._ops[id(node)]
-        return child_critical + op.total_cost(self.parameters)
-
-    # ------------------------------------------------------------------
-    # governance + buffer accounting
-    # ------------------------------------------------------------------
-    def _govern(self, operator: str) -> None:
-        """One chunk-boundary poll (no budget → no-op)."""
-        budget = self.budget
-        if budget is None:
-            return
-        budget.check_deadline(phase="execute", operator=operator)
-        budget.check_cancelled(phase="execute", operator=operator)
-
-    def _charge(self, operator: str, rows: int) -> None:
-        """Charge *rows* produced at a chunk boundary against the budget."""
-        budget = self.budget
-        if budget is None:
-            return
-        budget.charge_rows(rows, phase="execute", operator=operator)
-
-    def _account(self, stream: ChunkStream) -> ChunkStream:
-        """Track one stream's in-flight chunk in the buffered high-water.
-
-        A chunk is 'buffered' from the moment its producer yields it
-        until the consumer finishes with it (resumes the producer or
-        closes the stream) — exactly the inter-operator hand-off window
-        the chunk_size × depth bound is about.
-        """
-        for chunk in stream:
-            size = len(chunk)
-            self._buffered += size
-            if self._buffered > self._peak:
-                self._peak = self._buffered
-            try:
-                yield chunk
-            finally:
-                self._buffered -= size
-
-    # ------------------------------------------------------------------
-    # compilation: plan node -> (schema template, chunk stream)
-    # ------------------------------------------------------------------
-    def _compile(self, node: PlanNode) -> Tuple[EncodedRelation, ChunkStream]:
-        if isinstance(node, ScanNode):
-            return self._compile_scan(node)
-        if isinstance(node, JoinNode):
-            return self._compile_join(node)
-        from .executor import ExecutionError  # late: executor imports us
-
-        raise ExecutionError(f"unknown plan node type {type(node).__name__}")
-
-    def _register(self, node: PlanNode, op: OperatorMetrics) -> None:
-        # children register before parents, so metrics.operators is the
-        # same post-order walk the materialized engines append in (the
-        # alignment EXPLAIN relies on)
-        self._ops[id(node)] = op
-        self.metrics.operators.append(op)
-
-    # -- scans ----------------------------------------------------------
-    def _compile_scan(self, node: ScanNode) -> Tuple[EncodedRelation, ChunkStream]:
-        if node.pattern is None:
-            from .executor import ExecutionError  # late: executor imports us
-
-            raise ExecutionError("scan node carries no pattern")
-        op = OperatorMetrics(
-            operator=f"scan[{node.pattern_index}]", algorithm="scan"
-        )
-        self._register(node, op)
-        variables = sorted(node.pattern.variables(), key=lambda v: v.name)
-        template = EncodedRelation(variables, self.cluster.dictionary)
-        return template, self._account(self._scan_chunks(node, op))
-
-    def _scan_chunks(self, node: ScanNode, op: OperatorMetrics) -> ChunkStream:
-        """Stream one pattern's rows across all workers, chunked.
-
-        Restarts from scratch whenever the cluster's layout epoch moves
-        mid-stream (a fail-stop between chunks): the degraded layout
-        still covers the global triple set, and the sink's set
-        semantics make re-emission idempotent.  Counters keep counting
-        re-emitted rows — replayed work is real work.
-        """
-        cluster = self.cluster
-        pattern = node.pattern
-        chunk_size = self.chunk_size
-        while True:
-            epoch = cluster.epoch
-            chunk: List[IdRow] = []
-            restarted = False
-            for worker in range(cluster.size):
-                if cluster.epoch != epoch:
-                    restarted = True
-                    break
-                fragment = cluster.worker_fragment(worker)
-                for row in iter_pattern_rows(fragment, pattern):
-                    chunk.append(row)
-                    if len(chunk) >= chunk_size:
-                        if cluster.epoch != epoch:
-                            restarted = True
-                            break
-                        op.tuples_read += len(chunk)
-                        op.tuples_produced += len(chunk)
-                        self._charge(op.operator, len(chunk))
-                        yield chunk
-                        chunk = []
-                if restarted:
-                    break
-            if restarted or cluster.epoch != epoch:
-                obs.event(
-                    "executor.stream_restart",
-                    operator=op.operator,
-                    epoch=cluster.epoch,
-                )
-                continue
-            if chunk:
-                op.tuples_read += len(chunk)
-                op.tuples_produced += len(chunk)
-                self._charge(op.operator, len(chunk))
-                yield chunk
-            return
-
-    # -- joins ----------------------------------------------------------
-    def _compile_join(self, node: JoinNode) -> Tuple[EncodedRelation, ChunkStream]:
-        compiled = [self._compile(child) for child in node.children]
-        op = OperatorMetrics(operator=_label(node), algorithm=node.algorithm.value)
-        self._register(node, op)
-        # the probe (streamed) side is the child the optimizer estimates
-        # largest — the same side the broadcast join keeps distributed;
-        # ties break on the lowest child index for determinism
-        sizes = [child.cardinality for child in node.children]
-        probe_index = max(range(len(compiled)), key=lambda i: (sizes[i], -i))
-        builds: List[EncodedRelation] = []
-        for index, (template, stream) in enumerate(compiled):
-            if index == probe_index:
-                continue
-            relation = template.empty_like()
-            for chunk in stream:
-                self._govern(op.operator)
-                relation.rows.update(chunk)
-            builds.append(relation)
-            op.tuples_read += len(relation)
-        if node.algorithm is JoinAlgorithm.BROADCAST:
-            # collected build sides are replicated to every live worker
-            op.tuples_shipped += sum(len(b) for b in builds) * self.cluster.live_size
-        elif node.algorithm is JoinAlgorithm.REPARTITION:
-            # every build row moves once to its hash target; probe rows
-            # are added per chunk as they stream through
-            op.tuples_shipped += sum(len(b) for b in builds)
-        probe_template, probe_stream = compiled[probe_index]
-        out_vars = set(probe_template.variables)
-        for build in builds:
-            out_vars.update(build.variables)
-        out_template = EncodedRelation(out_vars, self.cluster.dictionary)
-        stream = self._account(
-            self._join_chunks(node, op, probe_template, builds, probe_stream)
-        )
-        return out_template, stream
-
-    def _join_chunks(
-        self,
-        node: JoinNode,
-        op: OperatorMetrics,
-        probe_template: EncodedRelation,
-        builds: List[EncodedRelation],
-        probe_stream: ChunkStream,
-    ) -> ChunkStream:
-        """Join each probe chunk through the build tables; re-chunk output."""
-        chunk_size = self.chunk_size
-        repartition = node.algorithm is JoinAlgorithm.REPARTITION
-        for chunk in probe_stream:
-            self._govern(op.operator)
-            op.tuples_read += len(chunk)
-            if repartition:
-                op.tuples_shipped += len(chunk)
-            current = EncodedRelation(
-                probe_template.variables, probe_template.dictionary, set(chunk)
-            )
-            for build in builds:
-                current = hash_join_encoded(current, build)
-                if not current.rows:
-                    break
-            if not current.rows:
-                continue
-            op.tuples_produced += len(current.rows)
-            self._charge(op.operator, len(current.rows))
-            buffer: List[IdRow] = []
-            for row in current.rows:
-                buffer.append(row)
-                if len(buffer) >= chunk_size:
-                    yield buffer
-                    buffer = []
-            if buffer:
-                yield buffer
-
-    # ------------------------------------------------------------------
-    # the sink: project per chunk, dedup, stop at LIMIT
-    # ------------------------------------------------------------------
-    def _drain(
-        self, template: EncodedRelation, stream: ChunkStream
-    ) -> EncodedRelation:
-        query = self.ctx.query
-        limit = self.ctx.limit
-        metrics = self.metrics
-        if query is not None and getattr(query, "projection", None):
-            kept = [
-                v
-                for v in sorted(set(query.projection), key=lambda v: v.name)
-                if template.has_variable(v)
-            ]
-        else:
-            kept = list(template.variables)
-        emit = _row_getter([template.position(v) for v in kept])
-        result = EncodedRelation(kept, template.dictionary)
-        rows = result.rows
-        reached_limit = limit == 0  # LIMIT 0 never pulls a single chunk
-        while not reached_limit:
-            chunk = next(stream, None)
-            if chunk is None:
-                break
-            self._govern("sink")
-            for row in chunk:
-                if limit is not None and len(rows) >= limit:
-                    reached_limit = True
-                    break
-                rows.add(emit(row))
-            if rows and metrics.first_row_seconds is None:
-                first = time.perf_counter() - self.ctx.started
-                metrics.first_row_seconds = first
-                obs.event(
-                    "executor.first_row",
-                    seconds=first,
-                    engine=self.engine.name,
-                )
-        if hasattr(stream, "close"):
-            stream.close()  # release the in-flight chunk accounting now
-        if limit is not None:
-            metrics.limit_pushdown = True
-        return result
-
 
 register_engine(
     EngineSpec(
         name="pipelined",
         description=(
-            "streaming chunk pipeline over encoded ids; identical "
+            "columnar access paths in bounded batches; identical "
             "results, bounded buffering, early first row and LIMIT "
             "pushdown"
         ),
@@ -434,6 +40,5 @@ register_engine(
         # encoded rows shuffle fixed-width ids, same as columnar
         shuffle_factor=engine_spec("columnar").shuffle_factor,
         encoded=True,
-        streaming=True,
     )
 )

@@ -13,10 +13,11 @@ paper's Hadoop substrate actually survives failures:
   re-routed to the next live worker *from the durable replica* the
   partitioning retains (HDFS keeps block replicas; our stand-in is the
   original per-worker graph, which recovery never mutates).  In-flight
-  intermediate relations — the outputs of already-finished stages,
-  durable in HDFS terms — migrate the dead worker's slice to the same
-  survivor, so only the lost worker's lineage is touched and every
-  other worker's work is preserved.  Recovery cost = replica re-scan
+  build tables — the outputs of already-finished stages whose join has
+  not started consuming them, durable in HDFS terms — migrate the dead
+  worker's slice to the same survivor, so only the lost worker's
+  lineage is touched and every other worker's work is preserved.
+  Recovery cost = replica re-scan
   (``α`` per triple) + intermediate re-shipping (``β_repartition`` per
   row) + backoff.
 * **straggler** — the operator still succeeds, but the slow worker's
@@ -27,6 +28,17 @@ paper's Hadoop substrate actually survives failures:
 Retries are bounded by :class:`RetryPolicy`; exhausting them raises
 :class:`FaultToleranceError`, the simulated analogue of a Hadoop job
 abort.
+
+There is **one** fault protocol, for every engine:
+:meth:`RecoveryManager.negotiate` is the only draw loop.  The executor
+calls it once per operator while the plan is being opened (scans when
+they open, joins once their build sides are drained and before their
+probe flows — plan post-order), so every fault is resolved *between*
+streams, never while one is flowing.  Fail-stops are applied to the
+cluster on the spot and migrate the build tables registered in flight;
+the part of the price that depends on the operator's eventual tuple
+counts (wasted attempts, the straggler stretch) is deferred to
+:meth:`FaultOutcome.apply`.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..core.cost import CostParameters
 from ..core.governance import AbortCause, QueryAborted, QueryBudget
@@ -46,22 +58,21 @@ from .relations import Relation
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports nothing here)
     from .cluster import Cluster
 
-#: one operator attempt: () -> (distributed relation, its metrics record)
-AttemptRunner = Callable[[], Tuple[List[Relation], OperatorMetrics]]
+#: one in-flight build side: worker slot -> the rows that worker holds
+BuildTables = Dict[int, Relation]
 
 
 @dataclass
 class FaultOutcome:
     """The resolved fault history of one operator, priced lazily.
 
-    Produced by :meth:`RecoveryManager.negotiate` for streaming
-    execution, where operators have no materialized attempt to re-run:
-    the draw loop is resolved *eagerly* (fail-stops applied to the
-    cluster, backoff and re-route costs fixed), while the parts of the
-    recovery price that depend on the operator's eventual tuple counts
-    — wasted transient attempts and the straggler stretch — are
-    deferred to :meth:`apply`, called once the stream has drained and
-    the operator's metrics are final.
+    Produced by :meth:`RecoveryManager.negotiate` before the operator's
+    rows flow: the draw loop is resolved *eagerly* (fail-stops applied
+    to the cluster, backoff and re-route costs fixed), while the parts
+    of the recovery price that depend on the operator's eventual tuple
+    counts — wasted transient attempts and the straggler stretch — are
+    deferred to :meth:`apply`, called once the plan has drained and the
+    operator's metrics are final.
     """
 
     retries: int = 0
@@ -84,6 +95,8 @@ class FaultOutcome:
         if self.wasted_attempts:
             recovery += self.wasted_attempts * op.simulated_cost(parameters)
         if self.straggler is not None:
+            # Table I prices scans at zero, but a straggling scan still
+            # delays its stage: fall back to its I/O (α × tuples_read)
             base = op.simulated_cost(parameters)
             if base <= 0.0:
                 base = parameters.alpha * op.tuples_read
@@ -267,10 +280,10 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 class RecoveryManager:
     """Stage-level recovery driver for one :meth:`Executor.execute` run.
 
-    The executor funnels every operator attempt through
-    :meth:`run_operator`, handing over the registry of *in-flight*
-    distributed relations (computed but not yet consumed) so a
-    fail-stop can migrate the dead worker's slices in one place.
+    The executor passes every operator through :meth:`negotiate`,
+    handing over the registry of *in-flight* build tables (drained but
+    not yet consumed by their join) so a fail-stop can migrate the dead
+    worker's slices in one place.
     """
 
     def __init__(
@@ -290,96 +303,16 @@ class RecoveryManager:
         self.breaker = breaker
         self.workers_failed = 0
 
-    def run_operator(
-        self,
-        label: str,
-        run_once: AttemptRunner,
-        inflight: List[List[Relation]],
-    ) -> Tuple[List[Relation], OperatorMetrics]:
-        """Run one operator to success (or retry exhaustion)."""
-        retries = 0
-        faults = 0
-        recovery = 0.0
-        attempts: List[FaultEvent] = []
-        budget = self.budget
-        query_id = budget.query_id if budget is not None else ""
-        while True:
-            if budget is not None:
-                # a retry storm must not outlive the query's envelope
-                budget.check_cancelled(phase="execute", operator=label)
-                budget.check_deadline(phase="execute", operator=label)
-            fault = self.injector.draw(label, retries, self.cluster.live_workers)
-            if fault is None:
-                result, op = run_once()
-                break
-            faults += 1
-            attempts.append(fault)
-            obs.event(
-                "fault",
-                kind=fault.kind.value,
-                worker=fault.worker,
-                operator=label,
-                attempt=retries + 1,
-            )
-            obs.count("engine.recovery.faults")
-            if fault.kind is FaultKind.STRAGGLER:
-                result, op = run_once()
-                recovery += self._straggler_penalty(fault, op)
-                break
-            tripped = (
-                self.breaker is not None
-                and self.breaker.record_fault(fault.worker)
-            )
-            retries += 1
-            if budget is not None:
-                # the query-wide retry budget sits on top of the
-                # per-operator policy and breaches first when smaller
-                budget.charge_retry(phase="execute", operator=label)
-            if retries > self.policy.max_retries:
-                raise FaultToleranceError(
-                    f"{label}: retry budget ({self.policy.max_retries}) exhausted; "
-                    f"last fault was {fault}",
-                    operator=label,
-                    attempts=tuple(attempts),
-                    query_id=query_id,
-                )
-            obs.event("retry", operator=label, retry=retries)
-            obs.count("engine.recovery.retries")
-            recovery += self.policy.backoff_cost(retries)
-            if fault.kind is FaultKind.TRANSIENT:
-                if tripped:
-                    # quarantine the flaky worker *before* re-running:
-                    # every produced relation must post-date every
-                    # death, or a later migration would miss the dead
-                    # worker's slice of a result not yet in-flight
-                    recovery += self._quarantine(fault.worker, label, inflight)
-                # the attempt ran and its output was lost: charge its
-                # full data cost as wasted work, then go around again
-                _, wasted = run_once()
-                recovery += wasted.simulated_cost(self.parameters)
-            else:
-                recovery += self._recover_fail_stop(fault.worker, inflight)
-                if tripped:
-                    # the crash already drained it; the open breaker
-                    # just keeps the quarantine visible in reports
-                    self._note_trip(fault.worker, label)
-        op.retries = retries
-        op.faults_injected = faults
-        op.recovery_cost = recovery
-        return result, op
+    def negotiate(self, label: str, inflight: List[BuildTables]) -> FaultOutcome:
+        """Resolve one operator's fault draws before its rows flow.
 
-    def negotiate(self, label: str) -> FaultOutcome:
-        """Resolve one operator's fault draws without running attempts.
-
-        The streaming engine's counterpart of :meth:`run_operator`:
-        same draw order, same budget/breaker/backoff handling, same
-        retry exhaustion — but fail-stops are applied to the cluster
-        *immediately* (the pipeline then streams the final degraded
-        layout, which is result-invariant: results union across all
-        workers and :meth:`~repro.engine.cluster.Cluster.fail_worker`
-        preserves the global triple set), and no in-flight relations
-        exist to migrate (streaming lineage is replayed from scans).
-        Count-dependent pricing is deferred to
+        Draws until an attempt succeeds (or a straggler ends the loop,
+        or the retry budget is exhausted).  Fail-stops and quarantines
+        are applied to the cluster *immediately* and migrate the dead
+        worker's slice of every table in *inflight*; the operator then
+        runs on the final degraded layout, which is result-invariant:
+        :meth:`~repro.engine.cluster.Cluster.fail_worker` preserves the
+        global triple set.  Count-dependent pricing is deferred to
         :meth:`FaultOutcome.apply`.
         """
         outcome = FaultOutcome()
@@ -388,6 +321,7 @@ class RecoveryManager:
         query_id = budget.query_id if budget is not None else ""
         while True:
             if budget is not None:
+                # a retry storm must not outlive the query's envelope
                 budget.check_cancelled(phase="execute", operator=label)
                 budget.check_deadline(phase="execute", operator=label)
             fault = self.injector.draw(
@@ -415,6 +349,8 @@ class RecoveryManager:
             )
             outcome.retries += 1
             if budget is not None:
+                # the query-wide retry budget sits on top of the
+                # per-operator policy and breaches first when smaller
                 budget.charge_retry(phase="execute", operator=label)
             if outcome.retries > self.policy.max_retries:
                 raise FaultToleranceError(
@@ -430,19 +366,25 @@ class RecoveryManager:
             if fault.kind is FaultKind.TRANSIENT:
                 if tripped:
                     outcome.fixed_cost += self._quarantine(
-                        fault.worker, label, []
+                        fault.worker, label, inflight
                     )
+                # the attempt's output was lost: its full data cost is
+                # charged as wasted work once the counts are final
                 outcome.wasted_attempts += 1
             else:
-                outcome.fixed_cost += self._recover_fail_stop(fault.worker, [])
+                outcome.fixed_cost += self._recover_fail_stop(
+                    fault.worker, inflight
+                )
                 if tripped:
+                    # the crash already drained it; the open breaker
+                    # just keeps the quarantine visible in reports
                     self._note_trip(fault.worker, label)
 
     # ------------------------------------------------------------------
     # circuit breaker
     # ------------------------------------------------------------------
     def _quarantine(
-        self, worker: int, label: str, inflight: List[List[Relation]]
+        self, worker: int, label: str, inflight: List[BuildTables]
     ) -> float:
         """Drain a tripped-but-alive worker like a fail-stop; return cost."""
         if not self.cluster.is_live(worker) or self.cluster.live_size <= 1:
@@ -459,7 +401,7 @@ class RecoveryManager:
     # fault-specific recovery
     # ------------------------------------------------------------------
     def _recover_fail_stop(
-        self, worker: int, inflight: List[List[Relation]]
+        self, worker: int, inflight: List[BuildTables]
     ) -> float:
         """Kill *worker*, migrate its lineage to a survivor; return the cost."""
         target, triples_rerouted = self.cluster.fail_worker(worker)
@@ -477,16 +419,3 @@ class RecoveryManager:
             self.parameters.alpha * triples_rerouted
             + self.parameters.beta_repartition * rows_moved
         )
-
-    def _straggler_penalty(self, fault: FaultEvent, op: OperatorMetrics) -> float:
-        """Extra critical-path time the slow worker's share costs.
-
-        Table I prices scans at zero, but a straggling scan still
-        delays its stage, so the fallback base is the scan's I/O
-        (``α × tuples_read``).
-        """
-        base = op.simulated_cost(self.parameters)
-        if base <= 0.0:
-            base = self.parameters.alpha * op.tuples_read
-        share = base / max(self.cluster.live_size, 1)
-        return (fault.slowdown - 1.0) * share

@@ -352,12 +352,13 @@ class TestEngineSelection:
         assert Optimizer(OptimizeOptions(engine=instance)).options.engine is instance
 
     def test_mapreduce_simulator_engine(self):
-        from repro.engine import COLUMNAR_SHUFFLE_FACTOR, MapReduceSimulator
+        from repro.engine import MapReduceSimulator, engine_spec
 
         reference = MapReduceSimulator()
         columnar = MapReduceSimulator(engine="columnar")
         assert columnar.parameters.beta_repartition == pytest.approx(
-            reference.parameters.beta_repartition * COLUMNAR_SHUFFLE_FACTOR
+            reference.parameters.beta_repartition
+            * engine_spec("columnar").shuffle_factor
         )
         assert columnar.parameters.alpha == reference.parameters.alpha
         with pytest.raises(ValueError, match="unknown engine"):

@@ -394,15 +394,6 @@ class TestSimulatorFaultPricing:
             MapReduceSimulator(fault_rate=-0.2)
 
 
-class TestCollectGuard:
-    def test_collect_empty_distributed_relation_rejected(self, lubm):
-        from repro.engine import ExecutionError
-
-        executor = Executor(_fresh_cluster(lubm))
-        with pytest.raises(ExecutionError, match="no workers"):
-            executor._collect([])
-
-
 class TestDoubleFailStop:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_two_workers_die_in_one_query(self, lubm, engine):
