@@ -142,13 +142,20 @@ def test_memoization_speedup(benchmark):
     query = tree_query(10, random.Random(5))
     builder = make_builder(query, seed=5)
 
+    class NeverHits(dict):
+        """A memo table that stores but never answers a probe."""
+
+        def get(self, key, default=None):
+            return default
+
     class NoMemo(TopDownEnumerator):
         algorithm_name = "TD-CMD-nomemo"
 
-        def get_best_plan(self, bits, is_local):
-            if not is_local:
-                is_local = self.local_index.is_local(bits)
-            return self.best_plan_gen(bits, is_local)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # the costing loop probes the memo inline; a table whose
+            # probes all miss re-solves every child reference
+            self._memo = NeverHits()
 
     import time
 

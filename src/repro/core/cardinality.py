@@ -183,6 +183,17 @@ class CardinalityEstimator:
         self.join_graph = join_graph
         self.catalog = catalog
         self._cache: Dict[int, tuple[float, Dict[Variable, float]]] = {}
+        # per pattern, what one fold step reads: (v, B(tp, v)) for the
+        # pattern's variables, sorted by name so the float product is
+        # bit-identical across processes (frozenset order follows the
+        # per-process hash seed)
+        self._pattern_bindings: List[Tuple[Tuple[Variable, float], ...]] = [
+            tuple(
+                (v, catalog[index].binding_count(v))
+                for v in sorted(pattern.variables(), key=lambda v: v.name)
+            )
+            for index, pattern in enumerate(join_graph.patterns)
+        ]
 
     # ------------------------------------------------------------------
     # public API
@@ -231,37 +242,26 @@ class CardinalityEstimator:
         if base is None:
             # nothing cached: seed the fold with the lowest-index pattern
             first_index = pending.pop()
-            first = self.catalog[first_index]
-            card = first.cardinality
-            first_vars = sorted(
-                self.join_graph.patterns[first_index].variables(),
-                key=lambda v: v.name,
+            card = self.catalog[first_index].cardinality
+            bindings: Dict[Variable, float] = dict(
+                self._pattern_bindings[first_index]
             )
-            bindings: Dict[Variable, float] = {
-                v: first.binding_count(v) for v in first_vars
-            }
             rest = 1 << first_index
             self._cache[rest] = (card, bindings)
         else:
             card, bindings = base
         for index in reversed(pending):
-            stats = self.catalog[index]
-            pattern = self.join_graph.patterns[index]
             bindings = dict(bindings)  # cached prefixes stay immutable
-            # sorted so the float product is bit-identical across
-            # processes (frozenset order follows the per-process hash seed)
-            shared = sorted(
-                (v for v in pattern.variables() if v in bindings),
-                key=lambda v: v.name,
-            )
             denominator = 1.0
-            for v in shared:
-                denominator *= max(bindings[v], stats.binding_count(v))
-            card = card * stats.cardinality / denominator
+            for v, b in self._pattern_bindings[index]:
+                known = bindings.get(v)
+                if known is None:
+                    bindings[v] = b
+                else:  # a shared variable: Eq. 10's max, then the tighter bound
+                    denominator *= max(known, b)
+                    bindings[v] = min(known, b)
+            card = card * self.catalog[index].cardinality / denominator
             card = max(card, 1.0)
-            for v in sorted(pattern.variables(), key=lambda v: v.name):
-                b = stats.binding_count(v)
-                bindings[v] = min(bindings.get(v, b), b)
             rest |= 1 << index
             self._cache[rest] = (card, bindings)
         return self._cache[bits]

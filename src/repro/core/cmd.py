@@ -18,10 +18,22 @@ The enumeration strategy follows the paper:
 * :func:`enumerate_cmds` (Algorithm 3) peels cbd sides off recursively,
   keeping them on a stack; every stack state is one cmd.
 
-Both are generators (the paper's ``Emit`` is ``yield``), so callers can
-stop early and nothing is materialized.  Every cmd is produced exactly
-once: within one v_j the peeled part always contains the lowest-index
-pattern of the remaining Ntp(v_j), which makes the part order canonical.
+This is the optimizer's innermost kernel, so it is written flat: each
+algorithm is *one* generator frame driving an explicit stack
+(:func:`_cbd_sides`, :func:`_peel` — no generator per recursion node,
+no ``yield from`` chain for a k-way division to bubble through), every
+bit walk is the inline
+``low = x & -x`` loop, and join variables are addressed by their index
+into the join graph's ``_ntp`` / ``_adj_without`` tables, so no
+``Variable`` is hashed below the public functions.  The paper's
+``Emit`` is still ``yield``: callers can stop early, nothing is
+materialized and memory stays O(|SQ|) per enumeration however large
+the division space is.  Every cmd is produced exactly once: within one
+v_j the peeled part always contains the lowest-index pattern of the
+remaining Ntp(v_j), which makes the part order canonical.  The *order*
+of emission is part of the contract — the optimizer keeps the first
+cheapest candidate — and is pinned against the previous recursive
+implementation, which lives on as ``tests/enumeration_oracle.py``.
 
 :func:`brute_force_cbds` / :func:`brute_force_cmds` implement the
 definitions directly (exponentially); the test suite cross-validates
@@ -30,7 +42,7 @@ the efficient enumerators against them on random join graphs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Variable
 from . import bitset as bs
@@ -38,6 +50,15 @@ from .join_graph import JoinGraph
 
 #: A connected multi-division: the parts (bitsets) and the join variable.
 CMD = Tuple[Tuple[int, ...], Variable]
+
+
+def _variable_indices(
+    join_graph: JoinGraph, variables: Optional[Sequence[Variable]]
+) -> Iterable[int]:
+    """Join-variable indices for a public ``variables`` argument."""
+    if variables is None:
+        return range(len(join_graph.join_variables))
+    return [join_graph._var_index[variable] for variable in variables]
 
 
 # ----------------------------------------------------------------------
@@ -61,78 +82,88 @@ def enumerate_cbds(
     adds a second v_j-adjacent pattern, so the restriction prunes the
     recursion instead of filtering its output.
     """
-    ntp = join_graph.ntp(variable) & bits
-    if bs.popcount(ntp) < 2:
-        return
-    components = join_graph.connected_components(bits, exclude=variable)
-    component_of: Dict[int, int] = {}
-    for component in components:  # lint: disable=LINT014 bounded by bitset width (≤64 components × ≤64 bits), no data-sized work
-        for index in bs.iter_bits(component):
-            component_of[index] = component
-    anchor = bs.lowest_bit(ntp)
-    blocked = (ntp & ~anchor) if single_anchor else 0
-    yield from _cbd_rec(
-        join_graph, bits, variable, ntp, component_of, 0, 0, anchor, blocked
-    )
+    index = join_graph._var_index[variable]
+    for side in _cbd_sides(join_graph, bits, index, single_anchor):
+        yield side, bits ^ side
 
 
-def _cbd_rec(
-    join_graph: JoinGraph,
-    bits: int,
-    variable: Variable,
-    ntp: int,
-    component_of: Dict[int, int],
-    sq: int,
-    forbidden: int,
-    anchor: int,
-    blocked: int,
-) -> Iterator[Tuple[int, int]]:
-    """Recursive body of Algorithm 2 (CBDRec)."""
-    if sq & forbidden:
-        return
-    if sq == bits:
-        return
-    if sq:
-        yield (sq, bits & ~sq)
-    if sq == 0:
-        candidates = anchor
-    else:
-        candidates = join_graph.neighbors(sq) & bits & ~forbidden & ~blocked
-    for index in bs.iter_bits(candidates):
-        tp_bit = bs.bit(index)
-        component = component_of[index]
-        extension = tp_bit | _stranded_fragments(
-            join_graph, component & ~(sq | tp_bit), ntp
-        )
-        yield from _cbd_rec(
-            join_graph,
-            bits,
-            variable,
-            ntp,
-            component_of,
-            sq | extension,
-            forbidden,
-            anchor,
-            blocked,
-        )
-        forbidden |= tp_bit
+def _cbd_sides(
+    join_graph: JoinGraph, bits: int, variable: int, single_anchor: bool
+) -> Iterator[int]:
+    """Algorithm 2 (CBDRec): the anchor side of every cbd of *bits*.
 
+    *variable* is the join variable's index; the other side of each
+    division is ``bits ^ side``.  The recursion is unrolled onto an
+    explicit stack of ``(sq, reach, forbidden, candidates)`` frames —
+    a frame is pushed only while a growing side still has candidates
+    to its right — and emits in the recursion's pre-order: the anchor
+    first, candidates ascending, ``forbidden`` growing left to right.
 
-def _stranded_fragments(join_graph: JoinGraph, rest: int, ntp: int) -> int:
-    """Fragments of *rest* with no pattern adjacent to v_j (Lemmas 1–2).
-
-    Connectivity here includes v_j (ordinary subquery connectivity), so
-    all fragments that do touch v_j merge into at most one component and
-    stay behind; everything else would be stranded and must be absorbed
-    into the growing side.
+    Stranding (Lemmas 1–2) needs no component table.  Removing *tp*
+    from the remainder can only strand the fragments that were
+    connected to v_j *through tp*, and a fragment without a pattern of
+    Ntp(v_j) has no v_j edge at all, so it is a connected fragment of
+    the v_j-less adjacency that starts at one of tp's v_j-less
+    neighbours: walk exactly those, and absorb the ones that never
+    meet Ntp(v_j).  An indivisible component has no such neighbour and
+    costs one ``&``.
     """
-    if not rest:
-        return 0
-    stranded = 0
-    for fragment in join_graph.connected_components(rest):
-        if fragment & ntp == 0:
-            stranded |= fragment
-    return stranded
+    ntp = join_graph._ntp[variable] & bits
+    if not ntp & (ntp - 1):  # fewer than two patterns adjacent to v_j
+        return
+    adj = join_graph._adj
+    without = join_graph._adjacency_without(variable)
+    anchor = ntp & -ntp
+    # single_anchor: the side never takes a second pattern of Ntp(v_j)
+    allowed = bits & ~(ntp ^ anchor) if single_anchor else bits
+    stack: List[Tuple[int, int, int, int]] = []
+    # sq: the side grown so far; reach: the union of its adjacency rows
+    sq, reach, forbidden, candidates = 0, anchor, 0, anchor
+    while True:
+        while candidates:
+            tp = candidates & -candidates
+            candidates ^= tp
+            index = tp.bit_length() - 1
+            grown = sq | tp
+            grown_reach = reach | adj[index]
+            outside = bits & ~grown
+            near = without[index] & outside
+            safe = ntp  # whatever connects to this keeps its link to v_j
+            # the four bit walks below are bounded by the bitset width
+            # (≤64 fragments × ≤64 patterns, no data-sized work); the
+            # consumer polls its deadline between emitted sides
+            while near:  # lint: disable=LINT014 bounded by bitset width
+                low = near & -near
+                frontier = without[low.bit_length() - 1] & outside
+                fragment = low | frontier
+                while frontier and not fragment & safe:  # lint: disable=LINT014 bounded by bitset width
+                    step = 0
+                    while frontier:  # lint: disable=LINT014 bounded by bitset width
+                        low = frontier & -frontier
+                        step |= without[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = step & outside & ~fragment
+                    fragment |= frontier
+                near &= ~fragment
+                if fragment & safe:
+                    safe |= fragment
+                    continue
+                grown |= fragment  # stranded: it moves with tp
+                while fragment:  # lint: disable=LINT014 bounded by bitset width
+                    low = fragment & -fragment
+                    grown_reach |= adj[low.bit_length() - 1]
+                    fragment ^= low
+            if grown & forbidden or grown == bits:
+                forbidden |= tp
+                continue
+            if candidates:  # tp's right siblings resume with tp forbidden
+                stack.append((sq, reach, forbidden | tp, candidates))
+            yield grown
+            sq, reach = grown, grown_reach
+            candidates = reach & allowed & ~sq & ~forbidden
+        if not stack:
+            return
+        sq, reach, forbidden, candidates = stack.pop()
 
 
 # ----------------------------------------------------------------------
@@ -149,30 +180,48 @@ def enumerate_cmds(
     join variables of the query that have ≥2 adjacent patterns inside
     *bits*).
     """
-    if variables is None:
-        variables = join_graph.join_variables
-    for variable in variables:
-        if bs.popcount(join_graph.ntp(variable) & bits) < 2:
+    for index in _variable_indices(join_graph, variables):
+        ntp = join_graph._ntp[index] & bits
+        if not ntp & (ntp - 1):
             continue
-        stack: List[int] = []
-        yield from _cmd_rec(join_graph, bits, variable, stack)
+        variable = join_graph.join_variables[index]
+        for parts in _peel(join_graph, bits, index, ntp, False):
+            yield parts, variable
 
 
-def _cmd_rec(
-    join_graph: JoinGraph,
-    remaining: int,
-    variable: Variable,
-    stack: List[int],
-) -> Iterator[CMD]:
-    """Recursive body of Algorithm 3 (CMDRec)."""
-    if stack:
-        yield (tuple(stack) + (remaining,), variable)
-    if bs.popcount(join_graph.ntp(variable) & remaining) == 1:
-        return
-    for part, rest in enumerate_cbds(join_graph, remaining, variable):
-        stack.append(part)
-        yield from _cmd_rec(join_graph, rest, variable, stack)
-        stack.pop()
+def _peel(
+    join_graph: JoinGraph, bits: int, variable: int, ntp: int, complete: bool
+) -> Iterator[Tuple[int, ...]]:
+    """Algorithm 3 (CMDRec) on an explicit stack: the parts of every cmd.
+
+    ``levels[d]`` enumerates the cbds of ``wholes[d]``, the remainder
+    after peeling ``parts[:d]``; a cbd's far side is peeled further
+    while it still holds two patterns of *ntp*.  Every cbd of every
+    level is one cmd.  With *complete* the sides are ``single_anchor``
+    ones and only the leaves — one pattern of *ntp* left on the far
+    side — are divisions: the ccmds.
+    """
+    parts: List[int] = []
+    wholes = [bits]
+    levels = [_cbd_sides(join_graph, bits, variable, complete)]
+    while levels:
+        whole = wholes[-1]
+        for side in levels[-1]:
+            rest = whole ^ side
+            anchors = ntp & rest
+            peel_further = anchors & (anchors - 1)
+            if not (complete and peel_further):
+                yield (*parts, side, rest)
+            if peel_further:
+                parts.append(side)
+                wholes.append(rest)
+                levels.append(_cbd_sides(join_graph, rest, variable, complete))
+                break
+        else:
+            levels.pop()
+            wholes.pop()
+            if parts:
+                parts.pop()
 
 
 # ----------------------------------------------------------------------
@@ -190,36 +239,14 @@ def enumerate_ccmds(
     Ntp(v_j) (Section IV-A); its arity therefore equals the degree of
     v_j inside *bits*.
     """
-    if variables is None:
-        variables = join_graph.join_variables
-    for variable in variables:
-        ntp = join_graph.ntp(variable) & bits
+    for index in _variable_indices(join_graph, variables):
+        ntp = join_graph._ntp[index] & bits
         degree = bs.popcount(ntp)
         if degree < 2 or degree < minimum_arity:
             continue
-        stack: List[int] = []
-        yield from _ccmd_rec(join_graph, bits, variable, ntp, stack, minimum_arity)
-
-
-def _ccmd_rec(
-    join_graph: JoinGraph,
-    remaining: int,
-    variable: Variable,
-    ntp: int,
-    stack: List[int],
-    minimum_arity: int,
-) -> Iterator[CMD]:
-    remaining_degree = bs.popcount(ntp & remaining)
-    if remaining_degree == 1:
-        if len(stack) + 1 >= minimum_arity:
-            yield (tuple(stack) + (remaining,), variable)
-        return
-    for part, rest in enumerate_cbds(
-        join_graph, remaining, variable, single_anchor=True
-    ):
-        stack.append(part)
-        yield from _ccmd_rec(join_graph, rest, variable, ntp, stack, minimum_arity)
-        stack.pop()
+        variable = join_graph.join_variables[index]
+        for parts in _peel(join_graph, bits, index, ntp, True):
+            yield parts, variable
 
 
 def enumerate_cmds_pruned(
@@ -232,13 +259,13 @@ def enumerate_cmds_pruned(
     This is the paper's ``ConnMultiDivisionPruning`` (Rule 1 applied to
     the enumeration; Rules 2–3 are applied by the optimizer itself).
     """
-    if variables is None:
-        variables = join_graph.join_variables
-    for variable in variables:
-        if bs.popcount(join_graph.ntp(variable) & bits) < 2:
+    for index in _variable_indices(join_graph, variables):
+        ntp = join_graph._ntp[index] & bits
+        if not ntp & (ntp - 1):
             continue
-        for part, rest in enumerate_cbds(join_graph, bits, variable):
-            yield ((part, rest), variable)
+        variable = join_graph.join_variables[index]
+        for side in _cbd_sides(join_graph, bits, index, False):
+            yield (side, bits ^ side), variable
     yield from enumerate_ccmds(join_graph, bits, variables, minimum_arity=3)
 
 

@@ -73,12 +73,11 @@ class CostParameters:
 
     def join_cost(self, algorithm: JoinAlgorithm, output_cardinality: float) -> float:
         """C_join = γ_op · |⋈ SQ_i|."""
-        gamma = {
-            JoinAlgorithm.LOCAL: self.gamma_local,
-            JoinAlgorithm.BROADCAST: self.gamma_broadcast,
-            JoinAlgorithm.REPARTITION: self.gamma_repartition,
-        }[algorithm]
-        return gamma * output_cardinality
+        if algorithm is JoinAlgorithm.BROADCAST:
+            return self.gamma_broadcast * output_cardinality
+        if algorithm is JoinAlgorithm.REPARTITION:
+            return self.gamma_repartition * output_cardinality
+        return self.gamma_local * output_cardinality
 
     def operator_cost(
         self,
@@ -86,12 +85,31 @@ class CostParameters:
         input_cardinalities: Sequence[float],
         output_cardinality: float,
     ) -> float:
-        """C(op) = C_io + C_trans + C_join (Eq. 4 / Table I)."""
-        return (
-            self.io_cost(input_cardinalities)
-            + self.transfer_cost(algorithm, input_cardinalities)
-            + self.join_cost(algorithm, output_cardinality)
-        )
+        """C(op) = C_io + C_trans + C_join (Eq. 4 / Table I).
+
+        The row of Table I in closed form: the same float operations,
+        in the same order and association, as ``io_cost + transfer_cost
+        + join_cost`` (the three documented pieces; tested bit-equal),
+        without the three calls.  The enumerators' costing loop
+        (``TopDownEnumerator._search`` in :mod:`.enumeration`)
+        inlines this same expression with the per-subquery terms hoisted.
+        """
+        total = sum(input_cardinalities)
+        if algorithm is JoinAlgorithm.BROADCAST:
+            return (
+                self.alpha * total
+                + self.beta_broadcast
+                * (total - max(input_cardinalities))
+                * self.cluster_size
+                + self.gamma_broadcast * output_cardinality
+            )
+        if algorithm is JoinAlgorithm.REPARTITION:
+            return (
+                self.alpha * total
+                + self.beta_repartition * total
+                + self.gamma_repartition * output_cardinality
+            )
+        return self.alpha * total + 0.0 + self.gamma_local * output_cardinality
 
 
 #: the paper's calibrated parameters (Table II)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import runtime as obs
 from ..rdf.terms import Variable
@@ -30,6 +30,14 @@ from .governance import AnytimeExpiry, Deadline, QueryBudget
 from .join_graph import JoinGraph
 from .local_query import LocalQueryIndex
 from .plans import JoinAlgorithm, PlanNode
+
+
+#: a costed division that won: enough to build (or ship) the plan
+_Choice = Tuple[JoinAlgorithm, Tuple[int, ...], Variable]
+
+_BROADCAST = JoinAlgorithm.BROADCAST
+_REPARTITION = JoinAlgorithm.REPARTITION
+_INFINITY = float("inf")
 
 
 class OptimizationTimeout(Exception):
@@ -210,13 +218,14 @@ class TopDownEnumerator:
         #: exclusive counters per expanded subquery, for parallel merging
         self.subquery_records: Dict[int, SubqueryRecord] = {}
         self._memo: Dict[int, PlanNode] = {}
-        self._budget: Optional[QueryBudget] = None
+        #: the live envelope ``_check_deadline`` polls: an explicit
+        #: budget from construction on, a ``timeout_seconds`` one from
+        #: optimize() (which anchors its deadline) on
+        self._budget: Optional[QueryBudget] = budget
         self._anytime = False
         self._root_bits = 0
         self._root_seed: Optional[PlanNode] = None
-        self._root_choice: Optional[
-            Tuple[JoinAlgorithm, List[PlanNode], Optional[Variable]]
-        ] = None
+        self._root_choice: Optional[_Choice] = None
 
     def invariant_profile(self) -> InvariantProfile:
         """The optional invariants this enumerator's plans satisfy.
@@ -299,58 +308,132 @@ class TopDownEnumerator:
         self.stats.subqueries_expanded += 1
         record = SubqueryRecord()
         self.subquery_records[bits] = record
-        if bs.popcount(bits) == 1:
+        if not bits & (bits - 1):
             return self.builder.scan(bs.lowest_index(bits))
-        anytime_root = self._anytime and bits == self._root_bits
-        best: Optional[PlanNode] = None
-        if is_local:
-            best = self.builder.local_join_plan(bits)
-            record.plans_considered += 1
-            self.stats.plans_considered += 1
-            if anytime_root:
-                self._root_seed = best
-            if self.local_short_circuit:
-                record.local_short_circuits += 1
-                self.stats.local_short_circuits += 1
-                return best
-        parameters = self.builder.parameters
-        output_cardinality = self.builder.estimator.cardinality(bits)
-        best_cost = best.cost if best is not None else float("inf")
-        best_choice: Optional[
-            Tuple[JoinAlgorithm, List[PlanNode], Optional[Variable]]
-        ] = None
-        deadline_tick = 0
-        for parts, variable, operators in self.divisions(bits):
-            record.divisions_enumerated += 1
-            self.stats.divisions_enumerated += 1
-            deadline_tick += 1
-            if deadline_tick & 0xFF == 0:
-                self._check_deadline()
-            children = [self.get_best_plan(part, is_local) for part in parts]
-            inputs = [child.cardinality for child in children]
-            child_cost = max(child.cost for child in children)
-            for operator in operators:
-                cost = child_cost + parameters.operator_cost(
-                    operator, inputs, output_cardinality
-                )
-                record.plans_considered += 1
-                self.stats.plans_considered += 1
-                if cost < best_cost:
-                    best_cost = cost
-                    best_choice = (operator, children, variable)
-                    if anytime_root:
-                        # every root candidate's children are complete
-                        # memoized plans, so this is always a complete
-                        # plan — exactly what anytime mode returns
-                        self._root_choice = best_choice
-        if best_choice is not None:
-            operator, children, variable = best_choice
-            best = self.builder.join(operator, children, variable)
-        if best is None:
+        _, seed, choice = self._search(
+            bits, is_local, record, self._memo, self.get_best_plan
+        )
+        if choice is not None:
+            return self._join_choice(choice)
+        if seed is None:
             raise CartesianProductError(
                 f"no connected division for subquery {bits:#x}"
             )
-        return best
+        return seed
+
+    def _search(
+        self,
+        bits: int,
+        is_local: bool,
+        record: SubqueryRecord,
+        memo: Dict[int, PlanNode],
+        solve: Callable[[int, bool], PlanNode],
+    ) -> Tuple[float, Optional[PlanNode], Optional[_Choice]]:
+        """The one costing loop: price every division of *bits*.
+
+        Returns ``(best cost, flat local seed plan or None, winning
+        (operator, parts, variable) or None)`` — the choice is ``None``
+        when the seed won (or Rule 3 stopped at it).  Nothing is built
+        for a candidate: a child is one ``memo`` probe (only a miss
+        calls *solve*, which must store what it returns), and Table I
+        is evaluated in closed form with the per-subquery terms hoisted
+        — the same float operations, in the same order and association,
+        as :meth:`PlanBuilder.join` performs for the winner, so the
+        minimum found here *is* the built plan's cost.  Candidates are
+        compared with a strict ``<``: the first cheapest one wins.
+
+        The serial search runs this with its own memo and
+        :meth:`get_best_plan` (recursion on a miss); a memo-shard worker
+        runs it with a memo of lower-tier costs (see
+        :mod:`.memo_shard`).  Counters are kept in locals and flushed in
+        a ``finally``, so a deadline that fires mid-loop still leaves
+        ``stats`` and *record* exact.
+        """
+        stats = self.stats
+        anytime_root = self._anytime and bits == self._root_bits
+        seed: Optional[PlanNode] = None
+        best_cost = _INFINITY
+        if is_local:
+            seed = self.builder.local_join_plan(bits)
+            best_cost = seed.cost
+            record.plans_considered += 1
+            stats.plans_considered += 1
+            if anytime_root:
+                self._root_seed = seed
+            if self.local_short_circuit:
+                record.local_short_circuits += 1
+                stats.local_short_circuits += 1
+                return best_cost, seed, None
+        parameters = self.builder.parameters
+        output = self.builder.estimator.cardinality(bits)
+        alpha = parameters.alpha
+        beta_broadcast = parameters.beta_broadcast
+        beta_repartition = parameters.beta_repartition
+        cluster_size = parameters.cluster_size
+        join_local = parameters.gamma_local * output
+        join_broadcast = parameters.gamma_broadcast * output
+        join_repartition = parameters.gamma_repartition * output
+        lookup = memo.get
+        choice: Optional[_Choice] = None
+        plans = divisions = hits = 0
+        try:
+            for parts, variable, operators in self.divisions(bits):
+                divisions += 1
+                if not divisions & 0xFF:
+                    self._check_deadline()
+                # Σ|SQ_i|, max|SQ_i| and the dearest child, accumulated
+                # left to right exactly as sum()/max() would
+                total: float = 0
+                largest = child_cost = -_INFINITY
+                for part in parts:
+                    child = lookup(part)
+                    if child is None:
+                        child = solve(part, is_local)
+                    else:
+                        hits += 1
+                    cardinality = child.cardinality
+                    total += cardinality
+                    if cardinality > largest:
+                        largest = cardinality
+                    below = child.cost
+                    if below > child_cost:
+                        child_cost = below
+                io = alpha * total
+                for operator in operators:
+                    if operator is _BROADCAST:
+                        cost = child_cost + (
+                            io
+                            + beta_broadcast * (total - largest) * cluster_size
+                            + join_broadcast
+                        )
+                    elif operator is _REPARTITION:
+                        cost = child_cost + (
+                            io + beta_repartition * total + join_repartition
+                        )
+                    else:
+                        cost = child_cost + (io + 0.0 + join_local)
+                    if cost < best_cost:
+                        best_cost = cost
+                        choice = (operator, parts, variable)
+                plans += len(operators)
+        finally:
+            record.plans_considered += plans
+            record.divisions_enumerated += divisions
+            stats.plans_considered += plans
+            stats.divisions_enumerated += divisions
+            stats.memo_hits += hits
+            if anytime_root and choice is not None:
+                # every root candidate's children are complete memoized
+                # plans, so this is always a complete plan — exactly
+                # what anytime mode returns
+                self._root_choice = choice
+        return best_cost, seed, choice
+
+    def _join_choice(self, choice: _Choice) -> PlanNode:
+        """Materialize a winning division from its memoized children."""
+        operator, parts, variable = choice
+        memo = self._memo
+        return self.builder.join(operator, [memo[part] for part in parts], variable)
 
     # ------------------------------------------------------------------
     # strategy hook
@@ -359,7 +442,7 @@ class TopDownEnumerator:
         self, bits: int
     ) -> Iterator[Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]]:
         """The division space: every cmd, with both distributed joins."""
-        operators = (JoinAlgorithm.BROADCAST, JoinAlgorithm.REPARTITION)
+        operators = (_BROADCAST, _REPARTITION)
         for parts, variable in enumerate_cmds(self.join_graph, bits):
             yield parts, variable, operators
 
@@ -397,7 +480,7 @@ class TopDownEnumerator:
             if self._anytime:
                 raise AnytimeExpiry()
             raise OptimizationTimeout(
-                f"{self.algorithm_name} exceeded {deadline.seconds:.0f}s"
+                f"{self.algorithm_name} exceeded {deadline.seconds:g}s"
             )
 
     def _degraded_plan(self) -> Tuple[PlanNode, str]:
@@ -412,8 +495,7 @@ class TopDownEnumerator:
         """
         plan: Optional[PlanNode] = None
         if self._root_choice is not None:
-            operator, children, variable = self._root_choice
-            plan = self.builder.join(operator, children, variable)
+            plan = self._join_choice(self._root_choice)
         elif self._root_seed is not None:
             plan = self._root_seed
         if plan is not None:

@@ -52,6 +52,7 @@ from .enumeration import (
     EnumerationStats,
     OptimizationResult,
     OptimizationTimeout,
+    SubqueryRecord,
     greedy_fallback_plan,
 )
 from .governance import Deadline, QueryBudget
@@ -70,8 +71,6 @@ _MAX_CHUNK = 64
 _PREFETCH = 2
 #: below this many non-singleton entries sharding is pure overhead
 _MIN_ENTRIES = 4
-#: worker-side deadline check frequency within a division loop
-_DEADLINE_TICK_MASK = 0xFF
 
 
 class _TierExpired(Exception):
@@ -109,17 +108,13 @@ def subquery_tiers(join_graph: Any) -> List[List[int]]:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-class _WorkerExpired(Exception):
-    """Internal to a worker: its re-anchored deadline fired."""
-
-
 #: a worker's report for one solved entry:
 #: (bits, cost, choice, plans, divisions, shorts, reads)
 _SolvedEntry = Tuple[int, float, Tuple[Any, ...], int, int, int, int]
 
 
 class _WorkerState:
-    """Per-process solve context: builder, enumerator, cost memo."""
+    """Per-process solve context: builder, enumerator, lower-tier memo."""
 
     def __init__(self, payload: Tuple[Any, ...]) -> None:
         (
@@ -137,93 +132,84 @@ class _WorkerState:
 
         self.builder = make_builder(query, statistics, parameters=parameters)
         self.local_index = LocalQueryIndex(self.builder.join_graph, partitioning)
-        self.enumerator = ALGORITHMS[algorithm_key](
-            self.builder.join_graph, self.builder, local_index=self.local_index
-        )
-        #: solved costs for every lower-tier entry (synced per tier)
-        self.costs: Dict[int, float] = {}
-        self._cards: Dict[int, float] = {}
         # deadlines do not cross process boundaries; re-anchor the
-        # remaining allowance on this process's monotonic clock
-        self.deadline: Optional[Deadline] = (
-            Deadline.after(deadline_remaining)
+        # remaining allowance on this process's monotonic clock (a
+        # strict budget: the enumerator's poll raises OptimizationTimeout)
+        budget = (
+            QueryBudget(deadline=Deadline.after(deadline_remaining))
             if deadline_remaining is not None
             else None
         )
+        self.enumerator = ALGORITHMS[algorithm_key](
+            self.builder.join_graph,
+            self.builder,
+            local_index=self.local_index,
+            budget=budget,
+        )
+        #: solved costs for every lower-tier entry (synced per tier)
+        self.costs: Dict[int, float] = {}
+        #: the costing loop's view of them: ``(cardinality, cost)`` plan
+        #: stubs, made on a part's first read
+        self.memo: Dict[int, PlanNode] = {}
 
-    def cardinality(self, bits: int) -> float:
-        """|SQ| for a division part, matching serial child cardinalities.
+    def _lower_tier_plan(self, bits: int, is_local: bool) -> PlanNode:
+        """What the serial search's memo holds for a division part.
 
-        A singleton child's plan is a scan, whose cardinality is the
-        pattern cardinality; any larger child's plan carries the
-        estimator's subquery cardinality.  Either way the value is a
-        function of the bitset alone — no plan object needed.
+        The costing loop reads only a child's cardinality and cost, and
+        both are functions of the bitset alone: a singleton child's
+        plan is a scan, whose cardinality is the pattern cardinality;
+        any larger child's plan carries the estimator's subquery
+        cardinality; the cost was solved one tier down.  No plan object
+        is needed, so the stub is a bare :class:`PlanNode`.
         """
-        value = self._cards.get(bits)
-        if value is None:
-            estimator = self.builder.estimator
-            if bs.popcount(bits) == 1:
-                value = estimator.pattern_cardinality(bs.lowest_index(bits))
-            else:
-                value = estimator.cardinality(bits)
-            self._cards[bits] = value
-        return value
+        estimator = self.builder.estimator
+        if bits & (bits - 1):
+            cardinality = estimator.cardinality(bits)
+        else:
+            cardinality = estimator.pattern_cardinality(bs.lowest_index(bits))
+        stub = PlanNode(bits=bits, cardinality=cardinality, cost=self.costs[bits])
+        self.memo[bits] = stub
+        return stub
 
     def solve(self, bits: int) -> _SolvedEntry:
-        """Mirror one serial ``BestPlanGen`` call, without recursion.
+        """One serial ``BestPlanGen`` call, without recursion.
 
-        Child costs come from :attr:`costs` (the complete lower-tier
-        memo) instead of recursive calls; everything else — candidate
-        order, seed handling, the strict ``<`` tie-break, the float
-        arithmetic — is identical to
-        :meth:`~repro.core.enumeration.TopDownEnumerator.best_plan_gen`,
-        which is what makes the merged search bit-identical to serial.
+        This *is* the serial costing loop
+        (:meth:`~repro.core.enumeration.TopDownEnumerator._search`):
+        same candidate order, seed handling, strict ``<`` tie-break and
+        float arithmetic, which is what makes the merged search
+        bit-identical to serial.  Only the memo differs: child costs
+        come from :attr:`costs` (the complete lower-tier memo) instead
+        of recursive calls.
 
         Returns ``(bits, cost, choice, plans, divisions, shorts, reads)``
         where *choice* reconstructs the winning plan: ``("l",)`` for the
         flat local plan, ``("j", operator, parts, variable)`` for a join.
         """
-        self._check_deadline()
         enumerator = self.enumerator
-        builder = self.builder
-        plans = divisions = shorts = reads = 0
-        is_local = self.local_index.is_local(bits)
-        best_cost = float("inf")
-        best_choice: Optional[Tuple[Any, ...]] = None
-        if is_local:
-            best_cost = builder.local_join_plan(bits).cost
-            best_choice = ("l",)
-            plans += 1
-            if enumerator.local_short_circuit:
-                shorts += 1
-                return (bits, best_cost, best_choice, plans, divisions, shorts, reads)
-        parameters = builder.parameters
-        output_cardinality = builder.estimator.cardinality(bits)
-        costs = self.costs
-        tick = 0
-        for parts, variable, operators in enumerator.divisions(bits):
-            divisions += 1
-            tick += 1
-            if tick & _DEADLINE_TICK_MASK == 0:
-                self._check_deadline()
-            child_cost = max(costs[part] for part in parts)
-            reads += len(parts)
-            inputs = [self.cardinality(part) for part in parts]
-            for operator in operators:
-                cost = child_cost + parameters.operator_cost(
-                    operator, inputs, output_cardinality
-                )
-                plans += 1
-                if cost < best_cost:
-                    best_cost = cost
-                    best_choice = ("j", operator, parts, variable)
-        if best_choice is None:
+        enumerator._check_deadline()
+        record = SubqueryRecord()
+        # a child read is a hit on the stub memo or the stub's creation
+        reads_before = enumerator.stats.memo_hits + len(self.memo)
+        cost, seed, choice = enumerator._search(
+            bits,
+            self.local_index.is_local(bits),
+            record,
+            self.memo,
+            self._lower_tier_plan,
+        )
+        reads = enumerator.stats.memo_hits + len(self.memo) - reads_before
+        if choice is None and seed is None:
             raise ValueError(f"no connected division for subquery {bits:#x}")
-        return (bits, best_cost, best_choice, plans, divisions, shorts, reads)
-
-    def _check_deadline(self) -> None:
-        if self.deadline is not None and self.deadline.expired:
-            raise _WorkerExpired()
+        return (
+            bits,
+            cost,
+            ("l",) if choice is None else ("j",) + choice,
+            record.plans_considered,
+            record.divisions_enumerated,
+            record.local_short_circuits,
+            reads,
+        )
 
 
 def _worker_main(
@@ -259,7 +245,7 @@ def _worker_main(
             try:
                 for bits in entry_bits:
                     results.append(state.solve(bits))
-            except _WorkerExpired:
+            except OptimizationTimeout:
                 expired = True
             elapsed = time.perf_counter() - started
             chunks_done += 1
@@ -676,7 +662,7 @@ def optimize_memo_sharded(
                         else 0.0
                     )
                     raise OptimizationTimeout(
-                        f"{probe.algorithm_name} exceeded {seconds:.0f}s"
+                        f"{probe.algorithm_name} exceeded {seconds:g}s"
                     ) from None
                 plan, label, degraded_reason = driver.degraded_plan(
                     expiry.tiers_done

@@ -25,8 +25,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 from ..observability import runtime as obs
 from ..observability.metrics import Counter
 from ..rdf.terms import Variable
-from . import bitset as bs
-from .cmd import enumerate_cbds, enumerate_ccmds, enumerate_cmds
+from .cmd import enumerate_cmds, enumerate_cmds_pruned
 from .cost import PlanBuilder
 from .enumeration import InvariantProfile, TopDownEnumerator
 from .governance import QueryBudget
@@ -74,18 +73,15 @@ class PrunedTopDownEnumerator(TopDownEnumerator):
     ) -> Iterator[Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]]:
         """The pruned division space, with Rule 1/2 hit counting.
 
-        With tracing inactive this is a plain pass-through of
-        :meth:`_divisions` (zero overhead); with a metrics registry
-        active, every yielded division is classified — binary cbd vs
-        k > 2 multi-division, and whether Rule 2 pruned its broadcast
-        candidate — and the counts are flushed when the generator is
-        exhausted (or closed).  Rule 3 hits are the
-        ``optimizer.local_short_circuits`` counter.
+        With a metrics registry active, the divisions handed out are
+        classified — binary cbd vs k > 2 multi-division, and whether
+        Rule 2 pruned its broadcast candidate — and the counts are
+        flushed when the generator is exhausted (or closed).  Rule 3
+        hits are the ``optimizer.local_short_circuits`` counter.
         """
         registry = obs.metrics()
         if registry is None:
-            yield from self._divisions(bits)
-            return
+            return self._divisions(bits, None)
         counters = self._rule_counters
         if counters is None:
             counters = self._rule_counters = (
@@ -93,45 +89,38 @@ class PrunedTopDownEnumerator(TopDownEnumerator):
                 registry.counter("pruning.rule1_multiway_divisions"),
                 registry.counter("pruning.rule2_broadcast_prunes"),
             )
-        binary = multiway = broadcast_pruned = 0
-        try:
-            for division in self._divisions(bits):
-                if len(division[0]) == 2:
-                    binary += 1
-                else:
-                    multiway += 1
-                    if JoinAlgorithm.BROADCAST not in division[2]:
-                        broadcast_pruned += 1
-                yield division
-        finally:
-            counters[0].inc(binary)
-            counters[1].inc(multiway)
-            counters[2].inc(broadcast_pruned)
+        return self._divisions(bits, counters)
 
     def raw_divisions(
         self, bits: int
     ) -> Iterator[Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]]:
         """The pruned division space without rule-hit counting."""
-        return self._divisions(bits)
+        return self._divisions(bits, None)
 
     def _divisions(
-        self, bits: int
+        self, bits: int, counters: Optional[Tuple[Counter, Counter, Counter]]
     ) -> Iterator[Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]]:
         both = (JoinAlgorithm.BROADCAST, JoinAlgorithm.REPARTITION)
-        repartition_only = (JoinAlgorithm.REPARTITION,)
-        multiway_operators = repartition_only if self.rule2_binary_broadcast else both
-        if self.rule1_ccmd_only:
-            for variable in self.join_graph.join_variables:
-                if bs.popcount(self.join_graph.ntp(variable) & bits) < 2:
-                    continue
-                for part, rest in enumerate_cbds(self.join_graph, bits, variable):
-                    yield (part, rest), variable, both
-            # Rule 1: k > 2 only through ccmds
-            for parts, variable in enumerate_ccmds(
-                self.join_graph, bits, minimum_arity=3
-            ):
-                yield parts, variable, multiway_operators
-        else:
-            for parts, variable in enumerate_cmds(self.join_graph, bits):
-                operators = both if len(parts) == 2 else multiway_operators
-                yield parts, variable, operators
+        multiway = (
+            (JoinAlgorithm.REPARTITION,) if self.rule2_binary_broadcast else both
+        )
+        # Rule 1: k > 2 only through ccmds (cbds stay unpruned)
+        space = enumerate_cmds_pruned if self.rule1_ccmd_only else enumerate_cmds
+        # the rule hits are tallied here, where each division is
+        # classified anyway, not in a wrapper generator around this one:
+        # a second frame per division was most of what tracing cost
+        binary_hits = multiway_hits = 0
+        try:
+            for parts, variable in space(self.join_graph, bits):
+                if len(parts) == 2:
+                    binary_hits += 1
+                    yield parts, variable, both
+                else:
+                    multiway_hits += 1
+                    yield parts, variable, multiway
+        finally:
+            if counters is not None:
+                counters[0].inc(binary_hits)
+                counters[1].inc(multiway_hits)
+                if self.rule2_binary_broadcast:
+                    counters[2].inc(multiway_hits)

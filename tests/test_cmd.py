@@ -250,3 +250,118 @@ class TestCCMD:
         assert len(ccmds) == 1
         parts, _ = ccmds[0]
         assert sorted(parts) == [bs.bit(i) for i in range(5)]
+
+
+# ----------------------------------------------------------------------
+# emission order (the DP's strict-< tie-break keeps the *first* cheapest
+# candidate, so the sequence — not just the set — is contract)
+# ----------------------------------------------------------------------
+#: TD-CMD's space of a star is every set partition (Bell numbers) and
+#: the oracle pays ~10 µs per cmd, so the full-cmd comparison stops at 7
+#: patterns per subquery; cbds, ccmds and the pruned space go to 10.
+_CMD_ORDER_LIMIT = 7
+
+
+def _order_cases():
+    for shape in (
+        QueryShape.CHAIN,
+        QueryShape.CYCLE,
+        QueryShape.STAR,
+        QueryShape.TREE,
+        QueryShape.DENSE,
+    ):
+        minimum = 4 if shape is QueryShape.DENSE else 3 if shape is QueryShape.CYCLE else 2
+        for size in range(minimum, 11):
+            # chain, cycle and star topologies do not depend on the seed
+            seeds = (0, 1, 2) if shape in (QueryShape.TREE, QueryShape.DENSE) else (0,)
+            for seed in seeds:
+                yield pytest.param(shape, size, seed, id=f"{shape.value}-{size}-s{seed}")
+
+
+class TestEmissionOrder:
+    """The flat kernel against the recursive generators it replaced
+    (``tests/enumeration_oracle.py``), as *sequences*, on every
+    connected sub-bitset — plus a few arbitrary (possibly disconnected)
+    ones, which the public functions also accept."""
+
+    @pytest.mark.parametrize("shape,size,seed", _order_cases())
+    def test_same_sequence_as_the_generator_oracle(self, shape, size, seed):
+        from repro.core.counting import connected_subqueries
+        from repro.core.enumeration import TopDownEnumerator
+        from repro.core.optimizer import make_builder
+        from repro.core.pruning import PrunedTopDownEnumerator
+
+        from . import enumeration_oracle as oracle
+
+        query = generate_query(shape, size, random.Random(seed))
+        builder = make_builder(query, seed=seed)
+        join_graph = builder.join_graph
+        td_cmd = TopDownEnumerator(join_graph, builder)
+        td_cmdp = PrunedTopDownEnumerator(join_graph, builder)
+        td_cmdp_no_rule1 = PrunedTopDownEnumerator(
+            join_graph, builder, rule1_ccmd_only=False, rule2_binary_broadcast=False
+        )
+        rng = random.Random(seed)
+        subqueries = list(connected_subqueries(join_graph))
+        subqueries += [rng.randrange(1, join_graph.full + 1) for _ in range(10)]
+        for bits in subqueries:
+            for variable in join_graph.join_variables:
+                for single_anchor in (False, True):
+                    assert list(
+                        enumerate_cbds(join_graph, bits, variable, single_anchor)
+                    ) == list(
+                        oracle.enumerate_cbds(join_graph, bits, variable, single_anchor)
+                    )
+            for arity in (2, 3):
+                assert list(
+                    enumerate_ccmds(join_graph, bits, minimum_arity=arity)
+                ) == list(oracle.enumerate_ccmds(join_graph, bits, minimum_arity=arity))
+            pruned = list(oracle.enumerate_cmds_pruned(join_graph, bits))
+            assert list(enumerate_cmds_pruned(join_graph, bits)) == pruned
+            assert list(td_cmdp.divisions(bits)) == list(
+                oracle.divisions_td_cmdp(join_graph, bits)
+            )
+            assert list(td_cmdp.raw_divisions(bits)) == list(
+                oracle.divisions_td_cmdp(join_graph, bits)
+            )
+            if bs.popcount(bits) > _CMD_ORDER_LIMIT:
+                continue
+            cmds = list(oracle.enumerate_cmds(join_graph, bits))
+            assert list(enumerate_cmds(join_graph, bits)) == cmds
+            assert list(td_cmd.divisions(bits)) == list(
+                oracle.divisions_td_cmd(join_graph, bits)
+            )
+            assert list(td_cmdp_no_rule1.divisions(bits)) == list(
+                oracle.divisions_td_cmdp(
+                    join_graph, bits, rule1_ccmd_only=False, rule2_binary_broadcast=False
+                )
+            )
+
+    def test_variables_argument_restricts_and_orders(self, fig1_graph):
+        from . import enumeration_oracle as oracle
+
+        chosen = list(reversed(fig1_graph.join_variables))[:2]
+        for new, old in (
+            (enumerate_cmds, oracle.enumerate_cmds),
+            (enumerate_ccmds, oracle.enumerate_ccmds),
+            (enumerate_cmds_pruned, oracle.enumerate_cmds_pruned),
+        ):
+            assert list(new(fig1_graph, fig1_graph.full, chosen)) == list(
+                old(fig1_graph, fig1_graph.full, chosen)
+            )
+
+    def test_traced_divisions_are_the_same_sequence(self, fig1_query):
+        """The rule-hit counting wrapper only counts."""
+        from repro.core.optimizer import make_builder
+        from repro.core.pruning import PrunedTopDownEnumerator
+        from repro.observability import runtime as obs
+        from repro.observability.spans import Tracer
+
+        builder = make_builder(fig1_query, seed=3)
+        enumerator = PrunedTopDownEnumerator(builder.join_graph, builder)
+        full = builder.join_graph.full
+        plain = list(enumerator.divisions(full))
+        tracer = Tracer()
+        with obs.activate(tracer):
+            traced = list(enumerator.divisions(full))
+        assert traced == plain == list(enumerator.raw_divisions(full))

@@ -1,6 +1,7 @@
 """Tests for the cost model (Tables I and II, Eqs. 3–4)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import JoinGraph
 from repro.core.cardinality import CardinalityEstimator, StatisticsCatalog
@@ -116,3 +117,103 @@ class TestPlanBuilder:
             JoinAlgorithm.BROADCAST, [large.scan(0), large.scan(1)]
         )
         assert join_large.cost > join_small.cost
+
+
+_positive = st.floats(
+    min_value=1e-6, max_value=1e12, allow_nan=False, allow_infinity=False
+)
+_parameters = st.builds(
+    CostParameters,
+    alpha=_positive,
+    beta_broadcast=_positive,
+    beta_repartition=_positive,
+    gamma_local=_positive,
+    gamma_broadcast=_positive,
+    gamma_repartition=_positive,
+    cluster_size=st.integers(min_value=1, max_value=10_000),
+)
+
+
+class TestClosedForm:
+    """``operator_cost`` is Table I in closed form; ``io_cost``,
+    ``transfer_cost`` and ``join_cost`` stay as the documented pieces.
+    The two must agree to the last bit — the optimizer's costing loop,
+    ``PlanBuilder.join`` and ``PlanVerifier`` all price with one and
+    compare with ``==`` / a tolerance that assumes the other."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parameters=_parameters,
+        algorithm=st.sampled_from(list(JoinAlgorithm)),
+        inputs=st.lists(_positive, min_size=2, max_size=8),
+        output=_positive,
+    )
+    def test_equals_the_sum_of_the_three_pieces(
+        self, parameters, algorithm, inputs, output
+    ):
+        pieces = (
+            parameters.io_cost(inputs)
+            + parameters.transfer_cost(algorithm, inputs)
+            + parameters.join_cost(algorithm, output)
+        )
+        assert parameters.operator_cost(algorithm, inputs, output) == pieces
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        algorithm=st.sampled_from(list(JoinAlgorithm)),
+        inputs=st.lists(st.integers(min_value=1, max_value=10**9), min_size=2, max_size=8),
+        output=st.integers(min_value=1, max_value=10**9),
+    )
+    def test_integer_cardinalities_too(self, algorithm, inputs, output):
+        p = PAPER_PARAMETERS
+        pieces = (
+            p.io_cost(inputs)
+            + p.transfer_cost(algorithm, inputs)
+            + p.join_cost(algorithm, output)
+        )
+        assert p.operator_cost(algorithm, inputs, output) == pieces
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        parameters=_parameters,
+        cardinalities=st.lists(_positive, min_size=3, max_size=6),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_search_minimum_is_the_built_plans_cost(
+        self, parameters, cardinalities, seed
+    ):
+        """The costing loop inlines the same expression with hoisted
+        terms; whatever it declares cheapest, ``PlanBuilder.join``
+        (which calls ``operator_cost``) must price identically."""
+        import random
+
+        from repro.core.cardinality import PatternStatistics
+        from repro.core.enumeration import SubqueryRecord, TopDownEnumerator
+
+        query = chain_query(len(cardinalities))
+        rng = random.Random(seed)
+        catalog = StatisticsCatalog(
+            query,
+            [
+                PatternStatistics(
+                    cardinality,
+                    {v: rng.uniform(1.0, cardinality + 1.0) for v in tp.variables()},
+                )
+                for cardinality, tp in zip(cardinalities, query)
+            ],
+        )
+        join_graph = JoinGraph(query)
+        builder = PlanBuilder(
+            join_graph, CardinalityEstimator(join_graph, catalog), parameters
+        )
+        enumerator = TopDownEnumerator(join_graph, builder)
+        result = enumerator.optimize()
+        best, _, choice = enumerator._search(
+            join_graph.full,
+            False,
+            SubqueryRecord(),
+            enumerator._memo,
+            enumerator.get_best_plan,
+        )
+        assert choice is not None
+        assert best == result.cost
