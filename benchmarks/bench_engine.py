@@ -43,6 +43,7 @@ import os
 import random
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -68,11 +69,13 @@ from repro.core import StatisticsCatalog, optimize
 from repro.core.session import OptimizeOptions, Optimizer
 from repro.engine import (
     Cluster,
+    EncodedRelation,
     Executor,
     FaultInjector,
     RetryPolicy,
     evaluate_reference,
     hash_join_encoded,
+    multi_join_encoded,
     scan_pattern_encoded,
 )
 from repro.engine.cluster import Cluster as _Cluster
@@ -133,6 +136,33 @@ def test_encoded_hash_join_throughput(benchmark, big_dataset):
     )
     result = benchmark(hash_join_encoded, knows, works)
     assert len(result) > 0
+
+
+def test_encoded_index_probe_tiny_outer(benchmark, big_dataset):
+    """Five rows against a 5000-pair scan: bisected in its index, never read."""
+    encoded = big_dataset.encoded_graph()
+    y, o = Variable("y"), Variable("o")
+    works = scan_pattern_encoded(encoded, TriplePattern(y, IRI("http://e/worksFor"), o))
+    outer = EncodedRelation([y, o], encoded.dictionary, set(islice(works, 5)))
+    knows = scan_pattern_encoded(
+        encoded, TriplePattern(Variable("x"), IRI("http://e/knows"), y)
+    )
+    result = benchmark(hash_join_encoded, outer, knows)
+    assert 0 < len(result) < 100
+
+
+def test_encoded_unary_filter_star(benchmark, big_dataset):
+    """``?x knows ?y`` under two ``worksFor <C>`` scans: membership filters."""
+    encoded = big_dataset.encoded_graph()
+    x, y = Variable("x"), Variable("y")
+    works_for = IRI("http://e/worksFor")
+    star = [
+        scan_pattern_encoded(encoded, TriplePattern(x, IRI("http://e/knows"), y)),
+        scan_pattern_encoded(encoded, TriplePattern(x, works_for, IRI("http://e/o3"))),
+        scan_pattern_encoded(encoded, TriplePattern(y, works_for, IRI("http://e/o5"))),
+    ]
+    result = benchmark(multi_join_encoded, star)
+    assert 0 < len(result) < len(star[0])
 
 
 @pytest.mark.parametrize("engine", ["reference", "columnar", "pipelined"])

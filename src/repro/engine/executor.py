@@ -578,10 +578,12 @@ class Executor:
             return
         for slot, relation in batch.items():
             if len(relation) <= chunk:
-                if relation.rows:
+                if len(relation):
                     yield {slot: relation}
                 continue
-            rows = iter(relation.rows)
+            # a scan still sitting in its index is read range by range,
+            # so a consumer that stops pulling stops the scan
+            rows = iter(relation)
             for _ in range(0, len(relation), chunk):
                 piece = relation.empty_like()
                 piece.rows.update(islice(rows, chunk))
@@ -738,7 +740,7 @@ class Executor:
                         ]
                     )
                     for slot, piece in batch.items()
-                    if piece.rows or chunk is None  # emitting once: every slot
+                    if len(piece) or chunk is None  # emitting once: every slot
                 }
                 batch.clear()  # consumed: free the probe rows before handing on
                 yield from self._slices(joined, chunk)
@@ -751,9 +753,10 @@ class Executor:
         template = next(iter(batch.values()))
         position = template.position(variable)
         buckets = [template.empty_like() for _ in range(self.cluster.size)]
+        add_to = [bucket.rows.add for bucket in buckets]
         for relation in batch.values():  # lint: disable=LINT014 per-batch row loop; _pump polls at every batch boundary
-            for row in relation.rows:
-                buckets[route(row[position])].rows.add(row)
+            for row in relation:
+                add_to[route(row[position])](row)
         batch.clear()  # moved: the source-keyed relations are dropped here
         return dict(enumerate(buckets))
 
