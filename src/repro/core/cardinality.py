@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..rdf.dataset import Dataset
+from ..rdf.encoding import EncodedGraph
 from ..rdf.terms import Variable
 from ..sparql.ast import BGPQuery
 from . import bitset as bs
@@ -41,6 +42,37 @@ class PatternStatistics:
         return self.bindings.get(variable, self.cardinality)
 
 
+def _matching_columns(
+    encoded: EncodedGraph,
+    subject: Optional[int],
+    predicate: Optional[int],
+    object_: Optional[int],
+) -> Tuple[int, Dict[int, Sequence[int]]]:
+    """Count of the triples matching the bound ids (``None`` = any), and
+    their ids at each unbound subject (0) / predicate (1) / object (2)
+    position.  A bound predicate is answered from its sorted index
+    without visiting a triple."""
+    if predicate is None:
+        rows = list(encoded.scan(subject, None, object_))
+        return len(rows), {
+            position: [t[position] for t in rows]
+            for position, ident in enumerate((subject, None, object_))
+            if ident is None
+        }
+    index = encoded.index_for(predicate)
+    if index is None:
+        return 0, {}
+    if subject is None and object_ is None:
+        return len(index), {0: index.spo_subjects, 2: index.spo_objects}
+    if object_ is None:
+        objects = index.objects_for(subject)
+        return len(objects), {2: objects}
+    if subject is None:
+        subjects = index.subjects_for(object_)
+        return len(subjects), {0: subjects}
+    return int(index.contains(subject, object_)), {}
+
+
 class StatisticsCatalog:
     """Per-pattern statistics for one query, aligned by pattern index."""
 
@@ -57,30 +89,33 @@ class StatisticsCatalog:
     # ------------------------------------------------------------------
     @classmethod
     def from_dataset(cls, query: BGPQuery, dataset: Dataset) -> "StatisticsCatalog":
-        """Exact statistics by scanning the dataset (small-data path).
+        """Exact statistics read off the dataset's sorted id index.
 
-        Cardinality and per-variable distinct-binding sets are collected
-        in one pass over the match iterator: nothing is materialized and
-        each matching triple is touched exactly once, instead of once
-        per variable of the pattern.
+        Per pattern, the matching triples are found as id columns (see
+        :func:`_matching_columns`): the cardinality is their length and
+        ``B(tp, v)`` the number of distinct ids in the columns of the
+        positions *v* occupies.  No term is touched beyond looking up
+        the pattern's constants.
         """
+        encoded = dataset.encoded_graph()
+        lookup = encoded.dictionary.lookup
         entries = []
         for tp in query:
-            slots: List[Tuple[Variable, int]] = [
-                (term, position)
-                for position, term in enumerate(tp.terms())
-                if isinstance(term, Variable)
-            ]
-            values: Dict[Variable, Set[object]] = {v: set() for v, _ in slots}
-            count = 0
-            for t in dataset.graph.match(tp.subject, tp.predicate, tp.object):
-                count += 1
-                terms = t.terms()
-                for variable, position in slots:
-                    values[variable].add(terms[position])
-            bindings: Dict[Variable, float] = {
-                v: float(max(len(vals), 1)) for v, vals in values.items()
-            }
+            slots: Dict[Variable, List[int]] = {}
+            bound: List[Optional[int]] = [None, None, None]
+            known = True
+            for position, term in enumerate(tp.terms()):
+                if isinstance(term, Variable):
+                    slots.setdefault(term, []).append(position)
+                else:
+                    bound[position] = lookup(term)
+                    known = known and bound[position] is not None
+            # a constant the data never mentions matches nothing
+            count, columns = _matching_columns(encoded, *bound) if known else (0, {})
+            bindings: Dict[Variable, float] = {}
+            for variable, positions in slots.items():
+                values = set().union(*(columns.get(at, ()) for at in positions))
+                bindings[variable] = float(max(len(values), 1))
             entries.append(
                 PatternStatistics(
                     cardinality=float(max(count, 1)), bindings=bindings

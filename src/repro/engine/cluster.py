@@ -1,23 +1,23 @@
 """The simulated cluster: workers holding partitioned data.
 
 Plays the role of the paper's 10-node RDF-3X + Hadoop testbed.  A
-:class:`Cluster` owns one :class:`~repro.rdf.triples.RDFGraph` per
-worker (produced by a partitioning method) plus the term-hash routing
-used by repartition joins.
+:class:`Cluster` serves one :class:`~repro.rdf.encoding.EncodedGraph`
+fragment per worker (cut by a partitioning method from the dataset's id
+columns) plus the term-hash routing used by repartition joins.
 
 The cluster is *fault-aware*: workers can be marked dead
 (:meth:`fail_worker`), in which case their partition is re-routed to
 the next live worker from the durable replica the partitioning retains
-(``partitioning.node_graphs`` is never mutated — it is the HDFS-replica
+(``partitioning.fragments`` is never mutated — it is the HDFS-replica
 stand-in), repartition routing skips dead workers, and scans read the
-degraded layout through :meth:`worker_graphs`.  A fully healthy cluster
-behaves exactly as before faults existed — the healthy paths return the
-original structures untouched.
+degraded layout through :meth:`worker_fragments`.  A fully healthy
+cluster behaves exactly as before faults existed — the healthy paths
+return the original structures untouched.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..partitioning.base import Partitioning, PartitioningMethod, hash_term
 from ..rdf.dataset import Dataset
@@ -29,12 +29,12 @@ from ..rdf.triples import RDFGraph, Triple
 class Cluster:
     """A set of workers with partitioned RDF data.
 
-    For the columnar engine, every worker additionally serves an
-    :class:`~repro.rdf.encoding.EncodedGraph` *fragment* of its graph,
-    built lazily against one cluster-wide
-    :class:`~repro.rdf.encoding.TermDictionary` (the dataset's when the
-    cluster was built from one), so ids are join-compatible across
-    workers and repartition shuffles move bare integers.
+    Every worker serves an :class:`~repro.rdf.encoding.EncodedGraph`
+    *fragment* over one cluster-wide
+    :class:`~repro.rdf.encoding.TermDictionary` (the dataset's), so ids
+    are join-compatible across workers and repartition shuffles move
+    bare integers.  The term-level :meth:`worker_graph` is a decoded
+    view of the fragment, for the reference engine and tests.
     """
 
     def __init__(
@@ -43,13 +43,14 @@ class Cluster:
         dictionary: Optional[TermDictionary] = None,
     ) -> None:
         self.partitioning = partitioning
-        self.workers: List[RDFGraph] = partitioning.node_graphs
-        if not self.workers:
+        if not partitioning.fragments:
             raise ValueError(
                 "a cluster needs at least one worker; the partitioning "
                 f"{partitioning.method_name!r} produced no node graphs"
             )
-        self._dictionary = dictionary
+        #: the cluster-wide term↔id table: the one the fragments carry
+        #: (*dictionary* is accepted for callers that still pass it)
+        self.dictionary = partitioning.fragments[0].dictionary
         # liveness/fragment state below is unlocked by design: a Cluster
         # is owned by one executor thread.  Liveness changes between
         # queries, or during one from that same thread (fault recovery;
@@ -57,13 +58,10 @@ class Cluster:
         # check turns into a replay).  A multi-threaded server
         # must either confine each Cluster to a session thread or add a
         # lock + `#: guarded-by:` declarations (concurrency audit, PR 8).
-        #: lazily encoded per-worker fragments; invalidated per worker
-        #: by :meth:`fail_worker` (the re-encode is the replica re-scan)
-        self._fragments: Dict[int, EncodedGraph] = {}
         self._dead: Set[int] = set()
-        #: degraded-mode graph overrides: dead workers -> empty graph,
-        #: re-route targets -> their graph merged with the lost partition
-        self._override: Dict[int, RDFGraph] = {}
+        #: degraded-mode fragment overrides: dead workers -> empty,
+        #: re-route targets -> their fragment merged with the lost one
+        self._override: Dict[int, EncodedGraph] = {}
         #: callbacks invoked by :meth:`heal` (e.g. a circuit breaker
         #: closing once its quarantined workers come back)
         self._heal_listeners: List[Callable[[], None]] = []
@@ -81,18 +79,16 @@ class Cluster:
     ) -> "Cluster":
         """Partition *dataset* with *method* across *cluster_size* workers.
 
-        The dataset's term dictionary (already fed during its
-        statistics pass) becomes the cluster-wide id space, so fragment
-        encoding is pure lookups — the dataset is never re-interned.
+        The dataset's term dictionary becomes the cluster-wide id
+        space: fragments are gathered from the dataset's id columns,
+        nothing is encoded a second time.
         """
-        if cluster_size < 1:
-            raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
         return cls(method.partition(dataset, cluster_size), dataset.dictionary)
 
     @property
     def size(self) -> int:
         """Number of worker slots (dead workers keep their slot)."""
-        return len(self.workers)
+        return len(self.partitioning.fragments)
 
     # ------------------------------------------------------------------
     # liveness
@@ -116,76 +112,46 @@ class Cluster:
         """Whether *worker* is still alive."""
         return worker not in self._dead
 
-    def worker_graph(self, worker: int) -> RDFGraph:
-        """The graph *worker* currently serves (empty once it is dead)."""
-        return self._override.get(worker, self.workers[worker])
-
-    def worker_graphs(self) -> List[RDFGraph]:
-        """Per-slot effective graphs; the original list while pristine.
-
-        The fast path keys on overrides, not liveness: adaptive
-        migration (:mod:`repro.partitioning.adaptive`) merges replicas
-        into *healthy* workers, and those placements must be visible to
-        scans exactly like a re-routed partition is.
-        """
-        if not self._override:
-            return self.workers
-        return [self.worker_graph(i) for i in range(self.size)]
-
-    # ------------------------------------------------------------------
-    # encoded fragments (columnar engine)
-    # ------------------------------------------------------------------
-    @property
-    def dictionary(self) -> TermDictionary:
-        """The cluster-wide term↔id table (created on first use)."""
-        if self._dictionary is None:
-            self._dictionary = TermDictionary()
-        return self._dictionary
-
     def worker_fragment(self, worker: int) -> EncodedGraph:
-        """The encoded fragment *worker* currently serves (cached).
-
-        Built from :meth:`worker_graph`, so degraded layouts are
-        reflected: a re-route target's fragment is re-encoded from its
-        merged graph — the simulated replica re-scan of recovery.
-        """
-        fragment = self._fragments.get(worker)
-        if fragment is None:
-            fragment = EncodedGraph.from_graph(
-                self.worker_graph(worker), self.dictionary
-            )
-            self._fragments[worker] = fragment
-        return fragment
+        """The encoded fragment *worker* currently serves (empty once dead)."""
+        return self._override.get(worker, self.partitioning.fragments[worker])
 
     def worker_fragments(self) -> List[EncodedGraph]:
-        """Per-slot encoded fragments under the current liveness state."""
+        """Per-slot encoded fragments: re-routed and migrated replicas included."""
         return [self.worker_fragment(i) for i in range(self.size)]
 
-    def merge_replica(self, worker: int, triples: Iterable[Triple]) -> int:
-        """Merge *triples* into the graph *worker* serves; count additions.
+    def worker_graph(self, worker: int) -> RDFGraph:
+        """A term-level view of :meth:`worker_fragment` (decoded once)."""
+        return self.worker_fragment(worker).decoded()
 
-        The shared replica primitive behind fail-stop re-routing and
-        adaptive migration (:mod:`repro.partitioning.adaptive`): the
-        worker's served graph is rebuilt as a copy (so
-        ``partitioning.node_graphs`` — the durable replica — is never
-        mutated) and its encoded fragment is invalidated, forcing the
-        next columnar scan to re-encode from the merged graph (the
-        simulated replica re-scan).  Does **not** bump the epoch; the
+    def worker_graphs(self) -> List[RDFGraph]:
+        """Per-slot term-level views (what the reference engine scans)."""
+        return [self.worker_graph(i) for i in range(self.size)]
+
+    def merge_replica(
+        self, worker: int, triples: Union[EncodedGraph, Iterable[Triple]]
+    ) -> int:
+        """Merge *triples* into the fragment *worker* serves; count additions.
+
+        The replica primitive behind fail-stop re-routing and adaptive
+        migration (:mod:`repro.partitioning.adaptive`), and the one
+        :meth:`Partitioning.add_triples` is built on: the served
+        fragment is replaced by a merged copy (term-level *triples* are
+        encoded on entry), so ``partitioning.fragments`` — the durable
+        replica — is never mutated.  Does **not** bump the epoch; the
         caller owns the batching of layout changes.
         """
-        merged = RDFGraph(self.worker_graph(worker))
-        added = merged.add_all(triples)
-        self._override[worker] = merged
-        self._fragments.pop(worker, None)
-        return added
+        served = self.worker_fragment(worker)
+        self._override[worker] = merged = served.merged(triples)
+        return len(merged) - len(served)
 
     def fail_worker(self, worker: int) -> Tuple[int, int]:
         """Crash *worker* and re-route its partition in degraded mode.
 
         The lost partition (recovered from the durable replica — the
-        partitioning's untouched node graph, plus anything a previous
+        partitioning's untouched fragment, plus anything a previous
         re-route or adaptive migration already merged into this worker)
-        is merged into the next live worker's graph.  Returns
+        is merged into the next live worker's fragment.  Returns
         ``(target, triples_moved)`` so the caller can price the replica
         re-scan.
         """
@@ -195,15 +161,14 @@ class Cluster:
             raise ValueError(f"worker {worker} is already dead")
         if self.live_size <= 1:
             raise ValueError("cannot fail the last live worker")
-        lost_graph = self.worker_graph(worker)
+        lost = self.worker_fragment(worker)
         self._dead.add(worker)
         live = self.live_workers
         target = next((i for i in live if i > worker), live[0])
-        self.merge_replica(target, lost_graph)
-        self._override[worker] = RDFGraph()
-        self._fragments.pop(worker, None)
+        self.merge_replica(target, lost)
+        self._override[worker] = EncodedGraph(self.dictionary)
         self.epoch += 1
-        return target, len(lost_graph)
+        return target, len(lost)
 
     def add_heal_listener(self, callback: Callable[[], None]) -> None:
         """Register *callback* to run whenever the cluster heals."""
@@ -217,7 +182,6 @@ class Cluster:
         """
         self._dead.clear()
         self._override.clear()
-        self._fragments.clear()
         self.epoch += 1
         for callback in self._heal_listeners:
             callback()
@@ -232,11 +196,7 @@ class Cluster:
         slot is folded onto the list of live workers, so routing stays
         a pure function of (term, liveness state).
         """
-        target = hash_term(term, self.size)
-        if target in self._dead:
-            live = self.live_workers
-            target = live[target % len(live)]
-        return target
+        return self._live(hash_term(term, self.size))
 
     def route_id(self, ident: int) -> int:
         """The worker a term *id* hashes to (columnar repartition).
@@ -248,14 +208,17 @@ class Cluster:
         only changes *where* a row is joined, never the result or the
         shipped-tuple counts.
         """
-        target = ((ident * 2654435761) & 0xFFFFFFFF) % self.size
+        return self._live(((ident * 2654435761) & 0xFFFFFFFF) % self.size)
+
+    def _live(self, target: int) -> int:
+        """*target*, or the live worker a dead target's slot folds onto."""
         if target in self._dead:
             live = self.live_workers
             target = live[target % len(live)]
         return target
 
     def __repr__(self) -> str:
-        sizes = [len(g) for g in self.worker_graphs()]
+        sizes = [len(fragment) for fragment in self.worker_fragments()]
         dead = f", dead={self.failed_workers}" if self._dead else ""
         return (
             f"Cluster({self.size} workers, method={self.partitioning.method_name}, "

@@ -46,10 +46,3 @@ __all__ = [
     "MigrationProposal",
     "RepartitioningAdvisor",
 ]
-
-#: methods used in the paper's Table V, by table label
-METHODS = {
-    "Hash-SO": HashSubjectObject,
-    "2f": SemanticHash,
-    "Path-BMC": PathBMC,
-}

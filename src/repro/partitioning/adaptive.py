@@ -387,9 +387,8 @@ class AdaptiveOverlay(DynamicPartitioning):
             extent = [
                 t for t in dataset.graph if str(t.predicate) in replicated
             ]
-            for graph in partitioning.node_graphs:  # lint: disable=LINT014 bounded by cluster size; layout build, not a query path
-                graph.add_all(extent)
-        partitioning.method_name = self.name
+            for node in range(cluster_size):  # lint: disable=LINT014 bounded by cluster size; layout build, not a query path
+                partitioning.add_triples(node, extent)
         return partitioning
 
     def combine_query(self, vertex, query_graph):  # type: ignore[override]
@@ -426,7 +425,7 @@ class AdaptiveCluster(Cluster):
     Wraps the base :class:`~repro.engine.cluster.Cluster` with a
     durable *adaptive layout*: every triple a proposal placed on a
     worker is recorded per slot and re-merged on :meth:`heal`, exactly
-    like ``partitioning.node_graphs`` is the durable replica for the
+    like ``partitioning.fragments`` is the durable replica for the
     static layout.  Fail-stop re-routing needs no changes — a dead
     worker's served graph (base partition plus adaptive placements)
     already migrates to the re-route target through
@@ -463,11 +462,8 @@ class AdaptiveCluster(Cluster):
         cls, dataset: Dataset, method: PartitioningMethod, cluster_size: int = 10
     ) -> "AdaptiveCluster":
         """Partition *dataset* with *method* and wrap it adaptively."""
-        if cluster_size < 1:
-            raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
         return cls(
             method.partition(dataset, cluster_size),
-            dataset.dictionary,
             dataset=dataset,
             base_method=method,
         )

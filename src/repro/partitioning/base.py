@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import Dict, FrozenSet, Iterable, List, Set, Union
 
 from ..rdf.dataset import Dataset
+from ..rdf.encoding import EncodedGraph, TermDictionary
 from ..rdf.terms import PatternTerm, Term
 from ..rdf.triples import RDFGraph, Triple
 from ..sparql.ast import BGPQuery, TriplePattern
@@ -28,21 +29,37 @@ from ..sparql.query_graph import QueryGraph
 
 @dataclass
 class Partitioning:
-    """The outcome of partitioning a dataset across ``n`` nodes."""
+    """The outcome of partitioning a dataset across ``n`` nodes: per node
+    one :class:`~repro.rdf.encoding.EncodedGraph` fragment over the dataset's
+    dictionary, in ascending position of the dataset's own columns."""
 
     method_name: str
-    node_graphs: List[RDFGraph]
+    fragments: List[EncodedGraph]
     #: vertex -> node index chosen by ``distribute`` (one entry per anchor)
     vertex_placement: Dict[Term, int] = field(default_factory=dict)
 
     @property
     def cluster_size(self) -> int:
         """Number of nodes the data was distributed over."""
-        return len(self.node_graphs)
+        return len(self.fragments)
+
+    @property
+    def node_graphs(self) -> List[RDFGraph]:
+        """Per-node term-level *views*, decoded on first use (for tests;
+        change a node through :meth:`add_triples`, never through its view)."""
+        return [fragment.decoded() for fragment in self.fragments]
+
+    def add_triples(
+        self, node: int, triples: Union[EncodedGraph, Iterable[Triple]]
+    ) -> int:
+        """Store *triples* on *node* as well; return how many were new."""
+        before = self.fragments[node]
+        self.fragments[node] = merged = before.merged(triples)
+        return len(merged) - len(before)
 
     def total_stored_triples(self) -> int:
         """Stored triples including duplicates across nodes."""
-        return sum(len(g) for g in self.node_graphs)
+        return sum(map(len, self.fragments))
 
     def replication_factor(self, original_count: int) -> float:
         """Stored / original triple count (≥ 1 when nothing is lost)."""
@@ -52,7 +69,7 @@ class Partitioning:
 
     def imbalance(self) -> float:
         """max node load / mean node load (1.0 = perfectly balanced)."""
-        sizes = [len(g) for g in self.node_graphs]
+        sizes = list(map(len, self.fragments))
         mean = sum(sizes) / len(sizes)
         if mean == 0:
             return 1.0
@@ -60,7 +77,12 @@ class Partitioning:
 
 
 class PartitioningMethod(abc.ABC):
-    """A static partitioning method in the generic combine/distribute model."""
+    """A static partitioning method in the generic combine/distribute model.
+
+    On data both phases run in id space, over the dataset's
+    :class:`~repro.rdf.encoding.EncodedGraph`: a vertex is a term id,
+    an element a set of triple *positions* in the graph's columns.
+    """
 
     #: short identifier used in experiment tables
     name: str = "abstract"
@@ -69,21 +91,21 @@ class PartitioningMethod(abc.ABC):
     # the two conceptual phases, on data
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def combine(self, vertex: Term, graph: RDFGraph) -> FrozenSet[Triple]:
+    def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
         """The partitioning element ``e_v`` anchored at *vertex* (Eq. 1)."""
 
-    def anchors(self, graph: RDFGraph) -> Iterable[Term]:
-        """Vertices at which elements are anchored (default: all of V_R).
-
-        Sorted so the element map is built in the same order in every
-        process (``vertices`` is a set).
-        """
-        return sorted(graph.vertices, key=str)
+    def elements(self, graph: EncodedGraph) -> Dict[int, Set[int]]:
+        """The non-empty elements by anchor vertex (default: all of V_R),
+        in the shared vertex order."""
+        outgoing, incoming = graph.adjacency()
+        vertices = by_text(graph, outgoing.keys() | incoming.keys())
+        combined = ((vertex, self.combine_ids(vertex, graph)) for vertex in vertices)
+        return {vertex: element for vertex, element in combined if element}
 
     @abc.abstractmethod
     def distribute(
-        self, elements: Dict[Term, FrozenSet[Triple]], cluster_size: int
-    ) -> Dict[Term, int]:
+        self, elements: Dict[int, Set[int]], cluster_size: int, graph: EncodedGraph
+    ) -> Dict[int, int]:
         """Assign each element's anchor vertex to a node (Eq. 2)."""
 
     # ------------------------------------------------------------------
@@ -99,25 +121,33 @@ class PartitioningMethod(abc.ABC):
     # derived functionality
     # ------------------------------------------------------------------
     def partition(self, dataset: Dataset, cluster_size: int) -> Partitioning:
-        """Run both phases and materialize per-node graphs."""
+        """Run both phases and gather each node's fragment: the union of
+        the elements placed on it, in ascending triple position (an explicit
+        order, so fragments do not follow set iteration or the hash seed)."""
         if cluster_size < 1:
-            raise ValueError("cluster size must be at least 1")
-        graph = dataset.graph
-        elements: Dict[Term, FrozenSet[Triple]] = {}
-        for vertex in self.anchors(graph):
-            element = self.combine(vertex, graph)
-            if element:
-                elements[vertex] = element
-        placement = self.distribute(elements, cluster_size)
-        node_graphs = [RDFGraph() for _ in range(cluster_size)]
+            raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
+        graph = dataset.encoded_graph()
+        elements = self.elements(graph)
+        placement = self.distribute(elements, cluster_size, graph)
+        positions: List[Set[int]] = [set() for _ in range(cluster_size)]
         for vertex, element in elements.items():
-            node = placement[vertex]
-            node_graphs[node].add_all(element)
+            positions[placement[vertex]].update(element)
+        anchors = graph.dictionary.decode_all(placement)
         return Partitioning(
             method_name=self.name,
-            node_graphs=node_graphs,
-            vertex_placement=placement,
+            fragments=[graph.gather(sorted(node)) for node in positions],
+            vertex_placement=dict(zip(anchors, placement.values())),
         )
+
+    def combine(self, vertex: Term, graph: RDFGraph) -> FrozenSet[Triple]:
+        """``combine(v, G)`` in the paper's term-typed signature: encode
+        *graph*, run :meth:`combine_ids`, decode the element."""
+        encoded = EncodedGraph.from_graph(graph, TermDictionary())
+        vertex_id = encoded.dictionary.lookup(vertex)
+        if vertex_id is None:
+            return frozenset()
+        triples = list(graph)
+        return frozenset(triples[i] for i in self.combine_ids(vertex_id, encoded))
 
     def maximal_local_queries(self, query: BGPQuery) -> List[FrozenSet[TriplePattern]]:
         """All distinct maximal local queries of *query* (Appendix A).
@@ -147,10 +177,51 @@ class PartitioningMethod(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def by_text(graph: EncodedGraph, vertices: Iterable[int]) -> List[int]:
+    """Vertex ids sorted by their terms' string form: the one vertex order
+    every method uses, so that element maps, placements and tie-breaks are
+    the same in every process."""
+    vertices = list(vertices)
+    texts = dict(zip(vertices, map(str, graph.dictionary.decode_all(vertices))))
+    return sorted(vertices, key=texts.__getitem__)
+
+
+#: characters per memoised prefix state in :func:`hash_terms`
+_STRIDE = 8
+
+
+def hash_terms(terms: Iterable[Term], cluster_size: int) -> List[int]:
+    """:func:`hash_term` of each of *terms*, sharing work between them.
+
+    The hash is djb2-xor over ``str(term)``: a state carried left to
+    right, so texts with a common prefix share the state at its end.
+    States are memoised every ``_STRIDE`` characters for the duration
+    of the call; IRIs of one namespace then cost their local names only.
+    """
+    states: Dict[object, int] = {b"": 5381, (): 5381}
+    known = states.get
+    nodes = []
+    for text in map(str, terms):
+        try:
+            codes: Union[bytes, tuple] = text.encode("latin-1")  # iterates as code points
+        except UnicodeEncodeError:
+            codes = tuple(map(ord, text))
+        done = len(codes) - len(codes) % _STRIDE
+        value = known(codes[:done])
+        while value is None:
+            done -= _STRIDE
+            value = known(codes[:done])
+        while done + _STRIDE <= len(codes):
+            for code in codes[done:done + _STRIDE]:
+                value = ((value * 33) ^ code) & 0xFFFFFFFF
+            done += _STRIDE
+            states[codes[:done]] = value
+        for code in codes[done:]:
+            value = ((value * 33) ^ code) & 0xFFFFFFFF
+        nodes.append(value % cluster_size)
+    return nodes
+
+
 def hash_term(term: Term, cluster_size: int) -> int:
     """Deterministic term-to-node hash (stable across runs and processes)."""
-    text = str(term)
-    value = 5381
-    for char in text:
-        value = ((value * 33) ^ ord(char)) & 0xFFFFFFFF
-    return value % cluster_size
+    return hash_terms((term,), cluster_size)[0]

@@ -12,8 +12,8 @@ exactly that:
 
 * ``combine`` / ``distribute`` on data delegate to the base method,
   with the triples matched by each hot query additionally co-located
-  (replicated onto one node per hot query), modeling the run-time
-  redistribution;
+  (replicated onto the node each match's anchor hashes to), modeling
+  the run-time redistribution;
 * ``combine_query`` returns the larger of the base maximal local query
   and the best hot-query intersection, per the appendix's two
   conditions: the intersection must be connected and must contain a
@@ -22,13 +22,14 @@ exactly that:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
-from ..rdf.terms import PatternTerm, Term
-from ..rdf.triples import RDFGraph, Triple
+from ..rdf.encoding import EncodedGraph
+from ..rdf.terms import PatternTerm
+from ..rdf.triples import Triple
 from ..sparql.ast import BGPQuery, TriplePattern
 from ..sparql.query_graph import QueryGraph
-from .base import PartitioningMethod
+from .base import PartitioningMethod, hash_term
 
 
 def _connected_pattern_sets(
@@ -99,16 +100,16 @@ class DynamicPartitioning(PartitioningMethod):
     # ------------------------------------------------------------------
     # data side: delegate, then co-locate hot-query matches
     # ------------------------------------------------------------------
-    def combine(self, vertex: Term, graph: RDFGraph) -> FrozenSet[Triple]:
-        return self.base.combine(vertex, graph)
+    def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
+        return self.base.combine_ids(vertex, graph)
 
-    def anchors(self, graph: RDFGraph):
-        return self.base.anchors(graph)
+    def elements(self, graph: EncodedGraph) -> Dict[int, Set[int]]:
+        return self.base.elements(graph)
 
     def distribute(
-        self, elements: Dict[Term, FrozenSet[Triple]], cluster_size: int
-    ) -> Dict[Term, int]:
-        return self.base.distribute(elements, cluster_size)
+        self, elements: Dict[int, Set[int]], cluster_size: int, graph: EncodedGraph
+    ) -> Dict[int, int]:
+        return self.base.distribute(elements, cluster_size, graph)
 
     def partition(self, dataset, cluster_size: int):
         """Static partition + hot-query match replication.
@@ -118,14 +119,14 @@ class DynamicPartitioning(PartitioningMethod):
         queries run locally" behaviour of [5], [45].  Matching goes
         through :func:`hot_query_matches` (the encoded/columnar path).
         """
-        from .base import hash_term
-
         partitioning = self.base.partition(dataset, cluster_size)
+        # each match's triples stay together on one node; one merge per node
+        placed: Dict[int, List[Triple]] = {}
         for hot in self.hot_queries:
-            # pin each match's triples together on one node
             for anchor, triples in hot_query_matches(dataset, hot):
-                node = hash_term(anchor, cluster_size)
-                partitioning.node_graphs[node].add_all(triples)
+                placed.setdefault(hash_term(anchor, cluster_size), []).extend(triples)
+        for node in sorted(placed):
+            partitioning.add_triples(node, placed[node])
         partitioning.method_name = self.name
         return partitioning
 

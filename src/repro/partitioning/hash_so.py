@@ -10,13 +10,13 @@ its triple patterns share a common vertex (Appendix A, Example 7).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, Set
 
-from ..rdf.terms import PatternTerm, Term
-from ..rdf.triples import RDFGraph, Triple
+from ..rdf.encoding import EncodedGraph
+from ..rdf.terms import PatternTerm
 from ..sparql.ast import TriplePattern
 from ..sparql.query_graph import QueryGraph
-from .base import PartitioningMethod, hash_term
+from .base import PartitioningMethod, hash_terms
 
 
 class HashSubjectObject(PartitioningMethod):
@@ -24,13 +24,16 @@ class HashSubjectObject(PartitioningMethod):
 
     name = "hash-so"
 
-    def combine(self, vertex: Term, graph: RDFGraph) -> FrozenSet[Triple]:
-        return frozenset(graph.edges(vertex))
+    def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
+        outgoing, incoming = graph.adjacency()
+        # a self-loop is in both lists; it counts once
+        return set(outgoing.get(vertex, ())).union(incoming.get(vertex, ()))
 
     def distribute(
-        self, elements: Dict[Term, FrozenSet[Triple]], cluster_size: int
-    ) -> Dict[Term, int]:
-        return {vertex: hash_term(vertex, cluster_size) for vertex in elements}
+        self, elements: Dict[int, Set[int]], cluster_size: int, graph: EncodedGraph
+    ) -> Dict[int, int]:
+        anchors = graph.dictionary.decode_all(elements)
+        return dict(zip(elements, hash_terms(anchors, cluster_size)))
 
     def combine_query(
         self, vertex: PatternTerm, query_graph: QueryGraph

@@ -21,13 +21,13 @@ magnitude speedups for TD-Auto + Path-BMC).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, Set
 
-from ..rdf.terms import PatternTerm, Term
-from ..rdf.triples import RDFGraph, Triple
+from ..rdf.encoding import EncodedGraph
+from ..rdf.terms import PatternTerm
 from ..sparql.ast import TriplePattern
 from ..sparql.query_graph import QueryGraph
-from .base import PartitioningMethod
+from .base import PartitioningMethod, by_text
 
 
 class PathBMC(PartitioningMethod):
@@ -35,50 +35,43 @@ class PathBMC(PartitioningMethod):
 
     name = "path-bmc"
 
-    def anchors(self, graph: RDFGraph) -> List[Term]:
-        # sorted: ``vertices`` is a set; anchor order must not follow
-        # the per-process hash seed
-        starts = sorted(
-            (v for v in graph.vertices if not graph.in_edges(v)), key=str
-        )
-        covered = self._reachable(starts, graph)
-        if len(covered) < len(graph):
-            # cyclic residue: anchor uncovered triples at canonical vertices
-            uncovered_subjects = sorted(
-                {t.subject for t in graph if t not in covered}, key=str
-            )
-            remaining = {t for t in graph if t not in covered}
-            for v in uncovered_subjects:
-                if not remaining:
-                    break
-                reach = self._reachable([v], graph)
-                if reach & remaining:
-                    starts.append(v)
-                    remaining -= reach
-        return starts
+    def elements(self, graph: EncodedGraph) -> Dict[int, Set[int]]:
+        """One traversal per anchor: which vertices anchor the cyclic
+        residue depends on what the start vertices' elements cover."""
+        outgoing, incoming = graph.adjacency()
+        starts = by_text(graph, outgoing.keys() - incoming.keys())
+        elements = {v: self.combine_ids(v, graph) for v in starts}
+        remaining = set(range(len(graph))).difference(*elements.values())
+        # cyclic residue: anchor uncovered triples at canonical vertices
+        for v in by_text(graph, set(map(graph.subjects.__getitem__, remaining))):
+            if not remaining:
+                break
+            reach = self.combine_ids(v, graph)
+            if not reach.isdisjoint(remaining):
+                elements[v] = reach
+                remaining -= reach
+        return elements
 
-    def combine(self, vertex: Term, graph: RDFGraph) -> FrozenSet[Triple]:
-        return frozenset(self._reachable([vertex], graph))
-
-    @staticmethod
-    def _reachable(sources: List[Term], graph: RDFGraph) -> Set[Triple]:
-        """Triples reachable from any of *sources* along edge directions."""
-        result: Set[Triple] = set()
-        seen: Set[Term] = set(sources)
-        frontier = list(sources)
+    def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
+        """Triples reachable from *vertex* along edge directions."""
+        outgoing = graph.adjacency()[0]
+        objects = graph.objects
+        reached: Set[int] = set()
+        seen = {vertex}
+        frontier = [vertex]
         while frontier:
-            v = frontier.pop()
-            for t in graph.out_edges(v):
-                if t not in result:
-                    result.add(t)
-                    if t.object not in seen:
-                        seen.add(t.object)
-                        frontier.append(t.object)
-        return result
+            edges = outgoing.get(frontier.pop())
+            if edges:
+                reached.update(edges)
+                for v in map(objects.__getitem__, edges):
+                    if v not in seen:
+                        seen.add(v)
+                        frontier.append(v)
+        return reached
 
     def distribute(
-        self, elements: Dict[Term, FrozenSet[Triple]], cluster_size: int
-    ) -> Dict[Term, int]:
+        self, elements: Dict[int, Set[int]], cluster_size: int, graph: EncodedGraph
+    ) -> Dict[int, int]:
         """Greedy bottom-up merge: heaviest element to the lightest node.
 
         This is the weight-driven merge of the Path-BM algorithm reduced
@@ -86,14 +79,14 @@ class PathBMC(PartitioningMethod):
         to minimize the maximum node load.
         """
         loads = [0] * cluster_size
-        placement: Dict[Term, int] = {}
-        by_weight = sorted(
-            elements.items(), key=lambda item: (-len(item[1]), str(item[0]))
-        )
-        for vertex, element in by_weight:
-            node = min(range(cluster_size), key=lambda i: loads[i])
+        placement: Dict[int, int] = {}
+        # heaviest first; equal weights in the shared vertex order
+        for vertex in sorted(
+            by_text(graph, elements), key=lambda v: -len(elements[v])
+        ):
+            node = loads.index(min(loads))
             placement[vertex] = node
-            loads[node] += len(element)
+            loads[node] += len(elements[vertex])
         return placement
 
     def combine_query(

@@ -8,17 +8,19 @@ patterns all lie within two forward hops of some query vertex is local.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set
+from itertools import chain, repeat
+from typing import FrozenSet, Set
 
-from ..rdf.terms import PatternTerm, Term
-from ..rdf.triples import RDFGraph, Triple
+from ..rdf.encoding import EncodedGraph
+from ..rdf.terms import PatternTerm
 from ..sparql.ast import TriplePattern
 from ..sparql.query_graph import QueryGraph
-from .base import PartitioningMethod, hash_term
+from .hash_so import HashSubjectObject
 
 
-class SemanticHash(PartitioningMethod):
-    """k-hop forward semantic hash partitioning (default: 2f)."""
+class SemanticHash(HashSubjectObject):
+    """k-hop forward semantic hash partitioning (default: 2f): Hash-SO's
+    placement (the anchor is hashed) of larger elements."""
 
     def __init__(self, hops: int = 2) -> None:
         if hops < 1:
@@ -26,26 +28,19 @@ class SemanticHash(PartitioningMethod):
         self.hops = hops
         self.name = f"{hops}f"
 
-    def combine(self, vertex: Term, graph: RDFGraph) -> FrozenSet[Triple]:
-        element: Set[Triple] = set()
-        frontier: Set[Term] = {vertex}
-        for _ in range(self.hops):
-            next_frontier: Set[Term] = set()
-            # set-to-set growth: only membership of the result matters
-            for v in frontier:  # lint: disable=LINT001 order-insensitive
-                for t in graph.out_edges(v):
-                    if t not in element:
-                        element.add(t)
-                        next_frontier.add(t.object)
-            frontier = next_frontier
-            if not frontier:
+    def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
+        outgoing = graph.adjacency()[0].get
+        objects = graph.objects
+        element = step = set(outgoing(vertex, ()))
+        for _ in range(self.hops - 1):
+            # the triples leaving the last hop's objects that are not in yet
+            frontier = set(map(objects.__getitem__, step))
+            step = set(chain.from_iterable(map(outgoing, frontier, repeat(()))))
+            step -= element
+            if not step:
                 break
-        return frozenset(element)
-
-    def distribute(
-        self, elements: Dict[Term, FrozenSet[Triple]], cluster_size: int
-    ) -> Dict[Term, int]:
-        return {vertex: hash_term(vertex, cluster_size) for vertex in elements}
+            element = element | step
+        return element
 
     def combine_query(
         self, vertex: PatternTerm, query_graph: QueryGraph

@@ -17,19 +17,15 @@ In the generic model:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Set
+from typing import Dict, Set
 
-from ..rdf.terms import PatternTerm, Term
-from ..rdf.triples import RDFGraph, Triple
-from ..sparql.ast import TriplePattern
-from ..sparql.query_graph import QueryGraph
-from .base import PartitioningMethod
+from ..rdf.encoding import EncodedGraph
+from .base import by_text
+from .hash_so import HashSubjectObject
 
 
-def greedy_edge_cut_partition(
-    graph: RDFGraph, cluster_size: int
-) -> Dict[Term, int]:
-    """Partition graph vertices into balanced parts with a BFS grower.
+def greedy_edge_cut_partition(graph: EncodedGraph, cluster_size: int) -> Dict[int, int]:
+    """Partition graph vertices (term ids) into balanced parts with a BFS grower.
 
     Vertices are assigned in BFS order from successive unassigned seeds;
     a part stops accepting vertices once it reaches the balanced
@@ -37,58 +33,46 @@ def greedy_edge_cut_partition(
     substitute for METIS: connected neighborhoods land together, and
     part sizes are balanced within one vertex.
     """
-    vertices = sorted(graph.vertices, key=str)
+    outgoing, incoming = graph.adjacency()
+    subjects, objects = graph.subjects, graph.objects
+    vertices = by_text(graph, outgoing.keys() | incoming.keys())
+    rank = {vertex: position for position, vertex in enumerate(vertices)}
     capacity = -(-len(vertices) // cluster_size) if vertices else 0
-    placement: Dict[Term, int] = {}
+    placement: Dict[int, int] = {}
     part = 0
     used = 0
-    queue: deque = deque()
-    remaining = deque(vertices)
-    while remaining or queue:
-        if not queue:
-            # pick the next unassigned seed
-            while remaining and remaining[0] in placement:
-                remaining.popleft()
-            if not remaining:
-                break
-            queue.append(remaining.popleft())
-        vertex = queue.popleft()
-        if vertex in placement:
-            continue
-        if used >= capacity and part < cluster_size - 1:
-            part += 1
-            used = 0
-        placement[vertex] = part
-        used += 1
-        for neighbor in sorted(graph.neighbors(vertex), key=str):
-            if neighbor not in placement:
-                queue.append(neighbor)
+    for seed in vertices:  # an already placed seed grows nothing
+        queue = deque([seed])
+        while queue:
+            vertex = queue.popleft()
+            if vertex in placement:
+                continue
+            if used >= capacity and part < cluster_size - 1:
+                part += 1
+                used = 0
+            placement[vertex] = part
+            used += 1
+            neighbors = set(map(objects.__getitem__, outgoing.get(vertex, ())))
+            neighbors.update(map(subjects.__getitem__, incoming.get(vertex, ())))
+            queue.extend(
+                sorted(neighbors.difference(placement), key=rank.__getitem__)
+            )
     return placement
 
 
-class UndirectedOneHop(PartitioningMethod):
-    """Huang et al.'s un-1-hop partitioning with a greedy partitioner."""
+class UndirectedOneHop(HashSubjectObject):
+    """Huang et al.'s un-1-hop partitioning with a greedy partitioner.
+
+    Elements (and maximal local queries) are Hash-SO's; only the
+    placement differs.
+    """
 
     name = "un-1-hop"
 
-    def combine(self, vertex: Term, graph: RDFGraph) -> FrozenSet[Triple]:
-        return frozenset(graph.edges(vertex))
-
     def distribute(
-        self, elements: Dict[Term, FrozenSet[Triple]], cluster_size: int
-    ) -> Dict[Term, int]:
-        # reconstruct the vertex graph from the elements and run the
-        # balanced partitioner on it
-        graph = RDFGraph()
-        for element in elements.values():
-            graph.add_all(element)
+        self, elements: Dict[int, Set[int]], cluster_size: int, graph: EncodedGraph
+    ) -> Dict[int, int]:
+        # every triple is in some element, so the elements' vertex graph
+        # is *graph* itself: run the balanced partitioner on it
         placement = greedy_edge_cut_partition(graph, cluster_size)
-        return {
-            vertex: placement.get(vertex, 0)
-            for vertex in elements
-        }
-
-    def combine_query(
-        self, vertex: PatternTerm, query_graph: QueryGraph
-    ) -> FrozenSet[TriplePattern]:
-        return query_graph.incident_patterns(vertex)
+        return {vertex: placement.get(vertex, 0) for vertex in elements}

@@ -62,7 +62,7 @@ class Dataset:
         columns, so no term is hashed a second time.
         """
         self._encoded = encoded = EncodedGraph.from_graph(self.graph, self.dictionary)
-        subjects, predicates, objects = encoded._subjects, encoded._predicates, encoded._objects
+        subjects, predicates, objects = encoded.subjects, encoded.predicates, encoded.objects
         distinct_subjects = Counter(map(_FIRST, set(zip(predicates, subjects))))
         distinct_objects = Counter(map(_FIRST, set(zip(predicates, objects))))
         self._predicate_stats = {
@@ -77,9 +77,10 @@ class Dataset:
     def encoded_graph(self) -> EncodedGraph:
         """The whole dataset as one :class:`EncodedGraph`.
 
-        Built by :meth:`refresh`; single-node columnar evaluation and
-        tests use it, while clusters encode per-worker fragments
-        (sharing :attr:`dictionary`).
+        Built by :meth:`refresh`.  Partitioners place its triple
+        positions and gather every worker fragment from its columns
+        (sharing :attr:`dictionary`); statistics and single-node
+        columnar evaluation read its indexes.
         """
         return self._encoded
 

@@ -17,8 +17,10 @@ assigned in first-seen order, so the same dataset always produces the
 same ids) with a JSON save/load round trip.  :class:`EncodedGraph` is
 the columnar triple store: three parallel ``array('q')`` columns plus
 the per-predicate indexes, built from any :class:`~repro.rdf.triples.RDFGraph`
-against a shared dictionary — which is how every worker fragment of a
-cluster speaks the same id space.
+against a shared dictionary.  A dataset is encoded once; partitioners
+place its triple *positions* and every worker fragment of a cluster is
+a :meth:`~EncodedGraph.gather` of the dataset's columns — which is how
+all fragments speak the same id space without a second encoding pass.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .terms import BlankNode, IRI, Literal, Term
-from .triples import _TERMS_OF, RDFGraph
+from .triples import _TERMS_OF, RDFGraph, Triple
 
 #: an encoded triple: (subject id, predicate id, object id)
 IdTriple = Tuple[int, int, int]
@@ -98,6 +102,10 @@ class TermDictionary:
         if ident < 0:
             raise IndexError(f"term ids are non-negative, got {ident}")
         return self._terms[ident]
+
+    def decode_all(self, idents: Iterable[int]) -> List[Term]:
+        """:meth:`decode` each of *idents* (all known), with no per-id call."""
+        return list(map(self._terms.__getitem__, idents))
 
     def terms(self) -> Iterator[Term]:
         """All interned terms in id order."""
@@ -168,7 +176,7 @@ class PredicateIndex:
 
     __slots__ = ("spo_subjects", "spo_objects", "ops_objects", "ops_subjects")
 
-    def __init__(self, pairs: List[Tuple[int, int]]) -> None:
+    def __init__(self, pairs: Iterable[Tuple[int, int]]) -> None:
         by_so = sorted(set(pairs))
         self.spo_subjects = array("q", [s for s, _ in by_so])
         self.spo_objects = array("q", [o for _, o in by_so])
@@ -205,71 +213,204 @@ class EncodedGraph:
     """A triple fragment as parallel integer columns plus indexes.
 
     The three ``array('q')`` columns are the base table (insertion
-    order, mirroring the source graph); the per-predicate
-    :class:`PredicateIndex` map is built lazily on first scan and
-    invalidated by appends.  All fragments of one cluster share a
-    single :class:`TermDictionary`, so ids are join-compatible across
-    workers and shuffles can move bare integers.
+    order, mirroring the source graph; a worker fragment is in
+    ascending position of the dataset's table).  Everything else is
+    derived from them on first use and dropped by appends: the
+    per-predicate :class:`PredicateIndex` (one predicate at a time — a
+    query touches a handful), the vertex adjacency the partitioners
+    walk, and the decoded term-level view.  All fragments of one
+    cluster share a single :class:`TermDictionary`, so ids are
+    join-compatible across workers and shuffles can move bare integers.
     """
 
-    __slots__ = ("dictionary", "_subjects", "_predicates", "_objects", "_indexes")
+    __slots__ = (
+        "dictionary", "_subjects", "_predicates", "_objects",
+        "_indexes", "_runs", "_adjacency", "_decoded",
+    )
 
-    def __init__(self, dictionary: TermDictionary) -> None:
+    def __init__(
+        self,
+        dictionary: TermDictionary,
+        columns: Optional[Tuple[array, array, array]] = None,
+    ) -> None:
         self.dictionary = dictionary
-        self._subjects = array("q")
-        self._predicates = array("q")
-        self._objects = array("q")
-        self._indexes: Optional[Dict[int, PredicateIndex]] = None
+        self._subjects, self._predicates, self._objects = columns or (
+            array("q"), array("q"), array("q")
+        )
+        self._drop_derived()
+
+    def _drop_derived(self) -> None:
+        self._indexes: Dict[int, PredicateIndex] = {}
+        #: (positions grouped by predicate, predicate -> its slice of them)
+        self._runs: Optional[Tuple[array, Dict[int, Tuple[int, int]]]] = None
+        self._adjacency: Optional[Tuple[Dict[int, List[int]], Dict[int, List[int]]]] = None
+        self._decoded: Optional[RDFGraph] = None
 
     @classmethod
-    def from_graph(cls, graph: RDFGraph, dictionary: TermDictionary) -> "EncodedGraph":
+    def from_graph(
+        cls, graph: Iterable[Triple], dictionary: TermDictionary
+    ) -> "EncodedGraph":
         """Encode *graph* against *dictionary* (interning as needed).
 
         One flat s, p, o, s, p, o, ... term sequence, looked up with no
         Python-level loop; ids are assigned in that (first-seen) order.
+        Any iterable of triples will do, in its iteration order.
         """
-        encoded = cls(dictionary)
         ids = dictionary._encode_all(list(chain.from_iterable(map(_TERMS_OF, graph))))
-        encoded._subjects = array("q", ids[0::3])
-        encoded._predicates = array("q", ids[1::3])
-        encoded._objects = array("q", ids[2::3])
-        return encoded
+        return cls(
+            dictionary,
+            (array("q", ids[0::3]), array("q", ids[1::3]), array("q", ids[2::3])),
+        )
 
     def add_ids(self, subject: int, predicate: int, object_: int) -> None:
-        """Append one already-encoded triple (invalidates the indexes)."""
+        """Append one already-encoded triple (drops everything derived)."""
         self._subjects.append(subject)
         self._predicates.append(predicate)
         self._objects.append(object_)
-        self._indexes = None
+        self._drop_derived()
 
     def __len__(self) -> int:
         return len(self._subjects)
+
+    @property
+    def subjects(self) -> array:
+        """The subject id column (read-only by convention)."""
+        return self._subjects
+
+    @property
+    def predicates(self) -> array:
+        """The predicate id column (read-only by convention)."""
+        return self._predicates
+
+    @property
+    def objects(self) -> array:
+        """The object id column (read-only by convention)."""
+        return self._objects
 
     def triples(self) -> Iterator[IdTriple]:
         """All stored id triples in insertion order."""
         return zip(self._subjects, self._predicates, self._objects)
 
     # ------------------------------------------------------------------
+    # fragments: cut from, merged into and decoded back out of columns
+    # ------------------------------------------------------------------
+    def gather(self, positions: Sequence[int]) -> "EncodedGraph":
+        """The triples at *positions*, in that order, as a new fragment."""
+        columns = (self._subjects, self._predicates, self._objects)
+        if len(positions) > 1:
+            picked = map(itemgetter(*positions), columns)  # one C call per column
+        else:
+            picked = ([column[i] for i in positions] for column in columns)
+        subjects, predicates, objects = (array("q", values) for values in picked)
+        return EncodedGraph(self.dictionary, (subjects, predicates, objects))
+
+    def merged(
+        self, triples: Union["EncodedGraph", Iterable[Triple]]
+    ) -> "EncodedGraph":
+        """This fragment followed by those of *triples* it does not hold.
+
+        *triples* is another fragment over the same dictionary or
+        term-level triples (encoded on entry).  Nothing is mutated:
+        the result is a new fragment, or this one when nothing is new —
+        ``len(result) - len(self)`` is the number of triples added.
+        """
+        if not isinstance(triples, EncodedGraph):
+            triples = EncodedGraph.from_graph(triples, self.dictionary)
+        held = set(self.triples())
+        new = [t for t in dict.fromkeys(triples.triples()) if t not in held]
+        if not new:
+            return self
+        subjects, predicates, objects = zip(*new)
+        return EncodedGraph(
+            self.dictionary,
+            (
+                self._subjects + array("q", subjects),
+                self._predicates + array("q", predicates),
+                self._objects + array("q", objects),
+            ),
+        )
+
+    def decoded(self) -> RDFGraph:
+        """The term-level view of this fragment (built once, then cached).
+
+        For the reference engine, the adaptive overlays and tests; the
+        encoded engines never ask for it.  It is a *view*: mutate the
+        fragment's owner (:meth:`merged`), not the returned graph.
+        """
+        if self._decoded is None:
+            terms = self.dictionary.decode_all
+            self._decoded = RDFGraph(
+                map(
+                    Triple,
+                    terms(self._subjects),
+                    terms(self._predicates),
+                    terms(self._objects),
+                )
+            )
+        return self._decoded
+
+    def adjacency(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+        """Triple positions by subject id and by object id, ascending.
+
+        The id-level counterpart of :class:`RDFGraph`'s adjacency, which
+        the partitioners' ``combine`` walks; built in one pass on first
+        use.  A vertex with no outgoing (incoming) triple has no key.
+        """
+        if self._adjacency is None:
+            outgoing: Dict[int, List[int]] = defaultdict(list)
+            incoming: Dict[int, List[int]] = defaultdict(list)
+            for position, (subject, object_) in enumerate(
+                zip(self._subjects, self._objects)
+            ):
+                outgoing[subject].append(position)
+                incoming[object_].append(position)
+            # plain dicts: a read of an absent vertex must not add a key
+            self._adjacency = (dict(outgoing), dict(incoming))
+        return self._adjacency
+
+    # ------------------------------------------------------------------
     # indexes
     # ------------------------------------------------------------------
-    def _ensure_indexes(self) -> Dict[int, PredicateIndex]:
-        if self._indexes is None:
-            grouped: Dict[int, List[Tuple[int, int]]] = {}
-            for subject, predicate, object_ in self.triples():
-                grouped.setdefault(predicate, []).append((subject, object_))
-            self._indexes = {
-                predicate: PredicateIndex(pairs)
-                for predicate, pairs in grouped.items()
-            }
-        return self._indexes
+    def _predicate_runs(self) -> Tuple[array, Dict[int, Tuple[int, int]]]:
+        """Positions grouped by predicate, and each predicate's slice."""
+        if self._runs is None:
+            predicates = self._predicates
+            order = sorted(range(len(predicates)), key=predicates.__getitem__)
+            grouped = list(map(predicates.__getitem__, order))
+            runs: Dict[int, Tuple[int, int]] = {}
+            start = 0
+            while start < len(grouped):
+                end = bisect_right(grouped, grouped[start], start)
+                runs[grouped[start]] = (start, end)
+                start = end
+            self._runs = (array("q", order), runs)
+        return self._runs
 
     def predicate_ids(self) -> List[int]:
         """All predicate ids with at least one triple, ascending."""
-        return sorted(self._ensure_indexes())
+        return list(self._predicate_runs()[1])
 
     def index_for(self, predicate: int) -> Optional[PredicateIndex]:
-        """The sorted index of *predicate* (``None`` if it has no triples)."""
-        return self._ensure_indexes().get(predicate)
+        """The sorted index of *predicate* (``None`` if it has no triples).
+
+        Built from the base table the first time *predicate* is asked
+        for, so a fragment only ever sorts the predicates its queries
+        touch.
+        """
+        index = self._indexes.get(predicate)
+        if index is None:
+            order, runs = self._predicate_runs()
+            run = runs.get(predicate)
+            if run is None:
+                return None
+            positions = order[run[0]:run[1]]
+            index = self._indexes[predicate] = PredicateIndex(
+                zip(
+                    map(self._subjects.__getitem__, positions),
+                    map(self._objects.__getitem__, positions),
+                )
+            )
+        return index
 
     # ------------------------------------------------------------------
     # scanning

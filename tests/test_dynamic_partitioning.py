@@ -148,7 +148,7 @@ class TestEncodedHotMatching:
         layout = method.partition(chain_data, cluster_size)
         expected = HashSubjectObject().partition(chain_data, cluster_size)
         for anchor, triples in self._reference_matches(chain_data, chain_query_3):
-            expected.node_graphs[hash_term(anchor, cluster_size)].add_all(triples)
+            expected.add_triples(hash_term(anchor, cluster_size), triples)
         assert [set(g) for g in layout.node_graphs] == [
             set(g) for g in expected.node_graphs
         ]

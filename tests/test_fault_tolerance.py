@@ -159,7 +159,7 @@ class TestClusterLiveness:
             Cluster.build(dataset, HashSubjectObject(), cluster_size=-3)
 
     def test_partitioning_without_workers_rejected(self):
-        empty = Partitioning(method_name="broken", node_graphs=[])
+        empty = Partitioning(method_name="broken", fragments=[])
         with pytest.raises(ValueError, match="no node graphs"):
             Cluster(empty)
 
@@ -188,7 +188,8 @@ class TestClusterLiveness:
         cluster.fail_worker(2)
         assert [len(g) for g in cluster.partitioning.node_graphs] == originals
         cluster.heal()
-        assert cluster.worker_graphs() is cluster.workers
+        # healed: every slot serves the durable replica itself again
+        assert cluster.worker_fragments() == cluster.partitioning.fragments
         assert [len(g) for g in cluster.worker_graphs()] == originals
 
     def test_route_avoids_dead_workers(self):

@@ -1,0 +1,368 @@
+"""The cold path on ids: partition -> worker fragments -> statistics.
+
+``tests/partitioning_oracle.py`` keeps the term-level partitioners and
+statistics pass this replaced.  Everything here is a differential
+check against it (or against the reference engine), plus the guard
+that the cold columnar path never drops back to term-level objects.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import OptimizeOptions, Optimizer, parse_query
+from repro.__main__ import PARTITIONINGS
+from repro.core import StatisticsCatalog
+from repro.engine import Cluster, Executor, evaluate_reference
+from repro.partitioning import (
+    DynamicPartitioning,
+    HashSubjectObject,
+    PathBMC,
+    SemanticHash,
+    UndirectedOneHop,
+    hash_term,
+)
+from repro.partitioning.base import hash_terms
+from repro.rdf import BlankNode, Dataset, EncodedGraph, IRI, Literal, RDFGraph, Triple
+from repro.rdf.terms import Variable
+from repro.sparql.ast import BGPQuery, TriplePattern
+from repro.workloads import generate_lubm, lubm_queries
+from repro.workloads.uniprot import generate_uniprot, uniprot_queries
+
+from . import partitioning_oracle as oracle
+
+HOT = parse_query(
+    "SELECT * WHERE { ?x <http://e/p0> ?y . ?y <http://e/p1> ?z . }", name="hot"
+)
+#: (id-level method, its term-level oracle), by label
+METHOD_PAIRS = {
+    "hash-so": (HashSubjectObject, oracle.TermHashSubjectObject),
+    "1f": (lambda: SemanticHash(1), lambda: oracle.TermSemanticHash(1)),
+    "2f": (lambda: SemanticHash(2), lambda: oracle.TermSemanticHash(2)),
+    "3f": (lambda: SemanticHash(3), lambda: oracle.TermSemanticHash(3)),
+    "path-bmc": (PathBMC, oracle.TermPathBMC),
+    "un-1-hop": (UndirectedOneHop, oracle.TermUndirectedOneHop),
+    "dynamic": (
+        lambda: DynamicPartitioning(HashSubjectObject(), [HOT]),
+        lambda: oracle.TermDynamicPartitioning(oracle.TermHashSubjectObject(), [HOT]),
+    ),
+    "dynamic-path": (
+        lambda: DynamicPartitioning(PathBMC(), [HOT]),
+        lambda: oracle.TermDynamicPartitioning(oracle.TermPathBMC(), [HOT]),
+    ),
+}
+
+
+def _vertex(index: int):
+    """Vertex *index* of a drawn graph: mostly IRIs, some blank nodes."""
+    if index % 7 == 3:
+        return BlankNode(f"b{index}")
+    return IRI(f"http://e/v{index}")
+
+
+@st.composite
+def _graphs(draw):
+    """Random triples: self-loops, cycles, literal-only objects, repeats."""
+    vertices = draw(st.integers(min_value=1, max_value=14))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, vertices - 1),
+                st.integers(0, 2),
+                st.integers(0, vertices - 1),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    triples = [
+        Triple(_vertex(s), IRI(f"http://e/p{p}"), _vertex(o)) for s, p, o in edges
+    ]
+    # literals hang off one subject each and are never subjects themselves
+    for position, subject in enumerate(draw(st.lists(st.integers(0, vertices - 1), max_size=6))):
+        triples.append(
+            Triple(_vertex(subject), IRI("http://e/name"), Literal(f"näme {position}"))
+        )
+    # a closed cycle and a self-loop, when drawn
+    if draw(st.booleans()):
+        ring = draw(st.integers(2, 4))
+        for i in range(ring):
+            triples.append(
+                Triple(_vertex(100 + i), IRI("http://e/p0"), _vertex(100 + (i + 1) % ring))
+            )
+    if draw(st.booleans()):
+        triples.append(Triple(_vertex(0), IRI("http://e/p1"), _vertex(0)))
+    repeats = draw(st.lists(st.integers(0, len(triples) - 1), max_size=5))
+    return triples + [triples[i] for i in repeats]
+
+
+class TestPartitionDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        triples=_graphs(),
+        cluster_size=st.integers(min_value=1, max_value=6),
+        label=st.sampled_from(sorted(METHOD_PAIRS)),
+    )
+    def test_same_layout_as_the_term_level_partitioners(self, triples, cluster_size, label):
+        """Vertex placement (with its dict order), every node's triple
+        set, replication and imbalance are the term-level oracle's."""
+        dataset = Dataset.from_triples(triples)
+        new_method, old_method = METHOD_PAIRS[label]
+        new = new_method().partition(dataset, cluster_size)
+        old = old_method().partition(dataset, cluster_size)
+        assert new.method_name == old.method_name
+        assert list(new.vertex_placement.items()) == list(old.vertex_placement.items())
+        assert [set(g) for g in new.node_graphs] == [set(g) for g in old.node_graphs]
+        count = dataset.triple_count
+        assert new.replication_factor(count) == old.replication_factor(count)
+        assert new.imbalance() == old.imbalance()
+        # no duplicates inside a fragment: its length is its set's
+        assert [len(f) for f in new.fragments] == [len(g) for g in old.node_graphs]
+
+    @pytest.mark.parametrize("label", ["hash-so", "2f", "path-bmc", "un-1-hop"])
+    def test_static_fragments_are_in_dataset_order(self, label):
+        dataset = generate_lubm(scale=0.3, seed=5)
+        position = {t: i for i, t in enumerate(dataset.encoded_graph().triples())}
+        partitioning = METHOD_PAIRS[label][0]().partition(dataset, 4)
+        for fragment in partitioning.fragments:
+            order = [position[t] for t in fragment.triples()]
+            assert order == sorted(set(order))
+            assert fragment.dictionary is dataset.dictionary
+
+
+class TestHashTermGolden:
+    """``hash_term`` places data: its values are pinned, not its code."""
+
+    XSD = "http://www.w3.org/2001/XMLSchema#"
+    TERMS = [
+        IRI("http://example.org/alice"),
+        IRI("http://example.org/alice2"),
+        IRI("http://www.Department0.University0.edu/GraduateStudent12"),
+        IRI("http://www.Department0.University0.edu/GraduateStudent13"),
+        IRI("http://例え.jp/リソース#ü"),
+        IRI(""),
+        Literal("plain"),
+        Literal("naïve café — ≥ 1 €"),
+        Literal("42", datatype=XSD + "integer"),
+        Literal("grüß Gott", language="de"),
+        Literal("日本語のテキスト", language="ja"),
+        Literal('a "quoted" \\ back\nslash'),
+        BlankNode("b42"),
+        BlankNode("ñode"),
+    ]
+    #: the 32-bit djb2-xor state over ``str(term)``, before the modulo
+    STATES = [
+        3343716276, 2968454790, 712711704, 712711801, 4117804368, 5859463,
+        1025062207, 2603875415, 247577316, 584786746, 683546253, 2764413702,
+        232977508, 3398561791,
+    ]
+    NODES = {
+        1: [0] * 14,
+        4: [0, 2, 0, 1, 0, 3, 3, 3, 0, 2, 1, 2, 0, 3],
+        10: [6, 0, 4, 1, 8, 3, 7, 5, 6, 6, 3, 2, 8, 1],
+    }
+
+    def test_states(self):
+        assert [hash_term(t, 1 << 32) for t in self.TERMS] == self.STATES
+        assert hash_terms(self.TERMS, 1 << 32) == self.STATES
+
+    @pytest.mark.parametrize("cluster_size", [1, 4, 10])
+    def test_nodes(self, cluster_size):
+        expected = self.NODES[cluster_size]
+        assert [hash_term(t, cluster_size) for t in self.TERMS] == expected
+        assert [s % cluster_size for s in self.STATES] == expected
+        # shared prefix states must not depend on what was hashed before
+        shuffled = list(zip(self.TERMS, expected))
+        random.Random(cluster_size).shuffle(shuffled)
+        assert hash_terms([t for t, _ in shuffled], cluster_size) == [n for _, n in shuffled]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(max_size=40), max_size=12), st.integers(1, 12))
+    def test_matches_the_character_loop(self, texts, cluster_size):
+        terms = [IRI(text) for text in texts] + [Literal(text) for text in texts]
+        assert hash_terms(terms, cluster_size) == [
+            oracle.hash_term(t, cluster_size) for t in terms
+        ]
+
+
+def _lubm_and_uniprot():
+    lubm = generate_lubm(scale=0.5, seed=11)
+    uniprot = generate_uniprot(120, seed=11)
+    return [(lubm, q) for q in lubm_queries().values()] + [
+        (uniprot, q) for q in uniprot_queries().values()
+    ]
+
+
+def _same_statistics(query, dataset):
+    new = StatisticsCatalog.from_dataset(query, dataset)
+    old = oracle.statistics_from_graph(query, dataset)
+    assert new.per_pattern == old.per_pattern
+    assert [list(e.bindings) for e in new.per_pattern] == [
+        list(e.bindings) for e in old.per_pattern
+    ]
+
+
+class TestStatisticsDifferential:
+    def test_benchmark_patterns(self):
+        """Every pattern of L1-L10 and U1-U5 counts what the scan counted."""
+        for dataset, query in _lubm_and_uniprot():
+            _same_statistics(query, dataset)
+
+    def test_unknown_repeated_and_variable_predicate_patterns(self, toy_dataset):
+        x, y, p = Variable("x"), Variable("y"), Variable("p")
+        knows, type_ = IRI("http://e/knows"), IRI("http://e/type")
+        n1, n2, t1 = IRI("http://e/n1"), IRI("http://e/n2"), IRI("http://e/T1")
+        nowhere = IRI("http://e/nowhere")
+        loop = Dataset.from_triples(
+            list(toy_dataset.graph) + [Triple(n1, knows, n1), Triple(n2, n2, n2)]
+        )
+        patterns = [
+            TriplePattern(x, knows, y),
+            TriplePattern(x, knows, x),          # repeated: subject and object
+            TriplePattern(x, x, y),              # repeated: subject and predicate
+            TriplePattern(x, p, x),
+            TriplePattern(x, p, y),              # variable predicate, nothing bound
+            TriplePattern(n1, p, y),
+            TriplePattern(x, p, t1),
+            TriplePattern(n1, p, n1),
+            TriplePattern(n1, knows, y),
+            TriplePattern(x, type_, t1),
+            TriplePattern(n1, knows, n1),        # fully bound, present
+            TriplePattern(n1, knows, t1),        # fully bound, absent
+            TriplePattern(x, nowhere, y),        # unknown predicate
+            TriplePattern(nowhere, knows, y),    # unknown subject
+            TriplePattern(x, knows, nowhere),    # unknown object
+            TriplePattern(nowhere, p, y),
+            TriplePattern(x, n1, y),             # a vertex used as predicate
+            TriplePattern(x, type_, Literal("never stored")),
+        ]
+        for dataset in (toy_dataset, loop):
+            _same_statistics(BGPQuery(patterns), dataset)
+
+
+@pytest.fixture(scope="module")
+def lubm_l7():
+    dataset = generate_lubm(scale=0.5, seed=3)
+    query = lubm_queries()["L7"]
+    method = HashSubjectObject()
+    session = Optimizer(OptimizeOptions(dataset=dataset, partitioning=method))
+    return dataset, query, method, session.optimize(query).plan, evaluate_reference(
+        query, dataset.graph
+    )
+
+
+def _decoded(fragment: EncodedGraph):
+    decode = fragment.dictionary.decode
+    return [Triple(decode(s), decode(p), decode(o)) for s, p, o in fragment.triples()]
+
+
+class TestFaultsOnIdFragments:
+    @pytest.mark.parametrize("engine", ["reference", "columnar", "pipelined"])
+    def test_fail_reroute_heal_rows(self, lubm_l7, engine):
+        dataset, query, method, plan, reference = lubm_l7
+        cluster = Cluster.build(dataset, method, cluster_size=4)
+        executor = Executor(cluster, engine=engine)
+        healthy = cluster.worker_fragments()
+        assert executor.execute(plan, query)[0].rows == reference.rows
+        target, moved = cluster.fail_worker(2)
+        assert moved == len(healthy[2])
+        assert len(cluster.worker_fragment(2)) == 0
+        assert executor.execute(plan, query)[0].rows == reference.rows
+        second, _ = cluster.fail_worker(target)  # the absorbed partition moves on
+        assert set(cluster.worker_fragment(second).triples()) >= set(healthy[2].triples())
+        assert executor.execute(plan, query)[0].rows == reference.rows
+        cluster.heal()
+        assert cluster.worker_fragments() == healthy  # the same objects
+        assert executor.execute(plan, query)[0].rows == reference.rows
+
+    def test_merge_replica_takes_terms_or_ids_and_counts_additions(self, lubm_l7):
+        dataset, query, method, plan, reference = lubm_l7
+        cluster = Cluster.build(dataset, method, cluster_size=3)
+        held = set(cluster.worker_graph(0))
+        extra = [t for t in cluster.worker_graph(1) if t not in held][:25]
+        assert extra
+        before = cluster.worker_fragment(0)
+        # term-level triples, with one repeat and one already held
+        added = cluster.merge_replica(0, extra + extra[:1] + [next(iter(held))])
+        assert added == len(extra)
+        assert len(cluster.worker_fragment(0)) == len(before) + len(extra)
+        assert cluster.partitioning.fragments[0] is before  # replica untouched
+        assert cluster.merge_replica(0, extra) == 0
+        # an id fragment merges as it is
+        missing = set(cluster.worker_fragment(1).triples()) - set(
+            cluster.worker_fragment(0).triples()
+        )
+        assert cluster.merge_replica(0, cluster.worker_fragment(1)) == len(missing)
+        for engine in ("reference", "columnar"):
+            rows = Executor(cluster, engine=engine).execute(plan, query)[0].rows
+            assert rows == reference.rows
+
+    def test_worker_graph_is_a_view_of_the_fragment(self, lubm_l7):
+        dataset, _, method, _, _ = lubm_l7
+        cluster = Cluster.build(dataset, method, cluster_size=3)
+        for worker in range(3):
+            assert list(cluster.worker_graph(worker)) == _decoded(cluster.worker_fragment(worker))
+        view = cluster.worker_graph(0)
+        assert cluster.worker_graph(0) is view  # decoded once
+        outsider = Triple(IRI("http://e/new"), IRI("http://e/p"), Literal("näw"))
+        assert cluster.merge_replica(0, [outsider]) == 1
+        assert outsider in cluster.worker_graph(0)
+        assert outsider not in view  # the old view is a snapshot, not written to
+        assert list(cluster.worker_graph(0)) == _decoded(cluster.worker_fragment(0))
+        assert list(cluster.partitioning.node_graphs[0]) == list(view)
+
+    def test_partitioning_add_triples_is_the_same_primitive(self, lubm_l7):
+        dataset, _, method, _, _ = lubm_l7
+        partitioning = method.partition(dataset, 3)
+        sizes = [len(f) for f in partitioning.fragments]
+        extra = [t for t in partitioning.node_graphs[1] if t not in partitioning.node_graphs[0]]
+        assert partitioning.add_triples(0, extra) == len(extra)
+        assert partitioning.add_triples(0, extra) == 0
+        assert partitioning.total_stored_triples() == sum(sizes) + len(extra)
+        assert set(partitioning.node_graphs[0]) >= set(extra)
+
+
+class TestColdPathStaysOnIds:
+    @pytest.mark.parametrize("name", sorted(PARTITIONINGS))
+    def test_no_term_level_objects_after_the_dataset_is_built(self, name, monkeypatch):
+        """partition + worker fragments + a cold columnar L4: no ``Triple``
+        is constructed, no term-level index is built, nothing is encoded
+        a second time."""
+        dataset = generate_lubm(scale=0.5, seed=2017)
+        query = lubm_queries()["L4"]
+        reference = evaluate_reference(query, dataset.graph)
+        dataset = Dataset(RDFGraph(dataset.graph))  # no index left from the oracle
+        counts = {"triple": 0, "adjacency": 0, "permutation": 0, "from_graph": 0}
+
+        def counting(owner, attribute, key):
+            original = owner.__dict__[attribute]
+            bound_to_class = isinstance(original, classmethod)
+            function = original.__func__ if bound_to_class else original
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(
+                owner, attribute, classmethod(wrapper) if bound_to_class else wrapper
+            )
+
+        counting(Triple, "__init__", "triple")
+        counting(RDFGraph, "_adjacency", "adjacency")
+        counting(RDFGraph, "_permutation", "permutation")
+        counting(EncodedGraph, "from_graph", "from_graph")
+
+        method = PARTITIONINGS[name]()
+        cluster = Cluster(method.partition(dataset, 4), dataset.dictionary)
+        assert sum(map(len, cluster.worker_fragments())) >= dataset.triple_count
+        statistics = StatisticsCatalog.from_dataset(query, dataset)
+        session = Optimizer(
+            OptimizeOptions(statistics=statistics, partitioning=method, engine="columnar")
+        )
+        plan = session.optimize(query).plan
+        relation, _ = Executor(cluster, engine="columnar").execute(plan, query)
+        assert counts == {"triple": 0, "adjacency": 0, "permutation": 0, "from_graph": 0}
+        assert relation.rows == reference.rows

@@ -10,7 +10,7 @@ from repro.partitioning import (
     greedy_edge_cut_partition,
     hash_term,
 )
-from repro.rdf import Dataset, IRI, RDFGraph, triple
+from repro.rdf import Dataset, EncodedGraph, IRI, TermDictionary, triple
 
 ALL_METHODS = [HashSubjectObject(), SemanticHash(2), PathBMC(), UndirectedOneHop()]
 
@@ -93,8 +93,8 @@ class TestSemanticHashData:
 class TestPathBMC:
     def test_anchors_are_start_vertices(self):
         ds = small_dataset()
-        anchors = PathBMC().anchors(ds.graph)
-        assert IRI("http://e/x") in anchors  # no incoming edges
+        anchors = PathBMC().elements(ds.encoded_graph())
+        assert ds.dictionary.lookup(IRI("http://e/x")) in anchors  # no incoming edges
 
     def test_combine_is_forward_reachability(self):
         ds = small_dataset()
@@ -126,14 +126,20 @@ class TestPathBMC:
 
 
 class TestGreedyPartitioner:
-    def test_balanced_parts(self):
-        graph = RDFGraph(
+    """The partitioner works on ids: vertices in, ``{vertex id: part}`` out."""
+
+    @staticmethod
+    def chain(length):
+        return EncodedGraph.from_graph(
             [
                 triple(f"http://e/v{i}", "http://e/p", f"http://e/v{i + 1}")
-                for i in range(20)
-            ]
+                for i in range(length)
+            ],
+            TermDictionary(),
         )
-        placement = greedy_edge_cut_partition(graph, 3)
+
+    def test_balanced_parts(self):
+        placement = greedy_edge_cut_partition(self.chain(20), 3)
         counts = [0, 0, 0]
         for node in placement.values():
             counts[node] += 1
@@ -141,19 +147,14 @@ class TestGreedyPartitioner:
 
     def test_neighbors_tend_to_colocate(self):
         # a chain should be cut at most (parts - 1) times
-        graph = RDFGraph(
-            [
-                triple(f"http://e/v{i}", "http://e/p", f"http://e/v{i + 1}")
-                for i in range(30)
-            ]
-        )
+        graph = self.chain(30)
         placement = greedy_edge_cut_partition(graph, 3)
         cuts = sum(
             1
-            for t in graph
-            if placement[t.subject] != placement[t.object]
+            for s, _, o in graph.triples()
+            if placement[s] != placement[o]
         )
         assert cuts <= 4
 
     def test_empty_graph(self):
-        assert greedy_edge_cut_partition(RDFGraph(), 3) == {}
+        assert greedy_edge_cut_partition(EncodedGraph(TermDictionary()), 3) == {}

@@ -85,7 +85,8 @@ def test_path_bmc_elements_are_forward_closed(seed):
     """Every element is closed under forward reachability."""
     dataset = random_dataset(seed, 15, 40)
     method = PathBMC()
-    for anchor in method.anchors(dataset.graph):
+    anchors = method.elements(dataset.encoded_graph())
+    for anchor in dataset.dictionary.decode_all(anchors):
         element = method.combine(anchor, dataset.graph)
         subjects_in_element = {t.object for t in element}
         for vertex in subjects_in_element:
