@@ -44,7 +44,8 @@ class Dataset:
         self._predicate_stats: Dict[Term, PredicateStatistics] = {}
         #: the dataset-wide term↔id interning table; worker fragments of
         #: any cluster built from this dataset share it, so ids are
-        #: join-compatible across the whole cluster
+        #: join-compatible across the whole cluster (a loaded graph
+        #: brings its own, which :meth:`refresh` adopts in place of this)
         self.dictionary = TermDictionary()
         self.refresh()
 
@@ -55,13 +56,23 @@ class Dataset:
     def refresh(self) -> None:
         """Recompute all statistics from the current graph contents.
 
-        One pass over the graph: :meth:`EncodedGraph.from_graph` interns
-        every term (idempotently — terms that already have ids keep
-        them across refreshes) and leaves the triples as three integer
-        columns; the per-predicate counts are then derived from those
+        A graph that is still a view over id columns — a freshly
+        loaded one — is adopted as it is, columns and dictionary.  Any
+        other is encoded in one pass: :meth:`EncodedGraph.from_graph`
+        interns every term (idempotently — terms that already have ids
+        keep them across refreshes) and leaves the triples as three
+        integer columns.  The per-predicate counts are derived from the
         columns, so no term is hashed a second time.
         """
-        self._encoded = encoded = EncodedGraph.from_graph(self.graph, self.dictionary)
+        encoded = self.graph._encoded
+        if encoded is None or (
+            len(self.dictionary) and encoded.dictionary is not self.dictionary
+        ):
+            # hand-built, or changed since it was loaded — or a view whose
+            # ids are not the ones this dataset has already handed out
+            encoded = EncodedGraph.from_graph(self.graph, self.dictionary)
+        self._encoded = encoded
+        self.dictionary = encoded.dictionary
         subjects, predicates, objects = encoded.subjects, encoded.predicates, encoded.objects
         distinct_subjects = Counter(map(_FIRST, set(zip(predicates, subjects))))
         distinct_objects = Counter(map(_FIRST, set(zip(predicates, objects))))

@@ -41,6 +41,27 @@ from .triples import _TERMS_OF, RDFGraph, Triple
 IdTriple = Tuple[int, int, int]
 
 
+class _InterningDict(Dict[Term, int]):
+    """term → id, where subscripting an unseen term gives it the next id.
+
+    ``get`` and ``in`` only look.  A term is hashed (a Python-level
+    call) once per subscription and once more when it is stored, and
+    subscriptions can be mapped over a term list with no loop in Python.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: the interned terms in id order
+        self.terms: List[Term] = []
+
+    def __missing__(self, term: Term) -> int:
+        ident = self[term] = len(self.terms)
+        self.terms.append(term)
+        return ident
+
+
 class TermDictionary:
     """Dense, deterministic term↔id interning table.
 
@@ -53,8 +74,8 @@ class TermDictionary:
     __slots__ = ("_ids", "_terms")
 
     def __init__(self) -> None:
-        self._ids: Dict[Term, int] = {}
-        self._terms: List[Term] = []
+        self._ids = _InterningDict()
+        self._terms: List[Term] = self._ids.terms
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -69,24 +90,11 @@ class TermDictionary:
 
     def encode(self, term: Term) -> int:
         """The id of *term*, interning it if unseen."""
-        ident = self._ids.get(term)
-        if ident is None:
-            ident = len(self._terms)
-            self._ids[term] = ident
-            self._terms.append(term)
-        return ident
+        return self._ids[term]
 
-    def _encode_all(self, terms: List[Term]) -> List[int]:
+    def _encode_all(self, terms: Iterable[Term]) -> List[int]:
         """:meth:`encode` each of *terms*, in order, with no per-term call."""
-        id_of = self._ids.__getitem__
-        try:
-            return list(map(id_of, terms))
-        except KeyError:  # some are new: intern them in first-seen order
-            for term in dict.fromkeys(terms):
-                if term not in self._ids:
-                    self._ids[term] = len(self._terms)
-                    self._terms.append(term)
-            return list(map(id_of, terms))
+        return list(map(self._ids.__getitem__, terms))
 
     def lookup(self, term: Term) -> Optional[int]:
         """The id of *term*, or ``None`` if it was never interned.
@@ -256,7 +264,7 @@ class EncodedGraph:
         Python-level loop; ids are assigned in that (first-seen) order.
         Any iterable of triples will do, in its iteration order.
         """
-        ids = dictionary._encode_all(list(chain.from_iterable(map(_TERMS_OF, graph))))
+        ids = dictionary._encode_all(chain.from_iterable(map(_TERMS_OF, graph)))
         return cls(
             dictionary,
             (array("q", ids[0::3]), array("q", ids[1::3]), array("q", ids[2::3])),
@@ -331,23 +339,22 @@ class EncodedGraph:
         )
 
     def decoded(self) -> RDFGraph:
-        """The term-level view of this fragment (built once, then cached).
+        """The term-level view of this fragment (one object, kept).
 
         For the reference engine, the adaptive overlays and tests; the
-        encoded engines never ask for it.  It is a *view*: mutate the
-        fragment's owner (:meth:`merged`), not the returned graph.
+        encoded engines never ask for it.  It is a *view* (see
+        :class:`RDFGraph`): it builds its triples when first read term
+        by term, and writing to it detaches it — change the fragment
+        through its owner (:meth:`merged`), not through the view.
         """
-        if self._decoded is None:
-            terms = self.dictionary.decode_all
-            self._decoded = RDFGraph(
-                map(
-                    Triple,
-                    terms(self._subjects),
-                    terms(self._predicates),
-                    terms(self._objects),
-                )
-            )
-        return self._decoded
+        view = self._decoded
+        if view is None or view._encoded is None:  # none yet, or detached
+            # over a twin of this fragment on the same columns: a view
+            # pointing back at what caches it would be a reference cycle,
+            # and a dropped fragment would wait for the collector
+            columns = (self._subjects, self._predicates, self._objects)
+            view = self._decoded = RDFGraph._view_of(EncodedGraph(self.dictionary, columns))
+        return view
 
     def adjacency(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
         """Triple positions by subject id and by object id, ascending.

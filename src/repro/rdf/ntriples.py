@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import io
 import re
+from array import array
+from itertools import chain, islice
+from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, TextIO, Union
+from typing import Callable, Dict, Iterable, Iterator, List, TextIO, TypeVar, Union
 
+from .encoding import EncodedGraph, IdTriple, TermDictionary
 from .terms import BlankNode, IRI, Literal, Term
-from .triples import RDFGraph, Triple
+from .triples import _TERMS_OF, RDFGraph, Triple
 
 
 class NTriplesError(ValueError):
@@ -38,6 +42,61 @@ _CANONICAL_LINE = re.compile(
 )
 
 
+#: lines recognised at a time: what bounds the transient token lists
+_BATCH_LINES = 1024
+_GROUPS = methodcaller("groups")
+_Value = TypeVar("_Value")
+
+
+def _recognise(
+    stream: Iterable[str], value_of: Callable[[Term], _Value]
+) -> Iterator[List[_Value]]:
+    """The line recogniser behind both readers.
+
+    Takes *stream* a batch of lines at a time and yields each batch's
+    triples as one flat ``[s, p, o, s, p, o, ...]`` list of
+    ``value_of(term)``.  A canonical line is split into tokens, and a
+    token's value is computed at its first appearance in the document
+    and then served from a memo; any other line goes through the strict
+    parser where it stands, so values are asked for in s, p, o order of
+    the lines.  A malformed line raises after the triples before it
+    have been yielded.
+    """
+    memo: Dict[str, _Value] = {}
+    memoised = memo.__getitem__
+
+    def values_of(shapes: List["re.Match[str]"]) -> List[_Value]:
+        tokens = list(chain.from_iterable(map(_GROUPS, shapes)))
+        try:
+            return list(map(memoised, tokens))
+        except KeyError:  # first appearances
+            for token in dict.fromkeys(tokens):
+                if token not in memo:
+                    memo[token] = value_of(_parse_term(token, 0, 0)[0])
+            return list(map(memoised, tokens))
+
+    lines_before = 0
+    while lines := list(map(str.strip, islice(stream, _BATCH_LINES))):
+        shapes = list(map(_CANONICAL_LINE.fullmatch, lines))
+        values: List[_Value] = []
+        start = 0
+        # comments, blank lines, and what only the strict parser reads
+        for at in [i for i, shape in enumerate(shapes) if shape is None]:
+            values += values_of(shapes[start:at])
+            start = at + 1
+            line = lines[at]
+            if line and not line.startswith("#"):
+                try:
+                    triple = _parse_line(line, lines_before + at + 1)
+                except NTriplesError:
+                    yield values
+                    raise
+                values += map(value_of, _TERMS_OF(triple))
+        values += values_of(shapes[start:])
+        yield values
+        lines_before += len(lines)
+
+
 def parse_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
     """Yield triples from an N-Triples document (string or file object).
 
@@ -46,32 +105,25 @@ def parse_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
     holds (and hashes) each distinct term once.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
-    memo: Dict[str, Term] = {}
-    for line_number, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        shape = _CANONICAL_LINE.fullmatch(line)
-        if shape is None:
-            yield _parse_line(line, line_number)
-            continue
-        s, p, o = shape.groups()
-        try:
-            triple = Triple(memo[s], memo[p], memo[o])
-        except KeyError:  # a token's first appearance
-            for token in (s, p, o):
-                if token not in memo:
-                    memo[token] = _parse_term(token, 0, line_number)[0]
-            triple = Triple(memo[s], memo[p], memo[o])
-        yield triple
+    for terms in _recognise(stream, lambda term: term):
+        yield from map(Triple, terms[0::3], terms[1::3], terms[2::3])
 
 
 def load_ntriples(path: Union[str, Path]) -> RDFGraph:
-    """Load an N-Triples file into a fresh :class:`RDFGraph`."""
-    graph = RDFGraph()
+    """Load an N-Triples file into a fresh :class:`RDFGraph`.
+
+    The file is parsed straight into a :class:`TermDictionary` and three
+    id columns (ids in first-seen s, p, o order, repeated triples
+    dropped); the graph returned is a view over them that builds its
+    ``Triple`` objects only if something reads it term by term.
+    """
+    dictionary = TermDictionary()
+    rows: Dict[IdTriple, None] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        graph.add_all(parse_ntriples(handle))
-    return graph
+        for ids in _recognise(handle, dictionary.encode):
+            rows.update(dict.fromkeys(zip(ids[0::3], ids[1::3], ids[2::3])))
+    columns = tuple(array("q", map(itemgetter(i), rows)) for i in range(3))
+    return RDFGraph._view_of(EncodedGraph(dictionary, columns))
 
 
 def serialize_ntriples(triples: Iterable[Triple]) -> str:

@@ -11,23 +11,32 @@ maintained incrementally from then on.  Two groups:
 * *permutation* (SPO, POS, OSP nested lookups, built one by one — most
   workloads only ever probe POS) behind :meth:`RDFGraph.match`.
 
-A graph that is only iterated — a worker's partition under the encoded
-engines, a merged replica — pays for neither.
+A graph that is only iterated — a merged replica, a copy — pays for
+neither.  A graph read from a file or decoded from a worker fragment
+starts one step further back, as a *view* over integer id columns
+(:class:`~repro.rdf.encoding.EncodedGraph`): it knows its length, and
+builds its ``Triple`` objects when something first reads it term by
+term.  A dataset, the partitioners and the encoded engines never do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .terms import IRI, BlankNode, Literal, Term, Variable, _hash_once, _HashSlot
+
+if TYPE_CHECKING:  # encoding imports this module
+    from .encoding import EncodedGraph
 
 #: vertex -> triples where the vertex is subject (or object)
 _Adjacency = Dict[Term, List["Triple"]]
 #: leading term -> second term -> set of third terms
 _Permutation = Dict[Term, Dict[Term, Set[Term]]]
 _TERMS_OF = attrgetter("subject", "predicate", "object")
+_ENDS_OF = attrgetter("subject", "object")
 #: the three permutation orders, as triple -> (leading, second, third)
 _SPO, _POS, _OSP = range(3)
 _ORDERS = (
@@ -71,10 +80,21 @@ class RDFGraph:
 
     Reads never change an index's key set: looking up an absent term
     finds nothing and leaves nothing behind.
+
+    A graph that :func:`~repro.rdf.ntriples.load_ntriples` or
+    :meth:`EncodedGraph.decoded() <repro.rdf.encoding.EncodedGraph.decoded>`
+    returns is a *view* over id columns.  ``len()`` and ``repr()`` read
+    the columns; the first term-level read (iteration, ``in``,
+    :meth:`match`, the vertex queries, :meth:`copy`) decodes them, once,
+    into the ordinary triple dict; a call that changes the graph
+    *detaches* it from its columns, after which it is a hand-built graph
+    like any other.
     """
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None) -> None:
         self._triples: Dict[Triple, None] = {}
+        #: the columns this graph is an unchanged view of, if any
+        self._encoded: Optional["EncodedGraph"] = None
         # every index stays ``None`` until first read (see _adjacency /
         # _permutation); only then do add/discard maintain it
         self._out: Optional[_Adjacency] = None
@@ -82,6 +102,34 @@ class RDFGraph:
         self._permutations: List[Optional[_Permutation]] = list(_UNBUILT)
         if triples is not None:
             self.add_all(triples)
+
+    # ------------------------------------------------------------------
+    # views over id columns
+    # ------------------------------------------------------------------
+    @classmethod
+    def _view_of(cls, encoded: "EncodedGraph") -> "RDFGraph":
+        """The term-level view of *encoded* (whose rows are distinct)."""
+        graph = cls()
+        graph._encoded = encoded
+        del graph._triples  # decoded by its first reader: see __getattr__
+        return graph
+
+    def __getattr__(self, name: str) -> Dict[Triple, None]:
+        # reached only when an attribute is missing: the triple dict of
+        # a view that nothing has read term by term yet
+        if name != "_triples":
+            raise AttributeError(name)
+        encoded = self._encoded
+        terms = encoded.dictionary.decode_all
+        self._triples = triples = dict.fromkeys(
+            map(
+                Triple,
+                terms(encoded.subjects),
+                terms(encoded.predicates),
+                terms(encoded.objects),
+            )
+        )
+        return triples
 
     # ------------------------------------------------------------------
     # on-demand indexes
@@ -115,6 +163,7 @@ class RDFGraph:
         if triple in self._triples:
             return False
         self._triples[triple] = None
+        self._encoded = None
         if self._out is not None:
             self._link(triple)
         for index, order in zip(self._permutations, _ORDERS):
@@ -136,13 +185,17 @@ class RDFGraph:
             triples = triples._triples
         before = len(self._triples)
         self._triples.update(dict.fromkeys(triples))
-        return len(self._triples) - before
+        added = len(self._triples) - before
+        if added:
+            self._encoded = None
+        return added
 
     def discard(self, triple: Triple) -> bool:
         """Remove *triple* if present; return whether it was removed."""
         if triple not in self._triples:
             return False
         del self._triples[triple]
+        self._encoded = None
         if self._out is not None:
             for index, vertex in ((self._out, triple.subject), (self._in, triple.object)):
                 index[vertex].remove(triple)
@@ -158,7 +211,8 @@ class RDFGraph:
     # inspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._triples)
+        triples = vars(self).get("_triples")  # absent from an undecoded view
+        return len(self._encoded if triples is None else triples)
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self._triples)
@@ -267,7 +321,14 @@ class RDFGraph:
         return RDFGraph(self._triples)
 
     def __repr__(self) -> str:
-        return f"RDFGraph({len(self)} triples, {len(self.vertices)} vertices)"
+        # counted here, from ids where there are ids: ``vertices`` would
+        # build the adjacency maps and leave them to be maintained
+        encoded = self._encoded
+        if encoded is not None:
+            ends = chain(encoded.subjects, encoded.objects)
+        else:
+            ends = chain.from_iterable(map(_ENDS_OF, self._triples))
+        return f"RDFGraph({len(self)} triples, {len(set(ends))} vertices)"
 
 
 def triple(s: str, p: str, o: str) -> Triple:

@@ -26,7 +26,17 @@ from repro.partitioning import (
     hash_term,
 )
 from repro.partitioning.base import hash_terms
-from repro.rdf import BlankNode, Dataset, EncodedGraph, IRI, Literal, RDFGraph, Triple
+from repro.rdf import (
+    BlankNode,
+    Dataset,
+    EncodedGraph,
+    IRI,
+    Literal,
+    RDFGraph,
+    Triple,
+    load_ntriples,
+    save_ntriples,
+)
 from repro.rdf.terms import Variable
 from repro.sparql.ast import BGPQuery, TriplePattern
 from repro.workloads import generate_lubm, lubm_queries
@@ -326,15 +336,10 @@ class TestFaultsOnIdFragments:
 
 
 class TestColdPathStaysOnIds:
-    @pytest.mark.parametrize("name", sorted(PARTITIONINGS))
-    def test_no_term_level_objects_after_the_dataset_is_built(self, name, monkeypatch):
-        """partition + worker fragments + a cold columnar L4: no ``Triple``
-        is constructed, no term-level index is built, nothing is encoded
-        a second time."""
-        dataset = generate_lubm(scale=0.5, seed=2017)
-        query = lubm_queries()["L4"]
-        reference = evaluate_reference(query, dataset.graph)
-        dataset = Dataset(RDFGraph(dataset.graph))  # no index left from the oracle
+    @staticmethod
+    def _count_term_level_work(monkeypatch):
+        """Count every ``Triple`` built, term-level index built and
+        graph encoded from here on."""
         counts = {"triple": 0, "adjacency": 0, "permutation": 0, "from_graph": 0}
 
         def counting(owner, attribute, key):
@@ -354,15 +359,57 @@ class TestColdPathStaysOnIds:
         counting(RDFGraph, "_adjacency", "adjacency")
         counting(RDFGraph, "_permutation", "permutation")
         counting(EncodedGraph, "from_graph", "from_graph")
+        return counts
 
+    @staticmethod
+    def _cold_rows(dataset, name, query, engine="columnar"):
+        """What ``python -m repro run`` does once it has a dataset."""
         method = PARTITIONINGS[name]()
         cluster = Cluster(method.partition(dataset, 4), dataset.dictionary)
         assert sum(map(len, cluster.worker_fragments())) >= dataset.triple_count
         statistics = StatisticsCatalog.from_dataset(query, dataset)
         session = Optimizer(
-            OptimizeOptions(statistics=statistics, partitioning=method, engine="columnar")
+            OptimizeOptions(statistics=statistics, partitioning=method, engine=engine)
         )
         plan = session.optimize(query).plan
-        relation, _ = Executor(cluster, engine="columnar").execute(plan, query)
+        relation, _ = Executor(cluster, engine=engine).execute(plan, query)
+        return relation.rows
+
+    @pytest.mark.parametrize("name", sorted(PARTITIONINGS))
+    def test_no_term_level_objects_after_the_dataset_is_built(self, name, monkeypatch):
+        """A hand-built graph, encoded by its dataset: partition + worker
+        fragments + a cold columnar L4 construct no ``Triple``, build no
+        term-level index and encode nothing a second time."""
+        dataset = generate_lubm(scale=0.5, seed=2017)
+        query = lubm_queries()["L4"]
+        reference = evaluate_reference(query, dataset.graph)
+        dataset = Dataset(RDFGraph(dataset.graph))  # no index left from the oracle
+        counts = self._count_term_level_work(monkeypatch)
+        rows = self._cold_rows(dataset, name, query)
         assert counts == {"triple": 0, "adjacency": 0, "permutation": 0, "from_graph": 0}
-        assert relation.rows == reference.rows
+        assert rows == reference.rows
+
+    @pytest.mark.parametrize("name", sorted(PARTITIONINGS))
+    def test_no_term_level_objects_from_a_saved_file_to_the_rows(
+        self, name, monkeypatch, tmp_path
+    ):
+        """The same from ``load_ntriples(path)`` on: the file is parsed
+        into ids, the dataset adopts them, and the first term objects
+        besides the dictionary's are the decoded rows.  The reference
+        engine gets the same rows by decoding worker views, never the
+        dataset's graph."""
+        generated = generate_lubm(scale=0.5, seed=2017).graph
+        query = lubm_queries()["L4"]
+        reference = evaluate_reference(query, RDFGraph(generated))
+        path = tmp_path / "lubm.nt"
+        save_ntriples(generated, path)
+        counts = self._count_term_level_work(monkeypatch)
+        graph = load_ntriples(path)
+        dataset = Dataset(graph, name="lubm")
+        assert len(graph) == dataset.triple_count == len(generated)
+        rows = self._cold_rows(dataset, name, query)
+        assert counts == {"triple": 0, "adjacency": 0, "permutation": 0, "from_graph": 0}
+        assert rows == reference.rows
+        assert self._cold_rows(dataset, name, query, engine="reference") == rows
+        assert counts["triple"] > 0 and counts["from_graph"] == 0
+        assert "_triples" not in vars(graph)  # still undecoded
