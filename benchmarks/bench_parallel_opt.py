@@ -7,7 +7,7 @@ Four sections, written to ``BENCH_parallel_opt.json``:
   queries (10–40 patterns) pushed through :func:`optimize_many` with 1
   worker vs. N workers; reports wall-clock throughput and the speedup.
 * **intra_query** — one larger query optimized serially vs. with the
-  root division space split across workers; asserts the two costs are
+  DP memo sharded across workers; asserts the two costs are
   bit-identical (the correctness contract of the parallel search).
 * **cache** — the same workload run cold and then repeated against a
   warm :class:`~repro.core.plan_cache.PlanCache`; reports mean cold
@@ -15,21 +15,19 @@ Four sections, written to ``BENCH_parallel_opt.json``:
 * **scaling** — the Table-7-style dense section (also emitted on its
   own to ``BENCH_parallel_scaling.json``): 30+-pattern chain/cycle
   queries plus dense/tree queries, memo-sharded across workers ∈
-  {1, 2, 4, 8} and root-sliced at 4.  The reported numbers are
-  *work units* (DP subqueries solved per worker), not wall time:
-  ``scaling_efficiency`` = serial subqueries / max per-worker
-  subqueries (the critical-path shrinkage an ideal machine would see),
-  and ``work_ratio_vs_root_slice`` = total root-slice work / total
-  memo-shard work (the redundancy the sharding removes).  Both are
-  deterministic properties of the scheduler, so the gates hold on any
-  runner regardless of core count or oversubscription.
+  {1, 2, 4, 8}.  The reported numbers are *work units* (DP subqueries
+  solved per worker), not wall time: ``scaling_efficiency`` = serial
+  subqueries / max per-worker subqueries (the critical-path shrinkage
+  an ideal machine would see).  It is a deterministic property of the
+  scheduler, so the gate holds on any runner regardless of core count
+  or oversubscription.
 
 The ``--baseline`` gate compares the *cache speedup ratio* (cold mean /
 hit mean) against a committed baseline and fails if the cached path has
 regressed more than 2× relative to it; ``--scaling-baseline`` gates the
 scaling section — every query must reach a 4-worker scaling efficiency
-of ≥ 2.5× over serial and beat root-slicing by ≥ 1.3× in total work,
-and must not regress below half its committed baseline efficiency.
+of ≥ 2.5× over serial and must not regress below half its committed
+baseline efficiency.
 The ratios are properties of the code, not of the machine, so the
 gates are stable across runner hardware; absolute times and
 ``cpu_count`` are recorded for context only.
@@ -55,7 +53,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import VerificationContext, verify_result
-from repro.core import optimize, optimize_many, optimize_query_parallel
+from repro.core import (
+    OptimizeOptions,
+    Optimizer,
+    optimize,
+    optimize_many,
+    optimize_query_parallel,
+)
 from repro.core.cardinality import StatisticsCatalog
 from repro.core.join_graph import QueryShape
 from repro.core.plan_cache import PlanCache
@@ -117,7 +121,7 @@ def bench_batch(items, jobs: int):
 
 
 def bench_intra_query(mode: str, jobs: int):
-    """Serial vs. root-sliced parallel search on one larger query."""
+    """Serial vs. memo-sharded parallel search on one larger query."""
     size = 16 if mode == "full" else 12
     query = generate_query(QueryShape.TREE, size, random.Random(7))
     serial = optimize(query, algorithm=ALGORITHM, seed=7)
@@ -144,19 +148,23 @@ def bench_intra_query(mode: str, jobs: int):
 def bench_cache(items):
     """Cold enumeration vs. warm cache hits over the same workload."""
     cache = PlanCache(capacity=len(items) + 8)
+
+    def optimize_cached(query, statistics):
+        # a one-shot session per call, inside the timed region
+        options = OptimizeOptions(
+            algorithm=ALGORITHM, statistics=statistics, plan_cache=cache
+        )
+        return Optimizer(options).optimize(query)
+
     cold_times = []
     for query, statistics in items:
         started = time.perf_counter()
-        optimize(
-            query, algorithm=ALGORITHM, statistics=statistics, plan_cache=cache
-        )
+        optimize_cached(query, statistics)
         cold_times.append(time.perf_counter() - started)
     hit_times = []
     for query, statistics in items:
         started = time.perf_counter()
-        result = optimize(
-            query, algorithm=ALGORITHM, statistics=statistics, plan_cache=cache
-        )
+        result = optimize_cached(query, statistics)
         hit_times.append(time.perf_counter() - started)
         assert result.algorithm.endswith("+cache"), "expected a cache hit"
     cold_mean = sum(cold_times) / len(cold_times)
@@ -193,7 +201,7 @@ SCALING_SEED = 7
 
 
 def bench_scaling(mode: str):
-    """Memo-shard vs. root-slice vs. serial in deterministic work units."""
+    """Memo-shard vs. serial in deterministic work units."""
     queries = []
     for name, shape, size in SCALING_WORKLOADS[mode]:
         query = generate_query(shape, size, random.Random(SCALING_SEED))
@@ -214,11 +222,7 @@ def bench_scaling(mode: str):
         }
         for jobs in SCALING_WORKERS:
             result = optimize_query_parallel(
-                query,
-                algorithm=ALGORITHM,
-                jobs=jobs,
-                seed=SCALING_SEED,
-                strategy="memo-shard",
+                query, algorithm=ALGORITHM, jobs=jobs, seed=SCALING_SEED
             )
             assert result.cost == serial.cost, (
                 f"{name} x{jobs}: memo-shard cost diverged from serial"
@@ -237,30 +241,10 @@ def bench_scaling(mode: str):
                 "steals": result.stats.steals,
                 "pool_startup_seconds": result.stats.pool_startup_seconds,
             }
-        sliced = optimize_query_parallel(
-            query,
-            algorithm=ALGORITHM,
-            jobs=4,
-            seed=SCALING_SEED,
-            strategy="root-slice",
-        )
-        assert sliced.cost == serial.cost, (
-            f"{name}: root-slice cost diverged from serial"
-        )
-        verify_result(sliced, context).raise_if_failed()
-        memo_work = sum(row["memo_shard"]["4"]["per_worker_subqueries"])
-        slice_work = sum(sliced.stats.per_worker_subqueries)
-        row["root_slice_4"] = {
-            "wall_seconds": sliced.elapsed_seconds,
-            "per_worker_subqueries": sliced.stats.per_worker_subqueries,
-            "total_subqueries": slice_work,
-        }
-        row["work_ratio_vs_root_slice"] = slice_work / max(memo_work, 1)
         rows.append(row)
         print(
             f"scaling {name}: eff4="
             f"{row['memo_shard']['4']['scaling_efficiency']:.2f} "
-            f"work_ratio={row['work_ratio_vs_root_slice']:.2f} "
             f"steals={row['memo_shard']['4']['steals']} "
             f"balance={row['memo_shard']['4']['worker_balance']:.2f}"
         )
@@ -272,10 +256,9 @@ def bench_scaling(mode: str):
     }
 
 
-#: absolute gates from the acceptance criteria; the committed baseline
+#: absolute gate from the acceptance criteria; the committed baseline
 #: additionally guards against relative regressions
 MIN_SCALING_EFFICIENCY = 2.5
-MIN_WORK_RATIO = 1.3
 
 
 def check_scaling_baseline(scaling: dict, baseline_path: Path) -> int:
@@ -285,7 +268,6 @@ def check_scaling_baseline(scaling: dict, baseline_path: Path) -> int:
     failures = 0
     for row in scaling["queries"]:
         efficiency = row["memo_shard"]["4"]["scaling_efficiency"]
-        ratio = row["work_ratio_vs_root_slice"]
         floor = MIN_SCALING_EFFICIENCY
         base = base_by_query.get(row["query"])
         if base is not None:
@@ -294,20 +276,12 @@ def check_scaling_baseline(scaling: dict, baseline_path: Path) -> int:
             )
         print(
             f"scaling gate {row['query']}: efficiency {efficiency:.2f} "
-            f"(floor {floor:.2f}), work ratio {ratio:.2f} "
-            f"(floor {MIN_WORK_RATIO:.2f})"
+            f"(floor {floor:.2f})"
         )
         if efficiency < floor:
             print(
                 f"FAIL: {row['query']} 4-worker scaling efficiency "
                 f"{efficiency:.2f} below floor {floor:.2f}",
-                file=sys.stderr,
-            )
-            failures += 1
-        if ratio < MIN_WORK_RATIO:
-            print(
-                f"FAIL: {row['query']} memo-shard does not beat root-slice "
-                f"by {MIN_WORK_RATIO}x in total work (got {ratio:.2f}x)",
                 file=sys.stderr,
             )
             failures += 1
@@ -355,8 +329,8 @@ def main(argv=None) -> int:
         "--scaling-baseline",
         default=None,
         help="committed scaling baseline JSON; exit non-zero if any "
-        "query misses the 2.5x efficiency / 1.3x work-ratio floors or "
-        "regresses below half its baseline efficiency",
+        "query misses the 2.5x efficiency floor or regresses below half "
+        "its baseline efficiency",
     )
     args = parser.parse_args(argv)
     mode = "quick" if args.quick else "full"

@@ -37,7 +37,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import VerificationContext, verify_result
-from repro.core import PlanCache, optimize
+from repro.core import OptimizeOptions, Optimizer, PlanCache, optimize
 from repro.experiments import ordered_benchmark_queries
 from repro.partitioning import HashSubjectObject
 
@@ -62,6 +62,21 @@ def build_workload(mode: str):
         )
         for bq in queries
     ]
+
+
+def optimize_with(bq, method, algorithm, **session_state):
+    """One query through a one-shot session carrying *session_state*
+    (``plan_cache`` / ``verify`` / ``jobs``); built inside the caller's
+    timed region, as one CLI invocation would."""
+    session = Optimizer(
+        OptimizeOptions(
+            algorithm=algorithm,
+            statistics=bq.statistics,
+            partitioning=method,
+            **session_state,
+        )
+    )
+    return session.optimize(bq.query)
 
 
 def bench_per_query(workload):
@@ -105,35 +120,18 @@ def bench_cache(workload):
     cache = PlanCache(capacity=4 * len(workload) + 8)
     algorithm = "td-cmdp"
     for bq, method, _ in workload:
-        optimize(
-            bq.query,
-            algorithm=algorithm,
-            statistics=bq.statistics,
-            partitioning=method,
-            plan_cache=cache,
-        )
+        optimize_with(bq, method, algorithm, plan_cache=cache)
     plain_times = []
     for bq, method, _ in workload:
         started = time.perf_counter()
-        result = optimize(
-            bq.query,
-            algorithm=algorithm,
-            statistics=bq.statistics,
-            partitioning=method,
-            plan_cache=cache,
-        )
+        result = optimize_with(bq, method, algorithm, plan_cache=cache)
         plain_times.append(time.perf_counter() - started)
         assert result.algorithm.endswith("+cache"), "expected a cache hit"
     verified_times = []
     for bq, method, _ in workload:
         started = time.perf_counter()
-        result = optimize(
-            bq.query,
-            algorithm=algorithm,
-            statistics=bq.statistics,
-            partitioning=method,
-            plan_cache=cache,
-            verify=True,
+        result = optimize_with(
+            bq, method, algorithm, plan_cache=cache, verify=True
         )
         verified_times.append(time.perf_counter() - started)
         assert result.algorithm.endswith("+cache"), "verified hit fell through"
@@ -157,14 +155,7 @@ def bench_parallel(workload, jobs: int):
     for bq, method, context in workload:
         for algorithm in PARALLEL_ALGORITHMS:
             started = time.perf_counter()
-            result = optimize(
-                bq.query,
-                algorithm=algorithm,
-                statistics=bq.statistics,
-                partitioning=method,
-                jobs=jobs,
-                verify=True,
-            )
+            result = optimize_with(bq, method, algorithm, jobs=jobs, verify=True)
             wall = time.perf_counter() - started
             report = verify_result(result, context)
             assert report.ok, f"{bq.name}/{algorithm} x{jobs}: {report.render()}"

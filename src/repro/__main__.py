@@ -12,8 +12,8 @@ Usage::
 ``experiments`` regenerates one of the paper's tables/figures;
 ``demo`` runs the whole pipeline on the built-in LUBM-like workload.
 
-Throughput flags: ``--jobs N`` splits the td-cmd/td-cmdp root division
-space across N worker processes; ``optimize --plan-cache PATH`` keeps a
+Throughput flags: ``--jobs N`` shards the td-cmd/td-cmdp DP memo
+across N worker processes; ``optimize --plan-cache PATH`` keeps a
 persistent cross-query plan cache at PATH, so repeating a query
 short-circuits enumeration entirely.
 
@@ -52,8 +52,7 @@ Lifecycle governance (see ``docs/RESILIENCE.md``)::
 ``--row-budget`` caps the intermediate rows execution may produce; a
 breach prints a structured abort report and exits with status 4.  With
 ``--anytime``, an optimizer deadline degrades to the best complete
-plan found so far instead of failing.  ``--timeout`` remains as a
-deprecated alias for ``--deadline``.
+plan found so far instead of failing.
 
 Adaptive repartitioning (see ``docs/PERFORMANCE.md``)::
 
@@ -134,15 +133,11 @@ def build_options(args: argparse.Namespace, **overrides) -> OptimizeOptions:
     fields = dict(
         algorithm=getattr(args, "algorithm", None) or "td-auto",
         partitioning=_partitioning(getattr(args, "partitioning", None)),
-        # --timeout is the deprecated alias; OptimizeOptions folds it
-        # into deadline_seconds (and warns once) when --deadline is unset
-        timeout_seconds=getattr(args, "timeout", None),
         deadline_seconds=getattr(args, "deadline", None),
         row_budget=getattr(args, "row_budget", None),
         anytime=getattr(args, "anytime", False),
         seed=getattr(args, "seed", 0),
         jobs=getattr(args, "jobs", 1),
-        parallel_strategy=getattr(args, "parallel_strategy", None) or "memo-shard",
         verify=getattr(args, "verify", False),
         trace=getattr(args, "trace", None) is not None,
         engine=getattr(args, "engine", "reference"),
@@ -158,7 +153,7 @@ def _make_session(args: argparse.Namespace, **overrides) -> Optimizer:
     """Build the :class:`Optimizer` session for one CLI invocation.
 
     An unknown algorithm raises :class:`ValueError` from the session
-    constructor, exactly as the legacy facade did per call.
+    constructor.
     """
     return Optimizer(build_options(args, **overrides))
 
@@ -539,14 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--algorithm", default="td-auto")
     common.add_argument("--partitioning", choices=sorted(PARTITIONINGS), default=None)
     common.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="DEPRECATED alias for --deadline, removed in 2.0 "
-        "(optimizer-only in older releases; now folds into the "
-        "lifecycle deadline)",
-    )
-    common.add_argument(
         "--deadline",
         type=float,
         default=None,
@@ -577,14 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="optimizer worker processes (td-cmd/td-cmdp shard their "
         "DP search across them; other algorithms run serially)",
-    )
-    common.add_argument(
-        "--parallel-strategy",
-        choices=("memo-shard", "root-slice"),
-        default="memo-shard",
-        help="intra-query parallel scheme for --jobs > 1: 'memo-shard' "
-        "(popcount-tiered memo sharding with work stealing) or "
-        "'root-slice' (legacy root-division round-robin)",
     )
     common.add_argument(
         "--verify",

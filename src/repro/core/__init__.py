@@ -55,12 +55,7 @@ from .optimizer import (
     optimize,
     resolve_statistics,
 )
-from .parallel import (
-    PARALLEL_STRATEGIES,
-    default_jobs,
-    optimize_many,
-    optimize_query_parallel,
-)
+from .parallel import default_jobs, optimize_many, optimize_query_parallel
 from .plan_cache import PlanCache, PlanCacheStats, query_signature
 from .plans import (
     JoinAlgorithm,
@@ -130,7 +125,6 @@ __all__ = [
     "resolve_statistics",
     "ALGORITHMS",
     "PARALLELIZABLE_ALGORITHMS",
-    "PARALLEL_STRATEGIES",
     "SubqueryRecord",
     "PlanCache",
     "PlanCacheStats",

@@ -72,10 +72,12 @@ class SubqueryRecord:
 
     "Exclusive" means the candidates costed for this subquery only —
     recursion into child subqueries is recorded under their own bitsets.
-    Because the candidate set of a subquery is a deterministic function
-    of its bitset, records from different workers can be deduplicated by
-    bitset to reconstruct the serial totals exactly (see
-    :mod:`.parallel`).
+    The candidate set of a subquery is a deterministic function of its
+    bitset, so the records sum to the run's totals however the search
+    reached each subquery: the serial enumerator keeps one per expanded
+    subquery (:attr:`TopDownEnumerator.subquery_records`, exact even
+    when a deadline fires mid-loop) and a memo-shard worker reports one
+    per solved entry (see :mod:`.memo_shard`).
     """
 
     plans_considered: int = 0
@@ -90,9 +92,10 @@ class EnumerationStats:
     ``plans_considered`` is the "size of the search space" of Table VII:
     the number of candidate plans actually constructed and costed.
 
-    The ``workers`` / ``per_worker_*`` / ``speedup`` fields are filled
-    only by the parallel search drivers in :mod:`.parallel`; a serial
-    run leaves them at their defaults (one worker, no breakdown).
+    The ``workers`` / ``per_worker_*`` / ``speedup`` / ``steals``
+    fields are filled only by the memo-sharded parallel search
+    (:mod:`.memo_shard`); a serial run leaves them at their defaults
+    (one worker, no breakdown).
     """
 
     plans_considered: int = 0
@@ -109,9 +112,9 @@ class EnumerationStats:
     #: Σ worker seconds / parallel search wall seconds, with pool
     #: spin-up excluded from the denominator (parallel search only)
     speedup: float = 0.0
-    #: chunks taken from a sibling's queue (memo-sharded search only)
+    #: chunks taken from a sibling's queue (parallel search only)
     steals: int = 0
-    #: steals performed by each worker (memo-sharded search only)
+    #: steals performed by each worker (parallel search only)
     per_worker_steals: List[int] = field(default_factory=list)
     #: min/max per-worker subquery share — 1.0 is perfectly balanced,
     #: 0.0 means at least one worker did nothing (parallel search only)
@@ -153,9 +156,8 @@ class EnumerationStats:
 
         Called once per enumeration (never per candidate), so tracing
         keeps its zero-cost-when-disabled guarantee.  Each counter lands
-        under ``optimizer.<field>``; in the parallel search every worker
-        flushes its own (pre-dedup) counters, so — like ``memo_hits`` —
-        parallel registry totals are per-worker sums.
+        under ``optimizer.<field>``; the parallel search flushes the
+        driver's merged stats once, like a serial run.
         """
         registry = obs.metrics()
         if registry is None:
@@ -215,7 +217,7 @@ class TopDownEnumerator:
         #: becomes a strict deadline-only budget at optimize() time
         self.budget = budget
         self.stats = EnumerationStats()
-        #: exclusive counters per expanded subquery, for parallel merging
+        #: exclusive counters per expanded subquery (sum to ``stats``)
         self.subquery_records: Dict[int, SubqueryRecord] = {}
         self._memo: Dict[int, PlanNode] = {}
         #: the live envelope ``_check_deadline`` polls: an explicit
@@ -445,19 +447,6 @@ class TopDownEnumerator:
         operators = (_BROADCAST, _REPARTITION)
         for parts, variable in enumerate_cmds(self.join_graph, bits):
             yield parts, variable, operators
-
-    def raw_divisions(
-        self, bits: int
-    ) -> Iterator[Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]]:
-        """The division space without instrumentation side effects.
-
-        The parallel drivers probe the division space (to size slices
-        or tiers) before any search runs; this hook lets them count
-        divisions without inflating rule-hit trace counters.  TD-CMD's
-        ``divisions`` has no instrumentation, so this is the same
-        iterator; TD-CMDP overrides it with the raw generator.
-        """
-        return self.divisions(bits)
 
     # ------------------------------------------------------------------
     # helpers

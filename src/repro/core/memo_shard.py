@@ -1,11 +1,11 @@
 """Memo-sharded parallel plan search: popcount tiers + work stealing.
 
-The root-slice scheme (see :mod:`.parallel`) splits only the *root*
-division space, so every worker re-solves almost the entire lower memo
-and intra-query speedup caps out barely above 1×.  Trummer & Koch's
-shared-nothing parallelization goes further: allocate *all* DP
-subproblems across workers.  This module implements that scheme for
-TD-CMD / TD-CMDP:
+Trummer & Koch's shared-nothing parallelization allocates *all* DP
+subproblems across workers, so every connected subquery is still solved
+exactly once — the property Algorithm 1's memo gives the serial search.
+This module implements that scheme for TD-CMD / TD-CMDP (the entry
+point that decides between it and the serial search is
+:func:`repro.core.parallel.optimize_query_parallel`):
 
 * the connected-subquery space is partitioned into **popcount tiers**
   (tier k = every connected subquery with k patterns), grown
@@ -30,11 +30,12 @@ TD-CMD / TD-CMDP:
 
 Governance: the driver polls its :class:`~repro.core.governance.QueryBudget`
 every scheduler tick and ships the *remaining* deadline seconds to the
-workers (re-anchored per process, as in root-slicing).  On expiry with
-``anytime`` set, the driver degrades to a complete plan assembled from
-the finished tiers: a greedy disjoint cover of the query by the largest
-solved entries (singletons guarantee the cover exists), merged with
-binary repartition joins by :func:`~repro.core.enumeration.greedy_fallback_plan`.
+workers (re-anchored per process: clocks do not cross process
+boundaries).  On expiry with ``anytime`` set, the driver degrades to a
+complete plan assembled from the finished tiers: a greedy disjoint
+cover of the query by the largest solved entries (singletons guarantee
+the cover exists), merged with binary repartition joins by
+:func:`~repro.core.enumeration.greedy_fallback_plan`.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .enumeration import (
     OptimizationResult,
     OptimizationTimeout,
     SubqueryRecord,
+    TopDownEnumerator,
     greedy_fallback_plan,
 )
 from .governance import Deadline, QueryBudget
@@ -269,43 +271,36 @@ def _worker_main(
 # driver side
 # ----------------------------------------------------------------------
 class _ShardDriver:
-    """Tier-synchronous scheduler over a persistent worker pool."""
+    """Tier-synchronous scheduler over a persistent worker pool.
+
+    Shards the search the *serial* enumerator would run across *jobs*
+    workers: query, statistics, partitioning, cost parameters and budget
+    are the enumerator's own, and every worker rebuilds an
+    ``ALGORITHMS[key]`` enumerator from them.
+    """
 
     def __init__(
         self,
-        query: Any,
+        serial: TopDownEnumerator,
         key: str,
         jobs: int,
-        statistics: Any,
-        partitioning: Any,
-        parameters: Any,
-        builder: Any,
-        probe: Any,
         tiers: List[List[int]],
-        budget: Optional[QueryBudget],
-        deadline_remaining: Optional[float],
-        anytime: bool,
     ) -> None:
         self.key = key
         self.jobs = jobs
-        self.builder = builder
-        self.probe = probe
+        self.builder = serial.builder
+        self.algorithm_name = serial.algorithm_name
         self.tiers = tiers
-        self.budget = budget
-        self.anytime = anytime
-        self.deadline = (
-            Deadline.after(deadline_remaining)
-            if deadline_remaining is not None
-            else None
-        )
+        self.budget = serial.budget
+        deadline = self.budget.deadline if self.budget is not None else None
         self.tracer = obs.current_tracer()
         self.payload = (
-            query,
-            statistics,
+            serial.join_graph.query,
+            serial.builder.estimator.catalog,
             key,
-            partitioning,
-            parameters,
-            deadline_remaining,
+            serial.local_index.partitioning,
+            serial.builder.parameters,
+            deadline.remaining() if deadline is not None else None,
             self.tracer is not None,
         )
         # solved state + accounting: deliberately unlocked.  Every
@@ -470,10 +465,11 @@ class _ShardDriver:
             self.reads += reads
 
     def _check_budget(self, tier: int) -> None:
-        if self.budget is not None:
-            self.budget.check_cancelled(phase="optimize")
-        if self.deadline is not None and self.deadline.expired:
-            raise _TierExpired(tiers_done=tier - 1)
+        budget = self.budget
+        if budget is not None:
+            budget.check_cancelled(phase="optimize")
+            if budget.deadline_expired():
+                raise _TierExpired(tiers_done=tier - 1)
 
     def _check_liveness(self) -> None:
         for index, process in enumerate(self._procs):
@@ -536,7 +532,7 @@ class _ShardDriver:
             f"deadline: merged {len(cover)} sharded plans from "
             f"{tiers_done}/{total_tiers} finished tiers"
         )
-        label = f"{self.probe.algorithm_name}[parallel x{self.jobs}][anytime]"
+        label = f"{self.algorithm_name}[parallel x{self.jobs}][anytime]"
         return plan, label, reason
 
     def stats(self, wall_seconds: float) -> EnumerationStats:
@@ -551,7 +547,10 @@ class _ShardDriver:
         serial counts there.  ``memo_hits`` is reconstructed from child
         cost reads: the serial traversal performs one ``get_best_plan``
         per child reference plus one for the root, and misses exactly
-        once per entry.
+        once per entry.  ``speedup`` divides the summed worker seconds
+        by the wall time *minus pool spin-up*: process forking is a
+        fixed platform cost, and charging it to the search would
+        understate small-query speedups.
         """
         singletons = len(self.tiers[1])
         solved = singletons + sum(self.solved_by_worker)
@@ -560,7 +559,7 @@ class _ShardDriver:
         if started:
             startup = max(0.0, min(started) - self.spawn_started)
         startup = min(startup, wall_seconds)
-        search_wall = max(wall_seconds - startup, 1e-9)
+        search_wall = wall_seconds - startup
         max_share = max(self.solved_by_worker) if self.solved_by_worker else 0
         min_share = min(self.solved_by_worker) if self.solved_by_worker else 0
         return EnumerationStats(
@@ -572,7 +571,7 @@ class _ShardDriver:
             workers=self.jobs,
             per_worker_subqueries=list(self.solved_by_worker),
             per_worker_seconds=list(self.busy_seconds),
-            speedup=sum(self.busy_seconds) / search_wall,
+            speedup=(sum(self.busy_seconds) / search_wall) if search_wall > 0 else 0.0,
             steals=self.steals,
             per_worker_steals=list(self.per_worker_steals),
             worker_balance=(min_share / max_share) if max_share else 0.0,
@@ -594,99 +593,62 @@ class _ShardDriver:
                 )
 
 
-def optimize_memo_sharded(
-    query: Any,
-    key: str,
-    jobs: int,
-    statistics: Any,
-    partitioning: Any,
-    parameters: Any,
-    builder: Any,
-    probe: Any,
-    budget: Optional[QueryBudget],
-    deadline_remaining: Optional[float],
-    anytime: bool,
-    started: float,
-) -> Optional[OptimizationResult]:
-    """Run the memo-sharded search; ``None`` means "fall back to serial".
+    def search(self, started: float) -> OptimizationResult:
+        """Run the sharded search: pool up, every tier, merge, pool down.
 
-    The caller (:func:`repro.core.parallel.optimize_query_parallel`)
-    has already handled the degenerate cases shared with root-slicing
-    (unsupported algorithm, disconnected query, Rule-3 root answer);
-    this function additionally declines queries whose connected-subquery
-    space is too small to shard profitably.
-    """
-    join_graph = builder.join_graph
-    tiers = subquery_tiers(join_graph)
-    non_singleton = sum(len(tier) for tier in tiers[2:])
-    widest = max((len(tier) for tier in tiers[2:]), default=0)
-    jobs = max(1, min(jobs, widest))
-    if non_singleton < _MIN_ENTRIES or jobs <= 1:
-        return None
-    driver = _ShardDriver(
-        query,
-        key,
-        jobs,
-        statistics,
-        partitioning,
-        parameters,
-        builder,
-        probe,
-        tiers,
-        budget,
-        deadline_remaining,
-        anytime,
-    )
-    label = f"{probe.algorithm_name}[parallel x{jobs}]"
-    degraded_reason = ""
-    with obs.span(
-        "parallel.search",
-        strategy="memo-shard",
-        jobs=jobs,
-        algorithm=key,
-        tiers=join_graph.size,
-        entries=len(tiers[1]) + non_singleton,
-    ) as parallel_span:
-        dispatch_at = driver.tracer.now() if driver.tracer is not None else 0.0
-        driver.start()
-        graceful = True
-        try:
+        *started* is the caller's ``perf_counter`` reading at the top of
+        the optimize call, so ``elapsed_seconds`` also covers statistics
+        resolution and tier construction.
+        """
+        join_graph = self.builder.join_graph
+        label = f"{self.algorithm_name}[parallel x{self.jobs}]"
+        degraded_reason = ""
+        with obs.span(
+            "parallel.search",
+            jobs=self.jobs,
+            algorithm=self.key,
+            tiers=join_graph.size,
+            entries=sum(len(tier) for tier in self.tiers),
+        ) as parallel_span:
+            dispatch_at = self.tracer.now() if self.tracer is not None else 0.0
+            self.start()
+            graceful = True
             try:
-                driver.run()
-                plan = driver.reconstruct(join_graph.full, {})
-            except _TierExpired as expiry:
-                if not anytime:
-                    seconds = (
-                        driver.deadline.seconds
-                        if driver.deadline is not None
-                        else 0.0
+                try:
+                    self.run()
+                    plan = self.reconstruct(join_graph.full, {})
+                except _TierExpired as expiry:
+                    # only a budget with a deadline can expire a tier
+                    budget = self.budget
+                    assert budget is not None and budget.deadline is not None
+                    if not budget.anytime:
+                        raise OptimizationTimeout(
+                            f"{self.algorithm_name} exceeded "
+                            f"{budget.deadline.seconds:g}s"
+                        ) from None
+                    plan, label, degraded_reason = self.degraded_plan(
+                        expiry.tiers_done
                     )
-                    raise OptimizationTimeout(
-                        f"{probe.algorithm_name} exceeded {seconds:g}s"
-                    ) from None
-                plan, label, degraded_reason = driver.degraded_plan(
-                    expiry.tiers_done
-                )
-            except BaseException:
-                graceful = False
-                raise
-        finally:
-            driver.shutdown(graceful)
-        wall = time.perf_counter() - driver.spawn_started
-        driver.adopt_traces(parallel_span, dispatch_at)
-        parallel_span.set(wall_seconds=wall, steals=driver.steals)
-    stats = driver.stats(wall)
-    if degraded_reason:
-        stats.degraded = True
-        stats.degradation_reason = degraded_reason
-        obs.event("governance.degraded", algorithm=label, reason=degraded_reason)
-        obs.count("governance.anytime_plans")
-    obs.count("parallel.steals", driver.steals)
-    obs.gauge("parallel.worker_balance", stats.worker_balance)
-    stats.flush_to_metrics()
-    return OptimizationResult(
-        plan=plan,
-        algorithm=label,
-        stats=stats,
-        elapsed_seconds=time.perf_counter() - started,
-    )
+                except BaseException:
+                    graceful = False
+                    raise
+            finally:
+                self.shutdown(graceful)
+            wall = time.perf_counter() - self.spawn_started
+            self.adopt_traces(parallel_span, dispatch_at)
+            parallel_span.set(wall_seconds=wall, steals=self.steals)
+        stats = self.stats(wall)
+        if degraded_reason:
+            stats.degraded = True
+            stats.degradation_reason = degraded_reason
+            obs.event("governance.degraded", algorithm=label, reason=degraded_reason)
+            obs.count("governance.anytime_plans")
+        obs.count("parallel.steals", self.steals)
+        obs.gauge("parallel.worker_balance", stats.worker_balance)
+        stats.flush_to_metrics()
+        return OptimizationResult(
+            plan=plan,
+            algorithm=label,
+            stats=stats,
+            elapsed_seconds=time.perf_counter() - started,
+        )

@@ -9,11 +9,11 @@ point the examples, tests, and benchmarks use::
     result = optimize(parse_query(text), algorithm="td-auto")
     print(result.plan.describe())
 
-Since the session-API redesign, :func:`optimize` is a thin shim over
+:func:`optimize` is a thin shim over
 :class:`repro.core.session.Optimizer`: every call builds a one-shot
-session from its keywords.  Prefer the session API for anything that
-holds state across calls (plan cache, parallel jobs, verification,
-tracing)::
+session from its per-call inputs.  Anything that holds state across
+calls (plan cache, parallel jobs, verification, deadlines, tracing) is
+session configuration::
 
     from repro import OptimizeOptions, Optimizer
     session = Optimizer(OptimizeOptions(algorithm="td-auto", trace=True))
@@ -27,7 +27,6 @@ search drivers use.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Dict, Optional
 
 from ..partitioning.base import PartitioningMethod
@@ -38,7 +37,6 @@ from .cardinality import CardinalityEstimator, StatisticsCatalog
 from .cost import CostParameters, PAPER_PARAMETERS, PlanBuilder
 from .enumeration import OptimizationResult, TopDownEnumerator
 from .join_graph import JoinGraph
-from .plan_cache import PlanCache
 from .pruning import PrunedTopDownEnumerator
 from .reduction import ReductionOptimizer
 
@@ -49,8 +47,9 @@ ALGORITHMS: Dict[str, type] = {
     "td-auto": AutonomousOptimizer,
 }
 
-#: algorithms whose root division space the intra-query parallel search
-#: can split across workers (see :mod:`.parallel`)
+#: algorithms whose DP memo the intra-query parallel search can shard
+#: across workers (see :mod:`.parallel`): their whole search is the
+#: ``divisions`` hook plus the memo table
 PARALLELIZABLE_ALGORITHMS = ("td-cmd", "td-cmdp")
 
 
@@ -96,22 +95,14 @@ def optimize(
     dataset: Optional[Dataset] = None,
     partitioning: Optional[PartitioningMethod] = None,
     parameters: CostParameters = PAPER_PARAMETERS,
-    timeout_seconds: Optional[float] = None,
     seed: int = 0,
-    plan_cache: Optional[PlanCache] = None,
-    jobs: int = 1,
-    verify: bool = False,
 ) -> OptimizationResult:
     """Optimize a BGP query into a k-ary bushy plan.
 
-    Back-compat shim: builds a one-shot
-    :class:`~repro.core.session.Optimizer` session from these keywords.
-    Every deprecated-kwarg path warns (once per process per path,
-    behaviour unchanged either way): passing session state per call
-    (``plan_cache`` / ``jobs`` / ``verify`` — the ballooning-signature
-    path) points at the session API, and ``timeout_seconds`` — the
-    pre-governance alias slated for removal in 2.0 — points at
-    ``deadline_seconds``.
+    Builds a one-shot :class:`~repro.core.session.Optimizer` session
+    from these per-call inputs; session state (plan cache, ``jobs``,
+    verification, deadlines, tracing) is configured on
+    :class:`~repro.core.session.OptimizeOptions` instead.
 
     Parameters
     ----------
@@ -127,46 +118,13 @@ def optimize(
         ``None`` means every multi-pattern subquery is distributed.
     parameters:
         Cost-model constants (defaults to the paper's Table II).
-    timeout_seconds:
-        DEPRECATED alias for the governance deadline (removed in 2.0);
-        aborts with :class:`OptimizationTimeout` past this budget.
-    plan_cache:
-        A :class:`~repro.core.plan_cache.PlanCache`; a signature hit
-        short-circuits enumeration entirely, and fresh results are
-        stored for the next repetition.
-    jobs:
-        With ``jobs > 1`` and a parallelizable algorithm (``td-cmd`` /
-        ``td-cmdp``), the root division space is split across worker
-        processes (see :mod:`.parallel`); other algorithms run serially.
-    verify:
-        Run the plan-invariant verifier (:mod:`repro.analysis`) on
-        every returned plan.  A fresh result that fails raises the
-        violation; a *cached* plan that fails is invalidated and
-        treated as a miss (the query is re-optimized and the fresh,
-        verified plan replaces the corrupt entry).
+    seed:
+        Seed for synthetic statistics when neither *statistics* nor
+        *dataset* is given.
     """
     # imported lazily: session.py imports this module's helpers
     from .session import OptimizeOptions, Optimizer
 
-    global _shim_warned, _timeout_warned
-    if (plan_cache is not None or jobs != 1 or verify) and not _shim_warned:
-        _shim_warned = True
-        warnings.warn(
-            "passing session state (plan_cache/jobs/verify) to optimize() "
-            "per call is deprecated; build an Optimizer session instead: "
-            "Optimizer(OptimizeOptions(...)).optimize(query)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if timeout_seconds is not None and not _timeout_warned:
-        _timeout_warned = True
-        warnings.warn(
-            "optimize(timeout_seconds=...) is deprecated and will be "
-            "removed in 2.0; use deadline_seconds (same semantics, plus "
-            "anytime=True for graceful degradation)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     session = Optimizer(
         OptimizeOptions(
             algorithm=algorithm,
@@ -174,21 +132,7 @@ def optimize(
             dataset=dataset,
             partitioning=partitioning,
             parameters=parameters,
-            # mapped straight to the governance deadline after the
-            # facade's own deprecation warning above (the warning names
-            # this call path; OptimizeOptions.timeout_seconds has its
-            # own, so the fold must not pass timeout_seconds through)
-            deadline_seconds=timeout_seconds,
             seed=seed,
-            plan_cache=plan_cache,
-            jobs=jobs,
-            verify=verify,
         )
     )
     return session.optimize(query)
-
-
-#: one DeprecationWarning per process for the ballooning-signature path
-_shim_warned = False
-#: one DeprecationWarning per process for the facade's timeout alias
-_timeout_warned = False

@@ -11,33 +11,18 @@ shared-nothing workers:
   are bit-identical to serial execution by construction.
 
 * **Intra-query** — :func:`optimize_query_parallel` parallelizes a
-  single TD-CMD / TD-CMDP search.  Two strategies
-  (:data:`PARALLEL_STRATEGIES`):
+  single TD-CMD / TD-CMDP search: the full DP memo is partitioned into
+  popcount tiers and scheduled across a persistent worker pool with
+  per-tier work queues and work stealing (see :mod:`.memo_shard`).
+  Every DP subproblem is solved exactly once, so the work scales down
+  with the worker count, and because every candidate's cost is
+  computed by the same arithmetic in every worker, the merged plan cost
+  is bit-identical to the serial search.
 
-  * ``"memo-shard"`` (the default) — the full DP memo is partitioned
-    into popcount tiers and scheduled across a persistent worker pool
-    with per-tier work queues and work stealing; see
-    :mod:`.memo_shard`.  Every DP subproblem is solved exactly once,
-    so the work scales down with the worker count.
-  * ``"root-slice"`` — the original scheme: the *root-level*
-    connected-multi-division space is split round-robin across
-    workers, each running a full memoized sub-search restricted to its
-    root slice; the driver picks the cheapest root candidate.  Simple,
-    but every worker re-solves almost the whole lower memo.
-
-  Because every candidate's cost is computed by the same arithmetic in
-  every worker, the merged plan cost is bit-identical to the serial
-  search under both strategies.
-
-Merged :class:`~repro.core.enumeration.EnumerationStats` reconstruct the
-serial counters exactly: workers report *exclusive* per-subquery
-records (see :class:`~repro.core.enumeration.SubqueryRecord`), which the
-driver deduplicates by subquery bitset — a subquery expanded by several
-workers is counted once, exactly as the serial memo table would.  The
-lone exception is ``memo_hits``, which is inherently a property of the
-traversal (it is summed across workers and documented as such).
-Worker counts, per-worker subquery counts/wall times, and the achieved
-speedup are recorded in the merged stats.
+The merged :class:`~repro.core.enumeration.EnumerationStats` carry the
+serial counters (see :meth:`.memo_shard._ShardDriver.stats` for the one
+documented superset case), the worker count, per-worker subquery
+counts/wall times, steals and the achieved speedup.
 """
 
 from __future__ import annotations
@@ -46,40 +31,29 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as wait_futures
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..observability import runtime as obs
-from ..observability.spans import Span, Tracer
 from ..partitioning.base import PartitioningMethod
 from ..rdf.dataset import Dataset
-from ..rdf.terms import Variable
 from ..sparql.ast import BGPQuery
 from .cardinality import StatisticsCatalog
 from .cost import CostParameters, PAPER_PARAMETERS
 from .enumeration import (
     CartesianProductError,
-    EnumerationStats,
     OptimizationResult,
-    SubqueryRecord,
     TopDownEnumerator,
 )
-from .governance import (
-    AbortCause,
-    CancellationToken,
-    Deadline,
-    QueryAborted,
-    QueryBudget,
-)
+from .governance import AbortCause, CancellationToken, QueryAborted, QueryBudget
 from .local_query import LocalQueryIndex
+from .memo_shard import _MIN_ENTRIES, _ShardDriver, subquery_tiers
 from .optimizer import (
+    ALGORITHMS,
     PARALLELIZABLE_ALGORITHMS,
     make_builder,
-    optimize,
     resolve_statistics,
 )
 from .plan_cache import PlanCache
-from .plans import JoinAlgorithm
-from .pruning import PrunedTopDownEnumerator
+from .session import OptimizeOptions, Optimizer
 
 #: how often the driver polls the cancellation token while a pool runs
 _CANCEL_POLL_SECONDS = 0.05
@@ -88,10 +62,6 @@ _CANCEL_POLL_SECONDS = 0.05
 #: (tuples and objects with ``query``/``statistics`` attributes, e.g.
 #: :class:`~repro.workloads.generators.WorkloadQuery`, are accepted)
 RequestLike = Union[BGPQuery, Tuple[BGPQuery, Optional[StatisticsCatalog]], Any]
-
-
-#: supported intra-query parallel search strategies
-PARALLEL_STRATEGIES = ("memo-shard", "root-slice")
 
 
 def default_jobs() -> int:
@@ -118,178 +88,84 @@ def default_jobs() -> int:
 # ----------------------------------------------------------------------
 # intra-query parallel search
 # ----------------------------------------------------------------------
-class _RootSliceMixin:
-    """Restrict the root division space to a round-robin slice.
+def optimize_query_parallel(
+    query: BGPQuery,
+    algorithm: str = "td-cmd",
+    jobs: int = 2,
+    statistics: Optional[StatisticsCatalog] = None,
+    dataset: Optional[Dataset] = None,
+    partitioning: Optional[PartitioningMethod] = None,
+    parameters: CostParameters = PAPER_PARAMETERS,
+    seed: int = 0,
+    budget: Optional[QueryBudget] = None,
+) -> OptimizationResult:
+    """Optimize one query with the DP memo sharded across workers.
 
-    Non-root subqueries see the unrestricted division space, so their
-    exclusive stats records stay bit-identical to the serial search.
+    Only ``td-cmd`` and ``td-cmdp`` are supported — their search is
+    driven entirely by the ``divisions`` hook and the memo table, which
+    is what gets sharded (see :mod:`.memo_shard`).  Plan cost is
+    identical to the serial search.  This is the one place that decides
+    *shard or serial*: one job, a Rule-3 local short-circuit at the
+    root, or a connected-subquery space too small to shard profitably
+    runs the serial enumerator on the same builder, local index and
+    budget.
+
+    With a *budget*, the remaining deadline allowance travels to every
+    worker (re-anchored on the worker's clock); the cancellation token
+    stays driver-side — the driver polls it while the pool runs and
+    abandons it on cancel, since tokens do not cross process
+    boundaries.  An expiring anytime deadline yields a complete plan
+    merged from the finished tiers.
     """
-
-    slice_index: int = 0
-    slice_count: int = 1
-
-    def divisions(
-        self, bits: int
-    ) -> Iterator[Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]]:
-        iterator = super().divisions(bits)  # type: ignore[misc]
-        if bits != self.join_graph.full or self.slice_count <= 1:
-            yield from iterator
-            return
-        for i, division in enumerate(iterator):
-            if i % self.slice_count == self.slice_index:
-                yield division
-
-
-class _SlicedTopDown(_RootSliceMixin, TopDownEnumerator):
-    pass
-
-
-class _SlicedPrunedTopDown(_RootSliceMixin, PrunedTopDownEnumerator):
-    pass
-
-
-_SLICED = {"td-cmd": _SlicedTopDown, "td-cmdp": _SlicedPrunedTopDown}
-_SERIAL = {"td-cmd": TopDownEnumerator, "td-cmdp": PrunedTopDownEnumerator}
-
-
-#: Version stamp on every worker outcome dict.  Bump whenever the
-#: outcome schema changes shape or meaning; the merge refuses mixed
-#: versions instead of silently skewing counters (a real hazard when a
-#: stale pool process built from an older module survives a reload).
-_PAYLOAD_SCHEMA_VERSION = 1
-
-
-def _intra_query_worker(payload: Tuple[Any, ...]) -> Dict[str, Any]:
-    """Run one root-slice sub-search (executed inside a pool process).
-
-    When the driver traces, the worker builds a private
-    :class:`~repro.observability.spans.Tracer`, activates it for the
-    sub-search, and ships it back serialized in the outcome; the driver
-    adopts it onto a ``worker-N`` track (deterministic id remapping).
-    """
-    (
-        query,
-        statistics,
-        algorithm_key,
-        partitioning,
-        parameters,
-        deadline_remaining,
-        anytime,
-        slice_index,
-        slice_count,
-        trace,
-    ) = payload
-    builder = make_builder(query, statistics, parameters=parameters)
-    local_index = LocalQueryIndex(builder.join_graph, partitioning)
-    # deadlines do not cross process boundaries (clocks are not
-    # picklable); the driver ships the *remaining* seconds and each
-    # worker re-anchors them on its own monotonic clock
-    budget: Optional[QueryBudget] = None
-    if deadline_remaining is not None or anytime:
-        budget = QueryBudget(
-            deadline=(
-                Deadline.after(deadline_remaining)
-                if deadline_remaining is not None
-                else None
-            ),
-            anytime=anytime,
-            query_id=query.name or "",
+    key = algorithm.lower()
+    if key not in PARALLELIZABLE_ALGORITHMS:
+        raise ValueError(
+            f"intra-query parallel search supports {PARALLELIZABLE_ALGORITHMS}, "
+            f"not {algorithm!r}"
         )
-    enumerator = _SLICED[algorithm_key](
-        builder.join_graph,
-        builder,
-        local_index=local_index,
-        budget=budget,
-    )
-    enumerator.slice_index = slice_index
-    enumerator.slice_count = slice_count
-    tracer = Tracer(track=f"worker-{slice_index}") if trace else None
-    # perf_counter is system-wide monotonic on Linux, so the driver can
-    # subtract its own spawn timestamp to measure pool startup; clamped
-    # to [0, wall] driver-side in case a platform scopes it per process
     started = time.perf_counter()
-    if tracer is not None:
-        with obs.activate(tracer):
-            with tracer.span(
-                "worker", slice_index=slice_index, slice_count=slice_count
-            ):
-                result = enumerator.optimize()
-    else:
-        result = enumerator.optimize()
-    elapsed = time.perf_counter() - started
-    full = builder.join_graph.full
-    # an anytime deadline can expire before the root's record exists
-    root_record = enumerator.subquery_records.pop(full, SubqueryRecord())
-    return {
-        "schema": _PAYLOAD_SCHEMA_VERSION,
-        "plan": result.plan,
-        "cost": result.plan.cost,
-        "records": enumerator.subquery_records,
-        "root_record": root_record,
-        "memo_hits": result.stats.memo_hits,
-        "subqueries": result.stats.subqueries_expanded,
-        "elapsed": elapsed,
-        "started_at": started,
-        "degraded": result.stats.degraded,
-        "degradation_reason": result.stats.degradation_reason,
-        "trace": tracer.to_payload() if tracer is not None else None,
-    }
-
-
-def _merge_worker_stats(
-    outcomes: List[Dict[str, Any]],
-    root_is_local: bool,
-    wall_seconds: float,
-    startup_seconds: float = 0.0,
-) -> EnumerationStats:
-    """Rebuild serial-equivalent counters from per-worker records.
-
-    Non-root subqueries are deduplicated by bitset (each worker's
-    exclusive record for a bitset is identical, because the candidate
-    set is a function of the bitset alone).  Root records cover disjoint
-    division slices and are summed — minus the flat local seed plan,
-    which every worker prices but the serial search prices once.
-
-    ``speedup`` divides the summed worker seconds by the wall time
-    *minus pool spin-up* (*startup_seconds*): process forking is a
-    fixed platform cost, and charging it to the search systematically
-    understated small-query speedups.
-    """
-    versions = {o.get("schema") for o in outcomes}
-    if versions - {_PAYLOAD_SCHEMA_VERSION}:
-        raise RuntimeError(
-            f"worker outcome schema mismatch: driver expects version "
-            f"{_PAYLOAD_SCHEMA_VERSION}, workers sent {sorted(versions, key=str)} "
-            f"— refusing to merge (counters would silently skew); restart "
-            f"the pool so every worker runs the same code"
+    if budget is not None:
+        budget.check_cancelled(phase="optimize")
+    statistics = resolve_statistics(query, statistics, dataset, seed)
+    builder = make_builder(query, statistics, parameters=parameters)
+    join_graph = builder.join_graph
+    if not join_graph.is_connected(join_graph.full):
+        raise CartesianProductError(
+            "query is disconnected; Cartesian-product-free plans do not exist"
         )
-    records: Dict[int, SubqueryRecord] = {}
-    for outcome in outcomes:
-        for bits, record in outcome["records"].items():
-            records.setdefault(bits, record)
-    plans = sum(r.plans_considered for r in records.values())
-    divisions = sum(r.divisions_enumerated for r in records.values())
-    shorts = sum(r.local_short_circuits for r in records.values())
-    root_plans = sum(o["root_record"].plans_considered for o in outcomes)
-    if root_is_local:
-        root_plans -= len(outcomes) - 1
-    root_divisions = sum(o["root_record"].divisions_enumerated for o in outcomes)
-    worker_seconds = [o["elapsed"] for o in outcomes]
-    startup = min(max(0.0, startup_seconds), wall_seconds)
-    search_wall = wall_seconds - startup
-    shares = [o["subqueries"] for o in outcomes]
-    return EnumerationStats(
-        plans_considered=plans + root_plans,
-        divisions_enumerated=divisions + root_divisions,
-        subqueries_expanded=len(records) + 1,
-        memo_hits=sum(o["memo_hits"] for o in outcomes),
-        local_short_circuits=shorts,
-        workers=len(outcomes),
-        per_worker_subqueries=shares,
-        per_worker_seconds=worker_seconds,
-        speedup=(sum(worker_seconds) / search_wall) if search_wall > 0 else 0.0,
-        worker_balance=(min(shares) / max(shares)) if max(shares, default=0) else 0.0,
-        pool_startup_seconds=startup,
+    local_index = LocalQueryIndex(join_graph, partitioning)
+    serial: TopDownEnumerator = ALGORITHMS[key](
+        join_graph, builder, local_index=local_index, budget=budget
+    )
+    # Rule 3 answers a local root immediately; nothing to parallelize
+    if jobs > 1 and not (
+        serial.local_short_circuit and local_index.is_local(join_graph.full)
+    ):
+        tiers = subquery_tiers(join_graph)
+        if sum(len(tier) for tier in tiers[2:]) >= _MIN_ENTRIES:
+            workers = min(jobs, max(len(tier) for tier in tiers[2:]))
+            if workers > 1:
+                return _ShardDriver(serial, key, workers, tiers).search(started)
+    return serial.optimize()
+
+
+# ----------------------------------------------------------------------
+# inter-query (batch) parallel optimization
+# ----------------------------------------------------------------------
+def _normalize_request(
+    item: RequestLike,
+) -> Tuple[BGPQuery, Optional[StatisticsCatalog]]:
+    """Accept a query, a (query, statistics) pair, or a workload record."""
+    if isinstance(item, BGPQuery):
+        return item, None
+    if isinstance(item, tuple):
+        query, statistics = item
+        return query, statistics
+    query = getattr(item, "query", None)
+    if isinstance(query, BGPQuery):
+        return query, getattr(item, "statistics", None)
+    raise TypeError(
+        f"cannot interpret {type(item).__name__} as an optimization request"
     )
 
 
@@ -298,7 +174,6 @@ def _run_cancellable(
     worker: Any,
     max_workers: int,
     cancellation: CancellationToken,
-    query_id: str = "",
 ) -> List[Any]:
     """Drive *worker* over *payloads*, polling a driver-side cancel token.
 
@@ -326,7 +201,6 @@ def _run_cancellable(
                 raise QueryAborted(
                     f"cancelled: {reason}" if reason else "cancelled",
                     cause=AbortCause.CANCELLED,
-                    query_id=query_id,
                     phase="optimize",
                 )
         return [future.result() for future in futures]
@@ -335,214 +209,19 @@ def _run_cancellable(
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def optimize_query_parallel(
-    query: BGPQuery,
-    algorithm: str = "td-cmd",
-    jobs: int = 2,
-    statistics: Optional[StatisticsCatalog] = None,
-    dataset: Optional[Dataset] = None,
-    partitioning: Optional[PartitioningMethod] = None,
-    parameters: CostParameters = PAPER_PARAMETERS,
-    timeout_seconds: Optional[float] = None,
-    seed: int = 0,
-    budget: Optional[QueryBudget] = None,
-    strategy: str = "memo-shard",
-) -> OptimizationResult:
-    """Optimize one query with the DP search split across workers.
-
-    Only ``td-cmd`` and ``td-cmdp`` are supported — their search is
-    driven entirely by the ``divisions`` hook and the memo table, which
-    is what gets sharded or sliced (see :data:`PARALLEL_STRATEGIES` and
-    the module docstring for the two schemes).  Plan cost is identical
-    to the serial search under both strategies; degenerate cases (one
-    job, a search space too small to shard, or a Rule-3 local
-    short-circuit at the root) transparently fall back to the serial
-    path.
-
-    With a *budget*, the remaining deadline allowance and the anytime
-    flag travel to every worker (re-anchored on the worker's clock);
-    the cancellation token stays driver-side — the driver polls it
-    while the pool runs and abandons it on cancel, since tokens do not
-    cross process boundaries.  Under ``memo-shard`` an expiring anytime
-    deadline yields a complete plan merged from the finished tiers;
-    under ``root-slice`` any worker degrading marks the merged result
-    degraded.
-    """
-    key = algorithm.lower()
-    if key not in PARALLELIZABLE_ALGORITHMS:
-        raise ValueError(
-            f"intra-query parallel search supports {PARALLELIZABLE_ALGORITHMS}, "
-            f"not {algorithm!r}"
-        )
-    if strategy not in PARALLEL_STRATEGIES:
-        raise ValueError(
-            f"unknown parallel strategy {strategy!r}; "
-            f"expected one of {PARALLEL_STRATEGIES}"
-        )
-    started = time.perf_counter()
-    if budget is not None:
-        budget.check_cancelled(phase="optimize")
-    statistics = resolve_statistics(query, statistics, dataset, seed)
-    builder = make_builder(query, statistics, parameters=parameters)
-    join_graph = builder.join_graph
-    if not join_graph.is_connected(join_graph.full):
-        raise CartesianProductError(
-            "query is disconnected; Cartesian-product-free plans do not exist"
-        )
-    local_index = LocalQueryIndex(join_graph, partitioning)
-    probe = _SERIAL[key](join_graph, builder, local_index=local_index)
-    root_is_local = local_index.is_local(join_graph.full)
-
-    def serial_fallback() -> OptimizationResult:
-        if budget is None:
-            return optimize(
-                query,
-                algorithm=key,
-                statistics=statistics,
-                partitioning=partitioning,
-                parameters=parameters,
-                timeout_seconds=timeout_seconds,
-            )
-        enumerator = _SERIAL[key](
-            join_graph, builder, local_index=local_index, budget=budget
-        )
-        return enumerator.optimize()
-
-    if root_is_local and probe.local_short_circuit:
-        # Rule 3 answers the root immediately; nothing to parallelize
-        return serial_fallback()
-    if budget is not None and budget.deadline is not None:
-        deadline_remaining: Optional[float] = budget.deadline.remaining()
-    else:
-        deadline_remaining = timeout_seconds
-    anytime = budget.anytime if budget is not None else False
-    if strategy == "memo-shard":
-        from .memo_shard import optimize_memo_sharded
-
-        result = optimize_memo_sharded(
-            query,
-            key,
-            jobs,
-            statistics,
-            partitioning,
-            parameters,
-            builder,
-            probe,
-            budget,
-            deadline_remaining,
-            anytime,
-            started,
-        )
-        if result is not None:
-            return result
-        return serial_fallback()
-    # raw divisions: the probe pass only counts, and must not inflate
-    # the `pruning.*` trace counters
-    root_division_count = sum(1 for _ in probe.raw_divisions(join_graph.full))
-    jobs = max(1, min(jobs, root_division_count))
-    if jobs <= 1:
-        return serial_fallback()
-    tracer = obs.current_tracer()
-    payloads = [
-        (
-            query,
-            statistics,
-            key,
-            partitioning,
-            parameters,
-            deadline_remaining,
-            anytime,
-            index,
-            jobs,
-            tracer is not None,
-        )
-        for index in range(jobs)
-    ]
-    with obs.span(
-        "parallel.search",
-        strategy="root-slice",
-        jobs=jobs,
-        algorithm=key,
-        root_divisions=root_division_count,
-    ) as parallel_span:
-        dispatch_at = tracer.now() if tracer is not None else 0.0
-        spawn_started = time.perf_counter()
-        cancellation = budget.cancellation if budget is not None else None
-        if cancellation is None:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_intra_query_worker, payloads))
-        else:
-            outcomes = _run_cancellable(
-                payloads,
-                _intra_query_worker,
-                jobs,
-                cancellation,
-                query_id=budget.query_id if budget is not None else "",
-            )
-        wall = time.perf_counter() - spawn_started
-        if tracer is not None:
-            parent = parallel_span if isinstance(parallel_span, Span) else None
-            for index, outcome in enumerate(outcomes):
-                worker_trace = outcome.get("trace")
-                if worker_trace is not None:
-                    tracer.adopt(
-                        worker_trace,
-                        track=f"worker-{index}",
-                        parent=parent,
-                        rebase_to=dispatch_at,
-                    )
-        parallel_span.set(wall_seconds=wall)
-    # earliest worker entry timestamp bounds pool spin-up (fork + import)
-    startup = max(0.0, min(o["started_at"] for o in outcomes) - spawn_started)
-    best = min(enumerate(outcomes), key=lambda item: (item[1]["cost"], item[0]))[1]
-    stats = _merge_worker_stats(outcomes, root_is_local, wall, startup)
-    label = f"{probe.algorithm_name}[parallel x{jobs}]"
-    degraded = [o for o in outcomes if o["degraded"]]
-    if degraded:
-        # any slice expiring means the merged search did not cover the
-        # whole root space — the merged result is degraded as a whole
-        stats.degraded = True
-        stats.degradation_reason = degraded[0]["degradation_reason"]
-        label += "[anytime]"
-    return OptimizationResult(
-        plan=best["plan"],
-        algorithm=label,
-        stats=stats,
-        elapsed_seconds=time.perf_counter() - started,
-    )
-
-
-# ----------------------------------------------------------------------
-# inter-query (batch) parallel optimization
-# ----------------------------------------------------------------------
-def _normalize_request(
-    item: RequestLike,
-) -> Tuple[BGPQuery, Optional[StatisticsCatalog]]:
-    """Accept a query, a (query, statistics) pair, or a workload record."""
-    if isinstance(item, BGPQuery):
-        return item, None
-    if isinstance(item, tuple):
-        query, statistics = item
-        return query, statistics
-    query = getattr(item, "query", None)
-    if isinstance(query, BGPQuery):
-        return query, getattr(item, "statistics", None)
-    raise TypeError(
-        f"cannot interpret {type(item).__name__} as an optimization request"
-    )
-
-
 def _batch_worker(payload: Tuple[Any, ...]) -> OptimizationResult:
     """Optimize one query serially (executed inside a pool process)."""
-    query, statistics, algorithm, partitioning, parameters, timeout_seconds = payload
-    return optimize(
-        query,
-        algorithm=algorithm,
-        statistics=statistics,
-        partitioning=partitioning,
-        parameters=parameters,
-        timeout_seconds=timeout_seconds,
+    query, statistics, algorithm, partitioning, parameters, deadline_seconds = payload
+    session = Optimizer(
+        OptimizeOptions(
+            algorithm=algorithm,
+            statistics=statistics,
+            partitioning=partitioning,
+            parameters=parameters,
+            deadline_seconds=deadline_seconds,
+        )
     )
+    return session.optimize(query)
 
 
 def optimize_many(
@@ -552,15 +231,16 @@ def optimize_many(
     dataset: Optional[Dataset] = None,
     partitioning: Optional[PartitioningMethod] = None,
     parameters: CostParameters = PAPER_PARAMETERS,
-    timeout_seconds: Optional[float] = None,
+    deadline_seconds: Optional[float] = None,
     seed: int = 0,
     plan_cache: Optional[PlanCache] = None,
     cancellation: Optional[CancellationToken] = None,
 ) -> List[OptimizationResult]:
     """Optimize a batch of queries across a process pool.
 
-    Results are returned in input order.  Each query runs the ordinary
-    serial :func:`~repro.core.optimizer.optimize` inside a worker, so
+    Results are returned in input order.  Each query runs through an
+    ordinary serial :class:`~repro.core.session.Optimizer` session
+    inside a worker (every query under its own *deadline_seconds*), so
     every per-query result is identical to a serial call; the pool buys
     wall-clock throughput, not different answers.  Statistics are
     resolved in the driver (per item, then *dataset*, then the random
@@ -601,7 +281,7 @@ def optimize_many(
             algorithm,
             partitioning,
             parameters,
-            timeout_seconds,
+            deadline_seconds,
         )
         for index in pending
     ]

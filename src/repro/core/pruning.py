@@ -91,12 +91,6 @@ class PrunedTopDownEnumerator(TopDownEnumerator):
             )
         return self._divisions(bits, counters)
 
-    def raw_divisions(
-        self, bits: int
-    ) -> Iterator[Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]]:
-        """The pruned division space without rule-hit counting."""
-        return self._divisions(bits, None)
-
     def _divisions(
         self, bits: int, counters: Optional[Tuple[Counter, Counter, Counter]]
     ) -> Iterator[Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]]:

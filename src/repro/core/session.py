@@ -1,18 +1,14 @@
 """The optimizer session API: :class:`OptimizeOptions` + :class:`Optimizer`.
 
-The :func:`repro.core.optimizer.optimize` facade grew one keyword
-argument per subsystem (statistics, partitioning, timeout, plan cache,
-parallel jobs, verification, …) until configuration and per-call input
-were indistinguishable.  This module redesigns that surface:
+Configuration and per-call input are separate things:
 
 * :class:`OptimizeOptions` is the *configuration* — one typed,
-  immutable-by-convention dataclass holding everything that used to be
-  a keyword argument, plus ``trace`` (observability is a property of a
-  session, not a twelfth kwarg);
+  immutable-by-convention dataclass holding every setting of an
+  optimization, including ``trace`` (observability is a property of a
+  session, not a per-call argument);
 * :class:`Optimizer` is the *session* — it owns resolved statistics,
   the plan cache, the tracer, and the worker-pool policy **across
-  calls**, so repeated optimizations share state the old facade
-  rebuilt every time::
+  calls**, so repeated optimizations share that state::
 
       from repro import OptimizeOptions, Optimizer
 
@@ -21,15 +17,14 @@ were indistinguishable.  This module redesigns that surface:
           result = session.optimize(query)
       print(flame_summary(session.tracer))
 
-:func:`~repro.core.optimizer.optimize` remains as a thin back-compat
-shim over this class (same keywords, same behaviour); only its
-ballooning-signature path — passing session state (``plan_cache``,
-``jobs``, ``verify``) per call — earns a :class:`DeprecationWarning`.
+:func:`~repro.core.optimizer.optimize` remains as a one-shot
+convenience over this class for the per-call inputs (algorithm,
+statistics, dataset, partitioning, parameters, seed); session state —
+plan cache, jobs, verification, deadlines — lives only here.
 """
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -63,18 +58,13 @@ from .governance import CancellationToken, Deadline, QueryBudget
 from .local_query import LocalQueryIndex
 from .plan_cache import PlanCache
 
-#: one DeprecationWarning per process for the timeout_seconds alias
-_timeout_shim_warned = False
-
 
 @dataclass
 class OptimizeOptions:
     """Everything that configures an optimization session.
 
-    Field-for-field this matches the keywords of the legacy
-    :func:`~repro.core.optimizer.optimize` facade (see ``docs/API.md``
-    for the exact mapping, including the CLI flags), plus ``trace``.
-    Treat instances as immutable; derive variants with
+    See ``docs/API.md`` for the field-by-field mapping to the CLI
+    flags.  Treat instances as immutable; derive variants with
     :meth:`dataclasses.replace` or :meth:`with_overrides`.
     """
 
@@ -89,20 +79,13 @@ class OptimizeOptions:
     partitioning: Optional[PartitioningMethod] = None
     #: cost-model constants (defaults to the paper's Table II)
     parameters: CostParameters = field(default_factory=lambda: PAPER_PARAMETERS)
-    #: DEPRECATED alias for :attr:`deadline_seconds` (pre-governance
-    #: name; folded into it by ``__post_init__``, one warning per process)
-    timeout_seconds: Optional[float] = None
     #: seed for synthetic statistics (the paper's random-statistics mode)
     seed: int = 0
     #: cross-query plan cache owned by the session
     plan_cache: Optional[PlanCache] = None
-    #: worker processes for the intra-query parallel search
+    #: worker processes for the intra-query parallel search (the
+    #: memo-sharded TD-CMD / TD-CMDP search of :mod:`.memo_shard`)
     jobs: int = 1
-    #: intra-query parallel scheme when ``jobs > 1``: ``"memo-shard"``
-    #: (popcount-tiered memo sharding with work stealing) or
-    #: ``"root-slice"`` (the legacy root-division round-robin); see
-    #: :data:`repro.core.parallel.PARALLEL_STRATEGIES`
-    parallel_strategy: str = "memo-shard"
     #: run the plan-invariant verifier on every returned plan
     verify: bool = False
     #: collect spans + metrics for every call (``session.tracer``)
@@ -136,22 +119,6 @@ class OptimizeOptions:
     #: ceiling on adaptive replication, as a fraction of the dataset's
     #: triples (extra stored copies summed across workers)
     replication_budget: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.timeout_seconds is not None:
-            global _timeout_shim_warned
-            if not _timeout_shim_warned:
-                _timeout_shim_warned = True
-                warnings.warn(
-                    "OptimizeOptions.timeout_seconds is deprecated and "
-                    "will be removed in 2.0; use deadline_seconds (same "
-                    "semantics, plus anytime=True for graceful "
-                    "degradation)",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            if self.deadline_seconds is None:
-                self.deadline_seconds = self.timeout_seconds
 
     @property
     def governed(self) -> bool:
@@ -212,13 +179,6 @@ class Optimizer:
             )
         if base.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {base.jobs}")
-        from .parallel import PARALLEL_STRATEGIES  # late: parallel imports core
-
-        if base.parallel_strategy not in PARALLEL_STRATEGIES:
-            raise ValueError(
-                f"unknown parallel strategy {base.parallel_strategy!r}; "
-                f"choose from {PARALLEL_STRATEGIES}"
-            )
         from ..engine.base import Engine  # late: engine depends on core
         from ..engine.executor import ENGINES  # registers all backends
 
@@ -426,8 +386,8 @@ class Optimizer:
     def resolve_statistics(self, query: BGPQuery) -> StatisticsCatalog:
         """The session's statistics for *query* (resolved once, cached).
 
-        Resolution order matches the legacy facade: explicit catalog >
-        dataset-derived > seeded random.
+        Resolution order: explicit catalog > dataset-derived > seeded
+        random.
         """
         explicit = self.options.statistics
         if explicit is not None:
@@ -490,7 +450,6 @@ class Optimizer:
                 partitioning=options.partitioning,
                 parameters=options.parameters,
                 budget=budget,
-                strategy=options.parallel_strategy,
             )
         else:
             with obs.span("build", patterns=len(query)):
@@ -504,7 +463,6 @@ class Optimizer:
                     builder.join_graph,
                     builder,
                     local_index=local_index,
-                    timeout_seconds=None,
                     budget=budget,
                 )
             result = implementation.optimize()

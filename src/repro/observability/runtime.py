@@ -18,7 +18,7 @@ Typical instrumentation::
         sp.set(plans_considered=stats.plans_considered)
 
 Sessions activate their tracer with :func:`activate`; the pool workers
-of :mod:`repro.core.parallel` activate a private tracer and ship it
+of :mod:`repro.core.memo_shard` activate a private tracer and ship it
 back to the driver as a payload.
 """
 

@@ -321,9 +321,6 @@ class TestEmissionOrder:
             assert list(td_cmdp.divisions(bits)) == list(
                 oracle.divisions_td_cmdp(join_graph, bits)
             )
-            assert list(td_cmdp.raw_divisions(bits)) == list(
-                oracle.divisions_td_cmdp(join_graph, bits)
-            )
             if bs.popcount(bits) > _CMD_ORDER_LIMIT:
                 continue
             cmds = list(oracle.enumerate_cmds(join_graph, bits))
@@ -364,4 +361,4 @@ class TestEmissionOrder:
         tracer = Tracer()
         with obs.activate(tracer):
             traced = list(enumerator.divisions(full))
-        assert traced == plain == list(enumerator.raw_divisions(full))
+        assert traced == plain

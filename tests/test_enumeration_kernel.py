@@ -36,7 +36,6 @@ from repro.core.enumeration import OptimizationTimeout, TopDownEnumerator
 from repro.core.governance import Deadline, QueryBudget, SteppingClock
 from repro.core.join_graph import QueryShape
 from repro.core.optimizer import make_builder
-from repro.core.parallel import optimize_query_parallel
 from repro.core.plans import plan_signature
 from repro.core.pruning import PrunedTopDownEnumerator
 from repro.partitioning import HashSubjectObject
@@ -286,13 +285,19 @@ class TestTimeoutMessage:
         assert str(raised.value) == "TD-CMD exceeded 0.25s"
 
     def test_memo_shard_message_keeps_sub_second_deadlines(self):
+        """The pool search reports the configured deadline — the text a
+        serial session raises — not the remainder it shipped to workers."""
         # far too large to finish: the driver's own poll expires first
         query = dense_query(16, random.Random(5))
-        with pytest.raises(OptimizationTimeout) as raised:
-            optimize_query_parallel(
-                query, algorithm="td-cmdp", jobs=2, timeout_seconds=0.25
+        messages = []
+        for jobs in (1, 2):
+            session = Optimizer(
+                OptimizeOptions(algorithm="td-cmdp", jobs=jobs, deadline_seconds=0.25)
             )
-        assert str(raised.value) == "TD-CMDP exceeded 0.25s"
+            with pytest.raises(OptimizationTimeout) as raised:
+                session.optimize(query)
+            messages.append(str(raised.value))
+        assert messages == ["TD-CMDP exceeded 0.25s"] * 2
 
 
 if __name__ == "__main__":

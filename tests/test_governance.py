@@ -3,12 +3,11 @@
 Unit coverage for the :mod:`repro.core.governance` vocabulary (clocks,
 deadlines, tokens, budgets, the abort taxonomy), the anytime
 degradation ladder across every algorithm (driven by deterministic
-stepping clocks — no sleeps), the ``timeout_seconds`` deprecation
-shim, and the zero-cost-off guarantee: an ungoverned query behaves
-byte-identically to the pre-governance code in both phases.
+stepping clocks — no sleeps), and the zero-cost-off guarantee: an
+ungoverned query behaves byte-identically to the pre-governance code
+in both phases.
 """
 
-import warnings
 
 import pytest
 
@@ -22,7 +21,6 @@ from repro import (
     QueryAborted,
     QueryBudget,
     SteppingClock,
-    optimize,
 )
 from repro.analysis import VerificationContext, verify_result
 from repro.core import (
@@ -342,60 +340,6 @@ class TestBudgetFor:
         assert first.cancellation is token  # token is session-wide
         assert first.anytime
         assert first.query_id == "L7"
-
-
-class TestTimeoutDeprecationShim:
-    def test_warns_once_per_process_and_folds(self, monkeypatch):
-        from repro.core import session as session_module
-
-        monkeypatch.setattr(session_module, "_timeout_shim_warned", False)
-        with pytest.warns(DeprecationWarning, match="deadline_seconds"):
-            options = OptimizeOptions(timeout_seconds=12.0)
-        assert options.deadline_seconds == 12.0
-        assert options.governed
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            OptimizeOptions(timeout_seconds=12.0)
-        assert not [w for w in caught if w.category is DeprecationWarning]
-
-    def test_explicit_deadline_wins_over_alias(self, monkeypatch):
-        from repro.core import session as session_module
-
-        monkeypatch.setattr(session_module, "_timeout_shim_warned", True)
-        options = OptimizeOptions(timeout_seconds=12.0, deadline_seconds=3.0)
-        assert options.deadline_seconds == 3.0
-
-    def test_legacy_facade_still_accepts_timeout(self, lubm):
-        _, query, method, statistics = lubm
-        result = optimize(
-            query,
-            statistics=statistics,
-            partitioning=method,
-            timeout_seconds=3600.0,
-        )
-        assert not result.stats.degraded
-
-    def test_facade_timeout_warns_with_removal_version(self, lubm, monkeypatch):
-        from repro.core import optimizer as optimizer_module
-        from repro.core import session as session_module
-
-        monkeypatch.setattr(optimizer_module, "_timeout_warned", False)
-        monkeypatch.setattr(session_module, "_timeout_shim_warned", True)
-        _, query, method, statistics = lubm
-        with pytest.warns(DeprecationWarning, match=r"removed in 2\.0"):
-            optimize(
-                query,
-                statistics=statistics,
-                partitioning=method,
-                timeout_seconds=3600.0,
-            )
-
-    def test_session_alias_warning_names_removal_version(self, monkeypatch):
-        from repro.core import session as session_module
-
-        monkeypatch.setattr(session_module, "_timeout_shim_warned", False)
-        with pytest.warns(DeprecationWarning, match=r"removed in 2\.0"):
-            OptimizeOptions(timeout_seconds=12.0)
 
 
 class TestZeroCostOff:

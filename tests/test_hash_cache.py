@@ -116,7 +116,7 @@ class TestCacheIsInvisible:
 # ---------------------------------------------------------------------------
 _BUILD = """
 from repro import parse_query
-from repro.core import StatisticsCatalog, optimize
+from repro.core import OptimizeOptions, Optimizer, StatisticsCatalog
 from repro.core.plan_cache import PlanCache
 from repro.partitioning import HashSubjectObject
 from repro.rdf import Dataset, RDFGraph, TermDictionary
@@ -148,7 +148,8 @@ for thing in terms + triples:
     hash(thing)  # fill every cache before pickling
 assert all(t in dataset.graph for t in triples)
 cache = PlanCache()
-optimize(payload[0], algorithm="td-cmd", statistics=payload[1], plan_cache=cache)
+Optimizer(OptimizeOptions(
+    algorithm="td-cmd", statistics=payload[1], plan_cache=cache)).optimize(payload[0])
 cache.save(sys.argv[2])
 dataset.dictionary.save(sys.argv[3])
 with open(sys.argv[1], "wb") as handle:

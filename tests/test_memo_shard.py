@@ -23,7 +23,7 @@ from repro.core import optimize, optimize_query_parallel
 from repro.core.enumeration import OptimizationTimeout
 from repro.core.governance import Deadline, QueryBudget
 from repro.core.join_graph import JoinGraph
-from repro.core.memo_shard import optimize_memo_sharded, subquery_tiers
+from repro.core.memo_shard import subquery_tiers
 from repro.core import bitset as bs
 from repro.partitioning import (
     DynamicPartitioning,
@@ -124,7 +124,6 @@ class TestMemoShardEquivalence:
             jobs=2,
             partitioning=method,
             seed=seed,
-            strategy="memo-shard",
         )
         assert parallel.cost == serial.cost  # bit-identical, not approx
         assert parallel.plan.describe() == serial.plan.describe()
@@ -134,37 +133,12 @@ class TestMemoShardEquivalence:
         verify_result(parallel, context).raise_if_failed()
 
     def test_small_query_declines_to_serial(self):
-        """A search space too small to shard returns None (fallback)."""
-        from repro.core.optimizer import make_builder, resolve_statistics
-        from repro.core.local_query import LocalQueryIndex
-        from repro.core.enumeration import TopDownEnumerator
-        from repro.core.cost import PAPER_PARAMETERS
-
+        """A search space too small to shard runs the serial search."""
         query = chain_query(2)
-        statistics = resolve_statistics(query, None, None, 0)
-        builder = make_builder(query, statistics)
-        probe = TopDownEnumerator(
-            builder.join_graph,
-            builder,
-            local_index=LocalQueryIndex(builder.join_graph, None),
-        )
-        assert (
-            optimize_memo_sharded(
-                query,
-                "td-cmd",
-                4,
-                statistics,
-                None,
-                PAPER_PARAMETERS,
-                builder,
-                probe,
-                None,
-                None,
-                False,
-                0.0,
-            )
-            is None
-        )
+        result = optimize_query_parallel(query, algorithm="td-cmd", jobs=4)
+        assert result.stats.workers == 1
+        assert "[parallel" not in result.algorithm
+        assert result.cost == optimize(query, algorithm="td-cmd").cost
 
 
 class TestMemoShardGovernance:

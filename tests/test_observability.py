@@ -8,8 +8,8 @@ Covers the tentpole guarantees:
   export passes the format validator);
 * the ``jobs > 1`` parallel search merges worker traces
   deterministically (one track per worker, stable ids);
-* the legacy ``optimize(...)`` shim emits its :class:`DeprecationWarning`
-  exactly once per process;
+* a ``jobs > 1`` call that declines to shard records the span tree of
+  one serial search, governed or not;
 * the tracer-side counters reconcile with the optimizer's
   :class:`~repro.core.enumeration.EnumerationStats` and the engine's
   :class:`~repro.engine.metrics.ExecutionMetrics` (the satellite
@@ -19,13 +19,10 @@ Covers the tentpole guarantees:
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
 from repro import OptimizeOptions, Optimizer, parse_query
-from repro.core import optimizer as optimizer_module
-from repro.core.optimizer import optimize
 from repro.core.plan_cache import PlanCache
 from repro.engine import Cluster, Executor, FaultInjector
 from repro.observability import (
@@ -42,7 +39,8 @@ from repro.observability import (
 )
 from repro.observability import runtime as obs
 from repro.observability.spans import NULL_SPAN
-from repro.partitioning import HashSubjectObject
+from repro.partitioning import HashSubjectObject, PathBMC
+from repro.workloads.generators import chain_query
 
 SMALL_TEXT = """
 PREFIX p: <http://example.org/>
@@ -283,31 +281,36 @@ class TestParallelMerge:
 
 
 # ----------------------------------------------------------------------
-# the legacy shim
+# the serial fallback of the parallel search
 # ----------------------------------------------------------------------
-class TestDeprecationShim:
-    def test_session_state_kwargs_warn_exactly_once(self, fig1_query):
-        optimizer_module._shim_warned = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                optimize(fig1_query, plan_cache=PlanCache())
-                optimize(fig1_query, plan_cache=PlanCache())
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-            assert "Optimizer" in str(deprecations[0].message)
-        finally:
-            optimizer_module._shim_warned = False
+class TestSerialFallbackSpans:
+    """A ``jobs > 1`` call that declines to shard is one serial search."""
 
-    def test_plain_calls_do_not_warn(self, fig1_query):
-        optimizer_module._shim_warned = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            optimize(fig1_query, algorithm="td-cmdp", seed=1)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
+    CASES = {
+        "too-small": (chain_query(2), None),
+        "rule3-root": (chain_query(3), PathBMC()),  # chains are local there
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("governed", [False, True])
+    def test_one_optimize_span_and_one_span_tree(self, case, governed):
+        query, method = self.CASES[case]
+        session = traced_session(
+            algorithm="td-cmdp",
+            jobs=2,
+            partitioning=method,
+            deadline_seconds=600.0 if governed else None,
+        )
+        result = session.optimize(query)
+        assert result.stats.workers == 1
+        by_id = {sp.span_id: sp.name for sp in session.tracer.spans}
+        tree = sorted(
+            (by_id.get(sp.parent_id, ""), sp.name) for sp in session.tracer.spans
+        )
+        assert tree == [
+            ("", "optimize"),
+            ("optimize", "enumerate"),
+            ("optimize", "statistics.resolve"),
         ]
 
 

@@ -1,10 +1,9 @@
 """Tests for the process-pool parallel plan search (core.parallel).
 
-The contract under test is *equivalence*: the parallel paths — both
-``memo-shard`` and ``root-slice`` strategies — must return
-bit-identical plan costs (and, for everything except ``memo_hits``
-under root-slice, bit-identical enumeration counters) to the serial
-optimizer, for every algorithm and seed.
+The contract under test is *equivalence*: the batch pool and the
+memo-sharded intra-query search must return bit-identical plan costs
+(and bit-identical enumeration counters) to the serial optimizer, for
+every algorithm and seed.
 """
 
 import random
@@ -13,15 +12,19 @@ import pytest
 
 from repro.core import (
     CartesianProductError,
+    OptimizationTimeout,
+    OptimizeOptions,
+    Optimizer,
     PARALLELIZABLE_ALGORITHMS,
-    PARALLEL_STRATEGIES,
     StatisticsCatalog,
+    TopDownEnumerator,
     default_jobs,
+    make_builder,
     optimize,
     optimize_many,
     optimize_query_parallel,
 )
-from repro.core.parallel import _PAYLOAD_SCHEMA_VERSION, _merge_worker_stats
+from repro.core.memo_shard import _ShardDriver, subquery_tiers
 from repro.core.plan_cache import PlanCache
 from repro.partitioning import HashSubjectObject, PathBMC
 from repro.sparql import parse_query
@@ -96,6 +99,12 @@ class TestOptimizeMany:
         for query, result in zip(queries, results):
             assert result.cost == optimize(query, algorithm="td-cmdp").cost
 
+    def test_deadline_seconds_bounds_every_query(self):
+        """Each query of the batch runs under its own deadline."""
+        query = dense_query(16, random.Random(5))  # far too large for 50 ms
+        with pytest.raises(OptimizationTimeout, match=r"exceeded 0\.05s"):
+            optimize_many([query], algorithm="td-cmdp", jobs=1, deadline_seconds=0.05)
+
     def test_plan_cache_short_circuits_repeats(self):
         queries = small_batch()[:3]
         cache = PlanCache()
@@ -110,16 +119,15 @@ class TestOptimizeMany:
 
 
 class TestIntraQueryParallel:
-    @pytest.mark.parametrize("strategy", PARALLEL_STRATEGIES)
     @pytest.mark.parametrize("algorithm", PARALLELIZABLE_ALGORITHMS)
     @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_matches_serial_exactly(self, strategy, algorithm, seed):
-        """Parallel search == serial search under both strategies: cost
-        and every counter except the traversal-dependent memo_hits."""
+    def test_matches_serial_exactly(self, algorithm, seed):
+        """Parallel search == serial search: cost, plan and every counter
+        except the traversal-dependent memo_hits."""
         query = tree_query(9, random.Random(seed))
         serial = optimize(query, algorithm=algorithm, seed=seed)
         parallel = optimize_query_parallel(
-            query, algorithm=algorithm, jobs=3, seed=seed, strategy=strategy
+            query, algorithm=algorithm, jobs=3, seed=seed
         )
         assert parallel.cost == serial.cost
         assert parallel.plan.describe() == serial.plan.describe()
@@ -132,12 +140,9 @@ class TestIntraQueryParallel:
             parallel.stats.subqueries_expanded == serial.stats.subqueries_expanded
         )
 
-    @pytest.mark.parametrize("strategy", PARALLEL_STRATEGIES)
-    def test_reports_worker_stats(self, strategy):
+    def test_reports_worker_stats(self):
         query = cycle_query(7)
-        result = optimize_query_parallel(
-            query, algorithm="td-cmd", jobs=3, strategy=strategy
-        )
+        result = optimize_query_parallel(query, algorithm="td-cmd", jobs=3)
         assert result.stats.workers == 3
         assert len(result.stats.per_worker_subqueries) == 3
         assert len(result.stats.per_worker_seconds) == 3
@@ -158,62 +163,40 @@ class TestIntraQueryParallel:
         serial = optimize(query, algorithm="td-cmd")
         assert "worker_balance" not in serial.stats.summary()
 
-    @pytest.mark.parametrize("strategy", PARALLEL_STRATEGIES)
-    def test_partitioned_search_matches_serial(self, strategy):
+    def test_partitioned_search_matches_serial(self):
         """Local-query detection (Rule 2/3) survives the parallel split."""
         query = star_query(5)
         method = HashSubjectObject()
         serial = optimize(query, algorithm="td-cmdp", partitioning=method)
         parallel = optimize_query_parallel(
-            query, algorithm="td-cmdp", jobs=2, partitioning=method,
-            strategy=strategy,
+            query, algorithm="td-cmdp", jobs=2, partitioning=method
         )
         assert parallel.cost == serial.cost
         assert parallel.plan.describe() == serial.plan.describe()
 
-    def test_root_slice_partitioned_counters_match_serial(self):
-        """Root-slice additionally reproduces the serial counters under
-        partitioning (memo-shard tiers are a documented superset there)."""
-        query = star_query(5)
-        method = HashSubjectObject()
-        serial = optimize(query, algorithm="td-cmdp", partitioning=method)
-        parallel = optimize_query_parallel(
-            query, algorithm="td-cmdp", jobs=2, partitioning=method,
-            strategy="root-slice",
-        )
-        assert parallel.stats.plans_considered == serial.stats.plans_considered
-
-    @pytest.mark.parametrize("strategy", PARALLEL_STRATEGIES)
-    def test_rule3_short_circuit_falls_back_to_serial(self, strategy):
+    def test_rule3_short_circuit_falls_back_to_serial(self):
         """A root answered locally by Rule 3 has nothing to parallelize."""
         query = chain_query(3)
         method = PathBMC()  # chains are local under path partitioning
         result = optimize_query_parallel(
-            query, algorithm="td-cmdp", jobs=4, partitioning=method,
-            strategy=strategy,
+            query, algorithm="td-cmdp", jobs=4, partitioning=method
         )
         serial = optimize(query, algorithm="td-cmdp", partitioning=method)
         assert result.cost == serial.cost
         assert result.stats.workers == 1
         assert "[parallel" not in result.algorithm
 
-    @pytest.mark.parametrize("strategy", PARALLEL_STRATEGIES)
-    def test_jobs_capped_by_search_space(self, strategy):
+    def test_jobs_capped_by_search_space(self):
         """More workers than the space supports must not crash or distort."""
         query = chain_query(3)  # tiny search space
         serial = optimize(query, algorithm="td-cmd")
-        result = optimize_query_parallel(
-            query, algorithm="td-cmd", jobs=64, strategy=strategy
-        )
+        result = optimize_query_parallel(query, algorithm="td-cmd", jobs=64)
         assert result.cost == serial.cost
         assert result.stats.plans_considered == serial.stats.plans_considered
 
-    @pytest.mark.parametrize("strategy", PARALLEL_STRATEGIES)
-    def test_jobs_one_is_plain_serial(self, strategy):
+    def test_jobs_one_is_plain_serial(self):
         query = cycle_query(5)
-        result = optimize_query_parallel(
-            query, algorithm="td-cmd", jobs=1, strategy=strategy
-        )
+        result = optimize_query_parallel(query, algorithm="td-cmd", jobs=1)
         assert result.stats.workers == 1
         assert "[parallel" not in result.algorithm
 
@@ -221,13 +204,6 @@ class TestIntraQueryParallel:
         query = chain_query(4)
         with pytest.raises(ValueError):
             optimize_query_parallel(query, algorithm="hgr-td-cmd", jobs=2)
-
-    def test_unknown_strategy_rejected(self):
-        query = chain_query(4)
-        with pytest.raises(ValueError, match="parallel strategy"):
-            optimize_query_parallel(
-                query, algorithm="td-cmd", jobs=2, strategy="magic"
-            )
 
     def test_disconnected_query_rejected(self):
         query = parse_query(
@@ -241,57 +217,42 @@ class TestMergeWorkerStats:
     """The pool-startup exclusion in the merged speedup (regression)."""
 
     @staticmethod
-    def _outcome(elapsed, subqueries=5):
-        from repro.core.enumeration import SubqueryRecord
-
-        return {
-            "schema": _PAYLOAD_SCHEMA_VERSION,
-            "records": {},
-            "root_record": SubqueryRecord(),
-            "memo_hits": 0,
-            "subqueries": subqueries,
-            "elapsed": elapsed,
-        }
-
-    def test_schema_mismatch_refuses_to_merge(self):
-        """A worker built from different code must abort the merge with
-        a clear error, not silently skew the counters."""
-        outcomes = [self._outcome(0.1), self._outcome(0.1)]
-        outcomes[1]["schema"] = _PAYLOAD_SCHEMA_VERSION + 1
-        with pytest.raises(RuntimeError, match="schema mismatch"):
-            _merge_worker_stats(outcomes, root_is_local=False, wall_seconds=1.0)
-
-    def test_missing_schema_stamp_refuses_to_merge(self):
-        """Outcomes from pre-versioning workers carry no stamp at all —
-        that is also a mismatch, not a pass."""
-        outcome = self._outcome(0.1)
-        del outcome["schema"]
-        with pytest.raises(RuntimeError, match="schema mismatch"):
-            _merge_worker_stats([outcome], root_is_local=False, wall_seconds=1.0)
+    def _stats(busy_seconds, wall_seconds, startup_seconds=None):
+        """``_ShardDriver.stats`` after a pool that was never started:
+        each worker busy for *busy_seconds*, five entries apiece, the
+        first one ready *startup_seconds* after the spawn."""
+        builder = make_builder(chain_query(4))
+        serial = TopDownEnumerator(builder.join_graph, builder)
+        jobs = len(busy_seconds)
+        driver = _ShardDriver(
+            serial, "td-cmd", jobs, subquery_tiers(builder.join_graph)
+        )
+        try:
+            driver.spawn_started = 100.0
+            if startup_seconds is not None:
+                driver.worker_started[0] = 100.0 + startup_seconds
+            driver.busy_seconds = list(busy_seconds)
+            driver.solved_by_worker = [5] * jobs
+            return driver.stats(wall_seconds)
+        finally:
+            driver.shutdown(graceful=False)
 
     def test_speedup_excludes_pool_startup(self):
         """2 workers busy 0.25 s each over a 2 s wall of which 1.5 s was
         pool spin-up: speedup must be 0.5/0.5 = 1.0, not 0.5/2.0."""
-        outcomes = [self._outcome(0.25), self._outcome(0.25)]
-        stats = _merge_worker_stats(
-            outcomes, root_is_local=False, wall_seconds=2.0, startup_seconds=1.5
-        )
+        stats = self._stats([0.25, 0.25], wall_seconds=2.0, startup_seconds=1.5)
         assert stats.pool_startup_seconds == pytest.approx(1.5)
         assert stats.speedup == pytest.approx(1.0)
 
     def test_startup_clamped_to_wall(self):
         """A bogus startup beyond the wall must not produce a negative
         or infinite speedup."""
-        outcomes = [self._outcome(0.1)]
-        stats = _merge_worker_stats(
-            outcomes, root_is_local=False, wall_seconds=0.5, startup_seconds=9.0
-        )
+        stats = self._stats([0.1], wall_seconds=0.5, startup_seconds=9.0)
         assert stats.pool_startup_seconds == pytest.approx(0.5)
         assert stats.speedup == 0.0
 
     def test_zero_startup_matches_old_behavior(self):
-        outcomes = [self._outcome(1.0), self._outcome(1.0)]
-        stats = _merge_worker_stats(outcomes, root_is_local=False, wall_seconds=1.0)
+        stats = self._stats([1.0, 1.0], wall_seconds=1.0)
         assert stats.pool_startup_seconds == 0.0
         assert stats.speedup == pytest.approx(2.0)
         assert stats.worker_balance == pytest.approx(1.0)
@@ -301,13 +262,17 @@ class TestOptimizeEntryPoint:
     def test_jobs_routes_parallelizable_algorithms(self):
         query = cycle_query(6)
         serial = optimize(query, algorithm="td-cmd")
-        parallel = optimize(query, algorithm="td-cmd", jobs=2)
+        parallel = Optimizer(OptimizeOptions(algorithm="td-cmd", jobs=2)).optimize(
+            query
+        )
         assert "[parallel x2]" in parallel.algorithm
         assert parallel.cost == serial.cost
 
     def test_jobs_ignored_for_serial_only_algorithms(self):
         query = cycle_query(6)
-        result = optimize(query, algorithm="hgr-td-cmd", jobs=4)
+        result = Optimizer(
+            OptimizeOptions(algorithm="hgr-td-cmd", jobs=4)
+        ).optimize(query)
         assert "[parallel" not in result.algorithm
         assert result.cost == optimize(query, algorithm="hgr-td-cmd").cost
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import StatisticsCatalog, optimize
+from repro.core import OptimizeOptions, Optimizer, StatisticsCatalog
 from repro.core.cardinality import PatternStatistics
 from repro.core.cost import CostParameters
 from repro.core.plan_cache import PlanCache, canonical_variable_map, query_signature
@@ -22,6 +22,16 @@ def query():
 @pytest.fixture
 def statistics(query):
     return StatisticsCatalog.from_random(query, random.Random(0))
+
+
+def cached_optimize(query, algorithm, statistics, plan_cache):
+    """One query through a one-shot session that shares *plan_cache*."""
+    session = Optimizer(
+        OptimizeOptions(
+            algorithm=algorithm, statistics=statistics, plan_cache=plan_cache
+        )
+    )
+    return session.optimize(query)
 
 
 def perturbed(statistics):
@@ -87,11 +97,9 @@ class TestSignature:
 class TestCacheBehavior:
     def test_hit_on_repeat(self, query, statistics):
         cache = PlanCache()
-        first = optimize(query, algorithm="td-cmd", statistics=statistics,
-                         plan_cache=cache)
+        first = cached_optimize(query, "td-cmd", statistics, cache)
         assert cache.stats.misses == 1 and cache.stats.stores == 1
-        second = optimize(query, algorithm="td-cmd", statistics=statistics,
-                          plan_cache=cache)
+        second = cached_optimize(query, "td-cmd", statistics, cache)
         assert cache.stats.hits == 1
         assert second.algorithm.endswith("+cache")
         assert second.cost == first.cost
@@ -101,21 +109,16 @@ class TestCacheBehavior:
 
     def test_miss_on_changed_statistics(self, query, statistics):
         cache = PlanCache()
-        optimize(query, algorithm="td-cmd", statistics=statistics, plan_cache=cache)
-        optimize(
-            query,
-            algorithm="td-cmd",
-            statistics=perturbed(statistics),
-            plan_cache=cache,
-        )
+        cached_optimize(query, "td-cmd", statistics, cache)
+        cached_optimize(query, "td-cmd", perturbed(statistics), cache)
         assert cache.stats.hits == 0
         assert cache.stats.misses == 2
         assert len(cache) == 2
 
     def test_miss_on_different_algorithm(self, query, statistics):
         cache = PlanCache()
-        optimize(query, algorithm="td-cmd", statistics=statistics, plan_cache=cache)
-        optimize(query, algorithm="td-cmdp", statistics=statistics, plan_cache=cache)
+        cached_optimize(query, "td-cmd", statistics, cache)
+        cached_optimize(query, "td-cmdp", statistics, cache)
         assert cache.stats.hits == 0 and len(cache) == 2
 
     def test_hit_across_variable_renaming(self):
@@ -132,8 +135,8 @@ class TestCacheBehavior:
         s1 = StatisticsCatalog.from_random(q1, random.Random(4))
         s2 = StatisticsCatalog.from_random(q2, random.Random(4))
         cache = PlanCache()
-        first = optimize(q1, algorithm="td-cmd", statistics=s1, plan_cache=cache)
-        second = optimize(q2, algorithm="td-cmd", statistics=s2, plan_cache=cache)
+        first = cached_optimize(q1, "td-cmd", s1, cache)
+        second = cached_optimize(q2, "td-cmd", s2, cache)
         assert cache.stats.hits == 1
         assert second.cost == first.cost
         validate_plan(second.plan, (1 << len(q2)) - 1)
@@ -153,7 +156,7 @@ class TestCacheBehavior:
             for i, q in enumerate(queries)
         ]
         for q, s in zip(queries, catalogs):
-            optimize(q, algorithm="td-cmd", statistics=s, plan_cache=cache)
+            cached_optimize(q, "td-cmd", s, cache)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         # the oldest entry is gone; the newer two still hit
@@ -165,13 +168,13 @@ class TestCacheBehavior:
         cache = PlanCache(capacity=2)
         other = tree_query(5, random.Random(9))
         other_stats = StatisticsCatalog.from_random(other, random.Random(9))
-        optimize(query, algorithm="td-cmd", statistics=statistics, plan_cache=cache)
-        optimize(other, algorithm="td-cmd", statistics=other_stats, plan_cache=cache)
+        cached_optimize(query, "td-cmd", statistics, cache)
+        cached_optimize(other, "td-cmd", other_stats, cache)
         # touch the older entry, then overflow: the untouched one is evicted
         assert cache.lookup(query, statistics, "td-cmd") is not None
         third = tree_query(6, random.Random(10))
         third_stats = StatisticsCatalog.from_random(third, random.Random(10))
-        optimize(third, algorithm="td-cmd", statistics=third_stats, plan_cache=cache)
+        cached_optimize(third, "td-cmd", third_stats, cache)
         assert cache.lookup(query, statistics, "td-cmd") is not None
         assert cache.lookup(other, other_stats, "td-cmd") is None
 
@@ -181,8 +184,8 @@ class TestCacheBehavior:
 
     def test_counters_and_hit_rate(self, query, statistics):
         cache = PlanCache()
-        optimize(query, algorithm="td-cmd", statistics=statistics, plan_cache=cache)
-        optimize(query, algorithm="td-cmd", statistics=statistics, plan_cache=cache)
+        cached_optimize(query, "td-cmd", statistics, cache)
+        cached_optimize(query, "td-cmd", statistics, cache)
         assert cache.stats.lookups == 2
         assert cache.stats.hit_rate == pytest.approx(0.5)
         assert "PlanCache(" in repr(cache)
@@ -191,8 +194,7 @@ class TestCacheBehavior:
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, query, statistics):
         cache = PlanCache()
-        first = optimize(query, algorithm="td-cmd", statistics=statistics,
-                         plan_cache=cache)
+        first = cached_optimize(query, "td-cmd", statistics, cache)
         path = tmp_path / "cache.json"
         cache.save(path)
         reloaded = PlanCache.load(path)
@@ -207,7 +209,7 @@ class TestPersistence:
         queries = [tree_query(n, random.Random(n)) for n in (4, 5)]
         for i, q in enumerate(queries):
             s = StatisticsCatalog.from_random(q, random.Random(i))
-            optimize(q, algorithm="td-cmd", statistics=s, plan_cache=cache)
+            cached_optimize(q, "td-cmd", s, cache)
         path = tmp_path / "cache.json"
         cache.save(path)
         reloaded = PlanCache.load(path, capacity=1)

@@ -28,7 +28,7 @@ from repro.analysis import (
     profile_for_algorithm,
     verify_result,
 )
-from repro.core import StatisticsCatalog, optimize
+from repro.core import OptimizeOptions, Optimizer, StatisticsCatalog, optimize
 from repro.core import bitset as bs
 from repro.core.enumeration import InvariantProfile
 from repro.core.plan_cache import PlanCache
@@ -308,9 +308,12 @@ class TestOptimizerOutputIsClean:
     def test_parallel_search_results_verify(self):
         query = cycle_query(6)
         statistics = StatisticsCatalog.from_random(query, random.Random(1))
-        result = optimize(
-            query, algorithm="td-cmdp", statistics=statistics, jobs=2, verify=True
+        session = Optimizer(
+            OptimizeOptions(
+                algorithm="td-cmdp", statistics=statistics, jobs=2, verify=True
+            )
         )
+        result = session.optimize(query)
         assert "parallel" in result.algorithm
         context = VerificationContext.for_query(query, statistics=statistics)
         assert verify_result(result, context).ok
@@ -348,22 +351,23 @@ class TestOptimizerOutputIsClean:
 
 
 # ----------------------------------------------------------------------
-# the --verify path through optimize(): cache hits and corruption
+# the --verify path through the session: cache hits and corruption
 # ----------------------------------------------------------------------
 class TestVerifiedOptimize:
     def setup_method(self):
         self.query = cycle_query(5)
         self.statistics = StatisticsCatalog.from_random(self.query, random.Random(0))
 
-    def _optimize(self, cache, **kwargs):
-        return optimize(
-            self.query,
-            algorithm="td-cmdp",
-            statistics=self.statistics,
-            plan_cache=cache,
-            verify=True,
-            **kwargs,
+    def _optimize(self, cache, verify=True, algorithm="td-cmdp"):
+        session = Optimizer(
+            OptimizeOptions(
+                algorithm=algorithm,
+                statistics=self.statistics,
+                plan_cache=cache,
+                verify=verify,
+            )
         )
+        return session.optimize(self.query)
 
     def test_verified_cache_hit_passes(self):
         cache = PlanCache()
@@ -393,21 +397,13 @@ class TestVerifiedOptimize:
         # control: without --verify the corruption goes unnoticed,
         # which is exactly why the verified path exists
         cache = PlanCache()
-        first = optimize(
-            self.query, algorithm="td-cmdp",
-            statistics=self.statistics, plan_cache=cache,
-        )
+        first = self._optimize(cache, verify=False)
         key = next(iter(cache._entries))
         cache._entries[key]["plan"]["cost"] = first.cost + 100.0
-        stale = optimize(
-            self.query, algorithm="td-cmdp",
-            statistics=self.statistics, plan_cache=cache,
-        )
+        stale = self._optimize(cache, verify=False)
         assert stale.algorithm.endswith("+cache")
         assert stale.cost == pytest.approx(first.cost + 100.0)
 
     def test_fresh_result_verification_is_silent(self):
-        result = optimize(
-            self.query, algorithm="td-auto", statistics=self.statistics, verify=True
-        )
+        result = self._optimize(None, algorithm="td-auto")
         assert result.plan.bits == (1 << len(self.query)) - 1
