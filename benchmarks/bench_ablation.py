@@ -18,6 +18,7 @@ from repro.core import (
     TopDownEnumerator,
     choose_algorithm,
 )
+from repro.core.governance import Deadline, QueryBudget
 from repro.core.optimizer import make_builder
 from repro.experiments.tables import render_table, write_report
 from repro.partitioning import HashSubjectObject
@@ -164,7 +165,8 @@ def test_memoization_speedup(benchmark):
     memo_elapsed = time.perf_counter() - start
 
     builder2 = make_builder(query, seed=5)
-    no_memo = NoMemo(builder2.join_graph, builder2, timeout_seconds=120)
+    budget = QueryBudget(deadline=Deadline.after(120))
+    no_memo = NoMemo(builder2.join_graph, builder2, budget=budget)
     result = benchmark.pedantic(no_memo.optimize, rounds=1, iterations=1)
     assert result.cost == pytest.approx(memo_result.cost)
     assert result.elapsed_seconds > memo_elapsed  # memoization must win

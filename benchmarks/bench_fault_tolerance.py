@@ -20,6 +20,7 @@ import pytest
 
 from repro.baselines import MSCOptimizer
 from repro.core import LocalQueryIndex, StatisticsCatalog, TopDownEnumerator
+from repro.core.governance import Deadline, QueryBudget
 from repro.core.optimizer import make_builder
 from repro.engine import (
     Cluster,
@@ -52,8 +53,9 @@ def workload():
         builder = make_builder(query, statistics=statistics)
         index = LocalQueryIndex(builder.join_graph, method)
         bushy = TopDownEnumerator(builder.join_graph, builder, index).optimize().plan
+        budget = QueryBudget(deadline=Deadline.after(60))
         flat = (
-            MSCOptimizer(builder.join_graph, builder, index, timeout_seconds=60)
+            MSCOptimizer(builder.join_graph, builder, index, budget=budget)
             .optimize()
             .plan
         )

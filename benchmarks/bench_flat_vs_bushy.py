@@ -13,6 +13,7 @@ import pytest
 
 from repro.baselines import MSCOptimizer
 from repro.core import LocalQueryIndex, TopDownEnumerator
+from repro.core.governance import Deadline, QueryBudget
 from repro.core.optimizer import make_builder
 from repro.engine.mapreduce import (
     MapReduceSimulator,
@@ -37,11 +38,8 @@ def _plans(label):
     builder = make_builder(query, seed=seed)
     index = LocalQueryIndex(builder.join_graph, HashSubjectObject())
     bushy = TopDownEnumerator(builder.join_graph, builder, index).optimize().plan
-    flat = (
-        MSCOptimizer(builder.join_graph, builder, index, timeout_seconds=60)
-        .optimize()
-        .plan
-    )
+    budget = QueryBudget(deadline=Deadline.after(60))
+    flat = MSCOptimizer(builder.join_graph, builder, index, budget=budget).optimize().plan
     return builder, flat, bushy
 
 

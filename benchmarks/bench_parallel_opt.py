@@ -4,8 +4,9 @@
 Four sections, written to ``BENCH_parallel_opt.json``:
 
 * **batch** — a Table IV-style workload of random chain/cycle/tree
-  queries (10–40 patterns) pushed through :func:`optimize_many` with 1
-  worker vs. N workers; reports wall-clock throughput and the speedup.
+  queries (10–40 patterns) pushed through ``Optimizer.optimize_many``
+  with ``jobs=1`` vs. ``jobs=N``; reports wall-clock throughput and the
+  speedup.
 * **intra_query** — one larger query optimized serially vs. with the
   DP memo sharded across workers; asserts the two costs are
   bit-identical (the correctness contract of the parallel search).
@@ -53,13 +54,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import VerificationContext, verify_result
-from repro.core import (
-    OptimizeOptions,
-    Optimizer,
-    optimize,
-    optimize_many,
-    optimize_query_parallel,
-)
+from repro.core import OptimizeOptions, Optimizer, optimize
 from repro.core.cardinality import StatisticsCatalog
 from repro.core.join_graph import QueryShape
 from repro.core.plan_cache import PlanCache
@@ -97,14 +92,19 @@ def build_workload(mode: str, seed: int = 2017):
     return items
 
 
+def session(jobs: int, **options) -> Optimizer:
+    """A fresh ``ALGORITHM`` session allowed *jobs* processes."""
+    return Optimizer(OptimizeOptions(algorithm=ALGORITHM, jobs=jobs, **options))
+
+
 def bench_batch(items, jobs: int):
-    """optimize_many with 1 worker vs. *jobs* workers."""
+    """``optimize_many`` with one process vs. a pool of *jobs*."""
     started = time.perf_counter()
-    serial = optimize_many(items, algorithm=ALGORITHM, jobs=1)
+    serial = session(1).optimize_many(items)
     serial_wall = time.perf_counter() - started
 
     started = time.perf_counter()
-    pooled = optimize_many(items, algorithm=ALGORITHM, jobs=jobs)
+    pooled = session(jobs).optimize_many(items)
     pooled_wall = time.perf_counter() - started
 
     for a, b in zip(serial, pooled):
@@ -125,7 +125,7 @@ def bench_intra_query(mode: str, jobs: int):
     size = 16 if mode == "full" else 12
     query = generate_query(QueryShape.TREE, size, random.Random(7))
     serial = optimize(query, algorithm=ALGORITHM, seed=7)
-    parallel = optimize_query_parallel(query, algorithm=ALGORITHM, jobs=jobs, seed=7)
+    parallel = session(jobs, seed=7).optimize(query)
     assert parallel.cost == serial.cost, "parallel search cost diverged from serial"
     return {
         "query": query.name,
@@ -151,10 +151,7 @@ def bench_cache(items):
 
     def optimize_cached(query, statistics):
         # a one-shot session per call, inside the timed region
-        options = OptimizeOptions(
-            algorithm=ALGORITHM, statistics=statistics, plan_cache=cache
-        )
-        return Optimizer(options).optimize(query)
+        return session(1, statistics=statistics, plan_cache=cache).optimize(query)
 
     cold_times = []
     for query, statistics in items:
@@ -221,9 +218,7 @@ def bench_scaling(mode: str):
             "memo_shard": {},
         }
         for jobs in SCALING_WORKERS:
-            result = optimize_query_parallel(
-                query, algorithm=ALGORITHM, jobs=jobs, seed=SCALING_SEED
-            )
+            result = session(jobs, seed=SCALING_SEED).optimize(query)
             assert result.cost == serial.cost, (
                 f"{name} x{jobs}: memo-shard cost diverged from serial"
             )

@@ -37,12 +37,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import VerificationContext, verify_result
-from repro.core import OptimizeOptions, Optimizer, PlanCache, optimize
+from repro.core import (
+    PARALLELIZABLE_ALGORITHMS,
+    OptimizeOptions,
+    Optimizer,
+    PlanCache,
+    optimize,
+)
 from repro.experiments import ordered_benchmark_queries
 from repro.partitioning import HashSubjectObject
 
 ALGORITHMS = ("td-cmd", "td-cmdp", "hgr-td-cmd", "td-auto")
-PARALLEL_ALGORITHMS = ("td-cmd", "td-cmdp")
 #: quick mode keeps one query per shape family
 QUICK_QUERIES = ("L1", "L2", "L3", "U1", "U2", "L7")
 
@@ -153,7 +158,7 @@ def bench_parallel(workload, jobs: int):
     """Multi-worker plan search with verification of merged results."""
     runs = []
     for bq, method, context in workload:
-        for algorithm in PARALLEL_ALGORITHMS:
+        for algorithm in PARALLELIZABLE_ALGORITHMS:
             started = time.perf_counter()
             result = optimize_with(bq, method, algorithm, jobs=jobs, verify=True)
             wall = time.perf_counter() - started

@@ -42,7 +42,7 @@ def main() -> None:
             runs = {}
             for algorithm in algorithms:
                 runs[algorithm] = run_algorithm(
-                    algorithm, query, timeout_seconds=args.timeout, seed=args.seed
+                    algorithm, query, deadline_seconds=args.timeout, seed=args.seed
                 )
             cells = []
             for algorithm in algorithms:

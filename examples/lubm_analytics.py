@@ -50,7 +50,7 @@ def main() -> None:
                 query,
                 statistics=statistics,
                 partitioning=partitioning,
-                timeout_seconds=args.timeout,
+                deadline_seconds=args.timeout,
             )
             if run.timed_out:
                 print(f"{name:6s} {algorithm:10s} {'>' + str(args.timeout) + 's':>10s}"

@@ -40,8 +40,6 @@ from .core import (
     StatisticsCatalog,
     SteppingClock,
     optimize,
-    optimize_many,
-    optimize_query_parallel,
 )
 from .rdf import Dataset, IRI, Literal, RDFGraph, Triple, Variable, triple
 from .sparql import BGPQuery, QueryGraph, TriplePattern, parse_query
@@ -52,8 +50,6 @@ __all__ = [
     "optimize",
     "OptimizeOptions",
     "Optimizer",
-    "optimize_many",
-    "optimize_query_parallel",
     "PlanCache",
     "parse_query",
     "BGPQuery",

@@ -12,6 +12,10 @@ Usage::
 ``experiments`` regenerates one of the paper's tables/figures;
 ``demo`` runs the whole pipeline on the built-in LUBM-like workload.
 
+``--algorithm`` takes any key of the one optimizer registry: the
+paper's ``td-cmd`` / ``td-cmdp`` / ``hgr-td-cmd`` / ``td-auto`` and the
+baselines ``msc`` / ``dp-bushy`` / ``triad-dp``.
+
 Throughput flags: ``--jobs N`` shards the td-cmd/td-cmdp DP memo
 across N worker processes; ``optimize --plan-cache PATH`` keeps a
 persistent cross-query plan cache at PATH, so repeating a query
@@ -79,7 +83,7 @@ import sys
 from pathlib import Path
 
 from .analysis import InvariantViolation
-from .core import QueryAborted, StatisticsCatalog
+from .core import ALGORITHMS, QueryAborted, StatisticsCatalog
 from .core.serialize import plan_to_dot, plan_to_json
 from .core.session import OptimizeOptions, Optimizer
 from .engine import Cluster, Executor, engine_specs
@@ -140,7 +144,7 @@ def build_options(args: argparse.Namespace, **overrides) -> OptimizeOptions:
         jobs=getattr(args, "jobs", 1),
         verify=getattr(args, "verify", False),
         trace=getattr(args, "trace", None) is not None,
-        engine=getattr(args, "engine", "reference"),
+        engine=getattr(args, "engine", OptimizeOptions.engine),
         adapt=getattr(args, "adapt", False),
         adapt_every=getattr(args, "adapt_every", 16),
         replication_budget=getattr(args, "replication_budget", 0.1),
@@ -531,7 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--algorithm", default="td-auto")
+    common.add_argument(
+        "--algorithm",
+        default="td-auto",
+        help="optimizer (case-insensitive): " + ", ".join(ALGORITHMS),
+    )
     common.add_argument("--partitioning", choices=sorted(PARTITIONINGS), default=None)
     common.add_argument(
         "--deadline",
@@ -583,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--engine",
         choices=tuple(spec.name for spec in engine_specs()),
-        default="reference",
+        default=OptimizeOptions.engine,
         help="execution engine for plan execution: "
         + "; ".join(
             f"'{spec.name}' ({spec.description})" for spec in engine_specs()

@@ -20,8 +20,9 @@ shipped or is structurally exposed to:
 * **LINT004** — mutable default arguments (``def f(x=[])``), the
   classic shared-state trap.
 * **LINT005** — ambient wall-clock reads (``time.time()`` /
-  ``time.monotonic()``) in ``core/`` / ``engine/`` outside the one
-  sanctioned clock module (``core/governance.py``).  Deadlines are
+  ``time.monotonic()``) in ``core/`` / ``engine/`` / ``baselines/`` /
+  ``experiments/`` outside the one sanctioned clock module
+  (``core/governance.py``).  Deadlines are
   data: control flow must go through an injectable
   :class:`~repro.core.governance.Clock`, or expiry becomes untestable
   and chaos runs irreproducible.  ``time.perf_counter()`` stays legal —
@@ -479,7 +480,7 @@ def check_mutable_defaults(tree: ast.Module, path: str) -> List[Diagnostic]:
 # ----------------------------------------------------------------------
 
 #: modules whose control flow must read time through a governance clock
-CLOCK_GOVERNED_PARTS = ("core", "engine")
+CLOCK_GOVERNED_PARTS = ("core", "engine", "baselines", "experiments")
 #: the one module allowed to touch the wall clock (it *defines* the
 #: production :class:`~repro.core.governance.Clock`)
 _SANCTIONED_CLOCK_FILES = {"governance.py"}

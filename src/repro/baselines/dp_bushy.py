@@ -19,61 +19,27 @@ how DP-Bushy exploits hash-partitioned co-location.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core import bitset as bs
-from ..core.cost import PlanBuilder
-from ..core.enumeration import (
-    CartesianProductError,
-    EnumerationStats,
-    OptimizationResult,
-    OptimizationTimeout,
-)
+from ..core.enumeration import CartesianProductError, PlanSearch
 from ..core.join_graph import JoinGraph
-from ..core.local_query import LocalQueryIndex
 from ..core.plans import JoinAlgorithm, PlanNode
 from ..rdf.terms import Variable
 
 
-class DPBushyOptimizer:
+class DPBushyOptimizer(PlanSearch):
     """Top-down DP with unchecked binary divisions + one maximal k-way join."""
 
     algorithm_name = "DP-Bushy"
 
-    def __init__(
-        self,
-        join_graph: JoinGraph,
-        builder: PlanBuilder,
-        local_index: Optional[LocalQueryIndex] = None,
-        timeout_seconds: Optional[float] = None,
-    ) -> None:
-        self.join_graph = join_graph
-        self.builder = builder
-        self.local_index = local_index or LocalQueryIndex(join_graph, None)
-        self.timeout_seconds = timeout_seconds
-        self.stats = EnumerationStats()
-        self._memo: Dict[int, Optional[PlanNode]] = {}
-        self._deadline: Optional[float] = None
-
-    def optimize(self) -> OptimizationResult:
+    def _find_plan(self) -> PlanNode:
         """Run the top-down DP from the full query."""
-        if not self.join_graph.is_connected(self.join_graph.full):
-            raise CartesianProductError("query is disconnected")
-        started = time.perf_counter()
-        self._deadline = (
-            started + self.timeout_seconds if self.timeout_seconds else None
-        )
+        self._memo: Dict[int, Optional[PlanNode]] = {}
         plan = self._best_plan(self.join_graph.full)
         if plan is None:
             raise CartesianProductError("DP-Bushy produced no plan")
-        elapsed = time.perf_counter() - started
-        return OptimizationResult(
-            plan=plan,
-            algorithm=self.algorithm_name,
-            stats=self.stats,
-            elapsed_seconds=elapsed,
-        )
+        return plan
 
     # ------------------------------------------------------------------
     def _best_plan(self, bits: int) -> Optional[PlanNode]:
@@ -162,12 +128,6 @@ class DPBushyOptimizer:
             if ntp & left and ntp & right:
                 return variable
         return None
-
-    def _check_deadline(self) -> None:
-        if self._deadline is not None and time.perf_counter() > self._deadline:
-            raise OptimizationTimeout(
-                f"{self.algorithm_name} exceeded {self.timeout_seconds:.0f}s"
-            )
 
 
 def maximal_multiway_division(

@@ -20,19 +20,10 @@ the paper's tree-shaped benchmarks (L6, U3, U4).
 
 from __future__ import annotations
 
-import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core import bitset as bs
-from ..core.cost import PlanBuilder
-from ..core.enumeration import (
-    CartesianProductError,
-    EnumerationStats,
-    OptimizationResult,
-    OptimizationTimeout,
-)
-from ..core.join_graph import JoinGraph
-from ..core.local_query import LocalQueryIndex
+from ..core.enumeration import CartesianProductError, PlanSearch
 from ..core.plans import JoinAlgorithm, PlanNode
 from ..rdf.terms import Variable
 
@@ -51,7 +42,7 @@ def _subsets_containing(members: FrozenSet[int], element: int):
 def minimum_set_covers(
     universe: FrozenSet[int],
     candidates: Sequence[Tuple[Variable, FrozenSet[int]]],
-    deadline: Optional[float] = None,
+    poll: Callable[[], None] = lambda: None,
     partial_cliques: bool = True,
 ) -> List[Tuple[Tuple[Variable, FrozenSet[int]], ...]]:
     """Enumerate *all* minimum-cardinality set covers (exact, exponential).
@@ -64,7 +55,8 @@ def minimum_set_covers(
     the join operators at each level is exponential").
 
     Branch and bound on the least-covered element; covers are returned
-    as tuples of (variable, covered-elements) groups.
+    as tuples of (variable, covered-elements) groups.  *poll* runs at
+    every node of the search — the optimizer passes its budget check.
     """
     best_size = len(universe) + 1
     covers: List[Tuple[Tuple[Variable, FrozenSet[int]], ...]] = []
@@ -73,8 +65,7 @@ def minimum_set_covers(
         uncovered: FrozenSet[int], chosen: List[Tuple[Variable, FrozenSet[int]]]
     ) -> None:
         nonlocal best_size, covers
-        if deadline is not None and time.perf_counter() > deadline:
-            raise OptimizationTimeout("MSC minimum set cover exceeded deadline")
+        poll()
         if not uncovered:
             if len(chosen) < best_size:
                 best_size = len(chosen)
@@ -107,63 +98,34 @@ def minimum_set_covers(
     return list(unique.values())
 
 
-class MSCOptimizer:
+class MSCOptimizer(PlanSearch):
     """Level-wise flat-plan optimizer with exact minimum set cover."""
 
     algorithm_name = "MSC"
 
-    def __init__(
-        self,
-        join_graph: JoinGraph,
-        builder: PlanBuilder,
-        local_index: Optional[LocalQueryIndex] = None,
-        timeout_seconds: Optional[float] = None,
-    ) -> None:
-        self.join_graph = join_graph
-        self.builder = builder
-        self.local_index = local_index or LocalQueryIndex(join_graph, None)
-        self.timeout_seconds = timeout_seconds
-        self.stats = EnumerationStats()
-        self._deadline: Optional[float] = None
-
-    def optimize(self) -> OptimizationResult:
+    def _find_plan(self) -> PlanNode:
         """Build and cost all minimum-cover flat plans; return the best."""
-        if not self.join_graph.is_connected(self.join_graph.full):
-            raise CartesianProductError("query is disconnected")
-        started = time.perf_counter()
-        self._deadline = (
-            started + self.timeout_seconds if self.timeout_seconds else None
-        )
         leaves: List[PlanNode] = [
             self.builder.scan(i) for i in range(self.join_graph.size)
         ]
         best = self._build_levels(leaves, first_level=True)
         if best is None:
             raise CartesianProductError("MSC found no complete flat plan")
-        elapsed = time.perf_counter() - started
-        return OptimizationResult(
-            plan=best,
-            algorithm=self.algorithm_name,
-            stats=self.stats,
-            elapsed_seconds=elapsed,
-        )
+        return best
 
     # ------------------------------------------------------------------
     def _build_levels(
         self, nodes: List[PlanNode], first_level: bool
     ) -> Optional[PlanNode]:
         """Recursively apply one minimum-cover join level; return best plan."""
-        if self._deadline is not None and time.perf_counter() > self._deadline:
-            raise OptimizationTimeout(
-                f"MSC exceeded {self.timeout_seconds:.0f}s"
-            )
+        self._check_deadline()
         if len(nodes) == 1:
             return nodes[0]
         cliques = self._cliques(nodes)
         if not cliques:
             return None
         universe = frozenset(range(len(nodes)))
-        covers = minimum_set_covers(universe, cliques, self._deadline)
+        covers = minimum_set_covers(universe, cliques, self._check_deadline)
         best: Optional[PlanNode] = None
         for cover in covers:
             # CliqueSquare considers every way of assigning a node that
@@ -199,10 +161,7 @@ class MSCOptimizer:
             total *= len(owners)
 
         def recurse(index: int, current: List[int]):
-            if self._deadline is not None and time.perf_counter() > self._deadline:
-                raise OptimizationTimeout(
-                    f"MSC exceeded {self.timeout_seconds:.0f}s"
-                )
+            self._check_deadline()
             if index == len(choices):
                 yield list(current)
                 return

@@ -11,51 +11,22 @@ the ablation "how much do k-way joins buy?".
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from ..core import bitset as bs
-from ..core.cost import PlanBuilder
-from ..core.enumeration import (
-    CartesianProductError,
-    EnumerationStats,
-    OptimizationResult,
-    OptimizationTimeout,
-)
-from ..core.join_graph import JoinGraph
-from ..core.local_query import LocalQueryIndex
+from ..core.counting import connected_subqueries
+from ..core.enumeration import CartesianProductError, PlanSearch
 from ..core.plans import JoinAlgorithm, PlanNode
 from ..rdf.terms import Variable
 
 
-class TriADOptimizer:
+class TriADOptimizer(PlanSearch):
     """Bottom-up DP over connected subqueries; binary joins only."""
 
     algorithm_name = "TriAD-DP"
 
-    def __init__(
-        self,
-        join_graph: JoinGraph,
-        builder: PlanBuilder,
-        local_index: Optional[LocalQueryIndex] = None,
-        timeout_seconds: Optional[float] = None,
-    ) -> None:
-        self.join_graph = join_graph
-        self.builder = builder
-        self.local_index = local_index or LocalQueryIndex(join_graph, None)
-        self.timeout_seconds = timeout_seconds
-        self.stats = EnumerationStats()
-        self._deadline: Optional[float] = None
-
-    def optimize(self) -> OptimizationResult:
+    def _find_plan(self) -> PlanNode:
         """Fill the DP table bottom-up; return the full query's plan."""
-        full = self.join_graph.full
-        if not self.join_graph.is_connected(full):
-            raise CartesianProductError("query is disconnected")
-        started = time.perf_counter()
-        self._deadline = (
-            started + self.timeout_seconds if self.timeout_seconds else None
-        )
         table: Dict[int, PlanNode] = {}
         for i in range(self.join_graph.size):
             table[bs.bit(i)] = self.builder.scan(i)
@@ -94,26 +65,24 @@ class TriADOptimizer:
                 sub = (sub - 1) & rest
             if best is not None:
                 table[bits] = best
-        plan = table.get(full)
+        plan = table.get(self.join_graph.full)
         if plan is None:
             raise CartesianProductError("TriAD-DP produced no plan")
-        elapsed = time.perf_counter() - started
-        return OptimizationResult(
-            plan=plan,
-            algorithm=self.algorithm_name,
-            stats=self.stats,
-            elapsed_seconds=elapsed,
-        )
+        return plan
 
     # ------------------------------------------------------------------
     def _connected_subqueries_by_size(self) -> List[int]:
-        from ..core.counting import connected_subqueries
+        """Every connected subquery of ≥ 2 patterns, smallest first.
 
-        subqueries = [
-            sq
-            for sq in connected_subqueries(self.join_graph)
-            if bs.popcount(sq) >= 2
-        ]
+        The enumeration is exponential on dense queries, so it polls the
+        budget as it goes: a deadline bounds it, not just the DP after it.
+        """
+        subqueries: List[int] = []
+        for count, sq in enumerate(connected_subqueries(self.join_graph)):
+            if not count & 0xFF:
+                self._check_deadline()
+            if sq & (sq - 1):
+                subqueries.append(sq)
         subqueries.sort(key=bs.popcount)
         return subqueries
 
@@ -131,9 +100,3 @@ class TriADOptimizer:
             if ntp & left and ntp & right:
                 return variable
         return None
-
-    def _check_deadline(self) -> None:
-        if self._deadline is not None and time.perf_counter() > self._deadline:
-            raise OptimizationTimeout(
-                f"{self.algorithm_name} exceeded {self.timeout_seconds:.0f}s"
-            )

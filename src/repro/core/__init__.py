@@ -55,7 +55,7 @@ from .optimizer import (
     optimize,
     resolve_statistics,
 )
-from .parallel import default_jobs, optimize_many, optimize_query_parallel
+from .parallel import default_jobs
 from .plan_cache import PlanCache, PlanCacheStats, query_signature
 from .plans import (
     JoinAlgorithm,
@@ -118,8 +118,6 @@ __all__ = [
     "optimize",
     "OptimizeOptions",
     "Optimizer",
-    "optimize_many",
-    "optimize_query_parallel",
     "default_jobs",
     "make_builder",
     "resolve_statistics",

@@ -27,12 +27,10 @@ from typing import Optional
 
 from ..observability import runtime as obs
 from .cost import PlanBuilder
-from .enumeration import OptimizationResult, TopDownEnumerator
+from .enumeration import OptimizationResult
 from .governance import QueryBudget
 from .join_graph import JoinGraph
 from .local_query import LocalQueryIndex
-from .pruning import PrunedTopDownEnumerator
-from .reduction import ReductionOptimizer
 
 
 @dataclass(frozen=True)
@@ -72,14 +70,13 @@ class AutonomousOptimizer:
         join_graph: JoinGraph,
         builder: PlanBuilder,
         local_index: Optional[LocalQueryIndex] = None,
-        timeout_seconds: Optional[float] = None,
         budget: Optional[QueryBudget] = None,
+        *,
         thresholds: AutoThresholds = PAPER_THRESHOLDS,
     ) -> None:
         self.join_graph = join_graph
         self.builder = builder
         self.local_index = local_index
-        self.timeout_seconds = timeout_seconds
         self.budget = budget
         self.thresholds = thresholds
 
@@ -94,16 +91,12 @@ class AutonomousOptimizer:
                 patterns=self.join_graph.size,
             )
         obs.count(f"optimizer.auto.{choice.lower()}")
-        implementations = {
-            "TD-CMD": TopDownEnumerator,
-            "TD-CMDP": PrunedTopDownEnumerator,
-            "HGR-TD-CMD": ReductionOptimizer,
-        }
-        inner = implementations[choice](
+        from .optimizer import ALGORITHMS  # late: the registry lists this class
+
+        inner = ALGORITHMS[choice.lower()](
             self.join_graph,
             self.builder,
             local_index=self.local_index,
-            timeout_seconds=self.timeout_seconds,
             budget=self.budget,
         )
         result = inner.optimize()

@@ -26,7 +26,7 @@ from ..rdf.terms import Variable
 from . import bitset as bs
 from .cmd import enumerate_cmds
 from .cost import PlanBuilder
-from .governance import AnytimeExpiry, Deadline, QueryBudget
+from .governance import AnytimeExpiry, QueryBudget
 from .join_graph import JoinGraph
 from .local_query import LocalQueryIndex
 from .plans import JoinAlgorithm, PlanNode
@@ -192,7 +192,117 @@ class OptimizationResult:
         return self.plan.cost
 
 
-class TopDownEnumerator:
+class PlanSearch:
+    """The frame all five searching optimizers run in.
+
+    TD-CMD, TD-CMDP and the three baselines of :mod:`repro.baselines`
+    share the inputs ``(join_graph, builder, local_index, budget)``, the
+    counters, the ``enumerate`` span, the anytime ladder and — the point
+    — the *one* budget poll (:meth:`_check_deadline`); a subclass
+    supplies :meth:`_find_plan`.  HGR-TD-CMD and TD-Auto take the same
+    constructor arguments and hand them to the search they delegate to.
+    """
+
+    algorithm_name = ""
+
+    def __init__(
+        self,
+        join_graph: JoinGraph,
+        builder: PlanBuilder,
+        local_index: Optional[LocalQueryIndex] = None,
+        budget: Optional[QueryBudget] = None,
+    ) -> None:
+        self.join_graph = join_graph
+        self.builder = builder
+        self.local_index = local_index or LocalQueryIndex(join_graph, None)
+        #: governance envelope; ``None`` (ungoverned) keeps every poll a
+        #: single ``is None`` test
+        self.budget = budget
+        self.stats = EnumerationStats()
+        self._anytime = budget is not None and budget.anytime
+
+    def optimize(self) -> OptimizationResult:
+        """Find the best plan for the whole query.
+
+        With a deadline and ``anytime`` on, expiry mid-search degrades
+        to a *complete* plan (:meth:`_degraded_plan`) instead of
+        raising; the result is flagged ``stats.degraded`` and the
+        algorithm label gains an ``[anytime]`` suffix.  Without
+        ``anytime``, expiry raises :class:`OptimizationTimeout`.
+        """
+        if not self.join_graph.is_connected(self.join_graph.full):
+            raise CartesianProductError(
+                "query is disconnected; Cartesian-product-free plans do not exist"
+            )
+        started = time.perf_counter()
+        algorithm = self.algorithm_name
+        with obs.span(
+            "enumerate",
+            algorithm=self.algorithm_name,
+            patterns=self.join_graph.size,
+        ) as sp:
+            try:
+                plan = self._find_plan()
+            except AnytimeExpiry:
+                plan, algorithm = self._degraded_plan()
+            elapsed = time.perf_counter() - started
+            sp.set(cost=plan.cost, **self.stats.summary())
+            self.stats.flush_to_metrics()
+        return OptimizationResult(
+            plan=plan,
+            algorithm=algorithm,
+            stats=self.stats,
+            elapsed_seconds=elapsed,
+        )
+
+    def _find_plan(self) -> PlanNode:
+        """The search itself: the best plan for ``join_graph.full``."""
+        raise NotImplementedError
+
+    def _best_so_far(self) -> Optional[PlanNode]:
+        """The best *complete* plan an interrupted search can vouch for."""
+        return None
+
+    def _check_deadline(self) -> None:
+        """The budget poll: cancellation aborts, expiry times out."""
+        budget = self.budget
+        if budget is None:
+            return
+        budget.check_cancelled(phase="optimize")
+        deadline = budget.deadline
+        if deadline is not None and deadline.expired:
+            if self._anytime:
+                raise AnytimeExpiry()
+            raise OptimizationTimeout(
+                f"{self.algorithm_name} exceeded {deadline.seconds:g}s"
+            )
+
+    def _degraded_plan(self) -> Tuple[PlanNode, str]:
+        """The anytime answer after expiry: best-so-far, else greedy.
+
+        Degradation ladder (docs/RESILIENCE.md): (1) the best complete
+        plan the search recorded (:meth:`_best_so_far` — TD-CMD's best
+        root candidate, else its root's flat local seed plan), (2) the
+        greedy fallback planner.  The returned label keeps the
+        algorithm name as a prefix so ``profile_for_algorithm`` still
+        applies the right verifier profile to anytime plans.
+        """
+        plan = self._best_so_far()
+        if plan is not None:
+            label = f"{self.algorithm_name}[anytime]"
+            reason = "deadline: returned best complete plan so far"
+        else:
+            plan = greedy_fallback_plan(self.builder)
+            label = f"{self.algorithm_name}[anytime-greedy]"
+            reason = "deadline: no complete candidate; greedy fallback"
+        self.stats.degraded = True
+        self.stats.degradation_reason = reason
+        obs.event("governance.degraded", algorithm=label, reason=reason)
+        obs.count("governance.anytime_plans")
+        return plan, label
+
+
+class TopDownEnumerator(PlanSearch):
     """TD-CMD: exhaustive k-ary bushy enumeration over cmds."""
 
     algorithm_name = "TD-CMD"
@@ -205,27 +315,13 @@ class TopDownEnumerator:
         join_graph: JoinGraph,
         builder: PlanBuilder,
         local_index: Optional[LocalQueryIndex] = None,
-        timeout_seconds: Optional[float] = None,
         budget: Optional[QueryBudget] = None,
     ) -> None:
-        self.join_graph = join_graph
-        self.builder = builder
-        self.local_index = local_index or LocalQueryIndex(join_graph, None)
-        self.timeout_seconds = timeout_seconds
-        #: governance envelope; when None, ``timeout_seconds`` (the
-        #: enumerator-level convenience the experiment harness uses)
-        #: becomes a strict deadline-only budget at optimize() time
-        self.budget = budget
-        self.stats = EnumerationStats()
+        super().__init__(join_graph, builder, local_index, budget)
         #: exclusive counters per expanded subquery (sum to ``stats``)
         self.subquery_records: Dict[int, SubqueryRecord] = {}
         self._memo: Dict[int, PlanNode] = {}
-        #: the live envelope ``_check_deadline`` polls: an explicit
-        #: budget from construction on, a ``timeout_seconds`` one from
-        #: optimize() (which anchors its deadline) on
-        self._budget: Optional[QueryBudget] = budget
-        self._anytime = False
-        self._root_bits = 0
+        self._root_bits = join_graph.full
         self._root_seed: Optional[PlanNode] = None
         self._root_choice: Optional[_Choice] = None
 
@@ -237,51 +333,14 @@ class TopDownEnumerator:
         """
         return InvariantProfile()
 
-    # ------------------------------------------------------------------
-    # entry point
-    # ------------------------------------------------------------------
-    def optimize(self) -> OptimizationResult:
-        """Find the best plan for the whole query.
+    def _find_plan(self) -> PlanNode:
+        return self.get_best_plan(self._root_bits, is_local=False)
 
-        With a deadline and ``anytime`` on, expiry mid-search degrades
-        to the best *complete* plan found so far (the best root
-        candidate materialized from fully-optimized children, else the
-        root's flat local plan, else the greedy fallback) instead of
-        raising; the result is flagged ``stats.degraded`` and the
-        algorithm label gains an ``[anytime]`` suffix.  Without
-        ``anytime``, expiry raises :class:`OptimizationTimeout` exactly
-        as it always did.
-        """
-        full = self.join_graph.full
-        if not self.join_graph.is_connected(full):
-            raise CartesianProductError(
-                "query is disconnected; Cartesian-product-free plans do not exist"
-            )
-        started = time.perf_counter()
-        self._budget = self._resolve_budget()
-        self._anytime = self._budget is not None and self._budget.anytime
-        self._root_bits = full
-        self._root_seed = None
-        self._root_choice = None
-        algorithm = self.algorithm_name
-        with obs.span(
-            "enumerate",
-            algorithm=self.algorithm_name,
-            patterns=self.join_graph.size,
-        ) as sp:
-            try:
-                plan = self.get_best_plan(full, is_local=False)
-            except AnytimeExpiry:
-                plan, algorithm = self._degraded_plan()
-            elapsed = time.perf_counter() - started
-            sp.set(cost=plan.cost, **self.stats.summary())
-            self.stats.flush_to_metrics()
-        return OptimizationResult(
-            plan=plan,
-            algorithm=algorithm,
-            stats=self.stats,
-            elapsed_seconds=elapsed,
-        )
+    def _best_so_far(self) -> Optional[PlanNode]:
+        """The best complete root candidate, else the root's local seed."""
+        if self._root_choice is not None:
+            return self._join_choice(self._root_choice)
+        return self._root_seed
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -447,58 +506,6 @@ class TopDownEnumerator:
         operators = (_BROADCAST, _REPARTITION)
         for parts, variable in enumerate_cmds(self.join_graph, bits):
             yield parts, variable, operators
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _resolve_budget(self) -> Optional[QueryBudget]:
-        """The effective budget: explicit, or one from ``timeout_seconds``."""
-        if self.budget is not None:
-            return self.budget
-        if self.timeout_seconds is not None:
-            return QueryBudget(deadline=Deadline.after(self.timeout_seconds))
-        return None
-
-    def _check_deadline(self) -> None:
-        budget = self._budget
-        if budget is None:
-            return
-        budget.check_cancelled(phase="optimize")
-        deadline = budget.deadline
-        if deadline is not None and deadline.expired:
-            if self._anytime:
-                raise AnytimeExpiry()
-            raise OptimizationTimeout(
-                f"{self.algorithm_name} exceeded {deadline.seconds:g}s"
-            )
-
-    def _degraded_plan(self) -> Tuple[PlanNode, str]:
-        """The anytime answer after expiry: best-so-far, else greedy.
-
-        Degradation ladder (docs/RESILIENCE.md): (1) the best complete
-        root candidate recorded during search, (2) the root's flat
-        local seed plan, (3) the greedy fallback planner.  The returned
-        label keeps the algorithm name as a prefix so
-        ``profile_for_algorithm`` still applies the right verifier
-        profile to anytime plans.
-        """
-        plan: Optional[PlanNode] = None
-        if self._root_choice is not None:
-            plan = self._join_choice(self._root_choice)
-        elif self._root_seed is not None:
-            plan = self._root_seed
-        if plan is not None:
-            label = f"{self.algorithm_name}[anytime]"
-            reason = "deadline: returned best complete plan so far"
-        else:
-            plan = greedy_fallback_plan(self.builder)
-            label = f"{self.algorithm_name}[anytime-greedy]"
-            reason = "deadline: no complete candidate; greedy fallback"
-        self.stats.degraded = True
-        self.stats.degradation_reason = reason
-        obs.event("governance.degraded", algorithm=label, reason=reason)
-        obs.count("governance.anytime_plans")
-        return plan, label
 
 
 def greedy_fallback_plan(

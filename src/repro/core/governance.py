@@ -20,8 +20,9 @@ enumeration, parallel search, execution — speaks to enforce that:
   attached, so a service front-end can classify failures without
   parsing messages.
 
-Clock discipline: this is the *one* module in ``core/`` / ``engine/``
-allowed to read the wall clock for control flow (``time.monotonic``);
+Clock discipline: this is the *one* module in ``core/`` / ``engine/`` /
+``baselines/`` / ``experiments/`` allowed to read the wall clock for
+control flow (``time.monotonic``);
 LINT005 (:mod:`repro.analysis.lint.rules`) enforces that everything
 else goes through a :class:`Deadline`.  Tests substitute
 :class:`ManualClock` / :class:`SteppingClock` to make expiry

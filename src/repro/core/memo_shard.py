@@ -3,9 +3,9 @@
 Trummer & Koch's shared-nothing parallelization allocates *all* DP
 subproblems across workers, so every connected subquery is still solved
 exactly once — the property Algorithm 1's memo gives the serial search.
-This module implements that scheme for TD-CMD / TD-CMDP (the entry
-point that decides between it and the serial search is
-:func:`repro.core.parallel.optimize_query_parallel`):
+This module implements that scheme for TD-CMD / TD-CMDP (the function
+that decides between it and the serial search, on the enumerator the
+session built, is :func:`repro.core.parallel.search`):
 
 * the connected-subquery space is partitioned into **popcount tiers**
   (tier k = every connected subquery with k patterns), grown
@@ -122,16 +122,12 @@ class _WorkerState:
         (
             query,
             statistics,
-            algorithm_key,
+            enumerator_class,
             partitioning,
             parameters,
             deadline_remaining,
             _trace,
         ) = payload
-        # imported here (not at module top) so the registry stays in one
-        # place; the worker only ever needs the serial enumerator classes
-        from .optimizer import ALGORITHMS
-
         self.builder = make_builder(query, statistics, parameters=parameters)
         self.local_index = LocalQueryIndex(self.builder.join_graph, partitioning)
         # deadlines do not cross process boundaries; re-anchor the
@@ -142,7 +138,7 @@ class _WorkerState:
             if deadline_remaining is not None
             else None
         )
-        self.enumerator = ALGORITHMS[algorithm_key](
+        self.enumerator: TopDownEnumerator = enumerator_class(
             self.builder.join_graph,
             self.builder,
             local_index=self.local_index,
@@ -275,18 +271,13 @@ class _ShardDriver:
 
     Shards the search the *serial* enumerator would run across *jobs*
     workers: query, statistics, partitioning, cost parameters and budget
-    are the enumerator's own, and every worker rebuilds an
-    ``ALGORITHMS[key]`` enumerator from them.
+    are the enumerator's own, and every worker rebuilds an enumerator
+    of the same class from them.
     """
 
     def __init__(
-        self,
-        serial: TopDownEnumerator,
-        key: str,
-        jobs: int,
-        tiers: List[List[int]],
+        self, serial: TopDownEnumerator, jobs: int, tiers: List[List[int]]
     ) -> None:
-        self.key = key
         self.jobs = jobs
         self.builder = serial.builder
         self.algorithm_name = serial.algorithm_name
@@ -297,7 +288,7 @@ class _ShardDriver:
         self.payload = (
             serial.join_graph.query,
             serial.builder.estimator.catalog,
-            key,
+            type(serial),
             serial.local_index.partitioning,
             serial.builder.parameters,
             deadline.remaining() if deadline is not None else None,
@@ -596,9 +587,8 @@ class _ShardDriver:
     def search(self, started: float) -> OptimizationResult:
         """Run the sharded search: pool up, every tier, merge, pool down.
 
-        *started* is the caller's ``perf_counter`` reading at the top of
-        the optimize call, so ``elapsed_seconds`` also covers statistics
-        resolution and tier construction.
+        *started* is the caller's ``perf_counter`` reading from before
+        it built the tiers, so ``elapsed_seconds`` covers that too.
         """
         join_graph = self.builder.join_graph
         label = f"{self.algorithm_name}[parallel x{self.jobs}]"
@@ -606,7 +596,7 @@ class _ShardDriver:
         with obs.span(
             "parallel.search",
             jobs=self.jobs,
-            algorithm=self.key,
+            algorithm=self.algorithm_name.lower(),
             tiers=join_graph.size,
             entries=sum(len(tier) for tier in self.tiers),
         ) as parallel_span:

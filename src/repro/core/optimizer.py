@@ -19,9 +19,14 @@ session configuration::
     session = Optimizer(OptimizeOptions(algorithm="td-auto", trace=True))
     result = session.optimize(parse_query(text))
 
-The helpers :func:`resolve_statistics` and :func:`make_builder` remain
-here — they are the shared plumbing both the session and the parallel
-search drivers use.
+:data:`ALGORITHMS` is the one registry of optimizers — the paper's four
+and the three baselines it is evaluated against — and
+:attr:`OptimizeOptions.algorithm <repro.core.session.OptimizeOptions>`
+the one selector.  Every class in it is constructed as
+``(join_graph, builder, local_index=None, budget=None)``, and the
+session is the only code that turns a (query, options) pair into one.
+The helpers :func:`resolve_statistics` and :func:`make_builder` are the
+plumbing it builds them from.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
+# ``baselines`` is written against ``core``'s submodules (never against
+# this package's namespace), which are all loaded by the time
+# ``core/__init__`` reaches this module — so the upward import is safe,
+# and it is what lets one table hold all seven
+from ..baselines import DPBushyOptimizer, MSCOptimizer, TriADOptimizer
 from ..partitioning.base import PartitioningMethod
 from ..rdf.dataset import Dataset
 from ..sparql.ast import BGPQuery
@@ -45,11 +55,15 @@ ALGORITHMS: Dict[str, type] = {
     "td-cmdp": PrunedTopDownEnumerator,
     "hgr-td-cmd": ReductionOptimizer,
     "td-auto": AutonomousOptimizer,
+    "msc": MSCOptimizer,
+    "dp-bushy": DPBushyOptimizer,
+    "triad-dp": TriADOptimizer,
 }
 
 #: algorithms whose DP memo the intra-query parallel search can shard
 #: across workers (see :mod:`.parallel`): their whole search is the
-#: ``divisions`` hook plus the memo table
+#: ``divisions`` hook plus the memo table; a session with ``jobs > 1``
+#: runs every other algorithm serially
 PARALLELIZABLE_ALGORITHMS = ("td-cmd", "td-cmdp")
 
 
@@ -109,8 +123,9 @@ def optimize(
     query:
         The parsed query.
     algorithm:
-        ``"td-cmd"``, ``"td-cmdp"``, ``"hgr-td-cmd"``, or ``"td-auto"``
-        (case-insensitive).
+        A key of :data:`ALGORITHMS` (case-insensitive): ``"td-cmd"``,
+        ``"td-cmdp"``, ``"hgr-td-cmd"``, ``"td-auto"``, or a baseline —
+        ``"msc"``, ``"dp-bushy"``, ``"triad-dp"``.
     statistics / dataset:
         Cardinality sources; see :func:`resolve_statistics`.
     partitioning:

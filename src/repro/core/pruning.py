@@ -44,14 +44,13 @@ class PrunedTopDownEnumerator(TopDownEnumerator):
         join_graph: JoinGraph,
         builder: PlanBuilder,
         local_index: Optional[LocalQueryIndex] = None,
-        timeout_seconds: Optional[float] = None,
         budget: Optional[QueryBudget] = None,
         *,
         rule1_ccmd_only: bool = True,
         rule2_binary_broadcast: bool = True,
         rule3_local_short_circuit: bool = True,
     ) -> None:
-        super().__init__(join_graph, builder, local_index, timeout_seconds, budget)
+        super().__init__(join_graph, builder, local_index, budget)
         self.rule1_ccmd_only = rule1_ccmd_only
         self.rule2_binary_broadcast = rule2_binary_broadcast
         self.local_short_circuit = rule3_local_short_circuit  # Rule 3

@@ -203,13 +203,11 @@ class ReductionOptimizer:
         join_graph: JoinGraph,
         builder: PlanBuilder,
         local_index: Optional[LocalQueryIndex] = None,
-        timeout_seconds: Optional[float] = None,
         budget: Optional[QueryBudget] = None,
     ) -> None:
         self.join_graph = join_graph
         self.builder = builder
         self.local_index = local_index or LocalQueryIndex(join_graph, None)
-        self.timeout_seconds = timeout_seconds
         self.budget = budget
 
     def optimize(self) -> OptimizationResult:
@@ -240,13 +238,7 @@ class ReductionOptimizer:
         reduced_builder = PlanBuilder(
             reduced_graph, reduced_estimator, self.builder.parameters
         )
-        inner = TopDownEnumerator(
-            reduced_graph,
-            reduced_builder,
-            local_index=None,
-            timeout_seconds=self.timeout_seconds,
-            budget=self.budget,
-        )
+        inner = TopDownEnumerator(reduced_graph, reduced_builder, budget=self.budget)
         with obs.span("jgr.optimize_reduced", parts=len(parts)):
             reduced_result = inner.optimize()
         with obs.span("jgr.expand"):

@@ -36,6 +36,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine → core)
@@ -58,6 +59,29 @@ from .governance import CancellationToken, Deadline, QueryBudget
 from .local_query import LocalQueryIndex
 from .plan_cache import PlanCache
 
+#: one item of :meth:`Optimizer.optimize_many`: a query, optionally
+#: paired with statistics (tuples and objects with ``query`` /
+#: ``statistics`` attributes, e.g.
+#: :class:`~repro.workloads.generators.WorkloadQuery`, are accepted)
+RequestLike = Union[BGPQuery, Tuple[BGPQuery, Optional[StatisticsCatalog]], Any]
+
+
+def _normalize_request(
+    item: RequestLike,
+) -> Tuple[BGPQuery, Optional[StatisticsCatalog]]:
+    """Accept a query, a (query, statistics) pair, or a workload record."""
+    if isinstance(item, BGPQuery):
+        return item, None
+    if isinstance(item, tuple):
+        query, statistics = item
+        return query, statistics
+    query = getattr(item, "query", None)
+    if isinstance(query, BGPQuery):
+        return query, getattr(item, "statistics", None)
+    raise TypeError(
+        f"cannot interpret {type(item).__name__} as an optimization request"
+    )
+
 
 @dataclass
 class OptimizeOptions:
@@ -68,8 +92,9 @@ class OptimizeOptions:
     :meth:`dataclasses.replace` or :meth:`with_overrides`.
     """
 
-    #: ``"td-cmd"``, ``"td-cmdp"``, ``"hgr-td-cmd"``, or ``"td-auto"``
-    #: (case-insensitive)
+    #: a key of :data:`repro.core.optimizer.ALGORITHMS`, case-insensitive:
+    #: ``"td-cmd"``, ``"td-cmdp"``, ``"hgr-td-cmd"``, ``"td-auto"``, or a
+    #: baseline — ``"msc"``, ``"dp-bushy"``, ``"triad-dp"``
     algorithm: str = "td-auto"
     #: explicit cardinality catalog (wins over ``dataset`` and ``seed``)
     statistics: Optional[StatisticsCatalog] = None
@@ -83,19 +108,21 @@ class OptimizeOptions:
     seed: int = 0
     #: cross-query plan cache owned by the session
     plan_cache: Optional[PlanCache] = None
-    #: worker processes for the intra-query parallel search (the
-    #: memo-sharded TD-CMD / TD-CMDP search of :mod:`.memo_shard`)
+    #: processes this session may use: across the queries of an
+    #: :meth:`Optimizer.optimize_many` batch, and inside the search for
+    #: one query (the memo-sharded TD-CMD / TD-CMDP search of
+    #: :mod:`.memo_shard`; every other algorithm searches serially)
     jobs: int = 1
     #: run the plan-invariant verifier on every returned plan
     verify: bool = False
     #: collect spans + metrics for every call (``session.tracer``)
     trace: bool = False
     #: execution engine for plan execution driven from this session's
-    #: options: any registered name (``"reference"`` — term tuples, the
-    #: oracle; ``"columnar"`` — dictionary-encoded ids with indexed
-    #: scans; ``"pipelined"`` — streaming chunk pipeline) or a ready
+    #: options: any registered name (``"columnar"`` — dictionary-encoded
+    #: ids with indexed scans; ``"pipelined"`` — streaming chunk
+    #: pipeline; ``"reference"`` — term tuples, the oracle) or a ready
     #: :class:`~repro.engine.base.Engine` instance
-    engine: Any = "reference"
+    engine: Any = "columnar"
     #: wall-clock deadline for each query's whole lifecycle (optimize,
     #: and execution when the same budget is handed to the executor)
     deadline_seconds: Optional[float] = None
@@ -158,7 +185,8 @@ class Optimizer:
       populated by every call (verification-gated when ``verify=True``);
     * **the tracer** — created once when ``trace=True``; every call adds
       an ``optimize`` root span to it (see ``docs/OBSERVABILITY.md``);
-    * **jobs** — the parallel-search policy applied to every call.
+    * **jobs** — the process allowance of every call: the sharded
+      search of one query, the worker pool of a batch.
 
     Construction validates the algorithm eagerly, so a typo fails at
     session setup rather than mid-workload.
@@ -221,26 +249,7 @@ class Optimizer:
         the query's whole lifecycle (optimize *and* execute), as the
         CLI ``run`` command does.
         """
-        if budget is None:
-            budget = self.budget_for(query)
-        scope: ContextManager[object] = (
-            obs.activate(self.tracer) if self.tracer is not None else nullcontext()
-        )
-        with scope:
-            with obs.span(
-                "optimize",
-                query=query.name or f"q{len(query)}",
-                algorithm=self.options.algorithm_key,
-                patterns=len(query),
-            ) as root:
-                result = self._optimize(query, budget)
-                root.set(
-                    algorithm_used=result.algorithm,
-                    cost=result.cost,
-                    plans_considered=result.stats.plans_considered,
-                    elapsed_seconds=result.elapsed_seconds,
-                )
-                return result
+        return self._optimize(query, None, budget)
 
     def budget_for(self, query: BGPQuery) -> Optional[QueryBudget]:
         """A fresh :class:`QueryBudget` for *query*, or ``None``.
@@ -373,15 +382,61 @@ class Optimizer:
                 )
             return report
 
-    def optimize_many(self, queries: Iterable[BGPQuery]) -> List[OptimizationResult]:
-        """Optimize a batch of queries, reusing all session state.
+    def optimize_many(
+        self, items: Iterable[RequestLike]
+    ) -> List[OptimizationResult]:
+        """Optimize a batch, in input order, reusing all session state.
 
-        Runs serially through :meth:`optimize` (sharing the statistics
-        cache, plan cache, and tracer); for process-pool batch
-        throughput use :func:`repro.core.parallel.optimize_many`, which
-        trades session state for parallelism.
+        An item is a query, a ``(query, statistics)`` pair or a record
+        with ``.query`` / ``.statistics``; an item's statistics apply to
+        that item only.  With ``jobs == 1`` this is :meth:`optimize` per
+        item.  With ``jobs > 1`` every statistics and plan-cache lookup
+        runs here first; more than one miss goes to a pool of serial
+        sessions (:func:`repro.core.parallel.run_batch`), each given the
+        options a serial :meth:`optimize` reads — dataset, plan cache,
+        tracer and adaptive state stay behind, the pool driver polls the
+        cancellation token — so every result equals a serial call's.
+        Verification and the cache store then run here, as for one query.
         """
-        return [self.optimize(query) for query in queries]
+        requests = [_normalize_request(item) for item in items]
+        options = self.options
+        if options.jobs == 1:
+            return [self._optimize(*request) for request in requests]
+        from .parallel import run_batch
+
+        results: Dict[int, OptimizationResult] = {}
+        misses: List[Tuple[int, BGPQuery, StatisticsCatalog, Any]] = []
+        with self.tracing():
+            for index, (query, given) in enumerate(requests):
+                statistics, context, hit = self._lookup(query, given)
+                if hit is None:
+                    misses.append((index, query, statistics, context))
+                else:
+                    results[index] = hit
+            if len(misses) > 1:
+                serial = OptimizeOptions(
+                    algorithm=options.algorithm,
+                    partitioning=options.partitioning,
+                    parameters=options.parameters,
+                    deadline_seconds=options.deadline_seconds,
+                    anytime=options.anytime,
+                )
+                fresh = run_batch(
+                    [
+                        (query, replace(serial, statistics=statistics))
+                        for _, query, statistics, _ in misses
+                    ],
+                    options.jobs,
+                    options.cancellation,
+                )
+            else:
+                fresh = [
+                    self._search(query, statistics, self.budget_for(query))
+                    for _, query, statistics, _ in misses
+                ]
+            for (index, query, statistics, context), result in zip(misses, fresh):
+                results[index] = self._finish(query, statistics, context, result)
+        return [results[index] for index in range(len(requests))]
 
     def resolve_statistics(self, query: BGPQuery) -> StatisticsCatalog:
         """The session's statistics for *query* (resolved once, cached).
@@ -423,118 +478,133 @@ class Optimizer:
     # the optimization pipeline (one call)
     # ------------------------------------------------------------------
     def _optimize(
-        self, query: BGPQuery, budget: Optional[QueryBudget]
+        self,
+        query: BGPQuery,
+        statistics: Optional[StatisticsCatalog] = None,
+        budget: Optional[QueryBudget] = None,
     ) -> OptimizationResult:
+        """One traced call: look up, else search and finish."""
+        if budget is None:
+            budget = self.budget_for(query)
+        with self.tracing(), obs.span(
+            "optimize",
+            query=query.name or f"q{len(query)}",
+            algorithm=self.options.algorithm_key,
+            patterns=len(query),
+        ) as root:
+            if budget is not None:
+                budget.check_cancelled(phase="optimize")
+            statistics, context, result = self._lookup(query, statistics)
+            if result is None:
+                result = self._finish(
+                    query, statistics, context,
+                    self._search(query, statistics, budget),
+                )
+            root.set(
+                algorithm_used=result.algorithm,
+                cost=result.cost,
+                plans_considered=result.stats.plans_considered,
+                elapsed_seconds=result.elapsed_seconds,
+            )
+            return result
+
+    def _lookup(
+        self, query: BGPQuery, statistics: Optional[StatisticsCatalog] = None
+    ) -> Tuple[StatisticsCatalog, Any, Optional[OptimizationResult]]:
+        """Before the search: ``(statistics, verifier context, cache hit)``.
+
+        *statistics* given with the query win over the session's.  A
+        cached plan that fails verification is invalidated and treated
+        as a miss, exactly as if the lookup had missed.
+        """
+        options = self.options
+        if statistics is None:
+            statistics = self.resolve_statistics(query)
+        context = None
+        if options.verify:
+            with obs.span("verify.context"):
+                # imported lazily: repro.analysis depends on repro.core
+                from ..analysis import VerificationContext
+
+                context = VerificationContext.for_query(
+                    query,
+                    statistics=statistics,
+                    partitioning=options.partitioning,
+                    parameters=options.parameters,
+                    seed=options.seed,
+                )
+        cached = None
+        if self.plan_cache is not None:
+            entry = (
+                query, statistics, options.algorithm_key,
+                options.parameters, options.partitioning,
+            )
+            cached = self.plan_cache.lookup(*entry)
+            if (
+                cached is not None
+                and context is not None
+                and not self._verify(cached, context, cached=True).ok
+            ):
+                self.plan_cache.invalidate(*entry)
+                cached = None
+        return statistics, context, cached
+
+    def _search(
+        self,
+        query: BGPQuery,
+        statistics: StatisticsCatalog,
+        budget: Optional[QueryBudget],
+    ) -> OptimizationResult:
+        """The one build site: every algorithm, every ``jobs``."""
         from .optimizer import ALGORITHMS, PARALLELIZABLE_ALGORITHMS, make_builder
 
         options = self.options
         key = options.algorithm_key
-        if budget is not None:
-            budget.check_cancelled(phase="optimize")
-        statistics = self.resolve_statistics(query)
-        context = None
-        if options.verify:
-            with obs.span("verify.context"):
-                context = self._verification_context(query, statistics)
-        cached = self._cache_lookup(query, statistics, key, context)
-        if cached is not None:
-            return cached
-        if options.jobs > 1 and key in PARALLELIZABLE_ALGORITHMS:
-            from .parallel import optimize_query_parallel
-
-            result = optimize_query_parallel(
-                query,
-                algorithm=key,
-                jobs=options.jobs,
-                statistics=statistics,
-                partitioning=options.partitioning,
-                parameters=options.parameters,
+        with obs.span("build", patterns=len(query)):
+            builder = make_builder(query, statistics, parameters=options.parameters)
+            local_index = LocalQueryIndex(builder.join_graph, options.partitioning)
+            enumerator = ALGORITHMS[key](
+                builder.join_graph,
+                builder,
+                local_index=local_index,
                 budget=budget,
             )
-        else:
-            with obs.span("build", patterns=len(query)):
-                builder = make_builder(
-                    query, statistics, parameters=options.parameters
-                )
-                local_index = LocalQueryIndex(
-                    builder.join_graph, options.partitioning
-                )
-                implementation = ALGORITHMS[key](
-                    builder.join_graph,
-                    builder,
-                    local_index=local_index,
-                    budget=budget,
-                )
-            result = implementation.optimize()
-        if context is not None:
-            with obs.span("verify", cached=False) as sp:
-                from ..analysis import verify_result
+        if options.jobs > 1 and key in PARALLELIZABLE_ALGORITHMS:
+            from .parallel import search
 
-                report = verify_result(result, context)
-                sp.set(ok=report.ok)
-                obs.count("optimizer.verifications")
-                report.raise_if_failed()
+            return search(enumerator, options.jobs)
+        result: OptimizationResult = enumerator.optimize()
+        return result
+
+    def _finish(
+        self,
+        query: BGPQuery,
+        statistics: StatisticsCatalog,
+        context: Any,
+        result: OptimizationResult,
+    ) -> OptimizationResult:
+        """After the search: verify the fresh plan, then cache it."""
+        if context is not None:
+            self._verify(result, context, cached=False).raise_if_failed()
         if self.plan_cache is not None and not result.stats.degraded:
             # anytime-degraded plans are deliberately not cached: they
             # are the best answer under *this* deadline, not the query's
             # best plan, and must not shadow a future complete search
             self.plan_cache.store(
-                query, statistics, key, result, options.parameters,
-                options.partitioning,
+                query, statistics, self.options.algorithm_key, result,
+                self.options.parameters, self.options.partitioning,
             )
         return result
 
-    def _verification_context(
-        self, query: BGPQuery, statistics: StatisticsCatalog
-    ) -> Any:
-        """Build the invariant-verifier context for one query."""
-        # imported lazily: repro.analysis depends on repro.core
-        from ..analysis import VerificationContext
-
-        return VerificationContext.for_query(
-            query,
-            statistics=statistics,
-            partitioning=self.options.partitioning,
-            parameters=self.options.parameters,
-            seed=self.options.seed,
-        )
-
-    def _cache_lookup(
-        self,
-        query: BGPQuery,
-        statistics: StatisticsCatalog,
-        key: str,
-        context: Any,
-    ) -> Optional[OptimizationResult]:
-        """Plan-cache lookup, with the verification gate on hits.
-
-        A cached plan that fails verification is invalidated and
-        treated as a miss, exactly as if the lookup had missed.
-        """
-        if self.plan_cache is None:
-            return None
-        options = self.options
-        cached = self.plan_cache.lookup(
-            query, statistics, key, options.parameters, options.partitioning
-        )
-        if cached is None:
-            return None
-        if context is None:
-            return cached
-        with obs.span("verify", cached=True) as sp:
+    def _verify(self, result: OptimizationResult, context: Any, cached: bool) -> Any:
+        """One ``verify`` span: the invariant report for *result*."""
+        with obs.span("verify", cached=cached) as sp:
             from ..analysis import verify_result
 
-            ok = verify_result(cached, context).ok
-            sp.set(ok=ok)
+            report = verify_result(result, context)
+            sp.set(ok=report.ok)
             obs.count("optimizer.verifications")
-        if ok:
-            return cached
-        # corrupt rebuild: drop the entry and fall through to a fresh
-        # optimization, exactly as if the lookup had missed
-        self.plan_cache.invalidate(
-            query, statistics, key, options.parameters, options.partitioning
-        )
-        return None
+        return report
 
     def __repr__(self) -> str:
         flags = [self.options.algorithm_key]

@@ -167,15 +167,17 @@ class Executor:
     or a ready :class:`~repro.engine.base.Engine` instance
     (bring-your-own backends need not be registered):
 
-    * ``"reference"`` — :class:`~repro.engine.relations.Relation` over
-      term tuples; the original, oracle implementation.
-    * ``"columnar"`` — :class:`~repro.engine.columnar.EncodedRelation`
-      over dictionary ids with indexed fragment scans; terms are only
-      materialized once, on the final projected result.
+    * ``"columnar"`` (the default) —
+      :class:`~repro.engine.columnar.EncodedRelation` over dictionary
+      ids with indexed fragment scans; terms are only materialized once,
+      on the final projected result.
     * ``"pipelined"`` — the columnar access paths with batches of at
       most ``chunk_size`` rows on the probe spine: identical result
       rows, bounded inter-operator buffering, early first row and
       ``LIMIT`` pushdown.
+    * ``"reference"`` — :class:`~repro.engine.relations.Relation` over
+      term tuples; the original implementation, kept as the counter-
+      and-row oracle the equivalence suites compare the others against.
 
     Every engine executes the *same* plans through the *same* operators
     and returns the same result rows.  ``reference`` and ``columnar``
@@ -197,7 +199,7 @@ class Executor:
         fault_injector: Optional[FaultInjector] = None,
         retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
         plan_verifier: Optional["PlanVerifier"] = None,
-        engine: Union[str, Engine] = "reference",
+        engine: Union[str, Engine] = "columnar",
         circuit_breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.engine, self._impl = resolve_engine(engine)

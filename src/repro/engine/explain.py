@@ -94,7 +94,7 @@ def explain(
     parameters: CostParameters = PAPER_PARAMETERS,
     fault_injector: Optional["FaultInjector"] = None,
     retry_policy: Optional["RetryPolicy"] = None,
-    engine: str = "reference",
+    engine: str = "columnar",
     limit: Optional[int] = None,
 ) -> Tuple[Relation, ExplainReport]:
     """Execute *plan* and build the estimated-vs-measured report.

@@ -25,7 +25,7 @@ def run(
     templates: int = 124,
     instances_per_template: int = 2,
     algorithms: Sequence[str] = FIGURE_SET,
-    timeout_seconds: Optional[float] = None,
+    deadline_seconds: Optional[float] = None,
     seed: int = 2017,
 ) -> Tuple[Dict[str, Dict[int, float]], Dict[str, List[float]]]:
     """Return (avg optimization time per template, cost ratios to TD-CMD)."""
@@ -42,7 +42,7 @@ def run(
                 query,
                 statistics=statistics,
                 partitioning=HashSubjectObject(),  # Section V-C setup
-                timeout_seconds=timeout_seconds,
+                deadline_seconds=deadline_seconds,
             )
             for a in algorithms
         }
@@ -64,7 +64,7 @@ def run(
 def report(
     templates: Optional[int] = None,
     instances_per_template: Optional[int] = None,
-    timeout_seconds: Optional[float] = None,
+    deadline_seconds: Optional[float] = None,
 ) -> str:
     """Render and persist the Figure 6 report."""
     from .harness import bench_scale
@@ -77,7 +77,7 @@ def report(
     averages, ratios = run(
         templates=templates,
         instances_per_template=instances_per_template,
-        timeout_seconds=timeout_seconds,
+        deadline_seconds=deadline_seconds,
     )
     # 6a: per-algorithm aggregate over templates (mean / max of averages)
     rows_a: List[List[str]] = []

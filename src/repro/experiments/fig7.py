@@ -28,7 +28,7 @@ def run(
     sizes: Optional[Sequence[int]] = None,
     algorithms: Sequence[str] = FIGURE_SET,
     draws: int = 3,
-    timeout_seconds: Optional[float] = None,
+    deadline_seconds: Optional[float] = None,
     seed: int = 2017,
 ) -> Dict[str, Dict[str, Dict[int, Optional[float]]]]:
     """series[shape][algorithm][size] = avg seconds or None (timeout)."""
@@ -69,7 +69,7 @@ def run(
                         query,
                         statistics=catalog,
                         partitioning=HashSubjectObject(),  # Section V-C setup
-                        timeout_seconds=timeout_seconds,
+                        deadline_seconds=deadline_seconds,
                     )
                     if result.timed_out:
                         timed_out = True
@@ -85,10 +85,10 @@ def run(
 
 def report(
     sizes: Optional[Sequence[int]] = None,
-    timeout_seconds: Optional[float] = None,
+    deadline_seconds: Optional[float] = None,
 ) -> str:
     """Render and persist the Figure 7 report."""
-    series = run(sizes=sizes, timeout_seconds=timeout_seconds)
+    series = run(sizes=sizes, deadline_seconds=deadline_seconds)
     sections = []
     for shape, per_algorithm in series.items():
         all_sizes = sorted(

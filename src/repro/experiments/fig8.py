@@ -29,7 +29,7 @@ def run(
     shapes: Sequence[QueryShape] = SHAPES,
     sizes: Optional[Sequence[int]] = None,
     draws: int = 3,
-    timeout_seconds: Optional[float] = None,
+    deadline_seconds: Optional[float] = None,
     seed: int = 2017,
 ) -> Dict[str, Dict[str, List[float]]]:
     """ratios[shape][algorithm] = list of cost ratios to TD-CMD."""
@@ -63,7 +63,7 @@ def run(
                     query,
                     statistics=catalog,
                     partitioning=HashSubjectObject(),  # Section V-C setup
-                    timeout_seconds=timeout_seconds,
+                    deadline_seconds=deadline_seconds,
                 )
                 if reference.timed_out:
                     dead[(shape.value, "TD-CMD")] = True
@@ -78,7 +78,7 @@ def run(
                         query,
                         statistics=catalog,
                         partitioning=HashSubjectObject(),  # Section V-C setup
-                        timeout_seconds=timeout_seconds,
+                        deadline_seconds=deadline_seconds,
                     )
                     if result.timed_out:
                         dead[(shape.value, algorithm)] = True
@@ -91,10 +91,10 @@ def run(
 
 def report(
     sizes: Optional[Sequence[int]] = None,
-    timeout_seconds: Optional[float] = None,
+    deadline_seconds: Optional[float] = None,
 ) -> str:
     """Render and persist the Figure 8 report."""
-    ratios = run(sizes=sizes, timeout_seconds=timeout_seconds)
+    ratios = run(sizes=sizes, deadline_seconds=deadline_seconds)
     sections = []
     for shape, per_algorithm in ratios.items():
         rows = []

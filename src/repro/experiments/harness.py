@@ -1,9 +1,11 @@
 """Shared experiment harness.
 
-Runs any optimizer (ours or a baseline) against a query with a wall
-timeout, returning uniform :class:`AlgorithmRun` records the table and
-figure drivers consume.  The registry covers every algorithm the paper
-evaluates plus the TriAD-style extra baseline.
+Runs any registered optimizer (ours or a baseline) on a query under one
+deadline, returning uniform :class:`AlgorithmRun` records the table and
+figure drivers consume.  A run is a session call —
+``Optimizer(OptimizeOptions(algorithm=..., deadline_seconds=...))`` — so
+all seven algorithms are built, governed and timed by the same code;
+the harness constructs no optimizer and reads no clock.
 
 Scale knobs: the paper ran Java on a server with a 600 s cutoff; this
 reproduction defaults to ``REPRO_TIMEOUT`` seconds (default 15) per
@@ -15,43 +17,24 @@ L10.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
-from ..baselines import DPBushyOptimizer, MSCOptimizer, TriADOptimizer
-from ..core.auto import AutonomousOptimizer
-from ..core.cardinality import StatisticsCatalog
-from ..core.cost import CostParameters, PAPER_PARAMETERS
-from ..core.enumeration import (
-    OptimizationResult,
-    OptimizationTimeout,
-    TopDownEnumerator,
-)
-from ..core.local_query import LocalQueryIndex
-from ..core.optimizer import make_builder
-from ..core.pruning import PrunedTopDownEnumerator
-from ..core.reduction import ReductionOptimizer
-from ..partitioning.base import PartitioningMethod
-from ..rdf.dataset import Dataset
+from ..core.enumeration import OptimizationResult, OptimizationTimeout
+from ..core.governance import AbortCause, QueryAborted
+from ..core.session import OptimizeOptions, Optimizer
 from ..sparql.ast import BGPQuery
-
-#: every algorithm the experiments compare
-ALGORITHMS: Dict[str, type] = {
-    "TD-CMD": TopDownEnumerator,
-    "TD-CMDP": PrunedTopDownEnumerator,
-    "HGR-TD-CMD": ReductionOptimizer,
-    "TD-Auto": AutonomousOptimizer,
-    "MSC": MSCOptimizer,
-    "DP-Bushy": DPBushyOptimizer,
-    "TriAD-DP": TriADOptimizer,
-}
 
 #: the trio of Table IV/V/VI
 PAPER_TRIO = ("TD-Auto", "MSC", "DP-Bushy")
 
 #: the six lines of Figures 6–8 and Table VII
 FIGURE_SET = ("TD-CMD", "TD-CMDP", "HGR-TD-CMD", "MSC", "DP-Bushy", "TD-Auto")
+
+#: every algorithm the experiments compare (the figure set plus the
+#: TriAD-style extra baseline), by display name; lower-cased, these are
+#: the keys of :data:`repro.core.optimizer.ALGORITHMS`
+ALGORITHMS = FIGURE_SET + ("TriAD-DP",)
 
 
 def default_timeout() -> float:
@@ -66,22 +49,22 @@ def bench_scale() -> float:
 
 @dataclass
 class AlgorithmRun:
-    """One (algorithm, query) measurement."""
+    """One (algorithm, query) measurement; the defaults say "timed out"."""
 
     algorithm: str
     query_name: str
-    elapsed_seconds: Optional[float]
-    cost: Optional[float]
-    plans_considered: Optional[int]
-    timed_out: bool
-    timeout_seconds: float
+    deadline_seconds: float
+    timed_out: bool = True
+    elapsed_seconds: Optional[float] = None
+    cost: Optional[float] = None
+    plans_considered: Optional[int] = None
     result: Optional[OptimizationResult] = None
 
     @property
     def time_label(self) -> str:
         """Human-readable elapsed time, '>Ts' on timeout."""
         if self.timed_out:
-            return f">{self.timeout_seconds:.0f}s"
+            return f">{self.deadline_seconds:.0f}s"
         return f"{self.elapsed_seconds:.3f}s"
 
     @property
@@ -102,49 +85,42 @@ class AlgorithmRun:
 def run_algorithm(
     algorithm: str,
     query: BGPQuery,
-    statistics: Optional[StatisticsCatalog] = None,
-    dataset: Optional[Dataset] = None,
-    partitioning: Optional[PartitioningMethod] = None,
-    timeout_seconds: Optional[float] = None,
-    parameters: CostParameters = PAPER_PARAMETERS,
-    seed: int = 0,
+    deadline_seconds: Optional[float] = None,
+    **options: Any,
 ) -> AlgorithmRun:
-    """Run one optimizer on one query with a timeout; never raises."""
-    if timeout_seconds is None:
-        timeout_seconds = default_timeout()
-    implementation = ALGORITHMS[algorithm]
-    builder = make_builder(query, statistics, dataset, parameters, seed)
-    local_index = LocalQueryIndex(builder.join_graph, partitioning)
-    optimizer = implementation(
-        builder.join_graph,
-        builder,
-        local_index=local_index,
-        timeout_seconds=timeout_seconds,
-    )
-    started = time.perf_counter()
-    try:
-        result = optimizer.optimize()
-    except OptimizationTimeout:
-        return AlgorithmRun(
-            algorithm=algorithm,
-            query_name=query.name,
-            elapsed_seconds=None,
-            cost=None,
-            plans_considered=getattr(
-                getattr(optimizer, "stats", None), "plans_considered", None
-            ),
-            timed_out=True,
-            timeout_seconds=timeout_seconds,
+    """Run one optimizer on one query under a deadline; a timeout is a result.
+
+    A session call: *options* are the other
+    :class:`~repro.core.session.OptimizeOptions` fields (``statistics``,
+    ``dataset``, ``partitioning``, ``parameters``, ``seed``).  An expired
+    deadline surfaces as :class:`OptimizationTimeout` from a search and
+    as a deadline :class:`QueryAborted` from HGR's reduction phase; both
+    are reported as ``timed_out``.
+    """
+    if deadline_seconds is None:
+        deadline_seconds = default_timeout()
+    session = Optimizer(
+        OptimizeOptions(
+            algorithm=algorithm, deadline_seconds=deadline_seconds, **options
         )
-    elapsed = time.perf_counter() - started
+    )
+    timed_out = AlgorithmRun(algorithm, query.name, deadline_seconds)
+    try:
+        result = session.optimize(query)
+    except OptimizationTimeout:
+        return timed_out
+    except QueryAborted as abort:
+        if abort.cause is not AbortCause.DEADLINE:
+            raise
+        return timed_out
     return AlgorithmRun(
-        algorithm=algorithm,
-        query_name=query.name,
-        elapsed_seconds=elapsed,
+        algorithm,
+        query.name,
+        deadline_seconds,
+        timed_out=False,
+        elapsed_seconds=result.elapsed_seconds,
         cost=result.cost,
         plans_considered=result.stats.plans_considered,
-        timed_out=False,
-        timeout_seconds=timeout_seconds,
         result=result,
     )
 

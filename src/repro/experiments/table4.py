@@ -18,7 +18,7 @@ from .tables import render_table, write_report
 
 
 def run(
-    algorithms=PAPER_TRIO, timeout_seconds: Optional[float] = None
+    algorithms=PAPER_TRIO, deadline_seconds: Optional[float] = None
 ) -> Dict[str, Dict[str, AlgorithmRun]]:
     """runs[query][algorithm] for the benchmark trio."""
     partitioning = HashSubjectObject()
@@ -31,15 +31,15 @@ def run(
                 bench.query,
                 statistics=bench.statistics,
                 partitioning=partitioning,
-                timeout_seconds=timeout_seconds,
+                deadline_seconds=deadline_seconds,
             )
         results[bench.name] = per_query
     return results
 
 
-def report(timeout_seconds: Optional[float] = None) -> str:
+def report(deadline_seconds: Optional[float] = None) -> str:
     """Render and persist the Table IV report."""
-    results = run(timeout_seconds=timeout_seconds)
+    results = run(deadline_seconds=deadline_seconds)
     rows: List[List[str]] = []
     for query_name, per_query in results.items():
         rows.append(

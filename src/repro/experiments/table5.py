@@ -40,7 +40,7 @@ class ExecutionRow:
         return f"{self.simulated_time:.2f}"
 
 
-def run(timeout_seconds: Optional[float] = None) -> Dict[str, List[ExecutionRow]]:
+def run(deadline_seconds: Optional[float] = None) -> Dict[str, List[ExecutionRow]]:
     """Execute every configuration; verify results against the reference."""
     configurations = [
         ("Hash-SO", HashSubjectObject(), "TD-Auto"),
@@ -61,7 +61,7 @@ def run(timeout_seconds: Optional[float] = None) -> Dict[str, List[ExecutionRow]
                 bench.query,
                 statistics=bench.statistics,
                 partitioning=method,
-                timeout_seconds=timeout_seconds,
+                deadline_seconds=deadline_seconds,
             )
             if run_result.timed_out:
                 rows.append(ExecutionRow(label, None, None, None, None))
@@ -88,9 +88,9 @@ def run(timeout_seconds: Optional[float] = None) -> Dict[str, List[ExecutionRow]
     return results
 
 
-def report(timeout_seconds: Optional[float] = None) -> str:
+def report(deadline_seconds: Optional[float] = None) -> str:
     """Render and persist the Table V report."""
-    results = run(timeout_seconds=timeout_seconds)
+    results = run(deadline_seconds=deadline_seconds)
     labels = [row.label for row in next(iter(results.values()))]
     rows: List[List[str]] = []
     for query_name, per_query in results.items():

@@ -16,7 +16,7 @@ from .harness import PAPER_TRIO, AlgorithmRun, run_algorithm
 from .tables import render_table, write_report
 
 
-def run(timeout_seconds: Optional[float] = None) -> Dict[str, Dict[str, AlgorithmRun]]:
+def run(deadline_seconds: Optional[float] = None) -> Dict[str, Dict[str, AlgorithmRun]]:
     """Optimize the benchmark trio; return runs[query][algorithm]."""
     partitioning = HashSubjectObject()
     results: Dict[str, Dict[str, AlgorithmRun]] = {}
@@ -27,16 +27,16 @@ def run(timeout_seconds: Optional[float] = None) -> Dict[str, Dict[str, Algorith
                 bench.query,
                 statistics=bench.statistics,
                 partitioning=partitioning,
-                timeout_seconds=timeout_seconds,
+                deadline_seconds=deadline_seconds,
             )
             for algorithm in PAPER_TRIO
         }
     return results
 
 
-def report(timeout_seconds: Optional[float] = None) -> str:
+def report(deadline_seconds: Optional[float] = None) -> str:
     """Render and persist the Table VI report."""
-    results = run(timeout_seconds=timeout_seconds)
+    results = run(deadline_seconds=deadline_seconds)
     rows: List[List[str]] = []
     violations = []
     for query_name, per_query in results.items():

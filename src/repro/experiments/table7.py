@@ -31,7 +31,7 @@ SIZES = (8, 16, 30)
 def run(
     sizes: Sequence[int] = SIZES,
     algorithms: Sequence[str] = FIGURE_SET,
-    timeout_seconds: Optional[float] = None,
+    deadline_seconds: Optional[float] = None,
     seed: int = 11,
 ) -> Dict[Tuple[str, int], Dict[str, AlgorithmRun]]:
     """Run the shape × size × algorithm grid."""
@@ -44,7 +44,7 @@ def run(
                     algorithm,
                     query,
                     partitioning=HashSubjectObject(),  # Section V-C setup
-                    timeout_seconds=timeout_seconds,
+                    deadline_seconds=deadline_seconds,
                     seed=seed,
                 )
                 for algorithm in algorithms
@@ -53,10 +53,10 @@ def run(
 
 
 def report(
-    sizes: Sequence[int] = SIZES, timeout_seconds: Optional[float] = None
+    sizes: Sequence[int] = SIZES, deadline_seconds: Optional[float] = None
 ) -> str:
     """Render and persist the Table VII report."""
-    results = run(sizes=sizes, timeout_seconds=timeout_seconds)
+    results = run(sizes=sizes, deadline_seconds=deadline_seconds)
     rows: List[List[str]] = []
     for algorithm in FIGURE_SET:
         row = [algorithm]

@@ -19,6 +19,7 @@ from repro.core import (
     TopDownEnumerator,
 )
 from repro.core import bitset as bs
+from repro.core.governance import Deadline, QueryBudget
 from repro.core.optimizer import make_builder
 from repro.core.plans import JoinAlgorithm, validate_plan
 from repro.partitioning import HashSubjectObject
@@ -33,6 +34,11 @@ from repro.workloads.generators import (
 from repro.core.join_graph import QueryShape
 
 ALL_BASELINES = [MSCOptimizer, DPBushyOptimizer, TriADOptimizer]
+
+
+def a_minute():
+    """A fresh 60 s budget (these searches finish well inside it)."""
+    return QueryBudget(deadline=Deadline.after(60))
 
 
 class TestMinimumSetCover:
@@ -89,7 +95,7 @@ class TestBaselinePlans:
         ]:
             query = generate_query(shape, size, random.Random(1))
             builder = make_builder(query, seed=1)
-            result = baseline(builder.join_graph, builder, timeout_seconds=60).optimize()
+            result = baseline(builder.join_graph, builder, budget=a_minute()).optimize()
             validate_plan(result.plan, builder.join_graph.full)
 
     @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=lambda c: c.algorithm_name)
@@ -103,7 +109,7 @@ class TestBaselinePlans:
             index = LocalQueryIndex(builder.join_graph, HashSubjectObject())
             best = TopDownEnumerator(builder.join_graph, builder, index).optimize()
             other = baseline(
-                builder.join_graph, builder, index, timeout_seconds=60
+                builder.join_graph, builder, index, budget=a_minute()
             ).optimize()
             assert best.cost <= other.cost + 1e-9
 
@@ -128,7 +134,7 @@ class TestMSCBehaviour:
     def test_flatter_than_tdcmd_on_trees(self):
         query = tree_query(8, random.Random(3))
         builder = make_builder(query, seed=3)
-        msc = MSCOptimizer(builder.join_graph, builder, timeout_seconds=60).optimize()
+        msc = MSCOptimizer(builder.join_graph, builder, budget=a_minute()).optimize()
         best = TopDownEnumerator(builder.join_graph, builder).optimize()
         assert msc.plan.depth() <= best.plan.depth() + 1
 
@@ -138,7 +144,7 @@ class TestMSCBehaviour:
             query = tree_query(7, random.Random(seed))
             builder = make_builder(query, seed=seed)
             result = MSCOptimizer(
-                builder.join_graph, builder, timeout_seconds=60
+                builder.join_graph, builder, budget=a_minute()
             ).optimize()
             for join in result.plan.joins():
                 assert join.algorithm is not JoinAlgorithm.BROADCAST

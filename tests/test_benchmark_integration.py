@@ -34,7 +34,7 @@ def all_runs():
                 bench.query,
                 statistics=bench.statistics,
                 partitioning=partitioning,
-                timeout_seconds=20,
+                deadline_seconds=20,
             )
     return runs
 

@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core import bitset as bs
 from repro.core.cmd import enumerate_cmds
+from repro.core.governance import Deadline, QueryBudget
 from repro.core.optimizer import make_builder
 from repro.core.plans import JoinAlgorithm, JoinNode, validate_plan
 from repro.partitioning import HashSubjectObject, PathBMC
@@ -148,9 +149,8 @@ class TestMechanics:
     def test_timeout_enforced(self):
         query = star_query(14)
         builder = make_builder(query, seed=0)
-        enumerator = TopDownEnumerator(
-            builder.join_graph, builder, timeout_seconds=0.01
-        )
+        budget = QueryBudget(deadline=Deadline.after(0.01))
+        enumerator = TopDownEnumerator(builder.join_graph, builder, budget=budget)
         with pytest.raises(OptimizationTimeout):
             enumerator.optimize()
 

@@ -24,7 +24,7 @@ class TestTable3:
 class TestTable7:
     def test_tiny_grid(self):
         results = table7.run(
-            sizes=(6,), algorithms=("TD-CMD", "TD-CMDP"), timeout_seconds=30
+            sizes=(6,), algorithms=("TD-CMD", "TD-CMDP"), deadline_seconds=30
         )
         assert set(results) == {
             ("chain", 6),
@@ -44,7 +44,7 @@ class TestFig6:
             templates=3,
             instances_per_template=1,
             algorithms=("TD-CMD", "TD-CMDP"),
-            timeout_seconds=30,
+            deadline_seconds=30,
         )
         assert set(averages) == {"TD-CMD", "TD-CMDP"}
         assert all(r >= 1.0 - 1e-9 for r in ratios["TD-CMDP"])
@@ -56,7 +56,7 @@ class TestFig7:
             sizes=(4, 6),
             algorithms=("TD-CMD", "HGR-TD-CMD"),
             draws=1,
-            timeout_seconds=30,
+            deadline_seconds=30,
         )
         assert set(series) == {"chain", "cycle", "tree", "dense"}
         for per_algorithm in series.values():
@@ -67,7 +67,7 @@ class TestFig7:
 
 class TestFig8:
     def test_tiny_sweep(self):
-        ratios = fig8.run(sizes=(5,), draws=1, timeout_seconds=30)
+        ratios = fig8.run(sizes=(5,), draws=1, deadline_seconds=30)
         for per_algorithm in ratios.values():
             for algorithm, ratio_list in per_algorithm.items():
                 for ratio in ratio_list:

@@ -20,7 +20,7 @@ from repro.workloads.generators import chain_query, star_query
 
 class TestHarness:
     def test_run_algorithm_success(self):
-        run = run_algorithm("TD-CMD", chain_query(5), timeout_seconds=30)
+        run = run_algorithm("TD-CMD", chain_query(5), deadline_seconds=30)
         assert not run.timed_out
         assert run.cost is not None and run.cost > 0
         assert run.plans_considered > 0
@@ -28,7 +28,7 @@ class TestHarness:
         assert run.result is not None
 
     def test_run_algorithm_timeout(self):
-        run = run_algorithm("TD-CMD", star_query(16), timeout_seconds=0.01)
+        run = run_algorithm("TD-CMD", star_query(16), deadline_seconds=0.01)
         assert run.timed_out
         assert run.cost is None
         assert run.time_label == ">0s"
@@ -49,7 +49,7 @@ class TestHarness:
     def test_all_algorithms_run_one_query(self):
         query = chain_query(4)
         for algorithm in ALGORITHMS:
-            run = run_algorithm(algorithm, query, timeout_seconds=30)
+            run = run_algorithm(algorithm, query, deadline_seconds=30)
             assert not run.timed_out, algorithm
             assert run.cost > 0
 

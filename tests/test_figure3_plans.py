@@ -10,6 +10,7 @@ import pytest
 
 from repro.baselines import DPBushyOptimizer, MSCOptimizer, TriADOptimizer
 from repro.core import LocalQueryIndex, TopDownEnumerator
+from repro.core.governance import Deadline, QueryBudget
 from repro.core.optimizer import make_builder
 from repro.core.plans import JoinAlgorithm
 from repro.partitioning import HashSubjectObject
@@ -29,9 +30,8 @@ class TestMSCShape:
         """MSC plans stay shallow (Fig. 3b shows 2 levels; minimum covers
         over partial cliques can add a couple) — never a left-deep chain."""
         builder = make_builder(fig1_query, seed=42)
-        result = MSCOptimizer(
-            builder.join_graph, builder, timeout_seconds=60
-        ).optimize()
+        budget = QueryBudget(deadline=Deadline.after(60))
+        result = MSCOptimizer(builder.join_graph, builder, budget=budget).optimize()
         assert result.plan.depth() <= 4
         assert result.plan.depth() < len(fig1_query) - 1
 

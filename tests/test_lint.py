@@ -341,6 +341,19 @@ class TestLint005WallClock:
         """
         assert codes(src, path=ENGINE) == ["LINT005"]
 
+    def test_baselines_and_experiments_are_clock_governed(self):
+        """The optimizers under comparison and their harness share the
+        one sanctioned clock, or the comparison is not under one cutoff."""
+        src = """
+        import time
+        deadline = time.monotonic() + 600
+        """
+        for path in (
+            "src/repro/baselines/msc.py",
+            "src/repro/experiments/harness.py",
+        ):
+            assert codes(src, path=path) == ["LINT005"]
+
     def test_from_import_flagged(self):
         assert codes("from time import monotonic\n") == ["LINT005"]
         assert codes("from time import time, monotonic\n") == ["LINT005"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import MSCOptimizer
 from repro.core import LocalQueryIndex, TopDownEnumerator
+from repro.core.governance import Deadline, QueryBudget
 from repro.core.optimizer import make_builder
 from repro.core.plans import JoinAlgorithm
 from repro.engine.mapreduce import (
@@ -14,6 +15,11 @@ from repro.engine.mapreduce import (
 )
 from repro.partitioning import HashSubjectObject
 from repro.workloads.generators import chain_query, star_query, tree_query
+
+
+def a_minute():
+    """A fresh 60 s budget (these searches finish well inside it)."""
+    return QueryBudget(deadline=Deadline.after(60))
 
 
 @pytest.fixture
@@ -97,7 +103,7 @@ class TestCrossover:
         index = LocalQueryIndex(builder.join_graph, HashSubjectObject())
         bushy = TopDownEnumerator(builder.join_graph, builder, index).optimize().plan
         flat = (
-            MSCOptimizer(builder.join_graph, builder, index, timeout_seconds=60)
+            MSCOptimizer(builder.join_graph, builder, index, budget=a_minute())
             .optimize()
             .plan
         )
@@ -156,7 +162,7 @@ class TestCrossover:
         index = LocalQueryIndex(builder.join_graph, HashSubjectObject())
         bushy = TopDownEnumerator(builder.join_graph, builder, index).optimize().plan
         flat = (
-            MSCOptimizer(builder.join_graph, builder, index, timeout_seconds=60)
+            MSCOptimizer(builder.join_graph, builder, index, budget=a_minute())
             .optimize()
             .plan
         )

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import PlanVerifier, VerificationContext, verify_result
-from repro.core import optimize, optimize_query_parallel
+from repro.core import OptimizeOptions, Optimizer, optimize
 from repro.core.enumeration import OptimizationTimeout
 from repro.core.governance import Deadline, QueryBudget
 from repro.core.join_graph import JoinGraph
@@ -39,6 +39,12 @@ from repro.workloads.generators import (
     star_query,
     tree_query,
 )
+
+
+def sharded(query, algorithm, jobs, budget=None, **options):
+    """One query through a ``jobs > 1`` session (the sharded search)."""
+    session = Optimizer(OptimizeOptions(algorithm=algorithm, jobs=jobs, **options))
+    return session.optimize(query, budget)
 
 
 def brute_force_connected(join_graph):
@@ -118,13 +124,7 @@ class TestMemoShardEquivalence:
         serial = optimize(
             query, algorithm=algorithm, partitioning=method, seed=seed
         )
-        parallel = optimize_query_parallel(
-            query,
-            algorithm=algorithm,
-            jobs=2,
-            partitioning=method,
-            seed=seed,
-        )
+        parallel = sharded(query, algorithm, 2, partitioning=method, seed=seed)
         assert parallel.cost == serial.cost  # bit-identical, not approx
         assert parallel.plan.describe() == serial.plan.describe()
         context = VerificationContext.for_query(
@@ -135,7 +135,7 @@ class TestMemoShardEquivalence:
     def test_small_query_declines_to_serial(self):
         """A search space too small to shard runs the serial search."""
         query = chain_query(2)
-        result = optimize_query_parallel(query, algorithm="td-cmd", jobs=4)
+        result = sharded(query, "td-cmd", 4)
         assert result.stats.workers == 1
         assert "[parallel" not in result.algorithm
         assert result.cost == optimize(query, algorithm="td-cmd").cost
@@ -149,9 +149,7 @@ class TestMemoShardGovernance:
         budget = QueryBudget(
             deadline=Deadline.after(0.0), anytime=True, query_id="q-any"
         )
-        result = optimize_query_parallel(
-            query, algorithm="td-cmdp", jobs=2, budget=budget
-        )
+        result = sharded(query, "td-cmdp", 2, budget)
         assert result.stats.degraded
         assert "[anytime]" in result.algorithm
         assert "finished tiers" in result.stats.degradation_reason
@@ -168,15 +166,11 @@ class TestMemoShardGovernance:
         query = dense_query(10, random.Random(3))
         budget = QueryBudget(deadline=Deadline.after(0.0), anytime=False)
         with pytest.raises(OptimizationTimeout):
-            optimize_query_parallel(
-                query, algorithm="td-cmdp", jobs=2, budget=budget
-            )
+            sharded(query, "td-cmdp", 2, budget)
 
     def test_generous_deadline_is_not_degraded(self):
         query = cycle_query(7)
         budget = QueryBudget(deadline=Deadline.after(600.0), anytime=True)
-        result = optimize_query_parallel(
-            query, algorithm="td-cmdp", jobs=2, budget=budget
-        )
+        result = sharded(query, "td-cmdp", 2, budget)
         assert not result.stats.degraded
         assert result.cost == optimize(query, algorithm="td-cmdp").cost

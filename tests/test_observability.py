@@ -8,8 +8,9 @@ Covers the tentpole guarantees:
   export passes the format validator);
 * the ``jobs > 1`` parallel search merges worker traces
   deterministically (one track per worker, stable ids);
-* a ``jobs > 1`` call that declines to shard records the span tree of
-  one serial search, governed or not;
+* the session builds the enumerator once, inside ``build``, whatever
+  ``jobs`` is: a ``jobs > 1`` call that declines to shard records the
+  span tree of a ``jobs=1`` call, governed or not;
 * the tracer-side counters reconcile with the optimizer's
   :class:`~repro.core.enumeration.EnumerationStats` and the engine's
   :class:`~repro.engine.metrics.ExecutionMetrics` (the satellite
@@ -284,34 +285,54 @@ class TestParallelMerge:
 # the serial fallback of the parallel search
 # ----------------------------------------------------------------------
 class TestSerialFallbackSpans:
-    """A ``jobs > 1`` call that declines to shard is one serial search."""
+    """One build site: ``jobs`` never changes the shape of the trace.
+
+    A ``jobs > 1`` call that declines to shard records exactly the span
+    tree of a ``jobs=1`` call, and a call that does shard still has one
+    ``optimize`` and one ``build``.
+    """
 
     CASES = {
         "too-small": (chain_query(2), None),
         "rule3-root": (chain_query(3), PathBMC()),  # chains are local there
     }
 
+    @staticmethod
+    def span_tree(session):
+        by_id = {sp.span_id: sp.name for sp in session.tracer.spans}
+        return sorted(
+            (by_id.get(sp.parent_id, ""), sp.name) for sp in session.tracer.spans
+        )
+
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("governed", [False, True])
     def test_one_optimize_span_and_one_span_tree(self, case, governed):
         query, method = self.CASES[case]
-        session = traced_session(
-            algorithm="td-cmdp",
-            jobs=2,
-            partitioning=method,
-            deadline_seconds=600.0 if governed else None,
-        )
-        result = session.optimize(query)
-        assert result.stats.workers == 1
-        by_id = {sp.span_id: sp.name for sp in session.tracer.spans}
-        tree = sorted(
-            (by_id.get(sp.parent_id, ""), sp.name) for sp in session.tracer.spans
-        )
-        assert tree == [
+        trees = []
+        for jobs in (1, 2):
+            session = traced_session(
+                algorithm="td-cmdp",
+                jobs=jobs,
+                partitioning=method,
+                deadline_seconds=600.0 if governed else None,
+            )
+            assert session.optimize(query).stats.workers == 1
+            trees.append(self.span_tree(session))
+        assert trees[0] == trees[1] == [
             ("", "optimize"),
+            ("optimize", "build"),
             ("optimize", "enumerate"),
             ("optimize", "statistics.resolve"),
         ]
+
+    def test_a_sharded_run_builds_once(self, fig1_query):
+        session = traced_session(algorithm="td-cmdp", jobs=2)
+        assert session.optimize(fig1_query).stats.workers == 2
+        names = [sp.name for sp in session.tracer.spans]
+        for name in ("optimize", "build", "parallel.search"):
+            assert names.count(name) == 1, name
+        assert ("optimize", "build") in self.span_tree(session)
+        assert ("optimize", "parallel.search") in self.span_tree(session)
 
 
 # ----------------------------------------------------------------------

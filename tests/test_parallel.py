@@ -1,28 +1,33 @@
-"""Tests for the process-pool parallel plan search (core.parallel).
+"""Tests for the session's two uses of ``jobs`` (core.parallel behind it).
 
-The contract under test is *equivalence*: the batch pool and the
-memo-sharded intra-query search must return bit-identical plan costs
-(and bit-identical enumeration counters) to the serial optimizer, for
-every algorithm and seed.
+The contract under test is *equivalence*: the batch pool of
+``Optimizer.optimize_many`` and the memo-sharded intra-query search of
+``Optimizer.optimize`` must return bit-identical plan costs (and
+bit-identical enumeration counters) to the serial optimizer, for every
+algorithm and seed.
 """
 
 import random
+import threading
+import time
 
 import pytest
 
 from repro.core import (
+    ALGORITHMS,
+    AbortCause,
+    CancellationToken,
     CartesianProductError,
     OptimizationTimeout,
     OptimizeOptions,
     Optimizer,
     PARALLELIZABLE_ALGORITHMS,
+    QueryAborted,
     StatisticsCatalog,
     TopDownEnumerator,
     default_jobs,
     make_builder,
     optimize,
-    optimize_many,
-    optimize_query_parallel,
 )
 from repro.core.memo_shard import _ShardDriver, subquery_tiers
 from repro.core.plan_cache import PlanCache
@@ -36,7 +41,11 @@ from repro.workloads.generators import (
     tree_query,
 )
 
-ALL_ALGORITHMS = ["td-cmd", "td-cmdp", "hgr-td-cmd", "td-auto"]
+ALL_ALGORITHMS = sorted(ALGORITHMS)
+
+
+def session(algorithm="td-auto", **options):
+    return Optimizer(OptimizeOptions(algorithm=algorithm, **options))
 
 
 def small_batch():
@@ -57,7 +66,7 @@ class TestOptimizeMany:
         """Pooled batch results == serial results, per query, bit for bit."""
         queries = small_batch()
         serial = [optimize(q, algorithm=algorithm, seed=seed) for q in queries]
-        batch = optimize_many(queries, algorithm=algorithm, jobs=2, seed=seed)
+        batch = session(algorithm, jobs=2, seed=seed).optimize_many(queries)
         assert len(batch) == len(serial)
         for expected, got in zip(serial, batch):
             assert got.cost == expected.cost
@@ -66,7 +75,7 @@ class TestOptimizeMany:
 
     def test_preserves_input_order(self):
         queries = small_batch()
-        results = optimize_many(queries, algorithm="td-cmd", jobs=2)
+        results = session("td-cmd", jobs=2).optimize_many(queries)
         for query, result in zip(queries, results):
             serial = optimize(query, algorithm="td-cmd")
             assert result.cost == serial.cost
@@ -84,18 +93,22 @@ class TestOptimizeMany:
                 self.statistics = statistics
 
         items = [query, (query, stats), Record(query, stats)]
-        results = optimize_many(items, algorithm="td-cmd", jobs=1)
-        assert len(results) == 3
-        # items 1 and 2 share explicit statistics -> identical plans
-        assert results[1].cost == results[2].cost
+        for jobs in (1, 2):
+            results = session("td-cmd", jobs=jobs).optimize_many(items)
+            assert len(results) == 3
+            # items 1 and 2 share explicit statistics -> identical plans
+            assert results[1].cost == results[2].cost
+            assert results[1].cost == optimize(query, "td-cmd", stats).cost
+            assert results[0].cost == optimize(query, "td-cmd").cost
 
     def test_rejects_garbage_items(self):
-        with pytest.raises(TypeError):
-            optimize_many([42], jobs=1)
+        for jobs in (1, 2):
+            with pytest.raises(TypeError):
+                session(jobs=jobs).optimize_many([chain_query(3), 42])
 
     def test_jobs_one_skips_the_pool(self):
         queries = small_batch()[:2]
-        results = optimize_many(queries, algorithm="td-cmdp", jobs=1)
+        results = session("td-cmdp", jobs=1).optimize_many(queries)
         for query, result in zip(queries, results):
             assert result.cost == optimize(query, algorithm="td-cmdp").cost
 
@@ -103,19 +116,75 @@ class TestOptimizeMany:
         """Each query of the batch runs under its own deadline."""
         query = dense_query(16, random.Random(5))  # far too large for 50 ms
         with pytest.raises(OptimizationTimeout, match=r"exceeded 0\.05s"):
-            optimize_many([query], algorithm="td-cmdp", jobs=1, deadline_seconds=0.05)
+            session("td-cmdp", deadline_seconds=0.05).optimize_many([query])
 
     def test_plan_cache_short_circuits_repeats(self):
         queries = small_batch()[:3]
         cache = PlanCache()
-        first = optimize_many(queries, algorithm="td-cmd", jobs=2, plan_cache=cache)
+        pooled = session("td-cmd", jobs=2, plan_cache=cache)
+        first = pooled.optimize_many(queries)
         assert cache.stats.misses == len(queries)
         assert cache.stats.stores == len(queries)
-        second = optimize_many(queries, algorithm="td-cmd", jobs=2, plan_cache=cache)
+        second = pooled.optimize_many(queries)
         assert cache.stats.hits == len(queries)
         for cold, warm in zip(first, second):
             assert warm.cost == cold.cost
             assert warm.algorithm.endswith("+cache")
+
+    def test_item_statistics_apply_to_that_item_only(self):
+        """One query object, two catalogs in one batch: each item gets
+        its own, and neither leaks into the session."""
+        query = tree_query(6, random.Random(1))
+        first, second = (
+            StatisticsCatalog.from_random(query, random.Random(seed))
+            for seed in (5, 6)
+        )
+        expected = [
+            optimize(query, "td-cmd", statistics).cost
+            for statistics in (first, second, None)
+        ]
+        assert len(set(expected)) == 3
+        for jobs in (1, 2):
+            pooled = session("td-cmd", jobs=jobs)
+            results = pooled.optimize_many([(query, first), (query, second), query])
+            assert [result.cost for result in results] == expected
+            assert pooled.optimize(query).cost == expected[2]
+
+    def test_corrupted_cache_entry_is_reoptimized_in_a_pooled_batch(self):
+        """The verify gate on cache hits holds for batches too."""
+        queries = small_batch()[:3]
+        cache = PlanCache()
+        pooled = session("td-cmdp", jobs=2, plan_cache=cache, verify=True)
+        first = pooled.optimize_many(queries)
+        for entry in cache._entries.values():
+            entry["plan"]["cost"] += 100.0
+        fresh = pooled.optimize_many(queries)
+        assert cache.stats.invalidations == len(queries)
+        for cold, again in zip(first, fresh):
+            assert not again.algorithm.endswith("+cache")
+            assert again.cost == cold.cost
+        assert all(
+            result.algorithm.endswith("+cache")
+            for result in pooled.optimize_many(queries)
+        )
+
+    def test_cancelled_token_aborts_a_pooled_batch(self):
+        """The driver polls the token between completions: the abort
+        surfaces within poll intervals, not after the batch."""
+        token = CancellationToken()
+        queries = [dense_query(12, random.Random(seed)) for seed in range(8)]
+        timer = threading.Timer(0.2, token.cancel, args=("shutting down",))
+        timer.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(QueryAborted) as abort:
+                session("td-cmd", jobs=2, cancellation=token).optimize_many(queries)
+        finally:
+            timer.cancel()
+        assert abort.value.cause is AbortCause.CANCELLED
+        assert "shutting down" in str(abort.value)
+        # the batch itself is ~0.5 s a query; cancel came at 0.2 s
+        assert time.perf_counter() - started < 1.5
 
 
 class TestIntraQueryParallel:
@@ -126,9 +195,7 @@ class TestIntraQueryParallel:
         except the traversal-dependent memo_hits."""
         query = tree_query(9, random.Random(seed))
         serial = optimize(query, algorithm=algorithm, seed=seed)
-        parallel = optimize_query_parallel(
-            query, algorithm=algorithm, jobs=3, seed=seed
-        )
+        parallel = session(algorithm, jobs=3, seed=seed).optimize(query)
         assert parallel.cost == serial.cost
         assert parallel.plan.describe() == serial.plan.describe()
         assert parallel.stats.plans_considered == serial.stats.plans_considered
@@ -142,7 +209,7 @@ class TestIntraQueryParallel:
 
     def test_reports_worker_stats(self):
         query = cycle_query(7)
-        result = optimize_query_parallel(query, algorithm="td-cmd", jobs=3)
+        result = session("td-cmd", jobs=3).optimize(query)
         assert result.stats.workers == 3
         assert len(result.stats.per_worker_subqueries) == 3
         assert len(result.stats.per_worker_seconds) == 3
@@ -155,7 +222,7 @@ class TestIntraQueryParallel:
     def test_worker_balance_and_steals_in_summary(self):
         """The skew metrics reach summary() for multi-worker runs."""
         query = cycle_query(7)
-        result = optimize_query_parallel(query, algorithm="td-cmd", jobs=3)
+        result = session("td-cmd", jobs=3).optimize(query)
         summary = result.stats.summary()
         assert "worker_balance" in summary
         assert "steals" in summary
@@ -168,9 +235,7 @@ class TestIntraQueryParallel:
         query = star_query(5)
         method = HashSubjectObject()
         serial = optimize(query, algorithm="td-cmdp", partitioning=method)
-        parallel = optimize_query_parallel(
-            query, algorithm="td-cmdp", jobs=2, partitioning=method
-        )
+        parallel = session("td-cmdp", jobs=2, partitioning=method).optimize(query)
         assert parallel.cost == serial.cost
         assert parallel.plan.describe() == serial.plan.describe()
 
@@ -178,9 +243,7 @@ class TestIntraQueryParallel:
         """A root answered locally by Rule 3 has nothing to parallelize."""
         query = chain_query(3)
         method = PathBMC()  # chains are local under path partitioning
-        result = optimize_query_parallel(
-            query, algorithm="td-cmdp", jobs=4, partitioning=method
-        )
+        result = session("td-cmdp", jobs=4, partitioning=method).optimize(query)
         serial = optimize(query, algorithm="td-cmdp", partitioning=method)
         assert result.cost == serial.cost
         assert result.stats.workers == 1
@@ -190,27 +253,22 @@ class TestIntraQueryParallel:
         """More workers than the space supports must not crash or distort."""
         query = chain_query(3)  # tiny search space
         serial = optimize(query, algorithm="td-cmd")
-        result = optimize_query_parallel(query, algorithm="td-cmd", jobs=64)
+        result = session("td-cmd", jobs=64).optimize(query)
         assert result.cost == serial.cost
         assert result.stats.plans_considered == serial.stats.plans_considered
 
     def test_jobs_one_is_plain_serial(self):
         query = cycle_query(5)
-        result = optimize_query_parallel(query, algorithm="td-cmd", jobs=1)
+        result = session("td-cmd", jobs=1).optimize(query)
         assert result.stats.workers == 1
         assert "[parallel" not in result.algorithm
-
-    def test_unsupported_algorithm_rejected(self):
-        query = chain_query(4)
-        with pytest.raises(ValueError):
-            optimize_query_parallel(query, algorithm="hgr-td-cmd", jobs=2)
 
     def test_disconnected_query_rejected(self):
         query = parse_query(
             "SELECT * WHERE { ?a <http://e/p> ?b . ?c <http://e/q> ?d . }"
         )
         with pytest.raises(CartesianProductError):
-            optimize_query_parallel(query, algorithm="td-cmd", jobs=2)
+            session("td-cmd", jobs=2).optimize(query)
 
 
 class TestMergeWorkerStats:
@@ -224,9 +282,7 @@ class TestMergeWorkerStats:
         builder = make_builder(chain_query(4))
         serial = TopDownEnumerator(builder.join_graph, builder)
         jobs = len(busy_seconds)
-        driver = _ShardDriver(
-            serial, "td-cmd", jobs, subquery_tiers(builder.join_graph)
-        )
+        driver = _ShardDriver(serial, jobs, subquery_tiers(builder.join_graph))
         try:
             driver.spawn_started = 100.0
             if startup_seconds is not None:
@@ -269,12 +325,13 @@ class TestOptimizeEntryPoint:
         assert parallel.cost == serial.cost
 
     def test_jobs_ignored_for_serial_only_algorithms(self):
+        """HGR, TD-Auto and the baselines search serially whatever ``jobs``."""
         query = cycle_query(6)
-        result = Optimizer(
-            OptimizeOptions(algorithm="hgr-td-cmd", jobs=4)
-        ).optimize(query)
-        assert "[parallel" not in result.algorithm
-        assert result.cost == optimize(query, algorithm="hgr-td-cmd").cost
+        for algorithm in sorted(set(ALGORITHMS) - set(PARALLELIZABLE_ALGORITHMS)):
+            result = session(algorithm, jobs=4).optimize(query)
+            assert "[parallel" not in result.algorithm
+            assert result.stats.workers == 1
+            assert result.cost == optimize(query, algorithm=algorithm).cost
 
     def test_default_jobs_is_positive(self):
         assert default_jobs() >= 1

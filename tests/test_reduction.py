@@ -11,6 +11,7 @@ from repro.core import (
     TopDownEnumerator,
 )
 from repro.core import bitset as bs
+from repro.core.governance import Deadline, QueryBudget
 from repro.core.optimizer import make_builder
 from repro.core.plans import JoinAlgorithm, validate_plan
 from repro.core.reduction import (
@@ -114,8 +115,9 @@ class TestEndToEnd:
         query = dense_query(20, random.Random(9))
         builder = make_builder(query, seed=9)
         index = LocalQueryIndex(builder.join_graph, HashSubjectObject())
+        budget = QueryBudget(deadline=Deadline.after(60))
         result = ReductionOptimizer(
-            builder.join_graph, builder, index, timeout_seconds=60
+            builder.join_graph, builder, index, budget=budget
         ).optimize()
         validate_plan(result.plan, builder.join_graph.full)
         assert result.elapsed_seconds < 60
