@@ -86,7 +86,7 @@ from .analysis import InvariantViolation
 from .core import ALGORITHMS, QueryAborted, StatisticsCatalog
 from .core.serialize import plan_to_dot, plan_to_json
 from .core.session import OptimizeOptions, Optimizer
-from .engine import Cluster, Executor, engine_specs
+from .engine import ENGINES, Cluster, Executor
 from .partitioning import (
     HashSubjectObject,
     PathBMC,
@@ -586,15 +586,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect spans + metrics and export a Chrome trace-event "
         "JSON file (Perfetto-loadable) to PATH",
     )
-    # choices and help are generated from the engine registry, so a
-    # newly registered backend shows up here without CLI edits
+    # choices and help are generated from the engine table
     common.add_argument(
         "--engine",
-        choices=tuple(spec.name for spec in engine_specs()),
+        choices=tuple(ENGINES),
         default=OptimizeOptions.engine,
         help="execution engine for plan execution: "
         + "; ".join(
-            f"'{spec.name}' ({spec.description})" for spec in engine_specs()
+            f"'{name}' ({spec.description})" for name, spec in ENGINES.items()
         ),
     )
 

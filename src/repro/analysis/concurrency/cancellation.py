@@ -55,7 +55,6 @@ HOT_SUFFIXES = (
     "engine/columnar.py",
     "engine/mapreduce.py",
     "engine/base.py",
-    "engine/pipelined.py",
     "partitioning/adaptive.py",
 )
 

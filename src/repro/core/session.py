@@ -118,10 +118,10 @@ class OptimizeOptions:
     #: collect spans + metrics for every call (``session.tracer``)
     trace: bool = False
     #: execution engine for plan execution driven from this session's
-    #: options: any registered name (``"columnar"`` — dictionary-encoded
-    #: ids with indexed scans; ``"pipelined"`` — streaming chunk
-    #: pipeline; ``"reference"`` — term tuples, the oracle) or a ready
-    #: :class:`~repro.engine.base.Engine` instance
+    #: options: a name from :data:`~repro.engine.base.ENGINES`
+    #: (``"columnar"`` — dictionary ids with indexed scans, every
+    #: operator emits once; ``"pipelined"`` — the same in bounded
+    #: batches) or a ready :class:`~repro.engine.base.Engine` instance
     engine: Any = "columnar"
     #: wall-clock deadline for each query's whole lifecycle (optimize,
     #: and execution when the same budget is handed to the executor)
@@ -207,13 +207,9 @@ class Optimizer:
             )
         if base.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {base.jobs}")
-        from ..engine.base import Engine  # late: engine depends on core
-        from ..engine.executor import ENGINES  # registers all backends
+        from ..engine.base import resolve_engine  # late: engine depends on core
 
-        if not isinstance(base.engine, Engine) and base.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {base.engine!r}; choose from {list(ENGINES)}"
-            )
+        resolve_engine(base.engine)  # raises on a name that is not in ENGINES
         if base.adapt_every < 1:
             raise ValueError(f"adapt_every must be >= 1, got {base.adapt_every}")
         if base.replication_budget < 0:

@@ -1,15 +1,6 @@
 """Simulated parallel execution engine (the RDF-3X + Hadoop stand-in)."""
 
-from .base import (
-    ColumnarEngine,
-    Engine,
-    EngineSpec,
-    ReferenceEngine,
-    engine_spec,
-    engine_specs,
-    register_engine,
-    resolve_engine,
-)
+from .base import ENGINES, Engine, EngineSpec, PipelinedEngine, resolve_engine
 from .cluster import Cluster
 from .columnar import (
     EncodedRelation,
@@ -18,14 +9,7 @@ from .columnar import (
     multi_join_encoded,
     scan_pattern_encoded,
 )
-from .executor import (
-    ENGINES,
-    ExecutionError,
-    Executor,
-    evaluate_reference,
-    plan_depth,
-)
-from .pipelined import PipelinedEngine
+from .executor import ExecutionError, Executor, plan_depth
 from .explain import ExplainReport, OperatorExplain, explain
 from .faults import (
     FailStop,
@@ -54,7 +38,13 @@ from .recovery import (
     RecoveryManager,
     RetryPolicy,
 )
-from .relations import Relation, hash_join, multi_join, scan_pattern
+from .relations import (
+    Relation,
+    evaluate_reference,
+    hash_join,
+    multi_join,
+    scan_pattern,
+)
 
 __all__ = [
     "Cluster",
@@ -93,12 +83,7 @@ __all__ = [
     "ENGINES",
     "Engine",
     "EngineSpec",
-    "ReferenceEngine",
-    "ColumnarEngine",
     "PipelinedEngine",
-    "engine_spec",
-    "engine_specs",
-    "register_engine",
     "resolve_engine",
     "plan_depth",
     "EncodedRelation",

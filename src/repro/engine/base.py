@@ -1,219 +1,136 @@
-"""The engine protocol: a formal contract for physical execution backends.
+"""The engine: dictionary-id access paths plus a batch size.
 
-The executor runs one pull-based operator pipeline for every backend
-(:mod:`repro.engine.executor`); a backend only chooses the row
-representation and how many rows an operator hands over at a time:
+The executor runs one pull-based operator pipeline
+(:mod:`repro.engine.executor`) over one row representation —
+:class:`~repro.engine.columnar.EncodedRelation`, rows of dictionary
+ids.  What still varies is small:
 
-* :class:`Engine` — the abstract protocol every backend implements:
-  how to scan a pattern on the cluster, how to multi-join co-located
-  relations, how to route a binding for repartitioning, how to make an
-  empty relation for a schema, how to materialize the final result
-  (:meth:`Engine.decode`), and :attr:`Engine.chunk_size`;
-* :class:`EngineSpec` — one registry entry per backend: the factory
-  plus the analytic properties other subsystems derive choices from
-  (the MapReduce simulator's shuffle discount, whether rows are
-  dictionary-encoded);
-* :data:`ENGINES` — the registry's own live key view (``in``,
-  ``len()``, iteration in registration order), so nothing
-  hand-maintains the set of engine names.
-
-The CLI ``--engine`` choices, ``OptimizeOptions.engine`` validation,
-:class:`~repro.engine.executor.Executor` dispatch, and
-:class:`~repro.engine.mapreduce.MapReduceSimulator` pricing all read
-this registry; adding a backend is one :func:`register_engine` call
-(see ``docs/API.md`` § "Engine protocol").
+* :class:`Engine` — the two access-path seams (how a pattern is scanned
+  on the cluster, how co-located relations are multi-joined) and
+  :attr:`Engine.chunk_size`; registered as ``"columnar"``;
+* :class:`PipelinedEngine` — the same access paths with a bounded
+  ``chunk_size``; registered as ``"pipelined"``;
+* :data:`ENGINES` — the name → :class:`EngineSpec` table the CLI
+  ``--engine`` choices, ``OptimizeOptions.engine`` validation and
+  :func:`resolve_engine` read.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from ..rdf.terms import Variable
 from ..sparql.ast import TriplePattern
 from .columnar import (
     EncodedRelation,
     multi_join_encoded,
     scan_pattern_encoded,
 )
-from .relations import Relation, multi_join, scan_pattern
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .cluster import Cluster
 
+#: default rows per pipelined batch; small enough to bound buffering,
+#: large enough that per-batch governance polls are amortized
+DEFAULT_CHUNK_SIZE = 1024
 
-class Engine(ABC):
-    """A physical execution backend the :class:`Executor` runs plans on.
 
-    Implementations choose the row representation (term tuples,
-    dictionary ids, …) and the access paths; the executor keeps operator
-    semantics, plan shapes, distribution, fault handling and the priced
-    cost model engine-neutral.
+class Engine:
+    """Dictionary-encoded relations with indexed fragment scans.
+
+    The executor keeps operator semantics, plan shapes, distribution,
+    fault handling and the priced cost model; an engine supplies the
+    access paths.  A subclass may override :meth:`scan` / :meth:`join`
+    and carry its own :attr:`name` — an instance handed to the executor
+    need not be in :data:`ENGINES`.
     """
 
-    #: registry name of the backend (matches its :class:`EngineSpec`)
-    name: str = ""
+    #: what ``Executor.engine``, spans and metrics report
+    name: str = "columnar"
     #: most rows an operator on the plan's probe spine hands its
     #: consumer at once; ``None`` means every operator emits exactly
     #: once (its whole per-worker output)
     chunk_size: Optional[int] = None
 
-    @abstractmethod
-    def scan(self, cluster: "Cluster", pattern: TriplePattern) -> Iterable[object]:
-        """One relation of matches per worker slot, in slot order.
-
-        May be lazy: the executor consumes slot by slot and can emit a
-        worker's rows before the next worker is scanned.
-        """
-
-    @abstractmethod
-    def join(self, relations: List[object]) -> object:
-        """k-ary multi-join of co-located relations (greedy pair order)."""
-
-    @abstractmethod
-    def route(self, cluster: "Cluster") -> Callable[[object], int]:
-        """The repartition routing function bound to *cluster*.
-
-        The returned callable maps one join-variable binding (a term or
-        a dictionary id, per the backend's representation) to the live
-        worker that owns it.
-        """
-
-    @abstractmethod
-    def relation(self, cluster: "Cluster", variables: Iterable[Variable]) -> object:
-        """An empty relation over *variables* in this representation."""
-
-    def decode(self, relation: object) -> Relation:
-        """Materialize the final result as a term-level :class:`Relation`."""
-        return relation.decode()  # type: ignore[attr-defined]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r})"
-
-
-class ReferenceEngine(Engine):
-    """Term-tuple relations: the original, oracle implementation."""
-
-    name = "reference"
-
-    def scan(self, cluster: "Cluster", pattern: TriplePattern) -> Iterable[Relation]:
-        return (scan_pattern(graph, pattern) for graph in cluster.worker_graphs())
-
-    def join(self, relations: List[Relation]) -> Relation:
-        return multi_join(relations)
-
-    def route(self, cluster: "Cluster") -> Callable[[object], int]:
-        return cluster.route
-
-    def relation(self, cluster: "Cluster", variables: Iterable[Variable]) -> Relation:
-        return Relation(variables)
-
-
-class ColumnarEngine(Engine):
-    """Dictionary-encoded relations with indexed fragment scans."""
-
-    name = "columnar"
-
     def scan(
         self, cluster: "Cluster", pattern: TriplePattern
     ) -> Iterable[EncodedRelation]:
-        # fragments are fetched (and, cold, encoded) one worker at a time
+        """One relation of matches per worker slot, in slot order.
+
+        Lazy: the executor consumes slot by slot and can emit a worker's
+        rows before the next worker's fragment is fetched.
+        """
         return (
             scan_pattern_encoded(cluster.worker_fragment(worker), pattern)
             for worker in range(cluster.size)
         )
 
     def join(self, relations: List[EncodedRelation]) -> EncodedRelation:
+        """k-ary multi-join of co-located relations (greedy pair order)."""
         return multi_join_encoded(relations)
 
-    def route(self, cluster: "Cluster") -> Callable[[object], int]:
-        return cluster.route_id
-
-    def relation(
-        self, cluster: "Cluster", variables: Iterable[Variable]
-    ) -> EncodedRelation:
-        return EncodedRelation(variables, cluster.dictionary)
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name!r})"
 
 
-@dataclass(frozen=True)
-class EngineSpec:
-    """One registered backend: its factory plus analytic properties."""
+class PipelinedEngine(Engine):
+    """The same access paths, at most ``chunk_size`` rows per batch.
 
-    #: registry key (the ``--engine`` choice / ``OptimizeOptions.engine``)
-    name: str
+    Not a driver: bounding the batches on the plan's probe spine is
+    what gives an early first row, a ``LIMIT`` that stops the pull, and
+    inter-operator buffering of at most ``chunk_size × plan_depth``.
+    """
+
+    name = "pipelined"
+
+    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        self.chunk_size = chunk_size
+
+
+class EngineSpec(NamedTuple):
+    """One selectable engine: what ``--engine`` prints and what builds it."""
+
     #: one-line description (CLI help is generated from these)
     description: str
     #: zero-argument constructor for a fresh :class:`Engine` instance
     factory: Callable[[], Engine]
-    #: shuffle-width discount the MapReduce simulator applies to the
-    #: per-tuple transfer constants (β): encoded rows ship fixed-width
-    #: ids instead of serialized terms
-    shuffle_factor: float = 1.0
-    #: whether rows are dictionary-encoded ids (late materialization)
-    encoded: bool = False
 
 
-#: registration-ordered registry of engine specs
-_REGISTRY: Dict[str, EngineSpec] = {}
-
-#: names of the engines plans can run on — the registry's live key view
-ENGINES = _REGISTRY.keys()
-
-
-def register_engine(spec: EngineSpec) -> EngineSpec:
-    """Add *spec* to the registry (name collisions are an error)."""
-    if spec.name in _REGISTRY:
-        raise ValueError(f"engine {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def engine_spec(name: str) -> EngineSpec:
-    """The :class:`EngineSpec` registered under *name*.
-
-    Raises the executor's historical error shape for unknown names so
-    every consumer reports the same message.
-    """
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        raise ValueError(f"unknown engine {name!r}; expected one of {tuple(ENGINES)}")
-    return spec
-
-
-def engine_specs() -> List[EngineSpec]:
-    """All registered specs in registration order."""
-    return list(_REGISTRY.values())
+#: the engines plans can run on, by ``--engine`` / ``OptimizeOptions.engine`` name
+ENGINES: Dict[str, EngineSpec] = {
+    "columnar": EngineSpec(
+        "dictionary-encoded ids with indexed scans; every operator emits once",
+        Engine,
+    ),
+    "pipelined": EngineSpec(
+        "the same access paths in bounded batches; identical results, "
+        "bounded buffering, early first row and LIMIT pushdown",
+        PipelinedEngine,
+    ),
+}
 
 
 def resolve_engine(engine: Union[str, Engine]) -> Tuple[str, Engine]:
-    """Resolve a registered name or an :class:`Engine` instance.
+    """Resolve an :data:`ENGINES` name or an :class:`Engine` instance.
 
     Returns ``(name, instance)``: a name builds a fresh instance from
-    its spec's factory; an instance passes through (its :attr:`Engine.name`
-    need not be registered — bring-your-own backends are allowed).
+    its factory; an instance passes through under its own
+    :attr:`Engine.name`.
     """
     if isinstance(engine, Engine):
-        return engine.name or type(engine).__name__, engine
-    return engine, engine_spec(engine).factory()
-
-
-register_engine(
-    EngineSpec(
-        name="reference",
-        description="term tuples; the original, oracle implementation",
-        factory=ReferenceEngine,
-    )
-)
-register_engine(
-    EngineSpec(
-        name="columnar",
-        description=(
-            "dictionary-encoded ids with indexed scans; identical "
-            "results, faster execution"
-        ),
-        factory=ColumnarEngine,
-        shuffle_factor=0.25,
-        encoded=True,
-    )
-)
+        return engine.name, engine
+    spec = ENGINES.get(engine)
+    if spec is None:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {tuple(ENGINES)}")
+    return engine, spec.factory()

@@ -3,7 +3,7 @@
 Plays the role of the paper's 10-node RDF-3X + Hadoop testbed.  A
 :class:`Cluster` serves one :class:`~repro.rdf.encoding.EncodedGraph`
 fragment per worker (cut by a partitioning method from the dataset's id
-columns) plus the term-hash routing used by repartition joins.
+columns) plus the id-hash routing used by repartition joins.
 
 The cluster is *fault-aware*: workers can be marked dead
 (:meth:`fail_worker`), in which case their partition is re-routed to
@@ -34,7 +34,7 @@ class Cluster:
     :class:`~repro.rdf.encoding.TermDictionary` (the dataset's), so ids
     are join-compatible across workers and repartition shuffles move
     bare integers.  The term-level :meth:`worker_graph` is a decoded
-    view of the fragment, for the reference engine and tests.
+    view of the fragment, for adaptive hot-query placement and tests.
     """
 
     def __init__(
@@ -125,7 +125,7 @@ class Cluster:
         return self.worker_fragment(worker).decoded()
 
     def worker_graphs(self) -> List[RDFGraph]:
-        """Per-slot term-level views (what the reference engine scans)."""
+        """Per-slot term-level views (for tests; the executor reads fragments)."""
         return [self.worker_graph(i) for i in range(self.size)]
 
     def merge_replica(
@@ -171,8 +171,14 @@ class Cluster:
         return target, len(lost)
 
     def add_heal_listener(self, callback: Callable[[], None]) -> None:
-        """Register *callback* to run whenever the cluster heals."""
-        self._heal_listeners.append(callback)
+        """Register *callback* to run whenever the cluster heals.
+
+        A callback already held is not added again (bound methods of one
+        object compare equal), so N executors sharing one circuit
+        breaker leave one listener, not N.
+        """
+        if callback not in self._heal_listeners:
+            self._heal_listeners.append(callback)
 
     def heal(self) -> None:
         """Resurrect every worker and restore the original layout.
@@ -190,7 +196,7 @@ class Cluster:
     # routing
     # ------------------------------------------------------------------
     def route(self, term: Term) -> int:
-        """The worker a term hashes to (repartition-join routing).
+        """The worker a term hashes to (adaptive hot-query placement).
 
         Dead workers are skipped deterministically: the original target
         slot is folded onto the list of live workers, so routing stays
@@ -199,14 +205,11 @@ class Cluster:
         return self._live(hash_term(term, self.size))
 
     def route_id(self, ident: int) -> int:
-        """The worker a term *id* hashes to (columnar repartition).
+        """The worker a term *id* hashes to (repartition-join routing).
 
         Same liveness-folding contract as :meth:`route`, but the hash
         is integer arithmetic on the dictionary id — no term is ever
-        decoded (or stringified) to route a shuffled row.  The two
-        routings may place the same binding on different workers; that
-        only changes *where* a row is joined, never the result or the
-        shipped-tuple counts.
+        decoded (or stringified) to route a shuffled row.
         """
         return self._live(((ident * 2654435761) & 0xFFFFFFFF) % self.size)
 

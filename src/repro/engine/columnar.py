@@ -1,9 +1,9 @@
 """Columnar execution: relations over dictionary-encoded integer keys.
 
-The reference engine (:mod:`repro.engine.relations`) joins sets of rich
+The row oracle (:mod:`repro.engine.relations`) joins sets of rich
 :class:`~repro.rdf.terms.Term` tuples; every hash and equality check
-walks dataclass fields and strings.  This module is the id-encoded
-counterpart: an :class:`EncodedRelation` holds rows of plain ``int``
+walks dataclass fields and strings.  This module is what the executor
+runs on: an :class:`EncodedRelation` holds rows of plain ``int``
 tuples keyed into a shared :class:`~repro.rdf.encoding.TermDictionary`,
 a scan *is* a contiguous slice of the per-predicate sorted indexes of an
 :class:`~repro.rdf.encoding.EncodedGraph` (a view, not a copy: joins
@@ -15,9 +15,9 @@ whole pipeline moves machine integers — exactly why the paper's
 prototype can treat per-worker evaluation (RDF-3X) as essentially free
 next to optimization time.
 
-Operator semantics are identical to the reference engine (set
-semantics, same schemas, same tuple counts), which is what the
-``columnar ≡ reference`` property tests pin down.
+Operator semantics are identical to the row oracle's (set semantics,
+same schemas, same tuple counts), which is what the columnar-oracle
+property tests and ``tests/data/engine_counters_golden.json`` pin down.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
-"""The plan executor: one pull-based operator pipeline for every engine.
+"""The plan executor: one pull-based operator pipeline over dictionary ids.
 
 Every plan node *opens* into a generator of **batches** — a batch maps
-worker slots to the rows that worker holds — and the executor drains
-the root through one sink.  Distribution is a property of the join
+worker slots to the id rows that worker holds
+(:class:`~repro.engine.columnar.EncodedRelation`) — and the executor
+drains the root through one sink; terms are materialized once, on the
+final projected result.  Distribution is a property of the join
 operator, not of the driver:
 
 * **scan** — each worker matches the pattern against its local graph;
@@ -15,13 +17,13 @@ operator, not of the driver:
 
 A join streams its *probe* child (the one the optimizer estimates
 largest) and holds the others as per-worker *build tables*.  An engine
-chooses the row representation and :attr:`Engine.chunk_size`: ``None``
-makes every operator emit exactly once (whole per-worker relations flow
-from operator to operator), a number bounds the batches on the plan's
-probe spine, which is what gives an early first row, a ``LIMIT`` that
-stops the pull, and bounded inter-operator buffering.  Nothing else
-differs between engines — counters, governance, fault handling and
-spans come from the same lines.
+supplies the scan and join access paths and :attr:`Engine.chunk_size`:
+``None`` makes every operator emit exactly once (whole per-worker
+relations flow from operator to operator), a number bounds the batches
+on the plan's probe spine, which is what gives an early first row, a
+``LIMIT`` that stops the pull, and bounded inter-operator buffering.
+Nothing else differs between engines — counters, governance, fault
+handling and spans come from the same lines.
 
 The executor records actual tuple movement per operator and prices the
 plan's critical path with the paper's cost model (Eq. 3 over measured
@@ -70,10 +72,10 @@ from ..core.plans import JoinAlgorithm, JoinNode, PlanNode, ScanNode
 from ..observability import runtime as obs
 from ..observability.spans import NULL_SPAN
 from ..rdf.terms import Variable
-from ..rdf.triples import RDFGraph
 from ..sparql.ast import BGPQuery
-from .base import ENGINES, Engine, resolve_engine
+from .base import Engine, resolve_engine
 from .cluster import Cluster
+from .columnar import EncodedRelation
 from .faults import FaultInjector
 from .metrics import ExecutionMetrics, OperatorMetrics
 from .recovery import (
@@ -83,17 +85,12 @@ from .recovery import (
     RecoveryManager,
     RetryPolicy,
 )
-from .relations import Relation, multi_join, scan_pattern
+from .relations import Relation
 
-# importing the pipelined backend registers its EngineSpec, so every
-# consumer of ENGINES (CLI choices, session validation, benchmarks)
-# sees "pipelined" as soon as the executor is importable
-from . import pipelined as _pipelined  # noqa: F401  (registration side effect)
-
-#: what flows between operators: worker slot -> that worker's rows (a
-#: relation in the engine's representation).  A yielded batch belongs to
-#: its consumer, which adopts its relations or clears it when done.
-Batch = Dict[int, Relation]
+#: what flows between operators: worker slot -> that worker's id rows.
+#: A yielded batch belongs to its consumer, which adopts its relations
+#: or clears it when done.
+Batch = Dict[int, EncodedRelation]
 BatchStream = Iterator[Batch]
 
 
@@ -162,30 +159,27 @@ def _rows(batch: Batch) -> int:
 class Executor:
     """Executes plans against a :class:`Cluster`.
 
-    ``engine`` selects the physical backend rows flow through — a
-    registered name (any entry of :data:`~repro.engine.base.ENGINES`)
-    or a ready :class:`~repro.engine.base.Engine` instance
-    (bring-your-own backends need not be registered):
+    Rows are dictionary ids from the scans to the sink
+    (:class:`~repro.engine.columnar.EncodedRelation`); the returned
+    :class:`~repro.engine.relations.Relation` is the one decode.
+    ``engine`` is a name from :data:`~repro.engine.base.ENGINES` or a
+    ready :class:`~repro.engine.base.Engine` instance (that is how a
+    chunk size is set, and a subclass with its own access paths need
+    not be in the table):
 
-    * ``"columnar"`` (the default) —
-      :class:`~repro.engine.columnar.EncodedRelation` over dictionary
-      ids with indexed fragment scans; terms are only materialized once,
-      on the final projected result.
-    * ``"pipelined"`` — the columnar access paths with batches of at
-      most ``chunk_size`` rows on the probe spine: identical result
-      rows, bounded inter-operator buffering, early first row and
-      ``LIMIT`` pushdown.
-    * ``"reference"`` — :class:`~repro.engine.relations.Relation` over
-      term tuples; the original implementation, kept as the counter-
-      and-row oracle the equivalence suites compare the others against.
+    * ``"columnar"`` (the default) — indexed fragment scans, every
+      operator emits once.
+    * ``"pipelined"`` — the same access paths with batches of at most
+      ``chunk_size`` rows on the probe spine: identical result rows,
+      bounded inter-operator buffering, early first row and ``LIMIT``
+      pushdown.
 
-    Every engine executes the *same* plans through the *same* operators
-    and returns the same result rows.  ``reference`` and ``columnar``
-    (one batch per operator) match each other's tuple counts and priced
-    critical path exactly; bounded batches never count less, and differ
-    only where a repartition join sits on the probe spine: it
-    re-produces a row whose cross-worker duplicates arrive in different
-    batches (replayed work is real work).
+    Both execute the *same* plans through the *same* operators and
+    return the rows of :func:`~repro.engine.relations.evaluate_reference`.
+    Bounded batches never count fewer tuples than one batch per
+    operator, and differ only where a repartition join sits on the
+    probe spine: it re-produces a row whose cross-worker duplicates
+    arrive in different batches (replayed work is real work).
 
     With a fault injector, a cluster that loses workers stays degraded
     after :meth:`execute` returns (as a real cluster would); call
@@ -213,11 +207,7 @@ class Executor:
         self.circuit_breaker = circuit_breaker
         if circuit_breaker is not None:
             cluster.add_heal_listener(circuit_breaker.reset)
-        # engine dispatch, resolved once: the k-way join and the
-        # repartition routing function (the routing callable reads the
-        # cluster's *current* liveness state at call time)
         self._multi_join = self._impl.join
-        self._route = self._impl.route(cluster)
         #: optional pre-execution gate: a plan failing invariant
         #: verification raises before any operator runs (``--verify``)
         self.plan_verifier = plan_verifier
@@ -309,9 +299,8 @@ class Executor:
                 self._enrich_abort(abort, metrics, query)
                 raise
             metrics.critical_path_cost = self._settle()
-            # late materialization: decode only the final rows (the
-            # reference engine's decode is the identity)
-            result = self._impl.decode(admitted)
+            # late materialization: decode only the final rows
+            result = admitted.decode()
             if limit is not None and len(result) > limit:
                 kept = set(sorted(result.rows, key=str)[:limit])
                 result = Relation(result.variables, kept)
@@ -344,8 +333,8 @@ class Executor:
         limit: Optional[int],
         chunk: Optional[int],
         started: float,
-    ) -> Relation:
-        admitted: Optional[Relation] = None
+    ) -> EncodedRelation:
+        admitted: Optional[EncodedRelation] = None
         while True:
             try:
                 root = self._open(plan, chunk)
@@ -353,7 +342,7 @@ class Executor:
                     kept = root.variables
                     if query is not None and query.projection:
                         kept = [v for v in query.projection if v in kept]
-                    admitted = self._impl.relation(self.cluster, kept)
+                    admitted = EncodedRelation(kept, self.cluster.dictionary)
                 self._drain(root.stream, admitted, limit, started)
                 return admitted
             except _LayoutChanged as moved:
@@ -370,7 +359,7 @@ class Executor:
     def _drain(
         self,
         stream: BatchStream,
-        admitted: Relation,
+        admitted: EncodedRelation,
         limit: Optional[int],
         started: float,
     ) -> None:
@@ -751,7 +740,8 @@ class Executor:
 
     def _rehash(self, batch: Batch, variable: Variable) -> Batch:
         """Move every row of *batch* to the slot owning its *variable* binding."""
-        route = self._route
+        # reads the cluster's *current* liveness state at call time
+        route = self.cluster.route_id
         template = next(iter(batch.values()))
         position = template.position(variable)
         buckets = [template.empty_like() for _ in range(self.cluster.size)]
@@ -779,11 +769,3 @@ class Executor:
         variable = f"?{node.join_variable.name}" if node.join_variable else "?"
         return f"{node.algorithm.value}-join({node.arity}) on {variable}"
 
-
-def evaluate_reference(query: BGPQuery, graph: RDFGraph) -> Relation:
-    """Single-node reference evaluation (correctness oracle for tests)."""
-    relations = [scan_pattern(graph, tp) for tp in query]
-    result = multi_join(relations)
-    if query.projection:
-        result = result.project(query.projection)
-    return result

@@ -23,13 +23,11 @@ wins; with small overheads the cost-optimal bushy plan (TD-CMD) wins —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core.cost import CostParameters, PAPER_PARAMETERS
 from ..core.plans import JoinAlgorithm, JoinNode, PlanNode, ScanNode
-from .executor import ENGINES  # importing the executor registers all backends
-from .base import engine_spec
 from .recovery import DEFAULT_RETRY_POLICY, RetryPolicy
 
 
@@ -129,14 +127,9 @@ class MapReduceSimulator:
     tax once per wave on the critical path, which is the shape-vs-
     robustness trade-off `bench_fault_tolerance` sweeps.
 
-    The per-tuple transfer constants (β) are scaled by the registered
-    engine's ``shuffle_factor`` (:class:`~repro.engine.base.EngineSpec`)
-    before pricing — the encoded engines (``columnar``, ``pipelined``)
-    shuffle fixed-width dictionary ids instead of serialized terms, so
-    their specs declare a discount (a deliberate round figure: the
-    simulator studies *trends*, and the executor's priced costs stay
-    engine-neutral).  The default engine keeps the historical
-    engine-neutral pricing.
+    Prices with the *parameters* it is given (by default the paper's
+    Table I / II constants), the same ones the executor prices measured
+    counts with.
     """
 
     def __init__(
@@ -145,28 +138,16 @@ class MapReduceSimulator:
         job_startup_cost: float = 0.0,
         fault_rate: float = 0.0,
         retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-        engine: str = "reference",
     ) -> None:
         if not 0.0 <= fault_rate < 1.0:
             raise ValueError(
                 f"fault_rate must be in [0, 1) for expected-cost pricing, "
                 f"got {fault_rate}"
             )
-        # registry-driven pricing: each backend's spec declares its
-        # shuffle-width discount (raises the historical error for
-        # unknown names)
-        shuffle_factor = engine_spec(engine).shuffle_factor
-        if shuffle_factor != 1.0:
-            parameters = replace(
-                parameters,
-                beta_broadcast=parameters.beta_broadcast * shuffle_factor,
-                beta_repartition=parameters.beta_repartition * shuffle_factor,
-            )
         self.parameters = parameters
         self.job_startup_cost = job_startup_cost
         self.fault_rate = fault_rate
         self.retry_policy = retry_policy
-        self.engine = engine
 
     def expected_job_cost(self, stage: Stage) -> float:
         """One job's data cost inflated by expected retries and backoff."""

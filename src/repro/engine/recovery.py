@@ -52,14 +52,14 @@ from ..core.cost import CostParameters
 from ..core.governance import AbortCause, QueryAborted, QueryBudget
 from ..observability import runtime as obs
 from .faults import FaultEvent, FaultInjector, FaultKind
+from .columnar import EncodedRelation
 from .metrics import OperatorMetrics
-from .relations import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports nothing here)
     from .cluster import Cluster
 
 #: one in-flight build side: worker slot -> the rows that worker holds
-BuildTables = Dict[int, Relation]
+BuildTables = Dict[int, EncodedRelation]
 
 
 @dataclass
@@ -411,8 +411,7 @@ class RecoveryManager:
             if len(lost):
                 distributed[target].union_inplace(lost)
                 rows_moved += len(lost)
-            # empty_like keeps the slot's relation class (reference or
-            # columnar) so later unions see a matching schema and type
+            # the dead slot keeps its schema so later unions still match
             distributed[worker] = lost.empty_like()
         self.workers_failed += 1
         return (

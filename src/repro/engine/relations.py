@@ -1,11 +1,17 @@
-"""Binding relations: the tuples flowing through the engine.
+"""Term-level binding relations: the decoded result type and the row oracle.
 
 A :class:`Relation` is a set of rows over a fixed variable schema
-(variables sorted by name, rows as term tuples).  Set semantics are
-used throughout: BGP evaluation is subgraph matching, so a match either
-exists or it does not, and set semantics also absorbs the duplicates
-that replicated partitioning elements (2f, Path-BMC, Hash-SO) produce
-across workers.
+(variables sorted by name, rows as term tuples) — what
+:meth:`Executor.execute <repro.engine.executor.Executor.execute>`
+returns after its one decode.  The executor itself moves dictionary ids
+(:mod:`repro.engine.columnar`); the term-tuple scan and joins below are
+the single-node oracle (:func:`evaluate_reference`) tests, benchmarks
+and examples check its rows against.
+
+Set semantics are used throughout: BGP evaluation is subgraph matching,
+so a match either exists or it does not, and set semantics also absorbs
+the duplicates that replicated partitioning elements (2f, Path-BMC,
+Hash-SO) produce across workers.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..rdf.terms import Term, Variable
 from ..rdf.triples import RDFGraph, Triple
-from ..sparql.ast import TriplePattern
+from ..sparql.ast import BGPQuery, TriplePattern
 
 Row = Tuple[Term, ...]
 
@@ -85,15 +91,6 @@ class Relation:
             raise ValueError("union requires identical schemas")
         self.rows.update(other.rows)
 
-    def decode(self) -> "Relation":
-        """Identity: reference rows already hold terms.
-
-        Mirrors :meth:`EncodedRelation.decode` so the executor's final
-        materialization is engine-uniform — every engine's result
-        answers ``decode()``.
-        """
-        return self
-
     def __repr__(self) -> str:
         names = ",".join(v.name for v in self.variables)
         return f"Relation([{names}], {len(self.rows)} rows)"
@@ -128,7 +125,7 @@ def scan_pattern(graph: RDFGraph, pattern: TriplePattern) -> Relation:
     )
     object_ = pattern.object if not isinstance(pattern.object, Variable) else None
     rows = relation.rows
-    for triple in graph.match(subject, predicate, object_):  # lint: disable=LINT014 per-scan row loop; the executor polls at the operator boundary
+    for triple in graph.match(subject, predicate, object_):
         t = triple.terms()
         if checks and any(t[a] != t[b] for a, b in checks):
             continue
@@ -210,9 +207,9 @@ def greedy_multi_join(relations, join_pair):
     the pair join degenerates to a Cartesian product.  Ties break on
     the lowest index, keeping the order deterministic.
 
-    Shared by the reference (:func:`multi_join`) and columnar
-    (:func:`repro.engine.columnar.multi_join_encoded`) engines;
-    *join_pair* supplies the engine's binary hash join.
+    Shared by the row oracle (:func:`multi_join`) and the engine
+    (:func:`repro.engine.columnar.multi_join_encoded`); *join_pair*
+    supplies the binary hash join.
     """
     if not relations:
         raise ValueError("nothing to join")
@@ -234,3 +231,12 @@ def greedy_multi_join(relations, join_pair):
 def multi_join(relations: List[Relation]) -> Relation:
     """Join k relations: smallest first, then smallest connected next."""
     return greedy_multi_join(relations, hash_join)
+
+
+def evaluate_reference(query: BGPQuery, graph: RDFGraph) -> Relation:
+    """Single-node reference evaluation (the row oracle for tests)."""
+    relations = [scan_pattern(graph, tp) for tp in query]
+    result = multi_join(relations)
+    if query.projection:
+        result = result.project(query.projection)
+    return result

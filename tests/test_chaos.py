@@ -6,7 +6,7 @@ anytime deadline where the scenario says so, then execute under faults
 and budgets).  Every episode must land in exactly one class:
 
 * ``completed`` — the result is bit-identical to the
-  :func:`~repro.engine.executor.evaluate_reference` oracle;
+  :func:`~repro.engine.relations.evaluate_reference` oracle;
 * ``degraded-anytime`` — the optimizer deadline expired, the degraded
   plan passes :class:`~repro.analysis.PlanVerifier`, and executing it
   still reproduces the oracle (anytime plans are complete plans);

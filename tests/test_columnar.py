@@ -1,11 +1,14 @@
 """Columnar engine tests: dictionary encoding, indexed scans, and the
-columnar ≡ reference equivalence across algorithms, partitioners, and
-fault-injection seeds."""
+engine ≡ row-oracle equivalence across algorithms, partitioners, and
+fault-injection seeds — counters pinned to what the deleted
+``reference`` engine recorded."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import StatisticsCatalog, optimize
 from repro.core.session import OptimizeOptions, Optimizer
@@ -89,6 +92,61 @@ def random_connected_query(rng: random.Random, size: int) -> BGPQuery:
         else:
             patterns.append(TriplePattern(fresh, rng.choice(predicates), anchor))
     return BGPQuery(patterns, name=f"random-{size}")
+
+
+# ----------------------------------------------------------------------
+# the counter sweep pinned by tests/data/engine_counters_golden.json
+# ----------------------------------------------------------------------
+COUNTERS_GOLDEN = Path(__file__).parent / "data" / "engine_counters_golden.json"
+SWEEP_SEEDS = range(6)
+
+
+def counter_sweep():
+    """4 paper algorithms × 5 partitioners × 6 data seeds, no hypothesis.
+
+    Yields ``(key, dataset, query, method, plan, fault_seed)``; query
+    sizes cycle 3 / 4 / 5 with the data seed.
+    """
+    for seed in SWEEP_SEEDS:
+        rng = random.Random(seed)
+        dataset = random_dataset(rng)
+        query = random_connected_query(rng, 3 + seed % 3)
+        statistics = StatisticsCatalog.from_dataset(query, dataset)
+        for method_index, method in enumerate(make_partitioners(query)):
+            for algorithm_index, algorithm in enumerate(ALGORITHMS):
+                plan = optimize(
+                    query,
+                    algorithm=algorithm,
+                    statistics=statistics,
+                    partitioning=method,
+                ).plan
+                fault_seed = 100 * seed + 10 * method_index + algorithm_index
+                key = f"{seed}/{method.name}/{algorithm}"
+                yield key, dataset, query, method, plan, fault_seed
+
+
+def run_sweep_plan(dataset, query, method, plan, engine, mode, fault_seed):
+    """One sweep plan on a fresh 3-worker cluster; *mode* is clean / faulted."""
+    cluster = Cluster.build(dataset, method, cluster_size=3)
+    injector = FaultInjector(0.3, seed=fault_seed) if mode == "faulted" else None
+    executor = Executor(
+        cluster,
+        fault_injector=injector,
+        retry_policy=RetryPolicy(max_retries=64),
+        engine=engine,
+    )
+    return executor.execute(plan, query)
+
+
+def sweep_counters(metrics):
+    """The five numbers the golden file records per plan and mode."""
+    return [
+        metrics.total_tuples_read,
+        metrics.total_tuples_shipped,
+        metrics.total_tuples_produced,
+        metrics.critical_path_cost,
+        metrics.workers_failed,
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +399,7 @@ class TestEngineSelection:
     def test_options_accept_all_registered_engines(self):
         from repro.engine import ENGINES
 
-        assert tuple(ENGINES) == ("reference", "columnar", "pipelined")
+        assert tuple(ENGINES) == ("columnar", "pipelined")
         for engine in ENGINES:
             assert Optimizer(OptimizeOptions(engine=engine)).options.engine == engine
 
@@ -351,18 +409,16 @@ class TestEngineSelection:
         instance = PipelinedEngine(chunk_size=8)
         assert Optimizer(OptimizeOptions(engine=instance)).options.engine is instance
 
-    def test_mapreduce_simulator_engine(self):
-        from repro.engine import MapReduceSimulator, engine_spec
-
-        reference = MapReduceSimulator()
-        columnar = MapReduceSimulator(engine="columnar")
-        assert columnar.parameters.beta_repartition == pytest.approx(
-            reference.parameters.beta_repartition
-            * engine_spec("columnar").shuffle_factor
-        )
-        assert columnar.parameters.alpha == reference.parameters.alpha
-        with pytest.raises(ValueError, match="unknown engine"):
-            MapReduceSimulator(engine="vectorized")
+    def test_reference_is_no_longer_an_engine(self):
+        dataset = random_dataset(random.Random(1))
+        cluster = Cluster.build(dataset, HashSubjectObject(), cluster_size=2)
+        for build in (
+            lambda: Executor(cluster, engine="reference"),
+            lambda: Optimizer(OptimizeOptions(engine="reference")),
+        ):
+            with pytest.raises(ValueError, match="unknown engine") as exc:
+                build()
+            assert "columnar" in str(exc.value) and "pipelined" in str(exc.value)
 
 
 # ----------------------------------------------------------------------
@@ -390,58 +446,35 @@ class TestColumnarEqualsReference:
         assert relation.rows == reference.rows
         assert metrics.result_rows == len(reference)
 
-    @settings(
-        max_examples=15,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        fault_seed=st.integers(min_value=0, max_value=10_000),
-        algorithm=st.sampled_from(ALGORITHMS),
-    )
-    def test_columnar_equals_reference_under_faults(
-        self, seed, fault_seed, algorithm
-    ):
-        """Same plan, same fault seed: all three engines return the same
-        decoded rows even while workers crash and recover mid-query.
-        The materialized engines additionally agree on shipped-tuple
-        totals and critical path; pipelined joins globally (probe stream
-        against deduplicated build tables), so its simulated costs may
-        legitimately differ and only the result multiset is compared."""
-        rng = random.Random(seed)
-        dataset = random_dataset(rng)
-        query = random_connected_query(rng, 3)
-        method = make_partitioners(query)[seed % 5]
-        statistics = StatisticsCatalog.from_dataset(query, dataset)
-        result = optimize(
-            query, algorithm=algorithm, statistics=statistics, partitioning=method
-        )
-        outcomes = {}
-        for engine in ("reference", "columnar", "pipelined"):
-            cluster = Cluster.build(dataset, method, cluster_size=3)
-            executor = Executor(
-                cluster,
-                fault_injector=FaultInjector(0.3, seed=fault_seed),
-                retry_policy=RetryPolicy(max_retries=64),
-                engine=engine,
-            )
-            outcomes[engine] = executor.execute(result.plan, query)
-        reference_rel, reference_metrics = outcomes["reference"]
-        columnar_rel, columnar_metrics = outcomes["columnar"]
-        pipelined_rel, _ = outcomes["pipelined"]
-        assert columnar_rel.variables == reference_rel.variables
-        assert columnar_rel.rows == reference_rel.rows
-        assert pipelined_rel.variables == reference_rel.variables
-        assert pipelined_rel.rows == reference_rel.rows
-        assert (
-            columnar_metrics.total_tuples_shipped
-            == reference_metrics.total_tuples_shipped
-        )
-        assert (
-            columnar_metrics.critical_path_cost
-            == pytest.approx(reference_metrics.critical_path_cost)
-        )
+    def test_columnar_equals_reference_under_faults(self):
+        """Every plan of the sweep, fault-free and with workers crashing
+        mid-query: ``columnar`` reproduces the counters the deleted
+        ``reference`` engine recorded (tests/data/engine_counters_golden.json)
+        to the last digit, ``pipelined`` returns the same rows, and both
+        equal ``evaluate_reference``."""
+        golden = json.loads(COUNTERS_GOLDEN.read_text())
+        assert golden["engine"] == "reference" and golden["commit"]
+        recorded = golden["plans"]
+        seen = 0
+        for key, dataset, query, method, plan, fault_seed in counter_sweep():
+            oracle = evaluate_reference(query, dataset.graph)
+            for mode in ("clean", "faulted"):
+                relation, metrics = run_sweep_plan(
+                    dataset, query, method, plan, "columnar", mode, fault_seed
+                )
+                assert relation.variables == oracle.variables, (key, mode)
+                assert relation.rows == oracle.rows, (key, mode)
+                assert sweep_counters(metrics) == recorded[key][mode], (key, mode)
+                relation, _ = run_sweep_plan(
+                    dataset, query, method, plan, "pipelined", mode, fault_seed
+                )
+                assert relation.variables == oracle.variables, (key, mode)
+                assert relation.rows == oracle.rows, (key, mode)
+            seen += 1
+        assert seen == len(recorded) == 4 * 5 * len(SWEEP_SEEDS)
+        # the sweep is not vacuous: workers died, tuples moved
+        assert any(entry["faulted"][4] for entry in recorded.values())
+        assert any(entry["clean"][1] for entry in recorded.values())
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -509,6 +509,25 @@ class TestCircuitBreaker:
         assert breaker.open_workers == []
         assert breaker.trips >= 1
 
+    def test_executors_sharing_a_breaker_leave_one_heal_listener(self, lubm):
+        cluster = _fresh_cluster(lubm)
+        resets = []
+
+        class CountingBreaker(CircuitBreaker):
+            def reset(self):
+                resets.append(self)
+                super().reset()
+
+        breaker = CountingBreaker(threshold=1, window=4)
+        for _ in range(5):
+            Executor(cluster, circuit_breaker=breaker)
+        assert len(cluster._heal_listeners) == 1
+        cluster.heal()
+        assert resets == [breaker]  # one reset per heal, not one per executor
+        # a second breaker is a different listener
+        Executor(cluster, circuit_breaker=CircuitBreaker(threshold=1, window=4))
+        assert len(cluster._heal_listeners) == 2
+
 
 class TestHotReplicaSurvival:
     """Hot-query placements — static (DynamicPartitioning) or migrated

@@ -270,7 +270,7 @@ def _decoded(fragment: EncodedGraph):
 
 
 class TestFaultsOnIdFragments:
-    @pytest.mark.parametrize("engine", ["reference", "columnar", "pipelined"])
+    @pytest.mark.parametrize("engine", ["columnar", "pipelined"])
     def test_fail_reroute_heal_rows(self, lubm_l7, engine):
         dataset, query, method, plan, reference = lubm_l7
         cluster = Cluster.build(dataset, method, cluster_size=4)
@@ -306,9 +306,7 @@ class TestFaultsOnIdFragments:
             cluster.worker_fragment(0).triples()
         )
         assert cluster.merge_replica(0, cluster.worker_fragment(1)) == len(missing)
-        for engine in ("reference", "columnar"):
-            rows = Executor(cluster, engine=engine).execute(plan, query)[0].rows
-            assert rows == reference.rows
+        assert Executor(cluster).execute(plan, query)[0].rows == reference.rows
 
     def test_worker_graph_is_a_view_of_the_fragment(self, lubm_l7):
         dataset, _, method, _, _ = lubm_l7
@@ -362,17 +360,17 @@ class TestColdPathStaysOnIds:
         return counts
 
     @staticmethod
-    def _cold_rows(dataset, name, query, engine="columnar"):
+    def _cold_rows(dataset, name, query):
         """What ``python -m repro run`` does once it has a dataset."""
         method = PARTITIONINGS[name]()
         cluster = Cluster(method.partition(dataset, 4), dataset.dictionary)
         assert sum(map(len, cluster.worker_fragments())) >= dataset.triple_count
         statistics = StatisticsCatalog.from_dataset(query, dataset)
         session = Optimizer(
-            OptimizeOptions(statistics=statistics, partitioning=method, engine=engine)
+            OptimizeOptions(statistics=statistics, partitioning=method)
         )
         plan = session.optimize(query).plan
-        relation, _ = Executor(cluster, engine=engine).execute(plan, query)
+        relation, _ = Executor(cluster).execute(plan, query)
         return relation.rows
 
     @pytest.mark.parametrize("name", sorted(PARTITIONINGS))
@@ -395,9 +393,8 @@ class TestColdPathStaysOnIds:
     ):
         """The same from ``load_ntriples(path)`` on: the file is parsed
         into ids, the dataset adopts them, and the first term objects
-        besides the dictionary's are the decoded rows.  The reference
-        engine gets the same rows by decoding worker views, never the
-        dataset's graph."""
+        besides the dictionary's are the decoded rows; the loaded graph
+        is never read term by term."""
         generated = generate_lubm(scale=0.5, seed=2017).graph
         query = lubm_queries()["L4"]
         reference = evaluate_reference(query, RDFGraph(generated))
@@ -410,6 +407,4 @@ class TestColdPathStaysOnIds:
         rows = self._cold_rows(dataset, name, query)
         assert counts == {"triple": 0, "adjacency": 0, "permutation": 0, "from_graph": 0}
         assert rows == reference.rows
-        assert self._cold_rows(dataset, name, query, engine="reference") == rows
-        assert counts["triple"] > 0 and counts["from_graph"] == 0
         assert "_triples" not in vars(graph)  # still undecoded

@@ -349,7 +349,7 @@ class TestCounterReconciliation:
         for name, value in result.stats.summary().items():
             assert counters[f"optimizer.{name}"] == value
 
-    @pytest.mark.parametrize("engine", ["reference", "columnar", "pipelined"])
+    @pytest.mark.parametrize("engine", ["columnar", "pipelined"])
     def test_engine_counters_match_execution_metrics(self, toy_dataset, engine):
         query = parse_query(
             """

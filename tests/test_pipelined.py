@@ -1,6 +1,6 @@
-"""The pipelined backend and the engine registry protocol.
+"""The pipelined engine and the two-entry engine table.
 
-Covers the `Engine` protocol surface (registry view, spec lookup,
+Covers the `Engine` surface (the `ENGINES` table, name resolution,
 bring-your-own instances), bounded batches (boundary sweep, LIMIT
 pushdown, bounded buffering, first-row metric), and — for every engine —
 the replay when a worker dies while a scan is emitting.
@@ -14,16 +14,11 @@ from repro.core import StatisticsCatalog, optimize
 from repro.core.governance import QueryAborted, QueryBudget
 from repro.engine import (
     Cluster,
-    ColumnarEngine,
     Engine,
-    EngineSpec,
     Executor,
     PipelinedEngine,
-    engine_spec,
-    engine_specs,
     evaluate_reference,
     plan_depth,
-    register_engine,
     resolve_engine,
 )
 from repro.engine.base import ENGINES
@@ -56,45 +51,29 @@ def reference_rows(toy_dataset, toy_query):
 
 
 # ----------------------------------------------------------------------
-# registry protocol
+# the engine table
 # ----------------------------------------------------------------------
 class TestEngineRegistry:
     def test_engines_is_the_live_registry_key_view(self):
         assert "pipelined" in ENGINES
         assert "vectorized" not in ENGINES
-        assert len(ENGINES) == 3
-        assert list(ENGINES) == ["reference", "columnar", "pipelined"]
+        assert "reference" not in ENGINES
+        assert tuple(ENGINES) == ("columnar", "pipelined")
 
     def test_specs_in_registration_order(self):
-        specs = engine_specs()
-        assert [spec.name for spec in specs] == list(ENGINES)
-        by_name = {spec.name: spec for spec in specs}
-        assert by_name["reference"].shuffle_factor == 1.0
-        assert not by_name["reference"].encoded
-        assert by_name["columnar"].encoded
-        assert by_name["pipelined"].encoded
-        # the only thing that tells the encoded engines apart
-        assert by_name["columnar"].factory().chunk_size is None
-        assert by_name["pipelined"].factory().chunk_size == 1024
-        # encoded rows ship fixed-width ids: same discount as columnar
-        assert (
-            by_name["pipelined"].shuffle_factor
-            == by_name["columnar"].shuffle_factor
-        )
+        assert all(spec.description for spec in ENGINES.values())
+        assert type(ENGINES["columnar"].factory()) is Engine
+        assert type(ENGINES["pipelined"].factory()) is PipelinedEngine
+        assert [spec.factory().name for spec in ENGINES.values()] == list(ENGINES)
+        # the only thing that tells the two apart
+        assert ENGINES["columnar"].factory().chunk_size is None
+        assert ENGINES["pipelined"].factory().chunk_size == 1024
 
     def test_unknown_spec_raises_with_choices(self):
-        with pytest.raises(ValueError, match="unknown engine 'vectorized'"):
-            engine_spec("vectorized")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine(
-                EngineSpec(
-                    name="pipelined",
-                    description="imposter",
-                    factory=PipelinedEngine,
-                )
-            )
+        with pytest.raises(
+            ValueError, match=r"unknown engine 'vectorized'.*columnar.*pipelined"
+        ):
+            resolve_engine("vectorized")
 
     def test_resolve_name_builds_fresh_instances(self):
         name, first = resolve_engine("pipelined")
@@ -123,18 +102,26 @@ class TestExecutorEngineAcceptance:
         assert executor.engine == "pipelined"
 
     def test_executor_accepts_unregistered_instance(self, planned, reference_rows):
-        class LocalEngine(ColumnarEngine):
+        calls = {"scan": 0, "join": 0}
+
+        class LocalEngine(Engine):
             name = "bring-your-own"
+
+            def scan(self, cluster, pattern):
+                calls["scan"] += 1
+                return super().scan(cluster, pattern)
+
+            def join(self, relations):
+                calls["join"] += 1
+                return super().join(relations)
 
         cluster, plan, query = planned
         executor = Executor(cluster, engine=LocalEngine())
         relation, _ = executor.execute(plan, query)
         assert executor.engine == "bring-your-own"
         assert relation.rows == reference_rows.rows
-
-    def test_abstract_engine_cannot_instantiate(self):
-        with pytest.raises(TypeError):
-            Engine()
+        # the two access-path seams are what the executor calls
+        assert calls["scan"] == len(query.patterns) and calls["join"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -216,19 +203,14 @@ class TestLimitPushdown:
             Executor(cluster, engine="pipelined").execute(plan, query, limit=-1)
 
     def test_materialized_engines_post_truncate(self, planned, reference_rows):
-        """Non-streaming engines honor the limit by deterministic
-        truncation of the full result — no pushdown flag."""
+        """Emitting once, the limit is a deterministic truncation of the
+        full result (the smallest rows by string form) — no pushdown flag."""
         cluster, plan, query = planned
-        kept = {}
-        for engine in ("reference", "columnar"):
-            relation, metrics = Executor(cluster, engine=engine).execute(
-                plan, query, limit=3
-            )
-            assert len(relation) == 3
-            assert relation.rows <= reference_rows.rows
-            assert not metrics.limit_pushdown
-            kept[engine] = relation.rows
-        assert kept["reference"] == kept["columnar"]
+        relation, metrics = Executor(cluster, engine="columnar").execute(
+            plan, query, limit=3
+        )
+        assert not metrics.limit_pushdown
+        assert relation.rows == set(sorted(reference_rows.rows, key=str)[:3])
 
 
 # ----------------------------------------------------------------------
@@ -256,9 +238,8 @@ class TestFirstRow:
         operators emit once it lands when the root's only batch does,
         within the wall time."""
         cluster, plan, query = planned
-        for engine in ("reference", "columnar"):
-            _, metrics = Executor(cluster, engine=engine).execute(plan, query)
-            assert 0 < metrics.first_row_seconds <= metrics.wall_seconds
+        _, metrics = Executor(cluster, engine="columnar").execute(plan, query)
+        assert 0 < metrics.first_row_seconds <= metrics.wall_seconds
 
     def test_summary_reports_first_row(self, planned):
         cluster, plan, query = planned
@@ -317,8 +298,8 @@ def lubm_planned(lubm_small):
 class TestMidScanWorkerDeath:
     @pytest.mark.parametrize(
         "engine",
-        ["reference", "columnar", PipelinedEngine(1), PipelinedEngine(64)],
-        ids=["reference", "columnar", "pipelined-1", "pipelined-64"],
+        ["columnar", PipelinedEngine(1), PipelinedEngine(64)],
+        ids=["columnar", "pipelined-1", "pipelined-64"],
     )
     @pytest.mark.parametrize("name", ["L2", "L4", "L7", "L8"])
     def test_kill_after_every_fragment_scan(
@@ -344,7 +325,6 @@ class TestMidScanWorkerDeath:
 
             return scan
 
-        monkeypatch.setattr(base, "scan_pattern", counting(base.scan_pattern))
         monkeypatch.setattr(
             base, "scan_pattern_encoded", counting(base.scan_pattern_encoded)
         )
@@ -429,7 +409,7 @@ class TestCounterSweep:
             plan = optimize(query, statistics=statistics, partitioning=method).plan
             oracle = evaluate_reference(query, dataset.graph)
             _, expected = Executor(cluster, engine="columnar").execute(plan, query)
-            engines = [ColumnarEngine()] + [
+            engines = [Engine()] + [
                 PipelinedEngine(chunk) for chunk in (1, 7, 64, 1024)
             ]
             for engine in engines:
