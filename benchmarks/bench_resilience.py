@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """Resilience benchmark: the governance layer under a seeded chaos sweep.
 
-Standalone script (stdlib only) mirroring ``bench_adaptive.py``'s shape.
-It drives the same episode space as ``tests/test_chaos.py`` — engines ×
+Standalone script (stdlib only).  It drives the same episode space as ``tests/test_chaos.py`` — engines ×
 LUBM queries × governance scenarios × seeds — and writes
 ``BENCH_resilience.json``:
 

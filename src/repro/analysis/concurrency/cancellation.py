@@ -56,6 +56,7 @@ HOT_SUFFIXES = (
     "engine/mapreduce.py",
     "engine/base.py",
     "partitioning/adaptive.py",
+    "partitioning/dynamic.py",
 )
 
 #: calls/reads that constitute a budget poll

@@ -8,22 +8,23 @@ columns) plus the id-hash routing used by repartition joins.
 The cluster is *fault-aware*: workers can be marked dead
 (:meth:`fail_worker`), in which case their partition is re-routed to
 the next live worker from the durable replica the partitioning retains
-(``partitioning.fragments`` is never mutated — it is the HDFS-replica
-stand-in), repartition routing skips dead workers, and scans read the
-degraded layout through :meth:`worker_fragments`.  A fully healthy
+(``partitioning.fragments`` is the HDFS-replica stand-in: liveness
+changes never touch it, only a layout change — hot-query placement,
+static or online — merges into it), repartition routing skips dead
+workers, and scans read the degraded layout through
+:meth:`worker_fragments`.  A fully healthy
 cluster behaves exactly as before faults existed — the healthy paths
 return the original structures untouched.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..partitioning.base import Partitioning, PartitioningMethod, hash_term
+from ..partitioning.base import Partitioning, PartitioningMethod
 from ..rdf.dataset import Dataset
 from ..rdf.encoding import EncodedGraph, TermDictionary
-from ..rdf.terms import Term
-from ..rdf.triples import RDFGraph, Triple
+from ..rdf.triples import RDFGraph
 
 
 class Cluster:
@@ -33,8 +34,8 @@ class Cluster:
     *fragment* over one cluster-wide
     :class:`~repro.rdf.encoding.TermDictionary` (the dataset's), so ids
     are join-compatible across workers and repartition shuffles move
-    bare integers.  The term-level :meth:`worker_graph` is a decoded
-    view of the fragment, for adaptive hot-query placement and tests.
+    bare integers.  The term-level :meth:`worker_graph` is a decoded,
+    read-only view of the fragment, for tests.
     """
 
     def __init__(
@@ -128,18 +129,17 @@ class Cluster:
         """Per-slot term-level views (for tests; the executor reads fragments)."""
         return [self.worker_graph(i) for i in range(self.size)]
 
-    def merge_replica(
-        self, worker: int, triples: Union[EncodedGraph, Iterable[Triple]]
-    ) -> int:
+    def merge_replica(self, worker: int, triples: EncodedGraph) -> int:
         """Merge *triples* into the fragment *worker* serves; count additions.
 
-        The replica primitive behind fail-stop re-routing and adaptive
-        migration (:mod:`repro.partitioning.adaptive`), and the one
-        :meth:`Partitioning.add_triples` is built on: the served
-        fragment is replaced by a merged copy (term-level *triples* are
-        encoded on entry), so ``partitioning.fragments`` — the durable
-        replica — is never mutated.  Does **not** bump the epoch; the
-        caller owns the batching of layout changes.
+        The replica primitive behind fail-stop re-routing (and adaptive
+        migration onto a slot that serves an override,
+        :mod:`repro.partitioning.adaptive`), built on the same
+        :meth:`EncodedGraph.merged` as :meth:`Partitioning.add_triples`:
+        the served fragment is replaced by a merged copy, so
+        ``partitioning.fragments`` — the durable replica — is not
+        touched.  Does **not** bump the epoch; the caller owns the
+        batching of layout changes.
         """
         served = self.worker_fragment(worker)
         self._override[worker] = merged = served.merged(triples)
@@ -195,21 +195,14 @@ class Cluster:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def route(self, term: Term) -> int:
-        """The worker a term hashes to (adaptive hot-query placement).
-
-        Dead workers are skipped deterministically: the original target
-        slot is folded onto the list of live workers, so routing stays
-        a pure function of (term, liveness state).
-        """
-        return self._live(hash_term(term, self.size))
-
     def route_id(self, ident: int) -> int:
         """The worker a term *id* hashes to (repartition-join routing).
 
-        Same liveness-folding contract as :meth:`route`, but the hash
-        is integer arithmetic on the dictionary id — no term is ever
-        decoded (or stringified) to route a shuffled row.
+        The hash is integer arithmetic on the dictionary id — no term
+        is ever decoded (or stringified) to route a shuffled row.  Dead
+        workers are skipped deterministically: the original target slot
+        is folded onto the list of live workers, so routing stays a
+        pure function of (id, liveness state).
         """
         return self._live(((ident * 2654435761) & 0xFFFFFFFF) % self.size)
 

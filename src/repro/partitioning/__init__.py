@@ -15,7 +15,6 @@ _ADAPTIVE_EXPORTS = frozenset(
     {
         "AdaptationReport",
         "AdaptiveCluster",
-        "AdaptiveOverlay",
         "MigrationProposal",
         "RepartitioningAdvisor",
     }
@@ -42,7 +41,6 @@ __all__ = [
     "greedy_edge_cut_partition",
     "AdaptationReport",
     "AdaptiveCluster",
-    "AdaptiveOverlay",
     "MigrationProposal",
     "RepartitioningAdvisor",
 ]

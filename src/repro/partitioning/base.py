@@ -49,9 +49,7 @@ class Partitioning:
         change a node through :meth:`add_triples`, never through its view)."""
         return [fragment.decoded() for fragment in self.fragments]
 
-    def add_triples(
-        self, node: int, triples: Union[EncodedGraph, Iterable[Triple]]
-    ) -> int:
+    def add_triples(self, node: int, triples: EncodedGraph) -> int:
         """Store *triples* on *node* as well; return how many were new."""
         before = self.fragments[node]
         self.fragments[node] = merged = before.merged(triples)

@@ -312,18 +312,14 @@ class EncodedGraph:
         subjects, predicates, objects = (array("q", values) for values in picked)
         return EncodedGraph(self.dictionary, (subjects, predicates, objects))
 
-    def merged(
-        self, triples: Union["EncodedGraph", Iterable[Triple]]
-    ) -> "EncodedGraph":
+    def merged(self, triples: "EncodedGraph") -> "EncodedGraph":
         """This fragment followed by those of *triples* it does not hold.
 
-        *triples* is another fragment over the same dictionary or
-        term-level triples (encoded on entry).  Nothing is mutated:
-        the result is a new fragment, or this one when nothing is new —
-        ``len(result) - len(self)`` is the number of triples added.
+        *triples* is another fragment over the same dictionary.
+        Nothing is mutated: the result is a new fragment, or this one
+        when nothing is new — ``len(result) - len(self)`` is the number
+        of triples added.
         """
-        if not isinstance(triples, EncodedGraph):
-            triples = EncodedGraph.from_graph(triples, self.dictionary)
         held = set(self.triples())
         new = [t for t in dict.fromkeys(triples.triples()) if t not in held]
         if not new:
@@ -341,8 +337,8 @@ class EncodedGraph:
     def decoded(self) -> RDFGraph:
         """The term-level view of this fragment (one object, kept).
 
-        For the reference engine, the adaptive overlays and tests; the
-        encoded engines never ask for it.  It is a *view* (see
+        For tests and for callers that want terms back; the engines and
+        the partitioners never ask for it.  It is a *view* (see
         :class:`RDFGraph`): it builds its triples when first read term
         by term, and writing to it detaches it — change the fragment
         through its owner (:meth:`merged`), not through the view.

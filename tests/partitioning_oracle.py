@@ -13,6 +13,10 @@ element order, adjacency and the POS permutation come from
 time.  They survive only here, so that ``tests/test_id_partitioning.py``
 can assert that the id-level cold path places every vertex and every
 triple exactly where this one does and counts what this one counts.
+
+Hot-query matches are grounded here too (:func:`reference_matches`:
+the term-tuple reference joins over ``dataset.graph``), so nothing in
+this file calls the production placement code it is the oracle for.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.core.cardinality import PatternStatistics, StatisticsCatalog
-from repro.partitioning.dynamic import hot_query_matches
+from repro.engine.relations import evaluate_reference
 from repro.rdf.dataset import Dataset
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triples import RDFGraph, Triple
@@ -234,20 +238,54 @@ class TermUndirectedOneHop(TermMethod):
         return {vertex: placement.get(vertex, 0) for vertex in elements}
 
 
-class TermDynamicPartitioning(TermMethod):
-    """A static method plus run-time co-location of hot queries."""
+def reference_matches(dataset: Dataset, hot: BGPQuery) -> List[Tuple[Term, List[Triple]]]:
+    """Each hot-query match as ``(anchor term, grounded triples)``: the
+    reference engine's bindings over the term-level graph, the anchor the
+    match's minimal binding by string form."""
+    bindings = evaluate_reference(
+        BGPQuery(hot.patterns, projection=None, name=hot.name), dataset.graph
+    )
+    matches = []
+    for binding in bindings.bindings():
+        anchor = min(binding.values(), key=str)
+        triples = [
+            Triple(*(binding.get(term, term) for term in tp.terms()))
+            for tp in hot.patterns
+        ]
+        assert all(t in dataset.graph for t in triples)
+        matches.append((anchor, triples))
+    return matches
 
-    def __init__(self, base: TermMethod, hot_queries: Iterable[BGPQuery]) -> None:
+
+class TermDynamicPartitioning(TermMethod):
+    """A static method plus run-time co-location of hot queries and
+    full replication of some predicates."""
+
+    def __init__(
+        self,
+        base: TermMethod,
+        hot_queries: Iterable[BGPQuery],
+        replicated_predicates: Iterable[str] = (),
+    ) -> None:
         self.base = base
         self.hot_queries = list(hot_queries)
-        self.name = f"dynamic({base.name}+{len(self.hot_queries)}hot)"
+        self.replicated_predicates = set(replicated_predicates)
+        predicates = len(self.replicated_predicates)
+        self.name = f"dynamic({base.name}+{len(self.hot_queries)}hot" + (
+            f"+{predicates}pred)" if predicates else ")"
+        )
 
     def partition(self, dataset: Dataset, cluster_size: int) -> TermPartitioning:
         partitioning = self.base.partition(dataset, cluster_size)
         for hot in self.hot_queries:
-            for anchor, triples in hot_query_matches(dataset, hot):
+            for anchor, triples in reference_matches(dataset, hot):
                 node = hash_term(anchor, cluster_size)
                 partitioning.node_graphs[node].add_all(triples)
+        extent = [
+            t for t in dataset.graph if str(t.predicate) in self.replicated_predicates
+        ]
+        for graph in partitioning.node_graphs:
+            graph.add_all(extent)
         partitioning.method_name = self.name
         return partitioning
 

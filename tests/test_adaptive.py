@@ -1,10 +1,11 @@
 """Tests for workload-adaptive online repartitioning.
 
-Covers the advisor's heat mining (decay, recurrence gating, ranking,
-snapshot ingestion), the overlay's query-side growth and plan-cache
-fingerprinting, the cluster's budgeted incremental application (epoch
-semantics, durable placements across heal, governance polling), and the
-session-level feedback loop end to end.
+Covers the advisor's heat mining (decay, recurrence gating, ranking),
+the adapted layout's query-side growth and plan-cache fingerprinting,
+the cluster's budgeted incremental application (epoch semantics,
+incremental ≡ from scratch, durable placements across fail and heal,
+governance polling), the session-level feedback loop end to end, and
+the skewed-workload replay with its exact counters.
 """
 
 import pytest
@@ -21,21 +22,23 @@ from repro.core import (
     optimize,
 )
 from repro.core.session import OptimizeOptions, Optimizer
-from repro.engine import Executor, evaluate_reference
+from repro.engine import ENGINES, Cluster, Executor, evaluate_reference
 from repro.partitioning import (
     AdaptiveCluster,
-    AdaptiveOverlay,
+    DynamicPartitioning,
     HashSubjectObject,
     MigrationProposal,
     RepartitioningAdvisor,
 )
 from repro.partitioning.adaptive import (
     COLOCATE,
+    MAX_PROPOSALS,
     REPLICATE_PREDICATE,
-    SHIPPED_PREDICATE_PREFIX,
+    WINDOW,
     structural_signature,
 )
 from repro.rdf import Dataset, triple
+from repro.workloads import generate_lubm, lubm_query
 
 
 @pytest.fixture
@@ -107,12 +110,6 @@ class TestAdvisor:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             RepartitioningAdvisor(adapt_every=0)
-        with pytest.raises(ValueError):
-            RepartitioningAdvisor(window=1)
-        with pytest.raises(ValueError):
-            RepartitioningAdvisor(max_proposals=0)
-        with pytest.raises(ValueError):
-            RepartitioningAdvisor(predicate_share=0.0)
 
     def test_due_cadence(self, chain_query):
         advisor = RepartitioningAdvisor(adapt_every=3)
@@ -122,18 +119,18 @@ class TestAdvisor:
             assert advisor.due() == (i % 3 == 0)
 
     def test_heat_decays_over_window(self, chain_query):
-        advisor = RepartitioningAdvisor(window=8)
+        advisor = RepartitioningAdvisor()
         advisor.observe(chain_query, _FakeMetrics(shipped=100))
         sig = structural_signature(chain_query)
         initial = advisor._query_heat[sig]
         cold = parse_query("SELECT * WHERE { ?a <http://e/zzz> ?b . }")
-        for _ in range(16):
+        for _ in range(2 * WINDOW):
             advisor.observe(cold, _FakeMetrics())
         assert advisor._query_heat[sig] < initial * 0.2
 
     def test_promotion_requires_recurrence(self, chain_query):
         """A one-off shipper never triggers a migration; repetition does."""
-        advisor = RepartitioningAdvisor(adapt_every=1, min_recurrence=3.0)
+        advisor = RepartitioningAdvisor(adapt_every=1)
         advisor.observe(chain_query, _FakeMetrics(shipped=10_000))
         assert advisor.propose() == []
         for _ in range(4):
@@ -144,14 +141,14 @@ class TestAdvisor:
     def test_cache_hits_count_as_recurrence(self, chain_query):
         """Repetition served from the plan cache is recurrence evidence
         even though the advisor saw only one observation."""
-        advisor = RepartitioningAdvisor(adapt_every=1, min_recurrence=3.0)
+        advisor = RepartitioningAdvisor(adapt_every=1)
         advisor.observe(chain_query, _FakeMetrics(shipped=500), cache_hits=5)
         proposals = advisor.propose()
         assert [p.kind for p in proposals] == [COLOCATE]
         assert proposals[0].query is chain_query
 
     def test_predicate_replication_proposed_for_dominant_heat(self, chain_query):
-        advisor = RepartitioningAdvisor(adapt_every=1, predicate_share=0.5)
+        advisor = RepartitioningAdvisor(adapt_every=1)
         advisor.observe(
             chain_query,
             _FakeMetrics(by_predicate={"<http://e/hot>": 900, "<http://e/c>": 10}),
@@ -163,8 +160,8 @@ class TestAdvisor:
     def test_promoted_colocation_covers_its_predicates(self, chain_query):
         """Predicates explained by a promoted co-location are not also
         proposed for full replication."""
-        advisor = RepartitioningAdvisor(adapt_every=1, min_recurrence=1.0)
-        for _ in range(3):
+        advisor = RepartitioningAdvisor(adapt_every=1)
+        for _ in range(4):
             advisor.observe(
                 chain_query,
                 _FakeMetrics(
@@ -175,10 +172,10 @@ class TestAdvisor:
         assert [p.kind for p in proposals] == [COLOCATE]
 
     def test_ranking_hottest_first(self):
-        advisor = RepartitioningAdvisor(adapt_every=1, min_recurrence=1.0)
+        advisor = RepartitioningAdvisor(adapt_every=1)
         small = parse_query("SELECT * WHERE { ?x <http://e/s> ?y . ?y <http://e/s2> ?z . }")
         big = parse_query("SELECT * WHERE { ?x <http://e/b> ?y . ?y <http://e/b2> ?z . }")
-        for _ in range(3):
+        for _ in range(4):
             advisor.observe(small, _FakeMetrics(shipped=10))
             advisor.observe(big, _FakeMetrics(shipped=10_000))
         proposals = advisor.propose()
@@ -187,36 +184,23 @@ class TestAdvisor:
         assert proposals[0].heat > proposals[1].heat
 
     def test_max_proposals_cap(self):
-        advisor = RepartitioningAdvisor(
-            adapt_every=1, min_recurrence=1.0, max_proposals=2
-        )
-        for i in range(5):
-            q = parse_query(
+        advisor = RepartitioningAdvisor(adapt_every=1)
+        queries = [
+            parse_query(
                 f"SELECT * WHERE {{ ?x <http://e/p{i}> ?y . ?y <http://e/q{i}> ?z . }}"
             )
-            for _ in range(3):
+            for i in range(MAX_PROPOSALS + 2)
+        ]
+        for _ in range(5):  # interleaved, so every shape stays recurrent
+            for i, q in enumerate(queries):
                 advisor.observe(q, _FakeMetrics(shipped=100 + i))
-        assert len(advisor.propose()) == 2
-
-    def test_ingest_snapshot_heats_predicates(self):
-        advisor = RepartitioningAdvisor(adapt_every=1)
-        advisor.ingest_snapshot(
-            {
-                "counters": {
-                    f"{SHIPPED_PREDICATE_PREFIX}<http://e/hot>": 800,
-                    "engine.tuples_shipped": 900,
-                    "plan_cache.hits": 3,
-                }
-            }
-        )
-        proposals = advisor.propose()
-        assert [p.predicate for p in proposals] == ["<http://e/hot>"]
+        assert len(advisor.propose()) == MAX_PROPOSALS
 
     def test_mark_handled_retires_applied_and_skipped(self, chain_query):
         from repro.partitioning import AdaptationReport
 
-        advisor = RepartitioningAdvisor(adapt_every=1, min_recurrence=1.0)
-        for _ in range(3):
+        advisor = RepartitioningAdvisor(adapt_every=1)
+        for _ in range(4):
             advisor.observe(chain_query, _FakeMetrics(shipped=100))
         proposals = advisor.propose()
         assert proposals
@@ -225,15 +209,22 @@ class TestAdvisor:
 
 
 class TestAdaptiveOverlay:
-    def test_name_versioned_and_fingerprinted(self, chain_query):
+    """The adapted layout's description: a ``DynamicPartitioning`` over
+    hot queries *and* replicated predicates (what the class of this
+    name was, before 2.2 folded it into its parent)."""
+
+    def test_repr_fingerprints_hot_queries_and_predicates(self, chain_query):
         base = HashSubjectObject()
-        a = AdaptiveOverlay(base, [chain_query], version=1)
-        b = AdaptiveOverlay(base, [chain_query], version=2)
-        c = AdaptiveOverlay(base, [chain_query], ["<http://e/q>"], version=2)
-        assert a.fingerprint == b.fingerprint
-        assert a.name != b.name  # version rolls the cache key
-        assert b.name != c.name  # so does the promoted set
-        assert repr(a) != repr(b)
+        other = parse_query("SELECT * WHERE { ?x <http://e/p> ?y . ?y <http://e/q> ?z . }")
+        a = DynamicPartitioning(base, [chain_query])
+        assert a.name == "dynamic(hash-so+1hot)"
+        assert repr(DynamicPartitioning(base, [chain_query])) == repr(a)
+        # another hot query, or a promoted predicate, rolls the cache key
+        b = DynamicPartitioning(base, [other])
+        c = DynamicPartitioning(base, [chain_query], ["<http://e/q>"])
+        assert b.name == a.name and repr(b) != repr(a)
+        assert c.name == "dynamic(hash-so+1hot+1pred)"
+        assert len({repr(a), repr(b), repr(c)}) == 3
 
     def test_combine_query_absorbs_replicated_predicates(self, chain_query):
         """With q and r fully replicated, the whole 3-chain joins
@@ -241,7 +232,7 @@ class TestAdaptiveOverlay:
         jg = JoinGraph(chain_query)
         base = LocalQueryIndex(jg, HashSubjectObject())
         assert not base.is_local(jg.full)
-        overlay = AdaptiveOverlay(
+        overlay = DynamicPartitioning(
             HashSubjectObject(), [], ["<http://e/q>", "<http://e/r>"]
         )
         grown = LocalQueryIndex(jg, overlay)
@@ -259,12 +250,12 @@ class TestAdaptiveOverlay:
             """
         )
         jg = JoinGraph(query)
-        overlay = AdaptiveOverlay(HashSubjectObject(), [], ["<http://e/q>"])
+        overlay = DynamicPartitioning(HashSubjectObject(), [], ["<http://e/q>"])
         index = LocalQueryIndex(jg, overlay)
         assert not index.is_local(jg.full)
 
     def test_partition_replicates_extent_everywhere(self, chain_data):
-        overlay = AdaptiveOverlay(HashSubjectObject(), [], ["<http://e/q>"])
+        overlay = DynamicPartitioning(HashSubjectObject(), [], ["<http://e/q>"])
         layout = overlay.partition(chain_data, 4)
         extent = {
             t for t in chain_data.graph if str(t.predicate) == "<http://e/q>"
@@ -297,7 +288,7 @@ class TestAdaptiveCluster:
         assert cluster.layout_version == 1
 
         adapted = cluster.adapted_method()
-        assert isinstance(adapted, AdaptiveOverlay)
+        assert isinstance(adapted, DynamicPartitioning)
         result = self._optimized(chain_query, chain_data, adapted)
         relation, after = Executor(cluster).execute(result.plan, chain_query)
         assert relation.rows == reference.rows
@@ -337,6 +328,32 @@ class TestAdaptiveCluster:
         assert cluster.epoch == 1
         assert report.epoch == 1
 
+    def test_incremental_layout_equals_from_scratch(self):
+        """After a batch, every worker serves exactly what the adapted
+        method's ``partition`` builds on a fresh cluster, and the
+        reported cost is the growth in stored triples."""
+        dataset = generate_lubm()
+        cluster = AdaptiveCluster.build(dataset, HashSubjectObject(), 4)
+        stored = cluster.partitioning.total_stored_triples()
+        predicate = str(lubm_query("L2").patterns[0].predicate)
+        report = cluster.apply(
+            [
+                _colocate(lubm_query("L7")),
+                _colocate(lubm_query("L8")),
+                _replicate(predicate),
+            ],
+            replication_budget=10.0,
+        )
+        assert len(report.applied) == 3
+        scratch = cluster.adapted_method().partition(dataset, 4)
+        for worker in range(4):
+            assert set(cluster.worker_fragment(worker).triples()) == set(
+                scratch.fragments[worker].triples()
+            )
+            assert len(cluster.worker_fragment(worker)) == len(scratch.fragments[worker])
+        assert scratch.total_stored_triples() - stored == cluster.replicated_triples
+        assert report.replicated_triples == cluster.replicated_triples == 2769
+
     def test_placements_survive_fail_and_heal(self, chain_data, chain_query):
         """The adaptive layout is durable: fail-stop re-routing carries
         it in degraded mode and heal restores it."""
@@ -345,17 +362,46 @@ class TestAdaptiveCluster:
         reference = evaluate_reference(chain_query, chain_data.graph)
         adapted = cluster.adapted_method()
         result = self._optimized(chain_query, chain_data, adapted)
+        healthy = [set(f.triples()) for f in cluster.worker_fragments()]
 
-        cluster.fail_worker(0)
+        target, _ = cluster.fail_worker(0)
         relation, metrics = Executor(cluster).execute(result.plan, chain_query)
         assert relation.rows == reference.rows  # replica re-route kept matches
+        assert len(cluster.worker_fragment(0)) == 0
+        assert set(cluster.worker_fragment(target).triples()) == healthy[0] | healthy[target]
 
         cluster.heal()
         relation, metrics = Executor(cluster).execute(result.plan, chain_query)
         assert relation.rows == reference.rows
         assert metrics.total_tuples_shipped == 0  # placements restored
-        for worker, placed in cluster._adaptive_layout.items():
-            assert set(placed) <= set(cluster.worker_graph(worker))
+        assert [set(f.triples()) for f in cluster.worker_fragments()] == healthy
+
+    def test_apply_while_degraded_is_served_now_and_after_heal(
+        self, chain_data, chain_query
+    ):
+        """A batch applied with a worker down: matches anchored on the
+        dead slot are served by a live worker meanwhile, and the healed
+        layout is the from-scratch one."""
+        cluster = AdaptiveCluster.build(chain_data, HashSubjectObject(), 4)
+        reference = evaluate_reference(chain_query, chain_data.graph)
+        cluster.fail_worker(1)
+        report = cluster.apply([_colocate(chain_query)], replication_budget=1.0)
+        assert report.changed
+        adapted = cluster.adapted_method()
+        result = self._optimized(chain_query, chain_data, adapted)
+        relation, metrics = Executor(cluster).execute(result.plan, chain_query)
+        assert relation.rows == reference.rows
+        assert metrics.total_tuples_shipped == 0
+        assert len(cluster.worker_fragment(1)) == 0
+
+        cluster.heal()
+        relation, metrics = Executor(cluster).execute(result.plan, chain_query)
+        assert relation.rows == reference.rows
+        assert metrics.total_tuples_shipped == 0
+        scratch = adapted.partition(chain_data, 4)
+        assert [set(f.triples()) for f in cluster.worker_fragments()] == [
+            set(f.triples()) for f in scratch.fragments
+        ]
 
     def test_cancellation_interrupts_apply(self, chain_data, chain_query):
         cluster = AdaptiveCluster.build(chain_data, HashSubjectObject(), 4)
@@ -457,3 +503,76 @@ class TestSessionFeedbackLoop:
         session.optimize(chain_query)
         assert cache.stats.hits == hits_before + 1
         assert cache.stats.misses == misses_before + 1
+
+
+class TestSkewedWorkloadReplay:
+    """The 80/20 LUBM replay that used to be ``benchmarks/bench_adaptive.py
+    --quick``, as exact counters: shipped tuples and replication costs are
+    deterministic properties of (workload, layout), not of the runner."""
+
+    #: one round — 8 hot (recurring shapes that ship under hash-so), 2 cold stars
+    ROUND = ("L7", "L8", "L7", "L8", "L7", "L8", "L7", "L8", "L1", "L2")
+    ROUNDS, WARMUP_ROUNDS = 4, 2
+
+    def test_replay_stops_shipping_at_the_recorded_cost(self):
+        dataset = generate_lubm()
+        method = HashSubjectObject()
+        queries = {name: lubm_query(name) for name in set(self.ROUND)}
+        reference = {
+            name: evaluate_reference(query, dataset.graph).rows
+            for name, query in queries.items()
+        }
+
+        def run(session, cluster, name):
+            """Optimize and execute on every engine: the same rows as the
+            single-node reference, the same shipping on each."""
+            plan = session.optimize(queries[name]).plan
+            runs = [
+                Executor(cluster, engine=engine).execute(plan, queries[name])
+                for engine in ENGINES
+            ]
+            assert all(relation.rows == reference[name] for relation, _ in runs), name
+            assert len({m.total_tuples_shipped for _, m in runs}) == 1, name
+            return runs[0][1]
+
+        static_cluster = Cluster.build(dataset, method, 4)
+        static_session = Optimizer(OptimizeOptions(dataset=dataset, partitioning=method))
+        static = {
+            name: run(static_session, static_cluster, name).total_tuples_shipped
+            for name in queries
+        }
+        assert static == {"L1": 0, "L2": 0, "L7": 448, "L8": 1846}
+
+        session = Optimizer(
+            OptimizeOptions(
+                dataset=dataset,
+                partitioning=method,
+                adapt=True,
+                adapt_every=5,
+                replication_budget=0.3,
+                plan_cache=PlanCache(),
+            )
+        )
+        cluster = AdaptiveCluster.build(dataset, method, 4)
+        session.bind_cluster(cluster)
+        warmup = self.WARMUP_ROUNDS * len(self.ROUND)
+        timeline, shipped_before, shipped_after = [], 0, 0
+        for index, name in enumerate(self.ROUND * self.ROUNDS):
+            metrics = run(session, cluster, name)
+            if index >= warmup:
+                shipped_before += static[name]
+                shipped_after += metrics.total_tuples_shipped
+            report = session.observe_execution(queries[name], metrics)
+            if report is not None:
+                assert not report.skipped
+                timeline.append(
+                    (index + 1, len(report.applied), report.replicated_triples, report.epoch)
+                )
+        assert (shipped_before, shipped_after) == (18352, 0)
+        assert timeline == [(5, 1, 221, 1), (10, 1, 1612, 2)]
+        assert cluster.replicated_triples == 1833  # 14.3 % of the dataset
+        assert round(1833 / dataset.triple_count, 3) == 0.143
+        assert [structural_signature(q) for q in cluster.hot_queries] == [
+            structural_signature(queries["L7"]),
+            structural_signature(queries["L8"]),
+        ]

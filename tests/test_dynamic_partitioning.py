@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro import parse_query
-from repro.core import JoinGraph, LocalQueryIndex, StatisticsCatalog, optimize
+from repro import OptimizeOptions, Optimizer, parse_query
+from repro.core import JoinGraph, LocalQueryIndex, PlanCache, StatisticsCatalog, optimize
 from repro.core import bitset as bs
 from repro.engine import Cluster, Executor, evaluate_reference
 from repro.partitioning import DynamicPartitioning, HashSubjectObject
-from repro.partitioning.dynamic import _instantiate, hot_query_matches
-from repro.rdf import Dataset, triple
-from repro.sparql.ast import BGPQuery
+from repro.partitioning.dynamic import hot_placements
+from repro.rdf import Dataset, EncodedGraph, triple
+from repro.workloads import generate_lubm, lubm_query
+
+from . import partitioning_oracle as oracle
 
 
 @pytest.fixture
@@ -96,59 +98,73 @@ class TestDataSide:
         assert method.name == "dynamic(hash-so+0hot)"
 
 
+class TestPlanCacheKey:
+    def test_plan_cache_distinguishes_hot_query_sets(self):
+        """Two layouts with the same *number* of hot queries but
+        different ones must not share cached plans: L7 is local only
+        where L7 is the hot query."""
+        dataset = generate_lubm()
+        l7, l2 = lubm_query("L7"), lubm_query("L2")
+
+        def cost(hot, cache):
+            method = DynamicPartitioning(HashSubjectObject(), [hot])
+            options = OptimizeOptions(
+                dataset=dataset, partitioning=method, plan_cache=cache
+            )
+            return Optimizer(options).optimize(l7).cost
+
+        shared = PlanCache()
+        colocated = cost(l7, shared)
+        elsewhere = cost(l2, shared)
+        assert elsewhere == cost(l2, None)  # what a fresh search finds
+        assert elsewhere > colocated
+        assert (shared.stats.hits, shared.stats.misses) == (0, 2)
+        assert cost(l7, shared) == colocated  # the same set still hits
+        assert shared.stats.hits == 1
+
+
 class TestEncodedHotMatching:
-    """The encoded/columnar hot-query matcher must be a drop-in for the
-    reference-evaluation path it replaced: same matches, same layout."""
+    """The id-space placement function must put every hot-query match
+    where the term-level reference path (the oracle's) puts it."""
 
-    def _reference_matches(self, dataset, hot):
-        """The old `evaluate_reference`-based matching, inlined."""
-        bindings = evaluate_reference(
-            BGPQuery(hot.patterns, projection=None, name=hot.name),
-            dataset.graph,
-        )
-        matches = []
-        for binding in bindings.bindings():
-            anchor = min(binding.values(), key=str)
-            grounded = []
-            for tp in hot.patterns:
-                t = _instantiate(tp, binding)
-                if t is not None and t in dataset.graph:
-                    grounded.append(t)
-            matches.append((anchor, grounded))
-        return matches
+    @staticmethod
+    def _placed(dataset, hot, cluster_size):
+        """``hot_placements`` decoded: node -> set of triples."""
+        additions = hot_placements(dataset, cluster_size, [hot], (), None)
+        return {node: set(extra.decoded()) for node, extra in additions.items()}
 
-    def _canonical(self, matches):
-        return sorted(
-            (str(anchor), sorted(map(str, triples))) for anchor, triples in matches
-        )
+    @staticmethod
+    def _expected(dataset, hot, cluster_size):
+        expected = {}
+        for anchor, triples in oracle.reference_matches(dataset, hot):
+            node = oracle.hash_term(anchor, cluster_size)
+            expected.setdefault(node, set()).update(triples)
+        return expected
 
     def test_matches_identical_to_reference_path(self, chain_data, chain_query_3):
-        encoded = hot_query_matches(chain_data, chain_query_3)
-        reference = self._reference_matches(chain_data, chain_query_3)
-        assert self._canonical(encoded) == self._canonical(reference)
-        assert len(encoded) == 30  # one match per chain
+        placed = self._placed(chain_data, chain_query_3, 4)
+        assert placed == self._expected(chain_data, chain_query_3, 4)
+        assert sum(map(len, placed.values())) == 90  # 30 chains of 3, whole
 
     def test_matches_identical_on_lubm(self):
-        from repro.workloads import generate_lubm, lubm_query
-
         dataset = generate_lubm()
         hot = lubm_query("L7")
-        encoded = hot_query_matches(dataset, hot)
-        reference = self._reference_matches(dataset, hot)
-        assert self._canonical(encoded) == self._canonical(reference)
-        assert encoded  # L7 has matches on the generated data
+        placed = self._placed(dataset, hot, 10)
+        assert placed == self._expected(dataset, hot, 10)
+        assert placed  # L7 has matches on the generated data
 
     def test_partition_layout_unchanged(self, chain_data, chain_query_3):
         """The produced node graphs are bit-identical to replicating the
         reference-path matches by hand."""
-        from repro.partitioning.base import hash_term
-
         cluster_size = 4
         method = DynamicPartitioning(HashSubjectObject(), [chain_query_3])
         layout = method.partition(chain_data, cluster_size)
         expected = HashSubjectObject().partition(chain_data, cluster_size)
-        for anchor, triples in self._reference_matches(chain_data, chain_query_3):
-            expected.add_triples(hash_term(anchor, cluster_size), triples)
+        for anchor, triples in oracle.reference_matches(chain_data, chain_query_3):
+            expected.add_triples(
+                oracle.hash_term(anchor, cluster_size),
+                EncodedGraph.from_graph(triples, chain_data.dictionary),
+            )
         assert [set(g) for g in layout.node_graphs] == [
             set(g) for g in expected.node_graphs
         ]

@@ -18,13 +18,16 @@ from repro.__main__ import PARTITIONINGS
 from repro.core import StatisticsCatalog
 from repro.engine import Cluster, Executor, evaluate_reference
 from repro.partitioning import (
+    AdaptiveCluster,
     DynamicPartitioning,
     HashSubjectObject,
+    MigrationProposal,
     PathBMC,
     SemanticHash,
     UndirectedOneHop,
     hash_term,
 )
+from repro.partitioning.adaptive import COLOCATE, REPLICATE_PREDICATE
 from repro.partitioning.base import hash_terms
 from repro.rdf import (
     BlankNode,
@@ -47,6 +50,8 @@ from . import partitioning_oracle as oracle
 HOT = parse_query(
     "SELECT * WHERE { ?x <http://e/p0> ?y . ?y <http://e/p1> ?z . }", name="hot"
 )
+#: fully replicated in the last pair: one edge predicate, the literal-only one
+REPLICATED = ["<http://e/p2>", "<http://e/name>"]
 #: (id-level method, its term-level oracle), by label
 METHOD_PAIRS = {
     "hash-so": (HashSubjectObject, oracle.TermHashSubjectObject),
@@ -62,6 +67,12 @@ METHOD_PAIRS = {
     "dynamic-path": (
         lambda: DynamicPartitioning(PathBMC(), [HOT]),
         lambda: oracle.TermDynamicPartitioning(oracle.TermPathBMC(), [HOT]),
+    ),
+    "dynamic-replicated": (
+        lambda: DynamicPartitioning(HashSubjectObject(), [HOT], REPLICATED),
+        lambda: oracle.TermDynamicPartitioning(
+            oracle.TermHashSubjectObject(), [HOT], REPLICATED
+        ),
     ),
 }
 
@@ -264,6 +275,11 @@ def lubm_l7():
     )
 
 
+def _encoded(triples, dataset) -> EncodedGraph:
+    """Term-level *triples* over *dataset*'s dictionary: what the merge primitives take."""
+    return EncodedGraph.from_graph(triples, dataset.dictionary)
+
+
 def _decoded(fragment: EncodedGraph):
     decode = fragment.dictionary.decode
     return [Triple(decode(s), decode(p), decode(o)) for s, p, o in fragment.triples()]
@@ -288,20 +304,22 @@ class TestFaultsOnIdFragments:
         assert cluster.worker_fragments() == healthy  # the same objects
         assert executor.execute(plan, query)[0].rows == reference.rows
 
-    def test_merge_replica_takes_terms_or_ids_and_counts_additions(self, lubm_l7):
+    def test_merge_replica_counts_additions(self, lubm_l7):
         dataset, query, method, plan, reference = lubm_l7
         cluster = Cluster.build(dataset, method, cluster_size=3)
         held = set(cluster.worker_graph(0))
         extra = [t for t in cluster.worker_graph(1) if t not in held][:25]
         assert extra
         before = cluster.worker_fragment(0)
-        # term-level triples, with one repeat and one already held
-        added = cluster.merge_replica(0, extra + extra[:1] + [next(iter(held))])
+        # with one repeat and one already held
+        added = cluster.merge_replica(
+            0, _encoded(extra + extra[:1] + [next(iter(held))], dataset)
+        )
         assert added == len(extra)
         assert len(cluster.worker_fragment(0)) == len(before) + len(extra)
         assert cluster.partitioning.fragments[0] is before  # replica untouched
-        assert cluster.merge_replica(0, extra) == 0
-        # an id fragment merges as it is
+        assert cluster.merge_replica(0, _encoded(extra, dataset)) == 0
+        # a whole fragment merges as it is
         missing = set(cluster.worker_fragment(1).triples()) - set(
             cluster.worker_fragment(0).triples()
         )
@@ -316,7 +334,7 @@ class TestFaultsOnIdFragments:
         view = cluster.worker_graph(0)
         assert cluster.worker_graph(0) is view  # decoded once
         outsider = Triple(IRI("http://e/new"), IRI("http://e/p"), Literal("näw"))
-        assert cluster.merge_replica(0, [outsider]) == 1
+        assert cluster.merge_replica(0, _encoded([outsider], dataset)) == 1
         assert outsider in cluster.worker_graph(0)
         assert outsider not in view  # the old view is a snapshot, not written to
         assert list(cluster.worker_graph(0)) == _decoded(cluster.worker_fragment(0))
@@ -327,8 +345,8 @@ class TestFaultsOnIdFragments:
         partitioning = method.partition(dataset, 3)
         sizes = [len(f) for f in partitioning.fragments]
         extra = [t for t in partitioning.node_graphs[1] if t not in partitioning.node_graphs[0]]
-        assert partitioning.add_triples(0, extra) == len(extra)
-        assert partitioning.add_triples(0, extra) == 0
+        assert partitioning.add_triples(0, _encoded(extra, dataset)) == len(extra)
+        assert partitioning.add_triples(0, _encoded(extra, dataset)) == 0
         assert partitioning.total_stored_triples() == sum(sizes) + len(extra)
         assert set(partitioning.node_graphs[0]) >= set(extra)
 
@@ -407,4 +425,33 @@ class TestColdPathStaysOnIds:
         rows = self._cold_rows(dataset, name, query)
         assert counts == {"triple": 0, "adjacency": 0, "permutation": 0, "from_graph": 0}
         assert rows == reference.rows
+        assert "_triples" not in vars(graph)  # still undecoded
+
+    def test_hot_placement_static_or_online_builds_no_triple(self, monkeypatch, tmp_path):
+        """``DynamicPartitioning.partition`` and ``AdaptiveCluster.apply``
+        on a dataset nobody has decoded: matches are grounded, placed,
+        costed and merged as id triples, and both reach the same layout."""
+        path = tmp_path / "lubm.nt"
+        save_ntriples(generate_lubm(scale=0.5, seed=2017).graph, path)
+        hot = lubm_queries()["L7"]
+        predicate = str(lubm_queries()["L2"].patterns[0].predicate)
+        counts = self._count_term_level_work(monkeypatch)
+        graph = load_ntriples(path)
+        dataset = Dataset(graph, name="lubm")
+        method = DynamicPartitioning(HashSubjectObject(), [hot], [predicate])
+        static = method.partition(dataset, 4)
+        cluster = AdaptiveCluster.build(dataset, HashSubjectObject(), 4)
+        report = cluster.apply(
+            [
+                MigrationProposal(COLOCATE, "hot", 2.0, query=hot),
+                MigrationProposal(REPLICATE_PREDICATE, predicate, 1.0, predicate=predicate),
+            ],
+            replication_budget=10.0,
+        )
+        assert len(report.applied) == 2 and report.replicated_triples > 0
+        assert repr(cluster.adapted_method()) == repr(method)
+        assert [set(f.triples()) for f in cluster.worker_fragments()] == [
+            set(f.triples()) for f in static.fragments
+        ]
+        assert counts == {"triple": 0, "adjacency": 0, "permutation": 0, "from_graph": 0}
         assert "_triples" not in vars(graph)  # still undecoded
