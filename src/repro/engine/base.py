@@ -1,9 +1,9 @@
 """The engine: dictionary-id access paths plus a batch size.
 
 The executor runs one pull-based operator pipeline
-(:mod:`repro.engine.executor`) over one row representation —
-:class:`~repro.engine.columnar.EncodedRelation`, rows of dictionary
-ids.  What still varies is small:
+(:mod:`repro.engine.executor`) over one representation —
+:class:`~repro.engine.columnar.EncodedRelation`, one column of
+dictionary ids per variable.  What still varies is small:
 
 * :class:`Engine` — the two access-path seams (how a pattern is scanned
   on the cluster, how co-located relations are multi-joined) and

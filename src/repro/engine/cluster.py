@@ -19,7 +19,7 @@ return the original structures untouched.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..partitioning.base import Partitioning, PartitioningMethod
 from ..rdf.dataset import Dataset
@@ -195,8 +195,8 @@ class Cluster:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def route_id(self, ident: int) -> int:
-        """The worker a term *id* hashes to (repartition-join routing).
+    def route_ids(self, idents: Iterable[int]) -> List[int]:
+        """The worker each term *id* hashes to (repartition-join routing).
 
         The hash is integer arithmetic on the dictionary id — no term
         is ever decoded (or stringified) to route a shuffled row.  Dead
@@ -204,7 +204,13 @@ class Cluster:
         is folded onto the list of live workers, so routing stays a
         pure function of (id, liveness state).
         """
-        return self._live(((ident * 2654435761) & 0xFFFFFFFF) % self.size)
+        size = self.size
+        fold = [self._live(slot) for slot in range(size)]
+        return [fold[((ident * 2654435761) & 0xFFFFFFFF) % size] for ident in idents]
+
+    def route_id(self, ident: int) -> int:
+        """:meth:`route_ids` for one *id*."""
+        return self.route_ids((ident,))[0]
 
     def _live(self, target: int) -> int:
         """*target*, or the live worker a dead target's slot folds onto."""

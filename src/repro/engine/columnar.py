@@ -1,19 +1,24 @@
-"""Columnar execution: relations over dictionary-encoded integer keys.
+"""Columnar execution: relations that are one id column per variable.
 
 The row oracle (:mod:`repro.engine.relations`) joins sets of rich
 :class:`~repro.rdf.terms.Term` tuples; every hash and equality check
 walks dataclass fields and strings.  This module is what the executor
-runs on: an :class:`EncodedRelation` holds rows of plain ``int``
-tuples keyed into a shared :class:`~repro.rdf.encoding.TermDictionary`,
-a scan *is* a contiguous slice of the per-predicate sorted indexes of an
-:class:`~repro.rdf.encoding.EncodedGraph` (a view, not a copy: joins
-filter by it, probe it or iterate it where it lies), and
-joins/projections never touch a term object.  Terms are **materialized
-late**: only when the final result is read
-(:meth:`EncodedRelation.decode`) are ids mapped back to terms, so the
-whole pipeline moves machine integers — exactly why the paper's
+runs on: an :class:`EncodedRelation` is a sorted schema plus one column
+of ids per variable, keyed into a shared
+:class:`~repro.rdf.encoding.TermDictionary`.  A scan *is* the sorted
+``array('q')`` columns of the fragment's per-predicate index (joins
+filter by them, probe them or gather from them where they lie), a
+join's output is a ``list`` of ints per variable, and no operator
+builds a row tuple: masks, gathers and expansions run over whole
+columns in C.  Terms are **materialized late**: ids are mapped back to
+terms only when the final result is read — exactly why the paper's
 prototype can treat per-worker evaluation (RDF-3X) as essentially free
 next to optimization time.
+
+Every relation is **duplicate-free by construction** (an index holds a
+pair once; a natural join of duplicate-free inputs is duplicate-free);
+rows are deduplicated only where the same row can arrive from two
+workers, through :func:`union_all`.
 
 Operator semantics are identical to the row oracle's (set semantics,
 same schemas, same tuple counts), which is what the columnar-oracle
@@ -25,9 +30,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import chain, compress
-from operator import attrgetter, concat, itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import chain, compress, repeat
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.encoding import EncodedGraph, PredicateIndex, TermDictionary
 from ..rdf.terms import Variable
@@ -37,151 +42,78 @@ from .relations import Relation, greedy_multi_join
 #: one encoded binding row: term ids, positionally aligned to the schema
 IdRow = Tuple[int, ...]
 
+#: one variable's bindings, row by row: an index's own ``array('q')``
+#: (never written to) or a computed ``list``
+Column = Sequence[int]
+
 #: schemas are sorted by variable name
 _NAME = attrgetter("name")
 
 
-def _row_getter(positions: List[int]) -> Callable[[IdRow], IdRow]:
-    """A C-speed row builder: ``row -> tuple(row[p] for p in positions)``.
-
-    ``operator.itemgetter`` runs the whole gather in C, but returns a
-    bare item (not a 1-tuple) for a single position and cannot express
-    the empty gather — both wrapped here so callers always get a row.
-    """
-    if not positions:
-        return lambda row: ()
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda row: (row[p],)
-    return itemgetter(*positions)
-
-
-class _IndexView:
-    """The rows of one bound-predicate scan, still inside the fragment's index.
-
-    ``columns`` are ``array('q')`` columns aligned with the relation's
-    schema: the two sorted columns of a :class:`PredicateIndex` for
-    ``?s p ?o`` (with the *index* itself, for its bisection lookups),
-    one contiguous slice of matches for ``?s p C`` / ``S p ?o`` (sorted
-    ascending, no *index*).  Nothing here is ever written to: the
-    fragment drops an index when its data changes, it never edits one,
-    so a view keeps the snapshot it was taken from.
-    """
-
-    __slots__ = ("columns", "index", "subject_first")
-
-    def __init__(
-        self,
-        columns: Tuple[array, ...],
-        index: Optional[PredicateIndex] = None,
-        subject_first: bool = True,
-    ) -> None:
-        self.columns = columns
-        self.index = index
-        self.subject_first = subject_first
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def rows(self) -> Iterator[IdRow]:
-        """The rows, zipped straight off the columns (lazy, no copy)."""
-        return zip(*self.columns)
-
-    def matches(self, position: int) -> Callable[[int], array]:
-        """``key -> the other column's values`` where column *position* is *key*."""
-        assert self.index is not None
-        if (position == 0) == self.subject_first:
-            return self.index.objects_for
-        return self.index.subjects_for
-
-    def holds(self) -> Callable[[object], bool]:
-        """``key -> whether it is a row`` by bisection (an int, or a pair)."""
-        index = self.index
-        if index is None:
-            column = self.columns[0]
-            size = len(column)
-
-            def held(key: int) -> bool:
-                at = bisect_left(column, key)
-                return at < size and column[at] == key
-
-            return held
-        if self.subject_first:
-            return lambda pair: index.contains(pair[0], pair[1])
-        return lambda pair: index.contains(pair[1], pair[0])
-
-
 class EncodedRelation:
-    """An immutable-schema set of integer binding rows.
+    """A duplicate-free relation: a sorted schema, one id column per variable.
 
-    Mirrors :class:`~repro.engine.relations.Relation` field for field
-    (variables sorted by name, ``rows`` as a set, positional access),
-    plus the :attr:`dictionary` needed to materialize terms at the very
-    end of execution.
+    Mirrors :class:`~repro.engine.relations.Relation` where it can
+    (variables sorted by name, positional access, iteration yields
+    rows), plus the :attr:`dictionary` needed to materialize terms at
+    the very end of execution.  :attr:`columns` are aligned with
+    :attr:`variables`; a relation over no variable has no column and an
+    explicit length (0 or 1).
 
-    A bound-predicate scan returns a relation that is a *view* over the
-    fragment's sorted index: it knows its schema and its length, joins
-    read it in place, and the ``rows`` set is only built if somebody
-    asks for it.  Asking drops the view — whoever holds the set may
-    mutate it, and nothing may write through to the index.
+    A bound-predicate scan's columns are the fragment's sorted index
+    itself, and it keeps that :attr:`index`: its rows ascend in schema
+    order (membership is a bisection) and ``?s p ?o`` looks matches up
+    by key.  Nothing ever writes to a column — the fragment drops an
+    index when its data changes, it never edits one — so a relation
+    keeps the snapshot it was taken from.
     """
 
-    __slots__ = ("variables", "dictionary", "_positions", "_rows", "_view")
+    __slots__ = ("variables", "dictionary", "columns", "index", "_positions", "_length")
 
     def __init__(
         self,
         variables: Iterable[Variable],
         dictionary: TermDictionary,
-        rows: Optional[Set[IdRow]] = None,
+        rows: Iterable[IdRow] = (),
     ):
-        self.variables: Tuple[Variable, ...] = tuple(sorted(set(variables), key=_NAME))
-        self.dictionary = dictionary
-        self._positions: Dict[Variable, int] = {
-            v: i for i, v in enumerate(self.variables)
-        }
-        self._rows: Optional[Set[IdRow]] = rows if rows is not None else set()
-        self._view: Optional[_IndexView] = None
+        """The relation holding *rows* (aligned to the sorted schema) once each."""
+        schema = tuple(sorted(set(variables), key=_NAME))
+        distinct = rows if isinstance(rows, (set, frozenset)) else set(rows)
+        columns = tuple(zip(*distinct)) if distinct else tuple(() for _ in schema)
+        self._fill(schema, dictionary, columns, len(distinct))
 
-    @classmethod
-    def _over(
-        cls,
+    def _fill(
+        self,
         variables: Tuple[Variable, ...],
         dictionary: TermDictionary,
-        rows: Optional[Set[IdRow]] = None,
-        view: Optional[_IndexView] = None,
-        positions: Optional[Dict[Variable, int]] = None,
+        columns: Sequence[Column],
+        length: Optional[int] = None,
     ) -> "EncodedRelation":
-        """Internal constructor: *variables* is already a sorted schema tuple.
-
-        Exactly one of *rows* and *view* is given; *positions* may be
-        shared with another relation of the same schema.
-        """
-        self = cls.__new__(cls)
+        """Set every slot: a sorted schema tuple over ready *columns*
+        (*length* is only needed without columns)."""
         self.variables = variables
         self.dictionary = dictionary
-        self._positions = (
-            positions if positions is not None
-            else {v: i for i, v in enumerate(variables)}
-        )
-        self._rows = rows
-        self._view = view
+        self.columns = columns
+        self._length = len(columns[0]) if length is None else length
+        self.index: Optional[PredicateIndex] = None
+        self._positions = {v: i for i, v in enumerate(variables)}
         return self
 
-    @property
-    def rows(self) -> Set[IdRow]:
-        """The rows as a set (a view is copied out of its index on first use)."""
-        rows = self._rows
-        if rows is None:
-            assert self._view is not None
-            rows = self._rows = set(self._view.rows())
-            self._view = None
-        return rows
+    @classmethod
+    def _over(cls, variables, dictionary, columns, length=None) -> "EncodedRelation":
+        """Internal constructor: :meth:`_fill` on a fresh instance."""
+        return cls.__new__(cls)._fill(variables, dictionary, columns, length)
 
     def __len__(self) -> int:
-        return len(self._rows if self._rows is not None else self._view)
+        return self._length
 
     def __iter__(self) -> Iterator[IdRow]:
-        return iter(self._rows) if self._rows is not None else self._view.rows()
+        return self.tuples(self.variables)
+
+    def tuples(self, variables: Iterable[Variable]) -> Iterator[IdRow]:
+        """Each row's bindings of *variables*, zipped lazily off the columns."""
+        columns = [self.columns[self._positions[v]] for v in variables]
+        return zip(*columns) if columns else repeat((), self._length)
 
     def position(self, variable: Variable) -> int:
         """Column index of *variable* in the schema."""
@@ -195,68 +127,107 @@ class EncodedRelation:
         """Project onto *variables* (set semantics; identity is free).
 
         Like :meth:`Relation.project`, projecting onto the full schema
-        returns ``self`` without rebuilding rows.
+        returns ``self``; dropping a column is the one operator that
+        can create duplicates, so it is the one that removes them.
         """
         kept = tuple(
             v for v in sorted(set(variables), key=_NAME) if v in self._positions
         )
         if kept == self.variables:
             return self
-        emit = _row_getter([self._positions[v] for v in kept])
-        return EncodedRelation._over(kept, self.dictionary, set(map(emit, self)))
-
-    def union_inplace(self, other: "EncodedRelation") -> None:
-        """Add *other*'s rows (schemas must match exactly)."""
-        if other.variables != self.variables:
-            raise ValueError("union requires identical schemas")
-        # a set merges faster than an iterator over it; a view is read in place
-        self.rows.update(other._rows if other._rows is not None else other)
+        return EncodedRelation(kept, self.dictionary, set(self.tuples(kept)))
 
     def empty_like(self) -> "EncodedRelation":
         """A fresh empty relation with this schema and dictionary."""
-        return EncodedRelation._over(
-            self.variables, self.dictionary, set(), positions=self._positions
-        )
+        return EncodedRelation(self.variables, self.dictionary)
 
     def decode(self) -> Relation:
         """Materialize terms: the equivalent reference :class:`Relation`.
 
         This is the *only* place the columnar pipeline touches term
         objects — late materialization pays the decoding cost once, on
-        final result rows only, never on intermediates.  Ids come from
-        the dictionary's own indexes, so the gather runs column by
-        column in C without :meth:`TermDictionary.decode`'s range check.
+        final result rows only, never on intermediates: one
+        :meth:`TermDictionary.decode_all` per column, one ``zip``.
         """
-        if not self.variables:
-            return Relation((), set(self.rows))
-        term_of = self.dictionary._terms.__getitem__
-        columns = [map(term_of, column) for column in zip(*self)]
-        return Relation(self.variables, set(zip(*columns)))
+        columns = map(self.dictionary.decode_all, self.columns)
+        rows = zip(*columns) if self.columns else repeat((), self._length)
+        return Relation(self.variables, set(rows))
 
-    def _keys(self, variables: List[Variable]) -> Iterable[object]:
-        """Each row's binding of *variables*, in :meth:`__iter__` order.
+    # ------------------------------------------------------------------
+    # what the kernels and the executor build relations from
+    # ------------------------------------------------------------------
+    def _derived(
+        self, columns: Sequence[Column], length: Optional[int] = None
+    ) -> "EncodedRelation":
+        """This schema over other *columns* (a computed relation: no index)."""
+        return EncodedRelation._over(self.variables, self.dictionary, columns, length)
 
-        A bare int for one variable (it hashes faster than a 1-tuple), a
-        tuple for several; gathered in C, off the index columns when
-        this is a view.
+    def _select(self, mask: List[bool]) -> "EncodedRelation":
+        """The rows where *mask* is true: one ``compress`` per column."""
+        return self._derived([list(compress(column, mask)) for column in self.columns])
+
+    def _slice(self, start: int, stop: int) -> "EncodedRelation":
+        """Rows ``start:stop`` as column slices (the index stays behind)."""
+        return self._derived([column[start:stop] for column in self.columns])
+
+    def keys(self, variables: Sequence[Variable]) -> Iterable[object]:
+        """Each row's binding of *variables* (non-empty), as a join key.
+
+        The column itself for one variable (a bare int hashes faster
+        than a 1-tuple), zipped tuples for several — the only tuples a
+        join makes.
         """
-        positions = [self._positions[v] for v in variables]
-        if self._rows is not None:
-            return map(itemgetter(*positions), self._rows)
-        columns = [self._view.columns[p] for p in positions]
-        return columns[0] if len(columns) == 1 else zip(*columns)
+        if len(variables) == 1:
+            return self.columns[self._positions[variables[0]]]
+        return self.tuples(variables)
 
-    def _key_set(self) -> Set[object]:
-        """The rows as a set of keys in :meth:`_keys` form (whole schema)."""
-        if len(self.variables) > 1:
-            return self.rows
-        if self._rows is None:
-            return set(self._view.columns[0])
-        return set(chain.from_iterable(self._rows))
+    def _matches(self, variable: Variable) -> Callable[[int], array]:
+        """``key -> the other column's values`` where *variable* is *key* (``?s p ?o``)."""
+        index = self.index
+        subject_first = self.columns[0] is index.spo_subjects
+        if (self._positions[variable] == 0) == subject_first:
+            return index.objects_for
+        return index.subjects_for
+
+    def _holds(self) -> Callable[[object], bool]:
+        """``key -> whether it is a row`` of this scan, by bisection."""
+        index, column = self.index, self.columns[0]
+        if len(self.columns) == 1:
+            size = len(column)
+
+            def held(key: int) -> bool:
+                at = bisect_left(column, key)
+                return at < size and column[at] == key
+
+            return held
+        if column is index.spo_subjects:
+            return lambda pair: index.contains(pair[0], pair[1])
+        return lambda pair: index.contains(pair[1], pair[0])
 
     def __repr__(self) -> str:
         names = ",".join(v.name for v in self.variables)
         return f"EncodedRelation([{names}], {len(self)} rows)"
+
+
+def union_all(relations: Sequence[EncodedRelation]) -> EncodedRelation:
+    """The duplicate-free union of same-schema *relations* (at least one).
+
+    The one place rows are deduplicated: what the executor calls where
+    the same row can arrive from two workers (replicating layouts hold
+    a triple on several) — the broadcast collect, the repartition
+    buckets, the fail-stop migration of in-flight build tables.  A
+    single non-empty input is duplicate-free already: returned as it is.
+    """
+    first = relations[0]
+    if any(other.variables != first.variables for other in relations):
+        raise ValueError("union requires identical schemas")
+    filled = [relation for relation in relations if len(relation)]
+    if len(filled) < 2 or not first.columns:
+        return filled[0] if filled else first
+    distinct = set(chain.from_iterable(r.keys(first.variables) for r in filled))
+    return first._derived(
+        [list(distinct)] if len(first.columns) == 1 else list(zip(*distinct))
+    )
 
 
 def scan_pattern_encoded(
@@ -267,7 +238,7 @@ def scan_pattern_encoded(
     Pattern constants are looked up (never interned) in the fragment's
     dictionary; an unknown constant matches nothing and short-circuits
     to an empty relation.  Bound-predicate patterns — the overwhelmingly
-    common case — do not copy anything: the result is a view over the
+    common case — do not copy anything: the result's columns are the
     fragment's sorted index (see :class:`EncodedRelation`).
     Variable-predicate patterns fall back to the generic id-triple
     iterator with the same repeated-variable checks as the reference
@@ -282,37 +253,42 @@ def scan_pattern_encoded(
     if not isinstance(subject, Variable):
         subject_id = dictionary.lookup(subject)
         if subject_id is None:
-            return EncodedRelation._over(variables, dictionary, set())
+            return EncodedRelation(variables, dictionary)
     if not isinstance(object_, Variable):
         object_id = dictionary.lookup(object_)
         if object_id is None:
-            return EncodedRelation._over(variables, dictionary, set())
+            return EncodedRelation(variables, dictionary)
     if not isinstance(predicate, Variable):
         predicate_id = dictionary.lookup(predicate)
         index = None if predicate_id is None else fragment.index_for(predicate_id)
         if index is None:
-            return EncodedRelation._over(variables, dictionary, set())
+            return EncodedRelation(variables, dictionary)
         return _scan_bound_predicate(
             index, variables, dictionary, subject, subject_id, object_id
         )
 
-    # variable predicate: generic path over the id-triple iterator
-    terms = pattern.terms()
+    # variable predicate: generic path over the id-triple iterator; the
+    # index holds a triple once and every variable position is kept, so
+    # the rows are distinct
     first_source: Dict[Variable, int] = {}
     checks: List[Tuple[int, int]] = []
-    for position, term in enumerate(terms):
+    for position, term in enumerate(pattern.terms()):
         if isinstance(term, Variable):
             if term in first_source:
                 checks.append((first_source[term], position))
             else:
                 first_source[term] = position
-    emit = _row_getter([first_source[v] for v in variables])
-    rows: Set[IdRow] = set()
-    for t in fragment.scan(subject_id, None, object_id):  # lint: disable=LINT014 per-scan row loop; the executor polls at the operator boundary
-        if checks and any(t[a] != t[b] for a, b in checks):
-            continue
-        rows.add(emit(t))
-    return EncodedRelation._over(variables, dictionary, rows)
+    matched = [
+        t
+        for t in fragment.scan(subject_id, None, object_id)  # lint: disable=LINT014 per-scan row loop; the executor polls at the operator boundary
+        if not checks or all(t[a] == t[b] for a, b in checks)
+    ]
+    if not matched:
+        return EncodedRelation(variables, dictionary)
+    by_position = list(zip(*matched))
+    return EncodedRelation._over(
+        variables, dictionary, [by_position[first_source[v]] for v in variables]
+    )
 
 
 def _scan_bound_predicate(
@@ -323,35 +299,36 @@ def _scan_bound_predicate(
     subject_id: Optional[int],
     object_id: Optional[int],
 ) -> EncodedRelation:
-    """The index access path of a concrete-predicate pattern, as a view.
+    """The index access path of a concrete-predicate pattern, in place.
 
     Only the two shapes whose size is not a property of the index are
     evaluated here: ``S p O`` (one membership test) and ``?x p ?x``
     (the diagonal has to be counted).
     """
     if subject_id is not None and object_id is not None:
-        rows = {()} if index.contains(subject_id, object_id) else set()
-        return EncodedRelation._over(variables, dictionary, rows)
+        held = index.contains(subject_id, object_id)
+        return EncodedRelation._over(variables, dictionary, (), int(held))
     if subject_id is not None:
-        view = _IndexView((index.objects_for(subject_id),))
+        columns: Sequence[Column] = (index.objects_for(subject_id),)
     elif object_id is not None:
-        view = _IndexView((index.subjects_for(object_id),))
+        columns = (index.subjects_for(object_id),)
     elif len(variables) == 1:
         # ?x p ?x — keep only the diagonal
         subjects, objects = index.spo_subjects, index.spo_objects
-        diagonal = compress(subjects, map(int.__eq__, subjects, objects))
-        return EncodedRelation._over(variables, dictionary, set(zip(diagonal)))
+        columns = (list(compress(subjects, map(int.__eq__, subjects, objects))),)
     elif variables[0] == subject:
-        view = _IndexView((index.spo_subjects, index.spo_objects), index, True)
+        columns = (index.spo_subjects, index.spo_objects)
     else:
-        view = _IndexView((index.ops_objects, index.ops_subjects), index, False)
-    return EncodedRelation._over(variables, dictionary, view=view)
+        columns = (index.ops_objects, index.ops_subjects)
+    relation = EncodedRelation._over(variables, dictionary, columns)
+    relation.index = index
+    return relation
 
 
 def hash_join_encoded(
     left: EncodedRelation, right: EncodedRelation
 ) -> EncodedRelation:
-    """Natural join on all shared variables, over integer keys.
+    """Natural join on all shared variables, column-wise over integer keys.
 
     Same result as the reference
     :func:`~repro.engine.relations.hash_join` (same schema, same rows,
@@ -359,14 +336,15 @@ def hash_join_encoded(
     access path the inputs allow:
 
     * a side whose whole schema is shared only *filters* the other — a
-      semi-join: no buckets, no row concatenation, the surviving rows
-      are the other side's own tuples;
-    * a scan view much larger than its partner is *probed* through the
-      index it still sits in (bisection per partner row) instead of
-      being read: chosen when ``|partner| · log2 |view| < |view|``, from
-      the two lengths alone;
-    * otherwise a hash join building on the smaller side, reading a
-      view straight off its index columns.
+      semi-join: one mask, one ``compress`` per column;
+    * a ``?s p ?o`` scan much larger than its partner is *probed*
+      through the index it still sits in (bisection per partner row)
+      instead of being read: chosen when
+      ``|partner| · log2 |scan| < |scan|``, from the two lengths alone;
+    * otherwise a hash join on key → row position: a side whose keys
+      are unique (the smaller one first) is the table the other side's
+      keys look up — mask, ``compress`` and one gather per column — and
+      only a many-to-many join builds position buckets.
     """
     shared = [v for v in left.variables if v in right._positions]
     if shared and len(shared) == len(right.variables):
@@ -375,83 +353,104 @@ def hash_join_encoded(
         return _semi_join(right, left, shared)
     build, probe = (left, right) if len(left) <= len(right) else (right, left)
     out_vars = tuple(sorted({*left.variables, *right.variables}, key=_NAME))
-    return EncodedRelation._over(
-        out_vars, left.dictionary, _joined_rows(build, probe, shared, out_vars)
+    if not len(build):
+        columns: List[Column] = [[] for _ in out_vars]
+    elif not shared:
+        # Cartesian product: never planned, deliberately disconnected tests only
+        found = [range(len(build))] * len(probe)
+        columns = _expanded(out_vars, probe, found, build, _gathered)
+    elif probe.index is not None and _probes_cheaper(len(build), len(probe)):
+        # neither schema contains the other, so the scan is binary and
+        # shares exactly one variable: look its other column up per key
+        (variable,) = shared
+        found = list(map(probe._matches(variable), build.keys(shared)))
+        columns = _expanded(out_vars, build, found, probe, lambda column, values: values)
+    else:
+        columns = _hash_join_columns(build, probe, shared, out_vars)
+    # a Cartesian product of zero-variable relations has no column to measure
+    length = None if out_vars else len(build) * len(probe)
+    return EncodedRelation._over(out_vars, left.dictionary, columns, length)
+
+
+#: one input of a join and how an output column derives from one of its columns
+Side = Tuple[EncodedRelation, Callable[[Column], Column]]
+
+
+def _output(out_vars: Tuple[Variable, ...], *sides: Side) -> List[Column]:
+    """A join's output columns, each derived from the first side that has it
+    (a shared variable is equal on both by the join key)."""
+    return [
+        next(of(r.columns[r._positions[v]]) for r, of in sides if v in r._positions)
+        for v in out_vars
+    ]
+
+
+def _gathered(column: Column, positions: List[int]) -> List[int]:
+    """The values of *column* at *positions*, in their order."""
+    return list(map(column.__getitem__, positions))
+
+
+def _expanded(
+    out_vars: Tuple[Variable, ...],
+    driver: EncodedRelation,
+    found: List[Sequence[int]],
+    other: EncodedRelation,
+    of_other: Callable[[Column, List[int]], Column],
+) -> List[Column]:
+    """The output columns where row *i* of *driver* meets ``found[i]`` of *other*.
+
+    A *driver* column repeats each value once per match; *of_other*
+    turns a column of *other* and the flattened matches into its output.
+    """
+    counts = list(map(len, found))
+    flat = list(chain.from_iterable(found))
+    return _output(
+        out_vars,
+        (driver, lambda column: list(chain.from_iterable(map(repeat, column, counts)))),
+        (other, lambda column: of_other(column, flat)),
     )
 
 
-def _joined_rows(
+def _hash_join_columns(
     build: EncodedRelation,
     probe: EncodedRelation,
     shared: List[Variable],
     out_vars: Tuple[Variable, ...],
-) -> Set[IdRow]:
-    """The output rows of a join that widens both sides (*build* is smaller)."""
-    if not len(build):
-        return set()
-    width = len(build.variables)
-    if not shared:
-        # Cartesian product: never planned, deliberately disconnected tests only
-        emit = _concat_getter(build, probe, out_vars)
-        inner = probe.rows
-        return {emit(brow + prow) for brow in build for prow in inner}  # lint: disable=LINT014 per-join row loop; callers poll at the operator/chunk boundary
-    view = probe._view
-    if view is not None and _probes_cheaper(len(build), len(view)):
-        # neither schema contains the other, so the view is binary and
-        # shares exactly one variable: look its other column up per row
-        (variable,) = shared
-        at = build._positions[variable]
-        matches = view.matches(probe._positions[variable])
-        emit = _row_getter([build._positions.get(v, width) for v in out_vars])
-        return {
-            emit(row + (value,))
-            for row in build  # lint: disable=LINT014 per-join row loop; callers poll at the operator/chunk boundary
-            for value in matches(row[at])
-        }
-    emit = _concat_getter(build, probe, out_vars)
-    unique = dict(zip(build._keys(shared), build))
-    if len(unique) == len(build):
-        # no two build rows share a key: no buckets, and the probe runs
-        # in C end to end (look up, keep the hits, concatenate, gather)
-        hits = list(map(unique.get, probe._keys(shared)))
-        pairs = map(concat, compress(hits, hits), compress(probe, hits))
-        return set(map(emit, pairs))
-    table: Dict[object, List[IdRow]] = defaultdict(list)
-    for key, row in zip(build._keys(shared), build):
-        table[key].append(row)
-    return {
-        emit(brow + prow)
-        for prow, bucket in zip(probe, map(table.get, probe._keys(shared)))  # lint: disable=LINT014 per-join row loop; callers poll at the operator/chunk boundary
-        if bucket
-        for brow in bucket
-    }
+) -> List[Column]:
+    """The output columns of a hash join that widens both sides (*build* is smaller)."""
+    for table_side, other in ((build, probe), (probe, build)):
+        # the smaller side may repeat keys where the larger does not
+        # (publication -> name), so each is tried as the table.  Rows
+        # are numbered from the end (-n .. -1): a position is never 0,
+        # so a look-up's result is its own hit-or-miss mask
+        table = dict(zip(table_side.keys(shared), range(-len(table_side), 0)))
+        if len(table) < len(table_side):
+            continue
+        # no two table rows share a key: no buckets, and the whole join
+        # runs in C (look up, compress one side by the hits, gather the other)
+        hits = list(map(table.get, other.keys(shared)))
+        positions = list(compress(hits, hits))
+        return _output(
+            out_vars,
+            (other, lambda column: list(compress(column, hits))),
+            (table_side, lambda column: _gathered(column, positions)),
+        )
+    # many-to-many: key -> positions on the smaller side, per probe row
+    buckets: Dict[object, List[int]] = defaultdict(list)
+    for position, key in enumerate(build.keys(shared)):  # lint: disable=LINT014 per-join row loop; callers poll at the operator/chunk boundary
+        buckets[key].append(position)
+    found = list(map(buckets.get, probe.keys(shared), repeat(())))
+    return _expanded(out_vars, probe, found, build, _gathered)
 
 
-def _concat_getter(
-    build: EncodedRelation, probe: EncodedRelation, out_vars: Tuple[Variable, ...]
-) -> Callable[[IdRow], IdRow]:
-    """A C gather of *out_vars* over the concatenated ``brow + prow``.
+def _probes_cheaper(partner: int, scan: int) -> bool:
+    """Whether bisecting a scan once per partner row beats reading it.
 
-    Shared variables read from the build side (equal by the join key).
-    """
-    width = len(build.variables)
-    return _row_getter(
-        [
-            build._positions[v] if v in build._positions
-            else width + probe._positions[v]
-            for v in out_vars
-        ]
-    )
-
-
-def _probes_cheaper(partner: int, view: int) -> bool:
-    """Whether bisecting a view once per partner row beats reading it.
-
-    ``|partner| · log2 |view| < |view|`` — a bisection is ~log2 steps,
+    ``|partner| · log2 |scan| < |scan|`` — a bisection is ~log2 steps,
     a read touches every row once; see docs/PERFORMANCE.md for where
     the constant 1 was measured.
     """
-    return partner * view.bit_length() < view
+    return partner * scan.bit_length() < scan
 
 
 def _semi_join(
@@ -460,24 +459,17 @@ def _semi_join(
     """The rows of *kept* whose *shared* bindings are a row of *filter_*.
 
     *shared* is *filter_*'s whole schema, so the join adds no column:
-    the output is a subset of *kept*'s own tuples, selected in C
-    (``compress``) by a membership test per row — against a set of
-    *filter_*'s keys, or by bisection into its index when it is a view
-    much larger than *kept*.
+    the output is *kept*'s own columns under one mask — a membership
+    test per row against a set of *filter_*'s keys, or by bisection
+    into its index when it is a scan much larger than *kept*.
     """
-    view = filter_._view
     if not len(kept) or not len(filter_):
-        rows: Set[IdRow] = set()
+        return kept.empty_like()
+    if filter_.index is not None and _probes_cheaper(len(kept), len(filter_)):
+        held = filter_._holds()
     else:
-        if view is not None and _probes_cheaper(len(kept), len(view)):
-            held = view.holds()
-        else:
-            held = filter_._key_set().__contains__
-        # `kept` is iterated twice; an unmodified set repeats its order
-        rows = set(compress(kept, map(held, kept._keys(shared))))
-    return EncodedRelation._over(
-        kept.variables, kept.dictionary, rows, positions=kept._positions
-    )
+        held = set(filter_.keys(shared)).__contains__
+    return kept._select(list(map(held, kept.keys(shared))))
 
 
 def multi_join_encoded(relations: List[EncodedRelation]) -> EncodedRelation:

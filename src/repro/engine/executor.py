@@ -50,7 +50,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -59,6 +58,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -75,7 +75,7 @@ from ..rdf.terms import Variable
 from ..sparql.ast import BGPQuery
 from .base import Engine, resolve_engine
 from .cluster import Cluster
-from .columnar import EncodedRelation
+from .columnar import EncodedRelation, IdRow, union_all
 from .faults import FaultInjector
 from .metrics import ExecutionMetrics, OperatorMetrics
 from .recovery import (
@@ -87,7 +87,7 @@ from .recovery import (
 )
 from .relations import Relation
 
-#: what flows between operators: worker slot -> that worker's id rows.
+#: what flows between operators: worker slot -> that worker's id columns.
 #: A yielded batch belongs to its consumer, which adopts its relations
 #: or clears it when done.
 Batch = Dict[int, EncodedRelation]
@@ -159,7 +159,7 @@ def _rows(batch: Batch) -> int:
 class Executor:
     """Executes plans against a :class:`Cluster`.
 
-    Rows are dictionary ids from the scans to the sink
+    Relations are columns of dictionary ids from the scans to the sink
     (:class:`~repro.engine.columnar.EncodedRelation`); the returned
     :class:`~repro.engine.relations.Relation` is the one decode.
     ``engine`` is a name from :data:`~repro.engine.base.ENGINES` or a
@@ -334,17 +334,18 @@ class Executor:
         chunk: Optional[int],
         started: float,
     ) -> EncodedRelation:
-        admitted: Optional[EncodedRelation] = None
+        #: the sink: the distinct id rows admitted so far, over `kept`
+        admitted: Set[IdRow] = set()
+        kept: Optional[List[Variable]] = None
         while True:
             try:
                 root = self._open(plan, chunk)
-                if admitted is None:
-                    kept = root.variables
+                if kept is None:
+                    kept = sorted(root.variables, key=lambda v: v.name)
                     if query is not None and query.projection:
-                        kept = [v for v in query.projection if v in kept]
-                    admitted = EncodedRelation(kept, self.cluster.dictionary)
-                self._drain(root.stream, admitted, limit, started)
-                return admitted
+                        kept = [v for v in kept if v in query.projection]
+                self._drain(root.stream, kept, admitted, limit, started)
+                return EncodedRelation(kept, self.cluster.dictionary, admitted)
             except _LayoutChanged as moved:
                 # replay on the degraded layout: the operators keep
                 # their records (replayed work is real work) and the
@@ -359,7 +360,8 @@ class Executor:
     def _drain(
         self,
         stream: BatchStream,
-        admitted: EncodedRelation,
+        kept: List[Variable],
+        admitted: Set[IdRow],
         limit: Optional[int],
         started: float,
     ) -> None:
@@ -371,9 +373,9 @@ class Executor:
                 if batch is None:
                     break
                 for relation in batch.values():  # lint: disable=LINT014 bounded by cluster size, within one polled batch
-                    admitted.union_inplace(relation.project(admitted.variables))
+                    admitted.update(relation.tuples(kept))
                 batch.clear()  # consumed
-                if metrics.first_row_seconds is None and admitted.rows:
+                if metrics.first_row_seconds is None and admitted:
                     first = time.perf_counter() - started
                     metrics.first_row_seconds = first
                     obs.event(
@@ -572,13 +574,10 @@ class Executor:
                 if len(relation):
                     yield {slot: relation}
                 continue
-            # a scan still sitting in its index is read range by range,
-            # so a consumer that stops pulling stops the scan
-            rows = iter(relation)
-            for _ in range(0, len(relation), chunk):
-                piece = relation.empty_like()
-                piece.rows.update(islice(rows, chunk))
-                yield {slot: piece}
+            # a chunk is a slice of every column, cut when it is pulled:
+            # a consumer that stops pulling stops the scan
+            for start in range(0, len(relation), chunk):
+                yield {slot: relation._slice(start, start + chunk)}
 
     # -- scan -------------------------------------------------------------
     def _open_scan(self, node: ScanNode, chunk: Optional[int]) -> _Operator:
@@ -708,9 +707,8 @@ class Executor:
             if table is None:
                 continue
             if broadcast:
-                collected = table[0].empty_like()
-                for relation in table.values():  # lint: disable=LINT014 bounded by cluster size
-                    collected.union_inplace(relation)
+                # replicating layouts hold a row on several workers
+                collected = union_all(list(table.values()))
                 ship(index, len(collected) * cluster.live_size)
                 tables[index] = dict.fromkeys(range(cluster.size), collected)
             elif repartition:
@@ -739,18 +737,20 @@ class Executor:
             probe.stream.close()
 
     def _rehash(self, batch: Batch, variable: Variable) -> Batch:
-        """Move every row of *batch* to the slot owning its *variable* binding."""
+        """Move every row of *batch* to the slot owning its *variable* binding.
+
+        The workers' rows are united first — two may hold the same row, and
+        it may reach its slot only once — then the key column is routed at
+        once and each slot's share is one mask.
+        """
+        moved = union_all(list(batch.values()))
+        batch.clear()  # the source-keyed relations are dropped here
         # reads the cluster's *current* liveness state at call time
-        route = self.cluster.route_id
-        template = next(iter(batch.values()))
-        position = template.position(variable)
-        buckets = [template.empty_like() for _ in range(self.cluster.size)]
-        add_to = [bucket.rows.add for bucket in buckets]
-        for relation in batch.values():  # lint: disable=LINT014 per-batch row loop; _pump polls at every batch boundary
-            for row in relation:
-                add_to[route(row[position])](row)
-        batch.clear()  # moved: the source-keyed relations are dropped here
-        return dict(enumerate(buckets))
+        owners = self.cluster.route_ids(moved.keys([variable]))
+        return {
+            slot: moved._select(list(map(slot.__eq__, owners)))
+            for slot in range(self.cluster.size)
+        }
 
     # ------------------------------------------------------------------
     # helpers

@@ -52,7 +52,7 @@ from ..core.cost import CostParameters
 from ..core.governance import AbortCause, QueryAborted, QueryBudget
 from ..observability import runtime as obs
 from .faults import FaultEvent, FaultInjector, FaultKind
-from .columnar import EncodedRelation
+from .columnar import EncodedRelation, union_all
 from .metrics import OperatorMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports nothing here)
@@ -409,7 +409,8 @@ class RecoveryManager:
         for distributed in inflight:
             lost = distributed[worker]
             if len(lost):
-                distributed[target].union_inplace(lost)
+                # merged, not appended: the survivor may hold the same rows
+                distributed[target] = union_all([distributed[target], lost])
                 rows_moved += len(lost)
             # the dead slot keeps its schema so later unions still match
             distributed[worker] = lost.empty_like()

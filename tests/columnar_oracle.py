@@ -1,33 +1,70 @@
-"""Test oracle: the eager scan and the one-path hash join of the columnar engine.
+"""Test oracle: row-set relations, the eager scan and the one-path hash join.
 
-This is ``scan_pattern_encoded`` / ``_scan_bound_predicate`` /
-``hash_join_encoded`` exactly as they stood before scans became views
-over the fragment's index (:mod:`repro.engine.columnar`): every
-bound-predicate scan copies its index slice into a fresh ``set`` of
-tuples, and every join builds a ``dict`` of bucket lists on the smaller
-side and probes it row by row.  They survive only here, so that
-``tests/test_columnar_views.py`` can assert that a view is
-indistinguishable from the set it stands for and that every access path
-of the new join kernel returns the rows (and the schema) of this one.
+This is the columnar engine as it stood before scans became index
+columns and intermediates one id column per variable
+(:mod:`repro.engine.columnar`): a relation is a ``set`` of id tuples
+(:class:`RowRelation` — ``src/`` holds no such class any more), every
+bound-predicate scan copies its index slice into a fresh set, and every
+join builds a ``dict`` of bucket lists on the smaller side and probes
+it row by row.  They survive only here, so that
+``tests/test_columnar_views.py`` can assert that every access path of
+the column kernels returns the rows (and the schema) of this one.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.engine.columnar import EncodedRelation, _row_getter
 from repro.engine.relations import greedy_multi_join
-from repro.rdf.encoding import EncodedGraph
+from repro.rdf.encoding import EncodedGraph, TermDictionary
 from repro.rdf.terms import Variable
 from repro.sparql.ast import TriplePattern
 
 IdRow = Tuple[int, ...]
 
 
+def _row_getter(positions: List[int]) -> Callable[[IdRow], IdRow]:
+    """``row -> tuple(row[p] for p in positions)``, always a tuple."""
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda row: (row[p],)
+    return itemgetter(*positions)
+
+
+class RowRelation:
+    """A set of integer binding rows over a schema sorted by variable name."""
+
+    def __init__(
+        self,
+        variables: Iterable[Variable],
+        dictionary: TermDictionary,
+        rows: Optional[Set[IdRow]] = None,
+    ):
+        self.variables: Tuple[Variable, ...] = tuple(
+            sorted(set(variables), key=lambda v: v.name)
+        )
+        self.dictionary = dictionary
+        self.rows: Set[IdRow] = rows if rows is not None else set()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[IdRow]:
+        return iter(self.rows)
+
+    def position(self, variable: Variable) -> int:
+        return self.variables.index(variable)
+
+    def has_variable(self, variable: Variable) -> bool:
+        return variable in self.variables
+
+
 def scan_pattern_eager(
     fragment: EncodedGraph, pattern: TriplePattern
-) -> EncodedRelation:
+) -> RowRelation:
     """Match one triple pattern against an encoded fragment.
 
     Pattern constants are looked up (never interned) in the fragment's
@@ -40,7 +77,7 @@ def scan_pattern_eager(
     """
     dictionary = fragment.dictionary
     variables = sorted(pattern.variables(), key=lambda v: v.name)
-    relation = EncodedRelation(variables, dictionary)
+    relation = RowRelation(variables, dictionary)
     subject, predicate, object_ = pattern.subject, pattern.predicate, pattern.object
 
     # encode the constants; an unknown constant matches nothing
@@ -73,7 +110,7 @@ def scan_pattern_eager(
                 first_source[term] = position
     emit = _row_getter([first_source[v] for v in relation.variables])
     rows = relation.rows
-    for t in fragment.scan(subject_id, None, object_id):  # lint: disable=LINT014 per-scan row loop; the executor polls at the operator boundary
+    for t in fragment.scan(subject_id, None, object_id):
         if checks and any(t[a] != t[b] for a, b in checks):
             continue
         rows.add(emit(t))
@@ -82,13 +119,13 @@ def scan_pattern_eager(
 
 def _scan_bound_predicate(
     fragment: EncodedGraph,
-    relation: EncodedRelation,
+    relation: RowRelation,
     subject,
     object_,
     subject_id: Optional[int],
     object_id: Optional[int],
     predicate_id: int,
-) -> EncodedRelation:
+) -> RowRelation:
     """The indexed fast paths for a concrete-predicate pattern."""
     index = fragment.index_for(predicate_id)
     if index is None:
@@ -120,9 +157,7 @@ def _scan_bound_predicate(
     return relation
 
 
-def hash_join_eager(
-    left: EncodedRelation, right: EncodedRelation
-) -> EncodedRelation:
+def hash_join_eager(left: RowRelation, right: RowRelation) -> RowRelation:
     """Natural hash join on all shared variables, over integer keys.
 
     Structurally identical to the reference
@@ -136,7 +171,7 @@ def hash_join_eager(
     out_vars = sorted(
         set(left.variables) | set(right.variables), key=lambda v: v.name
     )
-    result = EncodedRelation(out_vars, left.dictionary)
+    result = RowRelation(out_vars, left.dictionary)
     rows = result.rows
     if not shared:
         width = len(left.variables)
@@ -147,7 +182,7 @@ def hash_join_eager(
                 for v in result.variables
             ]
         )
-        for lrow in left.rows:  # lint: disable=LINT014 per-join row loop; callers poll at the operator/chunk boundary
+        for lrow in left.rows:
             for rrow in right.rows:
                 rows.add(emit(lrow + rrow))
         return result
@@ -170,7 +205,7 @@ def hash_join_eager(
     table: Dict[object, List[IdRow]] = {}
     for row in build.rows:
         table.setdefault(build_key(row), []).append(row)
-    for prow in probe.rows:  # lint: disable=LINT014 per-join row loop; callers poll at the operator/chunk boundary
+    for prow in probe.rows:
         bucket = table.get(probe_key(prow))
         if bucket is None:
             continue
@@ -179,6 +214,6 @@ def hash_join_eager(
     return result
 
 
-def multi_join_eager(relations: List[EncodedRelation]) -> EncodedRelation:
+def multi_join_eager(relations: List[RowRelation]) -> RowRelation:
     """The parent's k-way join: same greedy order, eager pair join."""
     return greedy_multi_join(relations, hash_join_eager)

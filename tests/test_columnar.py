@@ -22,6 +22,7 @@ from repro.engine import (
     evaluate_reference,
     scan_pattern_encoded,
 )
+from repro.engine.columnar import union_all
 from repro.engine.relations import Relation, greedy_multi_join, hash_join, scan_pattern
 from repro.partitioning import (
     DynamicPartitioning,
@@ -324,7 +325,7 @@ class TestEncodedRelation:
         relation = EncodedRelation([x, y], d, {(1, 2), (1, 4)})
         projected = relation.project([x])
         assert projected.variables == (x,)
-        assert projected.rows == {(1,)}
+        assert set(projected) == {(1,)} and len(projected) == 1
 
     def test_reference_project_identity_returns_self(self):
         x, y = Variable("x"), Variable("y")
@@ -336,7 +337,7 @@ class TestEncodedRelation:
         a = EncodedRelation([Variable("x")], d)
         b = EncodedRelation([Variable("y")], d)
         with pytest.raises(ValueError):
-            a.union_inplace(b)
+            union_all([a, b])
 
     def test_empty_like_keeps_schema_and_dictionary(self):
         d = TermDictionary()
@@ -533,6 +534,8 @@ class TestFragmentRecovery:
         cluster.fail_worker(dead)
         after = [cluster.route_id(i) for i in idents]
         assert all(w != dead for w in after)
+        # a whole column routes as its ids do, one by one
+        assert cluster.route_ids(idents) == after and cluster.route_ids([]) == []
         # routes of ids that did not target the dead worker are stable
         for prev, now in zip(before, after):
             if prev != dead:
