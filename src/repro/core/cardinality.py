@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import compress
+from operator import eq
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..rdf.dataset import Dataset
 from ..rdf.encoding import EncodedGraph
@@ -42,35 +44,29 @@ class PatternStatistics:
         return self.bindings.get(variable, self.cardinality)
 
 
+def _kept(columns: Dict[int, Sequence[int]], mask: Iterable[bool]) -> Dict[int, Sequence[int]]:
+    """*columns* cut down to the rows where *mask* holds."""
+    mask = list(mask)
+    return {at: list(compress(column, mask)) for at, column in columns.items()}
+
+
 def _matching_columns(
-    encoded: EncodedGraph,
-    subject: Optional[int],
-    predicate: Optional[int],
-    object_: Optional[int],
-) -> Tuple[int, Dict[int, Sequence[int]]]:
-    """Count of the triples matching the bound ids (``None`` = any), and
-    their ids at each unbound subject (0) / predicate (1) / object (2)
-    position.  A bound predicate is answered from its sorted index
-    without visiting a triple."""
+    encoded: EncodedGraph, bound: Sequence[Optional[int]]
+) -> Dict[int, Sequence[int]]:
+    """The triples matching the *bound* subject / predicate / object ids
+    (``None`` = any) as aligned id columns: subjects (0), objects (2) and,
+    for an unbound predicate, predicates (1).  A bound predicate is its
+    run of the graph's grouped table, a bound end an equality mask over
+    that: nothing is sorted and no other predicate's triple is visited."""
+    subject, predicate, object_ = bound
     if predicate is None:
-        rows = list(encoded.scan(subject, None, object_))
-        return len(rows), {
-            position: [t[position] for t in rows]
-            for position, ident in enumerate((subject, None, object_))
-            if ident is None
-        }
-    index = encoded.index_for(predicate)
-    if index is None:
-        return 0, {}
-    if subject is None and object_ is None:
-        return len(index), {0: index.spo_subjects, 2: index.spo_objects}
-    if object_ is None:
-        objects = index.objects_for(subject)
-        return len(objects), {2: objects}
-    if subject is None:
-        subjects = index.subjects_for(object_)
-        return len(subjects), {0: subjects}
-    return int(index.contains(subject, object_)), {}
+        columns = {0: encoded.subjects, 1: encoded.predicates, 2: encoded.objects}
+    else:
+        columns = dict(zip((0, 2), encoded.predicate_runs().get(predicate, ((), ()))))
+    for position, ident in ((0, subject), (2, object_)):
+        if ident is not None:
+            columns = _kept(columns, map(ident.__eq__, columns[position]))
+    return columns
 
 
 class StatisticsCatalog:
@@ -89,13 +85,14 @@ class StatisticsCatalog:
     # ------------------------------------------------------------------
     @classmethod
     def from_dataset(cls, query: BGPQuery, dataset: Dataset) -> "StatisticsCatalog":
-        """Exact statistics read off the dataset's sorted id index.
+        """Exact statistics counted off the dataset's grouped id columns.
 
         Per pattern, the matching triples are found as id columns (see
-        :func:`_matching_columns`): the cardinality is their length and
-        ``B(tp, v)`` the number of distinct ids in the columns of the
-        positions *v* occupies.  No term is touched beyond looking up
-        the pattern's constants.
+        :func:`_matching_columns`) and a variable in two positions keeps
+        the rows where they agree (``?x p ?x`` is the self-loops, as the
+        engines evaluate it): the cardinality is their length, ``B(tp, v)``
+        the number of distinct ids in *v*'s column, both at least 1.  No
+        term is touched beyond looking up the pattern's constants.
         """
         encoded = dataset.encoded_graph()
         lookup = encoded.dictionary.lookup
@@ -111,14 +108,17 @@ class StatisticsCatalog:
                     bound[position] = lookup(term)
                     known = known and bound[position] is not None
             # a constant the data never mentions matches nothing
-            count, columns = _matching_columns(encoded, *bound) if known else (0, {})
-            bindings: Dict[Variable, float] = {}
-            for variable, positions in slots.items():
-                values = set().union(*(columns.get(at, ()) for at in positions))
-                bindings[variable] = float(max(len(values), 1))
+            columns = _matching_columns(encoded, bound) if known else dict.fromkeys(range(3), ())
+            for first, *repeats in slots.values():
+                for position in repeats:
+                    columns = _kept(columns, map(eq, columns[first], columns[position]))
             entries.append(
                 PatternStatistics(
-                    cardinality=float(max(count, 1)), bindings=bindings
+                    cardinality=float(max(len(columns[0]), 1)),
+                    bindings={
+                        variable: float(max(len(set(columns[positions[0]])), 1))
+                        for variable, positions in slots.items()
+                    },
                 )
             )
         return cls(query, entries)

@@ -28,7 +28,7 @@ property tests and ``tests/data/engine_counters_golden.json`` pin down.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import chain, compress, repeat
 from operator import attrgetter
@@ -182,27 +182,42 @@ class EncodedRelation:
         return self.tuples(variables)
 
     def _matches(self, variable: Variable) -> Callable[[int], array]:
-        """``key -> the other column's values`` where *variable* is *key* (``?s p ?o``)."""
-        index = self.index
-        subject_first = self.columns[0] is index.spo_subjects
-        if (self._positions[variable] == 0) == subject_first:
-            return index.objects_for
-        return index.subjects_for
+        """``key -> the other column's values`` where *variable* is *key*
+        (``?s p ?o``): bisection into the sorted order that starts with
+        *variable* — the scan's own columns, or the index's other order
+        (sorted here if nothing read it before).  The columns are bound
+        once: a per-key call into the index would read its attributes
+        through ``PredicateIndex.__getattr__``'s slower generic path."""
+        keys, values = self.columns
+        if self._positions[variable] == 1:
+            index = self.index
+            if keys is index.spo_subjects:
+                keys, values = index.ops_objects, index.ops_subjects
+            else:
+                keys, values = index.spo_subjects, index.spo_objects
+        return lambda key: values[bisect_left(keys, key):bisect_right(keys, key)]
 
     def _holds(self) -> Callable[[object], bool]:
-        """``key -> whether it is a row`` of this scan, by bisection."""
-        index, column = self.index, self.columns[0]
+        """``key -> whether it is a row`` of this scan, by bisection into
+        its own sorted columns."""
+        firsts = self.columns[0]
         if len(self.columns) == 1:
-            size = len(column)
+            size = len(firsts)
 
             def held(key: int) -> bool:
-                at = bisect_left(column, key)
-                return at < size and column[at] == key
+                at = bisect_left(firsts, key)
+                return at < size and firsts[at] == key
 
             return held
-        if column is index.spo_subjects:
-            return lambda pair: index.contains(pair[0], pair[1])
-        return lambda pair: index.contains(pair[1], pair[0])
+        seconds = self.columns[1]
+
+        def held_pair(pair: Tuple[int, int]) -> bool:
+            lo = bisect_left(firsts, pair[0])
+            hi = bisect_right(firsts, pair[0], lo)
+            at = bisect_left(seconds, pair[1], lo, hi)
+            return at < hi and seconds[at] == pair[1]
+
+        return held_pair
 
     def __repr__(self) -> str:
         names = ",".join(v.name for v in self.variables)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Union
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
 
 from ..rdf.dataset import Dataset
 from ..rdf.encoding import EncodedGraph, TermDictionary
@@ -25,6 +25,14 @@ from ..rdf.terms import PatternTerm, Term
 from ..rdf.triples import RDFGraph, Triple
 from ..sparql.ast import BGPQuery, TriplePattern
 from ..sparql.query_graph import QueryGraph
+
+
+#: anchor vertex id -> its element, a set of triple positions
+Elements = Dict[int, Set[int]]
+#: vertex id -> its place in the shared vertex order (:func:`text_rank`)
+Rank = Dict[int, int]
+#: (per node, the ascending positions of the triples it stores; anchor -> its node)
+Layout = Tuple[List[List[int]], Dict[int, int]]
 
 
 @dataclass
@@ -92,19 +100,32 @@ class PartitioningMethod(abc.ABC):
     def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
         """The partitioning element ``e_v`` anchored at *vertex* (Eq. 1)."""
 
-    def elements(self, graph: EncodedGraph) -> Dict[int, Set[int]]:
-        """The non-empty elements by anchor vertex (default: all of V_R),
-        in the shared vertex order."""
-        outgoing, incoming = graph.adjacency()
-        vertices = by_text(graph, outgoing.keys() | incoming.keys())
-        combined = ((vertex, self.combine_ids(vertex, graph)) for vertex in vertices)
+    def anchor_candidates(self, graph: EncodedGraph) -> Set[int]:
+        """The vertices that may anchor a non-empty element (default: all
+        of V_R); what :func:`text_rank` orders for a ``partition`` call."""
+        return set(graph.subjects).union(graph.objects)
+
+    def elements(self, graph: EncodedGraph, rank: Rank) -> Elements:
+        """The non-empty elements by anchor vertex, in the shared vertex
+        order *rank* (see :func:`text_rank`)."""
+        combined = ((vertex, self.combine_ids(vertex, graph)) for vertex in rank)
         return {vertex: element for vertex, element in combined if element}
 
     @abc.abstractmethod
     def distribute(
-        self, elements: Dict[int, Set[int]], cluster_size: int, graph: EncodedGraph
+        self, elements: Elements, cluster_size: int, graph: EncodedGraph, rank: Rank
     ) -> Dict[int, int]:
         """Assign each element's anchor vertex to a node (Eq. 2)."""
+
+    def layout(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Layout:
+        """Both phases as a :data:`Layout`: read off the elements here, computed
+        in bulk by a method whose ``distribute`` looks at the anchor alone."""
+        elements = self.elements(graph, rank)
+        placement = self.distribute(elements, cluster_size, graph, rank)
+        stored: List[Set[int]] = [set() for _ in range(cluster_size)]
+        for vertex, element in elements.items():
+            stored[placement[vertex]].update(element)
+        return [sorted(positions) for positions in stored], placement
 
     # ------------------------------------------------------------------
     # the same combine, on the query graph
@@ -119,21 +140,18 @@ class PartitioningMethod(abc.ABC):
     # derived functionality
     # ------------------------------------------------------------------
     def partition(self, dataset: Dataset, cluster_size: int) -> Partitioning:
-        """Run both phases and gather each node's fragment: the union of
-        the elements placed on it, in ascending triple position (an explicit
-        order, so fragments do not follow set iteration or the hash seed)."""
+        """Run both phases (:meth:`layout`) and gather each node's fragment,
+        in ascending triple position (an explicit order, so fragments do not
+        follow set iteration or the hash seed)."""
         if cluster_size < 1:
             raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
         graph = dataset.encoded_graph()
-        elements = self.elements(graph)
-        placement = self.distribute(elements, cluster_size, graph)
-        positions: List[Set[int]] = [set() for _ in range(cluster_size)]
-        for vertex, element in elements.items():
-            positions[placement[vertex]].update(element)
+        rank = text_rank(graph, self.anchor_candidates(graph))
+        stored, placement = self.layout(graph, cluster_size, rank)
         anchors = graph.dictionary.decode_all(placement)
         return Partitioning(
             method_name=self.name,
-            fragments=[graph.gather(sorted(node)) for node in positions],
+            fragments=[graph.gather(positions) for positions in stored],
             vertex_placement=dict(zip(anchors, placement.values())),
         )
 
@@ -175,13 +193,15 @@ class PartitioningMethod(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def by_text(graph: EncodedGraph, vertices: Iterable[int]) -> List[int]:
-    """Vertex ids sorted by their terms' string form: the one vertex order
+def text_rank(graph: EncodedGraph, vertices: Iterable[int]) -> Rank:
+    """*vertices* sorted by their terms' string form — the one vertex order
     every method uses, so that element maps, placements and tie-breaks are
-    the same in every process."""
+    the same in every process — each mapped to its place in it.  Made once
+    per ``partition`` call: iterating it is the order, and any subset is
+    put in it by ``sorted(subset, key=rank.__getitem__)``."""
     vertices = list(vertices)
     texts = dict(zip(vertices, map(str, graph.dictionary.decode_all(vertices))))
-    return sorted(vertices, key=texts.__getitem__)
+    return {v: place for place, v in enumerate(sorted(vertices, key=texts.__getitem__))}
 
 
 #: characters per memoised prefix state in :func:`hash_terms`

@@ -38,7 +38,7 @@ from ..rdf.encoding import EncodedGraph, IdTriple
 from ..rdf.terms import PatternTerm, Variable
 from ..sparql.ast import BGPQuery, TriplePattern
 from ..sparql.query_graph import QueryGraph
-from .base import Partitioning, PartitioningMethod, by_text, hash_terms
+from .base import Elements, Partitioning, PartitioningMethod, Rank, hash_terms, text_rank
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (core depends on us)
     from ..core.governance import QueryBudget
@@ -140,8 +140,7 @@ def hot_placements(
         grounders = [
             itemgetter(*(source[t] for t in tp.terms())) for tp in hot.patterns
         ]
-        bound = by_text(graph, set(chain.from_iterable(rows)))
-        rank = dict(zip(bound, range(len(bound))))
+        rank = text_rank(graph, set(chain.from_iterable(rows)))
         anchors = [min(row, key=rank.__getitem__) for row in rows]
         nodes = hash_terms(dictionary.decode_all(anchors), cluster_size)
         for row, node in zip(rows, nodes):
@@ -202,13 +201,13 @@ class DynamicPartitioning(PartitioningMethod):
     def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
         return self.base.combine_ids(vertex, graph)
 
-    def elements(self, graph: EncodedGraph) -> Dict[int, Set[int]]:
-        return self.base.elements(graph)
+    def elements(self, graph: EncodedGraph, rank: Rank) -> Elements:
+        return self.base.elements(graph, rank)
 
     def distribute(
-        self, elements: Dict[int, Set[int]], cluster_size: int, graph: EncodedGraph
+        self, elements: Elements, cluster_size: int, graph: EncodedGraph, rank: Rank
     ) -> Dict[int, int]:
-        return self.base.distribute(elements, cluster_size, graph)
+        return self.base.distribute(elements, cluster_size, graph, rank)
 
     def partition(self, dataset: Dataset, cluster_size: int) -> Partitioning:
         """The base partition with :func:`hot_placements` merged in —

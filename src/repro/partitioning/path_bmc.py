@@ -27,7 +27,7 @@ from ..rdf.encoding import EncodedGraph
 from ..rdf.terms import PatternTerm
 from ..sparql.ast import TriplePattern
 from ..sparql.query_graph import QueryGraph
-from .base import PartitioningMethod, by_text
+from .base import Elements, PartitioningMethod, Rank
 
 
 class PathBMC(PartitioningMethod):
@@ -35,15 +35,19 @@ class PathBMC(PartitioningMethod):
 
     name = "path-bmc"
 
-    def elements(self, graph: EncodedGraph) -> Dict[int, Set[int]]:
+    def anchor_candidates(self, graph: EncodedGraph) -> Set[int]:
+        return set(graph.subjects)  # nothing is reachable from any other vertex
+
+    def elements(self, graph: EncodedGraph, rank: Rank) -> Elements:
         """One traversal per anchor: which vertices anchor the cyclic
         residue depends on what the start vertices' elements cover."""
         outgoing, incoming = graph.adjacency()
-        starts = by_text(graph, outgoing.keys() - incoming.keys())
+        starts = sorted(outgoing.keys() - incoming.keys(), key=rank.__getitem__)
         elements = {v: self.combine_ids(v, graph) for v in starts}
         remaining = set(range(len(graph))).difference(*elements.values())
         # cyclic residue: anchor uncovered triples at canonical vertices
-        for v in by_text(graph, set(map(graph.subjects.__getitem__, remaining))):
+        uncovered = set(map(graph.subjects.__getitem__, remaining))
+        for v in sorted(uncovered, key=rank.__getitem__):
             if not remaining:
                 break
             reach = self.combine_ids(v, graph)
@@ -70,7 +74,7 @@ class PathBMC(PartitioningMethod):
         return reached
 
     def distribute(
-        self, elements: Dict[int, Set[int]], cluster_size: int, graph: EncodedGraph
+        self, elements: Elements, cluster_size: int, graph: EncodedGraph, rank: Rank
     ) -> Dict[int, int]:
         """Greedy bottom-up merge: heaviest element to the lightest node.
 
@@ -80,13 +84,13 @@ class PathBMC(PartitioningMethod):
         """
         loads = [0] * cluster_size
         placement: Dict[int, int] = {}
-        # heaviest first; equal weights in the shared vertex order
-        for vertex in sorted(
-            by_text(graph, elements), key=lambda v: -len(elements[v])
-        ):
+        weights = {vertex: len(element) for vertex, element in elements.items()}
+        # heaviest first; equal weights in the shared vertex order (both sorts are stable)
+        by_rank = sorted(elements, key=rank.__getitem__)
+        for vertex in sorted(by_rank, key=weights.__getitem__, reverse=True):
             node = loads.index(min(loads))
             placement[vertex] = node
-            loads[node] += len(elements[vertex])
+            loads[node] += weights[vertex]
         return placement
 
     def combine_query(

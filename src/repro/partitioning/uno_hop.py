@@ -17,31 +17,29 @@ In the generic model:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Set
+from typing import Dict
 
 from ..rdf.encoding import EncodedGraph
-from .base import by_text
+from .base import Elements, Rank
 from .hash_so import HashSubjectObject
 
 
-def greedy_edge_cut_partition(graph: EncodedGraph, cluster_size: int) -> Dict[int, int]:
+def greedy_edge_cut_partition(graph: EncodedGraph, cluster_size: int, rank: Rank) -> Dict[int, int]:
     """Partition graph vertices (term ids) into balanced parts with a BFS grower.
 
-    Vertices are assigned in BFS order from successive unassigned seeds;
-    a part stops accepting vertices once it reaches the balanced
-    capacity ``ceil(|V| / n)``.  This is the classic lightweight
-    substitute for METIS: connected neighborhoods land together, and
-    part sizes are balanced within one vertex.
+    Vertices are assigned in BFS order from successive unassigned seeds,
+    seeds and neighbours in the order of *rank*; a part stops accepting
+    vertices once it reaches the balanced capacity ``ceil(|V| / n)``.
+    This is the classic lightweight substitute for METIS: connected
+    neighborhoods land together, and part sizes are balanced within one vertex.
     """
     outgoing, incoming = graph.adjacency()
     subjects, objects = graph.subjects, graph.objects
-    vertices = by_text(graph, outgoing.keys() | incoming.keys())
-    rank = {vertex: position for position, vertex in enumerate(vertices)}
-    capacity = -(-len(vertices) // cluster_size) if vertices else 0
+    capacity = -(-len(rank) // cluster_size)
     placement: Dict[int, int] = {}
     part = 0
     used = 0
-    for seed in vertices:  # an already placed seed grows nothing
+    for seed in rank:  # an already placed seed grows nothing
         queue = deque([seed])
         while queue:
             vertex = queue.popleft()
@@ -70,9 +68,9 @@ class UndirectedOneHop(HashSubjectObject):
     name = "un-1-hop"
 
     def distribute(
-        self, elements: Dict[int, Set[int]], cluster_size: int, graph: EncodedGraph
+        self, elements: Elements, cluster_size: int, graph: EncodedGraph, rank: Rank
     ) -> Dict[int, int]:
         # every triple is in some element, so the elements' vertex graph
         # is *graph* itself: run the balanced partitioner on it
-        placement = greedy_edge_cut_partition(graph, cluster_size)
+        placement = greedy_edge_cut_partition(graph, cluster_size, rank)
         return {vertex: placement.get(vertex, 0) for vertex in elements}

@@ -9,17 +9,12 @@ prototype.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterable, Optional
 
 from .encoding import EncodedGraph, TermDictionary
 from .terms import Term
 from .triples import RDFGraph, Triple
-
-
-_FIRST = itemgetter(0)
 
 
 @dataclass
@@ -61,8 +56,9 @@ class Dataset:
         other is encoded in one pass: :meth:`EncodedGraph.from_graph`
         interns every term (idempotently — terms that already have ids
         keep them across refreshes) and leaves the triples as three
-        integer columns.  The per-predicate counts are derived from the
-        columns, so no term is hashed a second time.
+        integer columns.  The per-predicate counts are read off the
+        columns grouped by predicate (:meth:`EncodedGraph.predicate_runs`),
+        so no term is hashed a second time.
         """
         encoded = self.graph._encoded
         if encoded is None or (
@@ -73,17 +69,13 @@ class Dataset:
             encoded = EncodedGraph.from_graph(self.graph, self.dictionary)
         self._encoded = encoded
         self.dictionary = encoded.dictionary
-        subjects, predicates, objects = encoded.subjects, encoded.predicates, encoded.objects
-        distinct_subjects = Counter(map(_FIRST, set(zip(predicates, subjects))))
-        distinct_objects = Counter(map(_FIRST, set(zip(predicates, objects))))
-        self._predicate_stats = {
-            self.dictionary.decode(p): PredicateStatistics(
-                triple_count=count,
-                distinct_subjects=distinct_subjects[p],
-                distinct_objects=distinct_objects[p],
+        self._predicate_stats = {}
+        for predicate, (subjects, objects) in encoded.predicate_runs().items():
+            self._predicate_stats[self.dictionary.decode(predicate)] = PredicateStatistics(
+                triple_count=len(subjects),
+                distinct_subjects=len(set(subjects)),
+                distinct_objects=len(set(objects)),
             )
-            for p, count in Counter(predicates).items()
-        }
 
     def encoded_graph(self) -> EncodedGraph:
         """The whole dataset as one :class:`EncodedGraph`.

@@ -172,6 +172,13 @@ class TermDictionary:
         return f"TermDictionary({len(self)} terms)"
 
 
+def _sorted_columns(firsts: Iterable[int], seconds: Iterable[int]) -> Tuple[array, array]:
+    """The distinct (first, second) pairs of two aligned, non-empty
+    columns, as two arrays sorted by (first, second)."""
+    first_column, second_column = zip(*sorted(set(zip(firsts, seconds))))
+    return array("q", first_column), array("q", second_column)
+
+
 class PredicateIndex:
     """Both sorted orders of one predicate's (subject, object) pairs.
 
@@ -180,20 +187,33 @@ class PredicateIndex:
     bound subject (or object) is a pair of bisections and the matches
     are a contiguous slice — the O(log n + matches) access path RDF-3X
     gets from its clustered B+-trees.
+
+    An order is sorted the first time one of its columns is read (a scan
+    reads one: most indexes of a cold run never sort the other) and is
+    two plain slots from then on.
     """
 
-    __slots__ = ("spo_subjects", "spo_objects", "ops_objects", "ops_subjects")
+    __slots__ = ("spo_subjects", "spo_objects", "ops_objects", "ops_subjects", "_pairs")
 
-    def __init__(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        by_so = sorted(set(pairs))
-        self.spo_subjects = array("q", [s for s, _ in by_so])
-        self.spo_objects = array("q", [o for _, o in by_so])
-        by_os = sorted((o, s) for s, o in by_so)
-        self.ops_objects = array("q", [o for o, _ in by_os])
-        self.ops_subjects = array("q", [s for _, s in by_os])
+    def __init__(self, subjects: Sequence[int], objects: Sequence[int]) -> None:
+        #: the (subjects, objects) columns an order is sorted from: the ones
+        #: given (any order, repeats allowed) until one is, then that one's own
+        self._pairs: Tuple[Sequence[int], Sequence[int]] = (subjects, objects)
+
+    def __getattr__(self, name: str) -> array:
+        """Sort the order that column *name* belongs to (Python looks
+        here only while the slot is empty) and return the column."""
+        if name in ("spo_subjects", "spo_objects"):
+            self._pairs = self.spo_subjects, self.spo_objects = _sorted_columns(*self._pairs)
+        elif name in ("ops_objects", "ops_subjects"):
+            self.ops_objects, self.ops_subjects = _sorted_columns(*reversed(self._pairs))
+            self._pairs = self.ops_subjects, self.ops_objects
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
     def __len__(self) -> int:
-        return len(self.spo_subjects)
+        return len(self.spo_subjects)  # a sorted order: the given columns may repeat a pair
 
     def objects_for(self, subject: int) -> array:
         """All object ids paired with *subject* (a contiguous slice)."""
@@ -215,6 +235,13 @@ class PredicateIndex:
             return False
         pos = bisect_left(self.spo_objects, object_, lo=lo, hi=hi)
         return pos < hi and self.spo_objects[pos] == object_
+
+
+def _picked(column: array, positions: Sequence[int]) -> array:
+    """``column[i]`` for each i of *positions*, as a new column."""
+    if len(positions) > 1:
+        return array("q", itemgetter(*positions)(column))  # one C call
+    return array("q", [column[i] for i in positions])
 
 
 class EncodedGraph:
@@ -249,8 +276,7 @@ class EncodedGraph:
 
     def _drop_derived(self) -> None:
         self._indexes: Dict[int, PredicateIndex] = {}
-        #: (positions grouped by predicate, predicate -> its slice of them)
-        self._runs: Optional[Tuple[array, Dict[int, Tuple[int, int]]]] = None
+        self._runs: Optional[Dict[int, Tuple[array, array]]] = None
         self._adjacency: Optional[Tuple[Dict[int, List[int]], Dict[int, List[int]]]] = None
         self._decoded: Optional[RDFGraph] = None
 
@@ -305,12 +331,7 @@ class EncodedGraph:
     def gather(self, positions: Sequence[int]) -> "EncodedGraph":
         """The triples at *positions*, in that order, as a new fragment."""
         columns = (self._subjects, self._predicates, self._objects)
-        if len(positions) > 1:
-            picked = map(itemgetter(*positions), columns)  # one C call per column
-        else:
-            picked = ([column[i] for i in positions] for column in columns)
-        subjects, predicates, objects = (array("q", values) for values in picked)
-        return EncodedGraph(self.dictionary, (subjects, predicates, objects))
+        return EncodedGraph(self.dictionary, tuple(_picked(c, positions) for c in columns))
 
     def merged(self, triples: "EncodedGraph") -> "EncodedGraph":
         """This fragment followed by those of *triples* it does not hold.
@@ -374,45 +395,34 @@ class EncodedGraph:
     # ------------------------------------------------------------------
     # indexes
     # ------------------------------------------------------------------
-    def _predicate_runs(self) -> Tuple[array, Dict[int, Tuple[int, int]]]:
-        """Positions grouped by predicate, and each predicate's slice."""
+    def predicate_runs(self) -> Dict[int, Tuple[array, array]]:
+        """The one grouping pass: by predicate id (ascending), the subject
+        ids and the object ids of its triples — two aligned columns in
+        table order.  What statistics count and indexes are sorted from."""
         if self._runs is None:
-            predicates = self._predicates
-            order = sorted(range(len(predicates)), key=predicates.__getitem__)
-            grouped = list(map(predicates.__getitem__, order))
-            runs: Dict[int, Tuple[int, int]] = {}
+            predicate_at = self._predicates.__getitem__
+            order = sorted(range(len(self)), key=predicate_at)
+            subjects, objects = _picked(self._subjects, order), _picked(self._objects, order)
+            self._runs = {}
             start = 0
-            while start < len(grouped):
-                end = bisect_right(grouped, grouped[start], start)
-                runs[grouped[start]] = (start, end)
+            while start < len(order):
+                predicate = predicate_at(order[start])
+                end = bisect_right(order, predicate, start, key=predicate_at)
+                self._runs[predicate] = (subjects[start:end], objects[start:end])
                 start = end
-            self._runs = (array("q", order), runs)
         return self._runs
 
     def predicate_ids(self) -> List[int]:
         """All predicate ids with at least one triple, ascending."""
-        return list(self._predicate_runs()[1])
+        return list(self.predicate_runs())
 
     def index_for(self, predicate: int) -> Optional[PredicateIndex]:
-        """The sorted index of *predicate* (``None`` if it has no triples).
-
-        Built from the base table the first time *predicate* is asked
-        for, so a fragment only ever sorts the predicates its queries
-        touch.
-        """
+        """The index of *predicate* (``None`` if it has no triples): made
+        when first asked for and sorted order by order as its columns are
+        read, so a fragment only ever sorts what its queries touch."""
         index = self._indexes.get(predicate)
-        if index is None:
-            order, runs = self._predicate_runs()
-            run = runs.get(predicate)
-            if run is None:
-                return None
-            positions = order[run[0]:run[1]]
-            index = self._indexes[predicate] = PredicateIndex(
-                zip(
-                    map(self._subjects.__getitem__, positions),
-                    map(self._objects.__getitem__, positions),
-                )
-            )
+        if index is None and predicate in self.predicate_runs():
+            index = self._indexes[predicate] = PredicateIndex(*self._runs[predicate])
         return index
 
     # ------------------------------------------------------------------

@@ -12,8 +12,10 @@ from repro.core.cardinality import (
     PatternStatistics,
     StatisticsCatalog,
 )
+from repro.engine import evaluate_reference
 from repro.rdf import Dataset, triple
 from repro.rdf.terms import Variable
+from repro.sparql.ast import BGPQuery
 
 
 @pytest.fixture
@@ -180,6 +182,32 @@ class TestCatalogs:
         assert catalog[0].cardinality == 3.0
         assert catalog[0].binding_count(Variable("s")) == 2.0
         assert catalog[0].binding_count(Variable("o")) == 2.0
+
+    @pytest.mark.parametrize("loops", [0, 3])
+    def test_repeated_variable_counts_the_diagonal(self, loops):
+        """``?x p ?x`` is priced as what the engines evaluate — the
+        self-loops, and their distinct ids — not as the whole predicate;
+        with none, both numbers sit on the floor of 1.  The same holds
+        when the repeat involves a variable predicate."""
+        ring = [triple(f"http://e/n{i}", "http://e/p", f"http://e/n{(i + 1) % 7}") for i in range(7)]
+        self_loops = [triple(f"http://e/n{i}", "http://e/p", f"http://e/n{i}") for i in range(loops)]
+        ds = Dataset.from_triples(
+            ring + self_loops + [triple("http://e/q", "http://e/q", "http://e/n0")]
+        )
+        query = parse_query(
+            "SELECT * WHERE { ?x <http://e/p> ?x . ?y <http://e/p> ?z ."
+            " ?v ?p ?v . ?w ?w ?u . <http://e/n1> <http://e/p> <http://e/n1> . }"
+        )
+        catalog = StatisticsCatalog.from_dataset(query, ds)
+        for index, pattern in enumerate(query):
+            rows = evaluate_reference(BGPQuery([pattern]), ds.graph)
+            assert catalog[index].cardinality == max(len(rows), 1), pattern
+            for variable in pattern.variables():
+                distinct = {row[rows.position(variable)] for row in rows.rows}
+                assert catalog[index].binding_count(variable) == max(len(distinct), 1)
+        x = Variable("x")
+        assert (catalog[0].cardinality, catalog[0].binding_count(x)) == (max(loops, 1),) * 2
+        assert catalog[1].cardinality == 7 + loops  # the whole predicate
 
     def test_length_mismatch_rejected(self, fig1_query):
         with pytest.raises(ValueError):

@@ -138,6 +138,29 @@ class TestScanViews:
             assert list(relation.columns[0]) == sorted(relation.columns[0])
             assert relation.index is index and len(relation) == 2
 
+    @pytest.mark.parametrize("pattern, unread", [
+        (TriplePattern(A, P, B), "ops_objects"), (TriplePattern(B, P, A), "spo_subjects"),
+    ])
+    def test_a_probe_keyed_on_the_scans_own_order_sorts_no_other(self, pattern, unread):
+        """An index order is sorted when first read: probing a ``?s p ?o``
+        scan on its leading variable stays in the order it sits in; only a
+        probe on the other variable needs — and sorts — the other one."""
+        fragment = fragment_of([(1, P, 2), (1, P, 3), (4, P, 2)])
+        ids = {n: fragment.dictionary.lookup(vertex(n)) for n in (1, 2, 3, 4)}
+        relation = scan_pattern_encoded(fragment, pattern)
+        subject_first = pattern.subject == A
+        own = relation._matches(A)
+        assert list(own(ids[1 if subject_first else 2])) == (
+            [ids[2], ids[3]] if subject_first else [ids[1], ids[4]]
+        )
+        with pytest.raises(AttributeError):  # the slot is still empty
+            object.__getattribute__(relation.index, unread)
+        other = relation._matches(B)
+        assert list(other(ids[2 if subject_first else 1])) == (
+            [ids[1], ids[4]] if subject_first else [ids[2], ids[3]]
+        )
+        assert isinstance(object.__getattribute__(relation.index, unread), array)
+
     def test_rows_is_a_private_copy(self):
         fragment = fragment_of([(1, P, 2), (3, P, 4)])
         pattern = TriplePattern(A, P, B)

@@ -9,6 +9,7 @@ that the cold columnar path never drops back to term-level objects.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro import OptimizeOptions, Optimizer, parse_query
 from repro.__main__ import PARTITIONINGS
 from repro.core import StatisticsCatalog
-from repro.engine import Cluster, Executor, evaluate_reference
+from repro.engine import Cluster, EncodedRelation, Executor, evaluate_reference
 from repro.partitioning import (
     AdaptiveCluster,
     DynamicPartitioning,
@@ -28,14 +29,16 @@ from repro.partitioning import (
     hash_term,
 )
 from repro.partitioning.adaptive import COLOCATE, REPLICATE_PREDICATE
-from repro.partitioning.base import hash_terms
+from repro.partitioning.base import PartitioningMethod, hash_terms, text_rank
 from repro.rdf import (
     BlankNode,
     Dataset,
     EncodedGraph,
     IRI,
     Literal,
+    PredicateIndex,
     RDFGraph,
+    TermDictionary,
     Triple,
     load_ntriples,
     save_ntriples,
@@ -86,7 +89,8 @@ def _vertex(index: int):
 
 @st.composite
 def _graphs(draw):
-    """Random triples: self-loops, cycles, literal-only objects, repeats."""
+    """Random triples: self-loops, cycles, parallel edges, literal-only
+    objects, object-only vertices, repeats."""
     vertices = draw(st.integers(min_value=1, max_value=14))
     edges = draw(
         st.lists(
@@ -116,6 +120,13 @@ def _graphs(draw):
             )
     if draw(st.booleans()):
         triples.append(Triple(_vertex(0), IRI("http://e/p1"), _vertex(0)))
+    # one pair of vertices joined under two predicates, and a vertex that
+    # is only ever an object, when drawn
+    if draw(st.booleans()):
+        s, _, o = edges[0]
+        triples.extend(Triple(_vertex(s), IRI(f"http://e/p{p}"), _vertex(o)) for p in (0, 2))
+    if draw(st.booleans()):
+        triples.append(Triple(_vertex(edges[-1][0]), IRI("http://e/p2"), IRI("http://e/sink")))
     repeats = draw(st.lists(st.integers(0, len(triples) - 1), max_size=5))
     return triples + [triples[i] for i in repeats]
 
@@ -142,6 +153,44 @@ class TestPartitionDifferential:
         assert new.imbalance() == old.imbalance()
         # no duplicates inside a fragment: its length is its set's
         assert [len(f) for f in new.fragments] == [len(g) for g in old.node_graphs]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        triples=_graphs(),
+        cluster_size=st.sampled_from([1, 2, 3, 4, 7]),
+        label=st.sampled_from(["hash-so", "1f", "2f", "3f", "un-1-hop"]),
+    )
+    def test_bulk_masks_are_the_per_vertex_definition(self, triples, cluster_size, label):
+        """The hash-placed family computes one node mask per triple, in
+        bulk; the base class reads the layout off ``elements`` +
+        ``distribute`` — the paper's per-vertex definition, one position
+        set per node, sorted, which is what ``partition`` ran for every
+        method before.  Masks, positions, fragments and the vertex
+        placement (values and key order) are the same."""
+        dataset = Dataset.from_triples(triples)
+        graph = dataset.encoded_graph()
+        method = METHOD_PAIRS[label][0]()
+        rank = text_rank(graph, method.anchor_candidates(graph))
+        assert list(rank) == sorted(rank, key=lambda v: str(dataset.dictionary.decode(v)))
+        assert list(rank.values()) == list(range(len(rank)))
+        stored, placement = PartitioningMethod.layout(method, graph, cluster_size, rank)
+        derived_masks = [0] * len(graph)
+        for node, positions in enumerate(stored):
+            assert positions == sorted(set(positions))
+            for position in positions:
+                derived_masks[position] |= 1 << node
+        masks, bulk_placement = method.node_masks(graph, cluster_size, rank)
+        assert masks == derived_masks
+        assert list(bulk_placement.items()) == list(placement.items())  # and in the same order
+        assert method.layout(graph, cluster_size, rank) == (stored, placement)
+        partitioning = method.partition(dataset, cluster_size)
+        assert [list(f.triples()) for f in partitioning.fragments] == [
+            list(graph.gather(positions).triples()) for positions in stored
+        ]
+        anchors = dataset.dictionary.decode_all(placement)
+        assert list(partitioning.vertex_placement.items()) == list(
+            zip(anchors, placement.values())
+        )
 
     @pytest.mark.parametrize("label", ["hash-so", "2f", "path-bmc", "un-1-hop"])
     def test_static_fragments_are_in_dataset_order(self, label):
@@ -233,6 +282,9 @@ class TestStatisticsDifferential:
             _same_statistics(query, dataset)
 
     def test_unknown_repeated_and_variable_predicate_patterns(self, toy_dataset):
+        """(A variable in two positions is the one shape the scan oracle,
+        which ignores the repeat, does not decide: ``test_cardinality``
+        holds those against the reference engine.)"""
         x, y, p = Variable("x"), Variable("y"), Variable("p")
         knows, type_ = IRI("http://e/knows"), IRI("http://e/type")
         n1, n2, t1 = IRI("http://e/n1"), IRI("http://e/n2"), IRI("http://e/T1")
@@ -242,9 +294,6 @@ class TestStatisticsDifferential:
         )
         patterns = [
             TriplePattern(x, knows, y),
-            TriplePattern(x, knows, x),          # repeated: subject and object
-            TriplePattern(x, x, y),              # repeated: subject and predicate
-            TriplePattern(x, p, x),
             TriplePattern(x, p, y),              # variable predicate, nothing bound
             TriplePattern(n1, p, y),
             TriplePattern(x, p, t1),
@@ -426,6 +475,143 @@ class TestColdPathStaysOnIds:
         assert counts == {"triple": 0, "adjacency": 0, "permutation": 0, "from_graph": 0}
         assert rows == reference.rows
         assert "_triples" not in vars(graph)  # still undecoded
+
+    @staticmethod
+    def _held(index):
+        """What *index* holds, by filled slot — looked at without reading
+        (= sorting) an order."""
+        held = {}
+        for slot in PredicateIndex.__slots__:
+            try:
+                held[slot] = object.__getattribute__(index, slot)
+            except AttributeError:
+                pass
+        return held
+
+    @classmethod
+    def _sorted_orders(cls, index):
+        return {slot[:3] for slot in cls._held(index) if not slot.startswith("_")}
+
+    @classmethod
+    def _assert_only_id_columns(cls, index):
+        """Once an order exists, the index keeps ``array('q')`` columns
+        and nothing else — not the pairs they were sorted from."""
+        held = cls._held(index)
+        columns = [value for slot, value in held.items() if not slot.startswith("_")]
+        assert columns and all(type(c) is array and c.typecode == "q" for c in columns)
+        assert all(any(kept is c for c in columns) for kept in held["_pairs"])
+
+    @staticmethod
+    def _scanned_order(pattern):
+        """The order a bound-predicate scan of *pattern* reads (see
+        ``_scan_bound_predicate``): an index is bisected by subject unless
+        the object alone is bound, and a ``?s p ?o`` scan sits in the order
+        that starts with the variable that sorts first by name."""
+        subject, object_ = pattern.subject, pattern.object
+        if not isinstance(subject, Variable):
+            return "spo"
+        if not isinstance(object_, Variable):
+            return "ops"
+        return "spo" if subject.name <= object_.name else "ops"
+
+    def _one_grouping_pass(self, monkeypatch, name):
+        """Cold L1-L8 under partitioner *name*; returns the counters and
+        raises ``AssertionError`` on an order sorted that nothing read."""
+        counts = {"index": 0, "adjacency": 0, "single-order": 0}
+        probed = set()  # (id(index), order) a probe read
+
+        def counted(owner, attribute, before):
+            original = getattr(owner, attribute)
+
+            def wrapper(self, *args):
+                before(self, *args)
+                return original(self, *args)
+
+            monkeypatch.setattr(owner, attribute, wrapper)
+
+        counted(PredicateIndex, "__init__", lambda *_: counts.update(index=counts["index"] + 1))
+        counted(EncodedGraph, "adjacency", lambda *_: counts.update(adjacency=counts["adjacency"] + 1))
+
+        def probe(relation, variable):
+            # a probe keyed on a scan's second column reads the index's other order
+            if relation.position(variable) == 1:
+                index = relation.index
+                own_is_spo = relation.columns[0] is self._held(index).get("spo_subjects")
+                probed.add((id(index), "ops" if own_is_spo else "spo"))
+
+        counted(EncodedRelation, "_matches", probe)
+        dataset = generate_lubm(scale=0.5, seed=2017)
+        dataset = Dataset(RDFGraph(dataset.graph))  # nothing derived yet
+        for label in ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8"):
+            query = lubm_queries()[label]
+            method = PARTITIONINGS[name]()
+            cluster = Cluster(method.partition(dataset, 4), dataset.dictionary)
+            built = counts["index"]
+            statistics = StatisticsCatalog.from_dataset(query, dataset)
+            assert counts["index"] == built  # counted off the grouped columns
+            plan = Optimizer(
+                OptimizeOptions(statistics=statistics, partitioning=method)
+            ).optimize(query).plan
+            Executor(cluster).execute(plan, query)
+            scanned = {}
+            for pattern in query:
+                predicate = dataset.dictionary.lookup(pattern.predicate)
+                scanned.setdefault(predicate, set()).add(self._scanned_order(pattern))
+            for fragment in cluster.worker_fragments():
+                for predicate, index in fragment._indexes.items():
+                    read = scanned[predicate] | {o for i, o in probed if i == id(index)}
+                    sorted_orders = self._sorted_orders(index)
+                    assert sorted_orders, (label, predicate)
+                    assert sorted_orders <= read, f"{label}: sorted an order nothing read"
+                    counts["single-order"] += len(sorted_orders) == 1
+                    self._assert_only_id_columns(index)
+        assert not dataset.encoded_graph()._indexes  # the dataset graph sorted nothing
+        return counts
+
+    @pytest.mark.parametrize("name", sorted(PARTITIONINGS))
+    def test_one_grouping_pass_sorts_only_what_is_read(self, name, monkeypatch):
+        """Statistics build no index, a fragment sorts the orders its
+        scans and probes read and no other, and the hash-placed layouts
+        never ask for the vertex adjacency."""
+        counts = self._one_grouping_pass(monkeypatch, name)
+        assert counts["single-order"] > 0  # ``?x type C`` alone leaves spo unsorted
+        if name in ("hash-so", "2f"):
+            assert counts["adjacency"] == 0
+
+    def test_an_eagerly_sorting_index_is_caught(self, monkeypatch):
+        """The mutant: an index that sorts both orders when it is made."""
+        lazy = PredicateIndex.__init__
+
+        def eager(self, subjects, objects):
+            lazy(self, subjects, objects)
+            self.spo_subjects, self.ops_objects
+
+        monkeypatch.setattr(PredicateIndex, "__init__", eager)
+        with pytest.raises(AssertionError, match="sorted an order nothing read"):
+            self._one_grouping_pass(monkeypatch, "hash-so")
+
+    @pytest.mark.parametrize("first, second", [("spo", "ops"), ("ops", "spo")])
+    def test_repeats_given_through_add_ids_leave_the_index(self, first, second):
+        """Whichever order is read first is free of the repeat, has the
+        right length, and the other is sorted from it; once an order
+        exists the index holds id columns only."""
+        fragment = EncodedGraph(TermDictionary())
+        for s, o in [(5, 1), (2, 9), (5, 1), (2, 3), (7, 1), (2, 9)]:
+            fragment.add_ids(s, 0, o)
+        pairs = {"spo": [(2, 3), (2, 9), (5, 1), (7, 1)], "ops": [(1, 5), (1, 7), (3, 2), (9, 2)]}
+        columns = {"spo": ("spo_subjects", "spo_objects"), "ops": ("ops_objects", "ops_subjects")}
+        index = fragment.index_for(0)
+        assert self._sorted_orders(index) == set()
+        for read, order in enumerate((first, second), start=1):
+            firsts, seconds = (getattr(index, column) for column in columns[order])
+            assert list(zip(firsts, seconds)) == pairs[order]
+            assert self._sorted_orders(index) == set((first, second)[:read])
+            assert len(firsts) == 4
+            self._assert_only_id_columns(index)
+        assert len(index) == 4
+        # len() alone, with no order read before it, counts distinct pairs too
+        twin = EncodedGraph(fragment.dictionary, (fragment.subjects, fragment.predicates, fragment.objects))
+        assert len(twin.index_for(0)) == 4
 
     def test_hot_placement_static_or_online_builds_no_triple(self, monkeypatch, tmp_path):
         """``DynamicPartitioning.partition`` and ``AdaptiveCluster.apply``

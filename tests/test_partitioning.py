@@ -10,6 +10,7 @@ from repro.partitioning import (
     greedy_edge_cut_partition,
     hash_term,
 )
+from repro.partitioning.base import text_rank
 from repro.rdf import Dataset, EncodedGraph, IRI, TermDictionary, triple
 
 ALL_METHODS = [HashSubjectObject(), SemanticHash(2), PathBMC(), UndirectedOneHop()]
@@ -93,7 +94,8 @@ class TestSemanticHashData:
 class TestPathBMC:
     def test_anchors_are_start_vertices(self):
         ds = small_dataset()
-        anchors = PathBMC().elements(ds.encoded_graph())
+        method, graph = PathBMC(), ds.encoded_graph()
+        anchors = method.elements(graph, text_rank(graph, method.anchor_candidates(graph)))
         assert ds.dictionary.lookup(IRI("http://e/x")) in anchors  # no incoming edges
 
     def test_combine_is_forward_reachability(self):
@@ -138,8 +140,14 @@ class TestGreedyPartitioner:
             TermDictionary(),
         )
 
+    @staticmethod
+    def grow(graph, parts):
+        return greedy_edge_cut_partition(
+            graph, parts, text_rank(graph, set(graph.subjects).union(graph.objects))
+        )
+
     def test_balanced_parts(self):
-        placement = greedy_edge_cut_partition(self.chain(20), 3)
+        placement = self.grow(self.chain(20), 3)
         counts = [0, 0, 0]
         for node in placement.values():
             counts[node] += 1
@@ -148,7 +156,7 @@ class TestGreedyPartitioner:
     def test_neighbors_tend_to_colocate(self):
         # a chain should be cut at most (parts - 1) times
         graph = self.chain(30)
-        placement = greedy_edge_cut_partition(graph, 3)
+        placement = self.grow(graph, 3)
         cuts = sum(
             1
             for s, _, o in graph.triples()
@@ -157,4 +165,4 @@ class TestGreedyPartitioner:
         assert cuts <= 4
 
     def test_empty_graph(self):
-        assert greedy_edge_cut_partition(EncodedGraph(TermDictionary()), 3) == {}
+        assert self.grow(EncodedGraph(TermDictionary()), 3) == {}

@@ -12,6 +12,7 @@ from repro.partitioning import (
     SemanticHash,
     UndirectedOneHop,
 )
+from repro.partitioning.base import text_rank
 from repro.rdf import Dataset, triple
 
 METHOD_BUILDERS = [
@@ -85,7 +86,8 @@ def test_path_bmc_elements_are_forward_closed(seed):
     """Every element is closed under forward reachability."""
     dataset = random_dataset(seed, 15, 40)
     method = PathBMC()
-    anchors = method.elements(dataset.encoded_graph())
+    graph = dataset.encoded_graph()
+    anchors = method.elements(graph, text_rank(graph, method.anchor_candidates(graph)))
     for anchor in dataset.dictionary.decode_all(anchors):
         element = method.combine(anchor, dataset.graph)
         subjects_in_element = {t.object for t in element}
