@@ -44,7 +44,7 @@ from .core import (
 from .rdf import Dataset, IRI, Literal, RDFGraph, Triple, Variable, triple
 from .sparql import BGPQuery, QueryGraph, TriplePattern, parse_query
 
-__version__ = "2.4.0"
+__version__ = "2.5.0"
 
 __all__ = [
     "optimize",

@@ -9,7 +9,8 @@ Usage::
 
 ``optimize`` prints the chosen plan (text, ``--json``, or ``--dot``);
 ``run`` also executes it on a simulated cluster and prints bindings;
-``experiments`` regenerates one of the paper's tables/figures;
+``experiments`` regenerates one of the paper's tables/figures (or,
+with ``ablations``, the five design-choice and robustness studies);
 ``demo`` runs the whole pipeline on the built-in LUBM-like workload.
 
 ``--algorithm`` takes any key of the one optimizer registry: the
@@ -496,6 +497,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         "fig6": experiments.fig6,
         "fig7": experiments.fig7,
         "fig8": experiments.fig8,
+        "ablations": experiments.ablations,
     }
     if args.name not in drivers:
         raise SystemExit(f"unknown experiment; choose from {sorted(drivers)}")

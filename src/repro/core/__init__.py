@@ -55,7 +55,6 @@ from .optimizer import (
     optimize,
     resolve_statistics,
 )
-from .parallel import default_jobs
 from .plan_cache import PlanCache, PlanCacheStats, query_signature
 from .plans import (
     JoinAlgorithm,
@@ -118,7 +117,6 @@ __all__ = [
     "optimize",
     "OptimizeOptions",
     "Optimizer",
-    "default_jobs",
     "make_builder",
     "resolve_statistics",
     "ALGORITHMS",

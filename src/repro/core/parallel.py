@@ -29,7 +29,6 @@ and the achieved speedup.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as wait_futures
@@ -43,27 +42,6 @@ from .session import OptimizeOptions, Optimizer
 
 #: how often the driver polls the cancellation token while a pool runs
 _CANCEL_POLL_SECONDS = 0.05
-
-
-def default_jobs() -> int:
-    """Worker-count default: ``REPRO_JOBS`` if set, else available CPUs.
-
-    The environment override pins worker counts in CI, so benchmark
-    baselines and chaos episodes do not vary with runner core count.
-    """
-    override = os.environ.get("REPRO_JOBS")
-    if override:
-        try:
-            value = int(override)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer, got {override!r}"
-            ) from None
-        return max(1, value)
-    try:
-        return len(os.sched_getaffinity(0))  # type: ignore[attr-defined]
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 # ----------------------------------------------------------------------

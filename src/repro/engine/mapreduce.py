@@ -125,7 +125,8 @@ class MapReduceSimulator:
     policy's retry budget).  This is the closed-form counterpart of the
     executor's injected-fault measurements: deeper plans pay the fault
     tax once per wave on the critical path, which is the shape-vs-
-    robustness trade-off `bench_fault_tolerance` sweeps.
+    robustness trade-off the fault-tolerance report of
+    ``python -m repro experiments ablations`` sweeps.
 
     Prices with the *parameters* it is given (by default the paper's
     Table I / II constants), the same ones the executor prices measured

@@ -1,6 +1,7 @@
-"""Experiment drivers: one module per table/figure of the paper."""
+"""Experiment drivers: one module per table/figure of the paper, plus
+the design-choice ablations."""
 
-from . import fig6, fig7, fig8, table3, table4, table5, table6, table7
+from . import ablations, fig6, fig7, fig8, table3, table4, table5, table6, table7
 from .benchmark_queries import (
     BenchmarkQuery,
     benchmark_queries,
@@ -11,7 +12,6 @@ from .harness import (
     FIGURE_SET,
     PAPER_TRIO,
     AlgorithmRun,
-    bench_scale,
     cumulative_frequency,
     default_timeout,
     run_algorithm,
@@ -25,7 +25,6 @@ __all__ = [
     "PAPER_TRIO",
     "FIGURE_SET",
     "default_timeout",
-    "bench_scale",
     "cumulative_frequency",
     "benchmark_queries",
     "ordered_benchmark_queries",
@@ -41,4 +40,5 @@ __all__ = [
     "fig6",
     "fig7",
     "fig8",
+    "ablations",
 ]

@@ -4,8 +4,7 @@
 6b — cumulative frequency distribution of plan cost normalized to
      TD-CMD's optimal plan for the same query.
 
-The workload (templates × instances) is scaled by ``REPRO_BENCH_SCALE``;
-the paper ran 124 × 100.
+The report runs 24 templates × 2 instances; the paper ran 124 × 100.
 """
 
 from __future__ import annotations
@@ -62,18 +61,11 @@ def run(
 
 
 def report(
-    templates: Optional[int] = None,
-    instances_per_template: Optional[int] = None,
+    templates: int = 24,
+    instances_per_template: int = 2,
     deadline_seconds: Optional[float] = None,
 ) -> str:
     """Render and persist the Figure 6 report."""
-    from .harness import bench_scale
-
-    scale = bench_scale()
-    if templates is None:
-        templates = max(4, round(24 * scale))
-    if instances_per_template is None:
-        instances_per_template = max(1, round(2 * scale))
     averages, ratios = run(
         templates=templates,
         instances_per_template=instances_per_template,

@@ -42,11 +42,6 @@ def default_timeout() -> float:
     return float(os.environ.get("REPRO_TIMEOUT", "15"))
 
 
-def bench_scale() -> float:
-    """Workload scale multiplier for benches (env: ``REPRO_BENCH_SCALE``)."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1"))
-
-
 @dataclass
 class AlgorithmRun:
     """One (algorithm, query) measurement; the defaults say "timed out"."""

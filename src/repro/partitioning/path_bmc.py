@@ -14,9 +14,10 @@ anchored at a canonical vertex of its strongly-connected component
 (smallest by term order), which keeps the partitioning total.
 
 Queries whose patterns are all reachable from one query vertex are
-local — with acyclic benchmark queries this makes *every* L/U query in
-the paper local, which is exactly the Table V effect (order-of-
-magnitude speedups for TD-Auto + Path-BMC).
+local.  That holds for 11 of the paper's 15 benchmark queries: the
+trees L3 and L6 and the dense L9 and L10 have no vertex that reaches
+every pattern, so they still ship (the Table V effect is confined to
+the other eleven; see EXPERIMENTS.md).
 """
 
 from __future__ import annotations

@@ -506,9 +506,9 @@ class TestSessionFeedbackLoop:
 
 
 class TestSkewedWorkloadReplay:
-    """The 80/20 LUBM replay that used to be ``benchmarks/bench_adaptive.py
-    --quick``, as exact counters: shipped tuples and replication costs are
-    deterministic properties of (workload, layout), not of the runner."""
+    """The 80/20 LUBM replay as exact counters: shipped tuples and
+    replication costs are deterministic properties of (workload,
+    layout), not of the runner."""
 
     #: one round — 8 hot (recurring shapes that ship under hash-so), 2 cold stars
     ROUND = ("L7", "L8", "L7", "L8", "L7", "L8", "L7", "L8", "L1", "L2")

@@ -1,9 +1,10 @@
 """Chaos harness: seeded lifecycle episodes, every one classified.
 
-Runs 300 randomized governance episodes — 2 engines × 2 LUBM queries ×
-5 scenarios × 15 seeds — through the full lifecycle (optimize under an
-anytime deadline where the scenario says so, then execute under faults
-and budgets).  Every episode must land in exactly one class:
+Runs 360 randomized governance episodes — 2 engines × 2 LUBM queries ×
+6 scenarios × 15 seeds — through the full lifecycle (optimize under an
+anytime deadline where the scenario says so, then execute under faults,
+budgets and a client that may hang up).  Every episode must land in
+exactly one class, and every :class:`AbortCause` must occur:
 
 * ``completed`` — the result is bit-identical to the
   :func:`~repro.engine.relations.evaluate_reference` oracle;
@@ -51,6 +52,8 @@ from repro.engine import (
 from repro.partitioning import HashSubjectObject
 from repro.workloads import generate_lubm, lubm_query
 
+from .test_registry import TripToken
+
 ALGORITHMS = ("td-cmd", "td-cmdp", "hgr-td-cmd", "td-auto")
 QUERIES = ("L2", "L7")
 SCENARIOS = (
@@ -59,6 +62,7 @@ SCENARIOS = (
     "row-budget",
     "retry-budget",
     "exec-deadline",
+    "hang-up",
 )
 SEEDS = range(15)
 
@@ -116,7 +120,8 @@ def _executor(cluster, engine, injector, breaker=None):
 def _classify_abort(abort):
     assert isinstance(abort, QueryAborted)
     assert abort.cause in AbortCause
-    assert abort.phase in ("optimize", "execute")
+    # HGR's reduction names its own sub-phase (jgr.candidates / jgr.reduce)
+    assert abort.phase in ("optimize", "execute") or abort.phase.startswith("jgr.")
     return f"aborted:{abort.cause.value}"
 
 
@@ -194,6 +199,32 @@ def _run_episode(world, engine, qname, scenario, seed):
         assert relation.rows == oracle.rows
         return "completed"
 
+    if scenario == "hang-up":
+        # one budget for the lifecycle: the token is polled by the search
+        # and by every operator, so the client hangs up in either phase
+        budget = QueryBudget(
+            cancellation=TripToken(at_poll=rng.choice([1, 3, 30, 300, 10**6])),
+            query_id=qname,
+        )
+        session = Optimizer(
+            OptimizeOptions(
+                algorithm=rng.choice(ALGORITHMS),
+                statistics=statistics,
+                partitioning=method,
+            )
+        )
+        try:
+            result = session.optimize(query, budget=budget)
+            relation, _ = _executor(
+                cluster, engine, _injector(rng, rng.choice([0.0, 0.4]))
+            ).execute(result.plan, query, budget=budget)
+        except QueryAborted as abort:
+            assert abort.cause is AbortCause.CANCELLED
+            assert abort.query_id == qname
+            return _classify_abort(abort)
+        assert relation.rows == oracle.rows
+        return "completed"
+
     assert scenario == "exec-deadline"
     budget = QueryBudget(
         deadline=Deadline.after(
@@ -229,18 +260,15 @@ def test_chaos_episodes(world, engine, qname):
     assert tally["aborted:row-budget"] > 0
     assert tally["aborted:retry-exhausted"] > 0
     assert tally["aborted:deadline"] > 0
+    assert tally["aborted:cancelled"] > 0
 
 
 def test_episode_volume():
-    """The harness ran the full sweep (≥300 episodes, all classified)."""
+    """The harness ran the full sweep (360 episodes, all classified, every
+    abort cause among them)."""
     if not EPISODES:
         pytest.skip("episode sweep deselected")
-    assert sum(EPISODES.values()) >= 300
-    assert set(EPISODES) <= {
-        "completed",
-        "degraded-anytime",
-        "aborted:row-budget",
-        "aborted:retry-exhausted",
-        "aborted:deadline",
-        "aborted:cancelled",
+    assert sum(EPISODES.values()) >= 360
+    assert set(EPISODES) == {"completed", "degraded-anytime"} | {
+        f"aborted:{cause.value}" for cause in AbortCause
     }

@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core import bitset as bs
 from repro.core.cmd import enumerate_cmds
+from repro.core.counting import connected_subqueries
 from repro.core.governance import Deadline, QueryBudget
 from repro.core.optimizer import make_builder
 from repro.core.plans import JoinAlgorithm, JoinNode, validate_plan
@@ -164,3 +165,38 @@ class TestMechanics:
         enumerator.optimize()
         assert enumerator.stats.divisions_enumerated == t_chain(n)
         assert enumerator.stats.plans_considered == 2 * t_chain(n)
+
+    @pytest.mark.parametrize("shape", [QueryShape.CHAIN, QueryShape.CYCLE])
+    def test_division_counter_is_t_of_q_at_size_eight(self, shape):
+        """Eqs. 8-9 read off TD-CMD's own counter, not a recount."""
+        from repro.core.counting import t_chain, t_cycle
+
+        formula = {QueryShape.CHAIN: t_chain, QueryShape.CYCLE: t_cycle}[shape]
+        builder = make_builder(generate_query(shape, 8, random.Random(11)), seed=11)
+        enumerator = TopDownEnumerator(builder.join_graph, builder)
+        enumerator.optimize()
+        assert enumerator.stats.divisions_enumerated == formula(8)
+        assert enumerator.stats.plans_considered == 2 * formula(8)
+
+    def test_memo_answers_every_repeated_subquery(self):
+        """Algorithm 1's memo table, in work units: a table whose probes
+        all miss finds the same plan but expands subqueries again and
+        again; with it every connected subquery is expanded once."""
+
+        class NeverHits(dict):
+            def get(self, key, default=None):
+                return default
+
+        query = tree_query(8, random.Random(5))
+        builder = make_builder(query, seed=5)
+        memoized = TopDownEnumerator(builder.join_graph, builder)
+        best = memoized.optimize()
+        forgetful = TopDownEnumerator(builder.join_graph, builder)
+        forgetful._memo = NeverHits()
+        again = forgetful.optimize()
+        assert again.cost == best.cost
+        connected = sum(1 for _ in connected_subqueries(builder.join_graph))
+        assert memoized.stats.subqueries_expanded == connected
+        assert memoized.stats.memo_hits > 0
+        assert forgetful.stats.memo_hits == 0
+        assert forgetful.stats.subqueries_expanded > 10 * connected

@@ -262,6 +262,23 @@ class TestExecutorUnderFaults:
             assert relation.rows == reference.rows
             assert metrics.fault_injection_enabled
 
+    def test_recovered_dense_bushy_plan_matches_reference(self, lubm):
+        """L9's five-wave TD-CMD plan exposes the most fault sites."""
+        dataset, _, method, _, _ = lubm
+        query = lubm_query("L9")
+        statistics = StatisticsCatalog.from_dataset(query, dataset)
+        plan = optimize(
+            query, algorithm="td-cmd", statistics=statistics, partitioning=method
+        ).plan
+        executor = Executor(
+            _fresh_cluster(lubm),
+            fault_injector=FaultInjector(0.2, seed=1),
+            retry_policy=RetryPolicy(max_retries=16),
+        )
+        relation, metrics = executor.execute(plan, query)
+        assert relation.rows == evaluate_reference(query, dataset.graph).rows
+        assert metrics.total_faults_injected > 0
+
     def test_metrics_reproducible_for_fixed_seed(self, lubm):
         _, query, _, plan, _ = lubm
 

@@ -26,6 +26,7 @@ import pytest
 from repro import OptimizeOptions, Optimizer, parse_query
 from repro.core.plan_cache import PlanCache
 from repro.engine import Cluster, Executor, FaultInjector
+from repro.experiments import ordered_benchmark_queries
 from repro.observability import (
     MetricsRegistry,
     Span,
@@ -39,6 +40,7 @@ from repro.observability import (
     validate_span_tree,
 )
 from repro.observability import runtime as obs
+from repro.observability.metrics import Counter
 from repro.observability.spans import NULL_SPAN
 from repro.partitioning import HashSubjectObject, PathBMC
 from repro.workloads.generators import chain_query
@@ -192,6 +194,41 @@ class TestTracedOptimize:
         assert "jgr.reduce" in names
         counters = session.tracer.metrics.snapshot()["counters"]
         assert counters["jgr.rounds"] >= 1
+
+    def test_tracing_work_per_optimize_is_bounded(self, monkeypatch):
+        """What tracing adds to an optimize, counted instead of timed:
+        a few spans, a few registry lookups, and counter increments
+        per expanded subquery, never per division (TD-CMD enumerates
+        up to 325 393 divisions on these queries)."""
+        calls = {"lookups": 0, "increments": 0}
+        lookup, increment = MetricsRegistry.counter, Counter.inc
+
+        def counting_lookup(registry, name):
+            calls["lookups"] += 1
+            return lookup(registry, name)
+
+        def counting_increment(counter, amount=1):
+            calls["increments"] += 1
+            increment(counter, amount)
+
+        monkeypatch.setattr(MetricsRegistry, "counter", counting_lookup)
+        monkeypatch.setattr(Counter, "inc", counting_increment)
+        partitioning = HashSubjectObject()
+        for bench in ordered_benchmark_queries():
+            for algorithm in ("td-cmd", "td-cmdp", "hgr-td-cmd", "td-auto"):
+                session = traced_session(
+                    algorithm=algorithm,
+                    statistics=bench.statistics,
+                    partitioning=partitioning,
+                )
+                calls.update(lookups=0, increments=0)
+                result = session.optimize(bench.query)
+                where = (bench.name, algorithm, calls)
+                assert len(session.tracer) <= 6, where
+                assert calls["lookups"] <= 16, where
+                assert (
+                    calls["increments"] <= 3 * result.stats.subqueries_expanded + 16
+                ), where
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.core import (
     QueryAborted,
     StatisticsCatalog,
     TopDownEnumerator,
-    default_jobs,
     make_builder,
     optimize,
 )
@@ -332,18 +331,3 @@ class TestOptimizeEntryPoint:
             assert "[parallel" not in result.algorithm
             assert result.stats.workers == 1
             assert result.cost == optimize(query, algorithm=algorithm).cost
-
-    def test_default_jobs_is_positive(self):
-        assert default_jobs() >= 1
-
-    def test_default_jobs_honors_env_override(self, monkeypatch):
-        """REPRO_JOBS pins the worker default for CI determinism."""
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        assert default_jobs() == 1  # clamped to at least one worker
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            default_jobs()
-        monkeypatch.delenv("REPRO_JOBS")
-        assert default_jobs() >= 1
