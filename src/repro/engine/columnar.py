@@ -68,7 +68,7 @@ class EncodedRelation:
     keeps the snapshot it was taken from.
     """
 
-    __slots__ = ("variables", "dictionary", "columns", "index", "_positions", "_length")
+    __slots__ = ("variables", "dictionary", "columns", "index", "keyed", "_positions", "_length")
 
     def __init__(
         self,
@@ -96,6 +96,7 @@ class EncodedRelation:
         self.columns = columns
         self._length = len(columns[0]) if length is None else length
         self.index: Optional[PredicateIndex] = None
+        self.keyed: Optional[Dict[Tuple[Variable, ...], object]] = None  # see _keyed
         self._positions = {v: i for i, v in enumerate(variables)}
         return self
 
@@ -169,6 +170,12 @@ class EncodedRelation:
     def _slice(self, start: int, stop: int) -> "EncodedRelation":
         """Rows ``start:stop`` as column slices (the index stays behind)."""
         return self._derived([column[start:stop] for column in self.columns])
+
+    def _retained(self) -> "EncodedRelation":
+        """A view as a build table that keeps its keyed forms (see :func:`_keyed`)."""
+        view = self._derived(self.columns, self._length)
+        view.index, view.keyed = self.index, {}
+        return view
 
     def keys(self, variables: Sequence[Variable]) -> Iterable[object]:
         """Each row's binding of *variables* (non-empty), as a join key.
@@ -347,11 +354,11 @@ def hash_join_encoded(
 
     Same result as the reference
     :func:`~repro.engine.relations.hash_join` (same schema, same rows,
-    Cartesian degeneration without shared variables), through whichever
-    access path the inputs allow:
+    Cartesian degeneration without shared variables).  Each access path
+    keys one side (:func:`_keyed`) and probes it with the other:
 
     * a side whose whole schema is shared only *filters* the other — a
-      semi-join: one mask, one ``compress`` per column;
+      semi-join: its keys as a set, one mask, one ``compress`` per column;
     * a ``?s p ?o`` scan much larger than its partner is *probed*
       through the index it still sits in (bisection per partner row)
       instead of being read: chosen when
@@ -374,12 +381,6 @@ def hash_join_encoded(
         # Cartesian product: never planned, deliberately disconnected tests only
         found = [range(len(build))] * len(probe)
         columns = _expanded(out_vars, probe, found, build, _gathered)
-    elif probe.index is not None and _probes_cheaper(len(build), len(probe)):
-        # neither schema contains the other, so the scan is binary and
-        # shares exactly one variable: look its other column up per key
-        (variable,) = shared
-        found = list(map(probe._matches(variable), build.keys(shared)))
-        columns = _expanded(out_vars, build, found, probe, lambda column, values: values)
     else:
         columns = _hash_join_columns(build, probe, shared, out_vars)
     # a Cartesian product of zero-variable relations has no column to measure
@@ -433,13 +434,17 @@ def _hash_join_columns(
     out_vars: Tuple[Variable, ...],
 ) -> List[Column]:
     """The output columns of a hash join that widens both sides (*build* is smaller)."""
-    for table_side, other in ((build, probe), (probe, build)):
-        # the smaller side may repeat keys where the larger does not
-        # (publication -> name), so each is tried as the table.  Rows
-        # are numbered from the end (-n .. -1): a position is never 0,
-        # so a look-up's result is its own hit-or-miss mask
-        table = dict(zip(table_side.keys(shared), range(-len(table_side), 0)))
-        if len(table) < len(table_side):
+    kept_table = _keyed(probe, build, shared)  # a build table keyed once: the batch looks it up
+    if not kept_table and probe.index is not None and _probes_cheaper(len(build), len(probe)):
+        # neither schema contains the other, so the scan is binary and
+        # shares exactly one variable: look its other column up per key
+        (variable,) = shared
+        found = list(map(probe._matches(variable), build.keys(shared)))
+        return _expanded(out_vars, build, found, probe, lambda column, values: values)
+    # else each side may be the table: the smaller can repeat keys (publication -> name)
+    for table_side, other in ((probe, build),) if kept_table else ((build, probe), (probe, build)):
+        table = _keyed(table_side, other, shared, now=True)
+        if not table:
             continue
         # no two table rows share a key: no buckets, and the whole join
         # runs in C (look up, compress one side by the hits, gather the other)
@@ -468,6 +473,33 @@ def _probes_cheaper(partner: int, scan: int) -> bool:
     return partner * scan.bit_length() < scan
 
 
+def _key(side: EncodedRelation, shared: List[Variable]):
+    """*side* on *shared*: a set of its keys if that is its whole schema, else key → row
+    position from the end (-n .. -1: never 0, a hit mask), or ``False`` if a key repeats."""
+    if len(shared) == len(side.variables):
+        return set(side.keys(shared))
+    table = dict(zip(side.keys(shared), range(-len(side), 0)))
+    return len(table) == len(side) and table
+
+
+def _keyed(side: EncodedRelation, partner: EncodedRelation, shared, now=False):
+    """Step one of a hash path: :func:`_key` of *side* if asked *now*.  A build table
+    (``keyed`` is a dict) keeps that.  Unasked, it returns it (``None``: per-call path),
+    first keying a table larger than *partner* whose keys cannot repeat: it filters,
+    or a scan's index counts no id twice in its sorted key."""
+    forms = side.keyed
+    if forms is None:
+        return _key(side, shared) if now else None
+    name = tuple(shared)
+    if name not in forms and (now or len(side) > len(partner) and (
+        len(shared) == len(side.variables)
+        or shared[0] == side.variables[0] and side.index is not None
+        and side.index.distinct(side.columns[0]) == len(side)
+    )):
+        forms[name] = _key(side, shared)
+    return forms.get(name)
+
+
 def _semi_join(
     kept: EncodedRelation, filter_: EncodedRelation, shared: List[Variable]
 ) -> EncodedRelation:
@@ -480,10 +512,11 @@ def _semi_join(
     """
     if not len(kept) or not len(filter_):
         return kept.empty_like()
-    if filter_.index is not None and _probes_cheaper(len(kept), len(filter_)):
+    probes = filter_.index is not None and _probes_cheaper(len(kept), len(filter_))
+    if probes and not _keyed(filter_, kept, shared):
         held = filter_._holds()
     else:
-        held = set(filter_.keys(shared)).__contains__
+        held = _keyed(filter_, kept, shared, now=True).__contains__
     return kept._select(list(map(held, kept.keys(shared))))
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from heapq import nsmallest
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -243,7 +244,7 @@ class Executor:
 
         A *limit* caps the result at that many rows: the sink stops
         pulling once it holds at least *limit* distinct rows and keeps
-        the *limit* smallest by string form.  With bounded batches that
+        the *limit* smallest by N-Triples text.  With bounded batches that
         stops execution early (``metrics.limit_pushdown`` is set); when
         every operator emits once it is a deterministic truncation of
         the full result.  The two may keep different rows — a LIMIT
@@ -302,8 +303,8 @@ class Executor:
             # late materialization: decode only the final rows
             result = admitted.decode()
             if limit is not None and len(result) > limit:
-                kept = set(sorted(result.rows, key=str)[:limit])
-                result = Relation(result.variables, kept)
+                kept = nsmallest(limit, result.rows, key=lambda row: tuple(map(str, row)))
+                result = Relation(result.variables, set(kept))
             metrics.limit_pushdown = limit is not None and chunk is not None
             metrics.wall_seconds = time.perf_counter() - started
             metrics.result_rows = len(result)
@@ -714,6 +715,7 @@ class Executor:
             elif repartition:
                 ship(index, _rows(table))
                 tables[index] = self._rehash(table, variable)
+        views: Dict[int, Optional[List[Optional[Batch]]]] = {}  # by slot of the last batch
         try:
             for batch in probe.stream:
                 rows = _rows(batch)
@@ -721,11 +723,16 @@ class Executor:
                 if repartition:
                     ship(probe_index, rows)
                     batch = self._rehash(batch, variable)
+                if views.keys() != batch.keys():  # a slot's first batch: joined per call
+                    views = dict.fromkeys(batch)
+                elif None in views.values():  # its second in a row: views of larger tables
+                    views = {s: [{s: t[s]._retained()} if t and len(t[s]) > len(batch[s])
+                                 else t for t in tables] for s in batch}
                 joined = {
                     slot: self._multi_join(
                         [
                             piece if index == probe_index else table[slot]
-                            for index, table in enumerate(tables)
+                            for index, table in enumerate(views[slot] or tables)
                         ]
                     )
                     for slot, piece in batch.items()

@@ -193,12 +193,16 @@ class PredicateIndex:
     two plain slots from then on.
     """
 
-    __slots__ = ("spo_subjects", "spo_objects", "ops_objects", "ops_subjects", "_pairs")
+    __slots__ = (
+        "spo_subjects", "spo_objects", "ops_objects", "ops_subjects", "_pairs", "_distinct",
+    )
 
     def __init__(self, subjects: Sequence[int], objects: Sequence[int]) -> None:
         #: the (subjects, objects) columns an order is sorted from: the ones
         #: given (any order, repeats allowed) until one is, then that one's own
         self._pairs: Tuple[Sequence[int], Sequence[int]] = (subjects, objects)
+        #: id of a sorted first column -> how many ids it holds (see distinct)
+        self._distinct: Dict[int, int] = {}
 
     def __getattr__(self, name: str) -> array:
         """Sort the order that column *name* belongs to (Python looks
@@ -214,6 +218,14 @@ class PredicateIndex:
 
     def __len__(self) -> int:
         return len(self.spo_subjects)  # a sorted order: the given columns may repeat a pair
+
+    def distinct(self, column: array) -> int:
+        """How many ids *column* holds — ``spo_subjects`` or ``ops_objects``,
+        an order's sorted first column — counted once per index."""
+        counts = self._distinct
+        if id(column) not in counts:
+            counts[id(column)] = len(set(column))
+        return counts[id(column)]
 
     def objects_for(self, subject: int) -> array:
         """All object ids paired with *subject* (a contiguous slice)."""

@@ -204,13 +204,34 @@ class TestLimitPushdown:
 
     def test_materialized_engines_post_truncate(self, planned, reference_rows):
         """Emitting once, the limit is a deterministic truncation of the
-        full result (the smallest rows by string form) — no pushdown flag."""
+        full result (the smallest rows by N-Triples text) — no pushdown flag."""
         cluster, plan, query = planned
         relation, metrics = Executor(cluster, engine="columnar").execute(
             plan, query, limit=3
         )
         assert not metrics.limit_pushdown
-        assert relation.rows == set(sorted(reference_rows.rows, key=str)[:3])
+        ntriples = sorted(reference_rows.rows, key=lambda row: tuple(map(str, row)))
+        assert relation.rows == set(ntriples[:3])
+
+    def test_limit_orders_by_ntriples_text_not_repr(self):
+        """``IRI(value=...)`` sorts before ``Literal(...)`` by repr, but
+        ``"a"`` before ``<http://e/b>`` as N-Triples: the literal is kept."""
+        from repro.rdf import IRI, Dataset, Literal, Triple
+        from repro.sparql import parse_query
+
+        subject, predicate = IRI("http://e/s"), IRI("http://e/p")
+        iri_row, literal_row = (IRI("http://e/b"),), (Literal("a"),)
+        assert str(iri_row) < str(literal_row)
+        dataset = Dataset.from_triples(
+            [Triple(subject, predicate, iri_row[0]), Triple(subject, predicate, literal_row[0])]
+        )
+        query = parse_query("SELECT ?o WHERE { <http://e/s> <http://e/p> ?o . }")
+        method = HashSubjectObject()
+        statistics = StatisticsCatalog.from_dataset(query, dataset)
+        plan = optimize(query, statistics=statistics, partitioning=method).plan
+        cluster = Cluster.build(dataset, method, cluster_size=2)
+        relation, _ = Executor(cluster, engine="columnar").execute(plan, query, limit=1)
+        assert relation.rows == {literal_row}
 
 
 # ----------------------------------------------------------------------
@@ -418,25 +439,113 @@ class TestCounterSweep:
                 )
                 where = (query.name, engine.chunk_size)
                 assert relation.rows == oracle.rows, where
-                assert [op.operator for op in metrics.operators] == [
-                    op.operator for op in expected.operators
-                ], where
-                assert metrics.total_tuples_read == expected.total_tuples_read, where
-                assert (
-                    metrics.total_tuples_shipped == expected.total_tuples_shipped
-                ), where
-                assert metrics.shipped_by_predicate == expected.shipped_by_predicate
-                if engine.chunk_size is None:
-                    assert (
-                        metrics.total_tuples_produced
-                        == expected.total_tuples_produced
-                    )
-                    assert metrics.critical_path_cost == expected.critical_path_cost
-                else:
-                    assert (
-                        metrics.total_tuples_produced
-                        >= expected.total_tuples_produced
-                    ), where
-                    assert (
-                        metrics.critical_path_cost >= expected.critical_path_cost
-                    ), where
+                assert_sweep_counters(metrics, expected, engine.chunk_size, where)
+
+    @pytest.mark.parametrize(
+        "name, table, batch",
+        [("L3", "x,y", "x"), ("L6", "p,x", "n,p")],
+        ids=["L3-smaller-filtered", "L6-larger-repeated"],
+    )
+    def test_build_tables_keying_must_leave_alone(self, lubm_one, name, table, batch):
+        """The two shapes where keying a build table would cost work: L3's
+        collected ⋈L (``?x ?y``), smaller than the ``?x`` batches that
+        filter it, and L6's publicationAuthor (``?p ?x``), larger than a
+        ``?n ?p`` batch but with repeated ``?p``.  Both pairs are met at
+        some chunk size, and every chunk size keeps the oracle's rows
+        and the sweep's counters."""
+        from repro.engine import columnar
+
+        cluster, planned = lubm_one
+        query, plan, oracle, expected = planned(name)
+        met = []
+        original = columnar.hash_join_encoded
+
+        def join(left, right):
+            for one, other in ((left, right), (right, left)):
+                schemas = [",".join(v.name for v in r.variables) for r in (one, other)]
+                if schemas == [table, batch]:
+                    shared = [v for v in other.variables if one.has_variable(v)]
+                    keys = list(one.keys(shared))
+                    met.append((len(one) > len(other), len(set(keys)) < len(keys)))
+            return original(left, right)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(columnar, "hash_join_encoded", join)
+            for chunk_size in (1, 7, 64, 1024):
+                relation, metrics = Executor(
+                    cluster, engine=PipelinedEngine(chunk_size)
+                ).execute(plan, query)
+                assert relation.rows == oracle.rows, chunk_size
+                assert_sweep_counters(metrics, expected, chunk_size, chunk_size)
+        # (table larger than the batch, table repeats a key)
+        assert ((False, False) if name == "L3" else (True, True)) in met
+
+
+def assert_sweep_counters(metrics, expected, chunk_size, where):
+    """What the sweep holds against the emit-once run: same operators,
+    same tuples read and shipped; emitting once also the same produced
+    and priced, bounded batches never less."""
+    assert [op.operator for op in metrics.operators] == [
+        op.operator for op in expected.operators
+    ], where
+    assert metrics.total_tuples_read == expected.total_tuples_read, where
+    assert metrics.total_tuples_shipped == expected.total_tuples_shipped, where
+    assert metrics.shipped_by_predicate == expected.shipped_by_predicate, where
+    if chunk_size is None:
+        assert metrics.total_tuples_produced == expected.total_tuples_produced, where
+        assert metrics.critical_path_cost == expected.critical_path_cost, where
+    else:
+        assert metrics.total_tuples_produced >= expected.total_tuples_produced, where
+        assert metrics.critical_path_cost >= expected.critical_path_cost, where
+
+
+@pytest.fixture(scope="module")
+def lubm_one():
+    """LUBM scale 1 on four hash-so workers, and per query name its
+    plan, the oracle's rows and the emit-once run's metrics."""
+    from repro.workloads import generate_lubm, lubm_query
+
+    dataset, method = generate_lubm(), HashSubjectObject()
+    cluster = Cluster.build(dataset, method, cluster_size=4)
+
+    def planned(name):
+        query = lubm_query(name)
+        statistics = StatisticsCatalog.from_dataset(query, dataset)
+        plan = optimize(query, statistics=statistics, partitioning=method).plan
+        _, expected = Executor(cluster, engine="columnar").execute(plan, query)
+        return query, plan, evaluate_reference(query, dataset.graph), expected
+
+    return cluster, planned
+
+
+class TestBuildTablesKeyedOnce:
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 1024])
+    @pytest.mark.parametrize("name", ["L7", "L8"])
+    def test_each_build_table_is_keyed_once(self, lubm_one, monkeypatch, name, chunk_size):
+        """Batch after batch meets the same build tables; each is keyed
+        into a set or a key → position table at most once per join
+        operator, worker slot and key variables (a build table is one
+        slot's view of one operator's build side, alive for as long as
+        that operator streams)."""
+        from repro.engine import columnar
+
+        cluster, planned = lubm_one
+        query, plan, oracle, expected = planned(name)
+        keyed = []
+        original = columnar._key
+
+        def key(side, shared):
+            if side.keyed is not None:  # a build table, not a batch
+                keyed.append((side, tuple(shared)))  # held: ids stay unique
+            return original(side, shared)
+
+        monkeypatch.setattr(columnar, "_key", key)
+        relation, metrics = Executor(
+            cluster, engine=PipelinedEngine(chunk_size)
+        ).execute(plan, query)
+        tables = [(id(side), shared) for side, shared in keyed]
+        assert len(set(tables)) == len(tables)
+        # at 1024 rows each slot's probe is one batch here: no table meets two
+        assert bool(tables) == (chunk_size < 1024)
+        assert relation.rows == oracle.rows
+        assert_sweep_counters(metrics, expected, chunk_size, (name, chunk_size))
