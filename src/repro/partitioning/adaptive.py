@@ -342,55 +342,57 @@ class AdaptiveCluster(Cluster):
         the new layout exactly once.
 
         *budget* (a :class:`~repro.core.governance.QueryBudget`) is
-        polled throughout the placement and merge loops — a deadline or
-        cancellation interrupts adaptation like any other phase.
+        polled while each proposal is priced — a deadline or cancellation
+        interrupts adaptation like any other phase.  A priced proposal is
+        committed whole and counted at once, so an abort leaves the
+        proposals before it applied, counted and described by
+        :meth:`adapted_method`, the epoch bumped once if any was.
         """
         if replication_budget < 0:
             raise ValueError(
                 f"replication_budget must be >= 0, got {replication_budget}"
             )
-        allowance = (
-            int(replication_budget * len(self.dataset.graph))
-            - self.replicated_triples
-        )
+        limit = int(replication_budget * len(self.dataset.graph))
         report = AdaptationReport(epoch=self.epoch)
         fragments = self.partitioning.fragments
-        for proposal in proposals:
-            poll(budget)
-            if proposal.kind == COLOCATE and proposal.query is not None:
-                hot, predicates = [proposal.query], []
-            elif proposal.kind == REPLICATE_PREDICATE and proposal.predicate is not None:
-                hot, predicates = [], [proposal.predicate]
-            else:
-                raise ValueError(f"malformed proposal {proposal!r}")
-            additions = hot_placements(self.dataset, self.size, hot, predicates, budget)
-            merged = {
-                node: fragments[node].merged(additions[node])
-                for node in sorted(additions)
-            }
-            cost = sum(len(merged[node]) - len(fragments[node]) for node in merged)
-            if cost > allowance:
-                report.skipped.append(proposal)
-                continue
-            allowance -= cost
-            for node, fragment in merged.items():
+        try:
+            for proposal in proposals:
                 poll(budget)
-                if fragment is fragments[node]:  # nothing new for this node
+                if proposal.kind == COLOCATE and proposal.query is not None:
+                    hot, predicates = [proposal.query], []
+                elif proposal.kind == REPLICATE_PREDICATE and proposal.predicate is not None:
+                    hot, predicates = [], [proposal.predicate]
+                else:
+                    raise ValueError(f"malformed proposal {proposal!r}")
+                additions = hot_placements(self.dataset, self.size, hot, predicates, budget)
+                merged = {
+                    node: fragments[node].merged(additions[node])
+                    for node in sorted(additions)
+                }
+                cost = sum(len(merged[node]) - len(fragments[node]) for node in merged)
+                if self.replicated_triples + cost > limit:
+                    report.skipped.append(proposal)
                     continue
-                fragments[node] = fragment
-                if node in self._override:  # dead, or serving a re-routed partition too
-                    self.merge_replica(self._live(node), additions[node])
-                report.migrations += 1
-            report.applied.append(proposal)
-            report.replicated_triples += cost
-            self.hot_queries += hot
-            self.replicated_predicates += predicates
-        if report.applied:
-            self.replicated_triples += report.replicated_triples
-            self.migrations += report.migrations
-            self.layout_version += 1
-            self.epoch += 1
-        report.epoch = self.epoch
+                # priced: commit whole and count at once, polling nothing
+                for node, fragment in merged.items():
+                    if fragment is fragments[node]:  # nothing new for this node
+                        continue
+                    fragments[node] = fragment
+                    if node in self._override:  # dead, or serving a re-routed partition too
+                        self.merge_replica(self._live(node), additions[node])
+                    report.migrations += 1
+                    self.migrations += 1
+                report.applied.append(proposal)
+                report.replicated_triples += cost
+                self.replicated_triples += cost
+                self.hot_queries += hot
+                self.replicated_predicates += predicates
+        finally:
+            # once per batch, also when an abort or a bad proposal ends it early
+            if report.applied:
+                self.layout_version += 1
+                self.epoch += 1
+            report.epoch = self.epoch
         return report
 
     def adapted_method(self) -> PartitioningMethod:

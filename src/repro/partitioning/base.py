@@ -6,11 +6,12 @@ Every static partitioning method is described by two functions:
   into an indivisible partitioning element ``e_v``;
 * ``distribute(e_v)`` — place each element on a computing node.
 
-The same ``combine`` applied to the *query graph* G_Q yields the
-*maximal local query* anchored at each query vertex (Appendix A,
-Definition 5): any subquery contained in some maximal local query can
-be answered with local joins only.  This is what makes the optimizer
-partition-aware without being coupled to a specific method.
+On data a method runs both as one hook, ``layout``.  The same
+``combine`` applied to the *query graph* G_Q yields the *maximal local
+query* anchored at each query vertex (Appendix A, Definition 5): any
+subquery contained in some maximal local query can be answered with
+local joins only.  This is what makes the optimizer partition-aware
+without being coupled to a specific method.
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
 
 from ..rdf.dataset import Dataset
-from ..rdf.encoding import EncodedGraph, TermDictionary
+from ..rdf.encoding import EncodedGraph
 from ..rdf.terms import PatternTerm, Term
-from ..rdf.triples import RDFGraph, Triple
+from ..rdf.triples import RDFGraph
 from ..sparql.ast import BGPQuery, TriplePattern
 from ..sparql.query_graph import QueryGraph
 
 
-#: anchor vertex id -> its element, a set of triple positions
-Elements = Dict[int, Set[int]]
 #: vertex id -> its place in the shared vertex order (:func:`text_rank`)
 Rank = Dict[int, int]
 #: (per node, the ascending positions of the triples it stores; anchor -> its node)
@@ -43,7 +42,7 @@ class Partitioning:
 
     method_name: str
     fragments: List[EncodedGraph]
-    #: vertex -> node index chosen by ``distribute`` (one entry per anchor)
+    #: anchor vertex -> its node, in the order the method's ``layout`` placed them
     vertex_placement: Dict[Term, int] = field(default_factory=dict)
 
     @property
@@ -85,47 +84,33 @@ class Partitioning:
 class PartitioningMethod(abc.ABC):
     """A static partitioning method in the generic combine/distribute model.
 
-    On data both phases run in id space, over the dataset's
-    :class:`~repro.rdf.encoding.EncodedGraph`: a vertex is a term id,
-    an element a set of triple *positions* in the graph's columns.
+    A method implements :meth:`layout` (both phases on data) and
+    :meth:`combine_query` (``combine`` on the query graph), and may
+    narrow :meth:`anchor_candidates`; :meth:`partition` and
+    :meth:`maximal_local_queries` are derived from them.  On data both
+    phases run in id space, over the dataset's
+    :class:`~repro.rdf.encoding.EncodedGraph`: a vertex is a term id, a
+    triple its *position* in the graph's columns.
     """
 
     #: short identifier used in experiment tables
     name: str = "abstract"
 
     # ------------------------------------------------------------------
-    # the two conceptual phases, on data
+    # combine + distribute, on data
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
-        """The partitioning element ``e_v`` anchored at *vertex* (Eq. 1)."""
-
     def anchor_candidates(self, graph: EncodedGraph) -> Set[int]:
         """The vertices that may anchor a non-empty element (default: all
         of V_R); what :func:`text_rank` orders for a ``partition`` call."""
         return set(graph.subjects).union(graph.objects)
 
-    def elements(self, graph: EncodedGraph, rank: Rank) -> Elements:
-        """The non-empty elements by anchor vertex, in the shared vertex
-        order *rank* (see :func:`text_rank`)."""
-        combined = ((vertex, self.combine_ids(vertex, graph)) for vertex in rank)
-        return {vertex: element for vertex, element in combined if element}
-
     @abc.abstractmethod
-    def distribute(
-        self, elements: Elements, cluster_size: int, graph: EncodedGraph, rank: Rank
-    ) -> Dict[int, int]:
-        """Assign each element's anchor vertex to a node (Eq. 2)."""
-
     def layout(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Layout:
-        """Both phases as a :data:`Layout`: read off the elements here, computed
-        in bulk by a method whose ``distribute`` looks at the anchor alone."""
-        elements = self.elements(graph, rank)
-        placement = self.distribute(elements, cluster_size, graph, rank)
-        stored: List[Set[int]] = [set() for _ in range(cluster_size)]
-        for vertex, element in elements.items():
-            stored[placement[vertex]].update(element)
-        return [sorted(positions) for positions in stored], placement
+        """Both phases (Eqs. 1 and 2) as a :data:`Layout`: per node the
+        ascending positions of the triples in the elements placed there,
+        and each non-empty element's anchor -> its node.  *rank* is the
+        shared vertex order over :meth:`anchor_candidates`
+        (:func:`text_rank`)."""
 
     # ------------------------------------------------------------------
     # the same combine, on the query graph
@@ -154,16 +139,6 @@ class PartitioningMethod(abc.ABC):
             fragments=[graph.gather(positions) for positions in stored],
             vertex_placement=dict(zip(anchors, placement.values())),
         )
-
-    def combine(self, vertex: Term, graph: RDFGraph) -> FrozenSet[Triple]:
-        """``combine(v, G)`` in the paper's term-typed signature: encode
-        *graph*, run :meth:`combine_ids`, decode the element."""
-        encoded = EncodedGraph.from_graph(graph, TermDictionary())
-        vertex_id = encoded.dictionary.lookup(vertex)
-        if vertex_id is None:
-            return frozenset()
-        triples = list(graph)
-        return frozenset(triples[i] for i in self.combine_ids(vertex_id, encoded))
 
     def maximal_local_queries(self, query: BGPQuery) -> List[FrozenSet[TriplePattern]]:
         """All distinct maximal local queries of *query* (Appendix A).

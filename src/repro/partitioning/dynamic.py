@@ -38,7 +38,7 @@ from ..rdf.encoding import EncodedGraph, IdTriple
 from ..rdf.terms import PatternTerm, Variable
 from ..sparql.ast import BGPQuery, TriplePattern
 from ..sparql.query_graph import QueryGraph
-from .base import Elements, Partitioning, PartitioningMethod, Rank, hash_terms, text_rank
+from .base import Layout, Partitioning, PartitioningMethod, Rank, hash_terms, text_rank
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (core depends on us)
     from ..core.governance import QueryBudget
@@ -116,10 +116,16 @@ def hot_placements(
     columnar engine's (indexed scans, id hash joins) over the dataset's
     encoded graph; a pattern is grounded straight from the id row.
     Nothing is mutated: the caller merges (and, online, first costs)
-    what is returned.  *budget* is polled between matches.
+    what is returned.  *budget* is polled between matches.  A hot query
+    that binds no variable has no anchor: ``ValueError``, before
+    anything is matched.
     """
     from ..engine.columnar import multi_join_encoded, scan_pattern_encoded
 
+    ground = next((hot for hot in hot_queries if not hot.variables()), None)
+    if ground is not None:
+        label = ground.name or structural_signature(ground)
+        raise ValueError(f"hot query {label!r} binds no variable to anchor its matches")
     graph = dataset.encoded_graph()
     dictionary = graph.dictionary
     placed: Dict[int, List[IdTriple]] = {}
@@ -196,29 +202,23 @@ class DynamicPartitioning(PartitioningMethod):
         )
 
     # ------------------------------------------------------------------
-    # data side: delegate, then place the hot matches and extents
+    # data side: the base layout, then the hot matches and extents
     # ------------------------------------------------------------------
-    def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
-        return self.base.combine_ids(vertex, graph)
+    def anchor_candidates(self, graph: EncodedGraph) -> Set[int]:
+        return self.base.anchor_candidates(graph)
 
-    def elements(self, graph: EncodedGraph, rank: Rank) -> Elements:
-        return self.base.elements(graph, rank)
-
-    def distribute(
-        self, elements: Elements, cluster_size: int, graph: EncodedGraph, rank: Rank
-    ) -> Dict[int, int]:
-        return self.base.distribute(elements, cluster_size, graph, rank)
+    def layout(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Layout:
+        return self.base.layout(graph, cluster_size, rank)
 
     def partition(self, dataset: Dataset, cluster_size: int) -> Partitioning:
-        """The base partition with :func:`hot_placements` merged in —
-        the layout :meth:`AdaptiveCluster.apply` reaches incrementally."""
-        partitioning = self.base.partition(dataset, cluster_size)
+        """The base layout with :func:`hot_placements` merged in — the
+        layout :meth:`AdaptiveCluster.apply` reaches incrementally."""
+        partitioning = super().partition(dataset, cluster_size)
         additions = hot_placements(
             dataset, cluster_size, self.hot_queries, self.replicated_predicates, None
         )
         for node in sorted(additions):
             partitioning.add_triples(node, additions[node])
-        partitioning.method_name = self.name
         return partitioning
 
     # ------------------------------------------------------------------

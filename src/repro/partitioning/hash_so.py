@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import and_, or_
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..rdf.encoding import EncodedGraph
 from ..rdf.terms import PatternTerm
 from ..sparql.ast import TriplePattern
 from ..sparql.query_graph import QueryGraph
-from .base import Elements, Layout, PartitioningMethod, Rank, hash_terms
+from .base import Layout, PartitioningMethod, Rank, hash_terms
 
 
 class HashSubjectObject(PartitioningMethod):
@@ -26,16 +26,10 @@ class HashSubjectObject(PartitioningMethod):
 
     name = "hash-so"
 
-    def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
-        outgoing, incoming = graph.adjacency()
-        # a self-loop is in both lists; it counts once
-        return set(outgoing.get(vertex, ())).union(incoming.get(vertex, ()))
-
-    def distribute(
-        self, elements: Elements, cluster_size: int, graph: EncodedGraph, rank: Rank
-    ) -> Dict[int, int]:
-        anchors = graph.dictionary.decode_all(elements)
-        return dict(zip(elements, hash_terms(anchors, cluster_size)))
+    def distribute(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Dict[int, int]:
+        """Each anchor's node, in the order of *rank* (Eq. 2): the hash of
+        its term.  Every ranked vertex anchors a non-empty element."""
+        return dict(zip(rank, hash_terms(graph.dictionary.decode_all(rank), cluster_size)))
 
     def layout(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Layout:
         """In bulk: one node mask per triple (:meth:`node_masks`), and per
@@ -50,9 +44,9 @@ class HashSubjectObject(PartitioningMethod):
     ) -> Tuple[List[int], Dict[int, int]]:
         """Per triple position the nodes that store it (bit ``n`` for node
         ``n``), and the anchor placement.  Every vertex anchors the triples
-        it ends and this family's ``distribute`` reads the anchors only, so
-        a triple is on its subject's node and its object's."""
-        placement = self.distribute(dict.fromkeys(rank), cluster_size, graph, rank)
+        it ends and :meth:`distribute` reads the anchors only, so a triple
+        is on its subject's node and its object's."""
+        placement = self.distribute(graph, cluster_size, rank)
         node_bit = {vertex: 1 << node for vertex, node in placement.items()}.__getitem__
         masks = map(or_, map(node_bit, graph.subjects), map(node_bit, graph.objects))
         return list(masks), placement

@@ -22,13 +22,31 @@ the other eleven; see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set
+from array import array
+from typing import Dict, FrozenSet, List, Set
 
 from ..rdf.encoding import EncodedGraph
 from ..rdf.terms import PatternTerm
 from ..sparql.ast import TriplePattern
 from ..sparql.query_graph import QueryGraph
-from .base import Elements, PartitioningMethod, Rank
+from .base import Layout, PartitioningMethod, Rank
+
+
+def _reachable(vertex: int, outgoing: Dict[int, List[int]], objects: array) -> Set[int]:
+    """The positions of the triples reachable from *vertex* along edge
+    directions: its element ``combine(v, G)``."""
+    reached: Set[int] = set()
+    seen = {vertex}
+    frontier = [vertex]
+    while frontier:
+        edges = outgoing.get(frontier.pop())
+        if edges:
+            reached.update(edges)
+            for v in map(objects.__getitem__, edges):
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+    return reached
 
 
 class PathBMC(PartitioningMethod):
@@ -39,60 +57,35 @@ class PathBMC(PartitioningMethod):
     def anchor_candidates(self, graph: EncodedGraph) -> Set[int]:
         return set(graph.subjects)  # nothing is reachable from any other vertex
 
-    def elements(self, graph: EncodedGraph, rank: Rank) -> Elements:
-        """One traversal per anchor: which vertices anchor the cyclic
-        residue depends on what the start vertices' elements cover."""
+    def layout(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Layout:
+        """One reachability walk per anchor (which vertices anchor the
+        cyclic residue depends on what the start vertices cover), then the
+        weight-driven merge of Path-BM reduced to load balancing: each
+        indivisible element, heaviest first, onto the lightest node."""
         outgoing, incoming = graph.adjacency()
         starts = sorted(outgoing.keys() - incoming.keys(), key=rank.__getitem__)
-        elements = {v: self.combine_ids(v, graph) for v in starts}
+        elements = {v: _reachable(v, outgoing, graph.objects) for v in starts}
         remaining = set(range(len(graph))).difference(*elements.values())
         # cyclic residue: anchor uncovered triples at canonical vertices
         uncovered = set(map(graph.subjects.__getitem__, remaining))
         for v in sorted(uncovered, key=rank.__getitem__):
             if not remaining:
                 break
-            reach = self.combine_ids(v, graph)
+            reach = _reachable(v, outgoing, graph.objects)
             if not reach.isdisjoint(remaining):
                 elements[v] = reach
                 remaining -= reach
-        return elements
-
-    def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
-        """Triples reachable from *vertex* along edge directions."""
-        outgoing = graph.adjacency()[0]
-        objects = graph.objects
-        reached: Set[int] = set()
-        seen = {vertex}
-        frontier = [vertex]
-        while frontier:
-            edges = outgoing.get(frontier.pop())
-            if edges:
-                reached.update(edges)
-                for v in map(objects.__getitem__, edges):
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-        return reached
-
-    def distribute(
-        self, elements: Elements, cluster_size: int, graph: EncodedGraph, rank: Rank
-    ) -> Dict[int, int]:
-        """Greedy bottom-up merge: heaviest element to the lightest node.
-
-        This is the weight-driven merge of the Path-BM algorithm reduced
-        to its load-balancing essence: indivisible path elements packed
-        to minimize the maximum node load.
-        """
         loads = [0] * cluster_size
+        stored: List[Set[int]] = [set() for _ in range(cluster_size)]
         placement: Dict[int, int] = {}
-        weights = {vertex: len(element) for vertex, element in elements.items()}
         # heaviest first; equal weights in the shared vertex order (both sorts are stable)
         by_rank = sorted(elements, key=rank.__getitem__)
-        for vertex in sorted(by_rank, key=weights.__getitem__, reverse=True):
+        for vertex in sorted(by_rank, key=lambda v: len(elements[v]), reverse=True):
             node = loads.index(min(loads))
             placement[vertex] = node
-            loads[node] += weights[vertex]
-        return placement
+            loads[node] += len(elements[vertex])
+            stored[node].update(elements[vertex])
+        return [sorted(positions) for positions in stored], placement
 
     def combine_query(
         self, vertex: PatternTerm, query_graph: QueryGraph

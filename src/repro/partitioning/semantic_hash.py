@@ -8,8 +8,7 @@ patterns all lie within two forward hops of some query vertex is local.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..rdf.encoding import EncodedGraph
 from ..rdf.terms import PatternTerm
@@ -29,17 +28,6 @@ class SemanticHash(HashSubjectObject):
         self.hops = hops
         self.name = f"{hops}f"
 
-    def combine_ids(self, vertex: int, graph: EncodedGraph) -> Set[int]:
-        outgoing = graph.adjacency()[0]
-        element: Set[int] = set()
-        frontier = {vertex}
-        for _ in range(self.hops):
-            # the triples leaving the last hop's objects that are not in yet
-            step = set(chain.from_iterable(map(outgoing.get, frontier, repeat(())))) - element
-            element |= step
-            frontier = set(map(graph.objects.__getitem__, step))
-        return element
-
     def anchor_candidates(self, graph: EncodedGraph) -> Set[int]:
         return set(graph.subjects)  # an element needs a first hop
 
@@ -50,7 +38,7 @@ class SemanticHash(HashSubjectObject):
         forward steps from its subject, so each subject's anchor nodes are
         pushed to its objects that many times."""
         subjects, objects = graph.subjects, graph.objects
-        placement = self.distribute(dict.fromkeys(rank), cluster_size, graph, rank)
+        placement = self.distribute(graph, cluster_size, rank)
         #: by vertex id, the nodes of the anchors within the steps taken so far
         reach = [0] * len(graph.dictionary)
         for vertex, node in placement.items():

@@ -20,7 +20,7 @@ from collections import deque
 from typing import Dict
 
 from ..rdf.encoding import EncodedGraph
-from .base import Elements, Rank
+from .base import Rank
 from .hash_so import HashSubjectObject
 
 
@@ -61,16 +61,14 @@ def greedy_edge_cut_partition(graph: EncodedGraph, cluster_size: int, rank: Rank
 class UndirectedOneHop(HashSubjectObject):
     """Huang et al.'s un-1-hop partitioning with a greedy partitioner.
 
-    Elements (and maximal local queries) are Hash-SO's; only the
+    Its elements (and maximal local queries) are Hash-SO's; only the
     placement differs.
     """
 
     name = "un-1-hop"
 
-    def distribute(
-        self, elements: Elements, cluster_size: int, graph: EncodedGraph, rank: Rank
-    ) -> Dict[int, int]:
-        # every triple is in some element, so the elements' vertex graph
-        # is *graph* itself: run the balanced partitioner on it
+    def distribute(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Dict[int, int]:
+        """The balanced partitioner's part of each ranked vertex, in rank order:
+        the elements cover every triple, so their vertex graph is *graph*."""
         placement = greedy_edge_cut_partition(graph, cluster_size, rank)
-        return {vertex: placement.get(vertex, 0) for vertex in elements}
+        return {vertex: placement[vertex] for vertex in rank}

@@ -40,6 +40,8 @@ from repro.partitioning.adaptive import (
 from repro.rdf import Dataset, triple
 from repro.workloads import generate_lubm, lubm_query
 
+from .test_registry import TripToken
+
 
 @pytest.fixture
 def chain_data():
@@ -403,6 +405,22 @@ class TestAdaptiveCluster:
             set(f.triples()) for f in scratch.fragments
         ]
 
+    @staticmethod
+    def _assert_consistent(cluster, dataset, base_stored, epoch_before, budget):
+        """What the cluster counts is what it stores, within the budget,
+        the epoch moved exactly when fragments did, and the adapted
+        method rebuilds the served layout from scratch."""
+        stored = cluster.partitioning.total_stored_triples()
+        assert stored - base_stored == cluster.replicated_triples
+        assert cluster.replicated_triples <= budget * len(dataset.graph)
+        assert (cluster.epoch != epoch_before) == (stored != base_stored)
+        assert cluster.layout_version == cluster.epoch - epoch_before
+        scratch = cluster.adapted_method().partition(dataset, cluster.size)
+        for worker in range(cluster.size):
+            assert set(cluster.worker_fragment(worker).triples()) == set(
+                scratch.fragments[worker].triples()
+            )
+
     def test_cancellation_interrupts_apply(self, chain_data, chain_query):
         cluster = AdaptiveCluster.build(chain_data, HashSubjectObject(), 4)
         token = CancellationToken()
@@ -413,6 +431,49 @@ class TestAdaptiveCluster:
                 replication_budget=1.0,
                 budget=QueryBudget(cancellation=token),
             )
+        assert cluster.epoch == 0 and cluster.replicated_triples == 0
+        # a cancel at any poll of a two-proposal batch leaves each proposal
+        # wholly applied and counted, or untouched
+        dataset = generate_lubm(scale=0.3, seed=5)
+        predicates = [str(tp.predicate) for tp in lubm_query("L2").patterns]
+        batch = [_replicate(predicate) for predicate in predicates]
+        clean = TripToken(at_poll=0)
+        cluster = AdaptiveCluster.build(dataset, HashSubjectObject(), 4)
+        base_stored = cluster.partitioning.total_stored_triples()
+        report = cluster.apply(
+            batch, replication_budget=1.0, budget=QueryBudget(cancellation=clean)
+        )
+        assert len(report.applied) == 2 and clean.polls > 2
+        self._assert_consistent(cluster, dataset, base_stored, 0, 1.0)
+        applied_at = set()
+        for at_poll in range(1, clean.polls + 1):
+            cluster = AdaptiveCluster.build(dataset, HashSubjectObject(), 4)
+            with pytest.raises(QueryAborted):
+                cluster.apply(
+                    batch,
+                    replication_budget=1.0,
+                    budget=QueryBudget(cancellation=TripToken(at_poll=at_poll)),
+                )
+            self._assert_consistent(cluster, dataset, base_stored, 0, 1.0)
+            applied_at.add(len(cluster.replicated_predicates))
+        assert applied_at == {0, 1}  # a cancel after the first commit keeps it
+
+    def test_hot_query_binding_no_variable_is_rejected(self, chain_data, chain_query):
+        """A ground hot query has no anchor: ``apply`` stops at it, with
+        the proposals before it committed and counted."""
+        ground = parse_query(
+            "SELECT * WHERE { <http://e/a0> <http://e/p> <http://e/b0> . }", name="ground"
+        )
+        cluster = AdaptiveCluster.build(chain_data, HashSubjectObject(), 4)
+        base_stored = cluster.partitioning.total_stored_triples()
+        with pytest.raises(ValueError, match="'ground' binds no variable"):
+            cluster.apply(
+                [_colocate(chain_query, heat=2.0), _colocate(ground, heat=1.0)],
+                replication_budget=1.0,
+            )
+        assert cluster.hot_queries == [chain_query]
+        assert cluster.replicated_triples > 0 and cluster.epoch == 1
+        self._assert_consistent(cluster, chain_data, base_stored, 0, 1.0)
 
     def test_negative_budget_rejected(self, chain_data, chain_query):
         cluster = AdaptiveCluster.build(chain_data, HashSubjectObject(), 4)

@@ -93,6 +93,14 @@ class TestDataSide:
         assert relation.rows == reference.rows
         assert metrics.total_tuples_shipped == 0
 
+    def test_hot_query_binding_no_variable_is_rejected(self, chain_data):
+        ground = parse_query(
+            "SELECT * WHERE { <http://e/a0> <http://e/p> <http://e/b0> . }", name="ground"
+        )
+        method = DynamicPartitioning(HashSubjectObject(), [ground])
+        with pytest.raises(ValueError, match="'ground' binds no variable"):
+            method.partition(chain_data, 4)
+
     def test_name_reflects_configuration(self):
         method = DynamicPartitioning(HashSubjectObject(), [])
         assert method.name == "dynamic(hash-so+0hot)"

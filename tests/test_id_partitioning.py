@@ -29,7 +29,7 @@ from repro.partitioning import (
     hash_term,
 )
 from repro.partitioning.adaptive import COLOCATE, REPLICATE_PREDICATE
-from repro.partitioning.base import PartitioningMethod, hash_terms, text_rank
+from repro.partitioning.base import hash_terms, text_rank
 from repro.rdf import (
     BlankNode,
     Dataset,
@@ -162,27 +162,29 @@ class TestPartitionDifferential:
     )
     def test_bulk_masks_are_the_per_vertex_definition(self, triples, cluster_size, label):
         """The hash-placed family computes one node mask per triple, in
-        bulk; the base class reads the layout off ``elements`` +
-        ``distribute`` — the paper's per-vertex definition, one position
-        set per node, sorted, which is what ``partition`` ran for every
-        method before.  Masks, positions, fragments and the vertex
-        placement (values and key order) are the same."""
+        bulk.  Bit k of a triple's mask is set exactly when node k of the
+        term-level oracle — the paper's per-vertex definition, element by
+        element — holds the triple; ``layout`` reads each node's sorted
+        positions off the masks, and ``partition`` gathers them with the
+        vertex placement (values and key order)."""
         dataset = Dataset.from_triples(triples)
         graph = dataset.encoded_graph()
-        method = METHOD_PAIRS[label][0]()
+        method, oracle_method = (build() for build in METHOD_PAIRS[label])
         rank = text_rank(graph, method.anchor_candidates(graph))
         assert list(rank) == sorted(rank, key=lambda v: str(dataset.dictionary.decode(v)))
         assert list(rank.values()) == list(range(len(rank)))
-        stored, placement = PartitioningMethod.layout(method, graph, cluster_size, rank)
-        derived_masks = [0] * len(graph)
+        masks, placement = method.node_masks(graph, cluster_size, rank)
+        assert len(masks) == len(graph)
+        held = [set(g) for g in oracle_method.partition(dataset, cluster_size).node_graphs]
+        decode = dataset.dictionary.decode
+        for mask, ids in zip(masks, graph.triples()):
+            stored_triple = Triple(*map(decode, ids))
+            assert mask == sum(1 << node for node, g in enumerate(held) if stored_triple in g)
+        stored, layout_placement = method.layout(graph, cluster_size, rank)
+        assert list(layout_placement.items()) == list(placement.items())  # and in the same order
         for node, positions in enumerate(stored):
             assert positions == sorted(set(positions))
-            for position in positions:
-                derived_masks[position] |= 1 << node
-        masks, bulk_placement = method.node_masks(graph, cluster_size, rank)
-        assert masks == derived_masks
-        assert list(bulk_placement.items()) == list(placement.items())  # and in the same order
-        assert method.layout(graph, cluster_size, rank) == (stored, placement)
+            assert positions == [p for p, mask in enumerate(masks) if mask >> node & 1]
         partitioning = method.partition(dataset, cluster_size)
         assert [list(f.triples()) for f in partitioning.fragments] == [
             list(graph.gather(positions).triples()) for positions in stored

@@ -75,33 +75,49 @@ class TestHashSO:
         assert hash_term(IRI("http://e/a"), 7) == hash_term(IRI("http://e/a"), 7)
 
 
+def stored_on(partitioning, node):
+    """The term-level triples *node* stores."""
+    return set(partitioning.node_graphs[node])
+
+
 class TestSemanticHashData:
     def test_element_contains_two_hop_forward(self):
+        """The node anchor a hashes to holds a's 2-hop forward element."""
         ds = small_dataset()
-        method = SemanticHash(2)
-        element = method.combine(IRI("http://e/a"), ds.graph)
-        values = {(t.subject.value, t.object.value) for t in element}
-        # forward 2 hops from a: a->b, a->d, b->c
-        assert ("http://e/a", "http://e/b") in values
-        assert ("http://e/b", "http://e/c") in values
-        assert ("http://e/c", "http://e/d") not in values
+        for cluster_size in (1, 3, 7):
+            partitioning = SemanticHash(2).partition(ds, cluster_size)
+            node = partitioning.vertex_placement[IRI("http://e/a")]
+            assert node == hash_term(IRI("http://e/a"), cluster_size)
+            assert {
+                triple("http://e/a", "http://e/p", "http://e/b"),
+                triple("http://e/a", "http://e/q", "http://e/d"),
+                triple("http://e/b", "http://e/p", "http://e/c"),
+            } <= stored_on(partitioning, node)
 
     def test_one_hop_variant(self):
-        element = SemanticHash(1).combine(IRI("http://e/a"), small_dataset().graph)
-        assert len(element) == 2  # a->b, a->d
+        """A 1-hop forward element is its anchor's out-edges: every triple
+        is stored once, on its subject's node, and node k of 1f is inside
+        node k of 2f."""
+        ds = small_dataset()
+        one, two = SemanticHash(1).partition(ds, 3), SemanticHash(2).partition(ds, 3)
+        assert one.replication_factor(ds.triple_count) == 1.0
+        for t in ds.graph:
+            assert t in stored_on(one, hash_term(t.subject, 3))
+        for node in range(3):
+            assert stored_on(one, node) <= stored_on(two, node)
 
 
 class TestPathBMC:
     def test_anchors_are_start_vertices(self):
-        ds = small_dataset()
-        method, graph = PathBMC(), ds.encoded_graph()
-        anchors = method.elements(graph, text_rank(graph, method.anchor_candidates(graph)))
-        assert ds.dictionary.lookup(IRI("http://e/x")) in anchors  # no incoming edges
+        partitioning = PathBMC().partition(small_dataset(), 2)
+        assert IRI("http://e/x") in partitioning.vertex_placement  # no incoming edges
 
     def test_combine_is_forward_reachability(self):
+        """x reaches every triple, so its node stores all five."""
         ds = small_dataset()
-        element = PathBMC().combine(IRI("http://e/x"), ds.graph)
-        assert len(element) == 5  # x reaches everything
+        partitioning = PathBMC().partition(ds, 2)
+        node = partitioning.vertex_placement[IRI("http://e/x")]
+        assert stored_on(partitioning, node) == set(ds.graph)
 
     def test_cyclic_graph_fully_covered(self):
         cyc = Dataset.from_triples(

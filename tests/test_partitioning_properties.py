@@ -12,7 +12,6 @@ from repro.partitioning import (
     SemanticHash,
     UndirectedOneHop,
 )
-from repro.partitioning.base import text_rank
 from repro.rdf import Dataset, triple
 
 METHOD_BUILDERS = [
@@ -68,29 +67,36 @@ def test_partitioning_is_total_and_well_formed(
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     hops=st.integers(min_value=1, max_value=3),
+    cluster_size=st.integers(min_value=1, max_value=6),
 )
-def test_semantic_hash_elements_nest(seed, hops):
-    """(k+1)-hop elements contain k-hop elements at every anchor."""
+def test_semantic_hash_elements_nest(seed, hops, cluster_size):
+    """(k+1)-hop elements contain k-hop elements at every anchor, and
+    both hash the same anchors: node n of the k-hop partitioning is
+    inside node n of the (k+1)-hop one."""
     dataset = random_dataset(seed, 20, 50)
-    smaller = SemanticHash(hops)
-    larger = SemanticHash(hops + 1)
-    for vertex in dataset.graph.vertices:
-        assert smaller.combine(vertex, dataset.graph) <= larger.combine(
-            vertex, dataset.graph
-        )
+    smaller = SemanticHash(hops).partition(dataset, cluster_size)
+    larger = SemanticHash(hops + 1).partition(dataset, cluster_size)
+    assert smaller.vertex_placement == larger.vertex_placement
+    for node in range(cluster_size):
+        assert set(smaller.node_graphs[node]) <= set(larger.node_graphs[node])
 
 
 @settings(max_examples=15, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_path_bmc_elements_are_forward_closed(seed):
-    """Every element is closed under forward reachability."""
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    cluster_size=st.integers(min_value=1, max_value=6),
+)
+def test_path_bmc_elements_are_forward_closed(seed, cluster_size):
+    """Every triple reachable from an anchor is on that anchor's node."""
     dataset = random_dataset(seed, 15, 40)
-    method = PathBMC()
-    graph = dataset.encoded_graph()
-    anchors = method.elements(graph, text_rank(graph, method.anchor_candidates(graph)))
-    for anchor in dataset.dictionary.decode_all(anchors):
-        element = method.combine(anchor, dataset.graph)
-        subjects_in_element = {t.object for t in element}
-        for vertex in subjects_in_element:
-            for out in dataset.graph.out_edges(vertex):
-                assert out in element
+    partitioning = PathBMC().partition(dataset, cluster_size)
+    assert partitioning.vertex_placement
+    for anchor, node in partitioning.vertex_placement.items():
+        stored = set(partitioning.node_graphs[node])
+        seen, frontier = {anchor}, [anchor]
+        while frontier:
+            for out in dataset.graph.out_edges(frontier.pop()):
+                assert out in stored
+                if out.object not in seen:
+                    seen.add(out.object)
+                    frontier.append(out.object)
