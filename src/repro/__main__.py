@@ -18,7 +18,8 @@ paper's ``td-cmd`` / ``td-cmdp`` / ``hgr-td-cmd`` / ``td-auto`` and the
 baselines ``msc`` / ``dp-bushy`` / ``triad-dp``.
 
 Throughput flags: ``--jobs N`` shards the td-cmd/td-cmdp DP memo
-across N worker processes; ``optimize --plan-cache PATH`` keeps a
+(also under td-auto, when it picks one of them) across N worker
+processes; ``optimize --plan-cache PATH`` keeps a
 persistent cross-query plan cache at PATH, so repeating a query
 short-circuits enumeration entirely.
 
@@ -205,7 +206,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"# workers={result.stats.workers} "
             f"speedup={result.stats.speedup:.2f} "
             f"balance={result.stats.worker_balance:.2f} "
-            f"steals={result.stats.steals} "
             f"per_worker_subqueries={result.stats.per_worker_subqueries}",
             file=sys.stderr,
         )
@@ -572,8 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="optimizer worker processes (td-cmd/td-cmdp shard their "
-        "DP search across them; other algorithms run serially)",
+        help="optimizer worker processes: td-cmd / td-cmdp, and td-auto "
+        "when it picks one of them, shard a DP search above a measured "
+        "size across them; other algorithms and smaller searches run "
+        "serially",
     )
     common.add_argument(
         "--verify",

@@ -23,7 +23,7 @@ The paper's calibrated thresholds are θ_d = 5, θ_n = 30, λ_n = 14.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from ..observability import runtime as obs
 from .cost import PlanBuilder
@@ -79,33 +79,44 @@ class AutonomousOptimizer:
         self.local_index = local_index
         self.budget = budget
         self.thresholds = thresholds
+        #: the variant :meth:`choose` picked ("" before it ran)
+        self.choice = ""
 
-    def optimize(self) -> OptimizationResult:
-        """Pick a variant per Figure 5 and run it."""
+    def choose(self) -> Any:
+        """Pick a variant per Figure 5; return it, built on these inputs."""
         with obs.span("auto.choose") as sp:
-            choice = choose_algorithm(self.join_graph, self.thresholds)
+            self.choice = choose_algorithm(self.join_graph, self.thresholds)
             sp.set(
-                choice=choice,
+                choice=self.choice,
                 vt_vj_ratio=self.join_graph.vt_vj_ratio(),
                 max_degree=self.join_graph.max_degree(),
                 patterns=self.join_graph.size,
             )
-        obs.count(f"optimizer.auto.{choice.lower()}")
+        obs.count(f"optimizer.auto.{self.choice.lower()}")
         from .optimizer import ALGORITHMS  # late: the registry lists this class
 
-        inner = ALGORITHMS[choice.lower()](
+        return ALGORITHMS[self.choice.lower()](
             self.join_graph,
             self.builder,
             local_index=self.local_index,
             budget=self.budget,
         )
-        result = inner.optimize()
-        # keep any [anytime]/[anytime-greedy] suffix the inner variant
-        # attached, so degraded plans stay recognizable through TD-Auto
-        suffix = result.algorithm[len(inner.algorithm_name):]
+
+    def relabel(self, result: OptimizationResult) -> OptimizationResult:
+        """The chosen variant's *result* under TD-Auto's name.
+
+        Keeps any suffix the variant attached (``[parallel x2]``,
+        ``[anytime]``, ...), so degraded and sharded plans stay
+        recognizable through TD-Auto.
+        """
+        suffix = result.algorithm[len(self.choice):]
         return OptimizationResult(
             plan=result.plan,
-            algorithm=f"{self.algorithm_name}[{choice}]{suffix}",
+            algorithm=f"{self.algorithm_name}[{self.choice}]{suffix}",
             stats=result.stats,
             elapsed_seconds=result.elapsed_seconds,
         )
+
+    def optimize(self) -> OptimizationResult:
+        """Pick a variant per Figure 5 and run it."""
+        return self.relabel(self.choose().optimize())

@@ -112,15 +112,15 @@ class EnumerationStats:
     #: Σ worker seconds / parallel search wall seconds, with pool
     #: spin-up excluded from the denominator (parallel search only)
     speedup: float = 0.0
-    #: chunks taken from a sibling's queue (parallel search only)
+    #: always 0 since 2.8: workers take static shares, nothing is
+    #: stolen (kept because existing readers of the stats use it)
     steals: int = 0
-    #: steals performed by each worker (parallel search only)
-    per_worker_steals: List[int] = field(default_factory=list)
     #: min/max per-worker subquery share — 1.0 is perfectly balanced,
     #: 0.0 means at least one worker did nothing (parallel search only)
     worker_balance: float = 0.0
-    #: seconds from pool spawn until the first worker was ready;
-    #: excluded from the :attr:`speedup` denominator
+    #: seconds from pool spawn until the first worker was ready (0.0
+    #: when the search reused the process's pool); excluded from the
+    #: :attr:`speedup` denominator
     pool_startup_seconds: float = 0.0
     #: anytime mode returned a degraded (best-so-far / greedy) plan
     degraded: bool = False

@@ -1,51 +1,52 @@
-"""Memo-sharded parallel plan search: popcount tiers + work stealing.
+"""Memo-sharded parallel plan search: popcount tiers over a process pool.
 
 Trummer & Koch's shared-nothing parallelization allocates *all* DP
 subproblems across workers, so every connected subquery is still solved
 exactly once — the property Algorithm 1's memo gives the serial search.
 This module implements that scheme for TD-CMD / TD-CMDP (the function
-that decides between it and the serial search, on the enumerator the
-session built, is :func:`repro.core.parallel.search`):
+that decides between it and the serial search is
+:func:`repro.core.parallel.search`):
 
 * the connected-subquery space is partitioned into **popcount tiers**
-  (tier k = every connected subquery with k patterns), grown
-  breadth-first from the singletons — every connected subquery of size
-  k extends one of size k-1, so the tiers are exactly the DP levels;
-* a **persistent worker pool** solves one tier at a time.  The driver
-  broadcasts the previous tier's solved ``{bitset: cost}`` entries to
-  every worker first, so each worker's child-cost lookups always hit a
-  complete lower-tier memo — the only state the cost recursion needs,
-  because a subquery's candidate set (and the cardinalities involved)
-  is a pure function of its bitset;
-* within a tier, entries are chunked onto per-worker work queues;
-  a worker that drains its own queue **steals** a chunk from the most
-  loaded sibling (driver-mediated, counted per worker), so skewed
-  division spaces no longer leave workers idle;
+  (tier k = every connected subquery with k patterns, grown
+  breadth-first from the singletons), which are exactly the DP levels;
+* **one pool per process** of *jobs* forked workers, one duplex pipe
+  each, is forked by the first sharded search and lent to one search at
+  a time (a search that finds it lent out runs serially).  A worker
+  exits after ``_IDLE_SECONDS`` without a search; a cancelled, expired
+  or failed search discards the pool and the next one forks a new one;
+* per search the driver sends each worker one payload (query,
+  statistics, enumerator class, partitioning, cost parameters,
+  remaining deadline) to build its own enumerator from; per tier it
+  sends each worker the lower tier's solved ``{bitset: cost}`` entries
+  plus its static share ``entries[w::jobs]`` and reads one reply.  A
+  subquery's candidates are a pure function of its bitset, so the
+  complete lower-tier memo is all the cost recursion needs;
 * workers return *choice descriptors* (winning operator, parts,
-  variable), never plan objects; the driver rebuilds the final plan
-  bottom-up through the same :class:`~repro.core.cost.PlanBuilder`
-  arithmetic, which keeps the cost — and the plan — bit-identical to
-  the serial search (same candidate order, same strict ``<``
-  tie-break, same float operations).
+  variable), and the driver rebuilds the plan bottom-up through its own
+  :class:`~repro.core.cost.PlanBuilder`: same candidate order, strict
+  ``<`` tie-break and float operations, so cost and plan are
+  bit-identical to the serial search.
 
 Governance: the driver polls its :class:`~repro.core.governance.QueryBudget`
-every scheduler tick and ships the *remaining* deadline seconds to the
-workers (re-anchored per process: clocks do not cross process
-boundaries).  On expiry with ``anytime`` set, the driver degrades to a
-complete plan assembled from the finished tiers: a greedy disjoint
-cover of the query by the largest solved entries (singletons guarantee
-the cover exists), merged with binary repartition joins by
+while it waits and ships the *remaining* deadline seconds to the workers
+(clocks do not cross processes).  On expiry with ``anytime`` set it
+degrades to a complete plan: a greedy disjoint cover of the query by
+the largest solved entries, merged by
 :func:`~repro.core.enumeration.greedy_fallback_plan`.
 """
 
 from __future__ import annotations
 
+import contextvars
 import multiprocessing as mp
-import queue as queue_module
+import os
+import threading
 import time
 import traceback
-from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from multiprocessing.connection import wait as wait_connections
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..observability import runtime as obs
 from ..observability.spans import Span, Tracer
@@ -63,16 +64,11 @@ from .optimizer import make_builder
 from .plans import PlanNode
 from . import bitset as bs
 
-#: scheduler poll interval while waiting on worker results
+#: driver poll interval (budget and liveness) while it waits on replies
 _POLL_SECONDS = 0.05
-#: target chunks per worker per tier (keeps stealing worthwhile)
-_CHUNKS_PER_WORKER = 4
-#: hard ceiling on entries per chunk (bounds sync latency on huge tiers)
-_MAX_CHUNK = 64
-#: chunks pushed to a worker before its first completion comes back
-_PREFETCH = 2
-#: below this many non-singleton entries sharding is pure overhead
-_MIN_ENTRIES = 4
+#: a pool worker exits after this long without a message between
+#: searches, so no worker outlives the process's last search by more
+_IDLE_SECONDS = 1.0
 
 
 class _TierExpired(Exception):
@@ -110,45 +106,41 @@ def subquery_tiers(join_graph: Any) -> List[List[int]]:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-#: a worker's report for one solved entry:
-#: (bits, cost, choice, plans, divisions, shorts, reads)
+#: one solved entry: (bits, cost, choice, plans, divisions, shorts, reads)
 _SolvedEntry = Tuple[int, float, Tuple[Any, ...], int, int, int, int]
 
 
 class _WorkerState:
-    """Per-process solve context: builder, enumerator, lower-tier memo."""
+    """One search in one worker: builder, enumerator, lower-tier memo."""
 
-    def __init__(self, payload: Tuple[Any, ...]) -> None:
-        (
-            query,
-            statistics,
-            enumerator_class,
-            partitioning,
-            parameters,
-            deadline_remaining,
-            _trace,
-        ) = payload
+    def __init__(self, payload: Tuple[Any, ...], worker_id: int) -> None:
+        query, statistics, search_class, partitioning, parameters, remaining, trace = (
+            payload
+        )
         self.builder = make_builder(query, statistics, parameters=parameters)
         self.local_index = LocalQueryIndex(self.builder.join_graph, partitioning)
         # deadlines do not cross process boundaries; re-anchor the
         # remaining allowance on this process's monotonic clock (a
         # strict budget: the enumerator's poll raises OptimizationTimeout)
-        budget = (
-            QueryBudget(deadline=Deadline.after(deadline_remaining))
-            if deadline_remaining is not None
-            else None
-        )
-        self.enumerator: TopDownEnumerator = enumerator_class(
-            self.builder.join_graph,
-            self.builder,
-            local_index=self.local_index,
-            budget=budget,
+        budget = None
+        if remaining is not None:
+            budget = QueryBudget(deadline=Deadline.after(remaining))
+        self.enumerator: TopDownEnumerator = search_class(
+            self.builder.join_graph, self.builder, self.local_index, budget
         )
         #: solved costs for every lower-tier entry (synced per tier)
         self.costs: Dict[int, float] = {}
         #: the costing loop's view of them: ``(cardinality, cost)`` plan
         #: stubs, made on a part's first read
         self.memo: Dict[int, PlanNode] = {}
+        #: a traced search records one ``worker`` span, shipped back
+        #: with the last tier's reply
+        self.tracer: Optional[Tracer] = None
+        self.span: Optional[Span] = None
+        if trace:
+            self.tracer = Tracer(track=f"worker-{worker_id}")
+            self.span = self.tracer.span("worker", worker_id=worker_id)
+        self.entries = 0
 
     def _lower_tier_plan(self, bits: int, is_local: bool) -> PlanNode:
         """What the serial search's memo holds for a division part.
@@ -209,65 +201,164 @@ class _WorkerState:
             reads,
         )
 
-
-def _worker_main(
-    worker_id: int, payload: Tuple[Any, ...], task_q: Any, result_q: Any
-) -> None:
-    """One pool process: sync tiers, solve chunks, report results."""
-    tracer: Optional[Tracer] = None
-    span = None
-    try:
-        trace = payload[-1]
-        state = _WorkerState(payload)
-        if trace:
-            tracer = Tracer(track=f"worker-{worker_id}")
-        result_q.put(("ready", worker_id, time.perf_counter()))
-        chunks_done = 0
-        entries_done = 0
-        scope = obs.activate(tracer) if tracer is not None else None
-        if scope is not None:
-            scope.__enter__()
-            span = tracer.span("worker", worker_id=worker_id)
-        while True:
-            message = task_q.get()
-            kind = message[0]
-            if kind == "stop":
-                break
-            if kind == "tier":
-                state.costs.update(message[1])
-                continue
-            _, chunk_id, entry_bits = message
-            started = time.perf_counter()
-            results: List[_SolvedEntry] = []
-            expired = False
+    def solve_tier(
+        self, updates: Sequence[Tuple[int, float]], share: Sequence[int], last: bool
+    ) -> Tuple[str, List[_SolvedEntry], float, Optional[Dict[str, Any]]]:
+        """``(status, results, seconds, trace)`` for one tier's *share*;
+        *trace* is the span payload after a traced search's last tier."""
+        self.costs.update(updates)
+        started = time.perf_counter()
+        results: List[_SolvedEntry] = []
+        status = "done"
+        with obs.activate(self.tracer) if self.tracer is not None else nullcontext():
             try:
-                for bits in entry_bits:
-                    results.append(state.solve(bits))
+                for bits in share:
+                    results.append(self.solve(bits))
             except OptimizationTimeout:
-                expired = True
-            elapsed = time.perf_counter() - started
-            chunks_done += 1
-            entries_done += len(results)
-            status = "expired" if expired else "done"
-            result_q.put((status, worker_id, chunk_id, results, elapsed))
-        if span is not None:
-            span.set(chunks=chunks_done, entries=entries_done)
-            span.__exit__(None, None, None)
-            span = None
-        if scope is not None:
-            scope.__exit__(None, None, None)
-        result_q.put(
-            ("trace", worker_id, tracer.to_payload() if tracer is not None else None)
-        )
+                status = "expired"
+        self.entries += len(results)
+        trace = None
+        if last and self.tracer is not None and self.span is not None:
+            self.span.set(entries=self.entries).__exit__(None, None, None)
+            trace = self.tracer.to_payload()
+        return status, results, time.perf_counter() - started, trace
+
+
+def _worker_main(worker_id: int, conn: Any) -> None:
+    """A pool process, in a fresh context: no tracer of the forking thread."""
+    contextvars.Context().run(_serve, worker_id, conn)
+
+
+def _serve(worker_id: int, conn: Any) -> None:
+    """Serve ``("search", payload)`` / ``("tier", updates, share, last)``
+    messages until idle for ``_IDLE_SECONDS`` between searches; mid-search
+    the worker waits as long as its driver lives."""
+    parent = os.getppid()
+    state: Optional[_WorkerState] = None
+    try:
+        conn.send(("ready", time.perf_counter()))
+        while True:
+            if not conn.poll(_IDLE_SECONDS):
+                if state is None or os.getppid() != parent:
+                    return
+                continue
+            message = conn.recv()
+            if message[0] == "search":
+                state = _WorkerState(message[1], worker_id)
+                continue
+            assert state is not None
+            _, updates, share, last = message
+            conn.send(state.solve_tier(updates, share, last))
+            if last:
+                state = None
     except Exception:  # pragma: no cover - surfaced driver-side
-        result_q.put(("error", worker_id, traceback.format_exc()))
+        conn.send(("error", traceback.format_exc()))
+
+
+# ----------------------------------------------------------------------
+# the process's pools
+# ----------------------------------------------------------------------
+class _Pool:
+    """*jobs* forked workers, one duplex pipe each (a worker forked before
+    a failed fork idles out on its own)."""
+
+    def __init__(self, jobs: int) -> None:
+        context = mp.get_context()
+        self.conns: List[Any] = []
+        self.procs: List[Any] = []
+        for index in range(jobs):
+            conn, child = context.Pipe()
+            process = context.Process(
+                target=_worker_main,
+                args=(index, child),
+                name=f"memo-shard-{index}-of-{jobs}",
+                daemon=True,
+            )
+            process.start()
+            child.close()  # so the worker's exit reads as EOF here
+            self.conns.append(conn)
+            self.procs.append(process)
+        self.last_sent = time.perf_counter()
+
+    def send(self, index: int, message: Tuple[Any, ...]) -> None:
+        try:
+            self.conns[index].send(message)
+        except OSError:
+            raise RuntimeError(f"memo-shard worker {index} is gone") from None
+        self.last_sent = time.perf_counter()
+
+    def reusable(self) -> bool:
+        """Alive and far from its idle exit (a worker's idle clock starts
+        after it read the last message)."""
+        return time.perf_counter() - self.last_sent < _IDLE_SECONDS / 2 and all(
+            process.is_alive() for process in self.procs
+        )
+
+    def stop(self) -> None:
+        for process in self.procs:
+            _end(process)
+        for conn in self.conns:
+            conn.close()
+
+
+def _end(process: Any) -> None:
+    """Terminate one worker and reap it."""
+    process.terminate()
+    process.join(timeout=1.0)
+
+
+class _PoolTable:
+    """This process's pools, one per worker count, each lent to one
+    search at a time."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: Dict[int, _Pool] = {}  #: guarded-by: _lock
+        self._lent: Set[int] = set()  #: guarded-by: _lock
+
+    def borrow(self, jobs: int) -> Optional[_Pool]:
+        """The pool of *jobs* workers, forked unless one is reusable;
+        ``None`` while another search holds it."""
+        with self._lock:
+            if jobs in self._lent:
+                return None
+            self._lent.add(jobs)
+            pool = self._idle.pop(jobs, None)
+        try:
+            if pool is not None and not pool.reusable():
+                pool.stop()
+                pool = None
+            return pool or _Pool(jobs)
+        except BaseException:
+            self.give_back(jobs, None)
+            raise
+
+    def give_back(self, jobs: int, pool: Optional[_Pool], keep: bool = False) -> None:
+        if pool is not None and not keep:
+            pool.stop()
+        with self._lock:
+            self._lent.discard(jobs)
+            if pool is not None and keep:
+                self._idle[jobs] = pool
+
+
+_POOLS = _PoolTable()
+
+
+def _forget_pools() -> None:
+    """In a forked child: the parent's pools are not this process's."""
+    global _POOLS
+    _POOLS = _PoolTable()
+
+
+os.register_at_fork(after_in_child=_forget_pools)
 
 
 # ----------------------------------------------------------------------
 # driver side
 # ----------------------------------------------------------------------
 class _ShardDriver:
-    """Tier-synchronous scheduler over a persistent worker pool.
+    """Tier-synchronous scheduler over the process's worker pool.
 
     Shards the search the *serial* enumerator would run across *jobs*
     workers: query, statistics, partitioning, cost parameters and budget
@@ -294,153 +385,82 @@ class _ShardDriver:
             deadline.remaining() if deadline is not None else None,
             self.tracer is not None,
         )
-        # solved state + accounting: deliberately unlocked.  Every
-        # field below is touched only by the driver thread — workers are
-        # *processes* and all cross-process traffic flows through the
-        # mp queues, so there is no shared-memory access to guard.  If a
-        # future server shares one driver across threads, declare these
-        # `#: guarded-by:` and add the lock (concurrency audit, PR 8).
+        # solved state + accounting: unlocked, touched only by the
+        # thread that runs this search (the pool is lent to one search
+        # at a time; workers are processes and reach it through pipes)
         self.costs: Dict[int, float] = {}
         self.choices: Dict[int, Tuple[Any, ...]] = {}
         self.solved_by_worker = [0] * jobs
         self.busy_seconds = [0.0] * jobs
-        self.per_worker_steals = [0] * jobs
-        self.steals = 0
         self.plans = self.divisions = self.shorts = self.reads = 0
         self.worker_started: List[Optional[float]] = [None] * jobs
         self.traces: Dict[int, Optional[Dict[str, Any]]] = {}
-        # pool
-        self._ctx = mp.get_context()
-        self._result_q = self._ctx.Queue()
-        self._task_qs = [self._ctx.Queue() for _ in range(jobs)]
-        self._procs: List[Any] = []
+        self.spawn_started = time.perf_counter()
+        self.pool: Optional[_Pool] = None
 
     # -- pool lifecycle -------------------------------------------------
-    def start(self) -> None:
+    def start(self) -> bool:
+        """Borrow the process's pool of *jobs* workers (forked on first
+        use); ``False`` while another search holds it."""
         self.spawn_started = time.perf_counter()
-        for index in range(self.jobs):
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(index, self.payload, self._task_qs[index], self._result_q),
-                daemon=True,
-            )
-            process.start()
-            self._procs.append(process)
+        self.pool = _POOLS.borrow(self.jobs)
+        return self.pool is not None
 
     def shutdown(self, graceful: bool) -> None:
-        """Stop the pool; on a graceful stop, collect worker traces."""
-        try:
-            if graceful:
-                for task_q in self._task_qs:
-                    task_q.put(("stop",))
-                want_traces = self.tracer is not None
-                stop_by = time.perf_counter() + 5.0
-                while (
-                    want_traces
-                    and len(self.traces) < self.jobs
-                    and time.perf_counter() < stop_by
-                ):
-                    try:
-                        message = self._result_q.get(timeout=_POLL_SECONDS)
-                    except queue_module.Empty:
-                        continue
-                    if message[0] == "trace":
-                        self.traces[message[1]] = message[2]
-            for process in self._procs:
-                process.join(timeout=0.1 if not graceful else 1.0)
-            for process in self._procs:
-                if process.is_alive():
-                    process.terminate()
-            for process in self._procs:
-                process.join(timeout=1.0)
-        finally:
-            for task_q in self._task_qs:
-                task_q.close()
-                task_q.cancel_join_thread()
-            self._result_q.close()
-            self._result_q.cancel_join_thread()
+        """Return the pool: kept after a complete search, else stopped."""
+        pool, self.pool = self.pool, None
+        if pool is not None:
+            _POOLS.give_back(self.jobs, pool, keep=graceful)
 
     # -- scheduling -----------------------------------------------------
     def run(self) -> None:
         """Solve every tier; fills :attr:`costs` / :attr:`choices`."""
-        join_graph = self.builder.join_graph
-        n = join_graph.size
+        assert self.pool is not None
+        n = self.builder.join_graph.size
+        for worker in range(self.jobs):
+            self.pool.send(worker, ("search", self.payload))
         updates: List[Tuple[int, float]] = []
         for bits in self.tiers[1]:
-            index = bs.lowest_index(bits)
             self.costs[bits] = 0.0
-            self.choices[bits] = ("s", index)
+            self.choices[bits] = ("s", bs.lowest_index(bits))
             updates.append((bits, 0.0))
         for k in range(2, n + 1):
             entries = self.tiers[k]
-            if not entries:
-                continue
-            with obs.span(
-                "parallel.tier", tier=k, entries=len(entries)
-            ) as tier_span:
-                tier_steals = self._run_tier(k, entries, updates)
-                tier_span.set(steals=tier_steals)
-            updates = sorted((bits, self.costs[bits]) for bits in entries)
+            with obs.span("parallel.tier", tier=k, entries=len(entries)):
+                self._run_tier(k, entries, updates)
+            updates = [(bits, self.costs[bits]) for bits in entries]
 
-    def _run_tier(
-        self, k: int, entries: List[int], updates: List[Tuple[int, float]]
-    ) -> int:
-        jobs = self.jobs
-        for task_q in self._task_qs:
-            task_q.put(("tier", updates))
-        chunk_size = min(
-            _MAX_CHUNK, max(1, -(-len(entries) // (jobs * _CHUNKS_PER_WORKER)))
-        )
-        chunks = [
-            entries[i : i + chunk_size] for i in range(0, len(entries), chunk_size)
-        ]
-        queues: List[deque[int]] = [deque() for _ in range(jobs)]
-        for chunk_id in range(len(chunks)):
-            queues[chunk_id % jobs].append(chunk_id)
-        steals_before = self.steals
-        completed = 0
-        for worker in range(jobs):
-            for _ in range(_PREFETCH):
-                self._dispatch(worker, queues, chunks)
-        while completed < len(chunks):
+    def _run_tier(self, k: int, entries: List[int], updates: List[Any]) -> None:
+        """One message to every worker, one reply from every worker."""
+        pool = self.pool
+        assert pool is not None
+        last = k == self.builder.join_graph.size
+        for worker in range(self.jobs):
+            pool.send(worker, ("tier", updates, entries[worker :: self.jobs], last))
+        waiting = {conn: worker for worker, conn in enumerate(pool.conns)}
+        while waiting:
             self._check_budget(k)
-            try:
-                message = self._result_q.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
+            ready: List[Any] = wait_connections(list(waiting), timeout=_POLL_SECONDS)
+            if not ready:
                 self._check_liveness()
-                continue
-            kind = message[0]
-            if kind == "ready":
-                self.worker_started[message[1]] = message[2]
-            elif kind == "error":
-                raise RuntimeError(
-                    f"memo-shard worker {message[1]} failed:\n{message[2]}"
-                )
-            elif kind in ("done", "expired"):
-                _, worker, _chunk_id, results, elapsed = message
+            for conn in ready:
+                worker = waiting[conn]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    raise RuntimeError(f"memo-shard worker {worker} died") from None
+                if message[0] == "ready":  # a freshly forked worker
+                    self.worker_started[worker] = message[1]
+                    continue
+                if message[0] == "error":
+                    raise RuntimeError(f"memo-shard worker {worker}:\n{message[1]}")
+                status, results, elapsed, trace = message
                 self._merge_results(worker, results, elapsed)
-                if kind == "expired":
+                if status == "expired":
                     raise _TierExpired(tiers_done=k - 1)
-                completed += 1
-                self._dispatch(worker, queues, chunks)
-            elif kind == "trace":  # late trace from a prior shutdown race
-                self.traces[message[1]] = message[2]
-        return self.steals - steals_before
-
-    def _dispatch(
-        self, worker: int, queues: List[deque[int]], chunks: List[List[int]]
-    ) -> None:
-        if queues[worker]:
-            chunk_id = queues[worker].popleft()
-        else:
-            victim = max(range(self.jobs), key=lambda v: len(queues[v]))
-            if not queues[victim]:
-                return
-            # steal from the tail of the most loaded sibling's queue
-            chunk_id = queues[victim].pop()
-            self.steals += 1
-            self.per_worker_steals[worker] += 1
-        self._task_qs[worker].put(("chunk", chunk_id, chunks[chunk_id]))
+                if trace is not None:
+                    self.traces[worker] = trace
+                del waiting[conn]
 
     def _merge_results(
         self, worker: int, results: Sequence[_SolvedEntry], elapsed: float
@@ -463,21 +483,15 @@ class _ShardDriver:
                 raise _TierExpired(tiers_done=tier - 1)
 
     def _check_liveness(self) -> None:
-        for index, process in enumerate(self._procs):
+        assert self.pool is not None
+        for index, process in enumerate(self.pool.procs):
             if not process.is_alive():
-                raise RuntimeError(
-                    f"memo-shard worker {index} died unexpectedly "
-                    f"(exit code {process.exitcode})"
-                )
+                raise RuntimeError(f"memo-shard worker {index} died")
 
     # -- results --------------------------------------------------------
     def reconstruct(self, bits: int, cache: Dict[int, PlanNode]) -> PlanNode:
-        """Rebuild the plan for *bits* from the recorded choices.
-
-        Uses the driver's own builder, so the float arithmetic — and
-        therefore the plan cost — is exactly what the serial search
-        would have produced for the same choices.
-        """
+        """Rebuild the plan for *bits* from the recorded choices, with
+        the driver's own builder: the serial search's float arithmetic."""
         plan = cache.get(bits)
         if plan is not None:
             return plan
@@ -497,11 +511,9 @@ class _ShardDriver:
         """A complete plan from the finished tiers (anytime expiry).
 
         Greedily covers the query with the largest solved entries
-        (disjoint, deterministic tie-break by bitset); the singleton
-        tier is always solved, so a cover always exists.  The cover's
-        memoized plans are then merged by the greedy fallback planner
-        (binary repartition joins), so the result is complete,
-        Cartesian-product-free, and verifier-clean.
+        (disjoint, ties by bitset; the singletons guarantee a cover),
+        merged by the greedy fallback planner (binary repartition
+        joins): complete, Cartesian-product-free and verifier-clean.
         """
         full = self.builder.join_graph.full
         remaining = full
@@ -527,28 +539,22 @@ class _ShardDriver:
         return plan, label, reason
 
     def stats(self, wall_seconds: float) -> EnumerationStats:
-        """Merged serial-equivalent counters plus scheduler telemetry.
+        """Merged serial-equivalent counters plus pool telemetry.
 
-        Counter identity with serial holds whenever the serial search
-        expands the full connected-subquery space (every unpartitioned
-        query); with partitioning + Rule 3 the tiers are a superset of
-        the serial traversal (entries below local queries are priced as
-        flat local plans the serial search never requests), so
-        ``subqueries_expanded`` / ``plans_considered`` may exceed the
-        serial counts there.  ``memo_hits`` is reconstructed from child
-        cost reads: the serial traversal performs one ``get_best_plan``
-        per child reference plus one for the root, and misses exactly
-        once per entry.  ``speedup`` divides the summed worker seconds
-        by the wall time *minus pool spin-up*: process forking is a
-        fixed platform cost, and charging it to the search would
-        understate small-query speedups.
+        Counters equal serial whenever the serial search expands the
+        full connected-subquery space (every unpartitioned query); with
+        partitioning + Rule 3 the tiers are a superset of the serial
+        traversal (entries below local queries are priced as flat local
+        plans), so ``subqueries_expanded`` / ``plans_considered`` may
+        exceed serial there.  ``memo_hits`` is rebuilt from child cost
+        reads: one per child reference plus one for the root, minus one
+        miss per entry.  ``speedup`` divides the summed worker seconds
+        by the wall time minus pool spin-up (zero on a reused pool).
         """
         singletons = len(self.tiers[1])
         solved = singletons + sum(self.solved_by_worker)
         started = [s for s in self.worker_started if s is not None]
-        startup = 0.0
-        if started:
-            startup = max(0.0, min(started) - self.spawn_started)
+        startup = max(0.0, min(started) - self.spawn_started) if started else 0.0
         startup = min(startup, wall_seconds)
         search_wall = wall_seconds - startup
         max_share = max(self.solved_by_worker) if self.solved_by_worker else 0
@@ -563,8 +569,6 @@ class _ShardDriver:
             per_worker_subqueries=list(self.solved_by_worker),
             per_worker_seconds=list(self.busy_seconds),
             speedup=(sum(self.busy_seconds) / search_wall) if search_wall > 0 else 0.0,
-            steals=self.steals,
-            per_worker_steals=list(self.per_worker_steals),
             worker_balance=(min_share / max_share) if max_share else 0.0,
             pool_startup_seconds=startup,
         )
@@ -583,9 +587,8 @@ class _ShardDriver:
                     rebase_to=dispatch_at,
                 )
 
-
     def search(self, started: float) -> OptimizationResult:
-        """Run the sharded search: pool up, every tier, merge, pool down.
+        """Run the sharded search on the borrowed pool, then return it.
 
         *started* is the caller's ``perf_counter`` reading from before
         it built the tiers, so ``elapsed_seconds`` covers that too.
@@ -601,39 +604,34 @@ class _ShardDriver:
             entries=sum(len(tier) for tier in self.tiers),
         ) as parallel_span:
             dispatch_at = self.tracer.now() if self.tracer is not None else 0.0
-            self.start()
-            graceful = True
+            complete = False
             try:
-                try:
-                    self.run()
-                    plan = self.reconstruct(join_graph.full, {})
-                except _TierExpired as expiry:
-                    # only a budget with a deadline can expire a tier
-                    budget = self.budget
-                    assert budget is not None and budget.deadline is not None
-                    if not budget.anytime:
-                        raise OptimizationTimeout(
-                            f"{self.algorithm_name} exceeded "
-                            f"{budget.deadline.seconds:g}s"
-                        ) from None
-                    plan, label, degraded_reason = self.degraded_plan(
-                        expiry.tiers_done
-                    )
-                except BaseException:
-                    graceful = False
-                    raise
+                self.run()
+                complete = True
+                plan = self.reconstruct(join_graph.full, {})
+            except _TierExpired as expiry:
+                # only a budget with a deadline can expire a tier
+                budget = self.budget
+                assert budget is not None and budget.deadline is not None
+                if not budget.anytime:
+                    raise OptimizationTimeout(
+                        f"{self.algorithm_name} exceeded "
+                        f"{budget.deadline.seconds:g}s"
+                    ) from None
+                plan, label, degraded_reason = self.degraded_plan(
+                    expiry.tiers_done
+                )
             finally:
-                self.shutdown(graceful)
+                self.shutdown(complete)
             wall = time.perf_counter() - self.spawn_started
             self.adopt_traces(parallel_span, dispatch_at)
-            parallel_span.set(wall_seconds=wall, steals=self.steals)
+            parallel_span.set(wall_seconds=wall)
         stats = self.stats(wall)
         if degraded_reason:
             stats.degraded = True
             stats.degradation_reason = degraded_reason
             obs.event("governance.degraded", algorithm=label, reason=degraded_reason)
             obs.count("governance.anytime_plans")
-        obs.count("parallel.steals", self.steals)
         obs.gauge("parallel.worker_balance", stats.worker_balance)
         stats.flush_to_metrics()
         return OptimizationResult(

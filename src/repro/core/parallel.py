@@ -7,9 +7,9 @@ Koch's observation that workers can run the unmodified serial
 optimizer, neither half builds anything of its own:
 
 * **Intra-query** — :func:`search` takes the TD-CMD / TD-CMDP
-  enumerator the session built and either shards its DP memo across a
-  persistent worker pool (popcount tiers, per-tier work queues, work
-  stealing — see :mod:`.memo_shard`) or runs it as it is.  Every DP
+  enumerator the session built and either shards its DP memo across
+  the process's worker pool (popcount tiers, one static share per
+  worker per tier — see :mod:`.memo_shard`) or runs it as it is.  Every DP
   subproblem is solved exactly once and every candidate is costed by
   the same arithmetic in every worker, so the merged plan cost is
   bit-identical to the serial search.
@@ -19,12 +19,6 @@ optimizer, neither half builds anything of its own:
   through a pool of serial sessions (the server scenario: independent
   queries, one ordinary serial optimization each), so per-query results
   are bit-identical to serial execution by construction.
-
-The merged :class:`~repro.core.enumeration.EnumerationStats` of a
-sharded search carry the serial counters (see
-:meth:`.memo_shard._ShardDriver.stats` for the one documented superset
-case), the worker count, per-worker subquery counts/wall times, steals
-and the achieved speedup.
 """
 
 from __future__ import annotations
@@ -37,11 +31,15 @@ from typing import List, Optional, Sequence, Tuple
 from ..sparql.ast import BGPQuery
 from .enumeration import OptimizationResult, TopDownEnumerator
 from .governance import AbortCause, CancellationToken, QueryAborted
-from .memo_shard import _MIN_ENTRIES, _ShardDriver, subquery_tiers
+from .memo_shard import _ShardDriver, subquery_tiers
 from .session import OptimizeOptions, Optimizer
 
 #: how often the driver polls the cancellation token while a pool runs
 _CANCEL_POLL_SECONDS = 0.05
+#: the measured break-even, in non-singleton connected subqueries:
+#: below it a ``jobs=2`` search is slower than the serial one
+#: (docs/PERFORMANCE.md, "When it pays off")
+_BREAK_EVEN = 300
 
 
 # ----------------------------------------------------------------------
@@ -52,8 +50,9 @@ def search(enumerator: TopDownEnumerator, jobs: int) -> OptimizationResult:
 
     This is the one place that decides *shard or serial*: a query with
     no Cartesian-product-free plan, a Rule-3 local short-circuit at the
-    root, or a connected-subquery space too small to shard profitably
-    runs ``enumerator.optimize()``; otherwise the memo is sharded (see
+    root, fewer than ``_BREAK_EVEN`` non-singleton connected subqueries,
+    or a pool already lent to another thread's search runs
+    ``enumerator.optimize()``; otherwise the memo is sharded (see
     :mod:`.memo_shard`) and the plan cost is identical to that call's.
 
     The enumerator's budget governs either way: the remaining deadline
@@ -71,10 +70,11 @@ def search(enumerator: TopDownEnumerator, jobs: int) -> OptimizationResult:
         enumerator.local_short_circuit and enumerator.local_index.is_local(full)
     ):
         tiers = subquery_tiers(join_graph)
-        if sum(len(tier) for tier in tiers[2:]) >= _MIN_ENTRIES:
+        if sum(len(tier) for tier in tiers[2:]) >= _BREAK_EVEN:
             workers = min(jobs, max(len(tier) for tier in tiers[2:]))
-            if workers > 1:
-                return _ShardDriver(enumerator, workers, tiers).search(started)
+            driver = _ShardDriver(enumerator, workers, tiers)
+            if workers > 1 and driver.start():
+                return driver.search(started)
     return enumerator.optimize()
 
 

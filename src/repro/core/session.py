@@ -111,7 +111,8 @@ class OptimizeOptions:
     #: processes this session may use: across the queries of an
     #: :meth:`Optimizer.optimize_many` batch, and inside the search for
     #: one query (the memo-sharded TD-CMD / TD-CMDP search of
-    #: :mod:`.memo_shard`; every other algorithm searches serially)
+    #: :mod:`.memo_shard`, also when TD-Auto chose one of them; every
+    #: other algorithm searches serially)
     jobs: int = 1
     #: run the plan-invariant verifier on every returned plan
     verify: bool = False
@@ -565,11 +566,21 @@ class Optimizer:
                 local_index=local_index,
                 budget=budget,
             )
-        if options.jobs > 1 and key in PARALLELIZABLE_ALGORITHMS:
-            from .parallel import search
+        search = enumerator
+        if options.jobs > 1 and key == "td-auto":
+            # TD-Auto hands jobs to the variant it chose
+            search = enumerator.choose()
+        if (
+            options.jobs > 1
+            and search.algorithm_name.lower() in PARALLELIZABLE_ALGORITHMS
+        ):
+            from .parallel import search as sharded
 
-            return search(enumerator, options.jobs)
-        result: OptimizationResult = enumerator.optimize()
+            result: OptimizationResult = sharded(search, options.jobs)
+        else:
+            result = search.optimize()
+        if search is not enumerator:
+            result = enumerator.relabel(result)
         return result
 
     def _finish(

@@ -72,6 +72,16 @@ def toy_query():
     )
 
 
+@pytest.fixture
+def shard_small(monkeypatch):
+    """Pin ``parallel._BREAK_EVEN`` low (4 subqueries, the rule before the
+    break-even was measured) so small, fast queries exercise the
+    memo-shard pool."""
+    from repro.core import parallel
+
+    monkeypatch.setattr(parallel, "_BREAK_EVEN", 4)
+
+
 def make_query(text: str, name: str = ""):
     return parse_query(text, name=name)
 

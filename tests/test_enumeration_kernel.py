@@ -150,6 +150,7 @@ class TestGoldenFile:
             key = f"{item.query.name}/{algorithm}/{layout}"
             assert observe(run_case(item, algorithm, layout)) == golden[key], key
 
+    @pytest.mark.usefixtures("shard_small")
     def test_memo_shard_agrees_on_the_large_queries(self, golden, items):
         """jobs=2 runs the same loop in the workers: same cost and plan,
         and — where the tiers are exactly the serial traversal, i.e.

@@ -10,20 +10,28 @@ Three contracts:
   (hypothesis property test);
 * **governance** — an expiring anytime deadline yields a *complete*,
   labelled, verifier-clean degraded plan assembled from finished tiers;
-  without ``anytime`` it raises :class:`OptimizationTimeout`.
+  without ``anytime`` it raises :class:`OptimizationTimeout`;
+* **the pool** — searches below the break-even never touch it, later
+  searches reuse it, it exits when idle, one search holds it at a time,
+  and a cancelled, expired or failed search discards it.
 """
 
+import multiprocessing
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import PlanVerifier, VerificationContext, verify_result
-from repro.core import OptimizeOptions, Optimizer, optimize
+from repro.core import OptimizeOptions, Optimizer, QueryAborted, optimize, parallel
 from repro.core.enumeration import OptimizationTimeout
-from repro.core.governance import Deadline, QueryBudget
+from repro.core.governance import CancellationToken, Deadline, QueryBudget
 from repro.core.join_graph import JoinGraph
-from repro.core.memo_shard import subquery_tiers
+from repro.core.memo_shard import _IDLE_SECONDS, _ShardDriver, subquery_tiers
 from repro.core import bitset as bs
 from repro.partitioning import (
     DynamicPartitioning,
@@ -86,6 +94,29 @@ class TestSubqueryTiers:
         assert [len(tier) for tier in tiers[1:]] == [6, 5, 4, 3, 2, 1]
 
 
+def entries(query):
+    """Non-singleton connected subqueries: what the break-even counts."""
+    return sum(len(tier) for tier in subquery_tiers(JoinGraph(query))[2:])
+
+
+def pool_pids(jobs=2):
+    """Live workers of this process's pool of *jobs* (``None``: all pools)."""
+    suffix = "" if jobs is None else f"-of-{jobs}"
+    return sorted(
+        process.pid
+        for process in multiprocessing.active_children()
+        if process.name.startswith("memo-shard-") and process.name.endswith(suffix)
+    )
+
+
+def wait_for_no_pool(limit=_IDLE_SECONDS + 3.0):
+    stop_by = time.monotonic() + limit
+    while pool_pids(None) and time.monotonic() < stop_by:
+        time.sleep(0.05)
+    return pool_pids(None)
+
+
+@pytest.mark.usefixtures("shard_small")
 class TestMemoShardEquivalence:
     """Serial ≡ memo-sharded: cost, plan shape, and verifier verdict."""
 
@@ -141,6 +172,7 @@ class TestMemoShardEquivalence:
         assert result.cost == optimize(query, algorithm="td-cmd").cost
 
 
+@pytest.mark.usefixtures("shard_small")
 class TestMemoShardGovernance:
     def test_anytime_deadline_yields_complete_labelled_plan(self):
         """An expired deadline mid-search degrades to a complete plan
@@ -174,3 +206,126 @@ class TestMemoShardGovernance:
         result = sharded(query, "td-cmdp", 2, budget)
         assert not result.stats.degraded
         assert result.cost == optimize(query, algorithm="td-cmdp").cost
+
+
+class TestBreakEven:
+    """``parallel.search`` shards only from ``_BREAK_EVEN`` non-singleton
+    connected subqueries on (measured: docs/PERFORMANCE.md)."""
+
+    def test_serial_below_the_break_even_without_the_pool(self, monkeypatch):
+        query = cycle_query(18)
+        assert entries(query) < parallel._BREAK_EVEN
+
+        def no_pool(driver):
+            raise AssertionError("a search below the break-even borrowed the pool")
+
+        monkeypatch.setattr(_ShardDriver, "start", no_pool)
+        result = sharded(query, "td-cmdp", 2)
+        serial = optimize(query, algorithm="td-cmdp")
+        assert result.stats.workers == 1
+        assert result.algorithm == "TD-CMDP"
+        assert result.cost == serial.cost
+        assert result.stats.plans_considered == serial.stats.plans_considered
+
+    def test_sharded_at_the_break_even(self):
+        query = cycle_query(19)
+        assert entries(query) >= parallel._BREAK_EVEN
+        result = sharded(query, "td-cmdp", 2)
+        serial = optimize(query, algorithm="td-cmdp")
+        assert result.stats.workers == 2
+        assert result.algorithm == "TD-CMDP[parallel x2]"
+        assert result.cost == serial.cost
+        assert result.plan.describe() == serial.plan.describe()
+
+
+@pytest.mark.usefixtures("shard_small")
+class TestPoolLifecycle:
+    """One pool per process: reused, idle-exited, discarded on abort."""
+
+    SMALL = dense_query(8, random.Random(4))
+    #: sharded, a few hundred ms: long enough to abort mid-search
+    LARGE = dense_query(14, random.Random(1))
+
+    def test_consecutive_searches_share_the_workers(self):
+        assert wait_for_no_pool() == []
+        first = sharded(self.SMALL, "td-cmdp", 2)
+        workers = pool_pids()
+        second = sharded(self.SMALL, "td-cmdp", 2)
+        assert len(workers) == 2
+        assert pool_pids() == workers
+        assert first.stats.pool_startup_seconds > 0.0
+        assert second.stats.pool_startup_seconds == 0.0
+        assert second.cost == first.cost == optimize(self.SMALL, algorithm="td-cmdp").cost
+
+    def test_idle_workers_exit(self):
+        sharded(self.SMALL, "td-cmdp", 2)
+        assert len(pool_pids()) == 2
+        time.sleep(_IDLE_SECONDS)
+        assert wait_for_no_pool(limit=2.0) == []
+        # the next search forks a new pool
+        result = sharded(self.SMALL, "td-cmdp", 2)
+        assert result.stats.workers == 2
+        assert result.stats.pool_startup_seconds > 0.0
+
+    def _abort_discards_the_pool(self, abort, expected, budget=None):
+        """Run LARGE with *abort* fired mid-search on a warm pool: the
+        search raises *expected*, its workers are gone, and the next
+        search forks new ones and returns the serial cost."""
+        sharded(self.SMALL, "td-cmdp", 2)
+        workers = pool_pids()
+        assert len(workers) == 2
+        timer = threading.Timer(0.1, abort, args=(workers,))
+        timer.start()
+        try:
+            with pytest.raises(expected):
+                sharded(self.LARGE, "td-cmdp", 2, budget)
+        finally:
+            timer.cancel()
+        assert not set(pool_pids()) & set(workers)
+        result = sharded(self.SMALL, "td-cmdp", 2)
+        assert result.stats.workers == 2
+        assert not set(pool_pids()) & set(workers)
+        assert result.cost == optimize(self.SMALL, algorithm="td-cmdp").cost
+
+    def test_cancel_discards_the_pool(self):
+        token = CancellationToken()
+        self._abort_discards_the_pool(
+            lambda workers: token.cancel("test"),
+            QueryAborted,
+            QueryBudget(cancellation=token),
+        )
+
+    def test_deadline_without_anytime_discards_the_pool(self):
+        self._abort_discards_the_pool(
+            lambda workers: None,
+            OptimizationTimeout,
+            QueryBudget(deadline=Deadline.after(0.1)),
+        )
+
+    def test_killed_worker_discards_the_pool(self):
+        self._abort_discards_the_pool(
+            lambda workers: os.kill(workers[1], signal.SIGKILL), RuntimeError
+        )
+
+    def test_one_search_at_a_time(self):
+        """Two threads, one pool: whichever finds it lent out searches
+        serially, and both results are the serial result."""
+        query = dense_query(10, random.Random(2))
+        serial = optimize(query, algorithm="td-cmdp")
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def search(slot):
+            start.wait()
+            results[slot] = sharded(query, "td-cmdp", 2)
+
+        threads = [threading.Thread(target=search, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for result in results:
+            assert result.cost == serial.cost
+            assert result.plan.describe() == serial.plan.describe()
+            for name in ("plans_considered", "divisions_enumerated", "subqueries_expanded"):
+                assert getattr(result.stats, name) == getattr(serial.stats, name)

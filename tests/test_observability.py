@@ -279,6 +279,7 @@ class TestExporters:
 # ----------------------------------------------------------------------
 # parallel worker-trace merge
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("shard_small")
 class TestParallelMerge:
     @pytest.fixture
     def parallel_session(self, fig1_query):
@@ -362,6 +363,7 @@ class TestSerialFallbackSpans:
             ("optimize", "statistics.resolve"),
         ]
 
+    @pytest.mark.usefixtures("shard_small")
     def test_a_sharded_run_builds_once(self, fig1_query):
         session = traced_session(algorithm="td-cmdp", jobs=2)
         assert session.optimize(fig1_query).stats.workers == 2

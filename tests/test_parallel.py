@@ -186,6 +186,7 @@ class TestOptimizeMany:
         assert time.perf_counter() - started < 1.5
 
 
+@pytest.mark.usefixtures("shard_small")
 class TestIntraQueryParallel:
     @pytest.mark.parametrize("algorithm", PARALLELIZABLE_ALGORITHMS)
     @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -314,6 +315,7 @@ class TestMergeWorkerStats:
 
 
 class TestOptimizeEntryPoint:
+    @pytest.mark.usefixtures("shard_small")
     def test_jobs_routes_parallelizable_algorithms(self):
         query = cycle_query(6)
         serial = optimize(query, algorithm="td-cmd")
@@ -323,8 +325,29 @@ class TestOptimizeEntryPoint:
         assert "[parallel x2]" in parallel.algorithm
         assert parallel.cost == serial.cost
 
+    def test_td_auto_hands_jobs_to_the_variant_it_chose(self):
+        """TD-Auto picks TD-CMD on a dense query under 14 patterns and
+        that search is sharded: the result equals ``jobs=1`` to the bit."""
+        query = dense_query(12, random.Random(5))
+        serial = session("td-auto").optimize(query)
+        parallel = session("td-auto", jobs=2).optimize(query)
+        assert serial.algorithm == "TD-Auto[TD-CMD]"
+        assert parallel.algorithm == "TD-Auto[TD-CMD][parallel x2]"
+        assert parallel.stats.workers == 2
+        assert parallel.cost == serial.cost
+        assert parallel.plan.describe() == serial.plan.describe()
+        for name in (
+            "plans_considered",
+            "divisions_enumerated",
+            "subqueries_expanded",
+            "memo_hits",
+            "local_short_circuits",
+        ):
+            assert getattr(parallel.stats, name) == getattr(serial.stats, name), name
+
     def test_jobs_ignored_for_serial_only_algorithms(self):
-        """HGR, TD-Auto and the baselines search serially whatever ``jobs``."""
+        """HGR and the baselines search serially whatever ``jobs``; so
+        does TD-Auto when its choice is under the break-even."""
         query = cycle_query(6)
         for algorithm in sorted(set(ALGORITHMS) - set(PARALLELIZABLE_ALGORITHMS)):
             result = session(algorithm, jobs=4).optimize(query)

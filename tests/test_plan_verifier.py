@@ -305,6 +305,7 @@ class TestOptimizerOutputIsClean:
         report = verify_result(result, context)
         assert report.ok, report.render()
 
+    @pytest.mark.usefixtures("shard_small")
     def test_parallel_search_results_verify(self):
         query = cycle_query(6)
         statistics = StatisticsCatalog.from_random(query, random.Random(1))

@@ -165,6 +165,7 @@ class TestSessionState:
         assert "spans=" in text
 
 
+@pytest.mark.usefixtures("shard_small")
 class TestParallelSession:
     def test_parallel_session_matches_serial(self, fig1_query):
         serial = Optimizer(
