@@ -29,8 +29,8 @@ import json
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, ne, or_
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -172,11 +172,26 @@ class TermDictionary:
         return f"TermDictionary({len(self)} terms)"
 
 
-def _sorted_columns(firsts: Iterable[int], seconds: Iterable[int]) -> Tuple[array, array]:
+def _sorted_columns(firsts: Sequence[int], seconds: Sequence[int]) -> Tuple[array, array]:
     """The distinct (first, second) pairs of two aligned, non-empty
-    columns, as two arrays sorted by (first, second)."""
-    first_column, second_column = zip(*sorted(set(zip(firsts, seconds))))
-    return array("q", first_column), array("q", second_column)
+    columns, as two arrays sorted by (first, second).
+
+    Positions are ordered by two stable sorts on int keys (second, then
+    first), both columns gathered once in that order, and a pair equal
+    to the one before it dropped.  The columns are read as lists: a
+    list hands out the ints it holds, an array boxes one per read.
+    """
+    first, second = list(firsts), list(seconds)
+    order = sorted(range(len(first)), key=second.__getitem__)
+    order.sort(key=first.__getitem__)
+    if len(order) > 1:
+        first, second = itemgetter(*order)(first), itemgetter(*order)(second)
+    # fresh[i]: pair i + 1 differs from pair i
+    fresh = list(map(or_, map(ne, first[1:], first), map(ne, second[1:], second)))
+    if not all(fresh):
+        kept = [True, *fresh]
+        first, second = compress(first, kept), compress(second, kept)
+    return array("q", first), array("q", second)
 
 
 class PredicateIndex:

@@ -34,12 +34,31 @@ class NTriplesError(ValueError):
 #: splits the line into term tokens; each group ends exactly where
 #: :func:`_parse_term` would stop (an IRI at its first ``>``, a blank
 #: node label at whitespace), so a token means the same alone as in its
-#: line.  Anything else goes through the strict parser below.
+#: line, and :func:`_canonical_term` reads it without a walk.  Anything
+#: else goes through the strict parser below.
 _NODE = r"<[^>]*>|_:[^ \t]*(?=[ \t])"
 _CANONICAL_LINE = re.compile(
     rf"({_NODE})[ \t]*(<[^>]*>)[ \t]*"
     rf'({_NODE}|"[^"\\]*"(?:@[A-Za-z0-9-]+|\^\^<[^>]*>)?)[ \t]*\.'
 )
+
+
+def _canonical_term(token: str) -> Term:
+    """The term of a token :data:`_CANONICAL_LINE` split off — what
+    ``_parse_term(token, 0, 0)[0]`` returns, cut at known places: the
+    regex lets no ``\\`` or ``"`` into a lexical form, so a literal ends
+    at its second ``"`` and has nothing to unescape."""
+    if token[0] == "<":
+        return IRI(token[1:-1])
+    if token[0] == "_":
+        return BlankNode(token[2:])
+    end = token.index('"', 1)
+    suffix = token[end + 1 :]
+    if suffix[:1] == "@":
+        return Literal(token[1:end], language=suffix[1:])
+    if suffix:
+        return Literal(token[1:end], datatype=suffix[3:-1])
+    return Literal(token[1:end])
 
 
 #: lines recognised at a time: what bounds the transient token lists
@@ -60,8 +79,11 @@ def _recognise(
     and then served from a memo; any other line goes through the strict
     parser where it stands, so values are asked for in s, p, o order of
     the lines.  A malformed line raises after the triples before it
-    have been yielded.
+    have been yielded.  One byte-order mark opening the stream is
+    skipped; a U+FEFF anywhere else is malformed.
     """
+    lines = iter(stream)
+    stream = chain([next(lines, "").removeprefix("\ufeff")], lines)
     memo: Dict[str, _Value] = {}
     memoised = memo.__getitem__
 
@@ -72,7 +94,7 @@ def _recognise(
         except KeyError:  # first appearances
             for token in dict.fromkeys(tokens):
                 if token not in memo:
-                    memo[token] = value_of(_parse_term(token, 0, 0)[0])
+                    memo[token] = value_of(_canonical_term(token))
             return list(map(memoised, tokens))
 
     lines_before = 0

@@ -10,40 +10,42 @@ dictionary keys, set members, and sort keys throughout the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Any, Callable, Union
+from dataclasses import dataclass, fields
+from typing import Any, List, Union
 
 
 class _HashSlot:
-    """Base of the term and triple classes: one slot that caches the hash.
+    """Base of the term and triple classes: one slot that holds the hash.
 
     Every dict/set touch hashes its key, and a graph touches each term
-    thousands of times.  The slot is not a dataclass field: ``==``,
-    ordering, ``repr``, ``dataclasses.fields`` and the pickled state never
-    see it, so an unpickled object (string hashes are per-process) starts
-    with the slot empty and fills it on first use.
+    thousands of times.  Each class fills the slot when an object is
+    made — ``__post_init__`` for construction and ``replace``, its own
+    ``__setstate__`` (see :func:`_restored`) for pickle and ``copy`` —
+    so ``__hash__`` is a plain slot read.  The slot is not a dataclass
+    field: ``==``, ordering, ``repr``, ``dataclasses.fields`` and the
+    pickled state never see it, so an unpickled object (string hashes
+    are per-process) hashes its fields afresh.
     """
 
     __slots__ = ("_hash",)
 
 
-def _hash_once(key: Callable[[Any], tuple]) -> Callable[[Any], int]:
-    """A ``__hash__`` computing ``hash(key(self))`` once per object.
+def _slot_hash(self: Any) -> int:
+    """The ``__hash__`` of a hash-slot class (bound in each class body:
+    a frozen dataclass generates one unless its own body has one)."""
+    return self._hash  # type: ignore[no-any-return]
 
-    *key* returns the tuple of fields the generated dataclass hash would
-    use, so values (and every set/dict iteration order) are unchanged.
+
+def _restored(self: Any, state: List[Any]) -> None:
+    """The ``__setstate__`` of a hash-slot class: the dataclass's own
+    (*state* is the field values in order), then ``__post_init__``.
+
+    A frozen slotted dataclass installs its own ``__setstate__`` unless
+    one is in its class body, so each class binds this one there.
     """
-
-    def __hash__(self: Any) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(key(self))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    return __hash__
+    for field, value in zip(fields(self), state):
+        object.__setattr__(self, field.name, value)
+    self.__post_init__()
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -52,7 +54,11 @@ class IRI(_HashSlot):
 
     value: str
 
-    __hash__ = _hash_once(lambda self: (self.value,))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    __hash__ = _slot_hash
+    __setstate__ = _restored
 
     def __str__(self) -> str:
         return f"<{self.value}>"
@@ -78,8 +84,10 @@ class Literal(_HashSlot):
     def __post_init__(self) -> None:
         if self.datatype and self.language:
             raise ValueError("a literal cannot have both datatype and language")
+        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
 
-    __hash__ = _hash_once(attrgetter("lexical", "datatype", "language"))
+    __hash__ = _slot_hash
+    __setstate__ = _restored
 
     def __str__(self) -> str:
         escaped = (
@@ -106,7 +114,11 @@ class BlankNode(_HashSlot):
 
     label: str
 
-    __hash__ = _hash_once(lambda self: (self.label,))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.label,)))
+
+    __hash__ = _slot_hash
+    __setstate__ = _restored
 
     def __str__(self) -> str:
         return f"_:{self.label}"
@@ -123,7 +135,11 @@ class Variable(_HashSlot):
 
     name: str
 
-    __hash__ = _hash_once(lambda self: (self.name,))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    __hash__ = _slot_hash
+    __setstate__ = _restored
 
     def __str__(self) -> str:
         return f"?{self.name}"

@@ -26,7 +26,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .terms import IRI, BlankNode, Literal, Term, Variable, _hash_once, _HashSlot
+from .terms import IRI, BlankNode, Literal, Term, Variable, _HashSlot, _restored, _slot_hash
 
 if TYPE_CHECKING:  # encoding imports this module
     from .encoding import EncodedGraph
@@ -55,7 +55,11 @@ class Triple(_HashSlot):
     predicate: Term
     object: Term
 
-    __hash__ = _hash_once(_TERMS_OF)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    __hash__ = _slot_hash
+    __setstate__ = _restored
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."

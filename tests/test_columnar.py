@@ -5,6 +5,7 @@ fault-injection seeds — counters pinned to what the deleted
 
 import json
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,7 @@ from repro.rdf import (
     TermDictionary,
     triple,
 )
+from repro.rdf.encoding import PredicateIndex, _sorted_columns
 from repro.rdf.terms import Variable
 from repro.rdf.triples import Triple
 from repro.sparql.ast import BGPQuery, TriplePattern
@@ -307,6 +309,56 @@ class TestEncodedScan:
         encoded.add_ids(s, pid, o)
         assert len(encoded.index_for(pid)) == before + 1
         assert encoded.index_for(pid).contains(s, o)
+
+
+def old_sorted_columns(firsts, seconds):
+    """``_sorted_columns`` as it was first written: a sorted set of pairs."""
+    return tuple(map(list, zip(*sorted(set(zip(firsts, seconds))))))
+
+
+def _random_columns(seed, rows, ids):
+    rng = random.Random(seed)
+    return [rng.randrange(ids) for _ in range(rows)], [rng.randrange(ids) for _ in range(rows)]
+
+
+SORTED_COLUMN_INPUTS = {
+    **{f"random-{seed}": _random_columns(seed, rows=40 * seed, ids=3 + seed)
+       for seed in range(1, 6)},  # few ids: many repeated pairs
+    "few-repeats": _random_columns(7, rows=200, ids=1000),
+    "single-row": ([4], [9]),
+    "all-equal": ([3] * 17, [8] * 17),
+    "already-sorted": ([1, 1, 2, 2, 2, 5], [0, 4, 1, 1, 3, 0]),
+    "reversed": ([5, 2, 2, 2, 1, 1], [0, 3, 1, 1, 4, 0]),
+}
+
+
+class TestSortedColumns:
+    """Two stable int-key sorts and an adjacent-repeat drop equal a
+    sorted set of pairs, in both orders of a :class:`PredicateIndex`."""
+
+    @pytest.mark.parametrize("name", sorted(SORTED_COLUMN_INPUTS))
+    def test_equals_the_sorted_set_of_pairs(self, name):
+        subjects, objects = SORTED_COLUMN_INPUTS[name]
+        for firsts, seconds in ((subjects, objects), (objects, subjects)):
+            for columns in ((firsts, seconds), (array("q", firsts), array("q", seconds))):
+                got = _sorted_columns(*columns)
+                assert all(isinstance(column, array) for column in got)
+                assert tuple(map(list, got)) == old_sorted_columns(firsts, seconds)
+
+    @pytest.mark.parametrize("name", sorted(SORTED_COLUMN_INPUTS))
+    def test_both_orders_of_an_index_and_distinct(self, name):
+        subjects, objects = SORTED_COLUMN_INPUTS[name]
+        spo = old_sorted_columns(subjects, objects)
+        ops = old_sorted_columns(objects, subjects)
+        for first in ("spo", "ops"):  # the second order is sorted from the first
+            index = PredicateIndex(array("q", subjects), array("q", objects))
+            if first == "ops":
+                index.ops_objects
+            assert (list(index.spo_subjects), list(index.spo_objects)) == spo
+            assert (list(index.ops_objects), list(index.ops_subjects)) == ops
+            assert len(index) == len(set(zip(subjects, objects)))
+            assert index.distinct(index.spo_subjects) == len(set(subjects))
+            assert index.distinct(index.ops_objects) == len(set(objects))
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.rdf import TermDictionary
+from repro.rdf import Dataset, TermDictionary, load_ntriples, save_ntriples
 from repro.rdf.terms import BlankNode, IRI, Literal, Variable
 from repro.rdf.triples import Triple
+from repro.workloads.lubm import generate_lubm
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -109,6 +110,38 @@ class TestCacheIsInvisible:
         restored = TermDictionary.from_payload(payload)
         assert restored == dictionary
         assert [restored.lookup(t) for t in samples()[:4]] == [0, 1, 2, 3]
+
+
+def field_hash(thing):
+    """The hash the generated dataclass ``__hash__`` would give."""
+    return hash(tuple(getattr(thing, field.name) for field in dataclasses.fields(thing)))
+
+
+class TestSlotFilledWhenMade:
+    """``__hash__`` only reads the slot, so every path that makes a term
+    or triple must leave it filled: reading ``_hash`` raises
+    ``AttributeError`` on an empty slot."""
+
+    @pytest.mark.parametrize("index", range(len(samples())))
+    def test_construction(self, index):
+        sample = samples()[index]
+        assert sample._hash == field_hash(sample)
+
+    @pytest.mark.parametrize("index", range(len(samples())))
+    def test_pickle_copy_deepcopy_and_replace_twins(self, index):
+        sample = samples()[index]
+        for twin in (pickle.loads(pickle.dumps(sample)), copy.copy(sample),
+                     copy.deepcopy(sample), dataclasses.replace(sample)):
+            assert twin is not sample
+            assert twin._hash == sample._hash
+
+    def test_every_term_of_a_loaded_dictionary(self, tmp_path):
+        path = tmp_path / "lubm.nt"
+        save_ntriples(generate_lubm(scale=0.3).graph, path)
+        terms = list(Dataset(load_ntriples(path)).dictionary.terms())
+        assert {IRI, Literal} <= {type(term) for term in terms}
+        for term in terms:
+            assert term._hash == field_hash(term)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rdf import (
     BlankNode,
+    Dataset,
     IRI,
     Literal,
     NTriplesError,
@@ -122,6 +123,54 @@ class TestRoundTrip:
         assert first.object is second.subject
         assert third == Triple(IRI("http://e/a"), IRI("http://e/p"),
                                Literal("x", language="en"))
+
+
+BOM = "\ufeff"
+_BOM_DOCUMENT = ("<http://e/b> <http://e/p> _:x .\n"
+                 '_:x <http://e/q> "5"^^<http://e/int> .\n'
+                 "<http://e/a> <http://e/p> <http://e/b> .\n")
+
+
+class TestByteOrderMark:
+    """One U+FEFF opening a document is a UTF-8 byte-order mark, not data."""
+
+    @pytest.mark.parametrize("first_line", [
+        "<http://e/a> <http://e/p> <http://e/b> .",  # canonical
+        '<http://e/a> <http://e/p> "caf\\u00e9"@fr . # strict path',
+        "# a comment",
+        "",
+    ])
+    def test_skipped_by_both_readers(self, first_line, tmp_path):
+        document = first_line + "\n" + _BOM_DOCUMENT
+        plain, marked = tmp_path / "plain.nt", tmp_path / "marked.nt"
+        plain.write_bytes(document.encode("utf-8"))
+        marked.write_bytes((BOM + document).encode("utf-8"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected, loaded = (Dataset(load_ntriples(path)) for path in (plain, marked))
+        assert list(loaded.dictionary.terms()) == list(expected.dictionary.terms())
+        for name in ("subjects", "predicates", "objects"):
+            assert (getattr(loaded.encoded_graph(), name)
+                    == getattr(expected.encoded_graph(), name))
+        triples = list(parse_ntriples(document))
+        assert len(triples) == (4 if first_line.startswith("<") else 3)
+        assert list(parse_ntriples(BOM + document)) == triples
+        assert list(parse_ntriples(io.StringIO(BOM + document))) == triples
+
+    @pytest.mark.parametrize("document, line_number", [
+        (_BOM_DOCUMENT.replace("_:x <", BOM + "_:x <"), 2),  # opening a later line
+        (BOM + BOM + _BOM_DOCUMENT, 1),  # only one is skipped
+        (BOM + _BOM_DOCUMENT.replace("<http://e/q>", BOM + "<http://e/q>"), 2),
+        (BOM + _BOM_DOCUMENT.replace(" .\n", " " + BOM + ".\n", 1), 1),
+    ])
+    def test_anywhere_else_is_a_positioned_error(self, document, line_number, tmp_path):
+        path = tmp_path / "data.nt"
+        path.write_bytes(document.encode("utf-8"))
+        readers = (parse_ntriples, lambda text: parse_ntriples(io.StringIO(text)),
+                   lambda _: load_ntriples(path))
+        for read in readers:
+            with pytest.raises(NTriplesError, match=f"^line {line_number}: ") as error:
+                list(read(document))
+            assert error.value.line_number == line_number
 
 
 # hypothesis strategies: terms as foreign serializers may write them ----------

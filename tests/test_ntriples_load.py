@@ -152,6 +152,43 @@ class TestLoaderDifferential:
         assert Dataset(graph).triple_count == 0
 
 
+# ----------------------------------------------------------------------
+# a canonical token becomes its term directly
+# ----------------------------------------------------------------------
+def _text(excluded: str):
+    """Text without *excluded* or a line break, where the empty string,
+    spaces, ``#``, ``>`` and ``'`` are common."""
+    return st.one_of(
+        st.sampled_from(["", " ", "a b", "#", "x # y", "a > b", "it's", " '#> "]),
+        st.text(st.one_of(st.sampled_from(" #>'\t"),
+                          st.characters(blacklist_categories=("Cs",))),
+                max_size=12),
+    ).map(lambda text: "".join(c for c in text if c not in excluded + "\n\r"))
+
+
+_lexical = _text('"\\')
+_tokens = st.one_of(
+    st.builds("<{}>".format, _text(">")),
+    st.builds("_:{}".format, _text(" \t")),
+    st.builds('"{}"'.format, _lexical),
+    st.builds('"{}"@{}'.format, _lexical,
+              st.from_regex(r"[A-Za-z0-9-]+", fullmatch=True)),
+    st.builds('"{}"^^<{}>'.format, _lexical, _text(">")),
+)
+
+
+class TestCanonicalTokens:
+    @settings(max_examples=300, deadline=None)
+    @given(_tokens)
+    def test_direct_construction_equals_the_strict_parser(self, token):
+        line = f"<http://e/s> <http://e/p> {token} ."
+        assert ntriples._CANONICAL_LINE.fullmatch(line).group(3) == token  # canonical
+        direct = ntriples._canonical_term(token)
+        strict = ntriples._parse_term(token, 0, 0)[0]
+        assert type(direct) is type(strict) and direct == strict
+        assert hash(direct) == hash(strict)
+
+
 def _placed(line: str, line_number: int, total: int) -> str:
     """*total* lines, all ``VALID`` but *line* at *line_number*."""
     lines = [VALID] * total
