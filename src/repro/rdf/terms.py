@@ -11,7 +11,7 @@ dictionary keys, set members, and sort keys throughout the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, List, Union
+from typing import Any, List, TypeVar, Union
 
 
 class _HashSlot:
@@ -19,35 +19,47 @@ class _HashSlot:
 
     Every dict/set touch hashes its key, and a graph touches each term
     thousands of times.  Each class fills the slot when an object is
-    made — ``__post_init__`` for construction and ``replace``, its own
-    ``__setstate__`` (see :func:`_restored`) for pickle and ``copy`` —
-    so ``__hash__`` is a plain slot read.  The slot is not a dataclass
-    field: ``==``, ordering, ``repr``, ``dataclasses.fields`` and the
-    pickled state never see it, so an unpickled object (string hashes
-    are per-process) hashes its fields afresh.
+    made — ``__post_init__`` for construction and ``replace``,
+    :func:`_restored` for pickle and ``copy`` — so ``__hash__`` is a
+    plain slot read.  The slot is not a dataclass field: ``==``,
+    ordering, ``repr``, ``dataclasses.fields`` and the pickled state
+    never see it, so an unpickled object (string hashes are
+    per-process) hashes its fields afresh.
     """
 
     __slots__ = ("_hash",)
 
 
 def _slot_hash(self: Any) -> int:
-    """The ``__hash__`` of a hash-slot class (bound in each class body:
-    a frozen dataclass generates one unless its own body has one)."""
+    """The ``__hash__`` of a hash-slot class."""
     return self._hash  # type: ignore[no-any-return]
 
 
 def _restored(self: Any, state: List[Any]) -> None:
     """The ``__setstate__`` of a hash-slot class: the dataclass's own
-    (*state* is the field values in order), then ``__post_init__``.
-
-    A frozen slotted dataclass installs its own ``__setstate__`` unless
-    one is in its class body, so each class binds this one there.
-    """
+    (*state* is the field values in order), then ``__post_init__``."""
     for field, value in zip(fields(self), state):
         object.__setattr__(self, field.name, value)
     self.__post_init__()
 
 
+_C = TypeVar("_C", bound=type)
+
+
+def _hash_slotted(cls: _C) -> _C:
+    """Bind :func:`_slot_hash` and :func:`_restored` to a built dataclass.
+
+    Placed above ``@dataclass``, so it runs last: before CPython 3.11.4
+    a frozen slotted dataclass installs its own ``__setstate__`` even
+    over one in the class body, and a frozen dataclass generates a
+    ``__hash__`` unless the body has one.
+    """
+    cls.__hash__ = _slot_hash
+    cls.__setstate__ = _restored
+    return cls
+
+
+@_hash_slotted
 @dataclass(frozen=True, slots=True, order=True)
 class IRI(_HashSlot):
     """An IRI reference, e.g. ``<http://example.org/alice>``."""
@@ -56,9 +68,6 @@ class IRI(_HashSlot):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.value,)))
-
-    __hash__ = _slot_hash
-    __setstate__ = _restored
 
     def __str__(self) -> str:
         return f"<{self.value}>"
@@ -69,6 +78,7 @@ class IRI(_HashSlot):
         return False
 
 
+@_hash_slotted
 @dataclass(frozen=True, slots=True, order=True)
 class Literal(_HashSlot):
     """An RDF literal with optional datatype IRI and language tag.
@@ -85,9 +95,6 @@ class Literal(_HashSlot):
         if self.datatype and self.language:
             raise ValueError("a literal cannot have both datatype and language")
         object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
-
-    __hash__ = _slot_hash
-    __setstate__ = _restored
 
     def __str__(self) -> str:
         escaped = (
@@ -108,6 +115,7 @@ class Literal(_HashSlot):
         return False
 
 
+@_hash_slotted
 @dataclass(frozen=True, slots=True, order=True)
 class BlankNode(_HashSlot):
     """A blank node, e.g. ``_:b42``."""
@@ -116,9 +124,6 @@ class BlankNode(_HashSlot):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.label,)))
-
-    __hash__ = _slot_hash
-    __setstate__ = _restored
 
     def __str__(self) -> str:
         return f"_:{self.label}"
@@ -129,6 +134,7 @@ class BlankNode(_HashSlot):
         return False
 
 
+@_hash_slotted
 @dataclass(frozen=True, slots=True, order=True)
 class Variable(_HashSlot):
     """A SPARQL query variable, e.g. ``?x``."""
@@ -137,9 +143,6 @@ class Variable(_HashSlot):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.name,)))
-
-    __hash__ = _slot_hash
-    __setstate__ = _restored
 
     def __str__(self) -> str:
         return f"?{self.name}"

@@ -26,7 +26,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .terms import IRI, BlankNode, Literal, Term, Variable, _HashSlot, _restored, _slot_hash
+from .terms import IRI, BlankNode, Literal, Term, Variable, _HashSlot, _hash_slotted
 
 if TYPE_CHECKING:  # encoding imports this module
     from .encoding import EncodedGraph
@@ -47,6 +47,7 @@ _ORDERS = (
 _UNBUILT = [None] * len(_ORDERS)
 
 
+@_hash_slotted
 @dataclass(frozen=True, slots=True, order=True)
 class Triple(_HashSlot):
     """An RDF triple ``(subject, predicate, object)``."""
@@ -57,9 +58,6 @@ class Triple(_HashSlot):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
-
-    __hash__ = _slot_hash
-    __setstate__ = _restored
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."

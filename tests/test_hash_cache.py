@@ -1,7 +1,7 @@
 """The cached hash of terms and triples is invisible and process-safe.
 
-``IRI``/``Literal``/``BlankNode``/``Variable``/``Triple`` compute their
-hash once and serve it from a slot.  These tests pin what that must not
+``IRI``/``Literal``/``BlankNode``/``Variable``/``Triple`` fill a slot
+with their hash when they are made and serve it from there.  These tests pin what that must not
 change: the hash values themselves, ``==``/ordering/``repr``/``fields``/
 ``replace``, and — because string hashes differ per process under
 ``PYTHONHASHSEED`` — everything that is pickled or persisted.
@@ -27,7 +27,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def samples():
-    """One of each class, built fresh (no hash computed yet)."""
+    """One of each class, built fresh (hash slot filled at construction)."""
     iri, pred = IRI("http://e/a"), IRI("http://e/p")
     literal = Literal("x\ny", language="en")
     return [iri, literal, Literal("5", datatype="http://e/int"), BlankNode("b1"),
