@@ -6,12 +6,15 @@ walks dataclass fields and strings.  This module is what the executor
 runs on: an :class:`EncodedRelation` is a sorted schema plus one column
 of ids per variable, keyed into a shared
 :class:`~repro.rdf.encoding.TermDictionary`.  A scan *is* the sorted
-``array('q')`` columns of the fragment's per-predicate index (joins
-filter by them, probe them or gather from them where they lie), a
-join's output is a ``list`` of ints per variable, and no operator
-builds a row tuple: masks, gathers and expansions run over whole
-columns in C.  Terms are **materialized late**: ids are mapped back to
-terms only when the final result is read — exactly why the paper's
+columns of the fragment's per-predicate index (joins filter by them,
+probe them or gather from them where they lie), a join's output is a
+``list`` per variable, and no operator builds a row tuple: masks,
+gathers and expansions run over whole columns in C.  Every id a column
+holds is the dictionary's own int object for it
+(:attr:`~repro.rdf.encoding.TermDictionary.ids`): operators move those
+objects and never make an int, and a dict or set probe hits on
+identity.  Terms are **materialized late**: ids are mapped back to
+terms only as the sink admits the final rows — exactly why the paper's
 prototype can treat per-worker evaluation (RDF-3X) as essentially free
 next to optimization time.
 
@@ -27,7 +30,6 @@ property tests and ``tests/data/engine_counters_golden.json`` pin down.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import chain, compress, repeat
@@ -37,13 +39,14 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from ..rdf.encoding import EncodedGraph, PredicateIndex, TermDictionary
 from ..rdf.terms import Variable
 from ..sparql.ast import TriplePattern
-from .relations import Relation, greedy_multi_join
+from .relations import Relation, Row, greedy_multi_join
 
 #: one encoded binding row: term ids, positionally aligned to the schema
 IdRow = Tuple[int, ...]
 
-#: one variable's bindings, row by row: an index's own ``array('q')``
-#: (never written to) or a computed ``list``
+#: one variable's bindings, row by row, as the dictionary's id objects:
+#: an index's own tuple or a slice of it (never written to), or a
+#: computed ``list``
 Column = Sequence[int]
 
 #: schemas are sorted by variable name
@@ -142,17 +145,21 @@ class EncodedRelation:
         """A fresh empty relation with this schema and dictionary."""
         return EncodedRelation(self.variables, self.dictionary)
 
-    def decode(self) -> Relation:
-        """Materialize terms: the equivalent reference :class:`Relation`.
+    def term_tuples(self, variables: Iterable[Variable]) -> Iterator[Row]:
+        """Each row's terms for *variables*: one
+        :meth:`TermDictionary.decode_all` per column, zipped lazily.
 
         This is the *only* place the columnar pipeline touches term
-        objects — late materialization pays the decoding cost once, on
-        final result rows only, never on intermediates: one
-        :meth:`TermDictionary.decode_all` per column, one ``zip``.
+        objects — late materialization pays the decoding cost on final
+        result rows only (the executor's sink), never on intermediates.
         """
-        columns = map(self.dictionary.decode_all, self.columns)
-        rows = zip(*columns) if self.columns else repeat((), self._length)
-        return Relation(self.variables, set(rows))
+        decode_all = self.dictionary.decode_all
+        columns = [decode_all(self.columns[self._positions[v]]) for v in variables]
+        return zip(*columns) if columns else repeat((), self._length)
+
+    def decode(self) -> Relation:
+        """Materialize terms: the equivalent reference :class:`Relation`."""
+        return Relation(self.variables, set(self.term_tuples(self.variables)))
 
     # ------------------------------------------------------------------
     # what the kernels and the executor build relations from
@@ -188,7 +195,7 @@ class EncodedRelation:
             return self.columns[self._positions[variables[0]]]
         return self.tuples(variables)
 
-    def _matches(self, variable: Variable) -> Callable[[int], array]:
+    def _matches(self, variable: Variable) -> Callable[[int], Sequence[int]]:
         """``key -> the other column's values`` where *variable* is *key*
         (``?s p ?o``): bisection into the sorted order that starts with
         *variable* — the scan's own columns, or the index's other order
@@ -443,6 +450,8 @@ def _hash_join_columns(
         return _expanded(out_vars, build, found, probe, lambda column, values: values)
     # else each side may be the table: the smaller can repeat keys (publication -> name)
     for table_side, other in ((probe, build),) if kept_table else ((build, probe), (probe, build)):
+        if _key_repeats(table_side, shared):
+            continue  # its index counted a repeated key: no table to build and drop
         table = _keyed(table_side, other, shared, now=True)
         if not table:
             continue
@@ -480,6 +489,14 @@ def _key(side: EncodedRelation, shared: List[Variable]):
         return set(side.keys(shared))
     table = dict(zip(side.keys(shared), range(-len(side), 0)))
     return len(table) == len(side) and table
+
+
+def _key_repeats(side: EncodedRelation, shared: List[Variable]) -> bool:
+    """Whether *side* is a two-variable scan whose index counted a key
+    on *shared* (one of its columns) twice (:meth:`PredicateIndex.distinct`)."""
+    if side.index is None or len(side.variables) != 2 or len(shared) != 1:
+        return False
+    return side.index.distinct(side.columns[side._positions[shared[0]]]) < len(side)
 
 
 def _keyed(side: EncodedRelation, partner: EncodedRelation, shared, now=False):

@@ -3,8 +3,9 @@
 Every plan node *opens* into a generator of **batches** — a batch maps
 worker slots to the id rows that worker holds
 (:class:`~repro.engine.columnar.EncodedRelation`) — and the executor
-drains the root through one sink; terms are materialized once, on the
-final projected result.  Distribution is a property of the join
+drains the root through one sink, which decodes each batch's projected
+rows into the result as it admits them — the only terms a run makes.
+Distribution is a property of the join
 operator, not of the driver:
 
 * **scan** — each worker matches the pattern against its local graph;
@@ -76,7 +77,7 @@ from ..rdf.terms import Variable
 from ..sparql.ast import BGPQuery
 from .base import Engine, resolve_engine
 from .cluster import Cluster
-from .columnar import EncodedRelation, IdRow, union_all
+from .columnar import EncodedRelation, union_all
 from .faults import FaultInjector
 from .metrics import ExecutionMetrics, OperatorMetrics
 from .recovery import (
@@ -86,7 +87,7 @@ from .recovery import (
     RecoveryManager,
     RetryPolicy,
 )
-from .relations import Relation
+from .relations import Relation, Row
 
 #: what flows between operators: worker slot -> that worker's id columns.
 #: A yielded batch belongs to its consumer, which adopts its relations
@@ -161,8 +162,8 @@ class Executor:
     """Executes plans against a :class:`Cluster`.
 
     Relations are columns of dictionary ids from the scans to the sink
-    (:class:`~repro.engine.columnar.EncodedRelation`); the returned
-    :class:`~repro.engine.relations.Relation` is the one decode.
+    (:class:`~repro.engine.columnar.EncodedRelation`); the sink decodes
+    them into the returned :class:`~repro.engine.relations.Relation`.
     ``engine`` is a name from :data:`~repro.engine.base.ENGINES` or a
     ready :class:`~repro.engine.base.Engine` instance (that is how a
     chunk size is set, and a subclass with its own access paths need
@@ -293,15 +294,13 @@ class Executor:
         ) as sp:
             started = time.perf_counter()
             try:
-                admitted = self._run(plan, query, limit, chunk, started)
+                result = self._run(plan, query, limit, chunk, started)
             except QueryAborted as abort:
                 self._settle()
                 metrics.wall_seconds = time.perf_counter() - started
                 self._enrich_abort(abort, metrics, query)
                 raise
             metrics.critical_path_cost = self._settle()
-            # late materialization: decode only the final rows
-            result = admitted.decode()
             if limit is not None and len(result) > limit:
                 kept = nsmallest(limit, result.rows, key=lambda row: tuple(map(str, row)))
                 result = Relation(result.variables, set(kept))
@@ -334,9 +333,10 @@ class Executor:
         limit: Optional[int],
         chunk: Optional[int],
         started: float,
-    ) -> EncodedRelation:
-        #: the sink: the distinct id rows admitted so far, over `kept`
-        admitted: Set[IdRow] = set()
+    ) -> Relation:
+        #: the sink: the distinct rows admitted so far, over `kept`, as terms
+        #: (ids and terms are one-to-one: decoding before dedup keeps every count)
+        admitted: Set[Row] = set()
         kept: Optional[List[Variable]] = None
         while True:
             try:
@@ -346,7 +346,7 @@ class Executor:
                     if query is not None and query.projection:
                         kept = [v for v in kept if v in query.projection]
                 self._drain(root.stream, kept, admitted, limit, started)
-                return EncodedRelation(kept, self.cluster.dictionary, admitted)
+                return Relation(kept, admitted)
             except _LayoutChanged as moved:
                 # replay on the degraded layout: the operators keep
                 # their records (replayed work is real work) and the
@@ -362,11 +362,11 @@ class Executor:
         self,
         stream: BatchStream,
         kept: List[Variable],
-        admitted: Set[IdRow],
+        admitted: Set[Row],
         limit: Optional[int],
         started: float,
     ) -> None:
-        """The sink: project each batch, dedup, stop at ``limit`` rows."""
+        """The sink: project and decode each batch, dedup, stop at ``limit`` rows."""
         metrics = self._metrics
         try:
             while limit is None or len(admitted) < limit:  # lint: disable=LINT014 every batch pulled here was charged and polled by its producer's _pump
@@ -374,7 +374,7 @@ class Executor:
                 if batch is None:
                     break
                 for relation in batch.values():  # lint: disable=LINT014 bounded by cluster size, within one polled batch
-                    admitted.update(relation.tuples(kept))
+                    admitted.update(relation.term_tuples(kept))
                 batch.clear()  # consumed
                 if metrics.first_row_seconds is None and admitted:
                     first = time.perf_counter() - started

@@ -10,7 +10,7 @@ cluster:
 * **exhaustive sorted indexes** — per predicate, the (subject, object)
   pairs are kept sorted both ways (SPO and OPS order), so any bound
   combination of a triple pattern is answered in O(log n + matches) by
-  binary search over flat ``array('q')`` columns.
+  binary search over flat columns of the dictionary's own id objects.
 
 :class:`TermDictionary` is the interning table (deterministic: ids are
 assigned in first-seen order, so the same dataset always produces the
@@ -49,16 +49,19 @@ class _InterningDict(Dict[Term, int]):
     subscriptions can be mapped over a term list with no loop in Python.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "ids")
 
     def __init__(self) -> None:
         super().__init__()
         #: the interned terms in id order
         self.terms: List[Term] = []
+        #: the ids handed out, in id order: the very int objects the map holds
+        self.ids: List[int] = []
 
     def __missing__(self, term: Term) -> int:
         ident = self[term] = len(self.terms)
         self.terms.append(term)
+        self.ids.append(ident)
         return ident
 
 
@@ -76,6 +79,24 @@ class TermDictionary:
     def __init__(self) -> None:
         self._ids = _InterningDict()
         self._terms: List[Term] = self._ids.terms
+
+    def __getstate__(self) -> _InterningDict:
+        return self._ids
+
+    def __setstate__(self, ids: _InterningDict) -> None:
+        """Unpickle and copy: the term → id map *ids* is whole by now, but
+        pickle does not memoise ints, so the id list is rebuilt from the
+        map's own values (dict order is id order)."""
+        self._ids, self._terms = ids, ids.terms
+        ids.ids[:] = ids.values()
+
+    @property
+    def ids(self) -> List[int]:
+        """Every id in id order, as the objects :meth:`encode` hands out:
+        ``ids[i]`` *is* the int the dictionary holds for id *i* (read-only
+        by convention).  Index columns are read through it, so that no
+        read of one makes a new int."""
+        return self._ids.ids
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -138,11 +159,18 @@ class TermDictionary:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TermDictionary":
-        """Rebuild a dictionary from :meth:`to_payload` output."""
+        """Rebuild a dictionary from :meth:`to_payload` output.
+
+        Raises ``ValueError`` for anything else: another format or
+        version, an unknown term kind, or a term listed twice (every id
+        after it would shift by one).
+        """
         if payload.get("format") != "repro-term-dictionary":
             raise ValueError("not a term-dictionary payload")
+        if payload.get("version") != 1:
+            raise ValueError(f"unsupported term-dictionary version {payload.get('version')!r}")
         dictionary = cls()
-        for entry in payload["terms"]:
+        for position, entry in enumerate(payload["terms"]):
             kind = entry[0]
             if kind == "i":
                 term: Term = IRI(entry[1])
@@ -152,7 +180,8 @@ class TermDictionary:
                 term = BlankNode(entry[1])
             else:
                 raise ValueError(f"unknown term kind {kind!r}")
-            dictionary.encode(term)
+            if dictionary.encode(term) != position:
+                raise ValueError(f"term-dictionary entry {position} repeats {term}")
         return dictionary
 
     def save(self, path: Union[str, Path]) -> None:
@@ -172,36 +201,44 @@ class TermDictionary:
         return f"TermDictionary({len(self)} terms)"
 
 
-def _sorted_columns(firsts: Sequence[int], seconds: Sequence[int]) -> Tuple[array, array]:
+def _sorted_columns(
+    ids: Sequence[int], firsts: Sequence[int], seconds: Sequence[int]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The distinct (first, second) pairs of two aligned, non-empty
-    columns, as two arrays sorted by (first, second).
+    columns, as two tuples sorted by (first, second).
 
+    Each id is read through *ids* (:attr:`TermDictionary.ids`), so the
+    tuples hold the dictionary's own int objects: no later read of them
+    makes an int, and a dict or set probe with one hits on identity.
     Positions are ordered by two stable sorts on int keys (second, then
     first), both columns gathered once in that order, and a pair equal
-    to the one before it dropped.  The columns are read as lists: a
-    list hands out the ints it holds, an array boxes one per read.
+    to the one before it dropped.
     """
-    first, second = list(firsts), list(seconds)
+    first, second = list(map(ids.__getitem__, firsts)), list(map(ids.__getitem__, seconds))
     order = sorted(range(len(first)), key=second.__getitem__)
     order.sort(key=first.__getitem__)
     if len(order) > 1:
         first, second = itemgetter(*order)(first), itemgetter(*order)(second)
+    else:
+        first, second = tuple(first), tuple(second)
     # fresh[i]: pair i + 1 differs from pair i
     fresh = list(map(or_, map(ne, first[1:], first), map(ne, second[1:], second)))
     if not all(fresh):
         kept = [True, *fresh]
-        first, second = compress(first, kept), compress(second, kept)
-    return array("q", first), array("q", second)
+        first, second = tuple(compress(first, kept)), tuple(compress(second, kept))
+    return first, second
 
 
 class PredicateIndex:
     """Both sorted orders of one predicate's (subject, object) pairs.
 
     ``spo_*`` is sorted by (subject, object); ``ops_*`` by (object,
-    subject).  Each order is two aligned ``array('q')`` columns, so a
-    bound subject (or object) is a pair of bisections and the matches
-    are a contiguous slice — the O(log n + matches) access path RDF-3X
-    gets from its clustered B+-trees.
+    subject).  Each order is two aligned tuples of the dictionary's own
+    id objects (read through the *ids* it is made with, see
+    :func:`_sorted_columns`), so a bound subject (or object) is a pair
+    of bisections and the matches are a contiguous slice — the
+    O(log n + matches) access path RDF-3X gets from its clustered
+    B+-trees.
 
     An order is sorted the first time one of its columns is read (a scan
     reads one: most indexes of a cold run never sort the other) and is
@@ -209,23 +246,32 @@ class PredicateIndex:
     """
 
     __slots__ = (
-        "spo_subjects", "spo_objects", "ops_objects", "ops_subjects", "_pairs", "_distinct",
+        "spo_subjects", "spo_objects", "ops_objects", "ops_subjects", "_ids", "_pairs",
+        "_distinct",
     )
 
-    def __init__(self, subjects: Sequence[int], objects: Sequence[int]) -> None:
+    def __init__(
+        self, ids: Sequence[int], subjects: Sequence[int], objects: Sequence[int]
+    ) -> None:
+        #: the id objects an order's columns are read through
+        self._ids = ids
         #: the (subjects, objects) columns an order is sorted from: the ones
         #: given (any order, repeats allowed) until one is, then that one's own
         self._pairs: Tuple[Sequence[int], Sequence[int]] = (subjects, objects)
-        #: id of a sorted first column -> how many ids it holds (see distinct)
+        #: id of an order column -> how many ids it holds (see distinct)
         self._distinct: Dict[int, int] = {}
 
-    def __getattr__(self, name: str) -> array:
+    def __getattr__(self, name: str) -> Tuple[int, ...]:
         """Sort the order that column *name* belongs to (Python looks
         here only while the slot is empty) and return the column."""
         if name in ("spo_subjects", "spo_objects"):
-            self._pairs = self.spo_subjects, self.spo_objects = _sorted_columns(*self._pairs)
+            self._pairs = self.spo_subjects, self.spo_objects = _sorted_columns(
+                self._ids, *self._pairs
+            )
         elif name in ("ops_objects", "ops_subjects"):
-            self.ops_objects, self.ops_subjects = _sorted_columns(*reversed(self._pairs))
+            self.ops_objects, self.ops_subjects = _sorted_columns(
+                self._ids, *reversed(self._pairs)
+            )
             self._pairs = self.ops_subjects, self.ops_objects
         else:
             raise AttributeError(name)
@@ -234,21 +280,21 @@ class PredicateIndex:
     def __len__(self) -> int:
         return len(self.spo_subjects)  # a sorted order: the given columns may repeat a pair
 
-    def distinct(self, column: array) -> int:
-        """How many ids *column* holds — ``spo_subjects`` or ``ops_objects``,
-        an order's sorted first column — counted once per index."""
+    def distinct(self, column: Sequence[int]) -> int:
+        """How many ids *column* holds — one of the four order columns —
+        counted once per index."""
         counts = self._distinct
         if id(column) not in counts:
             counts[id(column)] = len(set(column))
         return counts[id(column)]
 
-    def objects_for(self, subject: int) -> array:
+    def objects_for(self, subject: int) -> Tuple[int, ...]:
         """All object ids paired with *subject* (a contiguous slice)."""
         lo = bisect_left(self.spo_subjects, subject)
         hi = bisect_right(self.spo_subjects, subject, lo=lo)
         return self.spo_objects[lo:hi]
 
-    def subjects_for(self, object_: int) -> array:
+    def subjects_for(self, object_: int) -> Tuple[int, ...]:
         """All subject ids paired with *object_* (a contiguous slice)."""
         lo = bisect_left(self.ops_objects, object_)
         hi = bisect_right(self.ops_objects, object_, lo=lo)
@@ -449,7 +495,9 @@ class EncodedGraph:
         read, so a fragment only ever sorts what its queries touch."""
         index = self._indexes.get(predicate)
         if index is None and predicate in self.predicate_runs():
-            index = self._indexes[predicate] = PredicateIndex(*self._runs[predicate])
+            index = self._indexes[predicate] = PredicateIndex(
+                self.dictionary.ids, *self._runs[predicate]
+            )
         return index
 
     # ------------------------------------------------------------------
@@ -486,7 +534,7 @@ class EncodedGraph:
             elif index.contains(subject, object_):  # type: ignore[arg-type]
                 yield (subject, predicate, object_)  # type: ignore[misc]
             return
-        for predicate_id in self.predicate_ids():
+        for predicate_id in map(self.dictionary.ids.__getitem__, self.predicate_ids()):
             yield from self.scan(subject, predicate_id, object_)
 
     def __repr__(self) -> str:

@@ -213,6 +213,27 @@ class TestTermDictionary:
         with pytest.raises(ValueError):
             TermDictionary.from_payload({"format": "something-else", "terms": []})
 
+    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    def test_from_payload_rejects_other_versions(self, version):
+        payload = {"format": "repro-term-dictionary", "version": version, "terms": []}
+        if version is None:
+            del payload["version"]
+        with pytest.raises(ValueError, match="version"):
+            TermDictionary.from_payload(payload)
+
+    def test_from_payload_rejects_a_repeated_term(self):
+        """``<a>, <b>, <a>, <c>`` would load as three terms with ``<c>`` at
+        id 2, not 3: every id after the repeat shifted by one."""
+        entries = [["i", "http://e/a"], ["i", "http://e/b"], ["i", "http://e/a"],
+                   ["i", "http://e/c"]]
+        payload = {"format": "repro-term-dictionary", "version": 1, "terms": entries}
+        with pytest.raises(ValueError, match="entry 2"):
+            TermDictionary.from_payload(payload)
+        # the same term under another kind is another term
+        entries[2] = ["l", "http://e/a", None, None]
+        loaded = TermDictionary.from_payload(payload)
+        assert loaded.lookup(IRI("http://e/c")) == 3 and len(loaded) == 4
+
 
 # ----------------------------------------------------------------------
 # Dataset integration (single-pass refresh, encoded graph cache)
@@ -311,6 +332,15 @@ class TestEncodedScan:
         assert encoded.index_for(pid).contains(s, o)
 
 
+#: an id table for the inputs below: ``ID_TABLE[i]`` is the one object for id *i*
+ID_TABLE = list(range(1000))
+
+
+def holds_table_ids(column) -> bool:
+    """Whether *column* is a tuple of :data:`ID_TABLE`'s own objects."""
+    return type(column) is tuple and all(i is ID_TABLE[i] for i in column)
+
+
 def old_sorted_columns(firsts, seconds):
     """``_sorted_columns`` as it was first written: a sorted set of pairs."""
     return tuple(map(list, zip(*sorted(set(zip(firsts, seconds))))))
@@ -341,8 +371,8 @@ class TestSortedColumns:
         subjects, objects = SORTED_COLUMN_INPUTS[name]
         for firsts, seconds in ((subjects, objects), (objects, subjects)):
             for columns in ((firsts, seconds), (array("q", firsts), array("q", seconds))):
-                got = _sorted_columns(*columns)
-                assert all(isinstance(column, array) for column in got)
+                got = _sorted_columns(ID_TABLE, *columns)
+                assert all(map(holds_table_ids, got))
                 assert tuple(map(list, got)) == old_sorted_columns(firsts, seconds)
 
     @pytest.mark.parametrize("name", sorted(SORTED_COLUMN_INPUTS))
@@ -351,7 +381,7 @@ class TestSortedColumns:
         spo = old_sorted_columns(subjects, objects)
         ops = old_sorted_columns(objects, subjects)
         for first in ("spo", "ops"):  # the second order is sorted from the first
-            index = PredicateIndex(array("q", subjects), array("q", objects))
+            index = PredicateIndex(ID_TABLE, array("q", subjects), array("q", objects))
             if first == "ops":
                 index.ops_objects
             assert (list(index.spo_subjects), list(index.spo_objects)) == spo

@@ -10,17 +10,23 @@ index probe, Cartesian, the zero-variable ``S p O`` and the ``?x p ?x``
 diagonal) with the partner's size swept across the probe-vs-hash
 threshold; the invariant that no operator output holds a row twice; the
 greedy join order; the snapshot a returned relation keeps when its
-fragment changes under it; and the four places the executor
-deduplicates what two workers both hold.
+fragment changes under it; the four places the executor
+deduplicates what two workers both hold; and one object per id — every
+index order and every operator output holds the int objects the
+dictionary hands out.
 """
 
+import operator
+import pickle
 import random
 from array import array
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import OptimizeOptions, Optimizer
 from repro.core.cost import PAPER_PARAMETERS
 from repro.core.plans import JoinAlgorithm, JoinNode, ScanNode
 from repro.engine import (
@@ -28,19 +34,24 @@ from repro.engine import (
     EncodedRelation,
     Executor,
     FaultInjector,
+    evaluate_reference,
     hash_join_encoded,
     multi_join_encoded,
     scan_pattern_encoded,
 )
+from repro.engine import columnar
 from repro.engine.columnar import _probes_cheaper, union_all
 from repro.engine.faults import FailStop
 from repro.engine.recovery import DEFAULT_RETRY_POLICY, RecoveryManager, RetryPolicy
 from repro.engine.relations import greedy_multi_join
 from repro.partitioning import HashSubjectObject
 from repro.partitioning.base import Partitioning
-from repro.rdf import Dataset, EncodedGraph, IRI, TermDictionary, triple
+from repro.rdf import (
+    Dataset, EncodedGraph, IRI, TermDictionary, load_ntriples, save_ntriples, triple,
+)
 from repro.rdf.terms import Variable
 from repro.sparql.ast import TriplePattern
+from repro.workloads import generate_lubm, lubm_queries
 
 from .columnar_oracle import (
     RowRelation,
@@ -75,6 +86,18 @@ def fragment_of(triples, dictionary=None) -> EncodedGraph:
             dictionary.encode(vertex(o)),
         )
     return fragment
+
+
+def handed_out(dictionary: TermDictionary) -> list:
+    """The int object *dictionary* hands out for each id, in id order:
+    what ``encode`` and ``lookup`` return, read off the term map."""
+    return list(map(dictionary.lookup, dictionary.terms()))
+
+
+def holds_dictionary_ids(column, dictionary: TermDictionary) -> bool:
+    """Whether *column* is a tuple of *dictionary*'s own id objects."""
+    objects = handed_out(dictionary)
+    return type(column) is tuple and all(i is objects[i] for i in column)
 
 
 def pattern_shapes(s: int, o: int):
@@ -134,7 +157,7 @@ class TestScanViews:
         for pattern in (TriplePattern(A, P, vertex(2)), TriplePattern(vertex(1), P, B)):
             relation = scan_pattern_encoded(fragment, pattern)
             # one contiguous slice of the index, ascending
-            assert isinstance(relation.columns[0], array)
+            assert holds_dictionary_ids(relation.columns[0], fragment.dictionary)
             assert list(relation.columns[0]) == sorted(relation.columns[0])
             assert relation.index is index and len(relation) == 2
 
@@ -159,7 +182,9 @@ class TestScanViews:
         assert list(other(ids[2 if subject_first else 1])) == (
             [ids[1], ids[4]] if subject_first else [ids[2], ids[3]]
         )
-        assert isinstance(object.__getattribute__(relation.index, unread), array)
+        assert holds_dictionary_ids(
+            object.__getattribute__(relation.index, unread), fragment.dictionary
+        )
 
     def test_rows_is_a_private_copy(self):
         fragment = fragment_of([(1, P, 2), (3, P, 4)])
@@ -525,7 +550,7 @@ class TestExecutorOnViews:
             assert piece.variables == relation.variables
             assert piece.index is None
             for column, whole in zip(piece.columns, relation.columns):
-                assert isinstance(column, array)
+                assert holds_dictionary_ids(column, fragment.dictionary)
                 assert column == whole[start:start + 10]
         assert set().union(*map(set, pieces)) == expected
         assert relation.index is not None and set(relation) == expected
@@ -694,3 +719,204 @@ class TestDedupPoints:
             crashed += metrics.workers_failed
             assert relation.rows == expected.rows, seed
         assert crashed  # some seed killed a worker with the build table in flight
+
+
+# ----------------------------------------------------------------------
+# one object per id: the index orders and every operator output hold the
+# int objects the dictionary hands out, never an equal copy
+# ----------------------------------------------------------------------
+ORDERS = ("spo_subjects", "spo_objects", "ops_objects", "ops_subjects")
+
+
+@pytest.fixture(scope="module")
+def lubm():
+    """LUBM at scale 0.5 (2 323 terms: most ids are past CPython's small-int
+    cache, so an equal int made anew is another object), its L1-L10 plans
+    under Hash-SO and their reference rows."""
+    dataset = generate_lubm(scale=0.5, seed=2017)
+    method = HashSubjectObject()
+    queries = lubm_queries()
+    optimizer = Optimizer(OptimizeOptions(dataset=dataset, partitioning=method))
+    plans = {label: optimizer.optimize(query).plan for label, query in queries.items()}
+    reference = {label: evaluate_reference(query, dataset.graph).rows
+                 for label, query in queries.items()}
+    return SimpleNamespace(
+        dataset=dataset, method=method, queries=queries, plans=plans, reference=reference
+    )
+
+
+def cluster_of(lubm) -> Cluster:
+    return Cluster(lubm.method.partition(lubm.dataset, 4), lubm.dataset.dictionary)
+
+
+def copied(fragment: EncodedGraph, dictionary=None) -> EncodedGraph:
+    """A fragment on copies of *fragment*'s base columns: nothing derived yet."""
+    columns = (fragment.subjects, fragment.predicates, fragment.objects)
+    return EncodedGraph(dictionary or fragment.dictionary, tuple(array("q", c) for c in columns))
+
+
+def anew(ident: int) -> int:
+    """An int equal to *ident*, made here (another object past the small-int cache)."""
+    return int(str(ident))
+
+
+class TestOneObjectPerId:
+    @staticmethod
+    def assert_one_object_per_id(fragment: EncodedGraph) -> None:
+        """Every element of both orders of every index of *fragment* is the
+        object its dictionary hands out for that id."""
+        objects = handed_out(fragment.dictionary)
+        ids = fragment.dictionary.ids
+        assert len(ids) == len(objects) and all(map(operator.is_, ids, objects))
+        assert fragment.predicate_ids()
+        for predicate in fragment.predicate_ids():
+            index = fragment.index_for(predicate)
+            for order in ORDERS:
+                column = getattr(index, order)
+                assert type(column) is tuple, order
+                assert all(i is objects[i] for i in column), (predicate, order)
+
+    def test_the_dictionary_hands_out_one_object_per_id(self, lubm):
+        dictionary = lubm.dataset.dictionary
+        assert len(dictionary) > 2000
+        objects = handed_out(dictionary)
+        assert objects == list(range(len(dictionary)))
+        assert all(map(operator.is_, dictionary.ids, objects))
+        assert all(dictionary.encode(t) is objects[i] for i, t in enumerate(dictionary.terms()))
+
+    def test_after_load(self, lubm, tmp_path):
+        path = tmp_path / "lubm.nt"
+        save_ntriples(lubm.dataset.graph, path)
+        dataset = Dataset(load_ntriples(path))
+        self.assert_one_object_per_id(dataset.encoded_graph())
+        # a saved dictionary, loaded: its map's objects are its ids
+        lubm.dataset.dictionary.save(tmp_path / "terms.json")
+        loaded = TermDictionary.load(tmp_path / "terms.json")
+        self.assert_one_object_per_id(copied(dataset.encoded_graph(), loaded))
+
+    def test_a_variable_predicate_scan(self):
+        dictionary = TermDictionary()
+        for n in range(300):  # every id below past the small-int cache
+            dictionary.encode(IRI(f"http://e/filler{n}"))
+        fragment = fragment_of([(1, P, 2), (3, Q, 4), (2, P, 2)], dictionary)
+        scan = scan_pattern_encoded(fragment, TriplePattern(A, C, B))
+        assert len(scan) == 3 and min(map(min, scan.columns)) > 256
+        assert all(holds_dictionary_ids(column, dictionary) for column in scan.columns)
+
+    def test_after_add_ids(self, lubm):
+        fragment = copied(lubm.dataset.encoded_graph())
+        self.assert_one_object_per_id(fragment)  # both orders sorted before the append
+        d = fragment.dictionary
+        subject, predicate, object_ = fragment.subjects[-1], fragment.predicates[-1], 2000
+        given = anew(subject), anew(predicate), anew(object_)
+        assert given[0] is not d.ids[subject] and given[2] is not d.ids[object_]
+        fragment.add_ids(*given)
+        self.assert_one_object_per_id(fragment)
+        assert fragment.index_for(predicate).contains(subject, object_)
+
+    def test_after_merged(self, lubm):
+        cluster = cluster_of(lubm)
+        first, second = cluster.worker_fragment(0), cluster.worker_fragment(1)
+        merged = first.merged(second)
+        assert len(merged) > len(first)
+        self.assert_one_object_per_id(merged)
+
+    def test_through_fail_stop_migration_and_heal(self, lubm):
+        queries, plans, reference = lubm.queries, lubm.plans, lubm.reference
+        cluster = cluster_of(lubm)
+        executor = Executor(cluster)
+        assert executor.execute(plans["L7"], queries["L7"])[0].rows == reference["L7"]
+        assert cluster.fail_worker(0)[1]  # triples moved
+        for worker in range(cluster.size):
+            if worker != 0:
+                self.assert_one_object_per_id(cluster.worker_fragment(worker))
+        assert executor.execute(plans["L7"], queries["L7"])[0].rows == reference["L7"]
+        cluster.heal()
+        for fragment in cluster.worker_fragments():
+            self.assert_one_object_per_id(fragment)
+
+    def test_after_a_pickle_round_trip_of_the_dictionary(self, lubm):
+        """Pickle does not memoise ints: unpickled, the map's values are new
+        objects, and the id list must be made of those, not of its own."""
+        original = lubm.dataset.dictionary
+        twin = pickle.loads(pickle.dumps(original))
+        assert twin == original and len(twin) > 300
+        assert twin.ids[300] is not original.ids[300]
+        self.assert_one_object_per_id(copied(lubm.dataset.encoded_graph(), twin))
+        # and it keeps interning into the same list
+        fresh = twin.encode(IRI("http://e/unpickled"))
+        assert twin.ids[-1] is fresh is twin.lookup(IRI("http://e/unpickled"))
+
+    @pytest.mark.parametrize("engine", ["columnar", "pipelined"])
+    def test_every_operator_output_of_a_warm_round(self, lubm, engine, monkeypatch):
+        queries, plans, reference = lubm.queries, lubm.plans, lubm.reference
+        executor = Executor(cluster_of(lubm), engine=engine)
+        for label, query in queries.items():  # cold: sorts what the round reads
+            assert executor.execute(plans[label], query)[0].rows == reference[label]
+        objects = handed_out(lubm.dataset.dictionary)
+        seen = {"columns": 0, "ids": 0}
+        pump = Executor._pump
+
+        def checked(self, op, body, chunk):
+            stream = pump(self, op, body, chunk)
+            try:
+                for batch in stream:
+                    for relation in batch.values():
+                        for column in relation.columns:
+                            assert all(i is objects[i] for i in column), op.operator
+                            seen["columns"] += 1
+                            seen["ids"] += len(column)
+                    yield batch
+            finally:
+                stream.close()
+
+        monkeypatch.setattr(Executor, "_pump", checked)
+        for label, query in queries.items():
+            assert executor.execute(plans[label], query)[0].rows == reference[label], label
+        assert seen["columns"] > 100 and seen["ids"] > 10_000
+
+
+class TestNoKeyTableThrownAway:
+    """A two-variable scan whose index counted a repeated id in the join
+    column is never keyed as a unique-key table only to be dropped."""
+
+    @pytest.mark.parametrize("engine", ["columnar", "pipelined"])
+    def test_a_scan_known_to_repeat_a_key_is_never_keyed(self, lubm, engine, monkeypatch):
+        queries, plans, reference = lubm.queries, lubm.plans, lubm.reference
+
+        def run():
+            executor = Executor(cluster_of(lubm), engine=engine)
+            outcome = {}
+            for warm in (False, True):
+                for label, query in queries.items():
+                    relation, metrics = executor.execute(plans[label], query)
+                    assert relation.rows == reference[label], label
+                    outcome[warm, label] = (
+                        metrics.total_tuples_read, metrics.total_tuples_shipped,
+                        metrics.total_tuples_produced, metrics.critical_path_cost,
+                        metrics.peak_buffered_rows, metrics.result_rows,
+                    )
+            return outcome
+
+        with monkeypatch.context() as patched:  # every side tried as a table
+            patched.setattr(columnar, "_key_repeats", lambda side, shared: False)
+            tried_all = run()
+
+        dropped, skipped = [], []
+        key, repeats = columnar._key, columnar._key_repeats
+
+        def keyed(side, shared):
+            table = key(side, shared)
+            if table is False and side.index is not None and len(side.variables) == 2:
+                dropped.append(shared)
+            return table
+
+        def counted(side, shared):
+            answer = repeats(side, shared)
+            skipped.append(answer)
+            return answer
+
+        monkeypatch.setattr(columnar, "_key", keyed)
+        monkeypatch.setattr(columnar, "_key_repeats", counted)
+        assert run() == tried_all
+        assert dropped == [] and any(skipped)

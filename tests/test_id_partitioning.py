@@ -9,7 +9,6 @@ that the cold columnar path never drops back to term-level objects.
 from __future__ import annotations
 
 import random
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -495,12 +494,15 @@ class TestColdPathStaysOnIds:
         return {slot[:3] for slot in cls._held(index) if not slot.startswith("_")}
 
     @classmethod
-    def _assert_only_id_columns(cls, index):
-        """Once an order exists, the index keeps ``array('q')`` columns
-        and nothing else — not the pairs they were sorted from."""
+    def _assert_only_id_columns(cls, index, dictionary):
+        """Once an order exists, the index keeps columns of *dictionary*'s
+        own id objects and nothing else — not the pairs they were sorted from."""
         held = cls._held(index)
         columns = [value for slot, value in held.items() if not slot.startswith("_")]
-        assert columns and all(type(c) is array and c.typecode == "q" for c in columns)
+        ids = dictionary.ids
+        assert columns and all(
+            type(c) is tuple and all(i is ids[i] for i in c) for c in columns
+        )
         assert all(any(kept is c for c in columns) for kept in held["_pairs"])
 
     @staticmethod
@@ -566,7 +568,7 @@ class TestColdPathStaysOnIds:
                     assert sorted_orders, (label, predicate)
                     assert sorted_orders <= read, f"{label}: sorted an order nothing read"
                     counts["single-order"] += len(sorted_orders) == 1
-                    self._assert_only_id_columns(index)
+                    self._assert_only_id_columns(index, fragment.dictionary)
         assert not dataset.encoded_graph()._indexes  # the dataset graph sorted nothing
         return counts
 
@@ -584,8 +586,8 @@ class TestColdPathStaysOnIds:
         """The mutant: an index that sorts both orders when it is made."""
         lazy = PredicateIndex.__init__
 
-        def eager(self, subjects, objects):
-            lazy(self, subjects, objects)
+        def eager(self, ids, subjects, objects):
+            lazy(self, ids, subjects, objects)
             self.spo_subjects, self.ops_objects
 
         monkeypatch.setattr(PredicateIndex, "__init__", eager)
@@ -598,6 +600,8 @@ class TestColdPathStaysOnIds:
         right length, and the other is sorted from it; once an order
         exists the index holds id columns only."""
         fragment = EncodedGraph(TermDictionary())
+        for n in range(10):  # ids 0-9 are known to the dictionary
+            fragment.dictionary.encode(IRI(f"http://e/v{n}"))
         for s, o in [(5, 1), (2, 9), (5, 1), (2, 3), (7, 1), (2, 9)]:
             fragment.add_ids(s, 0, o)
         pairs = {"spo": [(2, 3), (2, 9), (5, 1), (7, 1)], "ops": [(1, 5), (1, 7), (3, 2), (9, 2)]}
@@ -609,7 +613,7 @@ class TestColdPathStaysOnIds:
             assert list(zip(firsts, seconds)) == pairs[order]
             assert self._sorted_orders(index) == set((first, second)[:read])
             assert len(firsts) == 4
-            self._assert_only_id_columns(index)
+            self._assert_only_id_columns(index, fragment.dictionary)
         assert len(index) == 4
         # len() alone, with no order read before it, counts distinct pairs too
         twin = EncodedGraph(fragment.dictionary, (fragment.subjects, fragment.predicates, fragment.objects))
