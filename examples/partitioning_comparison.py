@@ -2,10 +2,11 @@
 """Partitioning comparison: the paper's core 'partition-aware' claim.
 
 The same UniProt-like query is optimized and executed under all four
-partitioning methods (Hash-SO, 2f, Path-BMC, un-1-hop).  Because the
-optimizer consumes the generic combine/distribute model, plans shift
-automatically: methods with richer locality (Path-BMC) turn distributed
-joins into local ones and the network traffic drops to zero.
+partitioning methods (Hash-SO, 2f, Path-BMC, un-1-hop) through one
+session per method (``session.run``).  Because the optimizer consumes
+the generic combine/distribute model, plans shift automatically:
+methods with richer locality (Path-BMC) turn distributed joins into
+local ones and ship fewer tuples.
 
 Also reports the storage side of the trade-off: replication factor and
 load balance per method — locality is bought with duplicated triples.
@@ -13,9 +14,15 @@ load balance per method — locality is bought with duplicated triples.
 Run:  python examples/partitioning_comparison.py
 """
 
-from repro.core import JoinGraph, LocalQueryIndex, StatisticsCatalog, optimize
+from repro.core import (
+    JoinGraph,
+    LocalQueryIndex,
+    OptimizeOptions,
+    Optimizer,
+    StatisticsCatalog,
+)
 from repro.core import bitset as bs
-from repro.engine import Cluster, Executor, evaluate_reference
+from repro.engine import Cluster, evaluate_reference
 from repro.partitioning import (
     HashSubjectObject,
     PathBMC,
@@ -50,10 +57,14 @@ def main() -> None:
         largest_mlq = max(
             (bs.popcount(m) for m in index.maximal_local_queries), default=1
         )
-        result = optimize(
-            query, statistics=statistics, partitioning=method, algorithm="td-auto"
+        session = Optimizer(
+            OptimizeOptions(
+                algorithm="td-auto", statistics=statistics, partitioning=method
+            )
         )
-        relation, metrics = Executor(cluster).execute(result.plan, query)
+        session.bind_cluster(cluster)
+        run = session.run(query)
+        result, relation, metrics = run.result, run.relation, run.metrics
         ok = "✓" if relation.rows == reference.rows else "✗"
         print(
             f"{method.name:12s} "
@@ -66,9 +77,14 @@ def main() -> None:
         )
 
     print(
-        "\nreading the table: Path-BMC covers the whole chain with one "
-        "maximal local query, so TD-Auto plans a single local join and "
-        "nothing crosses the network — the paper's Table V effect."
+        "\nreading the table: Path-BMC's maximal local query covers all five "
+        "patterns, so one local join of the whole chain is a legal plan "
+        "there, but the cost model prices it above TD-Auto's pick: a "
+        "broadcast of two local joins, at the same estimated cost as under "
+        "Hash-SO. Locality still shows inside that plan — the first three "
+        "patterns join locally in one 3-ary join, so Path-BMC ships half "
+        "the tuples, has the lowest simulated time and stores the fewest "
+        "copies."
     )
 
 

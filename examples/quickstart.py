@@ -6,16 +6,16 @@ Walks the full pipeline on a tiny social-network dataset:
 1. build an RDF dataset,
 2. parse a BGP query,
 3. inspect its join graph,
-4. optimize with TD-Auto under hash partitioning,
-5. execute the plan on a simulated 4-worker cluster,
-6. check the result against single-node evaluation.
+4. optimize with TD-Auto under hash partitioning and execute the plan
+   on a simulated 4-worker cluster — one ``session.run`` call,
+5. check the result against single-node evaluation.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import Dataset, optimize, parse_query, triple
+from repro import Dataset, OptimizeOptions, Optimizer, parse_query, triple
 from repro.core import JoinGraph, StatisticsCatalog
-from repro.engine import Cluster, Executor, evaluate_reference
+from repro.engine import Cluster, evaluate_reference
 from repro.partitioning import HashSubjectObject
 
 
@@ -56,16 +56,20 @@ def main() -> None:
     print(f"query: {len(query)} triple patterns, shape = {join_graph.shape().value}")
     print(f"join variables: {[str(v) for v in join_graph.join_variables]}")
 
-    # optimize: statistics come straight from the dataset, locality from
-    # the partitioning method
+    # a session: statistics come straight from the dataset, locality from
+    # the partitioning method; it executes on the cluster bound to it
     partitioning = HashSubjectObject()
     statistics = StatisticsCatalog.from_dataset(query, dataset)
-    result = optimize(
-        query,
-        algorithm="td-auto",
-        statistics=statistics,
-        partitioning=partitioning,
+    session = Optimizer(
+        OptimizeOptions(
+            algorithm="td-auto", statistics=statistics, partitioning=partitioning
+        )
     )
+    cluster = Cluster.build(dataset, partitioning, cluster_size=4)
+    print(f"\ncluster: {cluster}")
+    session.bind_cluster(cluster)
+    run = session.run(query)  # optimize -> execute, one budget, one trace root
+    result, relation, metrics = run.result, run.relation, run.metrics
     print(f"\noptimized with {result.algorithm} "
           f"in {result.elapsed_seconds * 1000:.2f} ms "
           f"({result.stats.plans_considered} plans considered)")
@@ -73,11 +77,7 @@ def main() -> None:
     print("\nplan:")
     print(result.plan.describe())
 
-    # execute on a simulated cluster
-    cluster = Cluster.build(dataset, partitioning, cluster_size=4)
-    print(f"\ncluster: {cluster}")
-    relation, metrics = Executor(cluster).execute(result.plan, query)
-    print(f"result rows: {len(relation)}")
+    print(f"\nresult rows: {len(relation)}")
     print(f"tuples shipped over the network: {metrics.total_tuples_shipped}")
     print(f"simulated time (cost-model units): {metrics.critical_path_cost:.2f}")
 

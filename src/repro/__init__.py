@@ -36,6 +36,7 @@ from .core import (
     PlanCache,
     QueryAborted,
     QueryBudget,
+    QueryRun,
     QueryShape,
     StatisticsCatalog,
     SteppingClock,
@@ -44,12 +45,13 @@ from .core import (
 from .rdf import Dataset, IRI, Literal, RDFGraph, Triple, Variable, triple
 from .sparql import BGPQuery, QueryGraph, TriplePattern, parse_query
 
-__version__ = "2.8.0"
+__version__ = "2.9.0"
 
 __all__ = [
     "optimize",
     "OptimizeOptions",
     "Optimizer",
+    "QueryRun",
     "PlanCache",
     "parse_query",
     "BGPQuery",

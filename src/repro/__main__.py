@@ -56,9 +56,9 @@ Lifecycle governance (see ``docs/RESILIENCE.md``)::
 
 ``--deadline`` bounds the whole query lifecycle in seconds and
 ``--row-budget`` caps the intermediate rows execution may produce; a
-breach prints a structured abort report and exits with status 4.  With
-``--anytime``, an optimizer deadline degrades to the best complete
-plan found so far instead of failing.
+breach — an optimizer deadline included — prints a structured abort
+report and exits with status 4.  With ``--anytime``, an optimizer
+deadline degrades to the best complete plan found so far instead.
 
 Adaptive repartitioning (see ``docs/PERFORMANCE.md``)::
 
@@ -73,8 +73,10 @@ when a round ran.
 
 Every subcommand funnels its flags through one
 :class:`~repro.core.session.OptimizeOptions` builder (see
-``docs/API.md`` for the flag-to-field mapping), so the CLI and the
-session API cannot drift apart.
+``docs/API.md`` for the flag-to-field mapping), and ``run``, ``demo``
+and ``trace --run`` execute through the one
+:meth:`~repro.core.session.Optimizer.run` path, so a flag means the same
+on every command and the CLI and the session API cannot drift apart.
 """
 
 from __future__ import annotations
@@ -85,10 +87,11 @@ import sys
 from pathlib import Path
 
 from .analysis import InvariantViolation
-from .core import ALGORITHMS, QueryAborted, StatisticsCatalog
+from .core import ALGORITHMS, OptimizationTimeout, QueryAborted, StatisticsCatalog
+from .core.governance import AbortCause
 from .core.serialize import plan_to_dot, plan_to_json
-from .core.session import OptimizeOptions, Optimizer
-from .engine import ENGINES, Cluster, Executor
+from .core.session import OptimizeOptions, Optimizer, _query_id
+from .engine import ENGINES, Cluster
 from .partitioning import (
     HashSubjectObject,
     PathBMC,
@@ -155,13 +158,20 @@ def build_options(args: argparse.Namespace, **overrides) -> OptimizeOptions:
     return OptimizeOptions(**fields)
 
 
-def _make_session(args: argparse.Namespace, **overrides) -> Optimizer:
-    """Build the :class:`Optimizer` session for one CLI invocation.
+#: what a governance stop raises: the optimizer's own deadline, or any breach
+_ABORTS = (QueryAborted, OptimizationTimeout)
 
-    An unknown algorithm raises :class:`ValueError` from the session
-    constructor.
-    """
-    return Optimizer(build_options(args, **overrides))
+
+def _aborted(session: Optimizer, query, error, trace: str | None) -> int:
+    """Print the structured abort report, export the trace, exit status 4."""
+    if isinstance(error, OptimizationTimeout):
+        error = QueryAborted(
+            str(error), cause=AbortCause.DEADLINE,
+            query_id=_query_id(query), phase="optimize",
+        )
+    print(error.describe(), file=sys.stderr)
+    _export_trace(session, trace)
+    return 4
 
 
 def _export_trace(session: Optimizer, path: str | None) -> None:
@@ -188,11 +198,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
         cache_path = Path(args.plan_cache)
         cache = PlanCache.load(cache_path) if cache_path.exists() else PlanCache()
-    session = _make_session(args, dataset=dataset, plan_cache=cache)
+    session = Optimizer(build_options(args, dataset=dataset, plan_cache=cache))
     try:
         result = session.optimize(query)
     except InvariantViolation as violation:
         raise SystemExit(f"plan verification failed: {violation.describe()}")
+    except _ABORTS as error:
+        return _aborted(session, query, error, args.trace)
     if args.verify:
         print("# verify: plan passed invariant verification", file=sys.stderr)
     print(
@@ -227,15 +239,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _fault_setup(args: argparse.Namespace):
-    """Build (injector, policy) from the run subcommand's fault flags."""
-    from .engine import DEFAULT_RETRY_POLICY, FaultInjector, RetryPolicy
+    """(injector, retry policy) from ``run``'s fault flags; ``None`` is the default."""
+    from .engine import FaultInjector, RetryPolicy
 
-    policy = DEFAULT_RETRY_POLICY
+    injector = policy = None
+    if args.fault_rate > 0:
+        injector = FaultInjector(args.fault_rate, seed=args.fault_seed)
     if args.max_retries is not None:
         policy = RetryPolicy(max_retries=args.max_retries)
-    if args.fault_rate <= 0:
-        return None, policy
-    return FaultInjector(args.fault_rate, seed=args.fault_seed), policy
+    return injector, policy
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -245,99 +257,51 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("run requires --data")
     method = _partitioning(args.partitioning) or HashSubjectObject()
     statistics = StatisticsCatalog.from_dataset(query, dataset)
-    session = _make_session(args, statistics=statistics, partitioning=method)
-    # one budget spans the whole lifecycle: the optimizer and the
-    # executor charge the same envelope
-    budget = session.budget_for(query)
+    session = Optimizer(
+        build_options(args, statistics=statistics, partitioning=method)
+    )
+    from .partitioning import AdaptiveCluster
+
+    kind = AdaptiveCluster if args.adapt else Cluster
+    cluster = kind.build(dataset, method, cluster_size=args.workers)
+    session.bind_cluster(cluster, *_fault_setup(args))
     try:
-        result = session.optimize(query, budget=budget)
+        run = session.run(query, limit=args.limit, explain=args.explain)
     except InvariantViolation as violation:
         raise SystemExit(f"plan verification failed: {violation.describe()}")
-    except QueryAborted as abort:
-        print(abort.describe(), file=sys.stderr)
-        return 4
+    except _ABORTS as error:
+        return _aborted(session, query, error, args.trace)
+    result, relation, metrics = run.result, run.relation, run.metrics
     if result.stats.degraded:
         print(
             f"# degraded: {result.algorithm} ({result.stats.degradation_reason})",
             file=sys.stderr,
         )
-    verifier = None
     if args.verify:
-        from .analysis import PlanVerifier, VerificationContext, profile_for_algorithm
-
-        context = VerificationContext.for_query(
-            query, statistics=statistics, partitioning=method
-        )
-        verifier = PlanVerifier(
-            context.with_profile(profile_for_algorithm(result.algorithm))
-        )
         print("# verify: plan passed invariant verification", file=sys.stderr)
-    if session.options.adapt:
-        from .partitioning import AdaptiveCluster
-
-        cluster: Cluster = AdaptiveCluster.build(
-            dataset, method, cluster_size=args.workers
+    for key, value in metrics.summary().items():
+        if key == "shipped_by_predicate":
+            value = ", ".join(f"{p}={count}" for p, count in value.items())
+        print(f"# {key}: {value}", file=sys.stderr)
+    report = run.adaptation
+    if report is not None:
+        print(
+            f"# adaptive: applied={len(report.applied)} "
+            f"skipped={len(report.skipped)} "
+            f"migrations={report.migrations} "
+            f"replicated_triples={report.replicated_triples} "
+            f"epoch={report.epoch}",
+            file=sys.stderr,
         )
-        session.bind_cluster(cluster)
-    else:
-        cluster = Cluster.build(dataset, method, cluster_size=args.workers)
-    injector, policy = _fault_setup(args)
-    if args.explain:
-        from .engine import explain
-
-        relation, report = explain(
-            result.plan,
-            cluster,
-            query,
-            fault_injector=injector,
-            retry_policy=policy,
-            engine=session.options.engine,
-            limit=args.limit,
+    if metrics.limit_pushdown:
+        print(
+            f"# limit-pushdown: stream stopped after {len(relation)} row(s)",
+            file=sys.stderr,
         )
-        print(report.render(), file=sys.stderr)
-    else:
-        executor = Executor(
-            cluster,
-            fault_injector=injector,
-            retry_policy=policy,
-            plan_verifier=verifier,
-            engine=session.options.engine,
-        )
-        try:
-            with session.tracing():
-                relation, metrics = executor.execute(
-                    result.plan, query, budget=budget, limit=args.limit
-                )
-        except QueryAborted as abort:
-            print(abort.describe(), file=sys.stderr)
-            _export_trace(session, args.trace)
-            return 4
-        for key, value in metrics.summary().items():
-            if key == "shipped_by_predicate":
-                breakdown = ", ".join(
-                    f"{predicate}={count}" for predicate, count in value.items()
-                )
-                print(f"# {key}: {breakdown}", file=sys.stderr)
-            else:
-                print(f"# {key}: {value}", file=sys.stderr)
-        report = session.observe_execution(query, metrics, budget=budget)
-        if report is not None:
-            print(
-                f"# adaptive: applied={len(report.applied)} "
-                f"skipped={len(report.skipped)} "
-                f"migrations={report.migrations} "
-                f"replicated_triples={report.replicated_triples} "
-                f"epoch={report.epoch}",
-                file=sys.stderr,
-            )
-        if metrics.limit_pushdown:
-            print(
-                f"# limit-pushdown: stream stopped after {len(relation)} "
-                f"row(s)",
-                file=sys.stderr,
-            )
-        if metrics.fault_injection_enabled and cluster.failed_workers:
-            print(f"# failed_workers: {cluster.failed_workers}", file=sys.stderr)
+    if metrics.fault_injection_enabled and cluster.failed_workers:
+        print(f"# failed_workers: {cluster.failed_workers}", file=sys.stderr)
+    if run.explain is not None:
+        print(run.explain.render(), file=sys.stderr)
     variables = list(relation.variables)
     print("\t".join(str(v) for v in variables))
     # --limit caps execution above; the print cap below only limits
@@ -424,48 +388,52 @@ def _trace_targets(args: argparse.Namespace):
 def cmd_trace(args: argparse.Namespace) -> int:
     from .observability import export
 
-    targets = _trace_targets(args)
     method = _partitioning(args.partitioning) or HashSubjectObject()
-    session = _make_session(args, trace=True, partitioning=method)
-    for name, query, statistics, dataset in targets:
+    session = Optimizer(build_options(args, trace=True, partitioning=method))
+    status, bound = 0, None
+    for name, query, statistics, dataset in _trace_targets(args):
         if statistics is not None:
             session.prime_statistics(query, statistics)
+        if args.run and dataset is None:
+            raise SystemExit("trace --run on a query file requires --data")
+        if args.run and dataset is not bound:  # one cluster per dataset
+            session.bind_cluster(
+                Cluster.build(dataset, method, cluster_size=args.workers)
+            )
+            bound = dataset
         try:
-            result = session.optimize(query)
+            run = session.run(query) if args.run else None
+            result = run.result if run is not None else session.optimize(query)
         except InvariantViolation as violation:
             raise SystemExit(f"plan verification failed: {violation.describe()}")
+        except _ABORTS as error:
+            status = _aborted(session, query, error, None)
+            break
         print(
             f"# {name}: {result.algorithm} cost={result.cost:.2f} "
             f"plans={result.stats.plans_considered} "
             f"time={result.elapsed_seconds * 1000:.1f}ms",
             file=sys.stderr,
         )
-        if args.run:
-            if dataset is None:
-                raise SystemExit("trace --run on a query file requires --data")
-            cluster = Cluster.build(dataset, method, cluster_size=args.workers)
-            with session.tracing():
-                relation, metrics = Executor(
-                    cluster, engine=session.options.engine
-                ).execute(result.plan, query)
+        if run is not None:
             print(
-                f"# {name}: rows={len(relation)} "
-                f"shipped={metrics.total_tuples_shipped} "
-                f"simulated_time={metrics.critical_path_cost:.2f}",
+                f"# {name}: rows={len(run.relation)} "
+                f"shipped={run.metrics.total_tuples_shipped} "
+                f"simulated_time={run.metrics.critical_path_cost:.2f}",
                 file=sys.stderr,
             )
     tracer = session.tracer
     assert tracer is not None  # trace=True above
-    optimize_roots = [sp for sp in tracer.roots() if sp.name == "optimize"]
-    total = sum(root.duration for root in optimize_roots)
-    if optimize_roots and total > 0:
+    root_name = "query" if args.run else "optimize"
+    roots = [sp for sp in tracer.roots() if sp.name == root_name]
+    total = sum(root.duration for root in roots)
+    if roots and total > 0:
         covered = sum(
-            export.span_coverage(tracer, root) * root.duration
-            for root in optimize_roots
+            export.span_coverage(tracer, root) * root.duration for root in roots
         )
         print(
-            f"# coverage: {covered / total * 100:.1f}% of optimize wall-clock "
-            f"spanned ({len(optimize_roots)} queries)",
+            f"# coverage: {covered / total * 100:.1f}% of {root_name} "
+            f"wall-clock spanned ({len(roots)} queries)",
             file=sys.stderr,
         )
     output = Path(args.output)
@@ -482,7 +450,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     print(export.flame_summary(tracer))
-    return 0
+    return status
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -511,21 +479,19 @@ def cmd_demo(args: argparse.Namespace) -> int:
     dataset = generate_lubm()
     query = lubm_query(args.query)
     method = _partitioning(args.partitioning) or HashSubjectObject()
-    session = _make_session(
-        args,
-        statistics=StatisticsCatalog.from_dataset(query, dataset),
-        partitioning=method,
+    statistics = StatisticsCatalog.from_dataset(query, dataset)
+    session = Optimizer(
+        build_options(args, statistics=statistics, partitioning=method)
     )
-    result = session.optimize(query)
+    session.bind_cluster(Cluster.build(dataset, method, cluster_size=args.workers))
     print(f"# dataset: {dataset}", file=sys.stderr)
-    print(result.plan.describe())
-    cluster = Cluster.build(dataset, method, cluster_size=args.workers)
-    with session.tracing():
-        relation, metrics = Executor(
-            cluster, engine=session.options.engine
-        ).execute(result.plan, query)
-    print(f"# rows={len(relation)} shipped={metrics.total_tuples_shipped} "
-          f"simulated_time={metrics.critical_path_cost:.2f}", file=sys.stderr)
+    try:
+        run = session.run(query)
+    except _ABORTS as error:
+        return _aborted(session, query, error, args.trace)
+    print(run.result.plan.describe())
+    print(f"# rows={len(run.relation)} shipped={run.metrics.total_tuples_shipped} "
+          f"simulated_time={run.metrics.critical_path_cost:.2f}", file=sys.stderr)
     _export_trace(session, args.trace)
     return 0
 

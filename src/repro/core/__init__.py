@@ -67,7 +67,7 @@ from .plans import (
 )
 from .pruning import PrunedTopDownEnumerator
 from .reduction import ReductionOptimizer, greedy_join_graph_reduction
-from .session import OptimizeOptions, Optimizer
+from .session import OptimizeOptions, Optimizer, QueryRun
 
 __all__ = [
     "JoinGraph",
@@ -117,6 +117,7 @@ __all__ = [
     "optimize",
     "OptimizeOptions",
     "Optimizer",
+    "QueryRun",
     "make_builder",
     "resolve_statistics",
     "ALGORITHMS",

@@ -7,14 +7,15 @@ Configuration and per-call input are separate things:
   optimization, including ``trace`` (observability is a property of a
   session, not a per-call argument);
 * :class:`Optimizer` is the *session* — it owns resolved statistics,
-  the plan cache, the tracer, and the worker-pool policy **across
-  calls**, so repeated optimizations share that state::
+  the plan cache, the tracer, the worker-pool policy and the executor
+  **across calls**, so repeated queries share that state::
 
       from repro import OptimizeOptions, Optimizer
 
       session = Optimizer(OptimizeOptions(algorithm="td-cmdp", trace=True))
+      session.bind_cluster(cluster)
       for query in workload:
-          result = session.optimize(query)
+          run = session.run(query)  # optimize -> execute -> observe
       print(flame_summary(session.tracer))
 
 :func:`~repro.core.optimizer.optimize` remains as a one-shot
@@ -40,7 +41,8 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine → core)
-    from ..engine.metrics import ExecutionMetrics
+    from ..engine import Cluster, ExecutionMetrics, Executor, ExplainReport
+    from ..engine import FaultInjector, Relation, RetryPolicy
     from ..partitioning.adaptive import (
         AdaptationReport,
         AdaptiveCluster,
@@ -64,6 +66,25 @@ from .plan_cache import PlanCache
 #: ``statistics`` attributes, e.g.
 #: :class:`~repro.workloads.generators.WorkloadQuery`, are accepted)
 RequestLike = Union[BGPQuery, Tuple[BGPQuery, Optional[StatisticsCatalog]], Any]
+
+
+def _query_id(query: BGPQuery) -> str:
+    """The one id a query carries: root span, budget, abort report."""
+    return query.name or f"q{len(query)}"
+
+
+@dataclass
+class QueryRun:
+    """One query through :meth:`Optimizer.run`."""
+
+    result: OptimizationResult
+    #: the deduplicated, projected result rows
+    relation: "Relation"
+    metrics: "ExecutionMetrics"
+    #: estimated vs measured per join operator, with ``explain=True``
+    explain: Optional["ExplainReport"] = None
+    #: the adaptation round this execution triggered, if one ran
+    adaptation: Optional["AdaptationReport"] = None
 
 
 def _normalize_request(
@@ -118,14 +139,14 @@ class OptimizeOptions:
     verify: bool = False
     #: collect spans + metrics for every call (``session.tracer``)
     trace: bool = False
-    #: execution engine for plan execution driven from this session's
-    #: options: a name from :data:`~repro.engine.base.ENGINES`
+    #: execution engine of the executor :meth:`Optimizer.bind_cluster`
+    #: builds: a name from :data:`~repro.engine.base.ENGINES`
     #: (``"columnar"`` — dictionary ids with indexed scans, every
     #: operator emits once; ``"pipelined"`` — the same in bounded
     #: batches) or a ready :class:`~repro.engine.base.Engine` instance
     engine: Any = "columnar"
     #: wall-clock deadline for each query's whole lifecycle (optimize,
-    #: and execution when the same budget is handed to the executor)
+    #: and execution under :meth:`Optimizer.run`)
     deadline_seconds: Optional[float] = None
     #: ceiling on intermediate rows produced during execution
     row_budget: Optional[int] = None
@@ -139,8 +160,8 @@ class OptimizeOptions:
     cancellation: Optional[CancellationToken] = None
     #: enable workload-adaptive repartitioning: the session owns a
     #: :class:`~repro.partitioning.adaptive.RepartitioningAdvisor` and
-    #: :meth:`Optimizer.observe_execution` drives the feedback loop
-    #: against a bound :class:`~repro.partitioning.adaptive.AdaptiveCluster`
+    #: :meth:`Optimizer.run` drives the feedback loop against a bound
+    #: :class:`~repro.partitioning.adaptive.AdaptiveCluster`
     adapt: bool = False
     #: run an adaptation round every N observed executions
     adapt_every: int = 16
@@ -185,9 +206,12 @@ class Optimizer:
     * **the plan cache** — :attr:`OptimizeOptions.plan_cache`, consulted and
       populated by every call (verification-gated when ``verify=True``);
     * **the tracer** — created once when ``trace=True``; every call adds
-      an ``optimize`` root span to it (see ``docs/OBSERVABILITY.md``);
+      a root span to it, ``optimize`` or :meth:`run`'s ``query`` (see
+      ``docs/OBSERVABILITY.md``);
     * **jobs** — the process allowance of every call: the sharded
-      search of one query, the worker pool of a batch.
+      search of one query, the worker pool of a batch;
+    * **the executor** — built by :meth:`bind_cluster`; :meth:`run` is
+      the one optimize → execute → observe path over it.
 
     Construction validates the algorithm eagerly, so a typo fails at
     session setup rather than mid-workload.
@@ -226,6 +250,7 @@ class Optimizer:
         #: the adaptive-repartitioning feedback loop (``adapt=True``)
         self.advisor: Optional["RepartitioningAdvisor"] = None
         self._adaptive_cluster: Optional["AdaptiveCluster"] = None
+        self._executor: Optional["Executor"] = None
         if base.adapt:
             # imported lazily: partitioning.adaptive depends on engine,
             # which depends on core
@@ -242,9 +267,7 @@ class Optimizer:
         """Optimize one query under this session's options.
 
         *budget* overrides the session-derived :meth:`budget_for`
-        envelope — pass one explicitly to share a single budget across
-        the query's whole lifecycle (optimize *and* execute), as the
-        CLI ``run`` command does.
+        envelope (:meth:`run` shares one across optimize and execute).
         """
         return self._optimize(query, None, budget)
 
@@ -271,41 +294,80 @@ class Optimizer:
             retry_budget=options.retry_budget,
             cancellation=options.cancellation,
             anytime=options.anytime,
-            query_id=query.name or f"q{len(query)}",
+            query_id=_query_id(query),
         )
 
     def tracing(self) -> ContextManager[object]:
-        """Activate this session's tracer for work outside :meth:`optimize`.
+        """Activate this session's tracer for work outside the session.
 
-        Lets callers record adjacent phases — plan execution, exports —
-        onto the same trace::
-
-            with session.tracing():
-                executor.execute(result.plan, query)
-
-        A no-op context manager when the session does not trace.
+        Lets callers record adjacent phases — an executor of their own,
+        exports — onto the same trace; :meth:`run` needs none of it.  A
+        no-op context manager when the session does not trace.
         """
         if self.tracer is None:
             return nullcontext()
         return obs.activate(self.tracer)
 
-    def bind_cluster(self, cluster: "AdaptiveCluster") -> None:
-        """Attach the adaptive cluster this session's feedback loop drives.
+    def bind_cluster(
+        self,
+        cluster: "Cluster",
+        fault_injector: Optional["FaultInjector"] = None,
+        retry_policy: Optional["RetryPolicy"] = None,
+    ) -> None:
+        """Build the session's one executor, on *cluster*, for :meth:`run`.
 
-        Requires ``OptimizeOptions(adapt=True)``.  When the session has
-        no partitioning configured, the cluster's base method becomes
-        the session partitioning, so the optimizer and the layout agree
-        from the first query on.
+        The executor runs ``options.engine`` and prices with
+        ``options.parameters``; binding again replaces it.  An
+        :class:`~repro.partitioning.adaptive.AdaptiveCluster` and
+        ``adapt=True`` require each other; a session without a
+        partitioning takes that cluster's base method, so the optimizer
+        and the layout agree from the first query on.
         """
-        if self.advisor is None:
+        from ..engine import DEFAULT_RETRY_POLICY, Executor
+        from ..partitioning.adaptive import AdaptiveCluster
+
+        if isinstance(cluster, AdaptiveCluster) != (self.advisor is not None):
             raise ValueError(
-                "bind_cluster requires OptimizeOptions(adapt=True)"
+                "an AdaptiveCluster and OptimizeOptions(adapt=True) "
+                "require each other"
             )
-        self._adaptive_cluster = cluster
-        if self.options.partitioning is None:
-            self.options = self.options.with_overrides(
-                partitioning=cluster.base_method
+        self._executor = Executor(
+            cluster, self.options.parameters, fault_injector,
+            retry_policy or DEFAULT_RETRY_POLICY, engine=self.options.engine,
+        )
+        if isinstance(cluster, AdaptiveCluster):
+            self._adaptive_cluster = cluster
+            if self.options.partitioning is None:
+                self.options = self.options.with_overrides(
+                    partitioning=cluster.base_method
+                )
+
+    def run(
+        self, query: BGPQuery, limit: Optional[int] = None, explain: bool = False
+    ) -> QueryRun:
+        """Optimize *query*, execute it on the bound cluster, observe it.
+
+        One :meth:`budget_for` envelope is charged by search and
+        execution alike, under one ``query`` root span whose ``query``
+        attribute is the id a :class:`~.governance.QueryAborted`
+        reports.  *limit* is :meth:`~repro.engine.executor.Executor.execute`'s;
+        *explain* adds this execution's estimated-vs-measured report.
+        """
+        from ..engine.explain import explain as report_on
+
+        executor = self._executor
+        if executor is None:
+            raise ValueError("run requires bind_cluster(cluster) first")
+        budget = self.budget_for(query)
+        with self.tracing(), obs.span("query", query=_query_id(query)):
+            result = self._optimize(query, None, budget)
+            relation, metrics = executor.execute(
+                result.plan, query, budget=budget, limit=limit
             )
+            parameters = self.options.parameters
+            report = report_on(result.plan, metrics, parameters) if explain else None
+            adaptation = self.observe_execution(query, metrics, budget=budget)
+        return QueryRun(result, relation, metrics, report, adaptation)
 
     def observe_execution(
         self,
@@ -315,9 +377,10 @@ class Optimizer:
     ) -> Optional["AdaptationReport"]:
         """Feed one executed query into the adaptive feedback loop.
 
-        Call once per :meth:`~repro.engine.executor.Executor.execute`
-        with the metrics it returned.  The advisor heats the query's
-        shape and predicates (plan-cache hits count as recurrence);
+        :meth:`run` calls it; a caller driving its own
+        :class:`~repro.engine.executor.Executor` calls it once per
+        execution with the metrics it returned.  The advisor heats the
+        query's shape and predicates (plan-cache hits count as recurrence);
         every ``adapt_every`` observations a batch of proposals is
         applied to the bound cluster under the session's replication
         budget.  When the batch changes the layout, the session's
@@ -485,7 +548,7 @@ class Optimizer:
             budget = self.budget_for(query)
         with self.tracing(), obs.span(
             "optimize",
-            query=query.name or f"q{len(query)}",
+            query=_query_id(query),
             algorithm=self.options.algorithm_key,
             patterns=len(query),
         ) as root:

@@ -53,20 +53,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import nsmallest
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterator,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis → core)
-    from ..analysis.plan_verifier import PlanVerifier
 
 from ..core.cost import CostParameters, PAPER_PARAMETERS
 from ..core.governance import QueryAborted, QueryBudget
@@ -194,7 +189,6 @@ class Executor:
         parameters: CostParameters = PAPER_PARAMETERS,
         fault_injector: Optional[FaultInjector] = None,
         retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-        plan_verifier: Optional["PlanVerifier"] = None,
         engine: Union[str, Engine] = "columnar",
         circuit_breaker: Optional[CircuitBreaker] = None,
     ) -> None:
@@ -210,9 +204,6 @@ class Executor:
         if circuit_breaker is not None:
             cluster.add_heal_listener(circuit_breaker.reset)
         self._multi_join = self._impl.join
-        #: optional pre-execution gate: a plan failing invariant
-        #: verification raises before any operator runs (``--verify``)
-        self.plan_verifier = plan_verifier
         # per-execute() state, reset at the top of every run
         self._recovery: Optional[RecoveryManager] = None
         self._budget: Optional[QueryBudget] = None
@@ -261,8 +252,6 @@ class Executor:
         the open span trace — execution never degrades partially, there
         is no partial answer to degrade to.
         """
-        if self.plan_verifier is not None:
-            self.plan_verifier.check(plan)
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be >= 0, got {limit}")
         metrics = ExecutionMetrics()

@@ -2,27 +2,22 @@
 
 Table VI of the paper argues the cost model "provides a good indication
 of the general quality of the plans".  :func:`explain` instruments that
-claim for a single plan: it executes the plan, aligns each join
-operator's *estimated* cardinality and cost with the *measured* tuple
-counts and priced cost, and reports the estimation error (q-error) per
-operator — the standard way to audit a cardinality estimator.
+claim for a single executed plan: it aligns each join operator's
+*estimated* cardinality and cost with the *measured* tuple counts and
+priced cost of that execution, and reports the estimation error
+(q-error) per operator — the standard way to audit a cardinality
+estimator.  ``Optimizer.run(query, explain=True)`` executes and
+explains in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import List
 
 from ..core.cost import CostParameters, PAPER_PARAMETERS
 from ..core.plans import JoinNode, PlanNode
-from ..sparql.ast import BGPQuery
-from .cluster import Cluster
-from .executor import Executor
-from .relations import Relation
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .faults import FaultInjector
-    from .recovery import RetryPolicy
+from .metrics import ExecutionMetrics
 
 
 @dataclass
@@ -89,36 +84,20 @@ class ExplainReport:
 
 def explain(
     plan: PlanNode,
-    cluster: Cluster,
-    query: Optional[BGPQuery] = None,
+    metrics: ExecutionMetrics,
     parameters: CostParameters = PAPER_PARAMETERS,
-    fault_injector: Optional["FaultInjector"] = None,
-    retry_policy: Optional["RetryPolicy"] = None,
-    engine: str = "columnar",
-    limit: Optional[int] = None,
-) -> Tuple[Relation, ExplainReport]:
-    """Execute *plan* and build the estimated-vs-measured report.
+) -> ExplainReport:
+    """The estimated-vs-measured report of *plan*, given the *metrics*
+    its execution returned.
 
-    Join operators are aligned with execution metrics by post-order
-    position (the executor appends one metrics record per operator in
-    evaluation order, which is exactly a post-order walk; retried
-    operators still produce a single record, so fault injection keeps
-    the alignment).
+    Join operators are aligned with the metrics by post-order position
+    (the executor appends one metrics record per operator in evaluation
+    order, which is exactly a post-order walk; retried operators still
+    produce a single record, so fault injection keeps the alignment).
     """
-    from .recovery import DEFAULT_RETRY_POLICY
-
-    executor = Executor(
-        cluster,
-        parameters,
-        fault_injector=fault_injector,
-        retry_policy=retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY,
-        engine=engine,
-    )
-    relation, metrics = executor.execute(plan, query, limit=limit)
-    joins_postorder = _joins_postorder(plan)
     join_metrics = [op for op in metrics.operators if op.algorithm != "scan"]
     rows: List[OperatorExplain] = []
-    for node, measured in zip(joins_postorder, join_metrics):
+    for node, measured in zip(_joins_postorder(plan), join_metrics):
         # actual produced counts include per-worker duplicates; the
         # deduplicated output is what the estimate predicts, so collect
         # the per-operator produced count as reported
@@ -133,14 +112,13 @@ def explain(
                 actual_cost=measured.simulated_cost(parameters),
             )
         )
-    report = ExplainReport(
+    return ExplainReport(
         rows=rows,
-        result_rows=len(relation),
+        result_rows=metrics.result_rows,
         estimated_plan_cost=plan.cost,
         measured_plan_cost=metrics.critical_path_cost,
         limit_pushdown=metrics.limit_pushdown,
     )
-    return relation, report
 
 
 def _joins_postorder(plan: PlanNode) -> List[JoinNode]:

@@ -206,3 +206,97 @@ class TestParser:
     def test_experiments_unknown_name(self):
         with pytest.raises(SystemExit):
             main(["experiments", "table99"])
+
+
+class TestGovernance:
+    """A governance stop exits 4 with the structured report on every
+    command, the optimizer's own deadline included."""
+
+    @pytest.mark.parametrize("command", ["run", "optimize"])
+    def test_optimizer_deadline_exits_4_with_a_report(
+        self, capsys, query_file, data_file, command
+    ):
+        code = main([command, query_file, "--data", data_file, "--deadline", "1e-9"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "cause: deadline" in err
+        assert "phase: optimize" in err
+
+    def test_anytime_still_degrades(self, capsys, query_file, data_file):
+        code = main(
+            ["optimize", query_file, "--data", data_file,
+             "--deadline", "1e-9", "--anytime"]
+        )
+        assert code == 0
+        assert "[anytime" in capsys.readouterr().err
+
+    def test_explain_charges_the_row_budget(self, capsys, query_file, data_file):
+        code = main(
+            ["run", query_file, "--data", data_file, "--explain", "--row-budget", "1"]
+        )
+        assert code == 4
+        assert "cause: row-budget" in capsys.readouterr().err
+
+    def test_demo_charges_the_row_budget(self, capsys):
+        code = main(["demo", "--query", "L1", "--workers", "4", "--row-budget", "1"])
+        assert code == 4
+        assert "cause: row-budget" in capsys.readouterr().err
+
+    def test_trace_run_charges_the_row_budget(self, capsys, tmp_path):
+        output = tmp_path / "trace.json"
+        code = main(
+            ["trace", "L1", "--run", "--row-budget", "1", "--output", str(output)]
+        )
+        assert code == 4
+        assert "cause: row-budget" in capsys.readouterr().err
+        assert output.exists()
+
+    def test_explain_with_adapt_prints_the_metrics_footer(
+        self, capsys, query_file, data_file
+    ):
+        code = main(
+            [
+                "run", query_file, "--data", data_file,
+                "--explain", "--adapt", "--adapt-every", "1",
+            ]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "# result_rows: 10" in err
+        assert "q-err" in err
+
+
+def _jsonl_roots(path):
+    spans = [json.loads(line) for line in path.read_text().splitlines() if line]
+    return spans, [span for span in spans if span["parent_id"] is None]
+
+
+class TestTrace:
+    def test_run_is_one_query_root(self, capsys, tmp_path):
+        output = tmp_path / "run.jsonl"
+        code = main(
+            ["trace", "L1", "--run", "--format", "jsonl", "--output", str(output)]
+        )
+        assert code == 0
+        spans, roots = _jsonl_roots(output)
+        assert [root["name"] for root in roots] == ["query"]
+        children = {s["name"] for s in spans if s["parent_id"] == roots[0]["span_id"]}
+        assert {"optimize", "execute"} <= children
+        assert "rows=" in capsys.readouterr().err
+
+    def test_examples_without_run_are_three_optimize_roots(self, tmp_path):
+        output = tmp_path / "examples.jsonl"
+        code = main(["trace", "examples", "--format", "jsonl", "--output", str(output)])
+        assert code == 0
+        _, roots = _jsonl_roots(output)
+        assert [root["name"] for root in roots] == ["optimize"] * 3
+
+
+class TestDemo:
+    def test_rows_equal_the_reference(self, capsys):
+        from repro.engine import evaluate_reference
+        from repro.workloads import generate_lubm, lubm_query
+
+        assert main(["demo", "--query", "L1", "--workers", "4"]) == 0
+        expected = len(evaluate_reference(lubm_query("L1"), generate_lubm().graph))
+        assert f"# rows={expected} " in capsys.readouterr().err

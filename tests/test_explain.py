@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import StatisticsCatalog, optimize
-from repro.engine import Cluster, evaluate_reference, explain
+from repro import OptimizeOptions, Optimizer
+from repro.core import StatisticsCatalog
+from repro.engine import Cluster, evaluate_reference
 from repro.engine.explain import OperatorExplain
 from repro.partitioning import HashSubjectObject
 
@@ -12,10 +13,10 @@ from repro.partitioning import HashSubjectObject
 def executed(toy_dataset, toy_query):
     method = HashSubjectObject()
     statistics = StatisticsCatalog.from_dataset(toy_query, toy_dataset)
-    result = optimize(toy_query, statistics=statistics, partitioning=method)
-    cluster = Cluster.build(toy_dataset, method, cluster_size=3)
-    relation, report = explain(result.plan, cluster, toy_query)
-    return result, relation, report
+    session = Optimizer(OptimizeOptions(statistics=statistics, partitioning=method))
+    session.bind_cluster(Cluster.build(toy_dataset, method, cluster_size=3))
+    run = session.run(toy_query, explain=True)
+    return run.result, run.relation, run.explain
 
 
 class TestExplain:

@@ -176,3 +176,159 @@ class TestParallelSession:
         ).optimize(fig1_query)
         assert parallel.cost == serial.cost
         assert parallel.plan.describe() == serial.plan.describe()
+
+
+class TestSessionRun:
+    """``Optimizer.run``: the one optimize -> execute -> observe path."""
+
+    @pytest.fixture(scope="class")
+    def lubm(self):
+        from repro.workloads import generate_lubm, lubm_query
+
+        dataset = generate_lubm()
+        return dataset, [lubm_query(f"L{i}") for i in range(1, 11)]
+
+    @staticmethod
+    def _session(dataset, query, **overrides):
+        from repro.core import StatisticsCatalog
+
+        return Optimizer(
+            OptimizeOptions(
+                statistics=StatisticsCatalog.from_dataset(query, dataset),
+                partitioning=HashSubjectObject(),
+                **overrides,
+            )
+        )
+
+    @pytest.mark.parametrize("engine", ["columnar", "pipelined"])
+    def test_run_equals_optimize_then_execute(self, lubm, engine):
+        from repro.engine import Cluster, Executor
+
+        dataset, queries = lubm
+        cluster = Cluster.build(dataset, HashSubjectObject(), cluster_size=4)
+        for query in queries:
+            session = self._session(dataset, query, engine=engine)
+            session.bind_cluster(cluster)
+            run = session.run(query)
+            plan = session.optimize(query).plan
+            relation, metrics = Executor(cluster, engine=engine).execute(plan, query)
+            assert run.relation.rows == relation.rows, query.name
+            measured = (
+                run.metrics.total_tuples_read,
+                run.metrics.total_tuples_shipped,
+                run.metrics.total_tuples_produced,
+                run.metrics.peak_buffered_rows,
+            )
+            assert measured == (
+                metrics.total_tuples_read,
+                metrics.total_tuples_shipped,
+                metrics.total_tuples_produced,
+                metrics.peak_buffered_rows,
+            ), query.name
+            assert run.explain is None and run.adaptation is None
+
+    @staticmethod
+    def _charged_budgets(monkeypatch):
+        """The budgets every ``Executor.execute`` call receives."""
+        from repro.engine import Executor
+
+        budgets = []
+        execute = Executor.execute
+
+        def spy(self, plan, query=None, budget=None, limit=None):
+            budgets.append(budget)
+            return execute(self, plan, query, budget=budget, limit=limit)
+
+        monkeypatch.setattr(Executor, "execute", spy)
+        return budgets
+
+    def test_ungoverned_run_charges_no_budget(self, lubm, monkeypatch):
+        from repro.engine import Cluster
+
+        dataset, queries = lubm
+        query = queries[0]
+        session = self._session(dataset, query)
+        assert session.budget_for(query) is None
+        budgets = self._charged_budgets(monkeypatch)
+        session.bind_cluster(Cluster.build(dataset, HashSubjectObject(), 4))
+        session.run(query)
+        assert budgets == [None]
+
+    def test_governed_run_charges_one_budget(self, lubm, monkeypatch):
+        from repro.engine import Cluster
+
+        dataset, queries = lubm
+        query = queries[0]
+        session = self._session(dataset, query, row_budget=10**9)
+        issued = []
+        budget_for = Optimizer.budget_for
+
+        def issue(self, query):
+            issued.append(budget_for(self, query))
+            return issued[-1]
+
+        monkeypatch.setattr(Optimizer, "budget_for", issue)
+        budgets = self._charged_budgets(monkeypatch)
+        session.bind_cluster(Cluster.build(dataset, HashSubjectObject(), 4))
+        session.run(query)
+        assert len(issued) == 1 and issued[0] is not None
+        assert len(budgets) == 1 and budgets[0] is issued[0]
+
+    def test_run_before_bind_cluster_raises(self, lubm):
+        dataset, queries = lubm
+        with pytest.raises(ValueError, match="bind_cluster"):
+            self._session(dataset, queries[0]).run(queries[0])
+
+    def test_adapt_session_rejects_a_plain_cluster(self, lubm):
+        from repro.engine import Cluster
+
+        dataset, queries = lubm
+        session = self._session(dataset, queries[0], adapt=True)
+        with pytest.raises(ValueError, match="AdaptiveCluster"):
+            session.bind_cluster(Cluster.build(dataset, HashSubjectObject(), 4))
+
+    def test_traced_run_is_one_query_root(self, lubm):
+        from repro.engine import Cluster
+
+        dataset, queries = lubm
+        query = queries[6]
+        session = self._session(dataset, query, trace=True)
+        session.bind_cluster(Cluster.build(dataset, HashSubjectObject(), 4))
+        session.run(query)
+        tracer = session.tracer
+        (root,) = tracer.roots()
+        assert root.name == "query"
+        assert root.attributes["query"] == query.name
+        children = {sp.name for sp in tracer.spans if sp.parent_id == root.span_id}
+        assert {"optimize", "execute"} <= children
+
+    def test_abort_inside_run_carries_the_root_id(self, lubm):
+        from repro import QueryAborted
+        from repro.engine import Cluster
+
+        dataset, queries = lubm
+        query = queries[6]
+        session = self._session(dataset, query, trace=True, row_budget=1)
+        session.bind_cluster(Cluster.build(dataset, HashSubjectObject(), 4))
+        with pytest.raises(QueryAborted) as aborted:
+            session.run(query)
+        (root,) = session.tracer.roots()
+        assert root.name == "query"
+        assert aborted.value.query_id == root.attributes["query"] == query.name
+        assert aborted.value.phase == "execute"
+
+    def test_adaptive_run_observes_inside_the_query_root(self, lubm):
+        from repro.partitioning import AdaptiveCluster
+
+        dataset, queries = lubm
+        query = queries[6]  # L7 ships under hash-so
+        session = self._session(
+            dataset, query, adapt=True, adapt_every=1, trace=True
+        )
+        session.bind_cluster(AdaptiveCluster.build(dataset, HashSubjectObject(), 4))
+        run = session.run(query)
+        assert run.metrics.total_tuples_shipped > 0
+        assert run.adaptation is not None  # adapt_every=1: a round ran
+        (root,) = session.tracer.roots()
+        applied = [sp for sp in session.tracer.spans if sp.name == "adaptive.apply"]
+        assert [sp.parent_id for sp in applied] == [root.span_id]
