@@ -87,7 +87,7 @@ import sys
 from pathlib import Path
 
 from .analysis import InvariantViolation
-from .core import ALGORITHMS, OptimizationTimeout, QueryAborted, StatisticsCatalog
+from .core import ALGORITHMS, OptimizationTimeout, QueryAborted
 from .core.governance import AbortCause
 from .core.serialize import plan_to_dot, plan_to_json
 from .core.session import OptimizeOptions, Optimizer, _query_id
@@ -136,8 +136,7 @@ def build_options(args: argparse.Namespace, **overrides) -> OptimizeOptions:
 
     Flags a subcommand does not define fall back to the option defaults;
     *overrides* win over flags (e.g. ``run`` forces a partitioning and
-    explicit statistics).  The full mapping is documented in
-    ``docs/API.md``.
+    its dataset).  The full mapping is documented in ``docs/API.md``.
     """
     fields = dict(
         algorithm=getattr(args, "algorithm", None) or "td-auto",
@@ -256,10 +255,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if dataset is None:
         raise SystemExit("run requires --data")
     method = _partitioning(args.partitioning) or HashSubjectObject()
-    statistics = StatisticsCatalog.from_dataset(query, dataset)
-    session = Optimizer(
-        build_options(args, statistics=statistics, partitioning=method)
-    )
+    session = Optimizer(build_options(args, dataset=dataset, partitioning=method))
     from .partitioning import AdaptiveCluster
 
     kind = AdaptiveCluster if args.adapt else Cluster
@@ -479,10 +475,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     dataset = generate_lubm()
     query = lubm_query(args.query)
     method = _partitioning(args.partitioning) or HashSubjectObject()
-    statistics = StatisticsCatalog.from_dataset(query, dataset)
-    session = Optimizer(
-        build_options(args, statistics=statistics, partitioning=method)
-    )
+    session = Optimizer(build_options(args, dataset=dataset, partitioning=method))
     session.bind_cluster(Cluster.build(dataset, method, cluster_size=args.workers))
     print(f"# dataset: {dataset}", file=sys.stderr)
     try:

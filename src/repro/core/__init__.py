@@ -2,11 +2,6 @@
 
 from .auto import AutoThresholds, AutonomousOptimizer, choose_algorithm
 from .cardinality import CardinalityEstimator, PatternStatistics, StatisticsCatalog
-from .char_sets import (
-    CharacteristicSets,
-    CharacteristicSetsEstimator,
-    build_estimator as build_char_sets_estimator,
-)
 from .cmd import (
     brute_force_cbds,
     brute_force_cmds,
@@ -75,9 +70,6 @@ __all__ = [
     "CardinalityEstimator",
     "StatisticsCatalog",
     "PatternStatistics",
-    "CharacteristicSets",
-    "CharacteristicSetsEstimator",
-    "build_char_sets_estimator",
     "CostParameters",
     "PAPER_PARAMETERS",
     "PlanBuilder",

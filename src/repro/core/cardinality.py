@@ -124,42 +124,6 @@ class StatisticsCatalog:
         return cls(query, entries)
 
     @classmethod
-    def from_sample(
-        cls,
-        query: BGPQuery,
-        dataset: Dataset,
-        fraction: float = 0.1,
-        rng: Optional[random.Random] = None,
-    ) -> "StatisticsCatalog":
-        """Approximate statistics from a Bernoulli sample of the data.
-
-        At the paper's data scales exact per-pattern counts are not
-        free; sampling is the standard substitute.  Counts are scaled
-        by 1/fraction; per-variable binding counts are scaled the same
-        way (a simplification that is exact for uniform value
-        distributions and an overestimate otherwise).
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        rng = rng if rng is not None else random.Random(0)
-        from ..rdf.triples import RDFGraph
-
-        sample = RDFGraph(t for t in dataset.graph if rng.random() < fraction)
-        sampled_dataset = Dataset(sample, name=f"{dataset.name}-sample")
-        exact_on_sample = cls.from_dataset(query, sampled_dataset)
-        scale = 1.0 / fraction
-        entries = [
-            PatternStatistics(
-                cardinality=max(stats.cardinality * scale, 1.0),
-                bindings={
-                    v: max(b * scale, 1.0) for v, b in stats.bindings.items()
-                },
-            )
-            for stats in exact_on_sample.per_pattern
-        ]
-        return cls(query, entries)
-
-    @classmethod
     def from_random(
         cls,
         query: BGPQuery,

@@ -1,6 +1,6 @@
 """RDF data model substrate: terms, triples, graphs, encoding, N-Triples IO."""
 
-from .dataset import Dataset, PredicateStatistics
+from .dataset import Dataset
 from .encoding import EncodedGraph, PredicateIndex, TermDictionary
 from .ntriples import (
     NTriplesError,
@@ -24,7 +24,6 @@ __all__ = [
     "triple",
     "RDFGraph",
     "Dataset",
-    "PredicateStatistics",
     "TermDictionary",
     "EncodedGraph",
     "PredicateIndex",

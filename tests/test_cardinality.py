@@ -1,21 +1,30 @@
 """Tests for cardinality estimation (Eqs. 10–11)."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from repro import parse_query
-from repro.core import JoinGraph
+from repro.core import JoinGraph, optimize
 from repro.core import bitset as bs
 from repro.core.cardinality import (
     CardinalityEstimator,
     PatternStatistics,
     StatisticsCatalog,
 )
-from repro.engine import evaluate_reference
+from repro.engine import Cluster, Executor, evaluate_reference
+from repro.partitioning import HashSubjectObject
 from repro.rdf import Dataset, triple
 from repro.rdf.terms import Variable
 from repro.sparql.ast import BGPQuery
+from repro.workloads import (
+    generate_lubm,
+    generate_uniprot,
+    lubm_queries,
+    lubm_query,
+    uniprot_queries,
+)
 
 
 @pytest.fixture
@@ -216,3 +225,62 @@ class TestCatalogs:
     def test_unknown_binding_defaults_to_cardinality(self):
         stats = PatternStatistics(7.0, {})
         assert stats.binding_count(Variable("zz")) == 7.0
+
+
+def _subject_stars(query):
+    """The plain subject-star subqueries of *query* as bitsets: two or more
+    patterns with one variable subject, distinct constant predicates and
+    variable objects that are not the subject."""
+    patterns = list(query)
+    for size in range(2, len(patterns) + 1):
+        for chosen in combinations(range(len(patterns)), size):
+            star = [patterns[index] for index in chosen]
+            subject = star[0].subject
+            distinct = len({tp.predicate for tp in star}) == size
+            if isinstance(subject, Variable) and distinct and all(
+                tp.subject == subject
+                and not isinstance(tp.predicate, Variable)
+                and isinstance(tp.object, Variable)
+                and tp.object != subject
+                for tp in star
+            ):
+                yield sum(1 << index for index in chosen), BGPQuery(star)
+
+
+class TestSubjectStars:
+    """The default Eq. 10/11 fold on every plain subject star of the
+    LUBM and UniProt workloads: the only subqueries a characteristic-sets
+    estimator could answer, and the fold is already within 1.07× of the
+    true row count on each of them."""
+
+    def test_every_star_is_within_1_07_of_the_truth(self):
+        q_errors = []
+        for dataset, queries in (
+            (generate_lubm(), lubm_queries()),
+            (generate_uniprot(), uniprot_queries()),
+        ):
+            for query in queries.values():
+                estimator = CardinalityEstimator(
+                    JoinGraph(query), StatisticsCatalog.from_dataset(query, dataset)
+                )
+                for bits, star in _subject_stars(query):
+                    estimate = estimator.cardinality(bits)
+                    true = max(len(evaluate_reference(star, dataset.graph)), 1)
+                    q_errors.append(max(estimate / true, true / estimate))
+        assert len(q_errors) == 24  # the sweep cannot silently go empty
+        assert max(q_errors) <= 1.07
+
+
+class TestBadStatistics:
+    def test_wrong_statistics_change_the_plan_never_the_rows(self):
+        """Badly wrong estimates change plan choice, never correctness."""
+        lubm = generate_lubm()
+        query = lubm_query("L4")
+        method = HashSubjectObject()
+        wrong = StatisticsCatalog.from_random(query, random.Random(3))
+        result = optimize(query, statistics=wrong, partitioning=method)
+        exact = optimize(query, dataset=lubm, partitioning=method)
+        assert result.plan.describe() != exact.plan.describe()
+        cluster = Cluster.build(lubm, method, cluster_size=4)
+        relation, _ = Executor(cluster).execute(result.plan, query)
+        assert relation.rows == evaluate_reference(query, lubm.graph).rows

@@ -186,6 +186,30 @@ class TestRun:
 
         assert simulated(faulty.err) == simulated(baseline.err)
 
+    def test_trace_resolves_statistics_under_the_query_root(
+        self, capsys, tmp_path, query_file, data_file
+    ):
+        """``run`` hands the session its dataset: the statistics are
+        resolved once, inside the one ``query`` root, and the printed
+        rows are those of an untraced run."""
+        main(["run", query_file, "--data", data_file])
+        untraced = capsys.readouterr().out
+        output = tmp_path / "run.json"
+        assert main(["run", query_file, "--data", data_file, "--trace", str(output)]) == 0
+        assert capsys.readouterr().out == untraced
+        spans = {
+            event["args"]["span_id"]: event
+            for event in json.loads(output.read_text())["traceEvents"]
+            if event["ph"] == "X"
+        }
+        resolves = [s for s in spans.values() if s["name"] == "statistics.resolve"]
+        assert len(resolves) == 1
+        ancestor = resolves[0]
+        while ancestor["args"]["parent_id"] is not None:
+            ancestor = spans[ancestor["args"]["parent_id"]]
+        assert ancestor["name"] == "query"
+        assert [s["name"] for s in spans.values() if s["args"]["parent_id"] is None] == ["query"]
+
     def test_fault_flags_parse_defaults(self):
         args = build_parser().parse_args(["run", "q.sparql", "--data", "d.nt"])
         assert args.fault_rate == 0.0

@@ -1,6 +1,8 @@
-"""Unit tests for Dataset statistics."""
+"""Unit tests for the Dataset container."""
 
-from repro.rdf import Dataset, IRI, triple
+from repro.core import StatisticsCatalog
+from repro.rdf import Dataset, triple
+from repro.sparql import parse_query
 
 
 def make_dataset():
@@ -19,27 +21,15 @@ class TestDataset:
     def test_triple_count(self):
         assert make_dataset().triple_count == 4
 
-    def test_predicate_statistics(self):
-        ds = make_dataset()
-        stats = ds.predicate_statistics(IRI("http://e/p"))
-        assert stats.triple_count == 3
-        assert stats.distinct_subjects == 2
-        assert stats.distinct_objects == 2
-
-    def test_unseen_predicate_zeroes(self):
-        stats = make_dataset().predicate_statistics(IRI("http://e/nope"))
-        assert stats.triple_count == 0
-        assert stats.distinct_subjects == 0
-
-    def test_predicate_cardinality(self):
-        assert make_dataset().predicate_cardinality(IRI("http://e/q")) == 1
-
     def test_refresh_after_mutation(self):
+        """Statistics read what the dataset last encoded: a triple added
+        to the graph is counted only after :meth:`Dataset.refresh`."""
         ds = make_dataset()
+        query = parse_query("SELECT * WHERE { ?s <http://e/q> ?o . }")
         ds.graph.add(triple("http://e/z", "http://e/q", "http://e/w"))
-        assert ds.predicate_cardinality(IRI("http://e/q")) == 1  # stale
+        assert StatisticsCatalog.from_dataset(query, ds)[0].cardinality == 1  # stale
         ds.refresh()
-        assert ds.predicate_cardinality(IRI("http://e/q")) == 2
+        assert StatisticsCatalog.from_dataset(query, ds)[0].cardinality == 2
 
     def test_repr(self):
         assert "stats" in repr(make_dataset())

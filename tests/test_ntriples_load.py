@@ -462,6 +462,5 @@ class TestInterningHashCalls:
         distinct = len(dataset.dictionary)
         assert distinct > 200
         # every line of the file is canonical: two calls per distinct term
-        # to load it, one per predicate to key the dataset's statistics
-        predicates = len(set(dataset.encoded_graph().predicates))
-        assert hash_calls["hash"] == 2 * distinct + predicates
+        # to load it, and building the dataset hashes no term again
+        assert hash_calls["hash"] == 2 * distinct
