@@ -1,6 +1,6 @@
 """Static analysis for the optimizer and the codebase.
 
-Two halves, both *beside* the engine rather than inside it (the
+Three parts, all *beside* the engine rather than inside it (the
 shaclAPI pattern):
 
 * :mod:`.plan_verifier` / :mod:`.invariants` — a plan-invariant
@@ -9,8 +9,11 @@ shaclAPI pattern):
   1–3 of TD-CMDP, partition-aware local queries, cost-model agreement)
   without executing the plan.
 * :mod:`.lint` — an AST-based lint with repo-specific determinism and
-  correctness rules (LINT001–LINT004), catching the bug class that PR 2
-  shipped and had to fix (hash-seed-ordered ``frozenset`` iteration).
+  correctness rules (LINT001–LINT005), catching the bug class of
+  hash-seed-ordered ``frozenset`` iteration.
+* :mod:`.concurrency` — lock discipline, blocking or nested locking
+  under a lock, and pickle / fork safety at the process boundary
+  (LINT010–LINT013).
 """
 
 from .invariants import (

@@ -1,34 +1,32 @@
-"""Interprocedural concurrency & process-safety analyzer.
+"""Concurrency & process-safety analyzer.
 
-Four passes over the whole ``src/repro`` tree (not per-file like the
-determinism lint — lock discipline and poll reachability are
-cross-function properties):
+Three passes over the ``src/repro`` tree, each across the functions of
+one module: a private helper inherits the locks its intra-class callers
+hold, and a worker entry reaches its same-module callees.
 
 ======== ==============================================================
 Code     Property
 ======== ==============================================================
 LINT010  ``#: guarded-by:`` fields only touched under their lock
 LINT011  no blocking call (``.result``/``.recv``/``queue.get``/…)
-         while holding a lock
+         and no second lock taken while holding a lock
 LINT012  nothing unpicklable reaches a process boundary
 LINT013  worker entry code does not read mutated module globals
-LINT014  every hot loop reachable from ``Optimizer.optimize`` /
-         ``Executor.execute`` polls the query budget
 ======== ==============================================================
 
 CLI: ``python -m repro check-concurrency [paths]``.  Suppression uses
 the same per-line grammar as the determinism lint:
 ``# lint: disable=LINT010 <justification>``.
 
-The dynamic lock-order race detector lives in :mod:`.runtime` and is
-imported lazily — production code must never import this package.
+Whether every search and engine polls its query budget is checked by
+running them under a real deadline (``tests/test_governance.py``), not
+statically.  Nothing on the query path imports this package.
 """
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..lint.diagnostics import (
     Diagnostic,
@@ -39,10 +37,8 @@ from ..lint.diagnostics import (
     sort_key,
 )
 from ..lint.runner import iter_python_files
-from .callgraph import build_call_graph
-from .cancellation import check_cancellation_polls
 from .guards import check_lock_discipline
-from .model import Project, build_project
+from .model import ModuleInfo, parse_module
 from .pickle_safety import check_pickle_safety, check_worker_globals
 
 #: code → one-line summary (docs + ``--select`` validation)
@@ -51,7 +47,6 @@ CONCURRENCY_RULES: Dict[str, str] = {
     "LINT011": "potentially blocking call while holding a lock",
     "LINT012": "unpicklable value reaches a process boundary",
     "LINT013": "worker entry path reads a mutated module global",
-    "LINT014": "hot loop reachable from optimize/execute never polls the budget",
 }
 
 
@@ -67,10 +62,11 @@ def analyze_files(
     wanted = set(select) if select is not None else None
     findings: List[Diagnostic] = []
     # a file that does not parse is one finding, not a crash
-    parsed: List[Tuple[str, str]] = []
+    modules: List[ModuleInfo] = []
+    suppressions_by_path: Dict[str, Dict[int, FrozenSet[str]]] = {}
     for path, source in files:
         try:
-            ast.parse(source, filename=path)
+            modules.append(parse_module(source, path))
         except SyntaxError as error:
             findings.append(
                 Diagnostic(
@@ -83,24 +79,18 @@ def analyze_files(
                 )
             )
             continue
-        parsed.append((path, source))
+        suppressions_by_path[path] = parse_suppressions(source)
 
-    project = build_project(parsed)
-    graph = build_call_graph(project)
     for pass_findings in (
-        check_lock_discipline(project),
-        check_pickle_safety(project),
-        check_worker_globals(project),
-        check_cancellation_polls(project, graph),
+        check_lock_discipline(modules),
+        check_pickle_safety(modules),
+        check_worker_globals(modules),
     ):
         findings.extend(pass_findings)
 
     if wanted is not None:
         findings = [f for f in findings if f.code in wanted or f.code == "LINT000"]
 
-    suppressions_by_path = {
-        path: parse_suppressions(source) for path, source in parsed
-    }
     kept = [
         f
         for f in findings
@@ -112,7 +102,7 @@ def analyze_files(
 def check_concurrency_paths(
     paths: Sequence[Union[str, Path]], select: Optional[Iterable[str]] = None
 ) -> List[Diagnostic]:
-    """Analyze every ``.py`` file under *paths* as one project."""
+    """Analyze every ``.py`` file under *paths*."""
     files = [
         (str(file), file.read_text(encoding="utf-8"))
         for file in iter_python_files(paths)

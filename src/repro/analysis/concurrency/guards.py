@@ -12,17 +12,20 @@ inherit a lock: they can be called from anywhere.
 LINT011 — a call that can block indefinitely (``future.result``,
 ``pipe.recv``, ``queue.get``, ``.join``/``.wait``/``.acquire``,
 ``time.sleep``) inside a ``with <lock>:`` body stalls every other
-thread contending for that lock; flag it.
+thread contending for that lock; flag it.  A nested ``with <lock>:``
+is the same ``.acquire`` and is flagged too: two locks taken in
+opposite orders on two paths deadlock, and no lock in this program
+nests.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..lint.diagnostics import Diagnostic, Severity
-from .model import ClassInfo, FunctionInfo, Project, _terminal_name
+from .model import ClassInfo, ModuleInfo, _terminal_name
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -142,15 +145,28 @@ class _MethodScanner(ast.NodeVisitor):
         seen = {(line, col) for line, col, _, _ in self.blocking}
         for stmt in node.body:
             for sub in ast.walk(stmt):
-                if not isinstance(sub, ast.Call):
+                if isinstance(sub, ast.Call):
+                    reason = _blocking_reason(sub)
+                elif isinstance(sub, (ast.With, ast.AsyncWith)):
+                    reason = _nested_lock_reason(sub, self.cls)
+                else:
                     continue
                 if (sub.lineno, sub.col_offset) in seen:
                     continue  # already flagged under an enclosing lock
-                reason = _blocking_reason(sub)
                 if reason:
                     self.blocking.append(
                         (sub.lineno, sub.col_offset, reason, lock_label)
                     )
+
+
+def _nested_lock_reason(
+    node: Union[ast.With, ast.AsyncWith], cls: Optional[ClassInfo]
+) -> Optional[str]:
+    """``with <lock>`` when this ``with`` takes a lock (an ``.acquire``)."""
+    for item in node.items:
+        if _is_lockish(item.context_expr, cls):
+            return f"with {ast.unparse(item.context_expr)}"
+    return None
 
 
 def _blocking_reason(call: ast.Call) -> Optional[str]:
@@ -213,10 +229,10 @@ def _entry_lock_fixed_point(
     return entry
 
 
-def check_lock_discipline(project: Project) -> List[Diagnostic]:
-    """Run LINT010 + LINT011 over every class in the project."""
+def check_lock_discipline(modules: Sequence[ModuleInfo]) -> List[Diagnostic]:
+    """Run LINT010 + LINT011 over every class in *modules*."""
     findings: List[Diagnostic] = []
-    for module in project.modules.values():
+    for module in modules:
         # module-level functions: only the blocking-under-lock check
         for func in module.functions.values():
             scanner = _MethodScanner(None, set(), module.path)

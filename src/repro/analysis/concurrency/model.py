@@ -1,8 +1,8 @@
 """Shared program model for the concurrency analyzer.
 
-Parses a set of source files into a :class:`Project`: modules, classes,
-methods, imports, and the ``#: guarded-by: <lock>`` declarations that
-drive the lock-discipline pass (LINT010) and the runtime detector.
+Parses each source file into one :class:`ModuleInfo`: its classes,
+methods, module globals, and the ``#: guarded-by: <lock>`` declarations
+that drive the lock-discipline pass (LINT010).
 
 Annotation grammar
 ------------------
@@ -24,8 +24,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Optional, Set, Union
 
 #: ``#: guarded-by: <lockname>`` — the declaration comment grammar
 GUARDED_BY_RE = re.compile(r"#:?\s*guarded-by:\s*(?P<lock>[A-Za-z_][A-Za-z0-9_]*)")
@@ -62,17 +61,11 @@ def parse_guard_comments(source: str) -> Dict[int, str]:
 
 @dataclass
 class FunctionInfo:
-    """One function or method, addressable by (module, qualname)."""
+    """One function or method of a module."""
 
-    module: str
     qualname: str  #: ``name`` or ``Class.name``
     node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
     class_name: Optional[str] = None
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        """The (module, qualname) pair identifying this function."""
-        return (self.module, self.qualname)
 
     @property
     def name(self) -> str:
@@ -84,10 +77,8 @@ class FunctionInfo:
 class ClassInfo:
     """One class: methods, declared guards, and lock-typed attributes."""
 
-    module: str
     name: str
     node: ast.ClassDef
-    bases: List[str] = field(default_factory=list)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: attr → lock attr name, from ``#: guarded-by:`` declarations
     guarded: Dict[str, str] = field(default_factory=dict)
@@ -100,32 +91,12 @@ class ModuleInfo:
     """One parsed source file."""
 
     path: str
-    modname: str
-    tree: ast.Module
-    source: str
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: local alias → imported module name (``import x.y as z``)
-    module_aliases: Dict[str, str] = field(default_factory=dict)
-    #: local name → (module, original name) for ``from m import n``
-    from_imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: module-level names bound to mutable literals/constructors
     mutable_globals: Set[str] = field(default_factory=set)
     #: module-level names mutated somewhere in the module
     mutated_globals: Set[str] = field(default_factory=set)
-
-
-def module_name_for(path: str) -> str:
-    """Dotted module name for *path* (``repro.core.x`` when under src)."""
-    parts = list(Path(path).with_suffix("").parts)
-    if "src" in parts:
-        parts = parts[parts.index("src") + 1 :]
-    else:
-        # keep a stable tail so pretend test paths still resolve
-        parts = parts[-3:] if len(parts) > 3 else parts
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
 
 
 _MUTABLE_FACTORIES = frozenset(
@@ -221,24 +192,14 @@ def _collect_global_mutations(tree: ast.Module, globals_: Set[str]) -> Set[str]:
 def parse_module(source: str, path: str) -> ModuleInfo:
     """Parse one file into a :class:`ModuleInfo` (raises SyntaxError)."""
     tree = ast.parse(source, filename=path)
-    info = ModuleInfo(
-        path=path, modname=module_name_for(path), tree=tree, source=source
-    )
+    info = ModuleInfo(path=path)
     guard_comments = parse_guard_comments(source)
 
     for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                info.module_aliases[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                info.from_imports[alias.asname or alias.name] = (node.module, alias.name)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info.functions[node.name] = FunctionInfo(
-                module=info.modname, qualname=node.name, node=node
-            )
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            info.functions[node.name] = FunctionInfo(qualname=node.name, node=node)
         elif isinstance(node, ast.ClassDef):
-            info.classes[node.name] = _parse_class(node, info.modname, guard_comments)
+            info.classes[node.name] = _parse_class(node, guard_comments)
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name) and _is_mutable_binding(node.value):
@@ -255,19 +216,11 @@ def parse_module(source: str, path: str) -> ModuleInfo:
     return info
 
 
-def _parse_class(
-    node: ast.ClassDef, modname: str, guard_comments: Dict[int, str]
-) -> ClassInfo:
-    cls = ClassInfo(
-        module=modname,
-        name=node.name,
-        node=node,
-        bases=[_terminal_name(b) for b in node.bases if _terminal_name(b)],
-    )
+def _parse_class(node: ast.ClassDef, guard_comments: Dict[int, str]) -> ClassInfo:
+    cls = ClassInfo(name=node.name, node=node)
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             cls.methods[stmt.name] = FunctionInfo(
-                module=modname,
                 qualname=f"{node.name}.{stmt.name}",
                 node=stmt,
                 class_name=node.name,
@@ -300,81 +253,3 @@ def _parse_class(
     # see its construction (e.g. the lock is injected)
     cls.lock_attrs.update(cls.guarded.values())
     return cls
-
-
-@dataclass
-class Project:
-    """A parsed source tree: the unit the interprocedural passes run on."""
-
-    modules: Dict[str, ModuleInfo] = field(default_factory=dict)
-
-    #: method name → every FunctionInfo with that name (may-call fallback)
-    methods_by_name: Dict[str, List[FunctionInfo]] = field(default_factory=dict)
-    #: class name → every ClassInfo with that name
-    classes_by_name: Dict[str, List[ClassInfo]] = field(default_factory=dict)
-
-    def add(self, module: ModuleInfo) -> None:
-        """Register one parsed module and index its classes/methods."""
-        self.modules[module.modname] = module
-        for cls in module.classes.values():
-            self.classes_by_name.setdefault(cls.name, []).append(cls)
-            for method in cls.methods.values():
-                self.methods_by_name.setdefault(method.name, []).append(method)
-
-    def functions(self) -> List[FunctionInfo]:
-        """Every function and method in the project, stable order."""
-        out: List[FunctionInfo] = []
-        for modname in sorted(self.modules):
-            module = self.modules[modname]
-            out.extend(module.functions[n] for n in sorted(module.functions))
-            for cls_name in sorted(module.classes):
-                cls = module.classes[cls_name]
-                out.extend(cls.methods[n] for n in sorted(cls.methods))
-        return out
-
-    def lookup(self, key: Tuple[str, str]) -> Optional[FunctionInfo]:
-        """Resolve a (module, qualname) key back to its FunctionInfo."""
-        module = self.modules.get(key[0])
-        if module is None:
-            return None
-        qualname = key[1]
-        if "." in qualname:
-            cls_name, meth = qualname.split(".", 1)
-            cls = module.classes.get(cls_name)
-            return cls.methods.get(meth) if cls else None
-        return module.functions.get(qualname)
-
-    def class_hierarchy(self, cls: ClassInfo) -> List[ClassInfo]:
-        """*cls* plus every project class related by a base-name chain."""
-        related: Dict[Tuple[str, str], ClassInfo] = {}
-        frontier = [cls]
-        while frontier:
-            current = frontier.pop()
-            key = (current.module, current.name)
-            if key in related:
-                continue
-            related[key] = current
-            # superclasses by name
-            for base in current.bases:
-                frontier.extend(self.classes_by_name.get(base, []))
-            # subclasses by name
-            for candidates in self.classes_by_name.values():
-                for other in candidates:
-                    if current.name in other.bases:
-                        frontier.append(other)
-        return list(related.values())
-
-
-def build_project(files: Sequence[Tuple[str, str]]) -> Project:
-    """Build a :class:`Project` from ``(path, source)`` pairs.
-
-    Files that fail to parse are skipped here — the driver reports them
-    separately so one syntax error does not hide all other findings.
-    """
-    project = Project()
-    for path, source in files:
-        try:
-            project.add(parse_module(source, path))
-        except SyntaxError:
-            continue
-    return project

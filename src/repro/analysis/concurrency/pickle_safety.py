@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..lint.diagnostics import Diagnostic, Severity
 from .model import (
@@ -31,7 +31,6 @@ from .model import (
     FunctionInfo,
     LOCK_FACTORIES,
     ModuleInfo,
-    Project,
     _terminal_name,
 )
 
@@ -180,10 +179,10 @@ def _submission_payloads(
     return None
 
 
-def check_pickle_safety(project: Project) -> List[Diagnostic]:
+def check_pickle_safety(modules: Sequence[ModuleInfo]) -> List[Diagnostic]:
     """LINT012: unpicklable values reaching a process boundary."""
     findings: List[Diagnostic] = []
-    for module in project.modules.values():
+    for module in modules:
         for func in _all_functions(module):
             cls = module.classes.get(func.class_name) if func.class_name else None
             taints = _collect_taints(func, cls)
@@ -247,10 +246,10 @@ def _entry_function_names(module: ModuleInfo) -> Set[str]:
     return entries
 
 
-def check_worker_globals(project: Project) -> List[Diagnostic]:
+def check_worker_globals(modules: Sequence[ModuleInfo]) -> List[Diagnostic]:
     """LINT013: mutated module globals read inside worker entry code."""
     findings: List[Diagnostic] = []
-    for module in project.modules.values():
+    for module in modules:
         hazards = module.mutable_globals & module.mutated_globals
         if not hazards:
             continue

@@ -132,13 +132,13 @@ def _cbd_sides(
             # the four bit walks below are bounded by the bitset width
             # (≤64 fragments × ≤64 patterns, no data-sized work); the
             # consumer polls its deadline between emitted sides
-            while near:  # lint: disable=LINT014 bounded by bitset width
+            while near:
                 low = near & -near
                 frontier = without[low.bit_length() - 1] & outside
                 fragment = low | frontier
-                while frontier and not fragment & safe:  # lint: disable=LINT014 bounded by bitset width
+                while frontier and not fragment & safe:
                     step = 0
-                    while frontier:  # lint: disable=LINT014 bounded by bitset width
+                    while frontier:
                         low = frontier & -frontier
                         step |= without[low.bit_length() - 1]
                         frontier ^= low
@@ -149,7 +149,7 @@ def _cbd_sides(
                     safe |= fragment
                     continue
                 grown |= fragment  # stranded: it moves with tp
-                while fragment:  # lint: disable=LINT014 bounded by bitset width
+                while fragment:
                     low = fragment & -fragment
                     grown_reach |= adj[low.bit_length() - 1]
                     fragment ^= low

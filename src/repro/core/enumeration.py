@@ -534,10 +534,12 @@ def greedy_fallback_plan(
         frontier = [builder.scan(index) for index in range(join_graph.size)]
     else:
         frontier = list(frontier)
-    while len(frontier) > 1:  # lint: disable=LINT014 post-expiry anytime path: O(n³) in pattern count, a poll would re-raise the deadline it degrades from
+    # no budget poll: this path runs after expiry, O(n³) in pattern count,
+    # and a poll would re-raise the deadline it degrades from
+    while len(frontier) > 1:
         best_pair: Optional[Tuple[int, int]] = None
         best_key: Optional[Tuple[float, int]] = None
-        for i in range(len(frontier)):  # lint: disable=LINT014 bounded by frontier size (≤ pattern count), same post-expiry rationale
+        for i in range(len(frontier)):
             for j in range(i + 1, len(frontier)):
                 combined = frontier[i].bits | frontier[j].bits
                 if not join_graph.shared_variables(

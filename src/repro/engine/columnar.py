@@ -307,9 +307,10 @@ def scan_pattern_encoded(
                 checks.append((first_source[term], position))
             else:
                 first_source[term] = position
+    # per-scan row loop: the executor polls at the operator boundary
     matched = [
         t
-        for t in fragment.scan(subject_id, None, object_id)  # lint: disable=LINT014 per-scan row loop; the executor polls at the operator boundary
+        for t in fragment.scan(subject_id, None, object_id)
         if not checks or all(t[a] == t[b] for a, b in checks)
     ]
     if not matched:
@@ -466,7 +467,8 @@ def _hash_join_columns(
         )
     # many-to-many: key -> positions on the smaller side, per probe row
     buckets: Dict[object, List[int]] = defaultdict(list)
-    for position, key in enumerate(build.keys(shared)):  # lint: disable=LINT014 per-join row loop; callers poll at the operator/chunk boundary
+    # per-join row loop: the executor polls at the operator boundary
+    for position, key in enumerate(build.keys(shared)):
         buckets[key].append(position)
     found = list(map(buckets.get, probe.keys(shared), repeat(())))
     return _expanded(out_vars, probe, found, build, _gathered)

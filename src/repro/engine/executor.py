@@ -358,11 +358,13 @@ class Executor:
         """The sink: project and decode each batch, dedup, stop at ``limit`` rows."""
         metrics = self._metrics
         try:
-            while limit is None or len(admitted) < limit:  # lint: disable=LINT014 every batch pulled here was charged and polled by its producer's _pump
+            # no budget poll: each batch was charged and polled by its
+            # producer's _pump
+            while limit is None or len(admitted) < limit:
                 batch = next(stream, None)
                 if batch is None:
                     break
-                for relation in batch.values():  # lint: disable=LINT014 bounded by cluster size, within one polled batch
+                for relation in batch.values():
                     admitted.update(relation.term_tuples(kept))
                 batch.clear()  # consumed
                 if metrics.first_row_seconds is None and admitted:
@@ -627,7 +629,9 @@ class Executor:
         with obs.span(
             "join", algorithm=node.algorithm.value, arity=node.arity
         ) as operator.span, self._own_time(op):
-            for index, child in enumerate(node.children):  # lint: disable=LINT014 bounded by operator arity; the batch drained here was charged and polled by its producer's _pump
+            # no budget poll: each batch drained here was charged and
+            # polled by its producer's _pump
+            for index, child in enumerate(node.children):
                 opened = self._open(child, chunk if index == probe else None)
                 children.append(opened)
                 if index == probe:
@@ -693,7 +697,8 @@ class Executor:
                     op.shipped_by_predicate.get(predicate, 0) + moved
                 )
 
-        for index, table in enumerate(tables):  # lint: disable=LINT014 bounded by operator arity; _pump polls once this operator's first batch is out
+        # no budget poll: _pump polls once this operator's first batch is out
+        for index, table in enumerate(tables):
             if table is None:
                 continue
             if broadcast:

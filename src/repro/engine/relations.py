@@ -216,7 +216,8 @@ def greedy_multi_join(relations, join_pair):
     pending = list(relations)
     index = min(range(len(pending)), key=lambda i: len(pending[i]))
     current = pending.pop(index)
-    while pending:  # lint: disable=LINT014 bounded by join arity; callers poll at the operator/chunk boundary
+    # the executor polls at the operator boundary
+    while pending:
         connected = [
             i
             for i, rel in enumerate(pending)

@@ -69,9 +69,9 @@ def _absorb(
 ) -> Set[TriplePattern]:
     """Move into *core* every candidate it reaches through shared variables."""
     grew = True
-    while grew:  # lint: disable=LINT014 bounded by query size (<= 64 patterns)
+    while grew:
         grew = False
-        for tp in list(candidates):  # lint: disable=LINT014 bounded by query size (<= 64 patterns)
+        for tp in list(candidates):
             if any(tp.variables() & other.variables() for other in core):
                 core.add(tp)
                 candidates.remove(tp)
@@ -87,7 +87,7 @@ def _connected_pattern_sets(
     # in combine_query — it must not follow the per-process hash seed
     remaining = sorted(patterns, key=str)
     components: List[FrozenSet[TriplePattern]] = []
-    while remaining:  # lint: disable=LINT014 bounded by query size (<= 64 patterns)
+    while remaining:
         components.append(frozenset(_absorb({remaining.pop()}, remaining)))
     return components
 

@@ -84,46 +84,3 @@ def shard_small(monkeypatch):
 
 def make_query(text: str, name: str = ""):
     return parse_query(text, name=name)
-
-
-# ----------------------------------------------------------------------
-# opt-in dynamic lock-order race detector (PR 8)
-#
-# REPRO_LOCK_DETECTOR=1 instruments every Tracer / MetricsRegistry /
-# CancellationToken / CircuitBreaker constructed during the test run:
-# their locks become TrackedLocks feeding the global lock-order graph,
-# and their `#: guarded-by:` fields are watched for unguarded access.
-# Each test asserts the graph stayed acyclic and violation-free at
-# teardown; REPRO_LOCK_GRAPH_OUT=<path> dumps the cumulative graph
-# (uploaded as a CI artifact by the chaos-smoke job).
-# ----------------------------------------------------------------------
-import os as _os
-
-
-@pytest.fixture(autouse=True)
-def _lock_order_detector(monkeypatch):
-    if _os.environ.get("REPRO_LOCK_DETECTOR") != "1":
-        yield
-        return
-    from repro.analysis.concurrency import runtime as _rt
-    from repro.core.governance import CancellationToken
-    from repro.engine.recovery import CircuitBreaker
-    from repro.observability.metrics import MetricsRegistry
-    from repro.observability.spans import Tracer
-
-    def _instrumented(cls):
-        original = cls.__init__
-
-        def __init__(self, *args, __original=original, **kwargs):
-            __original(self, *args, **kwargs)
-            _rt.instrument(self)
-
-        return __init__
-
-    for cls in (Tracer, MetricsRegistry, CancellationToken, CircuitBreaker):
-        monkeypatch.setattr(cls, "__init__", _instrumented(cls))
-    yield
-    graph_out = _os.environ.get("REPRO_LOCK_GRAPH_OUT")
-    if graph_out:
-        _rt.GLOBAL_REGISTRY.write_graph(graph_out)
-    _rt.GLOBAL_REGISTRY.assert_clean()

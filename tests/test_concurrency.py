@@ -1,45 +1,25 @@
 """Tests for the concurrency analyzer (analysis.concurrency).
 
-Each rule (LINT010–LINT014) is exercised on seeded bad source handed to
+Each rule (LINT010–LINT013) is exercised on seeded bad source handed to
 ``analyze_files`` under pretend paths — positive, negative, and
-suppression cases — plus the guard-comment grammar, the real-tree-clean
-gate (every true positive was fixed in this PR), the CLI driver, and
-the dynamic lock-order race detector (ABBA regression, guarded-field
-watching, pickle refusal).
+suppression cases — and on a seeded defect in the live file it guards.
+Plus the guard-comment grammar, the real-tree-clean gate and the CLI
+driver.
 """
 
-import pickle
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.concurrency import analyze_files, check_concurrency_paths
 from repro.analysis.concurrency.model import parse_guard_comments
-from repro.analysis.concurrency.runtime import (
-    LockOrderRegistry,
-    TrackedLock,
-    detector_enabled,
-    instrument,
-)
-
-#: when the suite runs with the global detector on (conftest), Tracer
-#: instances are already instrumented against the global registry — the
-#: local-registry assertions below would observe the wrong one
-needs_uninstrumented = pytest.mark.skipif(
-    detector_enabled(), reason="global lock detector owns instrumentation"
-)
 
 SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: pretend paths — LINT014 scoping is path-based (hot modules only)
-HOT = "src/repro/core/enumeration.py"
+#: a pretend path for fixture sources
 COLD = "src/repro/core/cost.py"
-ENGINE_HOT = "src/repro/engine/executor.py"
 
 
 def diags(*files, select=None):
@@ -207,6 +187,25 @@ class TestLint011BlockingUnderLock:
         )
         assert codes((COLD, src), select={"LINT011"}) == []
 
+    def test_lock_taken_under_a_lock_flagged(self):
+        # `with other._lock:` is the same `.acquire()` in another form:
+        # nested, it orders two locks; taken after release, it does not
+        src = guarded(
+            """
+            def transfer(self, other):
+                with self._lock:
+                    with other._lock:
+                        self._value -= 1
+                with other._lock:
+                    pass
+            """
+        )
+        found = diags((COLD, src), select={"LINT011"})
+        assert [f.code for f in found] == ["LINT011"]
+        assert "with other._lock" in found[0].message
+        nested = src.splitlines().index(" " * 12 + "with other._lock:")
+        assert found[0].line == nested + 1
+
     def test_suppression_with_justification(self):
         src = guarded(
             """
@@ -355,138 +354,69 @@ class TestLint013WorkerGlobals:
 
 
 # ----------------------------------------------------------------------
-# LINT014 — cancellation-poll reachability
+# each rule catches a seeded defect in the live file it guards
 # ----------------------------------------------------------------------
 
-ENTRY = """
-class Optimizer:
-    def __init__(self, budget):
-        self.budget = budget
 
-    def optimize(self):
-        return search(self.budget)
+def assert_live_mutant_caught(code, relative, *edits):
+    """The real module is clean; with each ``(old, new)`` edit it yields *code*."""
+    path = SRC_REPRO / relative
+    source = mutant = path.read_text(encoding="utf-8")
+    for old, new in edits:
+        assert mutant.count(old) == 1, f"{relative} no longer has {old!r}"
+        mutant = mutant.replace(old, new)
+    assert analyze_files([(str(path), source)]) == []
+    assert [f.code for f in analyze_files([(str(path), mutant)])] == [code]
 
 
-"""
-
-
-class TestLint014CancellationPolls:
-    def test_unbounded_loop_without_poll_flagged(self):
-        src = ENTRY + textwrap.dedent(
-            """
-            def search(budget):
-                frontier = [1]
-                while frontier:
-                    item = frontier.pop()
-                    expand(frontier, item)
-                return frontier
-            """
+class TestLiveFileMutants:
+    def test_lint010_unlocked_circuit_breaker_read(self):
+        assert_live_mutant_caught(
+            "LINT010",
+            "engine/recovery.py",
+            (
+                "        with self._lock:\n            return sorted(self._open)\n",
+                "        return sorted(self._open)\n",
+            ),
         )
-        found = diags((HOT, src), select={"LINT014"})
-        assert [f.code for f in found] == ["LINT014"]
-        assert "never polls the budget" in found[0].message
 
-    def test_direct_poll_is_clean(self):
-        src = ENTRY + textwrap.dedent(
-            """
-            def search(budget):
-                frontier = [1]
-                while frontier:
-                    budget.check_cancelled("search")
-                    item = frontier.pop()
-                    expand(frontier, item)
-                return frontier
-            """
+    def test_lint011_wait_inside_cancel(self):
+        assert_live_mutant_caught(
+            "LINT011",
+            "core/governance.py",
+            (
+                "        with self._lock:\n            if not self._event.is_set():\n",
+                "        with self._lock:\n            self._event.wait(1.0)\n"
+                "            if not self._event.is_set():\n",
+            ),
         )
-        assert codes((HOT, src), select={"LINT014"}) == []
 
-    def test_poll_through_callee_is_clean(self):
-        src = ENTRY + textwrap.dedent(
-            """
-            def tick(budget):
-                budget.check_deadline("search")
-
-            def search(budget):
-                frontier = [1]
-                while frontier:
-                    tick(budget)
-                    item = frontier.pop()
-                    expand(frontier, item)
-                return frontier
-            """
+    def test_lint012_lambda_submitted_to_the_batch_pool(self):
+        assert_live_mutant_caught(
+            "LINT012",
+            "core/parallel.py",
+            (
+                "pool.submit(_batch_worker, ",
+                "pool.submit(lambda batch: _batch_worker(batch), ",
+            ),
         )
-        assert codes((HOT, src), select={"LINT014"}) == []
 
-    def test_unreachable_loop_is_not_flagged(self):
-        # no Optimizer.optimize / Executor.execute in the project: the
-        # loop is not on a governed path
-        src = """
-        def search(budget):
-            frontier = [1]
-            while frontier:
-                item = frontier.pop()
-                expand(frontier, item)
-            return frontier
-        """
-        assert codes((HOT, src), select={"LINT014"}) == []
-
-    def test_cold_module_is_not_flagged(self):
-        src = ENTRY + textwrap.dedent(
-            """
-            def search(budget):
-                frontier = [1]
-                while frontier:
-                    item = frontier.pop()
-                    expand(frontier, item)
-                return frontier
-            """
+    def test_lint013_batch_worker_reads_a_mutated_global(self):
+        # a module dict that run_batch writes and _batch_worker reads
+        assert_live_mutant_caught(
+            "LINT013",
+            "core/parallel.py",
+            ("def _batch_worker(", "_SIZES = {}\n\n\ndef _batch_worker("),
+            (
+                "    return [Optimizer(options).optimize(query) for query, options in chunk]",
+                "    _SIZES.get(len(chunk))\n"
+                "    return [Optimizer(options).optimize(query) for query, options in chunk]",
+            ),
+            (
+                "    workers = min(jobs, len(payloads))\n",
+                "    workers = min(jobs, len(payloads))\n    _SIZES[workers] = len(payloads)\n",
+            ),
         )
-        assert codes((COLD, src), select={"LINT014"}) == []
-
-    def test_generator_loop_is_exempt(self):
-        # control returns to the consumer every iteration: the
-        # consuming loop carries the polling obligation
-        src = ENTRY + textwrap.dedent(
-            """
-            def search(budget):
-                for plan in stream(budget):
-                    budget.check_cancelled("drain")
-                return None
-
-            def stream(budget):
-                while True:
-                    yield probe()
-            """
-        )
-        assert codes((HOT, src), select={"LINT014"}) == []
-
-    def test_small_bounded_for_is_exempt(self):
-        # iterates an in-memory name, tiny body, no calls that loop:
-        # per-iteration work is O(1)-ish, no poll required
-        src = ENTRY + textwrap.dedent(
-            """
-            def search(budget):
-                total = 0
-                parts = budget
-                for item in parts:
-                    total = total + item
-                return total
-            """
-        )
-        assert codes((HOT, src), select={"LINT014"}) == []
-
-    def test_suppression_with_justification(self):
-        src = ENTRY + textwrap.dedent(
-            """
-            def search(budget):
-                frontier = [1]
-                while frontier:  # lint: disable=LINT014 bounded by bitset width
-                    item = frontier.pop()
-                    expand(frontier, item)
-                return frontier
-            """
-        )
-        assert codes((HOT, src), select={"LINT014"}) == []
 
 
 # ----------------------------------------------------------------------
@@ -529,13 +459,15 @@ class TestRealTree:
         )
         assert clean.returncode == 0, clean.stdout + clean.stderr
         assert "clean" in clean.stdout
-        bad = tmp_path / "core" / "enumeration.py"
+        bad = tmp_path / "core" / "counter.py"
         bad.parent.mkdir()
         bad.write_text(
-            textwrap.dedent(ENTRY)
-            + "def search(budget):\n"
-            + "    while True:\n"
-            + "        step()\n",
+            guarded(
+                """
+                def peek(self):
+                    return self._value
+                """
+            ),
             encoding="utf-8",
         )
         dirty = subprocess.run(
@@ -543,92 +475,5 @@ class TestRealTree:
             capture_output=True, text=True,
         )
         assert dirty.returncode == 1
-        assert "LINT014" in dirty.stdout
+        assert "LINT010" in dirty.stdout
 
-
-# ----------------------------------------------------------------------
-# dynamic lock-order race detector
-# ----------------------------------------------------------------------
-
-
-class TestLockOrderDetector:
-    def test_abba_cycle_detected(self):
-        # the canonical deadlock: thread 1 takes A then B, thread 2
-        # takes B then A — the order graph must contain the A/B cycle
-        registry = LockOrderRegistry()
-        lock_a = TrackedLock("A", registry)
-        lock_b = TrackedLock("B", registry)
-
-        def a_then_b():
-            with lock_a:
-                with lock_b:
-                    pass
-
-        def b_then_a():
-            with lock_b:
-                with lock_a:
-                    pass
-
-        first = threading.Thread(target=a_then_b)
-        first.start()
-        first.join()
-        second = threading.Thread(target=b_then_a)
-        second.start()
-        second.join()
-        assert registry.cycles() == [["A", "B", "A"]]
-        with pytest.raises(AssertionError, match="lock-order cycles"):
-            registry.assert_clean()
-
-    def test_consistent_hierarchy_is_clean(self):
-        registry = LockOrderRegistry()
-        outer = TrackedLock("outer", registry)
-        inner = TrackedLock("inner", registry)
-        for _ in range(3):
-            with outer:
-                with inner:
-                    pass
-        assert registry.cycles() == []
-        registry.assert_clean()
-        assert registry.edges() == {("outer", "inner"): 3}
-
-    @needs_uninstrumented
-    def test_guarded_field_access_without_lock_recorded(self):
-        from repro.observability.spans import Tracer
-
-        registry = LockOrderRegistry()
-        tracer = instrument(Tracer(), registry)
-        # locked access is fine
-        with tracer._lock:
-            _ = tracer._spans
-        assert registry.violations == []
-        # a raw read bypassing the declared lock is a violation
-        _ = tracer._spans
-        assert any("Tracer._spans" in v for v in registry.violations)
-        with pytest.raises(AssertionError, match="without the declared lock"):
-            registry.assert_clean()
-
-    @needs_uninstrumented
-    def test_instrumented_tracer_still_works(self):
-        from repro.observability.spans import Tracer
-
-        registry = LockOrderRegistry()
-        tracer = instrument(Tracer(), registry)
-        with tracer.span("unit-test"):
-            pass
-        assert registry.cycles() == []
-
-    def test_tracked_lock_refuses_to_pickle(self):
-        registry = LockOrderRegistry()
-        lock = TrackedLock("X", registry)
-        with pytest.raises(TypeError, match="LINT012"):
-            pickle.dumps(lock)
-
-    def test_graph_artifact_payload_shape(self):
-        registry = LockOrderRegistry()
-        with TrackedLock("A", registry):
-            with TrackedLock("B", registry):
-                pass
-        payload = registry.to_payload()
-        assert payload["edges"] == [{"from": "A", "to": "B", "count": 1}]
-        assert payload["cycles"] == []
-        assert payload["violations"] == []

@@ -5,9 +5,15 @@ deadlines, tokens, budgets, the abort taxonomy), the anytime
 degradation ladder across every algorithm (driven by deterministic
 stepping clocks — no sleeps), and the zero-cost-off guarantee: an
 ungoverned query behaves byte-identically to the pre-governance code
-in both phases.
+in both phases.  The deadline sweep runs every registry algorithm and
+both engines under a real wall-clock deadline: a search or execution
+that stops polling its budget shows up as a missed bound.
 """
 
+import random
+import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -30,9 +36,10 @@ from repro.core import (
     plan_signature,
 )
 from repro.core.governance import MonotonicClock
+from repro.core.optimizer import ALGORITHMS as REGISTRY
 from repro.engine import Cluster, Executor, FaultInjector, RetryPolicy
 from repro.partitioning import HashSubjectObject
-from repro.workloads import generate_lubm, lubm_query
+from repro.workloads import dense_query, generate_lubm, lubm_query, star_query
 
 ALGORITHMS = ("td-cmd", "td-cmdp", "hgr-td-cmd", "td-auto")
 
@@ -444,3 +451,99 @@ class TestExecutionGovernance:
         with pytest.raises(QueryAborted) as exc:
             executor.execute(plan, query, budget=budget)
         assert exc.value.cause is AbortCause.CANCELLED
+
+
+@contextmanager
+def _watchdog(seconds):
+    """Fail the test when the block outlasts *seconds* of wall time.
+
+    SIGALRM interrupts the main thread between bytecodes, so a search that
+    never polls its budget fails here instead of hanging the suite.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds}s: no budget poll", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestDeadlineSweep:
+    """Every algorithm and engine stops at a real deadline, promptly."""
+
+    #: optimizer deadline; a search that honours it returns within WALL_BOUND
+    OPTIMIZE_DEADLINE = 0.05
+    #: execution deadline: LUBM L9 takes several milliseconds on either engine
+    EXECUTE_DEADLINE = 0.001
+    WALL_BOUND = 1.0
+
+    @staticmethod
+    def _sweep_query(algorithm, size):
+        if size == "large":
+            # connected-subquery enumeration alone takes seconds here: a
+            # pre-phase that never polls misses the wall bound
+            return dense_query(21, extra_cycles=9)
+        # finishes in under a second unpolled, so a main loop that never
+        # polls fails the test instead of running for minutes.  HGR's
+        # join-graph reduction can collapse a dense query into parts small
+        # enough to finish inside the deadline; a 13-pattern star does not
+        return star_query(13) if algorithm == "hgr-td-cmd" else dense_query(12)
+
+    def _optimize(self, query, algorithm, deadline_seconds):
+        session = Optimizer(
+            OptimizeOptions(
+                algorithm=algorithm,
+                statistics=StatisticsCatalog.from_random(query, random.Random(0)),
+                deadline_seconds=deadline_seconds,
+            )
+        )
+        started = time.perf_counter()
+        try:
+            session.optimize(query)
+            timed_out = False
+        except OptimizationTimeout:
+            timed_out = True
+        return timed_out, time.perf_counter() - started
+
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("algorithm", sorted(REGISTRY))
+    def test_every_algorithm_stops_at_a_real_deadline(self, algorithm, size):
+        query = self._sweep_query(algorithm, size)
+        with _watchdog(self.WALL_BOUND):
+            timed_out, _ = self._optimize(query, algorithm, self.OPTIMIZE_DEADLINE)
+        assert timed_out, f"{algorithm} finished inside {self.OPTIMIZE_DEADLINE}s"
+        # not vacuous: under a 4x looser deadline the same search still
+        # outlasts the tight one (it times out there too, or finishes later)
+        with _watchdog(self.WALL_BOUND):
+            _, loose = self._optimize(query, algorithm, 4 * self.OPTIMIZE_DEADLINE)
+        assert loose > self.OPTIMIZE_DEADLINE, (algorithm, loose)
+
+    @pytest.fixture(scope="class")
+    def l9(self):
+        dataset = generate_lubm()
+        query = lubm_query("L9")
+        method = HashSubjectObject()
+        statistics = StatisticsCatalog.from_dataset(query, dataset)
+        plan = _session(statistics, method).optimize(query).plan
+        return Cluster.build(dataset, method, cluster_size=4), query, plan
+
+    @pytest.mark.parametrize("engine", ["columnar", "pipelined"])
+    def test_both_engines_stop_at_a_real_deadline(self, l9, engine):
+        cluster, query, plan = l9
+        executor = Executor(cluster, engine=engine)
+        # not vacuous: the ungoverned run outlasts the deadline
+        started = time.perf_counter()
+        executor.execute(plan, query)
+        assert time.perf_counter() - started > self.EXECUTE_DEADLINE
+        budget = QueryBudget(
+            deadline=Deadline.after(self.EXECUTE_DEADLINE), query_id="L9"
+        )
+        with _watchdog(self.WALL_BOUND), pytest.raises(QueryAborted) as exc:
+            executor.execute(plan, query, budget=budget)
+        assert exc.value.cause is AbortCause.DEADLINE
+        assert exc.value.phase == "execute"
