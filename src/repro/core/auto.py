@@ -27,7 +27,7 @@ from typing import Any, Optional
 
 from ..observability import runtime as obs
 from .cost import PlanBuilder
-from .enumeration import OptimizationResult
+from .enumeration import EnumerationStats, OptimizationResult
 from .governance import QueryBudget
 from .join_graph import JoinGraph
 from .local_query import LocalQueryIndex
@@ -120,3 +120,8 @@ class AutonomousOptimizer:
     def optimize(self) -> OptimizationResult:
         """Pick a variant per Figure 5 and run it."""
         return self.relabel(self.choose().optimize())
+
+    def search_space(self) -> Optional[EnumerationStats]:
+        """The chosen variant's search space."""
+        space: Optional[EnumerationStats] = self.choose().search_space()
+        return space

@@ -199,7 +199,12 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     def cardinality(self, bits: int) -> float:
         """Estimated result cardinality of the subquery (Eq. 11)."""
-        return self._fold(bits)[0]
+        # the bounded search prices every unsolved part through here:
+        # a cached subquery costs one probe, not a fold's set-up
+        cached = self._cache.get(bits)
+        if cached is None:
+            cached = self._fold(bits)
+        return cached[0]
 
     def bindings(self, bits: int, variable: Variable) -> float:
         """Estimated distinct bindings of *variable* in the subquery."""

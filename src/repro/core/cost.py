@@ -52,6 +52,13 @@ class CostParameters:
     gamma_repartition: float = 0.005
     cluster_size: int = 10
 
+    def __post_init__(self) -> None:
+        # every operator cost is then >= 0, which the bounded search
+        # relies on (docs/ALGORITHMS.md, "Bounded search")
+        for name, value in vars(self).items():
+            if not value >= 0:
+                raise ValueError(f"cost parameter {name} must be >= 0, got {value!r}")
+
     def io_cost(self, input_cardinalities: Sequence[float]) -> float:
         """C_io = α · Σ|SQ_i| (identical for all operators)."""
         return self.alpha * sum(input_cardinalities)

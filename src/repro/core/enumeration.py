@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..observability import runtime as obs
 from ..rdf.terms import Variable
@@ -82,15 +82,18 @@ class SubqueryRecord:
 
     plans_considered: int = 0
     divisions_enumerated: int = 0
+    divisions_bounded: int = 0
     local_short_circuits: int = 0
 
 
 @dataclass
 class EnumerationStats:
-    """Counters the experiments report.
+    """Counters of the work one search did.
 
-    ``plans_considered`` is the "size of the search space" of Table VII:
-    the number of candidate plans actually constructed and costed.
+    ``plans_considered`` counts the candidate plans costed; a division
+    the bound skipped (``divisions_bounded``) costs none.  Table VII's
+    "size of the search space" is what an unbounded search would cost:
+    :meth:`TopDownEnumerator.search_space` counts it.
 
     The ``workers`` / ``per_worker_*`` / ``speedup`` / ``steals``
     fields are filled only by the memo-sharded parallel search
@@ -100,6 +103,9 @@ class EnumerationStats:
 
     plans_considered: int = 0
     divisions_enumerated: int = 0
+    #: divisions skipped before their unsolved parts were solved: their
+    #: cheapest candidate already cost at least the best so far
+    divisions_bounded: int = 0
     subqueries_expanded: int = 0
     memo_hits: int = 0
     local_short_circuits: int = 0
@@ -138,6 +144,7 @@ class EnumerationStats:
         data: Dict[str, float] = {
             "plans_considered": self.plans_considered,
             "divisions_enumerated": self.divisions_enumerated,
+            "divisions_bounded": self.divisions_bounded,
             "subqueries_expanded": self.subqueries_expanded,
             "memo_hits": self.memo_hits,
             "local_short_circuits": self.local_short_circuits,
@@ -165,6 +172,7 @@ class EnumerationStats:
         for name, value in (
             ("plans_considered", self.plans_considered),
             ("divisions_enumerated", self.divisions_enumerated),
+            ("divisions_bounded", self.divisions_bounded),
             ("subqueries_expanded", self.subqueries_expanded),
             ("memo_hits", self.memo_hits),
             ("local_short_circuits", self.local_short_circuits),
@@ -259,6 +267,12 @@ class PlanSearch:
         """The search itself: the best plan for ``join_graph.full``."""
         raise NotImplementedError
 
+    def search_space(self) -> Optional[EnumerationStats]:
+        """Table VII's "size of the search space", if it differs from the
+        work :meth:`optimize` counts; ``None`` for a search that bounds
+        nothing (the baselines), whose own counters are its space."""
+        return None
+
     def _best_so_far(self) -> Optional[PlanNode]:
         """The best *complete* plan an interrupted search can vouch for."""
         return None
@@ -324,6 +338,14 @@ class TopDownEnumerator(PlanSearch):
         self._root_bits = join_graph.full
         self._root_seed: Optional[PlanNode] = None
         self._root_choice: Optional[_Choice] = None
+        parameters = builder.parameters
+        #: the bound's floor under the cost of any plan for an unsolved
+        #: multi-pattern part, per unit of its cardinality
+        self._floor_gamma = min(
+            parameters.gamma_local,
+            parameters.gamma_broadcast,
+            parameters.gamma_repartition,
+        )
 
     def invariant_profile(self) -> InvariantProfile:
         """The optional invariants this enumerator's plans satisfy.
@@ -395,17 +417,29 @@ class TopDownEnumerator(PlanSearch):
         Returns ``(best cost, flat local seed plan or None, winning
         (operator, parts, variable) or None)`` — the choice is ``None``
         when the seed won (or Rule 3 stopped at it).  Nothing is built
-        for a candidate: a child is one ``memo`` probe (only a miss
-        calls *solve*, which must store what it returns), and Table I
-        is evaluated in closed form with the per-subquery terms hoisted
-        — the same float operations, in the same order and association,
+        for a candidate: a child is one ``memo`` probe, and Table I is
+        evaluated in closed form with the per-subquery terms hoisted —
+        the same float operations, in the same order and association,
         as :meth:`PlanBuilder.join` performs for the winner, so the
         minimum found here *is* the built plan's cost.  Candidates are
         compared with a strict ``<``: the first cheapest one wins.
 
+        The search is bounded (docs/ALGORITHMS.md, "Bounded search"): a
+        part missing from ``memo`` is priced before it is solved, by its
+        estimated cardinality (the one its plan will carry) and a floor
+        under its cost (``min γ · |part|``, the least top join term of
+        any plan for it; 0 for a scan).  Only if some operator over that
+        floor costs less than the best so far does the loop call
+        *solve* on the missing parts (which must store what it returns)
+        and compare the division's candidates; otherwise the division
+        is *bounded* and nothing below it is solved.  Every cost is ≥ 0
+        and IEEE rounding is monotone, so a bounded division's
+        candidates could not have passed the strict ``<``: cost, plan
+        and tie-break are those of the unbounded search.
+
         The serial search runs this with its own memo and
         :meth:`get_best_plan` (recursion on a miss); a memo-shard worker
-        runs it with a memo of lower-tier costs (see
+        runs it with a complete memo of lower-tier costs (see
         :mod:`.memo_shard`).  Counters are kept in locals and flushed in
         a ``finally``, so a deadline that fires mid-loop still leaves
         ``stats`` and *record* exact.
@@ -426,7 +460,8 @@ class TopDownEnumerator(PlanSearch):
                 stats.local_short_circuits += 1
                 return best_cost, seed, None
         parameters = self.builder.parameters
-        output = self.builder.estimator.cardinality(bits)
+        estimate = self.builder.estimator.cardinality
+        output = estimate(bits)
         alpha = parameters.alpha
         beta_broadcast = parameters.beta_broadcast
         beta_repartition = parameters.beta_repartition
@@ -434,54 +469,78 @@ class TopDownEnumerator(PlanSearch):
         join_local = parameters.gamma_local * output
         join_broadcast = parameters.gamma_broadcast * output
         join_repartition = parameters.gamma_repartition * output
+        floor_gamma = self._floor_gamma
         lookup = memo.get
         choice: Optional[_Choice] = None
-        plans = divisions = hits = 0
+        plans = divisions = bounded = hits = 0
         try:
             for parts, variable, operators in self.divisions(bits):
                 divisions += 1
                 if not divisions & 0xFF:
                     self._check_deadline()
                 # Σ|SQ_i|, max|SQ_i| and the dearest child, accumulated
-                # left to right exactly as sum()/max() would
+                # left to right exactly as sum()/max() would; while a part
+                # is unsolved, child_cost is a floor, not the child's cost
                 total: float = 0
                 largest = child_cost = -_INFINITY
+                unsolved = False
                 for part in parts:
                     child = lookup(part)
                     if child is None:
-                        child = solve(part, is_local)
+                        unsolved = True
+                        cardinality = estimate(part)
+                        below = floor_gamma * cardinality if part & (part - 1) else 0.0
                     else:
                         hits += 1
-                    cardinality = child.cardinality
+                        cardinality = child.cardinality
+                        below = child.cost
                     total += cardinality
                     if cardinality > largest:
                         largest = cardinality
-                    below = child.cost
                     if below > child_cost:
                         child_cost = below
                 io = alpha * total
                 for operator in operators:
                     if operator is _BROADCAST:
-                        cost = child_cost + (
+                        op = (
                             io
                             + beta_broadcast * (total - largest) * cluster_size
                             + join_broadcast
                         )
                     elif operator is _REPARTITION:
-                        cost = child_cost + (
-                            io + beta_repartition * total + join_repartition
-                        )
+                        op = io + beta_repartition * total + join_repartition
                     else:
-                        cost = child_cost + (io + 0.0 + join_local)
+                        op = io + 0.0 + join_local
+                    if unsolved:
+                        # priced over the floor: solve the missing parts
+                        # only once a candidate might still win
+                        if child_cost + op >= best_cost:
+                            continue
+                        # a floor is at most its part's cost, so folding
+                        # the solved costs in makes child_cost the dearest
+                        # child's
+                        for part in parts:
+                            if lookup(part) is None:
+                                below = solve(part, is_local).cost
+                                if below > child_cost:
+                                    child_cost = below
+                        unsolved = False
+                    cost = child_cost + op
                     if cost < best_cost:
                         best_cost = cost
                         choice = (operator, parts, variable)
-                plans += len(operators)
+                if unsolved:
+                    # no candidate got past the floor: nothing was solved
+                    bounded += 1
+                else:
+                    plans += len(operators)
         finally:
             record.plans_considered += plans
             record.divisions_enumerated += divisions
+            record.divisions_bounded += bounded
             stats.plans_considered += plans
             stats.divisions_enumerated += divisions
+            stats.divisions_bounded += bounded
             stats.memo_hits += hits
             if anytime_root and choice is not None:
                 # every root candidate's children are complete memoized
@@ -489,6 +548,55 @@ class TopDownEnumerator(PlanSearch):
                 # what anytime mode returns
                 self._root_choice = choice
         return best_cost, seed, choice
+
+    def search_space(self) -> EnumerationStats:
+        """Table VII's "size of the search space", counted without costing.
+
+        One pass over the same :meth:`divisions` hook, with the same memo
+        and Rule 3 short-circuits as the search, but nothing bounded: the
+        counters an exhaustive TD-CMD / TD-CMDP search reports (every
+        division's candidates count, every part is expanded once).
+        Polls the budget like the search does; a count has no degraded
+        answer, so expiry raises :class:`OptimizationTimeout` even in
+        anytime mode.
+        """
+        space = EnumerationStats()
+        seen: Set[int] = set()
+        local_index = self.local_index
+        short_circuit = self.local_short_circuit
+        budget = self.budget
+        deadline = None if budget is None else budget.deadline
+
+        def expand(bits: int, is_local: bool) -> None:
+            if not is_local:
+                is_local = local_index.is_local(bits)
+            space.subqueries_expanded += 1
+            seen.add(bits)
+            if not bits & (bits - 1):
+                return
+            if is_local:
+                space.plans_considered += 1
+                if short_circuit:
+                    space.local_short_circuits += 1
+                    return
+            for parts, _, operators in self.divisions(bits):
+                space.divisions_enumerated += 1
+                if budget is not None and not space.divisions_enumerated & 0xFF:
+                    budget.check_cancelled(phase="optimize")
+                    if deadline is not None and deadline.expired:
+                        raise OptimizationTimeout(
+                            f"{self.algorithm_name} search space exceeded "
+                            f"{deadline.seconds:g}s"
+                        )
+                for part in parts:
+                    if part in seen:
+                        space.memo_hits += 1
+                    else:
+                        expand(part, is_local)
+                space.plans_considered += len(operators)
+
+        expand(self._root_bits, False)
+        return space
 
     def _join_choice(self, choice: _Choice) -> PlanNode:
         """Materialize a winning division from its memoized children."""

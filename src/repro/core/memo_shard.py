@@ -106,8 +106,9 @@ def subquery_tiers(join_graph: Any) -> List[List[int]]:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-#: one solved entry: (bits, cost, choice, plans, divisions, shorts, reads)
-_SolvedEntry = Tuple[int, float, Tuple[Any, ...], int, int, int, int]
+#: one solved entry:
+#: (bits, cost, choice, plans, divisions, bounded, shorts, reads)
+_SolvedEntry = Tuple[int, float, Tuple[Any, ...], int, int, int, int, int]
 
 
 class _WorkerState:
@@ -128,10 +129,8 @@ class _WorkerState:
         self.enumerator: TopDownEnumerator = search_class(
             self.builder.join_graph, self.builder, self.local_index, budget
         )
-        #: solved costs for every lower-tier entry (synced per tier)
-        self.costs: Dict[int, float] = {}
-        #: the costing loop's view of them: ``(cardinality, cost)`` plan
-        #: stubs, made on a part's first read
+        #: every lower-tier entry as the costing loop reads it: a
+        #: ``(cardinality, cost)`` plan stub, synced per tier
         self.memo: Dict[int, PlanNode] = {}
         #: a traced search records one ``worker`` span, shipped back
         #: with the last tier's reply
@@ -142,24 +141,24 @@ class _WorkerState:
             self.span = self.tracer.span("worker", worker_id=worker_id)
         self.entries = 0
 
-    def _lower_tier_plan(self, bits: int, is_local: bool) -> PlanNode:
-        """What the serial search's memo holds for a division part.
+    def sync(self, updates: Sequence[Tuple[int, float]]) -> None:
+        """Stub what the serial search's memo holds for each solved entry.
 
         The costing loop reads only a child's cardinality and cost, and
-        both are functions of the bitset alone: a singleton child's
-        plan is a scan, whose cardinality is the pattern cardinality;
-        any larger child's plan carries the estimator's subquery
-        cardinality; the cost was solved one tier down.  No plan object
-        is needed, so the stub is a bare :class:`PlanNode`.
+        both are functions of the bitset alone: every plan carries the
+        estimator's subquery cardinality (a scan's is its pattern's);
+        the cost was solved one tier down.  No plan object is needed, so
+        the stub is a bare :class:`PlanNode`.  The memo is complete for
+        every tier below the one being solved, so the costing loop never
+        meets an unsolved part here and bounds nothing.
         """
-        estimator = self.builder.estimator
-        if bits & (bits - 1):
-            cardinality = estimator.cardinality(bits)
-        else:
-            cardinality = estimator.pattern_cardinality(bs.lowest_index(bits))
-        stub = PlanNode(bits=bits, cardinality=cardinality, cost=self.costs[bits])
-        self.memo[bits] = stub
-        return stub
+        cardinality = self.builder.estimator.cardinality
+        memo = self.memo
+        for bits, cost in updates:
+            memo[bits] = PlanNode(bits=bits, cardinality=cardinality(bits), cost=cost)
+
+    def _unsolved(self, bits: int, is_local: bool) -> PlanNode:
+        raise KeyError(f"subquery {bits:#x} is not in a lower tier")
 
     def solve(self, bits: int) -> _SolvedEntry:
         """One serial ``BestPlanGen`` call, without recursion.
@@ -169,26 +168,26 @@ class _WorkerState:
         same candidate order, seed handling, strict ``<`` tie-break and
         float arithmetic, which is what makes the merged search
         bit-identical to serial.  Only the memo differs: child costs
-        come from :attr:`costs` (the complete lower-tier memo) instead
+        come from :attr:`memo` (the complete lower-tier memo) instead
         of recursive calls.
 
-        Returns ``(bits, cost, choice, plans, divisions, shorts, reads)``
-        where *choice* reconstructs the winning plan: ``("l",)`` for the
-        flat local plan, ``("j", operator, parts, variable)`` for a join.
+        Returns ``(bits, cost, choice, plans, divisions, bounded, shorts,
+        reads)`` where *choice* reconstructs the winning plan: ``("l",)``
+        for the flat local plan, ``("j", operator, parts, variable)`` for
+        a join.
         """
         enumerator = self.enumerator
         enumerator._check_deadline()
         record = SubqueryRecord()
-        # a child read is a hit on the stub memo or the stub's creation
-        reads_before = enumerator.stats.memo_hits + len(self.memo)
+        # every child read is a hit on the complete stub memo
+        reads_before = enumerator.stats.memo_hits
         cost, seed, choice = enumerator._search(
             bits,
             self.local_index.is_local(bits),
             record,
             self.memo,
-            self._lower_tier_plan,
+            self._unsolved,
         )
-        reads = enumerator.stats.memo_hits + len(self.memo) - reads_before
         if choice is None and seed is None:
             raise ValueError(f"no connected division for subquery {bits:#x}")
         return (
@@ -197,8 +196,9 @@ class _WorkerState:
             ("l",) if choice is None else ("j",) + choice,
             record.plans_considered,
             record.divisions_enumerated,
+            record.divisions_bounded,
             record.local_short_circuits,
-            reads,
+            enumerator.stats.memo_hits - reads_before,
         )
 
     def solve_tier(
@@ -206,8 +206,8 @@ class _WorkerState:
     ) -> Tuple[str, List[_SolvedEntry], float, Optional[Dict[str, Any]]]:
         """``(status, results, seconds, trace)`` for one tier's *share*;
         *trace* is the span payload after a traced search's last tier."""
-        self.costs.update(updates)
         started = time.perf_counter()
+        self.sync(updates)
         results: List[_SolvedEntry] = []
         status = "done"
         with obs.activate(self.tracer) if self.tracer is not None else nullcontext():
@@ -392,7 +392,7 @@ class _ShardDriver:
         self.choices: Dict[int, Tuple[Any, ...]] = {}
         self.solved_by_worker = [0] * jobs
         self.busy_seconds = [0.0] * jobs
-        self.plans = self.divisions = self.shorts = self.reads = 0
+        self.plans = self.divisions = self.bounded = self.shorts = self.reads = 0
         self.worker_started: List[Optional[float]] = [None] * jobs
         self.traces: Dict[int, Optional[Dict[str, Any]]] = {}
         self.spawn_started = time.perf_counter()
@@ -467,11 +467,12 @@ class _ShardDriver:
     ) -> None:
         self.busy_seconds[worker] += elapsed
         self.solved_by_worker[worker] += len(results)
-        for bits, cost, choice, plans, divisions, shorts, reads in results:
+        for bits, cost, choice, plans, divisions, bounded, shorts, reads in results:
             self.costs[bits] = cost
             self.choices[bits] = choice
             self.plans += plans
             self.divisions += divisions
+            self.bounded += bounded
             self.shorts += shorts
             self.reads += reads
 
@@ -562,6 +563,7 @@ class _ShardDriver:
         return EnumerationStats(
             plans_considered=self.plans,
             divisions_enumerated=self.divisions,
+            divisions_bounded=self.bounded,
             subqueries_expanded=solved,
             memo_hits=max(0, self.reads + 1 - solved),
             local_short_circuits=self.shorts,

@@ -213,15 +213,8 @@ class ReductionOptimizer:
     def optimize(self) -> OptimizationResult:
         """Reduce, optimize the reduced graph, expand the plan."""
         started = time.perf_counter()
-        with obs.span("jgr.reduce", patterns=self.join_graph.size) as sp:
-            parts = greedy_join_graph_reduction(
-                self.join_graph,
-                self.local_index,
-                self.builder.estimator,
-                budget=self.budget,
-            )
-            sp.set(parts=len(parts))
-        if len(parts) == 1:
+        parts, inner = self._reduce()
+        if inner is None:
             # the whole query is one local query
             plan = self.builder.local_join_plan(parts[0])
             stats = EnumerationStats(plans_considered=1, local_short_circuits=1)
@@ -232,13 +225,6 @@ class ReductionOptimizer:
                 stats=stats,
                 elapsed_seconds=time.perf_counter() - started,
             )
-        reduced_graph, reduced_estimator = build_reduced_problem(
-            self.join_graph, self.builder.estimator, parts, budget=self.budget
-        )
-        reduced_builder = PlanBuilder(
-            reduced_graph, reduced_estimator, self.builder.parameters
-        )
-        inner = TopDownEnumerator(reduced_graph, reduced_builder, budget=self.budget)
         with obs.span("jgr.optimize_reduced", parts=len(parts)):
             reduced_result = inner.optimize()
         with obs.span("jgr.expand"):
@@ -252,6 +238,36 @@ class ReductionOptimizer:
             stats=reduced_result.stats,
             elapsed_seconds=time.perf_counter() - started,
         )
+
+    def search_space(self) -> EnumerationStats:
+        """The reduced search's space (see
+        :meth:`TopDownEnumerator.search_space`); one plan for a query
+        that is one local query."""
+        _, inner = self._reduce()
+        if inner is None:
+            return EnumerationStats(plans_considered=1, local_short_circuits=1)
+        return inner.search_space()
+
+    def _reduce(self) -> Tuple[List[int], Optional[TopDownEnumerator]]:
+        """The parts of the reduction and TD-CMD on the reduced graph
+        (``None`` when the whole query is one part)."""
+        with obs.span("jgr.reduce", patterns=self.join_graph.size) as sp:
+            parts = greedy_join_graph_reduction(
+                self.join_graph,
+                self.local_index,
+                self.builder.estimator,
+                budget=self.budget,
+            )
+            sp.set(parts=len(parts))
+        if len(parts) == 1:
+            return parts, None
+        reduced_graph, reduced_estimator = build_reduced_problem(
+            self.join_graph, self.builder.estimator, parts, budget=self.budget
+        )
+        reduced_builder = PlanBuilder(
+            reduced_graph, reduced_estimator, self.builder.parameters
+        )
+        return parts, TopDownEnumerator(reduced_graph, reduced_builder, budget=self.budget)
 
     # ------------------------------------------------------------------
     def _expand(self, node: PlanNode, parts: List[int]) -> PlanNode:

@@ -56,7 +56,7 @@ from ..rdf.dataset import Dataset
 from ..sparql.ast import BGPQuery
 from .cardinality import StatisticsCatalog
 from .cost import CostParameters, PAPER_PARAMETERS
-from .enumeration import OptimizationResult
+from .enumeration import EnumerationStats, OptimizationResult
 from .governance import CancellationToken, Deadline, QueryBudget
 from .local_query import LocalQueryIndex
 from .plan_cache import PlanCache
@@ -270,6 +270,21 @@ class Optimizer:
         envelope (:meth:`run` shares one across optimize and execute).
         """
         return self._optimize(query, None, budget)
+
+    def search_space(self, query: BGPQuery) -> Optional[EnumerationStats]:
+        """Table VII's "size of the search space" of *query*.
+
+        The counters an exhaustive search of this session's algorithm
+        would report, from one uncosted pass
+        (:meth:`~repro.core.enumeration.TopDownEnumerator.search_space`):
+        the search itself bounds, so its own counters report less.
+        ``None`` for a baseline, whose :meth:`optimize` counters are its
+        space.  Runs serially, uncached, under this session's budget.
+        """
+        statistics = self.resolve_statistics(query)
+        search = self._build(query, statistics, self.budget_for(query))
+        space: Optional[EnumerationStats] = search.search_space()
+        return space
 
     def budget_for(self, query: BGPQuery) -> Optional[QueryBudget]:
         """A fresh :class:`QueryBudget` for *query*, or ``None``.
@@ -615,22 +630,13 @@ class Optimizer:
         statistics: StatisticsCatalog,
         budget: Optional[QueryBudget],
     ) -> OptimizationResult:
-        """The one build site: every algorithm, every ``jobs``."""
-        from .optimizer import ALGORITHMS, PARALLELIZABLE_ALGORITHMS, make_builder
+        """The search, for every algorithm and every ``jobs``."""
+        from .optimizer import PARALLELIZABLE_ALGORITHMS
 
         options = self.options
-        key = options.algorithm_key
-        with obs.span("build", patterns=len(query)):
-            builder = make_builder(query, statistics, parameters=options.parameters)
-            local_index = LocalQueryIndex(builder.join_graph, options.partitioning)
-            enumerator = ALGORITHMS[key](
-                builder.join_graph,
-                builder,
-                local_index=local_index,
-                budget=budget,
-            )
+        enumerator = self._build(query, statistics, budget)
         search = enumerator
-        if options.jobs > 1 and key == "td-auto":
+        if options.jobs > 1 and options.algorithm_key == "td-auto":
             # TD-Auto hands jobs to the variant it chose
             search = enumerator.choose()
         if (
@@ -645,6 +651,26 @@ class Optimizer:
         if search is not enumerator:
             result = enumerator.relabel(result)
         return result
+
+    def _build(
+        self,
+        query: BGPQuery,
+        statistics: StatisticsCatalog,
+        budget: Optional[QueryBudget],
+    ) -> Any:
+        """The one build site: this session's algorithm on *query*."""
+        from .optimizer import ALGORITHMS, make_builder
+
+        options = self.options
+        with obs.span("build", patterns=len(query)):
+            builder = make_builder(query, statistics, parameters=options.parameters)
+            local_index = LocalQueryIndex(builder.join_graph, options.partitioning)
+            return ALGORITHMS[options.algorithm_key](
+                builder.join_graph,
+                builder,
+                local_index=local_index,
+                budget=budget,
+            )
 
     def _finish(
         self,

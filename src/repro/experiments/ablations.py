@@ -23,6 +23,7 @@ from ..core import (
     PlanNode,
     PrunedTopDownEnumerator,
     StatisticsCatalog,
+    TopDownEnumerator,
     choose_algorithm,
     make_builder,
     optimize,
@@ -87,13 +88,14 @@ def rules(size: int = 9) -> str:
     ):
         builder = make_builder(query, seed=7)
         index = LocalQueryIndex(builder.join_graph, HashSubjectObject())
-        baseline = optimize(query, "td-cmd", partitioning=index.partitioning, seed=7)
+        full = TopDownEnumerator(builder.join_graph, builder, index)
+        baseline = full.optimize()
         for variant, rule in RULE_VARIANTS.items():
             pruned = PrunedTopDownEnumerator(builder.join_graph, builder, index, **rule)
             cost = pruned.optimize().cost
-            plans = f"{pruned.stats.plans_considered:,}"
+            plans = f"{pruned.search_space().plans_considered:,}"
             rows.append([label, variant, plans, f"{cost / baseline.cost:.3f}"])
-        plans = f"{baseline.stats.plans_considered:,}"
+        plans = f"{full.search_space().plans_considered:,}"
         rows.append([label, "TD-CMD", plans, "1.000"])
     content = render_table(
         "Ablation — TD-CMDP rules (space and plan-cost vs TD-CMD)",

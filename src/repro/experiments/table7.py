@@ -15,11 +15,16 @@ paper; the relative ordering is what reproduces.
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.enumeration import OptimizationTimeout
+from ..core.governance import AbortCause, QueryAborted
 from ..core.join_graph import QueryShape
+from ..core.session import OptimizeOptions, Optimizer
 from ..partitioning import HashSubjectObject
+from ..sparql.ast import BGPQuery
 from ..workloads.generators import generate_query
 from .harness import FIGURE_SET, AlgorithmRun, run_algorithm
 from .tables import render_table, write_report
@@ -40,7 +45,7 @@ def run(
         for size in sizes:
             query = generate_query(shape, size, random.Random(seed))
             results[(shape.value, size)] = {
-                algorithm: run_algorithm(
+                algorithm: space_run(
                     algorithm,
                     query,
                     partitioning=HashSubjectObject(),  # Section V-C setup
@@ -50,6 +55,41 @@ def run(
                 for algorithm in algorithms
             }
     return results
+
+
+def space_run(
+    algorithm: str,
+    query: BGPQuery,
+    deadline_seconds: Optional[float] = None,
+    **options: Any,
+) -> AlgorithmRun:
+    """:func:`run_algorithm`, with ``plans_considered`` the size of the
+    algorithm's search space.
+
+    The searches bound, so their own counters report less than the
+    space; :meth:`Optimizer.search_space` counts it in one uncosted pass
+    under a fresh deadline (``None`` → "N/A" if the count expires).  A
+    baseline's own counters are its space.
+    """
+    run = run_algorithm(algorithm, query, deadline_seconds, **options)
+    if run.timed_out:
+        return run
+    session = Optimizer(
+        OptimizeOptions(
+            algorithm=algorithm, deadline_seconds=run.deadline_seconds, **options
+        )
+    )
+    try:
+        space = session.search_space(query)
+    except OptimizationTimeout:
+        return dataclasses.replace(run, plans_considered=None)
+    except QueryAborted as abort:
+        if abort.cause is not AbortCause.DEADLINE:
+            raise
+        return dataclasses.replace(run, plans_considered=None)
+    if space is None:
+        return run
+    return dataclasses.replace(run, plans_considered=space.plans_considered)
 
 
 def report(

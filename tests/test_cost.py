@@ -21,6 +21,18 @@ class TestTableII:
         assert p.gamma_repartition == 0.005
         assert p.cluster_size == 10
 
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta_broadcast", "gamma_repartition", "cluster_size"]
+    )
+    @pytest.mark.parametrize("value", [-0.001, float("nan")])
+    def test_negative_parameters_rejected(self, field, value):
+        """Every cost must be >= 0: the bounded search relies on it."""
+        with pytest.raises(ValueError, match=field):
+            CostParameters(**{field: value})
+
+    def test_zero_parameters_allowed(self):
+        assert CostParameters(alpha=0.0, gamma_local=0.0).alpha == 0.0
+
 
 class TestTableI:
     """The three operator cost formulas, computed by hand."""

@@ -3,13 +3,16 @@
 Three pins on the costing loop shared by the serial search and the
 memo-shard workers (``TopDownEnumerator._search``):
 
-* **golden file** — ``tests/data/enumeration_golden.json`` was recorded
-  from the generator implementation (commit e17cc1f, before the kernel
-  rewrite) for the paper's random suite, five shapes × sizes 4–12, under
-  td-cmd / td-cmdp / td-auto, unpartitioned and hash-so partitioned:
-  cost, plan signature and all five ``EnumerationStats`` counters must
-  come out equal to the last bit, and the ``jobs=2`` memo-shard search
-  must agree with them on the large queries;
+* **golden file** — ``tests/data/enumeration_golden.json`` holds, for
+  the paper's random suite (five shapes × sizes 4–12, under td-cmd /
+  td-cmdp / td-auto, unpartitioned and hash-so partitioned), the cost,
+  algorithm label and plan signature recorded from the generator
+  implementation (commit e17cc1f, before the kernel rewrite) — they
+  must come out equal to the last bit — plus the six work counters of
+  the bounded search and, under ``search_space``, the five counters of
+  the unbounded one (the values e17cc1f recorded), which the uncosted
+  pass (:meth:`Optimizer.search_space`) must reproduce.  The ``jobs=2``
+  memo-shard search must agree on the large queries;
 * **exact counters on expiry** — a deadline that fires *inside* the
   division loop (strict or anytime) must leave ``stats`` equal to the
   sum of the per-subquery records, because the loop counts in locals
@@ -52,13 +55,16 @@ SHAPES = (
 )
 ALGORITHMS = ("td-cmd", "td-cmdp", "td-auto")
 PARTITIONINGS = {"none": None, "hash-so": HashSubjectObject()}
-COUNTERS = (
+#: what the search space counts ...
+SPACE_COUNTERS = (
     "plans_considered",
     "divisions_enumerated",
     "subqueries_expanded",
     "memo_hits",
     "local_short_circuits",
 )
+#: ... and what the bounded search reports doing
+COUNTERS = SPACE_COUNTERS + ("divisions_bounded",)
 #: TD-CMD walks every set partition of a star (Bell numbers): star-10
 #: is 678k divisions, star-12 28M.  The unpruned search stops at 9.
 TD_CMD_STAR_LIMIT = 9
@@ -98,8 +104,8 @@ def observe(result):
     return observed
 
 
-def run_case(item, algorithm, layout, jobs=1):
-    session = Optimizer(
+def session(item, algorithm, layout, jobs=1):
+    return Optimizer(
         OptimizeOptions(
             algorithm=algorithm,
             statistics=item.statistics,
@@ -107,13 +113,22 @@ def run_case(item, algorithm, layout, jobs=1):
             jobs=jobs,
         )
     )
-    return session.optimize(item.query)
+
+
+def run_case(item, algorithm, layout, jobs=1):
+    return session(item, algorithm, layout, jobs).optimize(item.query)
+
+
+def observe_space(item, algorithm, layout):
+    space = session(item, algorithm, layout).search_space(item.query)
+    return {name: getattr(space, name) for name in SPACE_COUNTERS}
 
 
 def record():
     golden = {
-        f"{item.query.name}/{algorithm}/{layout}": observe(
-            run_case(item, algorithm, layout)
+        f"{item.query.name}/{algorithm}/{layout}": dict(
+            observe(run_case(item, algorithm, layout)),
+            search_space=observe_space(item, algorithm, layout),
         )
         for item, algorithm, layout in cases(suite())
     }
@@ -148,13 +163,32 @@ class TestGoldenFile:
     def test_serial_search_is_bit_identical(self, golden, items):
         for item, algorithm, layout in cases(items):
             key = f"{item.query.name}/{algorithm}/{layout}"
-            assert observe(run_case(item, algorithm, layout)) == golden[key], key
+            expected = dict(golden[key])
+            del expected["search_space"]
+            assert observe(run_case(item, algorithm, layout)) == expected, key
+
+    def test_uncosted_pass_is_the_unbounded_search_space(self, golden, items):
+        for item, algorithm, layout in cases(items):
+            key = f"{item.query.name}/{algorithm}/{layout}"
+            space = observe_space(item, algorithm, layout)
+            assert space == golden[key]["search_space"], key
+
+    def test_the_bound_only_saves_work(self, golden):
+        """Every work counter is at most its search-space value, and a
+        counter the bound moved moved because divisions were bounded."""
+        for key, entry in golden.items():
+            space = entry["search_space"]
+            for name in SPACE_COUNTERS:
+                assert entry[name] <= space[name], (key, name)
+            if entry["divisions_bounded"] == 0:
+                assert {name: entry[name] for name in SPACE_COUNTERS} == space, key
 
     @pytest.mark.usefixtures("shard_small")
     def test_memo_shard_agrees_on_the_large_queries(self, golden, items):
         """jobs=2 runs the same loop in the workers: same cost and plan,
         and — where the tiers are exactly the serial traversal, i.e.
-        without partitioning — the same counters."""
+        without partitioning — the counters of the search space: a
+        worker's memo holds every lower tier, so it bounds nothing."""
         for item, algorithm, layout in cases(items):
             if algorithm == "td-auto" or len(item.query) < 10:
                 continue  # td-auto ignores jobs
@@ -164,8 +198,11 @@ class TestGoldenFile:
             assert sharded.cost == expected["cost"], key
             assert plan_signature(sharded.plan) == expected["signature"], key
             if layout == "none" and sharded.stats.workers > 1:
-                for name in COUNTERS:
-                    assert getattr(sharded.stats, name) == expected[name], (key, name)
+                assert sharded.stats.divisions_bounded == 0, key
+                for name in SPACE_COUNTERS:
+                    assert (
+                        getattr(sharded.stats, name) == expected["search_space"][name]
+                    ), (key, name)
 
 
 def _stepping_budget(allowance, anytime=False):
@@ -176,22 +213,23 @@ def _stepping_budget(allowance, anytime=False):
     return budget, clock
 
 
+RECORD_COUNTERS = (
+    "plans_considered",
+    "divisions_enumerated",
+    "divisions_bounded",
+    "local_short_circuits",
+)
+
+
 def _record_totals(enumerator):
     records = enumerator.subquery_records.values()
     return {
-        "plans_considered": sum(r.plans_considered for r in records),
-        "divisions_enumerated": sum(r.divisions_enumerated for r in records),
-        "local_short_circuits": sum(r.local_short_circuits for r in records),
+        name: sum(getattr(r, name) for r in records) for name in RECORD_COUNTERS
     }
 
 
 def _stats_totals(enumerator):
-    stats = enumerator.stats
-    return {
-        "plans_considered": stats.plans_considered,
-        "divisions_enumerated": stats.divisions_enumerated,
-        "local_short_circuits": stats.local_short_circuits,
-    }
+    return {name: getattr(enumerator.stats, name) for name in RECORD_COUNTERS}
 
 
 #: (enumerator class, query) whose roots have thousands of divisions:
@@ -231,14 +269,16 @@ class TestPollCadence:
 class TestExpiryMidLoop:
     @pytest.mark.parametrize("cls,query", MID_LOOP)
     def test_strict_expiry_leaves_exact_counters(self, cls, query):
-        """Expire at each of the last polls of the search.  All of them
-        fall inside the root's division loop: some are the loop's own
-        every-256 tick, the others a child expansion it recursed into.
-        Either way the loop's ``finally`` must have flushed its locals."""
+        """Expire at the last polls of the search, from the very last
+        one back, until both kinds were hit.  All of them fall inside
+        the root's division loop: some are the loop's own every-256
+        tick, the others a child expansion it recursed into (the bound
+        solves children early, so those are further back).  Either way
+        the loop's ``finally`` must have flushed its locals."""
         full, _, polls = _polls_of_full_run(cls, query)
         total = full.subquery_records[full.join_graph.full].divisions_enumerated
         raised_by = set()
-        for short_by in (1, 2, 3, 10):
+        for short_by in range(1, 33):
             budget, _ = _stepping_budget(polls - short_by)
             enumerator = _enumerator(cls, query, budget)
             with pytest.raises(OptimizationTimeout):
@@ -253,6 +293,8 @@ class TestExpiryMidLoop:
             raised_by.add(
                 "tick" if root.divisions_enumerated % 256 == 0 else "child"
             )
+            if short_by >= 4 and raised_by == {"tick", "child"}:
+                break
         assert raised_by == {"tick", "child"}
 
     @pytest.mark.parametrize("cls,query", MID_LOOP)

@@ -385,7 +385,9 @@ class TestCounterReconciliation:
         session = traced_session(algorithm=algorithm)
         result = session.optimize(fig1_query)
         counters = session.tracer.metrics.snapshot()["counters"]
-        for name, value in result.stats.summary().items():
+        summary = result.stats.summary()
+        assert summary["divisions_bounded"] == result.stats.divisions_bounded
+        for name, value in summary.items():
             assert counters[f"optimizer.{name}"] == value
 
     @pytest.mark.parametrize("engine", ["columnar", "pipelined"])
