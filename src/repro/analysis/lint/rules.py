@@ -69,7 +69,6 @@ KNOWN_SET_METHODS = {
     "variables",
     "variables_of",
     "shared_variables",
-    "pattern_join_variables",
 }
 #: set methods returning another set
 _SET_PRODUCING_METHODS = {

@@ -28,7 +28,7 @@ from .enumeration import (
     OptimizationTimeout,
     TopDownEnumerator,
 )
-from .enumeration import SubqueryRecord, greedy_fallback_plan
+from .enumeration import greedy_fallback_plan
 from .governance import (
     AbortCause,
     AnytimeExpiry,
@@ -114,7 +114,6 @@ __all__ = [
     "resolve_statistics",
     "ALGORITHMS",
     "PARALLELIZABLE_ALGORITHMS",
-    "SubqueryRecord",
     "PlanCache",
     "PlanCacheStats",
     "query_signature",

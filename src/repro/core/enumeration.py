@@ -67,26 +67,6 @@ class InvariantProfile:
 
 
 @dataclass
-class SubqueryRecord:
-    """Exclusive per-subquery counters from one ``BestPlanGen`` call.
-
-    "Exclusive" means the candidates costed for this subquery only —
-    recursion into child subqueries is recorded under their own bitsets.
-    The candidate set of a subquery is a deterministic function of its
-    bitset, so the records sum to the run's totals however the search
-    reached each subquery: the serial enumerator keeps one per expanded
-    subquery (:attr:`TopDownEnumerator.subquery_records`, exact even
-    when a deadline fires mid-loop) and a memo-shard worker reports one
-    per solved entry (see :mod:`.memo_shard`).
-    """
-
-    plans_considered: int = 0
-    divisions_enumerated: int = 0
-    divisions_bounded: int = 0
-    local_short_circuits: int = 0
-
-
-@dataclass
 class EnumerationStats:
     """Counters of the work one search did.
 
@@ -94,6 +74,9 @@ class EnumerationStats:
     the bound skipped (``divisions_bounded``) costs none.  Table VII's
     "size of the search space" is what an unbounded search would cost:
     :meth:`TopDownEnumerator.search_space` counts it.
+
+    This is the one record of those counts: the search counts into it
+    and the trace carries :meth:`summary` as span attributes.
 
     The ``workers`` / ``per_worker_*`` / ``speedup`` / ``steals``
     fields are filled only by the memo-sharded parallel search
@@ -137,9 +120,9 @@ class EnumerationStats:
         """The headline counters as a flat dictionary.
 
         The counterpart of
-        :meth:`repro.engine.metrics.ExecutionMetrics.summary`; the
-        metrics-registry reconciliation test asserts these totals agree
-        with the tracer-side ``optimizer.*`` counters.
+        :meth:`repro.engine.metrics.ExecutionMetrics.summary`, and what
+        the trace carries: the ``enumerate`` span (serial) or the
+        ``parallel.search`` span (sharded) gets these as attributes.
         """
         data: Dict[str, float] = {
             "plans_considered": self.plans_considered,
@@ -157,32 +140,6 @@ class EnumerationStats:
         if self.degraded:
             data["degraded"] = 1.0
         return data
-
-    def flush_to_metrics(self) -> None:
-        """Mirror the counters into the active metrics registry.
-
-        Called once per enumeration (never per candidate), so tracing
-        keeps its zero-cost-when-disabled guarantee.  Each counter lands
-        under ``optimizer.<field>``; the parallel search flushes the
-        driver's merged stats once, like a serial run.
-        """
-        registry = obs.metrics()
-        if registry is None:
-            return
-        for name, value in (
-            ("plans_considered", self.plans_considered),
-            ("divisions_enumerated", self.divisions_enumerated),
-            ("divisions_bounded", self.divisions_bounded),
-            ("subqueries_expanded", self.subqueries_expanded),
-            ("memo_hits", self.memo_hits),
-            ("local_short_circuits", self.local_short_circuits),
-        ):
-            registry.counter(f"optimizer.{name}").inc(value)
-        if self.workers > 1:
-            registry.counter("optimizer.steals").inc(self.steals)
-            registry.gauge("optimizer.worker_balance").set(self.worker_balance)
-        if self.degraded:
-            registry.counter("governance.degraded").inc()
 
 
 @dataclass
@@ -255,7 +212,6 @@ class PlanSearch:
                 plan, algorithm = self._degraded_plan()
             elapsed = time.perf_counter() - started
             sp.set(cost=plan.cost, **self.stats.summary())
-            self.stats.flush_to_metrics()
         return OptimizationResult(
             plan=plan,
             algorithm=algorithm,
@@ -312,7 +268,6 @@ class PlanSearch:
         self.stats.degraded = True
         self.stats.degradation_reason = reason
         obs.event("governance.degraded", algorithm=label, reason=reason)
-        obs.count("governance.anytime_plans")
         return plan, label
 
 
@@ -332,8 +287,6 @@ class TopDownEnumerator(PlanSearch):
         budget: Optional[QueryBudget] = None,
     ) -> None:
         super().__init__(join_graph, builder, local_index, budget)
-        #: exclusive counters per expanded subquery (sum to ``stats``)
-        self.subquery_records: Dict[int, SubqueryRecord] = {}
         self._memo: Dict[int, PlanNode] = {}
         self._root_bits = join_graph.full
         self._root_seed: Optional[PlanNode] = None
@@ -389,13 +342,9 @@ class TopDownEnumerator(PlanSearch):
         """
         self._check_deadline()
         self.stats.subqueries_expanded += 1
-        record = SubqueryRecord()
-        self.subquery_records[bits] = record
         if not bits & (bits - 1):
             return self.builder.scan(bs.lowest_index(bits))
-        _, seed, choice = self._search(
-            bits, is_local, record, self._memo, self.get_best_plan
-        )
+        _, seed, choice = self._search(bits, is_local, self._memo, self.get_best_plan)
         if choice is not None:
             return self._join_choice(choice)
         if seed is None:
@@ -408,7 +357,6 @@ class TopDownEnumerator(PlanSearch):
         self,
         bits: int,
         is_local: bool,
-        record: SubqueryRecord,
         memo: Dict[int, PlanNode],
         solve: Callable[[int, bool], PlanNode],
     ) -> Tuple[float, Optional[PlanNode], Optional[_Choice]]:
@@ -440,9 +388,9 @@ class TopDownEnumerator(PlanSearch):
         The serial search runs this with its own memo and
         :meth:`get_best_plan` (recursion on a miss); a memo-shard worker
         runs it with a complete memo of lower-tier costs (see
-        :mod:`.memo_shard`).  Counters are kept in locals and flushed in
-        a ``finally``, so a deadline that fires mid-loop still leaves
-        ``stats`` and *record* exact.
+        :mod:`.memo_shard`).  Counters are kept in locals and flushed to
+        ``stats`` in a ``finally``, so a deadline that fires mid-loop
+        still leaves them exact.
         """
         stats = self.stats
         anytime_root = self._anytime and bits == self._root_bits
@@ -451,12 +399,10 @@ class TopDownEnumerator(PlanSearch):
         if is_local:
             seed = self.builder.local_join_plan(bits)
             best_cost = seed.cost
-            record.plans_considered += 1
             stats.plans_considered += 1
             if anytime_root:
                 self._root_seed = seed
             if self.local_short_circuit:
-                record.local_short_circuits += 1
                 stats.local_short_circuits += 1
                 return best_cost, seed, None
         parameters = self.builder.parameters
@@ -535,9 +481,6 @@ class TopDownEnumerator(PlanSearch):
                 else:
                     plans += len(operators)
         finally:
-            record.plans_considered += plans
-            record.divisions_enumerated += divisions
-            record.divisions_bounded += bounded
             stats.plans_considered += plans
             stats.divisions_enumerated += divisions
             stats.divisions_bounded += bounded

@@ -88,10 +88,6 @@ class JoinGraph:
             return 0
         return max(bs.popcount(v) for v in self._ntp)
 
-    def pattern_join_variables(self, index: int) -> FrozenSet[Variable]:
-        """Join variables contained in pattern *index*."""
-        return self._pattern_vars[index]
-
     def join_variables_in(self, bits: int) -> List[Variable]:
         """Join variables shared by ≥2 patterns *inside* the subquery."""
         return [

@@ -59,12 +59,3 @@ class LocalQueryIndex:
             if bs.is_subset(bits, mlq):
                 return True
         return False
-
-    def local_cover_exists(self) -> bool:
-        """Whether the MLQs cover the whole query (needed by HGR)."""
-        covered = 0
-        for mlq in self._mlq_bits:
-            covered |= mlq
-        # single patterns are always local, so a cover always exists;
-        # this reports whether any *multi-pattern* structure is covered
-        return covered == self.join_graph.full

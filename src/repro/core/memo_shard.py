@@ -23,7 +23,10 @@ that decides between it and the serial search is
   subquery's candidates are a pure function of its bitset, so the
   complete lower-tier memo is all the cost recursion needs;
 * workers return *choice descriptors* (winning operator, parts,
-  variable), and the driver rebuilds the plan bottom-up through its own
+  variable) and, once per reply, what their enumerator's
+  :class:`~repro.core.enumeration.EnumerationStats` counted since the
+  last one (the driver sums these deltas).  The driver rebuilds the
+  plan bottom-up through its own
   :class:`~repro.core.cost.PlanBuilder`: same candidate order, strict
   ``<`` tie-break and float operations, so cost and plan are
   bit-identical to the serial search.
@@ -54,7 +57,6 @@ from .enumeration import (
     EnumerationStats,
     OptimizationResult,
     OptimizationTimeout,
-    SubqueryRecord,
     TopDownEnumerator,
     greedy_fallback_plan,
 )
@@ -106,9 +108,8 @@ def subquery_tiers(join_graph: Any) -> List[List[int]]:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-#: one solved entry:
-#: (bits, cost, choice, plans, divisions, bounded, shorts, reads)
-_SolvedEntry = Tuple[int, float, Tuple[Any, ...], int, int, int, int, int]
+#: one solved entry: (bits, cost, choice)
+_SolvedEntry = Tuple[int, float, Tuple[Any, ...]]
 
 
 class _WorkerState:
@@ -171,41 +172,31 @@ class _WorkerState:
         come from :attr:`memo` (the complete lower-tier memo) instead
         of recursive calls.
 
-        Returns ``(bits, cost, choice, plans, divisions, bounded, shorts,
-        reads)`` where *choice* reconstructs the winning plan: ``("l",)``
-        for the flat local plan, ``("j", operator, parts, variable)`` for
-        a join.
+        Returns ``(bits, cost, choice)`` where *choice* reconstructs the
+        winning plan: ``("l",)`` for the flat local plan, ``("j",
+        operator, parts, variable)`` for a join.  The work is counted
+        where the serial search counts it, in the enumerator's
+        ``stats`` (every child read is a ``memo_hits`` on the complete
+        stub memo).
         """
         enumerator = self.enumerator
         enumerator._check_deadline()
-        record = SubqueryRecord()
-        # every child read is a hit on the complete stub memo
-        reads_before = enumerator.stats.memo_hits
         cost, seed, choice = enumerator._search(
-            bits,
-            self.local_index.is_local(bits),
-            record,
-            self.memo,
-            self._unsolved,
+            bits, self.local_index.is_local(bits), self.memo, self._unsolved
         )
         if choice is None and seed is None:
             raise ValueError(f"no connected division for subquery {bits:#x}")
-        return (
-            bits,
-            cost,
-            ("l",) if choice is None else ("j",) + choice,
-            record.plans_considered,
-            record.divisions_enumerated,
-            record.divisions_bounded,
-            record.local_short_circuits,
-            enumerator.stats.memo_hits - reads_before,
-        )
+        return bits, cost, ("l",) if choice is None else ("j",) + choice
 
     def solve_tier(
         self, updates: Sequence[Tuple[int, float]], share: Sequence[int], last: bool
-    ) -> Tuple[str, List[_SolvedEntry], float, Optional[Dict[str, Any]]]:
-        """``(status, results, seconds, trace)`` for one tier's *share*;
-        *trace* is the span payload after a traced search's last tier."""
+    ) -> Tuple[
+        str, List[_SolvedEntry], EnumerationStats, float, Optional[Dict[str, Any]]
+    ]:
+        """``(status, results, counted, seconds, trace)`` for one tier's
+        *share*: *counted* is the enumerator's stats since the last
+        reply, *trace* the span payload after a traced search's last
+        tier."""
         started = time.perf_counter()
         self.sync(updates)
         results: List[_SolvedEntry] = []
@@ -217,11 +208,12 @@ class _WorkerState:
             except OptimizationTimeout:
                 status = "expired"
         self.entries += len(results)
+        counted, self.enumerator.stats = self.enumerator.stats, EnumerationStats()
         trace = None
         if last and self.tracer is not None and self.span is not None:
             self.span.set(entries=self.entries).__exit__(None, None, None)
             trace = self.tracer.to_payload()
-        return status, results, time.perf_counter() - started, trace
+        return status, results, counted, time.perf_counter() - started, trace
 
 
 def _worker_main(worker_id: int, conn: Any) -> None:
@@ -392,7 +384,8 @@ class _ShardDriver:
         self.choices: Dict[int, Tuple[Any, ...]] = {}
         self.solved_by_worker = [0] * jobs
         self.busy_seconds = [0.0] * jobs
-        self.plans = self.divisions = self.bounded = self.shorts = self.reads = 0
+        #: the workers' stats deltas, summed
+        self.counted = EnumerationStats()
         self.worker_started: List[Optional[float]] = [None] * jobs
         self.traces: Dict[int, Optional[Dict[str, Any]]] = {}
         self.spawn_started = time.perf_counter()
@@ -454,8 +447,8 @@ class _ShardDriver:
                     continue
                 if message[0] == "error":
                     raise RuntimeError(f"memo-shard worker {worker}:\n{message[1]}")
-                status, results, elapsed, trace = message
-                self._merge_results(worker, results, elapsed)
+                status, results, counted, elapsed, trace = message
+                self._merge_results(worker, results, counted, elapsed)
                 if status == "expired":
                     raise _TierExpired(tiers_done=k - 1)
                 if trace is not None:
@@ -463,18 +456,23 @@ class _ShardDriver:
                 del waiting[conn]
 
     def _merge_results(
-        self, worker: int, results: Sequence[_SolvedEntry], elapsed: float
+        self,
+        worker: int,
+        results: Sequence[_SolvedEntry],
+        counted: EnumerationStats,
+        elapsed: float,
     ) -> None:
         self.busy_seconds[worker] += elapsed
         self.solved_by_worker[worker] += len(results)
-        for bits, cost, choice, plans, divisions, bounded, shorts, reads in results:
+        for bits, cost, choice in results:
             self.costs[bits] = cost
             self.choices[bits] = choice
-            self.plans += plans
-            self.divisions += divisions
-            self.bounded += bounded
-            self.shorts += shorts
-            self.reads += reads
+        total = self.counted
+        total.plans_considered += counted.plans_considered
+        total.divisions_enumerated += counted.divisions_enumerated
+        total.divisions_bounded += counted.divisions_bounded
+        total.memo_hits += counted.memo_hits
+        total.local_short_circuits += counted.local_short_circuits
 
     def _check_budget(self, tier: int) -> None:
         budget = self.budget
@@ -540,17 +538,19 @@ class _ShardDriver:
         return plan, label, reason
 
     def stats(self, wall_seconds: float) -> EnumerationStats:
-        """Merged serial-equivalent counters plus pool telemetry.
+        """The workers' summed counters plus pool telemetry.
 
-        Counters equal serial whenever the serial search expands the
-        full connected-subquery space (every unpartitioned query); with
-        partitioning + Rule 3 the tiers are a superset of the serial
-        traversal (entries below local queries are priced as flat local
-        plans), so ``subqueries_expanded`` / ``plans_considered`` may
-        exceed serial there.  ``memo_hits`` is rebuilt from child cost
-        reads: one per child reference plus one for the root, minus one
-        miss per entry.  ``speedup`` divides the summed worker seconds
-        by the wall time minus pool spin-up (zero on a reused pool).
+        A worker's memo holds every lower tier, so it bounds nothing:
+        without partitioning the counters are the search space
+        (:meth:`TopDownEnumerator.search_space`), not the bounded
+        serial search's smaller counts.  With partitioning + Rule 3 the
+        tiers are a superset of the serial traversal (entries below
+        local queries are priced as flat local plans), so
+        ``subqueries_expanded`` / ``plans_considered`` may exceed that
+        space there.  ``memo_hits`` is rebuilt from child cost reads:
+        one per child reference plus one for the root, minus one miss
+        per entry.  ``speedup`` divides the summed worker seconds by the
+        wall time minus pool spin-up (zero on a reused pool).
         """
         singletons = len(self.tiers[1])
         solved = singletons + sum(self.solved_by_worker)
@@ -560,13 +560,14 @@ class _ShardDriver:
         search_wall = wall_seconds - startup
         max_share = max(self.solved_by_worker) if self.solved_by_worker else 0
         min_share = min(self.solved_by_worker) if self.solved_by_worker else 0
+        counted = self.counted
         return EnumerationStats(
-            plans_considered=self.plans,
-            divisions_enumerated=self.divisions,
-            divisions_bounded=self.bounded,
+            plans_considered=counted.plans_considered,
+            divisions_enumerated=counted.divisions_enumerated,
+            divisions_bounded=counted.divisions_bounded,
             subqueries_expanded=solved,
-            memo_hits=max(0, self.reads + 1 - solved),
-            local_short_circuits=self.shorts,
+            memo_hits=max(0, counted.memo_hits + 1 - solved),
+            local_short_circuits=counted.local_short_circuits,
             workers=self.jobs,
             per_worker_subqueries=list(self.solved_by_worker),
             per_worker_seconds=list(self.busy_seconds),
@@ -627,15 +628,14 @@ class _ShardDriver:
                 self.shutdown(complete)
             wall = time.perf_counter() - self.spawn_started
             self.adopt_traces(parallel_span, dispatch_at)
-            parallel_span.set(wall_seconds=wall)
-        stats = self.stats(wall)
-        if degraded_reason:
-            stats.degraded = True
-            stats.degradation_reason = degraded_reason
-            obs.event("governance.degraded", algorithm=label, reason=degraded_reason)
-            obs.count("governance.anytime_plans")
-        obs.gauge("parallel.worker_balance", stats.worker_balance)
-        stats.flush_to_metrics()
+            stats = self.stats(wall)
+            if degraded_reason:
+                stats.degraded = True
+                stats.degradation_reason = degraded_reason
+                obs.event(
+                    "governance.degraded", algorithm=label, reason=degraded_reason
+                )
+            parallel_span.set(wall_seconds=wall, **stats.summary())
         return OptimizationResult(
             plan=plan,
             algorithm=label,

@@ -185,13 +185,11 @@ class PlanCache:
         if entry is None:
             self.stats.misses += 1
             obs.event("plan_cache.lookup", hit=False, algorithm=algorithm)
-            obs.count("plan_cache.misses")
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
         entry["hits"] = int(entry.get("hits", 0)) + 1
         obs.event("plan_cache.lookup", hit=True, algorithm=algorithm)
-        obs.count("plan_cache.hits")
         inverse = {canonical: actual for actual, canonical in mapping.items()}
         plan = plan_from_dict(_rename_plan(entry["plan"], inverse), query)
         stats = EnumerationStats(**entry["stats"])
@@ -224,12 +222,12 @@ class PlanCache:
             self._entries.move_to_end(key)
         self._entries[key] = entry
         self.stats.stores += 1
-        obs.event("plan_cache.store", algorithm=result.algorithm)
-        obs.count("plan_cache.stores")
+        evicted = 0
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            obs.count("plan_cache.evictions")
+            evicted += 1
+        self.stats.evictions += evicted
+        obs.event("plan_cache.store", algorithm=result.algorithm, evicted=evicted)
         return key
 
     def hits_for(
@@ -281,7 +279,6 @@ class PlanCache:
             del self._entries[key]
             self.stats.invalidations += 1
             obs.event("plan_cache.invalidate", key=key)
-            obs.count("plan_cache.invalidations")
             return True
         return False
 

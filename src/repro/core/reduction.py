@@ -217,12 +217,10 @@ class ReductionOptimizer:
         if inner is None:
             # the whole query is one local query
             plan = self.builder.local_join_plan(parts[0])
-            stats = EnumerationStats(plans_considered=1, local_short_circuits=1)
-            stats.flush_to_metrics()
             return OptimizationResult(
                 plan=plan,
                 algorithm=self.algorithm_name,
-                stats=stats,
+                stats=EnumerationStats(plans_considered=1, local_short_circuits=1),
                 elapsed_seconds=time.perf_counter() - started,
             )
         with obs.span("jgr.optimize_reduced", parts=len(parts)):

@@ -444,10 +444,6 @@ class Optimizer:
                     self.options = self.options.with_overrides(
                         partitioning=cluster.adapted_method()
                     )
-                    obs.count("adaptive.migrations", report.migrations)
-                    obs.count(
-                        "adaptive.replicated_triples", report.replicated_triples
-                    )
                 sp.set(
                     applied=len(report.applied),
                     skipped=len(report.skipped),
@@ -699,7 +695,6 @@ class Optimizer:
 
             report = verify_result(result, context)
             sp.set(ok=report.ok)
-            obs.count("optimizer.verifications")
         return report
 
     def __repr__(self) -> str:

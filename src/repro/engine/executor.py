@@ -309,7 +309,11 @@ class Executor:
                     wall_seconds=metrics.wall_seconds,
                     workers_failed=metrics.workers_failed,
                 )
-                self._flush_metrics(metrics)
+                registry = obs.metrics()
+                if registry is not None:
+                    registry.histogram("engine.simulated_time").observe(
+                        metrics.critical_path_cost
+                    )
         return result, metrics
 
     # ------------------------------------------------------------------
@@ -448,31 +452,6 @@ class Executor:
             phase=abort.phase,
             operator=abort.operator,
         )
-
-    def _flush_metrics(self, metrics: ExecutionMetrics) -> None:
-        """Mirror one execution's totals into the active metrics registry.
-
-        Called once per :meth:`execute` (never per operator or per
-        tuple), matching the reconciliation contract of
-        :meth:`~repro.engine.metrics.ExecutionMetrics.summary`.
-        """
-        registry = obs.metrics()
-        if registry is None:
-            return
-        registry.counter("engine.tuples_read").inc(metrics.total_tuples_read)
-        registry.counter("engine.tuples_shipped").inc(metrics.total_tuples_shipped)
-        registry.counter("engine.tuples_produced").inc(metrics.total_tuples_produced)
-        registry.counter("engine.result_rows").inc(metrics.result_rows)
-        registry.counter("engine.retries").inc(metrics.total_retries)
-        registry.counter("engine.faults_injected").inc(metrics.total_faults_injected)
-        registry.histogram("engine.simulated_time").observe(
-            metrics.critical_path_cost
-        )
-        breakdown = sorted(metrics.shipped_by_predicate.items())
-        for predicate, count in breakdown:
-            registry.counter(
-                f"engine.tuples_shipped.predicate.{predicate}"
-            ).inc(count)
 
     # ------------------------------------------------------------------
     # the operator protocol: open(node, chunk) -> schema + batch stream

@@ -338,7 +338,6 @@ class RecoveryManager:
                 operator=label,
                 attempt=outcome.retries + 1,
             )
-            obs.count("engine.recovery.faults")
             if fault.kind is FaultKind.STRAGGLER:
                 outcome.straggler = fault
                 outcome.live_size = self.cluster.live_size
@@ -361,7 +360,6 @@ class RecoveryManager:
                     query_id=query_id,
                 )
             obs.event("retry", operator=label, retry=outcome.retries)
-            obs.count("engine.recovery.retries")
             outcome.fixed_cost += self.policy.backoff_cost(outcome.retries)
             if fault.kind is FaultKind.TRANSIENT:
                 if tripped:

@@ -5,8 +5,8 @@ The subsystem has four small parts:
 * :mod:`.spans` — :class:`Tracer` / :class:`Span`: monotonic nested
   spans with attributes and events, thread-safe collection, and a
   deterministic cross-process merge for the optimizer's worker pool;
-* :mod:`.metrics` — :class:`MetricsRegistry`: typed counters, gauges,
-  and histograms with the same snapshot/merge transport;
+* :mod:`.metrics` — :class:`MetricsRegistry`: typed counters and
+  histograms with the same snapshot/merge transport;
 * :mod:`.runtime` — ambient activation: instrumented code calls
   :func:`~repro.observability.runtime.span` /
   :func:`~repro.observability.runtime.event` /
@@ -30,13 +30,12 @@ from .export import (
     to_jsonl,
     validate_chrome_trace,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .runtime import (
     activate,
     count,
     current_tracer,
     event,
-    gauge,
     is_active,
     metrics,
     span,
@@ -51,7 +50,6 @@ __all__ = [
     "NULL_SPAN",
     "validate_span_tree",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "activate",
@@ -60,7 +58,6 @@ __all__ = [
     "span",
     "event",
     "count",
-    "gauge",
     "metrics",
     "to_jsonl",
     "spans_from_jsonl",

@@ -1,15 +1,18 @@
-"""Typed metrics registry: counters, gauges, histograms.
+"""Typed metrics registry: counters and histograms.
 
 The registry complements spans: spans answer *where did the time go*,
-metrics answer *how often / how much* — plans considered, Rule 1–3
-pruning hits, tuples shipped, plan-cache hits.  Everything is
+metrics answer *how often / how much* of what no returned object
+reports — Rule 1/2 pruning hits, JGR rounds, TD-Auto's choices,
+governance aborts.  A count that a typed result object reports (plans
+considered, tuples shipped, plan-cache hits, …) lives on that object and
+reaches the trace as span attributes, never here.  Everything is
 standard-library, thread-safe, and mergeable across worker processes
 via :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.merge`
 (the same transport the tracer uses for spans).
 
 Naming convention (see ``docs/OBSERVABILITY.md``): dotted lowercase,
-prefixed by subsystem — ``optimizer.*``, ``pruning.*``, ``jgr.*``,
-``plan_cache.*``, ``engine.*``.
+prefixed by subsystem — ``optimizer.auto.*``, ``pruning.*``, ``jgr.*``,
+``governance.*``, ``engine.*``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ Number = Union[int, float]
 
 
 class Counter:
-    """A monotonically increasing value (e.g. ``engine.tuples_shipped``)."""
+    """A monotonically increasing value (e.g. ``jgr.rounds``)."""
 
     __slots__ = ("name", "value")
 
@@ -37,23 +40,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value})"
-
-
-class Gauge:
-    """A last-value-wins measurement (e.g. ``optimizer.workers``)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Number = 0
-
-    def set(self, value: Number) -> None:
-        """Overwrite the gauge with *value*."""
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, {self.value})"
 
 
 class Histogram:
@@ -86,12 +72,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named counters/gauges/histograms."""
+    """Get-or-create registry of named counters and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}  #: guarded-by: _lock
-        self._gauges: Dict[str, Gauge] = {}  #: guarded-by: _lock
         self._histograms: Dict[str, Histogram] = {}  #: guarded-by: _lock
 
     # -- accessors ------------------------------------------------------
@@ -103,14 +88,6 @@ class MetricsRegistry:
                 instrument = self._counters[name] = Counter(name)
             return instrument
 
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered under *name* (created on first use)."""
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name)
-            return instrument
-
     def histogram(self, name: str) -> Histogram:
         """The histogram registered under *name* (created on first use)."""
         with self._lock:
@@ -119,18 +96,10 @@ class MetricsRegistry:
                 instrument = self._histograms[name] = Histogram(name)
             return instrument
 
-    def counter_value(self, name: str) -> Number:
-        """Current value of counter *name* (0 if never touched)."""
-        with self._lock:
-            instrument = self._counters.get(name)
-            return instrument.value if instrument is not None else 0
-
     def names(self) -> List[str]:
         """Every registered instrument name, sorted."""
         with self._lock:
-            return sorted(
-                set(self._counters) | set(self._gauges) | set(self._histograms)
-            )
+            return sorted(set(self._counters) | set(self._histograms))
 
     # -- transport ------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:
@@ -140,9 +109,6 @@ class MetricsRegistry:
                 "counters": {
                     name: self._counters[name].value
                     for name in sorted(self._counters)
-                },
-                "gauges": {
-                    name: self._gauges[name].value for name in sorted(self._gauges)
                 },
                 "histograms": {
                     name: {
@@ -158,13 +124,10 @@ class MetricsRegistry:
     def merge(self, snapshot: Dict[str, Dict[str, object]]) -> None:
         """Fold a :meth:`snapshot` (e.g. from a worker) into this registry.
 
-        Counters add, gauges take the incoming value (last wins),
-        histograms combine count/total/min/max.
+        Counters add, histograms combine count/total/min/max.
         """
         for name, value in sorted(snapshot.get("counters", {}).items()):
             self.counter(name).inc(value)  # type: ignore[arg-type]
-        for name, value in sorted(snapshot.get("gauges", {}).items()):
-            self.gauge(name).set(value)  # type: ignore[arg-type]
         for name, data in sorted(snapshot.get("histograms", {}).items()):
             histogram = self.histogram(name)
             incoming_count = int(data.get("count", 0))  # type: ignore[union-attr]

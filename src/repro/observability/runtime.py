@@ -89,13 +89,6 @@ def count(name: str, amount: Number = 1) -> None:
         tracer.metrics.counter(name).inc(amount)
 
 
-def gauge(name: str, value: Number) -> None:
-    """Set gauge *name* on the active registry (no-op otherwise)."""
-    tracer = _ACTIVE.get()
-    if tracer is not None:
-        tracer.metrics.gauge(name).set(value)
-
-
 def metrics() -> Optional[MetricsRegistry]:
     """The active registry, or ``None`` — hoist this out of hot loops."""
     tracer = _ACTIVE.get()

@@ -200,7 +200,7 @@ class TestClosedForm:
         import random
 
         from repro.core.cardinality import PatternStatistics
-        from repro.core.enumeration import SubqueryRecord, TopDownEnumerator
+        from repro.core.enumeration import TopDownEnumerator
 
         query = chain_query(len(cardinalities))
         rng = random.Random(seed)
@@ -221,11 +221,7 @@ class TestClosedForm:
         enumerator = TopDownEnumerator(join_graph, builder)
         result = enumerator.optimize()
         best, _, choice = enumerator._search(
-            join_graph.full,
-            False,
-            SubqueryRecord(),
-            enumerator._memo,
-            enumerator.get_best_plan,
+            join_graph.full, False, enumerator._memo, enumerator.get_best_plan
         )
         assert choice is not None
         assert best == result.cost

@@ -14,9 +14,11 @@ memo-shard workers (``TopDownEnumerator._search``):
   pass (:meth:`Optimizer.search_space`) must reproduce.  The ``jobs=2``
   memo-shard search must agree on the large queries;
 * **exact counters on expiry** — a deadline that fires *inside* the
-  division loop (strict or anytime) must leave ``stats`` equal to the
-  sum of the per-subquery records, because the loop counts in locals
-  and flushes in a ``finally``;
+  division loop (strict or anytime) must leave ``stats`` exact, because
+  the loop counts in locals and flushes in a ``finally``: each
+  subquery's own share of ``stats`` (recorded by a wrapper around
+  ``_search``) counts exactly the divisions the ``divisions`` hook
+  handed it;
 * **poll cadence** — one deadline poll per expanded subquery plus one
   every 256 divisions of a subquery, as before.
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -221,11 +224,64 @@ RECORD_COUNTERS = (
 )
 
 
-def _record_totals(enumerator):
-    records = enumerator.subquery_records.values()
-    return {
-        name: sum(getattr(r, name) for r in records) for name in RECORD_COUNTERS
-    }
+class PerSubquery:
+    """Each expanded subquery's own share of ``enumerator.stats``.
+
+    Wraps the enumerator's ``_search`` (the one costing loop) and its
+    ``divisions`` hook.  A subquery's share (:attr:`own`) is the stats
+    delta across its ``_search`` call minus the deltas of the child
+    searches it recursed into, recorded in a ``finally`` so an expiry
+    mid-loop is recorded too.  :attr:`yielded` counts the divisions the
+    hook handed each subquery, independently of the loop's counting.
+    """
+
+    def __init__(self, enumerator):
+        self.stats = enumerator.stats
+        self.own = {}
+        self.yielded = Counter()
+        self._open = []  # per open search: its children's summed deltas
+        search, divisions = enumerator._search, enumerator.divisions
+
+        def counted_search(bits, *args):
+            before = self._current()
+            self._open.append(dict.fromkeys(RECORD_COUNTERS, 0))
+            try:
+                return search(bits, *args)
+            finally:
+                children = self._open.pop()
+                after = self._current()
+                inclusive = {n: after[n] - before[n] for n in RECORD_COUNTERS}
+                self.own[bits] = {
+                    n: inclusive[n] - children[n] for n in RECORD_COUNTERS
+                }
+                if self._open:
+                    for n in RECORD_COUNTERS:
+                        self._open[-1][n] += inclusive[n]
+
+        def counted_divisions(bits):
+            for division in divisions(bits):
+                self.yielded[bits] += 1
+                yield division
+
+        enumerator._search = counted_search
+        enumerator.divisions = counted_divisions
+
+    def _current(self):
+        return {name: getattr(self.stats, name) for name in RECORD_COUNTERS}
+
+    def totals(self):
+        """The shares summed: must be ``stats`` itself."""
+        return {
+            name: sum(share[name] for share in self.own.values())
+            for name in RECORD_COUNTERS
+        }
+
+    def exact(self):
+        """Every share counted the divisions it was handed, no more."""
+        return all(
+            share["divisions_enumerated"] == self.yielded[bits]
+            for bits, share in self.own.items()
+        )
 
 
 def _stats_totals(enumerator):
@@ -247,20 +303,26 @@ def _enumerator(cls, query, budget):
     return cls(builder.join_graph, builder, budget=budget)
 
 
+def _accounted(cls, query, budget):
+    enumerator = _enumerator(cls, query, budget)
+    return enumerator, PerSubquery(enumerator)
+
+
 def _polls_of_full_run(cls, query):
     budget, clock = _stepping_budget(10**9)
-    enumerator = _enumerator(cls, query, budget)
+    enumerator, shares = _accounted(cls, query, budget)
     result = enumerator.optimize()
-    return enumerator, result, clock.calls - 1  # Deadline.after read it once
+    # Deadline.after read the clock once
+    return enumerator, shares, result, clock.calls - 1
 
 
 class TestPollCadence:
     @pytest.mark.parametrize("cls,query", CADENCE)
     def test_once_per_subquery_and_every_256_divisions(self, cls, query):
-        enumerator, _, polls = _polls_of_full_run(cls, query)
+        enumerator, shares, _, polls = _polls_of_full_run(cls, query)
+        assert shares.exact()
         ticks = sum(
-            r.divisions_enumerated // 256
-            for r in enumerator.subquery_records.values()
+            share["divisions_enumerated"] // 256 for share in shares.own.values()
         )
         assert ticks > 0
         assert polls == enumerator.stats.subqueries_expanded + ticks
@@ -275,23 +337,23 @@ class TestExpiryMidLoop:
         tick, the others a child expansion it recursed into (the bound
         solves children early, so those are further back).  Either way
         the loop's ``finally`` must have flushed its locals."""
-        full, _, polls = _polls_of_full_run(cls, query)
-        total = full.subquery_records[full.join_graph.full].divisions_enumerated
+        full, full_shares, _, polls = _polls_of_full_run(cls, query)
+        full_root = full_shares.own[full.join_graph.full]
+        total = full_root["divisions_enumerated"]
         raised_by = set()
         for short_by in range(1, 33):
             budget, _ = _stepping_budget(polls - short_by)
-            enumerator = _enumerator(cls, query, budget)
+            enumerator, shares = _accounted(cls, query, budget)
             with pytest.raises(OptimizationTimeout):
                 enumerator.optimize()
-            root = enumerator.subquery_records[enumerator.join_graph.full]
-            assert 0 < root.divisions_enumerated <= total
-            assert _stats_totals(enumerator) == _record_totals(enumerator)
+            root = shares.own[enumerator.join_graph.full]
+            assert 0 < root["divisions_enumerated"] <= total
+            assert _stats_totals(enumerator) == shares.totals()
+            assert shares.exact()
             # the division the deadline fired in was counted, not costed
-            assert root.plans_considered < (
-                full.subquery_records[full.join_graph.full].plans_considered
-            )
+            assert root["plans_considered"] < full_root["plans_considered"]
             raised_by.add(
-                "tick" if root.divisions_enumerated % 256 == 0 else "child"
+                "tick" if root["divisions_enumerated"] % 256 == 0 else "child"
             )
             if short_by >= 4 and raised_by == {"tick", "child"}:
                 break
@@ -299,13 +361,14 @@ class TestExpiryMidLoop:
 
     @pytest.mark.parametrize("cls,query", MID_LOOP)
     def test_anytime_expiry_leaves_exact_counters_and_a_plan(self, cls, query):
-        full, optimum, polls = _polls_of_full_run(cls, query)
+        full, _, optimum, polls = _polls_of_full_run(cls, query)
         budget, _ = _stepping_budget(polls - 2, anytime=True)
-        enumerator = _enumerator(cls, query, budget)
+        enumerator, shares = _accounted(cls, query, budget)
         result = enumerator.optimize()
         assert result.stats.degraded
         assert result.algorithm.endswith("[anytime]")
-        assert _stats_totals(enumerator) == _record_totals(enumerator)
+        assert _stats_totals(enumerator) == shares.totals()
+        assert shares.exact()
         assert result.stats.divisions_enumerated < full.stats.divisions_enumerated
         assert result.cost >= optimum.cost
         context = VerificationContext.for_query(

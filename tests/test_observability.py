@@ -11,10 +11,12 @@ Covers the tentpole guarantees:
 * the session builds the enumerator once, inside ``build``, whatever
   ``jobs`` is: a ``jobs > 1`` call that declines to shard records the
   span tree of a ``jobs=1`` call, governed or not;
-* the tracer-side counters reconcile with the optimizer's
-  :class:`~repro.core.enumeration.EnumerationStats` and the engine's
-  :class:`~repro.engine.metrics.ExecutionMetrics` (the satellite
-  property test).
+* the trace carries the typed counts: the ``enumerate`` /
+  ``parallel.search`` span attributes are the optimizer's
+  :class:`~repro.core.enumeration.EnumerationStats` summary, the
+  ``scan`` / ``join`` spans sum to the engine's
+  :class:`~repro.engine.metrics.ExecutionMetrics` totals, and the
+  registry holds no copy of either.
 """
 
 from __future__ import annotations
@@ -109,16 +111,15 @@ class TestTracer:
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
+    def test_counters_histograms(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
         registry.counter("c").inc(4)
-        registry.gauge("g").set(7)
         registry.histogram("h").observe(2.0)
         registry.histogram("h").observe(4.0)
         snap = registry.snapshot()
+        assert sorted(snap) == ["counters", "histograms"]
         assert snap["counters"]["c"] == 5
-        assert snap["gauges"]["g"] == 7
         assert snap["histograms"]["h"]["count"] == 2
         assert snap["histograms"]["h"]["total"] == pytest.approx(6.0)
         assert registry.histogram("h").mean == pytest.approx(3.0)
@@ -131,13 +132,11 @@ class TestMetricsRegistry:
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("c").inc(2)
         b.counter("c").inc(3)
-        b.gauge("g").set(9)
         a.histogram("h").observe(1.0)
         b.histogram("h").observe(5.0)
         a.merge(b.snapshot())
         snap = a.snapshot()
         assert snap["counters"]["c"] == 5
-        assert snap["gauges"]["g"] == 9
         assert snap["histograms"]["h"]["min"] == 1.0
         assert snap["histograms"]["h"]["max"] == 5.0
 
@@ -172,17 +171,20 @@ class TestTracedOptimize:
         assert traced.stats.summary() == plain.stats.summary()
 
     def test_plan_cache_lookups_surface_as_events_and_counters(self, fig1_query):
-        session = traced_session(plan_cache=PlanCache())
+        cache = PlanCache()
+        session = traced_session(plan_cache=cache)
         session.optimize(fig1_query)
         session.optimize(fig1_query)
-        counters = session.tracer.metrics.snapshot()["counters"]
-        assert counters["plan_cache.misses"] == 1
-        assert counters["plan_cache.stores"] == 1
-        assert counters["plan_cache.hits"] == 1
-        events = [
-            e.name for sp in session.tracer.spans for e in sp.events
-        ]
-        assert events.count("plan_cache.lookup") == 2
+        events = [e for sp in session.tracer.spans for e in sp.events]
+        lookups = [e.attributes["hit"] for e in events if e.name == "plan_cache.lookup"]
+        assert lookups == [False, True]
+        stores = [e for e in events if e.name == "plan_cache.store"]
+        assert len(stores) == 1 and stores[0].attributes["evicted"] == 0
+        assert (cache.stats.misses, cache.stats.hits, cache.stats.stores) == (1, 1, 1)
+        assert not any(
+            name.startswith("plan_cache.")
+            for name in session.tracer.metrics.snapshot()["counters"]
+        )
 
     def test_hgr_trace_records_jgr_rounds(self):
         query = parse_query(SMALL_TEXT, name="small")
@@ -254,9 +256,10 @@ class TestExporters:
         assert validate_chrome_trace(encoded) == []
         names = {e["name"] for e in encoded["traceEvents"] if e["ph"] == "X"}
         assert "optimize" in names
-        assert "optimizer.plans_considered" in (
-            encoded["otherData"]["metrics"]["counters"]
-        )
+        (enumerate_event,) = [
+            e for e in encoded["traceEvents"] if e["name"] == "enumerate"
+        ]
+        assert enumerate_event["args"]["plans_considered"] > 0
 
     def test_chrome_trace_validator_rejects_malformed_events(self):
         assert validate_chrome_trace([]) != []
@@ -375,23 +378,68 @@ class TestSerialFallbackSpans:
 
 
 # ----------------------------------------------------------------------
-# counter reconciliation (the satellite property test)
+# the trace carries the typed counts; the registry keeps no copy
 # ----------------------------------------------------------------------
-class TestCounterReconciliation:
+#: registry names a returned typed object also reports
+TYPED_PREFIXES = (
+    "optimizer.plans_considered",
+    "optimizer.divisions_",
+    "optimizer.subqueries_expanded",
+    "optimizer.memo_hits",
+    "optimizer.local_short_circuits",
+    "optimizer.steals",
+    "optimizer.worker_balance",
+    "optimizer.verifications",
+    "plan_cache.",
+    "engine.tuples_",
+    "engine.result_rows",
+    "engine.retries",
+    "engine.faults_injected",
+    "engine.recovery.",
+    "adaptive.",
+    "governance.degraded",
+    "governance.anytime_plans",
+    "parallel.worker_balance",
+)
+
+
+def typed_copies(session):
+    snapshot = session.tracer.metrics.snapshot()
+    return [
+        name
+        for kind in ("counters", "histograms")
+        for name in snapshot[kind]
+        if name.startswith(TYPED_PREFIXES)
+    ]
+
+
+class TestTraceCarriesTheCounts:
     @pytest.mark.parametrize("algorithm", ["td-cmd", "td-cmdp", "td-auto"])
-    def test_optimizer_counters_match_enumeration_stats(
-        self, fig1_query, algorithm
-    ):
-        session = traced_session(algorithm=algorithm)
+    def test_enumerate_span_is_the_stats_summary(self, fig1_query, algorithm):
+        session = traced_session(algorithm=algorithm, verify=True)
         result = session.optimize(fig1_query)
-        counters = session.tracer.metrics.snapshot()["counters"]
+        (span,) = [sp for sp in session.tracer.spans if sp.name == "enumerate"]
         summary = result.stats.summary()
-        assert summary["divisions_bounded"] == result.stats.divisions_bounded
-        for name, value in summary.items():
-            assert counters[f"optimizer.{name}"] == value
+        assert "divisions_bounded" in summary
+        assert {name: span.attributes[name] for name in summary} == summary
+        assert typed_copies(session) == []
+
+    @pytest.mark.usefixtures("shard_small")
+    @pytest.mark.parametrize("algorithm", ["td-cmd", "td-cmdp"])
+    def test_parallel_search_span_is_the_stats_summary(self, fig1_query, algorithm):
+        session = traced_session(algorithm=algorithm, jobs=2)
+        result = session.optimize(fig1_query)
+        assert result.stats.workers == 2
+        (span,) = [
+            sp for sp in session.tracer.spans if sp.name == "parallel.search"
+        ]
+        summary = result.stats.summary()
+        assert "worker_balance" in summary
+        assert {name: span.attributes[name] for name in summary} == summary
+        assert typed_copies(session) == []
 
     @pytest.mark.parametrize("engine", ["columnar", "pipelined"])
-    def test_engine_counters_match_execution_metrics(self, toy_dataset, engine):
+    def test_operator_spans_sum_to_execution_metrics(self, toy_dataset, engine):
         query = parse_query(
             """
             PREFIX e: <http://e/>
@@ -409,28 +457,27 @@ class TestCounterReconciliation:
         )
         result = session.optimize(query)
         cluster = Cluster.build(toy_dataset, method, cluster_size=4)
+        # seed 1 fires faults on this plan (six, three of them retried)
         executor = Executor(
-            cluster, fault_injector=FaultInjector(0.3, seed=5), engine=engine
+            cluster, fault_injector=FaultInjector(0.5, seed=1), engine=engine
         )
         with session.tracing():
             _, metrics = executor.execute(result.plan, query)
-        counters = session.tracer.metrics.snapshot()["counters"]
-        assert counters["engine.tuples_read"] == metrics.total_tuples_read
-        assert counters["engine.tuples_shipped"] == metrics.total_tuples_shipped
-        assert (
-            counters["engine.tuples_produced"] == metrics.total_tuples_produced
-        )
-        assert counters["engine.retries"] == metrics.total_retries
-        assert (
-            counters["engine.faults_injected"] == metrics.total_faults_injected
-        )
-        # the executor's span attributes carry the same per-operator counts
+        assert metrics.total_faults_injected > 0 and metrics.total_retries > 0
         operator_spans = [
             sp
             for sp in session.tracer.spans
             if sp.name in ("scan", "join") and "operator" in sp.attributes
         ]
         assert len(operator_spans) == len(metrics.operators)
-        assert sum(
-            sp.attributes["tuples_produced"] for sp in operator_spans
-        ) == metrics.total_tuples_produced
+        for name, total in (
+            ("tuples_read", metrics.total_tuples_read),
+            ("tuples_shipped", metrics.total_tuples_shipped),
+            ("tuples_produced", metrics.total_tuples_produced),
+            ("retries", metrics.total_retries),
+            ("faults_injected", metrics.total_faults_injected),
+        ):
+            assert sum(sp.attributes[name] for sp in operator_spans) == total, name
+        (execute,) = [sp for sp in session.tracer.spans if sp.name == "execute"]
+        assert execute.attributes["result_rows"] == metrics.result_rows
+        assert typed_copies(session) == []
