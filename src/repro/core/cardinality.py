@@ -181,14 +181,18 @@ class CardinalityEstimator:
                 raise ValueError("statistics catalog does not match the join graph")
         self.join_graph = join_graph
         self.catalog = catalog
-        self._cache: Dict[int, tuple[float, Dict[Variable, float]]] = {}
-        # per pattern, what one fold step reads: (v, B(tp, v)) for the
+        #: bindings are keyed by *slot*, a variable's place in name order,
+        #: so a fold step hashes ints, not ``Variable``\ s
+        names = sorted(join_graph.query.variables(), key=lambda v: v.name)
+        self._slots: Dict[Variable, int] = {v: slot for slot, v in enumerate(names)}
+        self._cache: Dict[int, tuple[float, Dict[int, float]]] = {}
+        # per pattern, what one fold step reads: (slot, B(tp, v)) for the
         # pattern's variables, sorted by name so the float product is
         # bit-identical across processes (frozenset order follows the
         # per-process hash seed)
-        self._pattern_bindings: List[Tuple[Tuple[Variable, float], ...]] = [
+        self._pattern_bindings: List[Tuple[Tuple[int, float], ...]] = [
             tuple(
-                (v, catalog[index].binding_count(v))
+                (self._slots[v], catalog[index].binding_count(v))
                 for v in sorted(pattern.variables(), key=lambda v: v.name)
             )
             for index, pattern in enumerate(join_graph.patterns)
@@ -209,7 +213,8 @@ class CardinalityEstimator:
     def bindings(self, bits: int, variable: Variable) -> float:
         """Estimated distinct bindings of *variable* in the subquery."""
         card, bindings = self._fold(bits)
-        return min(bindings.get(variable, card), card)
+        slot = self._slots.get(variable)
+        return min(card if slot is None else bindings.get(slot, card), card)
 
     def pattern_cardinality(self, index: int) -> float:
         """|tp_index|: the base cardinality of one pattern."""
@@ -218,7 +223,7 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     # the Eq. 11 fold
     # ------------------------------------------------------------------
-    def _fold(self, bits: int) -> tuple[float, Dict[Variable, float]]:
+    def _fold(self, bits: int) -> tuple[float, Dict[int, float]]:
         """Fold Eq. 11 incrementally, extending the largest cached prefix.
 
         The fold runs in ascending pattern-index order, so the value for
@@ -234,7 +239,7 @@ class CardinalityEstimator:
             raise ValueError("cannot estimate the empty subquery")
         pending: List[int] = []
         rest = bits
-        base: Optional[tuple[float, Dict[Variable, float]]] = None
+        base: Optional[tuple[float, Dict[int, float]]] = None
         while rest:
             cached = self._cache.get(rest)
             if cached is not None:
@@ -247,9 +252,7 @@ class CardinalityEstimator:
             # nothing cached: seed the fold with the lowest-index pattern
             first_index = pending.pop()
             card = self.catalog[first_index].cardinality
-            bindings: Dict[Variable, float] = dict(
-                self._pattern_bindings[first_index]
-            )
+            bindings: Dict[int, float] = dict(self._pattern_bindings[first_index])
             rest = 1 << first_index
             self._cache[rest] = (card, bindings)
         else:
@@ -257,13 +260,13 @@ class CardinalityEstimator:
         for index in reversed(pending):
             bindings = dict(bindings)  # cached prefixes stay immutable
             denominator = 1.0
-            for v, b in self._pattern_bindings[index]:
-                known = bindings.get(v)
+            for slot, b in self._pattern_bindings[index]:
+                known = bindings.get(slot)
                 if known is None:
-                    bindings[v] = b
+                    bindings[slot] = b
                 else:  # a shared variable: Eq. 10's max, then the tighter bound
                     denominator *= max(known, b)
-                    bindings[v] = min(known, b)
+                    bindings[slot] = min(known, b)
             card = card * self.catalog[index].cardinality / denominator
             card = max(card, 1.0)
             rest |= 1 << index

@@ -88,7 +88,11 @@ def enumerate_cbds(
 
 
 def _cbd_sides(
-    join_graph: JoinGraph, bits: int, variable: int, single_anchor: bool
+    join_graph: JoinGraph,
+    bits: int,
+    variable: int,
+    single_anchor: bool,
+    mates: Optional[Sequence[int]] = None,
 ) -> Iterator[int]:
     """Algorithm 2 (CBDRec): the anchor side of every cbd of *bits*.
 
@@ -107,6 +111,11 @@ def _cbd_sides(
     neighbours: walk exactly those, and absorb the ones that never
     meet Ntp(v_j).  An indivisible component has no such neighbour and
     costs one ``&``.
+
+    With *mates* (a row of :func:`_earlier_mates`), a side whose division
+    an earlier variable also crosses (``need`` reaches the far side) is
+    skipped, and one whose ``need`` meets ``forbidden`` is cut with its
+    growth subtree; the kept sides keep their order.
     """
     ntp = join_graph._ntp[variable] & bits
     if not ntp & (ntp - 1):  # fewer than two patterns adjacent to v_j
@@ -116,9 +125,11 @@ def _cbd_sides(
     anchor = ntp & -ntp
     # single_anchor: the side never takes a second pattern of Ntp(v_j)
     allowed = bits & ~(ntp ^ anchor) if single_anchor else bits
-    stack: List[Tuple[int, int, int, int]] = []
-    # sq: the side grown so far; reach: the union of its adjacency rows
-    sq, reach, forbidden, candidates = 0, anchor, 0, anchor
+    stack: List[Tuple[int, int, int, int, int]] = []
+    # sq: the side grown so far; reach: the union of its adjacency rows;
+    # need: the union of its rows of *mates*
+    sq, reach, need, forbidden, candidates = 0, anchor, 0, 0, anchor
+    grown_need = 0
     while True:
         while candidates:
             tp = candidates & -candidates
@@ -156,14 +167,44 @@ def _cbd_sides(
             if grown & forbidden or grown == bits:
                 forbidden |= tp
                 continue
+            if mates is not None:
+                grown_need = need
+                added = grown ^ sq
+                while added:
+                    low = added & -added
+                    grown_need |= mates[low.bit_length() - 1]
+                    added ^= low
+                if grown_need & forbidden:  # a repeat, and so is its subtree
+                    forbidden |= tp
+                    continue
             if candidates:  # tp's right siblings resume with tp forbidden
-                stack.append((sq, reach, forbidden | tp, candidates))
-            yield grown
-            sq, reach = grown, grown_reach
+                stack.append((sq, reach, need, forbidden | tp, candidates))
+            if not grown_need & (bits ^ grown):
+                yield grown
+            sq, reach, need = grown, grown_reach, grown_need
             candidates = reach & allowed & ~sq & ~forbidden
         if not stack:
             return
-        sq, reach, forbidden, candidates = stack.pop()
+        sq, reach, need, forbidden, candidates = stack.pop()
+
+
+def _earlier_mates(join_graph: JoinGraph) -> Optional[List[Optional[List[int]]]]:
+    """Row *i*: per pattern, ∪ Ntp(v_j) of the earlier join variables
+    ``j < i`` holding it (``None`` for i = 0).  ``None`` for a forest,
+    where two variables crossing one connected bipartition close a cycle.
+    """
+    if not join_graph.is_cyclic():
+        return None
+    rows: List[Optional[List[int]]] = []
+    row = [0] * join_graph.size
+    for ntp in join_graph._ntp:
+        rows.append(list(row) if rows else None)
+        rest = ntp
+        while rest:
+            low = rest & -rest
+            row[low.bit_length() - 1] |= ntp
+            rest ^= low
+    return rows
 
 
 # ----------------------------------------------------------------------

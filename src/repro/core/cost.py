@@ -139,19 +139,24 @@ class PlanBuilder:
         self.join_graph = join_graph
         self.estimator = estimator
         self.parameters = parameters
+        # a scan is immutable, so every plan of this builder shares one
+        self._scans = [
+            ScanNode(
+                bits=bs.bit(index),
+                cardinality=estimator.pattern_cardinality(index),
+                cost=0.0,
+                pattern_index=index,
+                pattern=pattern,
+            )
+            for index, pattern in enumerate(join_graph.patterns)
+        ]
 
     # ------------------------------------------------------------------
     # node constructors
     # ------------------------------------------------------------------
     def scan(self, pattern_index: int) -> ScanNode:
         """A leaf scan of one triple pattern (cost 0; operators charge I/O)."""
-        return ScanNode(
-            bits=bs.bit(pattern_index),
-            cardinality=self.estimator.pattern_cardinality(pattern_index),
-            cost=0.0,
-            pattern_index=pattern_index,
-            pattern=self.join_graph.patterns[pattern_index],
-        )
+        return self._scans[pattern_index]
 
     def join(
         self,
@@ -189,8 +194,10 @@ class PlanBuilder:
         indices = bs.to_indices(bits)
         if len(indices) == 1:
             return self.scan(indices[0])
-        scans = [self.scan(i) for i in indices]
-        shared = self.join_graph.join_variables_in(bits)
-        variable = shared[0] if shared else None
-        return self.join(JoinAlgorithm.LOCAL, scans, join_variable=variable)
+        graph = self.join_graph
+        # the first join variable with two patterns inside
+        pairs = zip(graph.join_variables, graph._ntp)
+        variable = next((v for v, ntp in pairs if ntp & bits & (ntp & bits) - 1), None)
+        scans = self._scans
+        return self.join(JoinAlgorithm.LOCAL, [scans[i] for i in indices], variable)
 

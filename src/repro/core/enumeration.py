@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from ..observability import runtime as obs
 from ..rdf.terms import Variable
 from . import bitset as bs
-from .cmd import enumerate_cmds
+from .cmd import _peel
 from .cost import PlanBuilder
 from .governance import AnytimeExpiry, QueryBudget
 from .join_graph import JoinGraph
@@ -553,10 +553,17 @@ class TopDownEnumerator(PlanSearch):
     def divisions(
         self, bits: int
     ) -> Iterator[Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]]:
-        """The division space: every cmd, with both distributed joins."""
+        """The division space: every cmd, with both distributed joins,
+        in :func:`~repro.core.cmd.enumerate_cmds`' order."""
         operators = (_BROADCAST, _REPARTITION)
-        for parts, variable in enumerate_cmds(self.join_graph, bits):
-            yield parts, variable, operators
+        join_graph = self.join_graph
+        variables = join_graph.join_variables
+        for index, ntp in enumerate(join_graph._ntp):
+            ntp &= bits
+            if ntp & (ntp - 1):
+                variable = variables[index]
+                for parts in _peel(join_graph, bits, index, ntp, False):
+                    yield parts, variable, operators
 
 
 def greedy_fallback_plan(

@@ -543,7 +543,8 @@ class _ShardDriver:
         A worker's memo holds every lower tier, so it bounds nothing:
         without partitioning the counters are the search space
         (:meth:`TopDownEnumerator.search_space`), not the bounded
-        serial search's smaller counts.  With partitioning + Rule 3 the
+        serial search's smaller counts, less the repeated binary
+        divisions TD-CMDP skips.  With partitioning + Rule 3 the
         tiers are a superset of the serial traversal (entries below
         local queries are priced as flat local plans), so
         ``subqueries_expanded`` / ``plans_considered`` may exceed that

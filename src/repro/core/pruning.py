@@ -25,9 +25,9 @@ from typing import Iterator, Optional, Sequence, Tuple
 from ..observability import runtime as obs
 from ..observability.metrics import Counter
 from ..rdf.terms import Variable
-from .cmd import enumerate_cmds, enumerate_cmds_pruned
+from .cmd import _cbd_sides, _earlier_mates, _peel
 from .cost import PlanBuilder
-from .enumeration import InvariantProfile, TopDownEnumerator
+from .enumeration import EnumerationStats, InvariantProfile, TopDownEnumerator
 from .governance import QueryBudget
 from .join_graph import JoinGraph
 from .local_query import LocalQueryIndex
@@ -59,6 +59,8 @@ class PrunedTopDownEnumerator(TopDownEnumerator):
         #: cannot change under the cache); divisions() runs per subquery,
         #: and a lock-guarded registry lookup there is measurable
         self._rule_counters: Optional[Tuple[Counter, Counter, Counter]] = None
+        #: ``None``: every per-variable cbd is handed out, repeats too
+        self._mates = _earlier_mates(join_graph) if rule1_ccmd_only else None
 
     def invariant_profile(self) -> InvariantProfile:
         """The invariants promised by the rules currently switched on."""
@@ -67,10 +69,23 @@ class PrunedTopDownEnumerator(TopDownEnumerator):
             local_flat_only=self.local_short_circuit,
         )
 
+    def search_space(self) -> EnumerationStats:
+        """Table VII's space counts every per-variable cbd, repeats too."""
+        mates, self._mates = self._mates, None
+        try:
+            return super().search_space()
+        finally:
+            self._mates = mates
+
     def divisions(
         self, bits: int
     ) -> Iterator[Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]]:
         """The pruned division space, with Rule 1/2 hit counting.
+
+        :func:`~repro.core.cmd.enumerate_cmds_pruned`'s order (with Rule
+        1 off, :func:`~repro.core.cmd.enumerate_cmds`'), less each binary
+        division an earlier join variable also crosses: the search prices
+        it once (docs/ALGORITHMS.md, "Each binary division once").
 
         With a metrics registry active, the divisions handed out are
         classified — binary cbd vs k > 2 multi-division, and whether
@@ -97,20 +112,39 @@ class PrunedTopDownEnumerator(TopDownEnumerator):
         multiway = (
             (JoinAlgorithm.REPARTITION,) if self.rule2_binary_broadcast else both
         )
+        join_graph = self.join_graph
+        variables = join_graph.join_variables
         # Rule 1: k > 2 only through ccmds (cbds stay unpruned)
-        space = enumerate_cmds_pruned if self.rule1_ccmd_only else enumerate_cmds
+        complete = self.rule1_ccmd_only
         # the rule hits are tallied here, where each division is
         # classified anyway, not in a wrapper generator around this one:
         # a second frame per division was most of what tracing cost
         binary_hits = multiway_hits = 0
         try:
-            for parts, variable in space(self.join_graph, bits):
-                if len(parts) == 2:
-                    binary_hits += 1
-                    yield parts, variable, both
-                else:
-                    multiway_hits += 1
-                    yield parts, variable, multiway
+            if complete:
+                mates = self._mates
+                for index, ntp in enumerate(join_graph._ntp):
+                    ntp &= bits
+                    if not ntp & (ntp - 1):
+                        continue
+                    variable = variables[index]
+                    row = None if mates is None else mates[index]
+                    for side in _cbd_sides(join_graph, bits, index, False, row):
+                        binary_hits += 1
+                        yield (side, bits ^ side), variable, both
+            for index, ntp in enumerate(join_graph._ntp):
+                ntp &= bits
+                rest = ntp & (ntp - 1)  # a ccmd needs degree 3, a cmd 2
+                if not (rest & (rest - 1) if complete else rest):
+                    continue
+                variable = variables[index]
+                for parts in _peel(join_graph, bits, index, ntp, complete):
+                    if len(parts) == 2:
+                        binary_hits += 1
+                        yield parts, variable, both
+                    else:
+                        multiway_hits += 1
+                        yield parts, variable, multiway
         finally:
             if counters is not None:
                 counters[0].inc(binary_hits)

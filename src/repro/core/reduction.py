@@ -215,12 +215,20 @@ class ReductionOptimizer:
         started = time.perf_counter()
         parts, inner = self._reduce()
         if inner is None:
-            # the whole query is one local query
-            plan = self.builder.local_join_plan(parts[0])
+            # the whole query is one local query: the search's span, with
+            # its one plan and one short-circuit
+            stats = EnumerationStats(plans_considered=1, local_short_circuits=1)
+            with obs.span(
+                "enumerate",
+                algorithm=self.algorithm_name,
+                patterns=self.join_graph.size,
+            ) as sp:
+                plan = self.builder.local_join_plan(parts[0])
+                sp.set(cost=plan.cost, **stats.summary())
             return OptimizationResult(
                 plan=plan,
                 algorithm=self.algorithm_name,
-                stats=EnumerationStats(plans_considered=1, local_short_circuits=1),
+                stats=stats,
                 elapsed_seconds=time.perf_counter() - started,
             )
         with obs.span("jgr.optimize_reduced", parts=len(parts)):

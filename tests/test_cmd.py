@@ -298,6 +298,9 @@ class TestEmissionOrder:
         join_graph = builder.join_graph
         td_cmd = TopDownEnumerator(join_graph, builder)
         td_cmdp = PrunedTopDownEnumerator(join_graph, builder)
+        # the search hands out each binary division once; with the table
+        # off, TD-CMDP's hook is the oracle's stream of every cmd
+        td_cmdp._mates = None
         td_cmdp_no_rule1 = PrunedTopDownEnumerator(
             join_graph, builder, rule1_ccmd_only=False, rule2_binary_broadcast=False
         )

@@ -12,7 +12,10 @@ memo-shard workers (``TopDownEnumerator._search``):
   the bounded search and, under ``search_space``, the five counters of
   the unbounded one (the values e17cc1f recorded), which the uncosted
   pass (:meth:`Optimizer.search_space`) must reproduce.  The ``jobs=2``
-  memo-shard search must agree on the large queries;
+  memo-shard search must agree on the large queries, and on those
+  without partitioning count what ``memo_shard`` records: the space
+  with each of TD-CMDP's binary divisions priced once
+  (docs/ALGORITHMS.md, "Each binary division once");
 * **exact counters on expiry** — a deadline that fires *inside* the
   division loop (strict or anytime) must leave ``stats`` exact, because
   the loop counts in locals and flushes in a ``finally``: each
@@ -127,14 +130,26 @@ def observe_space(item, algorithm, layout):
     return {name: getattr(space, name) for name in SPACE_COUNTERS}
 
 
+def sharded(item, algorithm):
+    """Whether the memo-shard test runs this case, and pins its counts."""
+    return algorithm != "td-auto" and len(item.query) >= 10
+
+
 def record():
-    golden = {
-        f"{item.query.name}/{algorithm}/{layout}": dict(
+    from repro.core import parallel
+
+    parallel._BREAK_EVEN = 4  # the shard_small fixture's pin
+    golden = {}
+    for item, algorithm, layout in cases(suite()):
+        entry = dict(
             observe(run_case(item, algorithm, layout)),
             search_space=observe_space(item, algorithm, layout),
         )
-        for item, algorithm, layout in cases(suite())
-    }
+        if sharded(item, algorithm) and layout == "none":
+            stats = run_case(item, algorithm, layout, jobs=2).stats
+            assert stats.workers > 1
+            entry["memo_shard"] = {name: getattr(stats, name) for name in SPACE_COUNTERS}
+        golden[f"{item.query.name}/{algorithm}/{layout}"] = entry
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = ",\n".join(  # one case per line, so a re-record diffs readably
         f"{json.dumps(key)}: {json.dumps(golden[key], sort_keys=True)}"
@@ -168,6 +183,7 @@ class TestGoldenFile:
             key = f"{item.query.name}/{algorithm}/{layout}"
             expected = dict(golden[key])
             del expected["search_space"]
+            expected.pop("memo_shard", None)
             assert observe(run_case(item, algorithm, layout)) == expected, key
 
     def test_uncosted_pass_is_the_unbounded_search_space(self, golden, items):
@@ -176,36 +192,47 @@ class TestGoldenFile:
             space = observe_space(item, algorithm, layout)
             assert space == golden[key]["search_space"], key
 
-    def test_the_bound_only_saves_work(self, golden):
+    def test_the_bound_only_saves_work(self, golden, items):
         """Every work counter is at most its search-space value, and a
-        counter the bound moved moved because divisions were bounded."""
+        counter the bound moved moved because divisions were bounded —
+        where no binary division repeats: TD-CMD's space, and a forest's.
+        Elsewhere TD-CMDP's search skips the repeats the space counts."""
+        shapes = {item.query.name: item.shape for item in items}
+        forests = (QueryShape.CHAIN, QueryShape.STAR, QueryShape.TREE)
         for key, entry in golden.items():
             space = entry["search_space"]
             for name in SPACE_COUNTERS:
                 assert entry[name] <= space[name], (key, name)
-            if entry["divisions_bounded"] == 0:
+            repeats = "TD-CMDP" in entry["algorithm"] and (
+                shapes[key.split("/")[0]] not in forests
+            )
+            if entry["divisions_bounded"] == 0 and not repeats:
                 assert {name: entry[name] for name in SPACE_COUNTERS} == space, key
 
     @pytest.mark.usefixtures("shard_small")
     def test_memo_shard_agrees_on_the_large_queries(self, golden, items):
         """jobs=2 runs the same loop in the workers: same cost and plan,
         and — where the tiers are exactly the serial traversal, i.e.
-        without partitioning — the counters of the search space: a
-        worker's memo holds every lower tier, so it bounds nothing."""
+        without partitioning — the recorded ``memo_shard`` counters: a
+        worker's memo holds every lower tier, so it bounds nothing, and
+        they are the search space but for TD-CMDP's repeated binary
+        divisions, which a worker skips as the serial search does."""
         for item, algorithm, layout in cases(items):
-            if algorithm == "td-auto" or len(item.query) < 10:
+            if not sharded(item, algorithm):
                 continue  # td-auto ignores jobs
             key = f"{item.query.name}/{algorithm}/{layout}"
-            sharded = run_case(item, algorithm, layout, jobs=2)
+            result = run_case(item, algorithm, layout, jobs=2)
             expected = golden[key]
-            assert sharded.cost == expected["cost"], key
-            assert plan_signature(sharded.plan) == expected["signature"], key
-            if layout == "none" and sharded.stats.workers > 1:
-                assert sharded.stats.divisions_bounded == 0, key
+            assert result.cost == expected["cost"], key
+            assert plan_signature(result.plan) == expected["signature"], key
+            if layout == "none" and result.stats.workers > 1:
+                assert result.stats.divisions_bounded == 0, key
                 for name in SPACE_COUNTERS:
                     assert (
-                        getattr(sharded.stats, name) == expected["search_space"][name]
+                        getattr(result.stats, name) == expected["memo_shard"][name]
                     ), (key, name)
+                if algorithm == "td-cmd":
+                    assert expected["memo_shard"] == expected["search_space"], key
 
 
 def _stepping_budget(allowance, anytime=False):
@@ -295,7 +322,8 @@ MID_LOOP = [
     (PrunedTopDownEnumerator, star_query(11)),
 ]
 #: a dense TD-CMDP search, where the ticks belong to inner subqueries
-CADENCE = MID_LOOP + [(PrunedTopDownEnumerator, dense_query(12, random.Random(3)))]
+#: (one with a subquery of ≥ 256 divisions once each is priced once)
+CADENCE = MID_LOOP + [(PrunedTopDownEnumerator, dense_query(13, random.Random(1)))]
 
 
 def _enumerator(cls, query, budget):

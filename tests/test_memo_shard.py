@@ -28,10 +28,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import PlanVerifier, VerificationContext, verify_result
 from repro.core import OptimizeOptions, Optimizer, QueryAborted, optimize, parallel
-from repro.core.enumeration import OptimizationTimeout
+from repro.core.enumeration import OptimizationTimeout, TopDownEnumerator
 from repro.core.governance import CancellationToken, Deadline, QueryBudget
 from repro.core.join_graph import JoinGraph
 from repro.core.memo_shard import _IDLE_SECONDS, _ShardDriver, subquery_tiers
+from repro.core.optimizer import make_builder
+from repro.core.pruning import PrunedTopDownEnumerator
 from repro.core import bitset as bs
 from repro.partitioning import (
     DynamicPartitioning,
@@ -310,11 +312,21 @@ class TestPoolLifecycle:
     def test_one_search_at_a_time(self):
         """Two threads, one pool: whichever finds it lent out searches
         serially, and both results are the serial result — the sharded
-        one counting the serial search space, the other the serial
-        search's own (bounded) work."""
+        one counting the serial search space with each binary division
+        priced once, the other the serial search's own (bounded) work."""
         query = dense_query(10, random.Random(2))
         serial = optimize(query, algorithm="td-cmdp")
         space = Optimizer(OptimizeOptions(algorithm="td-cmdp")).search_space(query)
+        # a worker bounds nothing, and skips the binary divisions an
+        # earlier join variable already cut, as the serial search does
+        # (docs/ALGORITHMS.md, "Each binary division once"); Table VII's
+        # pass counts those repeats
+        builder = make_builder(query)
+        priced = TopDownEnumerator.search_space(
+            PrunedTopDownEnumerator(builder.join_graph, builder)
+        )
+        assert priced.divisions_enumerated < space.divisions_enumerated
+        assert priced.subqueries_expanded == space.subqueries_expanded
         start = threading.Barrier(2)
         results = [None, None]
 
@@ -330,6 +342,6 @@ class TestPoolLifecycle:
         for result in results:
             assert result.cost == serial.cost
             assert result.plan.describe() == serial.plan.describe()
-            expected = space if result.stats.workers > 1 else serial.stats
+            expected = priced if result.stats.workers > 1 else serial.stats
             for name in ("plans_considered", "divisions_enumerated", "subqueries_expanded"):
                 assert getattr(result.stats, name) == getattr(expected, name)

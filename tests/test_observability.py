@@ -26,6 +26,7 @@ import json
 import pytest
 
 from repro import OptimizeOptions, Optimizer, parse_query
+from repro.core.cardinality import StatisticsCatalog
 from repro.core.plan_cache import PlanCache
 from repro.engine import Cluster, Executor, FaultInjector
 from repro.experiments import ordered_benchmark_queries
@@ -45,7 +46,7 @@ from repro.observability import runtime as obs
 from repro.observability.metrics import Counter
 from repro.observability.spans import NULL_SPAN
 from repro.partitioning import HashSubjectObject, PathBMC
-from repro.workloads.generators import chain_query
+from repro.workloads.generators import chain_query, star_query
 
 SMALL_TEXT = """
 PREFIX p: <http://example.org/>
@@ -422,6 +423,26 @@ class TestTraceCarriesTheCounts:
         summary = result.stats.summary()
         assert "divisions_bounded" in summary
         assert {name: span.attributes[name] for name in summary} == summary
+        assert typed_copies(session) == []
+
+    def test_whole_query_local_short_circuit_is_traced(self):
+        """HGR-TD-CMD plans a query that is one local query (a hash-so
+        subject star, whose uniform statistics make the whole star the
+        reduction's one part) without a search; its ``enumerate`` span
+        still carries the one plan and the one short-circuit."""
+        query = star_query(5)
+        session = traced_session(
+            algorithm="hgr-td-cmd",
+            partitioning=HashSubjectObject(),
+            statistics=StatisticsCatalog.uniform(query),
+        )
+        result = session.optimize(query)
+        assert result.stats.local_short_circuits == 1
+        (span,) = [sp for sp in session.tracer.spans if sp.name == "enumerate"]
+        summary = result.stats.summary()
+        assert {name: span.attributes[name] for name in summary} == summary
+        assert span.attributes["algorithm"] == "HGR-TD-CMD"
+        assert span.attributes["cost"] == result.cost
         assert typed_copies(session) == []
 
     @pytest.mark.usefixtures("shard_small")
