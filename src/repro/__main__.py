@@ -17,8 +17,8 @@ with ``ablations``, the five design-choice and robustness studies);
 paper's ``td-cmd`` / ``td-cmdp`` / ``hgr-td-cmd`` / ``td-auto`` and the
 baselines ``msc`` / ``dp-bushy`` / ``triad-dp``.
 
-Throughput flags: ``--jobs N`` shards the td-cmd/td-cmdp DP memo
-(also under td-auto, when it picks one of them) across N worker
+Throughput flags: ``--jobs N`` runs the td-cmd/td-cmdp search (also
+under td-auto, when it picks one of them) on N cooperating worker
 processes; ``optimize --plan-cache PATH`` keeps a
 persistent cross-query plan cache at PATH, so repeating a query
 short-circuits enumeration entirely.
@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="optimizer worker processes: td-cmd / td-cmdp, and td-auto "
-        "when it picks one of them, shard a DP search above a measured "
+        "when it picks one of them, split a search above a measured "
         "size across them; other algorithms and smaller searches run "
         "serially",
     )

@@ -106,7 +106,7 @@ class AutonomousOptimizer:
         """The chosen variant's *result* under TD-Auto's name.
 
         Keeps any suffix the variant attached (``[parallel x2]``,
-        ``[anytime]``, ...), so degraded and sharded plans stay
+        ``[anytime]``, ...), so degraded and pooled plans stay
         recognizable through TD-Auto.
         """
         suffix = result.algorithm[len(self.choice):]

@@ -79,9 +79,10 @@ class EnumerationStats:
     and the trace carries :meth:`summary` as span attributes.
 
     The ``workers`` / ``per_worker_*`` / ``speedup`` / ``steals``
-    fields are filled only by the memo-sharded parallel search
-    (:mod:`.memo_shard`); a serial run leaves them at their defaults
-    (one worker, no breakdown).
+    fields are filled only by the cooperative parallel search
+    (:mod:`.memo_shard`), whose work counters are its workers' sums; a
+    serial run leaves them at their defaults (one worker, no
+    breakdown).
     """
 
     plans_considered: int = 0
@@ -101,8 +102,9 @@ class EnumerationStats:
     #: Σ worker seconds / parallel search wall seconds, with pool
     #: spin-up excluded from the denominator (parallel search only)
     speedup: float = 0.0
-    #: always 0 since 2.8: workers take static shares, nothing is
-    #: stolen (kept because existing readers of the stats use it)
+    #: always 0 since 2.8: workers take static shares of the root,
+    #: nothing is stolen (kept because existing readers of the stats
+    #: use it)
     steals: int = 0
     #: min/max per-worker subquery share — 1.0 is perfectly balanced,
     #: 0.0 means at least one worker did nothing (parallel search only)
@@ -122,7 +124,7 @@ class EnumerationStats:
         The counterpart of
         :meth:`repro.engine.metrics.ExecutionMetrics.summary`, and what
         the trace carries: the ``enumerate`` span (serial) or the
-        ``parallel.search`` span (sharded) gets these as attributes.
+        ``parallel.search`` span (pooled) gets these as attributes.
         """
         data: Dict[str, float] = {
             "plans_considered": self.plans_considered,
@@ -386,9 +388,10 @@ class TopDownEnumerator(PlanSearch):
         and tie-break are those of the unbounded search.
 
         The serial search runs this with its own memo and
-        :meth:`get_best_plan` (recursion on a miss); a memo-shard worker
-        runs it with a complete memo of lower-tier costs (see
-        :mod:`.memo_shard`).  Counters are kept in locals and flushed to
+        :meth:`get_best_plan` (recursion on a miss); so does a pool
+        worker of the cooperative search, whose ``get_best_plan`` first
+        reads the pool's shared cost table (see :mod:`.memo_shard`).
+        Counters are kept in locals and flushed to
         ``stats`` in a ``finally``, so a deadline that fires mid-loop
         still leaves them exact.
         """
@@ -566,32 +569,23 @@ class TopDownEnumerator(PlanSearch):
                     yield parts, variable, operators
 
 
-def greedy_fallback_plan(
-    builder: PlanBuilder, frontier: Optional[List[PlanNode]] = None
-) -> PlanNode:
+def greedy_fallback_plan(builder: PlanBuilder) -> PlanNode:
     """A complete plan in O(n³) time: the anytime last resort.
 
-    Greedily merges the two connected frontier plans whose combined
-    subquery has the smallest estimated cardinality, joining them with
-    a binary repartition join on their lexicographically first shared
-    variable.  Never optimal, but always Cartesian-product-free and
-    costed by the same builder arithmetic as every other plan.  The
-    merge joins are binary repartitions, so the result satisfies every
-    optional verifier profile its *frontier* plans satisfy — plain
-    scans (the default) trivially, and the memo-sharded search's
-    solved-entry plans because they come out of the pruned enumeration
-    itself; either way anytime plans pass
+    Starting from one scan per pattern, greedily merges the two
+    connected frontier plans whose combined subquery has the smallest
+    estimated cardinality, joining them with a binary repartition join
+    on their lexicographically first shared variable.  Never optimal,
+    but always Cartesian-product-free and costed by the same builder
+    arithmetic as every other plan.  Its joins are binary repartitions
+    over scans, so it satisfies every optional verifier profile, and
+    anytime plans pass
     :class:`~repro.analysis.plan_verifier.PlanVerifier` unchanged.
-
-    *frontier* defaults to one scan per pattern; the memo-sharded
-    anytime path passes the disjoint cover of the query by its largest
-    solved entries instead (see :mod:`.memo_shard`).
     """
     join_graph = builder.join_graph
-    if frontier is None:
-        frontier = [builder.scan(index) for index in range(join_graph.size)]
-    else:
-        frontier = list(frontier)
+    frontier: List[PlanNode] = [
+        builder.scan(index) for index in range(join_graph.size)
+    ]
     # no budget poll: this path runs after expiry, O(n³) in pattern count,
     # and a poll would re-raise the deadline it degrades from
     while len(frontier) > 1:

@@ -1,4 +1,4 @@
-"""Process pools behind the session: the shard decision and the batch pool.
+"""Process pools behind the session: the pooling decision and the batch pool.
 
 :class:`~repro.core.session.Optimizer` is the only entry to both; this
 module holds what runs *after* the session has resolved statistics,
@@ -7,12 +7,13 @@ Koch's observation that workers can run the unmodified serial
 optimizer, neither half builds anything of its own:
 
 * **Intra-query** — :func:`search` takes the TD-CMD / TD-CMDP
-  enumerator the session built and either shards its DP memo across
-  the process's worker pool (popcount tiers, one static share per
-  worker per tier — see :mod:`.memo_shard`) or runs it as it is.  Every DP
-  subproblem is solved exactly once and every candidate is costed by
-  the same arithmetic in every worker, so the merged plan cost is
-  bit-identical to the serial search.
+  enumerator the session built and either runs it cooperatively on the
+  process's worker pool (every worker runs the bounded serial search
+  over its share of the root, and all share one cost table — see
+  :mod:`.memo_shard`) or runs it as it is.  A subquery's solve depends
+  on its bitset alone and the driver takes the serial search's first
+  cheapest root candidate, so cost and plan are bit-identical to the
+  serial search.
 
 * **Inter-query** — :func:`run_batch` drives the cache misses of
   :meth:`Optimizer.optimize_many <repro.core.session.Optimizer.optimize_many>`
@@ -26,13 +27,15 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as wait_futures
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sparql.ast import BGPQuery
 from .enumeration import OptimizationResult, TopDownEnumerator
 from .governance import AbortCause, CancellationToken, QueryAborted
-from .memo_shard import _ShardDriver, subquery_tiers
+from .join_graph import JoinGraph
+from .memo_shard import TABLE_PATTERNS, _CooperativeDriver
 from .session import OptimizeOptions, Optimizer
+from . import bitset as bs
 
 #: how often the driver polls the cancellation token while a pool runs
 _CANCEL_POLL_SECONDS = 0.05
@@ -43,38 +46,65 @@ _BREAK_EVEN = 300
 
 
 # ----------------------------------------------------------------------
-# intra-query: shard one search, or run it as it is
+# intra-query: a cooperative search, or the search in process
 # ----------------------------------------------------------------------
-def search(enumerator: TopDownEnumerator, jobs: int) -> OptimizationResult:
-    """Run *enumerator*'s search, its DP memo sharded across *jobs* workers.
+def _connected_at_least(join_graph: JoinGraph, limit: int) -> bool:
+    """Whether *join_graph* has *limit* non-singleton connected
+    subqueries, counted only that far.
 
-    This is the one place that decides *shard or serial*: a query with
-    no Cartesian-product-free plan, a Rule-3 local short-circuit at the
-    root, fewer than ``_BREAK_EVEN`` non-singleton connected subqueries,
-    or a pool already lent to another thread's search runs
-    ``enumerator.optimize()``; otherwise the memo is sharded (see
-    :mod:`.memo_shard`) and the plan cost is identical to that call's.
+    Grown breadth-first by popcount (a dict keeps each level in a
+    deterministic order): every connected set of k patterns is one of
+    k-1 plus a neighbouring pattern.
+    """
+    level: Dict[int, None] = dict.fromkeys(bs.bit(i) for i in range(join_graph.size))
+    counted = 0
+    while level:
+        grown: Dict[int, None] = {}
+        for bits in level:
+            for i in bs.iter_bits(join_graph.neighbors(bits)):
+                grown[bits | bs.bit(i)] = None
+            if counted + len(grown) >= limit:
+                return True
+        counted += len(grown)
+        level = grown
+    return False
+
+
+def search(enumerator: TopDownEnumerator, jobs: int) -> OptimizationResult:
+    """Run *enumerator*'s search cooperatively on *jobs* pool workers.
+
+    This is the one place that decides *pool or in process*: a query
+    with no Cartesian-product-free plan, a Rule-3 local short-circuit at
+    the root, more patterns than the shared table indexes
+    (:data:`~.memo_shard.TABLE_PATTERNS`), fewer than ``_BREAK_EVEN``
+    non-singleton connected subqueries, or a pool already lent to
+    another thread's search runs ``enumerator.optimize()``; otherwise
+    the workers split the root and share one cost table (see
+    :mod:`.memo_shard`), and cost and plan are those of that call (the
+    label gains ``[parallel xN]``).
 
     The enumerator's budget governs either way: the remaining deadline
     allowance travels to every worker (re-anchored on the worker's
     clock); the cancellation token stays driver-side — the driver polls
     it while the pool runs and abandons it on cancel, since tokens do
     not cross process boundaries.  An expiring anytime deadline yields
-    a complete plan merged from the finished tiers.
+    the workers' best complete root candidate, else the greedy plan.
     """
     started = time.perf_counter()
     join_graph = enumerator.join_graph
     full = join_graph.full
     # Rule 3 answers a local root immediately; nothing to parallelize
-    if join_graph.is_connected(full) and not (
-        enumerator.local_short_circuit and enumerator.local_index.is_local(full)
+    if (
+        join_graph.size <= TABLE_PATTERNS
+        and join_graph.is_connected(full)
+        and not (
+            enumerator.local_short_circuit and enumerator.local_index.is_local(full)
+        )
+        and _connected_at_least(join_graph, _BREAK_EVEN)
     ):
-        tiers = subquery_tiers(join_graph)
-        if sum(len(tier) for tier in tiers[2:]) >= _BREAK_EVEN:
-            workers = min(jobs, max(len(tier) for tier in tiers[2:]))
-            driver = _ShardDriver(enumerator, workers, tiers)
-            if workers > 1 and driver.start():
-                return driver.search(started)
+        driver = _CooperativeDriver(enumerator, jobs)
+        if driver.start():
+            return driver.search(started)
     return enumerator.optimize()
 
 

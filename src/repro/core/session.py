@@ -131,9 +131,10 @@ class OptimizeOptions:
     plan_cache: Optional[PlanCache] = None
     #: processes this session may use: across the queries of an
     #: :meth:`Optimizer.optimize_many` batch, and inside the search for
-    #: one query (the memo-sharded TD-CMD / TD-CMDP search of
-    #: :mod:`.memo_shard`, also when TD-Auto chose one of them; every
-    #: other algorithm searches serially)
+    #: one query (the cooperative TD-CMD / TD-CMDP search of
+    #: :mod:`.memo_shard`, where the workers split the root and share
+    #: one cost table, also when TD-Auto chose one of them; every other
+    #: algorithm searches serially)
     jobs: int = 1
     #: run the plan-invariant verifier on every returned plan
     verify: bool = False
@@ -208,7 +209,7 @@ class Optimizer:
     * **the tracer** — created once when ``trace=True``; every call adds
       a root span to it, ``optimize`` or :meth:`run`'s ``query`` (see
       ``docs/OBSERVABILITY.md``);
-    * **jobs** — the process allowance of every call: the sharded
+    * **jobs** — the process allowance of every call: the cooperative
       search of one query, the worker pool of a batch;
     * **the executor** — built by :meth:`bind_cluster`; :meth:`run` is
       the one optimize → execute → observe path over it.
@@ -639,9 +640,9 @@ class Optimizer:
             options.jobs > 1
             and search.algorithm_name.lower() in PARALLELIZABLE_ALGORITHMS
         ):
-            from .parallel import search as sharded
+            from .parallel import search as pooled
 
-            result: OptimizationResult = sharded(search, options.jobs)
+            result: OptimizationResult = pooled(search, options.jobs)
         else:
             result = search.optimize()
         if search is not enumerator:

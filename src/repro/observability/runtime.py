@@ -18,8 +18,8 @@ Typical instrumentation::
         sp.set(plans_considered=stats.plans_considered)
 
 Sessions activate their tracer with :func:`activate`; the pool workers
-of :mod:`repro.core.memo_shard` activate a private tracer and ship it
-back to the driver as a payload.
+of the cooperative search (:mod:`repro.core.memo_shard`) activate a
+private tracer and ship it back to the driver with their one reply.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The flat enumeration kernel keeps every number the old one produced.
 
 Three pins on the costing loop shared by the serial search and the
-memo-shard workers (``TopDownEnumerator._search``):
+pool workers (``TopDownEnumerator._search``):
 
 * **golden file** — ``tests/data/enumeration_golden.json`` holds, for
   the paper's random suite (five shapes × sizes 4–12, under td-cmd /
@@ -12,10 +12,11 @@ memo-shard workers (``TopDownEnumerator._search``):
   the bounded search and, under ``search_space``, the five counters of
   the unbounded one (the values e17cc1f recorded), which the uncosted
   pass (:meth:`Optimizer.search_space`) must reproduce.  The ``jobs=2``
-  memo-shard search must agree on the large queries, and on those
-  without partitioning count what ``memo_shard`` records: the space
-  with each of TD-CMDP's binary divisions priced once
-  (docs/ALGORITHMS.md, "Each binary division once");
+  cooperative search must agree on the large queries.  Under
+  ``memo_shard`` the file records, for those without partitioning, the
+  work counters of the two workers' shares each searched with nothing
+  shared: exactly what they count in process, and a ceiling on what the
+  pool counts (a shared entry only saves a worker work);
 * **exact counters on expiry** — a deadline that fires *inside* the
   division loop (strict or anytime) must leave ``stats`` exact, because
   the loop counts in locals and flushes in a ``finally``: each
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -44,6 +46,8 @@ from repro.analysis.plan_verifier import PlanVerifier, VerificationContext
 from repro.core.enumeration import OptimizationTimeout, TopDownEnumerator
 from repro.core.governance import Deadline, QueryBudget, SteppingClock
 from repro.core.join_graph import QueryShape
+from repro.core.local_query import LocalQueryIndex
+from repro.core.memo_shard import _CooperativeDriver, _CostTable, _run_share
 from repro.core.optimizer import make_builder
 from repro.core.plans import plan_signature
 from repro.core.pruning import PrunedTopDownEnumerator
@@ -131,14 +135,37 @@ def observe_space(item, algorithm, layout):
 
 
 def sharded(item, algorithm):
-    """Whether the memo-shard test runs this case, and pins its counts."""
+    """Whether the cooperative-search test runs this case."""
     return algorithm != "td-auto" and len(item.query) >= 10
 
 
-def record():
-    from repro.core import parallel
+#: the work counters a pooled search counts at most of its shares'
+SHARE_COUNTERS = ("plans_considered", "divisions_enumerated", "subqueries_expanded")
 
-    parallel._BREAK_EVEN = 4  # the shard_small fixture's pin
+
+def observe_shares(item, algorithm, layout, jobs=2):
+    """The cooperative search's summed counters with nothing shared: each
+    worker's share of the root searched alone, in process, under a
+    table generation of its own."""
+    builder = make_builder(item.query, item.statistics)
+    search_class = {"td-cmd": TopDownEnumerator, "td-cmdp": PrunedTopDownEnumerator}
+    enumerator = search_class[algorithm](
+        builder.join_graph,
+        builder,
+        LocalQueryIndex(builder.join_graph, PARTITIONINGS[layout]),
+    )
+    payload = _CooperativeDriver(enumerator, jobs).payload
+    table = _CostTable(threading.Lock())
+    table.attach()
+    summed = Counter()
+    for worker in range(jobs):
+        counted = _run_share(table, payload + (worker + 1,), worker, jobs)[3]
+        for name in SHARE_COUNTERS:
+            summed[name] += getattr(counted, name)
+    return dict(summed)
+
+
+def record():
     golden = {}
     for item, algorithm, layout in cases(suite()):
         entry = dict(
@@ -146,9 +173,7 @@ def record():
             search_space=observe_space(item, algorithm, layout),
         )
         if sharded(item, algorithm) and layout == "none":
-            stats = run_case(item, algorithm, layout, jobs=2).stats
-            assert stats.workers > 1
-            entry["memo_shard"] = {name: getattr(stats, name) for name in SPACE_COUNTERS}
+            entry["memo_shard"] = observe_shares(item, algorithm, layout)
         golden[f"{item.query.name}/{algorithm}/{layout}"] = entry
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = ",\n".join(  # one case per line, so a re-record diffs readably
@@ -211,28 +236,28 @@ class TestGoldenFile:
 
     @pytest.mark.usefixtures("shard_small")
     def test_memo_shard_agrees_on_the_large_queries(self, golden, items):
-        """jobs=2 runs the same loop in the workers: same cost and plan,
-        and — where the tiers are exactly the serial traversal, i.e.
-        without partitioning — the recorded ``memo_shard`` counters: a
-        worker's memo holds every lower tier, so it bounds nothing, and
-        they are the search space but for TD-CMDP's repeated binary
-        divisions, which a worker skips as the serial search does."""
+        """jobs=2 runs the same loop in the workers: same cost and plan.
+        Without partitioning, each share searched alone counts exactly
+        the recorded ``memo_shard`` counters, and the pool counts at most
+        those — a shared entry's cost is never below the floor it
+        replaces, so it only bounds more — and expands at least what the
+        serial search does (each worker expands the root)."""
         for item, algorithm, layout in cases(items):
             if not sharded(item, algorithm):
-                continue  # td-auto ignores jobs
+                continue  # td-auto is pooled through its choice (test_parallel)
             key = f"{item.query.name}/{algorithm}/{layout}"
             result = run_case(item, algorithm, layout, jobs=2)
             expected = golden[key]
             assert result.cost == expected["cost"], key
             assert plan_signature(result.plan) == expected["signature"], key
-            if layout == "none" and result.stats.workers > 1:
-                assert result.stats.divisions_bounded == 0, key
-                for name in SPACE_COUNTERS:
-                    assert (
-                        getattr(result.stats, name) == expected["memo_shard"][name]
-                    ), (key, name)
-                if algorithm == "td-cmd":
-                    assert expected["memo_shard"] == expected["search_space"], key
+            if layout == "none":
+                assert result.stats.workers == 2, key
+                ceiling = expected["memo_shard"]
+                assert observe_shares(item, algorithm, layout) == ceiling, key
+                for name in SHARE_COUNTERS:
+                    assert getattr(result.stats, name) <= ceiling[name], (key, name)
+                expanded = result.stats.subqueries_expanded
+                assert expanded >= expected["subqueries_expanded"], key
 
 
 def _stepping_budget(allowance, anytime=False):

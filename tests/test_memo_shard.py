@@ -1,16 +1,23 @@
-"""Tests for the memo-sharded parallel search (core.memo_shard).
+"""Tests for the cooperative parallel search (core.memo_shard).
 
-Three contracts:
+Contracts:
 
-* **tiering** — :func:`subquery_tiers` enumerates exactly the connected
-  subqueries, grouped by popcount (checked against a brute-force
-  connectivity sweep);
-* **equivalence** — the sharded search returns bit-identical plan costs
-  and verifier-clean plans across algorithms × partitioners × seeds
-  (hypothesis property test);
+* **the break-even count** — :func:`parallel._connected_at_least`
+  answers exactly whether a query has that many non-singleton connected
+  subqueries (checked against a brute-force connectivity sweep);
+* **equivalence** — cost, algorithm label (less its ``[parallel xN]``
+  suffix) and plan signature equal the serial search's over generated
+  BGPs × {td-cmd, td-cmdp} × {no partitioning, hash-so} × {random,
+  uniform statistics} × ``jobs`` ∈ {2, 3}; uniform statistics give
+  equal-cost root divisions, so the ``(cost, position)`` merge decides.
+  The workers' summed expansions are at least the serial search's
+  (every worker expands the root);
+* **the shared table** — back-to-back searches on one pool never read an
+  older search's entries, and a query the table cannot index searches
+  in process;
 * **governance** — an expiring anytime deadline yields a *complete*,
-  labelled, verifier-clean degraded plan assembled from finished tiers;
-  without ``anytime`` it raises :class:`OptimizationTimeout`;
+  labelled, verifier-clean degraded plan; without ``anytime`` it raises
+  :class:`OptimizationTimeout`;
 * **the pool** — searches below the break-even never touch it, later
   searches reuse it, it exits when idle, one search holds it at a time,
   and a cancelled, expired or failed search discards it.
@@ -27,14 +34,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import PlanVerifier, VerificationContext, verify_result
-from repro.core import OptimizeOptions, Optimizer, QueryAborted, optimize, parallel
-from repro.core.enumeration import OptimizationTimeout, TopDownEnumerator
+from repro.core import (
+    OptimizeOptions,
+    Optimizer,
+    QueryAborted,
+    StatisticsCatalog,
+    optimize,
+    parallel,
+)
+from repro.core.enumeration import OptimizationTimeout
 from repro.core.governance import CancellationToken, Deadline, QueryBudget
 from repro.core.join_graph import JoinGraph
-from repro.core.memo_shard import _IDLE_SECONDS, _ShardDriver, subquery_tiers
-from repro.core.optimizer import make_builder
-from repro.core.pruning import PrunedTopDownEnumerator
-from repro.core import bitset as bs
+from repro.core.memo_shard import _IDLE_SECONDS, TABLE_PATTERNS, _CooperativeDriver
+from repro.core.plans import plan_signature
 from repro.partitioning import (
     DynamicPartitioning,
     HashSubjectObject,
@@ -52,21 +64,23 @@ from repro.workloads.generators import (
 
 
 def sharded(query, algorithm, jobs, budget=None, **options):
-    """One query through a ``jobs > 1`` session (the sharded search)."""
+    """One query through a ``jobs > 1`` session (the cooperative search)."""
     session = Optimizer(OptimizeOptions(algorithm=algorithm, jobs=jobs, **options))
     return session.optimize(query, budget)
 
 
-def brute_force_connected(join_graph):
-    """Every connected subquery bitset, by exhaustive enumeration."""
-    return {
-        bits
+def entries(query):
+    """Non-singleton connected subqueries, by exhaustive enumeration:
+    what the break-even counts."""
+    join_graph = JoinGraph(query)
+    return sum(
+        1
         for bits in range(1, join_graph.full + 1)
-        if join_graph.is_connected(bits)
-    }
+        if bits & (bits - 1) and join_graph.is_connected(bits)
+    )
 
 
-class TestSubqueryTiers:
+class TestConnectedCount:
     @pytest.mark.parametrize(
         "query",
         [
@@ -78,27 +92,17 @@ class TestSubqueryTiers:
         ],
         ids=["chain5", "cycle6", "star5", "tree7", "dense7"],
     )
-    def test_tiers_are_exactly_the_connected_subqueries(self, query):
+    def test_counts_exactly_the_connected_subqueries(self, query):
         join_graph = JoinGraph(query)
-        tiers = subquery_tiers(join_graph)
-        flattened = {bits for tier in tiers for bits in tier}
-        assert flattened == brute_force_connected(join_graph)
-        for k, tier in enumerate(tiers):
-            assert all(bs.popcount(bits) == k for bits in tier)
-            assert tier == sorted(tier)  # deterministic schedule order
-        assert tiers[0] == []
-        assert tiers[len(query)] == [join_graph.full]
+        count = entries(query)
+        assert parallel._connected_at_least(join_graph, count)
+        assert not parallel._connected_at_least(join_graph, count + 1)
 
-    def test_chain_tier_sizes(self):
+    def test_chain_count(self):
         """A chain of n patterns has n-k+1 connected k-subqueries."""
         join_graph = JoinGraph(chain_query(6))
-        tiers = subquery_tiers(join_graph)
-        assert [len(tier) for tier in tiers[1:]] == [6, 5, 4, 3, 2, 1]
-
-
-def entries(query):
-    """Non-singleton connected subqueries: what the break-even counts."""
-    return sum(len(tier) for tier in subquery_tiers(JoinGraph(query))[2:])
+        assert parallel._connected_at_least(join_graph, 5 + 4 + 3 + 2 + 1)
+        assert not parallel._connected_at_least(join_graph, 16)
 
 
 def pool_pids(jobs=2):
@@ -118,9 +122,17 @@ def wait_for_no_pool(limit=_IDLE_SECONDS + 3.0):
     return pool_pids(None)
 
 
+def no_pool(driver):
+    raise AssertionError("a search that should run in process borrowed the pool")
+
+
+def unsuffixed(label):
+    return label.split("[parallel")[0]
+
+
 @pytest.mark.usefixtures("shard_small")
 class TestMemoShardEquivalence:
-    """Serial ≡ memo-sharded: cost, plan shape, and verifier verdict."""
+    """Serial ≡ cooperative: cost, label, plan, and verifier verdict."""
 
     PARTITIONERS = [
         None,
@@ -165,8 +177,43 @@ class TestMemoShardEquivalence:
         )
         verify_result(parallel, context).raise_if_failed()
 
+    SWEEP = {
+        "chain": chain_query(9),
+        "cycle": cycle_query(8),
+        "star": star_query(7),
+        "tree": tree_query(10, random.Random(3)),
+        "dense": dense_query(8, random.Random(4)),
+    }
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("statistics", ["random", "uniform"])
+    @pytest.mark.parametrize("layout", ["none", "hash-so"])
+    @pytest.mark.parametrize("algorithm", ["td-cmd", "td-cmdp"])
+    def test_sweep_matches_serial(self, algorithm, layout, statistics, jobs):
+        method = HashSubjectObject() if layout == "hash-so" else None
+        pooled = 0
+        for shape, query in self.SWEEP.items():
+            catalog = (
+                StatisticsCatalog.from_random(query, random.Random(len(query)))
+                if statistics == "random"
+                else StatisticsCatalog.uniform(query)
+            )
+            options = dict(statistics=catalog, partitioning=method)
+            serial = optimize(query, algorithm=algorithm, **options)
+            result = sharded(query, algorithm, jobs, **options)
+            assert result.cost == serial.cost, shape
+            assert unsuffixed(result.algorithm) == serial.algorithm, shape
+            assert plan_signature(result.plan) == plan_signature(serial.plan), shape
+            assert (
+                result.stats.subqueries_expanded >= serial.stats.subqueries_expanded
+            ), shape
+            if result.stats.workers > 1:
+                assert result.algorithm == f"{serial.algorithm}[parallel x{jobs}]"
+                pooled += 1
+        assert pooled >= 3  # Rule 3 may answer a local root in process
+
     def test_small_query_declines_to_serial(self):
-        """A search space too small to shard runs the serial search."""
+        """A search space too small to share runs the serial search."""
         query = chain_query(2)
         result = sharded(query, "td-cmd", 4)
         assert result.stats.workers == 1
@@ -175,26 +222,64 @@ class TestMemoShardEquivalence:
 
 
 @pytest.mark.usefixtures("shard_small")
+class TestSharedTable:
+    def test_an_older_generation_is_never_read(self):
+        """Two searches over the same bitsets with different costs, back
+        to back on one pool: the second must not read the first's."""
+        query = dense_query(9, random.Random(6))
+        results = []
+        for seed in (1, 2):
+            catalog = StatisticsCatalog.from_random(query, random.Random(seed))
+            serial = optimize(query, algorithm="td-cmdp", statistics=catalog)
+            result = sharded(query, "td-cmdp", 2, statistics=catalog)
+            assert result.stats.workers == 2
+            assert result.cost == serial.cost
+            assert plan_signature(result.plan) == plan_signature(serial.plan)
+            results.append(result)
+        assert results[1].stats.pool_startup_seconds == 0.0  # the same pool
+        assert results[0].cost != results[1].cost
+
+    def test_a_query_beyond_the_table_searches_in_process(self, monkeypatch):
+        assert sharded(chain_query(TABLE_PATTERNS), "td-cmdp", 2).stats.workers == 2
+        monkeypatch.setattr(_CooperativeDriver, "start", no_pool)
+        query = chain_query(TABLE_PATTERNS + 1)
+        result = sharded(query, "td-cmdp", 2)
+        assert result.stats.workers == 1
+        assert result.algorithm == "TD-CMDP"
+        assert result.cost == optimize(query, algorithm="td-cmdp").cost
+
+
+@pytest.mark.usefixtures("shard_small")
 class TestMemoShardGovernance:
+    def _complete_and_clean(self, query, result):
+        assert result.stats.degraded
+        assert result.plan.bits == JoinGraph(query).full
+        context = VerificationContext.for_query(query)
+        PlanVerifier(context.with_profile(context.profile)).verify(
+            result.plan
+        ).raise_if_failed()
+
     def test_anytime_deadline_yields_complete_labelled_plan(self):
-        """An expired deadline mid-search degrades to a complete plan
-        merged from the finished tiers, labelled and verifier-clean."""
+        """A deadline expired before any root candidate: the greedy plan
+        answers the *whole* query, labelled and verifier-clean."""
         query = dense_query(10, random.Random(3))
         budget = QueryBudget(
             deadline=Deadline.after(0.0), anytime=True, query_id="q-any"
         )
         result = sharded(query, "td-cmdp", 2, budget)
-        assert result.stats.degraded
-        assert "[anytime]" in result.algorithm
-        assert "finished tiers" in result.stats.degradation_reason
-        # the degraded plan still answers the *whole* query
-        join_graph = JoinGraph(query)
-        assert result.plan.bits == join_graph.full
-        context = VerificationContext.for_query(query)
-        report = PlanVerifier(
-            context.with_profile(context.profile)
-        ).verify(result.plan)
-        report.raise_if_failed()
+        assert result.algorithm == "TD-CMDP[parallel x2][anytime-greedy]"
+        assert "greedy fallback" in result.stats.degradation_reason
+        self._complete_and_clean(query, result)
+
+    def test_anytime_mid_search_merges_the_workers_candidates(self):
+        """Expiry mid-search: the best complete root candidate the workers
+        reported (else the greedy plan), complete and verifier-clean."""
+        query = TestPoolLifecycle.LARGE
+        budget = QueryBudget(deadline=Deadline.after(0.15), anytime=True)
+        result = sharded(query, "td-cmdp", 2, budget)
+        self._complete_and_clean(query, result)
+        assert result.algorithm.startswith("TD-CMDP[parallel x2][anytime")
+        assert result.cost >= optimize(query, algorithm="td-cmdp").cost
 
     def test_deadline_without_anytime_raises_timeout(self):
         query = dense_query(10, random.Random(3))
@@ -211,17 +296,13 @@ class TestMemoShardGovernance:
 
 
 class TestBreakEven:
-    """``parallel.search`` shards only from ``_BREAK_EVEN`` non-singleton
+    """``parallel.search`` pools only from ``_BREAK_EVEN`` non-singleton
     connected subqueries on (measured: docs/PERFORMANCE.md)."""
 
     def test_serial_below_the_break_even_without_the_pool(self, monkeypatch):
         query = cycle_query(18)
         assert entries(query) < parallel._BREAK_EVEN
-
-        def no_pool(driver):
-            raise AssertionError("a search below the break-even borrowed the pool")
-
-        monkeypatch.setattr(_ShardDriver, "start", no_pool)
+        monkeypatch.setattr(_CooperativeDriver, "start", no_pool)
         result = sharded(query, "td-cmdp", 2)
         serial = optimize(query, algorithm="td-cmdp")
         assert result.stats.workers == 1
@@ -245,7 +326,7 @@ class TestPoolLifecycle:
     """One pool per process: reused, idle-exited, discarded on abort."""
 
     SMALL = dense_query(8, random.Random(4))
-    #: sharded, a few hundred ms: long enough to abort mid-search
+    #: pooled, a few hundred ms: long enough to abort mid-search
     LARGE = dense_query(14, random.Random(1))
 
     def test_consecutive_searches_share_the_workers(self):
@@ -311,22 +392,12 @@ class TestPoolLifecycle:
 
     def test_one_search_at_a_time(self):
         """Two threads, one pool: whichever finds it lent out searches
-        serially, and both results are the serial result — the sharded
-        one counting the serial search space with each binary division
-        priced once, the other the serial search's own (bounded) work."""
+        in process, and both results are the serial result — the pooled
+        one with at least the serial search's expansions summed over its
+        workers (each expands the root), the other with exactly the
+        serial search's work."""
         query = dense_query(10, random.Random(2))
         serial = optimize(query, algorithm="td-cmdp")
-        space = Optimizer(OptimizeOptions(algorithm="td-cmdp")).search_space(query)
-        # a worker bounds nothing, and skips the binary divisions an
-        # earlier join variable already cut, as the serial search does
-        # (docs/ALGORITHMS.md, "Each binary division once"); Table VII's
-        # pass counts those repeats
-        builder = make_builder(query)
-        priced = TopDownEnumerator.search_space(
-            PrunedTopDownEnumerator(builder.join_graph, builder)
-        )
-        assert priced.divisions_enumerated < space.divisions_enumerated
-        assert priced.subqueries_expanded == space.subqueries_expanded
         start = threading.Barrier(2)
         results = [None, None]
 
@@ -342,6 +413,9 @@ class TestPoolLifecycle:
         for result in results:
             assert result.cost == serial.cost
             assert result.plan.describe() == serial.plan.describe()
-            expected = priced if result.stats.workers > 1 else serial.stats
+            if result.stats.workers > 1:
+                expanded = result.stats.subqueries_expanded
+                assert expanded >= serial.stats.subqueries_expanded
+                continue
             for name in ("plans_considered", "divisions_enumerated", "subqueries_expanded"):
-                assert getattr(result.stats, name) == getattr(expected, name)
+                assert getattr(result.stats, name) == getattr(serial.stats, name)

@@ -1,10 +1,11 @@
 """Tests for the session's two uses of ``jobs`` (core.parallel behind it).
 
 The contract under test is *equivalence*: the batch pool of
-``Optimizer.optimize_many`` and the memo-sharded intra-query search of
-``Optimizer.optimize`` must return bit-identical plan costs (and
-bit-identical enumeration counters) to the serial optimizer, for every
-algorithm and seed.
+``Optimizer.optimize_many`` must return bit-identical plan costs and
+enumeration counters to the serial optimizer, for every algorithm and
+seed; the cooperative intra-query search of ``Optimizer.optimize``
+bit-identical costs and plans, with at least the serial search's
+expansions summed over its workers.
 """
 
 import random
@@ -28,7 +29,8 @@ from repro.core import (
     make_builder,
     optimize,
 )
-from repro.core.memo_shard import _ShardDriver, subquery_tiers
+from repro.core.enumeration import EnumerationStats
+from repro.core.memo_shard import _CooperativeDriver, _Reply
 from repro.core.plan_cache import PlanCache
 from repro.partitioning import HashSubjectObject, PathBMC
 from repro.sparql import parse_query
@@ -191,20 +193,16 @@ class TestIntraQueryParallel:
     @pytest.mark.parametrize("algorithm", PARALLELIZABLE_ALGORITHMS)
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_matches_serial_exactly(self, algorithm, seed):
-        """Parallel search == serial search: cost, plan, and the serial
-        search space in every counter except the traversal-dependent
-        memo_hits (a worker's memo holds every lower tier, so the
-        workers bound nothing and count the whole space)."""
+        """Parallel search == serial search: cost and plan.  Every worker
+        expands the root and runs the bounded search over its share, so
+        the summed expansions are at least the serial search's."""
         query = tree_query(9, random.Random(seed))
         serial = optimize(query, algorithm=algorithm, seed=seed)
-        space = session(algorithm, seed=seed).search_space(query)
         parallel = session(algorithm, jobs=3, seed=seed).optimize(query)
+        assert parallel.stats.workers == 3
         assert parallel.cost == serial.cost
         assert parallel.plan.describe() == serial.plan.describe()
-        assert parallel.stats.plans_considered == space.plans_considered
-        assert parallel.stats.divisions_enumerated == space.divisions_enumerated
-        assert parallel.stats.subqueries_expanded == space.subqueries_expanded
-        assert parallel.stats.divisions_bounded == 0
+        assert parallel.stats.subqueries_expanded >= serial.stats.subqueries_expanded
 
     def test_reports_worker_stats(self):
         query = cycle_query(7)
@@ -275,22 +273,20 @@ class TestMergeWorkerStats:
 
     @staticmethod
     def _stats(busy_seconds, wall_seconds, startup_seconds=None):
-        """``_ShardDriver.stats`` after a pool that was never started:
-        each worker busy for *busy_seconds*, five entries apiece, the
-        first one ready *startup_seconds* after the spawn."""
+        """``_CooperativeDriver.stats`` after a pool that was never
+        started: each worker busy for *busy_seconds*, five subqueries
+        apiece, the first one ready *startup_seconds* after the spawn."""
         builder = make_builder(chain_query(4))
         serial = TopDownEnumerator(builder.join_graph, builder)
         jobs = len(busy_seconds)
-        driver = _ShardDriver(serial, jobs, subquery_tiers(builder.join_graph))
-        try:
-            driver.spawn_started = 100.0
-            if startup_seconds is not None:
-                driver.worker_started[0] = 100.0 + startup_seconds
-            driver.busy_seconds = list(busy_seconds)
-            driver.solved_by_worker = [5] * jobs
-            return driver.stats(wall_seconds)
-        finally:
-            driver.shutdown(graceful=False)
+        driver = _CooperativeDriver(serial, jobs)
+        driver.spawn_started = 100.0
+        if startup_seconds is not None:
+            driver.worker_started[0] = 100.0 + startup_seconds
+        for worker, seconds in enumerate(busy_seconds):
+            counted = EnumerationStats(subqueries_expanded=5)
+            driver.replies[worker] = _Reply("done", None, {}, counted, seconds, None)
+        return driver.stats(wall_seconds)
 
     def test_speedup_excludes_pool_startup(self):
         """2 workers busy 0.25 s each over a 2 s wall of which 1.5 s was
@@ -326,24 +322,16 @@ class TestOptimizeEntryPoint:
 
     def test_td_auto_hands_jobs_to_the_variant_it_chose(self):
         """TD-Auto picks TD-CMD on a dense query under 14 patterns and
-        that search is sharded: the result equals ``jobs=1`` to the bit."""
+        that search is pooled: the result equals ``jobs=1`` to the bit."""
         query = dense_query(12, random.Random(5))
         serial = session("td-auto").optimize(query)
-        space = session("td-auto").search_space(query)
         parallel = session("td-auto", jobs=2).optimize(query)
         assert serial.algorithm == "TD-Auto[TD-CMD]"
         assert parallel.algorithm == "TD-Auto[TD-CMD][parallel x2]"
         assert parallel.stats.workers == 2
         assert parallel.cost == serial.cost
         assert parallel.plan.describe() == serial.plan.describe()
-        for name in (
-            "plans_considered",
-            "divisions_enumerated",
-            "subqueries_expanded",
-            "memo_hits",
-            "local_short_circuits",
-        ):
-            assert getattr(parallel.stats, name) == getattr(space, name), name
+        assert parallel.stats.subqueries_expanded >= serial.stats.subqueries_expanded
 
     def test_jobs_ignored_for_serial_only_algorithms(self):
         """HGR and the baselines search serially whatever ``jobs``; so
