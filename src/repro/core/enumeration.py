@@ -78,11 +78,11 @@ class EnumerationStats:
     This is the one record of those counts: the search counts into it
     and the trace carries :meth:`summary` as span attributes.
 
-    The ``workers`` / ``per_worker_*`` / ``speedup`` / ``steals``
-    fields are filled only by the cooperative parallel search
-    (:mod:`.memo_shard`), whose work counters are its workers' sums; a
-    serial run leaves them at their defaults (one worker, no
-    breakdown).
+    The ``workers`` / ``per_worker_*`` / ``speedup`` / ``steals`` /
+    ``duplicate_solves`` fields are filled only by the cooperative
+    parallel search (:mod:`.memo_shard`), whose work counters are those
+    of one memo its workers share; a serial run leaves them at their
+    defaults (one worker, no breakdown).
     """
 
     plans_considered: int = 0
@@ -102,6 +102,10 @@ class EnumerationStats:
     #: Σ worker seconds / parallel search wall seconds, with pool
     #: spin-up excluded from the denominator (parallel search only)
     speedup: float = 0.0
+    #: subqueries a worker solved after another worker had published
+    #: them: the cost of a stale table read, and timing-dependent, so
+    #: kept out of the work counters (parallel search only)
+    duplicate_solves: int = 0
     #: always 0 since 2.8: workers take static shares of the root,
     #: nothing is stolen (kept because existing readers of the stats
     #: use it)
@@ -139,6 +143,7 @@ class EnumerationStats:
             data["speedup"] = self.speedup
             data["worker_balance"] = self.worker_balance
             data["steals"] = self.steals
+            data["duplicate_solves"] = self.duplicate_solves
         if self.degraded:
             data["degraded"] = 1.0
         return data
@@ -361,6 +366,7 @@ class TopDownEnumerator(PlanSearch):
         is_local: bool,
         memo: Dict[int, PlanNode],
         solve: Callable[[int, bool], PlanNode],
+        floors: bool = False,
     ) -> Tuple[float, Optional[PlanNode], Optional[_Choice]]:
         """The one costing loop: price every division of *bits*.
 
@@ -388,9 +394,13 @@ class TopDownEnumerator(PlanSearch):
         and tie-break are those of the unbounded search.
 
         The serial search runs this with its own memo and
-        :meth:`get_best_plan` (recursion on a miss); so does a pool
-        worker of the cooperative search, whose ``get_best_plan`` first
-        reads the pool's shared cost table (see :mod:`.memo_shard`).
+        :meth:`get_best_plan` (recursion on a miss).  A pool worker of
+        the cooperative search, whose ``get_best_plan`` first reads the
+        pool's shared cost table (see :mod:`.memo_shard`), passes
+        *floors*: the bound then prices every part at its floor, in
+        ``memo`` or not, and each part of a division that gets past it
+        counts one memo hit, so what the loop counts depends on *bits*
+        alone and not on what ``memo`` holds yet.
         Counters are kept in locals and flushed to
         ``stats`` in a ``finally``, so a deadline that fires mid-loop
         still leaves them exact.
@@ -435,9 +445,9 @@ class TopDownEnumerator(PlanSearch):
                 unsolved = False
                 for part in parts:
                     child = lookup(part)
-                    if child is None:
+                    if child is None or floors:
                         unsolved = True
-                        cardinality = estimate(part)
+                        cardinality = estimate(part) if child is None else child.cardinality
                         below = floor_gamma * cardinality if part & (part - 1) else 0.0
                     else:
                         hits += 1
@@ -466,13 +476,14 @@ class TopDownEnumerator(PlanSearch):
                         if child_cost + op >= best_cost:
                             continue
                         # a floor is at most its part's cost, so folding
-                        # the solved costs in makes child_cost the dearest
-                        # child's
+                        # the costs in makes child_cost the dearest child's
                         for part in parts:
-                            if lookup(part) is None:
-                                below = solve(part, is_local).cost
-                                if below > child_cost:
-                                    child_cost = below
+                            child = lookup(part)
+                            below = (solve(part, is_local) if child is None else child).cost
+                            if below > child_cost:
+                                child_cost = below
+                        if floors:
+                            hits += len(parts)
                         unsolved = False
                     cost = child_cost + op
                     if cost < best_cost:

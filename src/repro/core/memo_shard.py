@@ -5,38 +5,31 @@ share one cost table (docs/ALGORITHMS.md, "Cooperative search (`jobs >
 Every worker of a persistent forked pool runs the bounded serial search
 of TD-CMD / TD-CMDP with two hooks (:class:`_Cooperative`): of the
 root's division stream, worker *w* of *k* keeps position *i* when
-``i % k == w``; and a subquery missing from its memo is looked up in
-the pool's :class:`_CostTable`, where an entry of this search's
-generation becomes a ``(cardinality, cost)`` stub.  Any other miss is
-solved by the unmodified
-:meth:`~repro.core.enumeration.TopDownEnumerator._search` and published.
-A subquery's solve depends on its bitset alone, so whichever worker
-publishes it publishes the serial search's cost and choice; a stale
-miss only costs a duplicate solve.
+``i % k == w``; and a subquery missing from its memo is read from the
+pool's :class:`_CostTable` as a ``(cardinality, cost)`` stub if this
+search published it, else solved and published.  A subquery's solve
+depends on its bitset alone, so whichever worker publishes it publishes
+the serial search's cost and choice.  The bound reads floors alone
+(``_search``'s *floors*), so the counters a worker keeps (the root's,
+and each subquery's it publishes first) do not depend on timing; a
+duplicate solve is counted apart.
 
-The table is one float64 cost and one uint32 search generation per
-subquery bitset: 2^20 slots (12 MiB virtual, so up to
-:data:`TABLE_PATTERNS` patterns) in a shared anonymous mapping made
-before the workers fork.  Only the workers touch its pages.  A search
-bumps the pool's generation instead of clearing the table.  A publish
-writes the cost, then the generation, under the pool's lock; a reader
-that sees this search's generation re-reads the cost under the lock,
-so weak memory ordering cannot hand it a cost older than the
-generation.
+The table: one float64 cost and one uint32 search generation per
+bitset, 2^20 slots (12 MiB virtual) of a shared anonymous mapping made
+before the fork and touched only by the workers.  A search bumps the
+generation instead of clearing it; a publish writes cost, then
+generation, under the pool's lock, and a reader re-reads the cost under
+the lock, so weak memory ordering cannot hand it a stale cost.
 
 The driver (:class:`_CooperativeDriver`) sends each worker one payload
-and reads one reply: the worker's best root candidate ``(cost,
-position, choice)`` (the root's flat local seed at position −1), the
-choices it solved and its counters.  The lowest ``(cost, position)`` is
-the serial search's first strict minimum; the driver rebuilds its plan
-through its own :class:`~repro.core.cost.PlanBuilder`, so cost and plan
-are bit-identical.  It polls its budget while it waits and ships the
-*remaining* deadline (clocks do not cross processes); on an anytime
-expiry the workers' best complete root candidates merge the same way,
-else the greedy plan answers.  One pool per process and worker count,
-lent to one search at a time; a worker exits after ``_IDLE_SECONDS``
-without a search; a cancelled, expired or failed search discards the
-pool.
+and reads one reply; the lowest ``(cost, root position)`` candidate is
+the serial search's first strict minimum, rebuilt through the driver's
+own :class:`~repro.core.cost.PlanBuilder`.  It polls its budget while it
+waits and ships the *remaining* deadline; on an anytime expiry the
+workers' best complete root candidates merge the same way, else the
+greedy plan answers.  One pool per process and worker count, lent to
+one search at a time; a worker exits after ``_IDLE_SECONDS`` without a
+search; a cancelled, expired or failed search discards the pool.
 """
 
 from __future__ import annotations
@@ -79,7 +72,8 @@ TABLE_PATTERNS = 20
 _SLOTS = 1 << TABLE_PATTERNS
 #: the counters a worker's reply carries and the driver sums
 _COUNTERS = ("plans_considered", "divisions_enumerated", "divisions_bounded",
-             "subqueries_expanded", "memo_hits", "local_short_circuits")
+             "subqueries_expanded", "memo_hits", "local_short_circuits",
+             "duplicate_solves")
 
 #: how a worker's choice rebuilds a subquery's plan: ``("l",)`` the flat
 #: local plan, ``("j", operator, parts, variable)`` a join
@@ -125,18 +119,28 @@ class _CostTable:
             cost: float = self.costs[bits]
         return cost
 
-    def publish(self, bits: int, generation: int, cost: float) -> None:
+    def publish(self, bits: int, generation: int, cost: float) -> bool:
+        """Publish *cost* for *bits* unless *generation* has one already:
+        ``True`` for the first publish."""
         with self.lock:
+            if self.generations[bits] == generation:
+                return False
             self.costs[bits] = cost
             self.generations[bits] = generation
+        return True
 
 
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
 class _Cooperative(TopDownEnumerator):
-    """The two hooks a pool worker adds to the session's enumerator
-    class (mixed in ahead of it, so ``super()`` is the serial search)."""
+    """The hooks a pool worker adds to the session's enumerator class
+    (mixed in ahead of it, so ``super()`` is the serial search).
+
+    Each loop bounds on floors alone and counts into stats of its own:
+    a function of its bitset (the root's, of the share), kept in
+    :attr:`counted` only if this worker publishes the subquery first.
+    """
 
     def prepare(
         self, table: _CostTable, generation: int, worker: int, workers: int
@@ -151,6 +155,13 @@ class _Cooperative(TopDownEnumerator):
         self.positions: Dict[Tuple[Tuple[int, ...], Variable], int] = {}
         #: what this worker solved (and published)
         self.choices: Dict[int, _Choice] = {}
+        #: the root's loop and every loop this worker published first
+        self.counted = EnumerationStats()
+        # every worker starts from the scans; a shared memo would count them once
+        for index in range(self.join_graph.size):
+            self._memo[1 << index] = self.builder.scan(index)
+        if worker == 0:
+            self.counted.subqueries_expanded += self.join_graph.size
 
     def divisions(self, bits: int) -> Iterator[_Division]:
         stream = super().divisions(bits)
@@ -164,48 +175,55 @@ class _Cooperative(TopDownEnumerator):
                 yield division
 
     def get_best_plan(self, bits: int, is_local: bool) -> PlanNode:
-        """GetBestPlan over the shared table: a local miss is a stub if
-        another worker published it this search, else solved here."""
+        """GetBestPlan over the shared table (``_search`` calls it on a
+        local miss): a stub if this search published *bits*, else
+        solved here."""
         memo = self._memo
         plan = memo.get(bits)
         if plan is not None:
-            self.stats.memo_hits += 1
             return plan
-        if not bits & (bits - 1):
-            plan = self.best_plan_gen(bits, is_local)
-        else:
-            cost = self.table.read(bits, self.generation)
-            if cost is None:
-                if not is_local:
-                    is_local = self.local_index.is_local(bits)
-                cost = self._solve(bits, is_local)
-                self.table.publish(bits, self.generation, cost)
-            else:
-                self.stats.memo_hits += 1
-            # the costing loop reads only a child's cardinality and cost
-            cardinality = self.builder.estimator.cardinality(bits)
-            plan = PlanNode(bits=bits, cardinality=cardinality, cost=cost)
-        memo[bits] = plan
+        cost = self.table.read(bits, self.generation)
+        if cost is None:
+            if not is_local:
+                is_local = self.local_index.is_local(bits)
+            cost = self._solve(bits, is_local)
+        # the costing loop reads only a child's cardinality and cost
+        cardinality = self.builder.estimator.cardinality(bits)
+        plan = memo[bits] = PlanNode(bits=bits, cardinality=cardinality, cost=cost)
         return plan
 
     def _solve(self, bits: int, is_local: bool) -> float:
-        """BestPlanGen, keeping the winner's choice instead of its plan."""
+        """BestPlanGen, keeping the winner's choice instead of its plan,
+        then publish; the loop's counters count only if this was the
+        first publish (or the search stopped inside it)."""
         self._check_deadline()
-        self.stats.subqueries_expanded += 1
-        memo, solve = self._memo, self.get_best_plan
-        cost, seed, choice = self._search(bits, is_local, memo, solve)
-        if choice is None and seed is None:
-            raise CartesianProductError(f"no connected division for subquery {bits:#x}")
-        self.choices[bits] = ("l",) if choice is None else ("j",) + choice
+        parent, own, counted = self.stats, EnumerationStats(), self.counted
+        self.stats = own
+        first = True
+        try:
+            cost, seed, choice = self._search(bits, is_local, self._memo, self.get_best_plan, True)
+            if choice is None and seed is None:
+                raise CartesianProductError(f"no connected division for subquery {bits:#x}")
+            self.choices[bits] = ("l",) if choice is None else ("j",) + choice
+            first = self.table.publish(bits, self.generation, cost)
+        finally:
+            self.stats = parent
+            if first:
+                own.subqueries_expanded += 1
+                own.memo_hits -= 1  # its first lookup was no hit
+                for name in _COUNTERS:
+                    setattr(counted, name, getattr(counted, name) + getattr(own, name))
+            else:
+                counted.duplicate_solves += 1
         return cost
 
     def search_root(self) -> None:
         """This worker's share of the root (BestPlanGen at the root)."""
-        root = self._root_bits
         self._check_deadline()
+        self.stats = self.counted
         self.stats.subqueries_expanded += 1
-        is_local = self.local_index.is_local(root)
-        self._search(root, is_local, self._memo, self.get_best_plan)
+        root = self._root_bits
+        self._search(root, self.local_index.is_local(root), self._memo, self.get_best_plan, True)
 
     def root_candidate(self) -> Optional[_Candidate]:
         """The best complete root candidate the share found (so far)."""
@@ -227,9 +245,7 @@ def _run_share(
     builder = make_builder(query, statistics, parameters=parameters)
     # deadlines do not cross process boundaries: re-anchor the remaining
     # allowance on this process's monotonic clock
-    budget = None
-    if remaining is not None:
-        budget = QueryBudget(deadline=Deadline.after(remaining))
+    budget = None if remaining is None else QueryBudget(deadline=Deadline.after(remaining))
     cls = type(f"Cooperative{search_class.__name__}", (_Cooperative, search_class), {})
     local_index = LocalQueryIndex(builder.join_graph, partitioning)
     enumerator: _Cooperative = cls(builder.join_graph, builder, local_index, budget)
@@ -247,7 +263,7 @@ def _run_share(
         status,
         enumerator.root_candidate(),
         enumerator.choices,
-        enumerator.stats,
+        enumerator.counted,
         time.perf_counter() - started,
         None if tracer is None else tracer.to_payload(),
     )
@@ -297,20 +313,22 @@ class _Pool:
             child.close()  # so the worker's exit reads as EOF here
             self.conns.append(conn)
             self.procs.append(process)
-        self.last_sent = time.perf_counter()
+        #: when a worker last read or answered a message: its idle clock
+        self.last_active = time.perf_counter()
 
     def send(self, index: int, message: Tuple[Any, ...]) -> None:
         try:
             self.conns[index].send(message)
         except OSError:
             raise RuntimeError(f"memo-shard worker {index} is gone") from None
-        self.last_sent = time.perf_counter()
+        self.last_active = time.perf_counter()
 
     def reusable(self) -> bool:
         """Alive, far from its idle exit (a worker's idle clock starts
-        after it read the last message) and with generations to spare."""
+        after it answered the last message) and with generations to
+        spare."""
         return (
-            time.perf_counter() - self.last_sent < _IDLE_SECONDS / 2
+            time.perf_counter() - self.last_active < _IDLE_SECONDS / 2
             and self.generation < 0xFFFFFFFF
             and all(process.is_alive() for process in self.procs)
         )
@@ -445,6 +463,7 @@ class _CooperativeDriver:
                     reply = conn.recv()
                 except (EOFError, OSError):
                     raise RuntimeError(f"memo-shard worker {worker} died") from None
+                pool.last_active = time.perf_counter()
                 if reply[0] == "ready":  # a freshly forked worker
                     self.worker_started[worker] = reply[1]
                     continue
@@ -508,21 +527,18 @@ class _CooperativeDriver:
         return plan
 
     def stats(self, wall_seconds: float) -> EnumerationStats:
-        """The workers' summed counters plus pool telemetry.
-
-        Every worker expands the root and the singletons it reaches,
-        and a subquery two workers missed at once is solved twice, so
-        the sums are usually above the serial search's counts.
-        ``speedup`` divides the summed worker seconds by the wall time
-        minus pool spin-up (zero on a reused pool).
-        """
+        """The workers' summed counters plus pool telemetry: the work
+        counters of one memo shared by the workers; each worker's share
+        (with its ``duplicate_solves``) what it solved.  ``speedup``
+        divides the summed worker seconds by the wall time minus pool
+        spin-up (zero on a reused pool)."""
         replies = [self.replies.get(w) for w in range(self.jobs)]
         per_worker = [EnumerationStats() if r is None else r.counted for r in replies]
         seconds = [0.0 if r is None else r.seconds for r in replies]
         total = EnumerationStats(
             **{name: sum(getattr(s, name) for s in per_worker) for name in _COUNTERS}
         )
-        shares = [s.subqueries_expanded for s in per_worker]
+        shares = [s.subqueries_expanded + s.duplicate_solves for s in per_worker]
         started = [s for s in self.worker_started if s is not None]
         startup = max(0.0, min(started) - self.spawn_started) if started else 0.0
         startup = min(startup, wall_seconds)

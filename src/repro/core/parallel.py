@@ -73,22 +73,17 @@ def _connected_at_least(join_graph: JoinGraph, limit: int) -> bool:
 def search(enumerator: TopDownEnumerator, jobs: int) -> OptimizationResult:
     """Run *enumerator*'s search cooperatively on *jobs* pool workers.
 
-    This is the one place that decides *pool or in process*: a query
-    with no Cartesian-product-free plan, a Rule-3 local short-circuit at
-    the root, more patterns than the shared table indexes
-    (:data:`~.memo_shard.TABLE_PATTERNS`), fewer than ``_BREAK_EVEN``
-    non-singleton connected subqueries, or a pool already lent to
-    another thread's search runs ``enumerator.optimize()``; otherwise
-    the workers split the root and share one cost table (see
-    :mod:`.memo_shard`), and cost and plan are those of that call (the
-    label gains ``[parallel xN]``).
-
-    The enumerator's budget governs either way: the remaining deadline
-    allowance travels to every worker (re-anchored on the worker's
-    clock); the cancellation token stays driver-side — the driver polls
-    it while the pool runs and abandons it on cancel, since tokens do
-    not cross process boundaries.  An expiring anytime deadline yields
-    the workers' best complete root candidate, else the greedy plan.
+    The one place that decides *pool or in process*: a query with no
+    Cartesian-product-free plan, a Rule-3 local short-circuit at the
+    root, more patterns than :data:`~.memo_shard.TABLE_PATTERNS`, fewer
+    than ``_BREAK_EVEN`` non-singleton connected subqueries, or a pool
+    lent to another thread's search runs ``enumerator.optimize()``;
+    otherwise :mod:`.memo_shard` runs it, with that call's cost and plan
+    (the label gains ``[parallel xN]``).  The enumerator's budget
+    governs either way: the remaining deadline travels to the workers;
+    the driver polls the cancellation token and abandons the pool on
+    cancel.  An expiring anytime deadline yields the workers' best
+    complete root candidate, else the greedy plan.
     """
     started = time.perf_counter()
     join_graph = enumerator.join_graph

@@ -14,9 +14,9 @@ pool workers (``TopDownEnumerator._search``):
   pass (:meth:`Optimizer.search_space`) must reproduce.  The ``jobs=2``
   cooperative search must agree on the large queries.  Under
   ``memo_shard`` the file records, for those without partitioning, the
-  work counters of the two workers' shares each searched with nothing
-  shared: exactly what they count in process, and a ceiling on what the
-  pool counts (a shared entry only saves a worker work);
+  work counters the two-worker pool reports: they do not depend on which
+  worker solves a subquery first, so the pool, and its two shares run
+  one after the other in process in either order, count exactly them;
 * **exact counters on expiry** — a deadline that fires *inside* the
   division loop (strict or anytime) must leave ``stats`` exact, because
   the loop counts in locals and flushes in a ``finally``: each
@@ -139,14 +139,11 @@ def sharded(item, algorithm):
     return algorithm != "td-auto" and len(item.query) >= 10
 
 
-#: the work counters a pooled search counts at most of its shares'
-SHARE_COUNTERS = ("plans_considered", "divisions_enumerated", "subqueries_expanded")
-
-
-def observe_shares(item, algorithm, layout, jobs=2):
-    """The cooperative search's summed counters with nothing shared: each
-    worker's share of the root searched alone, in process, under a
-    table generation of its own."""
+def observe_shares(item, algorithm, layout, jobs=2, order=None):
+    """The cooperative search's summed counters, in process: the workers'
+    shares of the root run one after another (in *order*, by default
+    0 … jobs−1) on one table generation, so each finds in the table
+    whatever the earlier ones published."""
     builder = make_builder(item.query, item.statistics)
     search_class = {"td-cmd": TopDownEnumerator, "td-cmdp": PrunedTopDownEnumerator}
     enumerator = search_class[algorithm](
@@ -154,13 +151,13 @@ def observe_shares(item, algorithm, layout, jobs=2):
         builder,
         LocalQueryIndex(builder.join_graph, PARTITIONINGS[layout]),
     )
-    payload = _CooperativeDriver(enumerator, jobs).payload
+    payload = _CooperativeDriver(enumerator, jobs).payload + (1,)
     table = _CostTable(threading.Lock())
     table.attach()
     summed = Counter()
-    for worker in range(jobs):
-        counted = _run_share(table, payload + (worker + 1,), worker, jobs)[3]
-        for name in SHARE_COUNTERS:
+    for worker in range(jobs) if order is None else order:
+        counted = _run_share(table, payload, worker, jobs).counted
+        for name in COUNTERS:
             summed[name] += getattr(counted, name)
     return dict(summed)
 
@@ -237,11 +234,13 @@ class TestGoldenFile:
     @pytest.mark.usefixtures("shard_small")
     def test_memo_shard_agrees_on_the_large_queries(self, golden, items):
         """jobs=2 runs the same loop in the workers: same cost and plan.
-        Without partitioning, each share searched alone counts exactly
-        the recorded ``memo_shard`` counters, and the pool counts at most
-        those — a shared entry's cost is never below the floor it
-        replaces, so it only bounds more — and expands at least what the
-        serial search does (each worker expands the root)."""
+        Without partitioning, the pool counts exactly the recorded
+        ``memo_shard`` counters, and so do its two shares run one after
+        the other in process, whichever runs first (the second then finds
+        every subquery the first solved in the table: as far from the
+        pool's timing as an order gets).  Every worker expands the root,
+        and the bound finds every subquery the serial search solves, so
+        the pool expands at least as many."""
         for item, algorithm, layout in cases(items):
             if not sharded(item, algorithm):
                 continue  # td-auto is pooled through its choice (test_parallel)
@@ -252,10 +251,10 @@ class TestGoldenFile:
             assert plan_signature(result.plan) == expected["signature"], key
             if layout == "none":
                 assert result.stats.workers == 2, key
-                ceiling = expected["memo_shard"]
-                assert observe_shares(item, algorithm, layout) == ceiling, key
-                for name in SHARE_COUNTERS:
-                    assert getattr(result.stats, name) <= ceiling[name], (key, name)
+                counted = expected["memo_shard"]
+                assert {name: getattr(result.stats, name) for name in COUNTERS} == counted, key
+                for order in ((0, 1), (1, 0)):
+                    assert observe_shares(item, algorithm, layout, order=order) == counted, key
                 expanded = result.stats.subqueries_expanded
                 assert expanded >= expected["subqueries_expanded"], key
 

@@ -42,10 +42,17 @@ from repro.core import (
     optimize,
     parallel,
 )
-from repro.core.enumeration import OptimizationTimeout
+from repro.core.enumeration import EnumerationStats, OptimizationTimeout, TopDownEnumerator
 from repro.core.governance import CancellationToken, Deadline, QueryBudget
 from repro.core.join_graph import JoinGraph
-from repro.core.memo_shard import _IDLE_SECONDS, TABLE_PATTERNS, _CooperativeDriver
+from repro.core.memo_shard import (
+    _IDLE_SECONDS,
+    TABLE_PATTERNS,
+    _CooperativeDriver,
+    _Pool,
+    _Reply,
+)
+from repro.core.optimizer import make_builder
 from repro.core.plans import plan_signature
 from repro.partitioning import (
     DynamicPartitioning,
@@ -349,6 +356,27 @@ class TestPoolLifecycle:
         result = sharded(self.SMALL, "td-cmdp", 2)
         assert result.stats.workers == 2
         assert result.stats.pool_startup_seconds > 0.0
+
+    def test_a_reply_restarts_the_idle_clock(self):
+        """A worker's idle clock starts when it answers, so a pool's age
+        counts from the last reply, not from the dispatch: a search
+        longer than half the idle period leaves a reusable pool."""
+        builder = make_builder(self.SMALL)
+        driver = _CooperativeDriver(TopDownEnumerator(builder.join_graph, builder), 1)
+        ours, theirs = multiprocessing.Pipe()
+        pool = driver.pool = _Pool.__new__(_Pool)  # one pipe, no process
+        pool.conns, pool.procs, pool.generation = [ours], [], 0
+        reply = _Reply("done", None, {}, EnumerationStats(), 0.0, None)
+        answer = threading.Timer(0.2, theirs.send, args=(reply,))
+        dispatched = time.perf_counter()
+        answer.start()
+        try:
+            assert driver.run()
+        finally:
+            answer.join(timeout=5.0)
+            ours.close()
+            theirs.close()
+        assert pool.last_active - dispatched >= 0.2
 
     def _abort_discards_the_pool(self, abort, expected, budget=None):
         """Run LARGE with *abort* fired mid-search on a warm pool: the

@@ -43,6 +43,14 @@ from repro.workloads.generators import (
 )
 
 ALL_ALGORITHMS = sorted(ALGORITHMS)
+WORK_COUNTERS = (
+    "plans_considered",
+    "divisions_enumerated",
+    "divisions_bounded",
+    "subqueries_expanded",
+    "memo_hits",
+    "local_short_circuits",
+)
 
 
 def session(algorithm="td-auto", **options):
@@ -204,6 +212,18 @@ class TestIntraQueryParallel:
         assert parallel.plan.describe() == serial.plan.describe()
         assert parallel.stats.subqueries_expanded >= serial.stats.subqueries_expanded
 
+    @pytest.mark.parametrize("algorithm", ["td-cmd", "td-cmdp"])
+    def test_counts_repeat(self, algorithm):
+        """The work counters are those of one memo the workers share, not
+        of which worker got to a subquery first: three runs, one count."""
+        query = dense_query(8, random.Random(3))
+        counts = set()
+        for _ in range(3):
+            stats = session(algorithm, jobs=3, seed=3).optimize(query).stats
+            assert stats.workers == 3
+            counts.add(tuple(getattr(stats, name) for name in WORK_COUNTERS))
+        assert len(counts) == 1
+
     def test_reports_worker_stats(self):
         query = cycle_query(7)
         result = session("td-cmd", jobs=3).optimize(query)
@@ -223,6 +243,7 @@ class TestIntraQueryParallel:
         summary = result.stats.summary()
         assert "worker_balance" in summary
         assert "steals" in summary
+        assert summary["duplicate_solves"] == result.stats.duplicate_solves
         assert summary["worker_balance"] == result.stats.worker_balance
         serial = optimize(query, algorithm="td-cmd")
         assert "worker_balance" not in serial.stats.summary()
@@ -301,6 +322,20 @@ class TestMergeWorkerStats:
         stats = self._stats([0.1], wall_seconds=0.5, startup_seconds=9.0)
         assert stats.pool_startup_seconds == pytest.approx(0.5)
         assert stats.speedup == 0.0
+
+    def test_duplicate_solves_count_as_work_not_as_expansions(self):
+        """A worker's share is what it solved, duplicates included; the
+        work counters sum only what each worker kept."""
+        builder = make_builder(chain_query(4))
+        driver = _CooperativeDriver(TopDownEnumerator(builder.join_graph, builder), 2)
+        for worker, duplicates in enumerate((0, 5)):
+            counted = EnumerationStats(subqueries_expanded=5, duplicate_solves=duplicates)
+            driver.replies[worker] = _Reply("done", None, {}, counted, 0.1, None)
+        stats = driver.stats(1.0)
+        assert stats.subqueries_expanded == 10
+        assert stats.duplicate_solves == 5
+        assert stats.per_worker_subqueries == [5, 10]
+        assert stats.worker_balance == pytest.approx(0.5)
 
     def test_zero_startup_matches_old_behavior(self):
         stats = self._stats([1.0, 1.0], wall_seconds=1.0)
