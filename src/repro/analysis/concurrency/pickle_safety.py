@@ -16,7 +16,8 @@ A module-level mutable container that the module also mutates is a
 nondeterminism hazard when read inside a worker entry function (the
 snapshot depends on fork timing).  Entry functions are the module-level
 callables referenced at submission sites; the check follows their
-same-module callees transitively.
+same-module callees transitively, and a same-module function passed as
+a call's argument counts as a callee.
 """
 
 from __future__ import annotations
@@ -256,7 +257,8 @@ def check_worker_globals(modules: Sequence[ModuleInfo]) -> List[Diagnostic]:
         entries = _entry_function_names(module)
         if not entries:
             continue
-        # transitive same-module callees of the entry functions
+        # transitive same-module callees of the entry functions, also
+        # those handed to a call (``Context().run(_serve, ...)``)
         worker_funcs: Set[str] = set()
         frontier = sorted(entries)
         while frontier:
@@ -265,8 +267,10 @@ def check_worker_globals(modules: Sequence[ModuleInfo]) -> List[Diagnostic]:
                 continue
             worker_funcs.add(name)
             for node in ast.walk(module.functions[name].node):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                    frontier.append(node.func.id)
+                if isinstance(node, ast.Call):
+                    for callee in [node.func, *node.args, *(k.value for k in node.keywords)]:
+                        if isinstance(callee, ast.Name):
+                            frontier.append(callee.id)
         for name in sorted(worker_funcs):
             func = module.functions[name]
             for node in ast.walk(func.node):

@@ -1,6 +1,7 @@
-"""Cooperative bounded plan search: pool workers split the root and
-share one cost table (docs/ALGORITHMS.md, "Cooperative search (`jobs >
-1`)"; :func:`repro.core.parallel.search` decides when it runs).
+"""The process's worker pool and the cooperative bounded plan search
+that splits the root across it (docs/ALGORITHMS.md, "Cooperative
+search (`jobs > 1`)"; :mod:`repro.core.parallel` decides when a search
+or a batch runs here).
 
 Every worker of a persistent forked pool runs the bounded serial search
 of TD-CMD / TD-CMDP with two hooks (:class:`_Cooperative`): of the
@@ -22,19 +23,21 @@ generation, under the pool's lock, and a reader re-reads the cost under
 the lock, so weak memory ordering cannot hand it a stale cost.
 
 The driver (:class:`_CooperativeDriver`) sends each worker one payload
-and reads one reply; the lowest ``(cost, root position)`` candidate is
-the serial search's first strict minimum, rebuilt through the driver's
-own :class:`~repro.core.cost.PlanBuilder`.  It polls its budget while it
-waits and ships the *remaining* deadline; on an anytime expiry the
-workers' best complete root candidates merge the same way, else the
-greedy plan answers.  One pool per process and worker count, lent to
-one search at a time; a worker exits after ``_IDLE_SECONDS`` without a
-search; a cancelled, expired or failed search discards the pool.
+and reads one reply through :meth:`_Pool.exchange`, the wait loop a
+batch's chunks go through too; the lowest ``(cost, root position)``
+candidate is the serial search's first strict minimum, rebuilt through
+the driver's own :class:`~repro.core.cost.PlanBuilder`.  It polls its
+budget while it waits and ships the *remaining* deadline; on an anytime
+expiry the workers' best complete root candidates merge the same way,
+else the greedy plan answers.  A worker exits after ``_IDLE_SECONDS``
+without a message; a cancelled, expired or failed search or batch
+discards the pool.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import mmap
 import multiprocessing as mp
 import os
@@ -43,7 +46,7 @@ import time
 import traceback
 from contextlib import nullcontext
 from multiprocessing.connection import wait as wait_connections
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..observability import runtime as obs
 from ..observability.spans import Span, Tracer
@@ -60,6 +63,7 @@ from .governance import AnytimeExpiry, Deadline, QueryBudget
 from .local_query import LocalQueryIndex
 from .optimizer import make_builder
 from .plans import JoinAlgorithm, PlanNode
+from .session import Optimizer
 from . import bitset as bs
 
 #: driver poll interval (budget and liveness) while it waits on replies
@@ -275,16 +279,22 @@ def _worker_main(worker: int, workers: int, conn: Any, table: _CostTable) -> Non
 
 
 def _serve(worker: int, workers: int, conn: Any, table: _CostTable) -> None:
-    """Answer ``("search", payload)`` messages until idle for
-    ``_IDLE_SECONDS``."""
-    try:
-        table.attach()
-        conn.send(("ready", time.perf_counter()))
-        while conn.poll(_IDLE_SECONDS):
-            _, payload = conn.recv()
-            conn.send(_run_share(table, payload, worker, workers))
-    except Exception:  # pragma: no cover - surfaced driver-side
-        conn.send(("error", traceback.format_exc()))
+    """Answer ``("search", payload)`` and ``("batch", chunk)`` messages
+    until idle for ``_IDLE_SECONDS``; a batch runs one serial session
+    per ``(query, options)`` item.  A message's exception is its reply,
+    ``("raised", error, traceback)``, re-raised as it is in the driver;
+    any other failure ends the process, which the driver sees die."""
+    table.attach()
+    while conn.poll(_IDLE_SECONDS):
+        kind, payload = conn.recv()
+        try:
+            if kind == "search":
+                reply: Any = _run_share(table, payload, worker, workers)
+            else:
+                reply = ("done", [Optimizer(options).optimize(query) for query, options in payload])
+        except Exception as error:
+            reply = ("raised", error, traceback.format_exc())
+        conn.send(reply)
 
 
 # ----------------------------------------------------------------------
@@ -313,15 +323,54 @@ class _Pool:
             child.close()  # so the worker's exit reads as EOF here
             self.conns.append(conn)
             self.procs.append(process)
-        #: when a worker last read or answered a message: its idle clock
+        #: no later than any worker's last answer, which starts its idle clock
         self.last_active = time.perf_counter()
 
-    def send(self, index: int, message: Tuple[Any, ...]) -> None:
-        try:
-            self.conns[index].send(message)
-        except OSError:
-            raise RuntimeError(f"memo-shard worker {index} is gone") from None
-        self.last_active = time.perf_counter()
+    def exchange(
+        self, messages: Sequence[Tuple[Any, ...]], poll: Callable[[], Optional[bool]]
+    ) -> Dict[int, Any]:
+        """The one wait loop, of a search and of a batch: send *messages*,
+        at most one in flight per worker (two queued sends on a duplex
+        pipe can deadlock), the next to whichever worker replies; return
+        the replies by message index.  *poll* runs before every wait: it
+        raises to abort, or returns ``True`` to stop with the replies so
+        far."""
+        replies: Dict[int, Any] = {}
+        queue = iter(enumerate(messages))
+        busy: Dict[Any, Tuple[int, int]] = {}  #: conn -> (worker, message index)
+        answered: Dict[int, float] = {}
+
+        def hand(worker: int) -> None:
+            for index, message in itertools.islice(queue, 1):
+                try:
+                    self.conns[worker].send(message)
+                except OSError:
+                    raise RuntimeError(f"memo-shard worker {worker} is gone") from None
+                busy[self.conns[worker]] = (worker, index)
+
+        for worker in range(len(self.conns)):
+            hand(worker)
+        while busy and not poll():
+            ready: List[Any] = wait_connections(list(busy), timeout=_POLL_SECONDS)
+            if not ready:  # only a busy worker's exit is a death: an idle one times out
+                for conn, process in zip(self.conns, self.procs):
+                    if conn in busy and not process.is_alive():
+                        raise RuntimeError(f"memo-shard worker {busy[conn][0]} died")
+            for conn in ready:
+                worker, index = busy.pop(conn)
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError):
+                    raise RuntimeError(f"memo-shard worker {worker} died") from None
+                answered[worker] = time.perf_counter()
+                if reply[0] == "raised":  # the worker's traceback as the cause
+                    raise reply[1] from RuntimeError(reply[2])
+                replies[index] = reply
+                hand(worker)
+        if len(answered) == len(self.conns):
+            # every worker's idle clock restarted: the oldest one counts
+            self.last_active = min(answered.values())
+        return replies
 
     def reusable(self) -> bool:
         """Alive, far from its idle exit (a worker's idle clock starts
@@ -344,7 +393,7 @@ class _Pool:
 
 class _PoolTable:
     """This process's pools, one per worker count, each lent to one
-    search at a time."""
+    caller at a time."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -353,7 +402,7 @@ class _PoolTable:
 
     def borrow(self, jobs: int) -> Optional[_Pool]:
         """The pool of *jobs* workers, forked unless one is reusable;
-        ``None`` while another search holds it."""
+        ``None`` while it is lent."""
         with self._lock:
             if jobs in self._lent:
                 return None
@@ -418,17 +467,18 @@ class _CooperativeDriver:
             self.tracer is not None,
         )
         # touched only by the thread that runs this search (the pool is
-        # lent to one search at a time; workers reach it through pipes)
+        # lent to one caller at a time; workers reach it through pipes)
         self.replies: Dict[int, _Reply] = {}
         self.worker_started: List[Optional[float]] = [None] * jobs
         self.spawn_started = time.perf_counter()
         self.pool: Optional[_Pool] = None
 
     def start(self) -> bool:
-        """Borrow the process's pool of *jobs* workers (forked on first
-        use); ``False`` while another search holds it."""
+        """Borrow the pool of *jobs* workers: ``False`` while it is lent."""
         self.spawn_started = time.perf_counter()
         self.pool = _POOLS.borrow(self.jobs)
+        if self.pool is not None:  # a reused pool was last active before: zero startup
+            self.worker_started = [self.pool.last_active] * self.jobs
         return self.pool is not None
 
     def run(self) -> bool:
@@ -439,41 +489,23 @@ class _CooperativeDriver:
         assert pool is not None
         pool.generation += 1
         message = ("search", self.payload + (pool.generation,))
-        for worker in range(self.jobs):
-            pool.send(worker, message)
-        waiting = {conn: worker for worker, conn in enumerate(pool.conns)}
-        budget = self.budget
+        budget = self.budget or QueryBudget()
         expired_at: Optional[float] = None
-        while waiting:
-            if budget is not None:
-                budget.check_cancelled(phase="optimize")
-                if expired_at is None and budget.deadline_expired():
-                    self._raise_unless_anytime()
-                    expired_at = time.perf_counter()
-                if expired_at is not None and (
-                    time.perf_counter() - expired_at > 2 * _POLL_SECONDS
-                ):
-                    return False
-            ready: List[Any] = wait_connections(list(waiting), timeout=_POLL_SECONDS)
-            if not ready:
-                self._check_liveness()
-            for conn in ready:
-                worker = waiting[conn]
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    raise RuntimeError(f"memo-shard worker {worker} died") from None
-                pool.last_active = time.perf_counter()
-                if reply[0] == "ready":  # a freshly forked worker
-                    self.worker_started[worker] = reply[1]
-                    continue
-                if reply[0] == "error":
-                    raise RuntimeError(f"memo-shard worker {worker}:\n{reply[1]}")
-                if reply[0] == "expired":
-                    self._raise_unless_anytime()
-                self.replies[worker] = reply
-                del waiting[conn]
-        return all(reply.status == "done" for reply in self.replies.values())
+
+        def poll() -> bool:
+            nonlocal expired_at
+            budget.check_cancelled(phase="optimize")
+            if expired_at is None and budget.deadline_expired():
+                self._raise_unless_anytime()
+                expired_at = time.perf_counter()
+            return expired_at is not None and time.perf_counter() - expired_at > 2 * _POLL_SECONDS
+
+        self.replies = pool.exchange([message] * self.jobs, poll)
+        if any(reply.status == "expired" for reply in self.replies.values()):
+            self._raise_unless_anytime()
+        return len(self.replies) == self.jobs and all(
+            reply.status == "done" for reply in self.replies.values()
+        )
 
     def _raise_unless_anytime(self) -> None:
         budget = self.budget
@@ -482,12 +514,6 @@ class _CooperativeDriver:
             raise OptimizationTimeout(
                 f"{self.algorithm_name} exceeded {budget.deadline.seconds:g}s"
             )
-
-    def _check_liveness(self) -> None:
-        assert self.pool is not None
-        for index, process in enumerate(self.pool.procs):
-            if not process.is_alive():
-                raise RuntimeError(f"memo-shard worker {index} died")
 
     # -- results --------------------------------------------------------
     def best_plan(self) -> Optional[PlanNode]:

@@ -1,44 +1,38 @@
-"""Process pools behind the session: the pooling decision and the batch pool.
+"""The two uses of ``jobs`` behind the session, on one process pool.
 
 :class:`~repro.core.session.Optimizer` is the only entry to both; this
 module holds what runs *after* the session has resolved statistics,
 consulted its plan cache and built the enumerator.  Following Trummer &
-Koch's observation that workers can run the unmodified serial
-optimizer, neither half builds anything of its own:
+Koch, the workers run the unmodified serial optimizer, on the
+persistent forked pool of :mod:`.memo_shard` (one per process and worker
+count, lent to one caller at a time); a search or a batch that finds it
+lent to another thread runs in process instead.
 
-* **Intra-query** — :func:`search` takes the TD-CMD / TD-CMDP
-  enumerator the session built and either runs it cooperatively on the
-  process's worker pool (every worker runs the bounded serial search
-  over its share of the root, and all share one cost table — see
-  :mod:`.memo_shard`) or runs it as it is.  A subquery's solve depends
-  on its bitset alone and the driver takes the serial search's first
-  cheapest root candidate, so cost and plan are bit-identical to the
-  serial search.
-
-* **Inter-query** — :func:`run_batch` drives the cache misses of
+* **Intra-query** — :func:`search` runs the TD-CMD / TD-CMDP enumerator
+  cooperatively (every worker runs the bounded serial search over its
+  share of the root, and all share one cost table) or as it is; cost and
+  plan are the serial search's.
+* **Inter-query** — :func:`run_batch` hands the cache misses of
   :meth:`Optimizer.optimize_many <repro.core.session.Optimizer.optimize_many>`
-  through a pool of serial sessions (the server scenario: independent
-  queries, one ordinary serial optimization each), so per-query results
-  are bit-identical to serial execution by construction.
+  to the workers in chunks, one serial optimization each, so per-query
+  results are the serial ones by construction.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as wait_futures
+from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sparql.ast import BGPQuery
 from .enumeration import OptimizationResult, TopDownEnumerator
-from .governance import AbortCause, CancellationToken, QueryAborted
+from .governance import CancellationToken, QueryBudget
 from .join_graph import JoinGraph
-from .memo_shard import TABLE_PATTERNS, _CooperativeDriver
+from . import memo_shard
 from .session import OptimizeOptions, Optimizer
 from . import bitset as bs
 
-#: how often the driver polls the cancellation token while a pool runs
-_CANCEL_POLL_SECONDS = 0.05
 #: the measured break-even, in non-singleton connected subqueries:
 #: below it a ``jobs=2`` search is slower than the serial one
 #: (docs/PERFORMANCE.md, "When it pays off")
@@ -73,86 +67,65 @@ def _connected_at_least(join_graph: JoinGraph, limit: int) -> bool:
 def search(enumerator: TopDownEnumerator, jobs: int) -> OptimizationResult:
     """Run *enumerator*'s search cooperatively on *jobs* pool workers.
 
-    The one place that decides *pool or in process*: a query with no
+    The one place that decides whether a search pools: a query with no
     Cartesian-product-free plan, a Rule-3 local short-circuit at the
-    root, more patterns than :data:`~.memo_shard.TABLE_PATTERNS`, fewer
-    than ``_BREAK_EVEN`` non-singleton connected subqueries, or a pool
-    lent to another thread's search runs ``enumerator.optimize()``;
-    otherwise :mod:`.memo_shard` runs it, with that call's cost and plan
-    (the label gains ``[parallel xN]``).  The enumerator's budget
-    governs either way: the remaining deadline travels to the workers;
-    the driver polls the cancellation token and abandons the pool on
-    cancel.  An expiring anytime deadline yields the workers' best
-    complete root candidate, else the greedy plan.
+    root, more patterns than :data:`~.memo_shard.TABLE_PATTERNS` or
+    fewer than ``_BREAK_EVEN`` non-singleton connected subqueries runs
+    ``enumerator.optimize()``; otherwise :mod:`.memo_shard` runs it,
+    with that call's cost and plan (the label gains ``[parallel xN]``).
+    The enumerator's budget governs either way: the remaining deadline
+    travels to the workers; the driver polls the cancellation token and
+    abandons the pool on cancel.  An expiring anytime deadline yields
+    the workers' best complete root candidate, else the greedy plan.
     """
     started = time.perf_counter()
     join_graph = enumerator.join_graph
     full = join_graph.full
     # Rule 3 answers a local root immediately; nothing to parallelize
     if (
-        join_graph.size <= TABLE_PATTERNS
+        join_graph.size <= memo_shard.TABLE_PATTERNS
         and join_graph.is_connected(full)
         and not (
             enumerator.local_short_circuit and enumerator.local_index.is_local(full)
         )
         and _connected_at_least(join_graph, _BREAK_EVEN)
     ):
-        driver = _CooperativeDriver(enumerator, jobs)
+        driver = memo_shard._CooperativeDriver(enumerator, jobs)
         if driver.start():
             return driver.search(started)
     return enumerator.optimize()
 
 
 # ----------------------------------------------------------------------
-# inter-query: a pool of serial sessions
+# inter-query: serial sessions on the same pool
 # ----------------------------------------------------------------------
-def _batch_worker(
-    chunk: Sequence[Tuple[BGPQuery, OptimizeOptions]]
-) -> List[OptimizationResult]:
-    """Optimize a chunk of queries serially (executed inside a pool process)."""
-    return [Optimizer(options).optimize(query) for query, options in chunk]
-
-
 def run_batch(
     payloads: Sequence[Tuple[BGPQuery, OptimizeOptions]],
     jobs: int,
     cancellation: Optional[CancellationToken],
 ) -> List[OptimizationResult]:
-    """One serial session per ``(query, options)`` payload, *jobs* at a time.
+    """One serial session per ``(query, options)`` payload, in payload
+    order, on the pool of *jobs* workers.
 
-    Results come back in payload order.  Payloads travel in chunks
-    (about four per worker), so a large batch of small queries is not
-    bound by per-item pickling.  Tokens do not cross process boundaries,
-    so cancellation is enforced here: every poll interval the driver
-    re-checks the token and, once it fires, abandons the pool
-    (``shutdown(wait=False)`` — queued work is cancelled, running
-    workers are orphaned rather than joined) so the abort surfaces
-    within one poll interval.
+    Payloads travel in chunks (about four per worker), so a large batch
+    of small queries is not bound by per-item pickling.  Tokens do not
+    cross process boundaries, so the driver polls the token; a cancel,
+    an item's error (re-raised as it is) or a dead worker discards the
+    pool.
     """
-    workers = min(jobs, len(payloads))
-    size = max(1, len(payloads) // (workers * 4))
-    pool = ProcessPoolExecutor(max_workers=workers)
-    futures = [
-        pool.submit(_batch_worker, payloads[start : start + size])
-        for start in range(0, len(payloads), size)
-    ]
-    not_done = set(futures)
+    pool = memo_shard._POOLS.borrow(jobs)
+    if pool is None:
+        return [
+            Optimizer(replace(options, cancellation=cancellation)).optimize(query)
+            for query, options in payloads
+        ]
+    size = max(1, len(payloads) // (jobs * 4))
+    chunks = [("batch", payloads[start : start + size]) for start in range(0, len(payloads), size)]
+    poll = partial(QueryBudget(cancellation=cancellation).check_cancelled, phase="optimize")
+    complete = False
     try:
-        while not_done:
-            done, not_done = wait_futures(
-                not_done,
-                timeout=_CANCEL_POLL_SECONDS,
-                return_when=FIRST_COMPLETED,
-            )
-            for future in done:
-                future.result()  # surface worker errors promptly
-            if cancellation is not None and cancellation.cancelled and not_done:
-                raise QueryAborted(
-                    f"cancelled: {cancellation.reason}",
-                    cause=AbortCause.CANCELLED,
-                    phase="optimize",
-                )
-        return [result for future in futures for result in future.result()]
+        replies = pool.exchange(chunks, poll)
+        complete = True
     finally:
-        # a cancelled (or failed) pool must not join still-running workers
-        pool.shutdown(wait=not not_done, cancel_futures=True)
+        memo_shard._POOLS.give_back(jobs, pool, keep=complete)
+    return [result for index in range(len(chunks)) for result in replies[index][1]]

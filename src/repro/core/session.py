@@ -129,12 +129,14 @@ class OptimizeOptions:
     seed: int = 0
     #: cross-query plan cache owned by the session
     plan_cache: Optional[PlanCache] = None
-    #: processes this session may use: across the queries of an
+    #: processes this session may use, as one pool of *jobs* workers
+    #: per process (:mod:`.memo_shard`): across the queries of an
     #: :meth:`Optimizer.optimize_many` batch, and inside the search for
-    #: one query (the cooperative TD-CMD / TD-CMDP search of
-    #: :mod:`.memo_shard`, where the workers split the root and share
-    #: one cost table, also when TD-Auto chose one of them; every other
-    #: algorithm searches serially)
+    #: one query (the cooperative TD-CMD / TD-CMDP search, where the
+    #: workers split the root and share one cost table, also when
+    #: TD-Auto chose one of them; every other algorithm searches
+    #: serially); a call that finds the pool lent to another thread's
+    #: search runs in process
     jobs: int = 1
     #: run the plan-invariant verifier on every returned plan
     verify: bool = False
@@ -209,8 +211,8 @@ class Optimizer:
     * **the tracer** — created once when ``trace=True``; every call adds
       a root span to it, ``optimize`` or :meth:`run`'s ``query`` (see
       ``docs/OBSERVABILITY.md``);
-    * **jobs** — the process allowance of every call: the cooperative
-      search of one query, the worker pool of a batch;
+    * **jobs** — the process allowance of every call: one worker pool
+      for the cooperative search of one query and for a batch;
     * **the executor** — built by :meth:`bind_cluster`; :meth:`run` is
       the one optimize → execute → observe path over it.
 
@@ -463,11 +465,14 @@ class Optimizer:
         with ``.query`` / ``.statistics``; an item's statistics apply to
         that item only.  With ``jobs == 1`` this is :meth:`optimize` per
         item.  With ``jobs > 1`` every statistics and plan-cache lookup
-        runs here first; more than one miss goes to a pool of serial
-        sessions (:func:`repro.core.parallel.run_batch`), each given the
-        options a serial :meth:`optimize` reads — dataset, plan cache,
-        tracer and adaptive state stay behind, the pool driver polls the
-        cancellation token — so every result equals a serial call's.
+        runs here first; more than one miss goes to the workers of the
+        process's one pool, the cooperative search's
+        (:func:`repro.core.parallel.run_batch`), or runs in process
+        while another thread's search holds it.  Each miss is a serial
+        session given the options a serial :meth:`optimize` reads —
+        dataset, plan cache, tracer and adaptive state stay behind, the
+        driver polls the cancellation token — so every result equals a
+        serial call's, and an item's exception is raised as it is.
         Verification and the cache store then run here, as for one query.
         """
         requests = [_normalize_request(item) for item in items]

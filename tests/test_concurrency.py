@@ -325,6 +325,29 @@ class TestLint013WorkerGlobals:
         """
         assert codes((COLD, src), select={"LINT013"}) == ["LINT013"]
 
+    def test_read_through_a_function_passed_as_an_argument_flagged(self):
+        """A pool worker that reaches its loop only as an argument
+        (``contextvars.Context().run(serve, ...)``) is still walked."""
+        src = """
+        import contextvars
+        import multiprocessing
+
+        CACHE = {}
+
+        def configure(key, value):
+            CACHE[key] = value
+
+        def serve(conn):
+            conn.send(CACHE.get("key"))
+
+        def worker_main(conn):
+            contextvars.Context().run(serve, conn)
+
+        def driver(conn):
+            multiprocessing.Process(target=worker_main, args=(conn,)).start()
+        """
+        assert codes((COLD, src), select={"LINT013"}) == ["LINT013"]
+
     def test_unmutated_global_clean(self):
         src = """
         from concurrent.futures import ProcessPoolExecutor
@@ -392,29 +415,27 @@ class TestLiveFileMutants:
         )
 
     def test_lint012_lambda_submitted_to_the_batch_pool(self):
+        # the one pool's workers (searches and batches) started from a lambda
         assert_live_mutant_caught(
             "LINT012",
-            "core/parallel.py",
-            (
-                "pool.submit(_batch_worker, ",
-                "pool.submit(lambda batch: _batch_worker(batch), ",
-            ),
+            "core/memo_shard.py",
+            ("target=_worker_main,", "target=lambda *a: _worker_main(*a),"),
         )
 
     def test_lint013_batch_worker_reads_a_mutated_global(self):
-        # a module dict that run_batch writes and _batch_worker reads
+        # a module dict that _Pool.__init__ writes and the worker loop
+        # _serve (reached through Context().run) reads
         assert_live_mutant_caught(
             "LINT013",
-            "core/parallel.py",
-            ("def _batch_worker(", "_SIZES = {}\n\n\ndef _batch_worker("),
+            "core/memo_shard.py",
+            ("def _worker_main(", "_SIZES = {}\n\n\ndef _worker_main("),
             (
-                "    return [Optimizer(options).optimize(query) for query, options in chunk]",
-                "    _SIZES.get(len(chunk))\n"
-                "    return [Optimizer(options).optimize(query) for query, options in chunk]",
+                "        kind, payload = conn.recv()\n",
+                "        kind, payload = conn.recv()\n        _SIZES.get(workers)\n",
             ),
             (
-                "    workers = min(jobs, len(payloads))\n",
-                "    workers = min(jobs, len(payloads))\n    _SIZES[workers] = len(payloads)\n",
+                "        self.generation = 0\n",
+                "        self.generation = 0\n        _SIZES[jobs] = self\n",
             ),
         )
 

@@ -19,8 +19,10 @@ Contracts:
   labelled, verifier-clean degraded plan; without ``anytime`` it raises
   :class:`OptimizationTimeout`;
 * **the pool** — searches below the break-even never touch it, later
-  searches reuse it, it exits when idle, one search holds it at a time,
-  and a cancelled, expired or failed search discards it.
+  searches and ``optimize_many`` batches reuse it, it exits when idle,
+  one caller holds it at a time (a batch that finds it lent runs in
+  process), and a cancelled, expired or failed search or batch discards
+  it.
 """
 
 import multiprocessing
@@ -39,6 +41,7 @@ from repro.core import (
     Optimizer,
     QueryAborted,
     StatisticsCatalog,
+    memo_shard,
     optimize,
     parallel,
 )
@@ -68,6 +71,8 @@ from repro.workloads.generators import (
     star_query,
     tree_query,
 )
+
+from .test_parallel import small_batch
 
 
 def sharded(query, algorithm, jobs, budget=None, **options):
@@ -417,6 +422,104 @@ class TestPoolLifecycle:
         self._abort_discards_the_pool(
             lambda workers: os.kill(workers[1], signal.SIGKILL), RuntimeError
         )
+
+    def test_searches_and_batches_share_the_workers(self, monkeypatch):
+        """One pool serves both uses of ``jobs``: a search, a batch and a
+        search again run on the same two workers."""
+        sent = []
+        exchange = _Pool.exchange
+
+        def recording_exchange(pool, messages, *args):
+            sent.append((messages[0][0], sorted(process.pid for process in pool.procs)))
+            return exchange(pool, messages, *args)
+
+        monkeypatch.setattr(_Pool, "exchange", recording_exchange)
+        sharded(self.SMALL, "td-cmdp", 2)
+        workers = pool_pids()
+        batch = Optimizer(OptimizeOptions(jobs=2)).optimize_many(small_batch())
+        assert pool_pids() == workers
+        sharded(self.SMALL, "td-cmdp", 2)
+        assert len(workers) == 2
+        assert pool_pids() == workers
+        assert sent == [("search", workers), ("batch", workers), ("search", workers)]
+        assert [result.cost for result in batch] == [
+            optimize(query).cost for query in small_batch()
+        ]
+
+    def _abort_discards_the_batch_pool(self, abort, expected, **options):
+        """A batch of dense-12 queries with *abort* fired mid-batch on a
+        warm pool: it raises *expected* well before the batch could end,
+        its workers are gone, and the next batch forks new ones and
+        returns the serial costs."""
+        queries = [dense_query(12, random.Random(seed)) for seed in range(8)]
+        pooled = Optimizer(OptimizeOptions(algorithm="td-cmd", jobs=2, **options))
+        pooled.optimize_many(small_batch())
+        workers = pool_pids()
+        assert len(workers) == 2
+        timer = threading.Timer(0.2, abort, args=(workers,))
+        timer.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(expected):
+                pooled.optimize_many(queries)
+        finally:
+            timer.cancel()
+        # the batch itself is ~0.5 s a query; the abort came at 0.2 s
+        assert time.perf_counter() - started < 1.5
+        assert not set(pool_pids()) & set(workers)
+        fresh = Optimizer(OptimizeOptions(algorithm="td-cmd", jobs=2)).optimize_many(small_batch())
+        assert len(pool_pids()) == 2
+        assert not set(pool_pids()) & set(workers)
+        assert [result.cost for result in fresh] == [
+            optimize(query, algorithm="td-cmd").cost for query in small_batch()
+        ]
+
+    def test_cancel_discards_the_batch_pool(self):
+        token = CancellationToken()
+        self._abort_discards_the_batch_pool(
+            lambda workers: token.cancel("test"), QueryAborted, cancellation=token
+        )
+
+    def test_killed_worker_discards_the_batch_pool(self):
+        self._abort_discards_the_batch_pool(
+            lambda workers: os.kill(workers[1], signal.SIGKILL), RuntimeError
+        )
+
+    def test_an_idle_worker_exiting_mid_batch_is_no_failure(self, monkeypatch):
+        """A worker whose last chunk is done may idle out while another
+        still works: only a busy worker's exit is a death, so the batch
+        completes with the serial costs."""
+        assert wait_for_no_pool() == []
+        monkeypatch.setattr(memo_shard, "_IDLE_SECONDS", 0.2)  # the fork inherits it
+        # one chunk each: a dense-12 (~0.5 s) and a chain that idles out first
+        queries = [dense_query(12, random.Random(0)), chain_query(3)]
+        results = Optimizer(OptimizeOptions(algorithm="td-cmd", jobs=2)).optimize_many(queries)
+        assert [result.cost for result in results] == [
+            optimize(query, algorithm="td-cmd").cost for query in queries
+        ]
+
+    def test_a_batch_finding_the_pool_lent_runs_in_process(self, monkeypatch):
+        """While a search holds the pool, a batch runs its items in
+        process: no process starts, the lent pool's workers see nothing,
+        the costs are serial."""
+        sharded(self.SMALL, "td-cmdp", 2)
+        lent = memo_shard._POOLS.borrow(2)
+        assert lent is not None
+
+        def no_start(process):
+            raise AssertionError("a batch that found the pool lent started a process")
+
+        try:
+            monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+            generation, active = lent.generation, lent.last_active
+            batch = Optimizer(OptimizeOptions(jobs=2)).optimize_many(small_batch())
+            assert (lent.generation, lent.last_active) == (generation, active)
+            assert pool_pids() == sorted(process.pid for process in lent.procs)
+        finally:
+            memo_shard._POOLS.give_back(2, lent)
+        assert [result.cost for result in batch] == [
+            optimize(query).cost for query in small_batch()
+        ]
 
     def test_one_search_at_a_time(self):
         """Two threads, one pool: whichever finds it lent out searches

@@ -1,6 +1,6 @@
 """Tests for the session's two uses of ``jobs`` (core.parallel behind it).
 
-The contract under test is *equivalence*: the batch pool of
+The contract under test is *equivalence*: a pooled batch of
 ``Optimizer.optimize_many`` must return bit-identical plan costs and
 enumeration counters to the serial optimizer, for every algorithm and
 seed; the cooperative intra-query search of ``Optimizer.optimize``
@@ -122,10 +122,21 @@ class TestOptimizeMany:
             assert result.cost == optimize(query, algorithm="td-cmdp").cost
 
     def test_deadline_seconds_bounds_every_query(self):
-        """Each query of the batch runs under its own deadline."""
-        query = dense_query(16, random.Random(5))  # far too large for 50 ms
-        with pytest.raises(OptimizationTimeout, match=r"exceeded 0\.05s"):
-            session("td-cmdp", deadline_seconds=0.05).optimize_many([query])
+        """Each query of the batch runs under its own deadline, and a
+        pool worker's timeout reaches the caller as the same type."""
+        # far too large for 50 ms; two misses, so jobs=2 uses the pool
+        queries = [dense_query(16, random.Random(seed)) for seed in (5, 6)]
+        for jobs in (1, 2):
+            with pytest.raises(OptimizationTimeout, match=r"exceeded 0\.05s"):
+                session("td-cmdp", jobs=jobs, deadline_seconds=0.05).optimize_many(queries)
+
+    def test_disconnected_query_rejected_in_a_pooled_batch(self):
+        """A batch item's own error crosses the pool with its type."""
+        query = parse_query(
+            "SELECT * WHERE { ?a <http://e/p> ?b . ?c <http://e/q> ?d . }"
+        )
+        with pytest.raises(CartesianProductError):
+            session("td-cmd", jobs=2).optimize_many([chain_query(4), query])
 
     def test_plan_cache_short_circuits_repeats(self):
         queries = small_batch()[:3]
