@@ -650,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conc = sub.add_parser(
         "check-concurrency",
         help="run the concurrency/process-safety analyzer "
-        "(lock discipline, pickle safety, worker globals)",
+        "(lock discipline, worker globals)",
     )
     p_conc.add_argument(
         "paths",
@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="CODE",
         default=None,
-        help="restrict to specific rules (e.g. LINT010 LINT012)",
+        help="restrict to specific rules (e.g. LINT010 LINT013)",
     )
     p_conc.set_defaults(func=cmd_check_concurrency)
 

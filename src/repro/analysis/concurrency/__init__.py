@@ -1,6 +1,6 @@
 """Concurrency & process-safety analyzer.
 
-Three passes over the ``src/repro`` tree, each across the functions of
+Two passes over the ``src/repro`` tree, each across the functions of
 one module: a private helper inherits the locks its intra-class callers
 hold, and a worker entry reaches its same-module callees.
 
@@ -10,7 +10,6 @@ Code     Property
 LINT010  ``#: guarded-by:`` fields only touched under their lock
 LINT011  no blocking call (``.result``/``.recv``/``queue.get``/…)
          and no second lock taken while holding a lock
-LINT012  nothing unpicklable reaches a process boundary
 LINT013  worker entry code does not read mutated module globals
 ======== ==============================================================
 
@@ -39,13 +38,12 @@ from ..lint.diagnostics import (
 from ..lint.runner import iter_python_files
 from .guards import check_lock_discipline
 from .model import ModuleInfo, parse_module
-from .pickle_safety import check_pickle_safety, check_worker_globals
+from .pickle_safety import check_worker_globals
 
 #: code → one-line summary (docs + ``--select`` validation)
 CONCURRENCY_RULES: Dict[str, str] = {
     "LINT010": "guarded-by field accessed without holding its declared lock",
     "LINT011": "potentially blocking call while holding a lock",
-    "LINT012": "unpicklable value reaches a process boundary",
     "LINT013": "worker entry path reads a mutated module global",
 }
 
@@ -83,7 +81,6 @@ def analyze_files(
 
     for pass_findings in (
         check_lock_discipline(modules),
-        check_pickle_safety(modules),
         check_worker_globals(modules),
     ):
         findings.extend(pass_findings)

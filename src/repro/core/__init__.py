@@ -45,7 +45,6 @@ from .join_graph import JoinGraph, QueryShape
 from .local_query import LocalQueryIndex
 from .optimizer import (
     ALGORITHMS,
-    PARALLELIZABLE_ALGORITHMS,
     make_builder,
     optimize,
     resolve_statistics,
@@ -113,7 +112,6 @@ __all__ = [
     "make_builder",
     "resolve_statistics",
     "ALGORITHMS",
-    "PARALLELIZABLE_ALGORITHMS",
     "PlanCache",
     "PlanCacheStats",
     "query_signature",

@@ -1,19 +1,34 @@
-"""The process's worker pool and the cooperative bounded plan search
-that splits the root across it (docs/ALGORITHMS.md, "Cooperative
-search (`jobs > 1`)"; :mod:`repro.core.parallel` decides when a search
-or a batch runs here).
+"""``jobs``: the process's worker pool, the cooperative bounded plan
+search that splits the root across it, and the batches that share it.
 
-Every worker of a persistent forked pool runs the bounded serial search
-of TD-CMD / TD-CMDP with two hooks (:class:`_Cooperative`): of the
-root's division stream, worker *w* of *k* keeps position *i* when
-``i % k == w``; and a subquery missing from its memo is read from the
-pool's :class:`_CostTable` as a ``(cardinality, cost)`` stub if this
-search published it, else solved and published.  A subquery's solve
-depends on its bitset alone, so whichever worker publishes it publishes
-the serial search's cost and choice.  The bound reads floors alone
-(``_search``'s *floors*), so the counters a worker keeps (the root's,
-and each subquery's it publishes first) do not depend on timing; a
-duplicate solve is counted apart.
+:class:`~repro.core.session.Optimizer` is the only caller: at ``jobs > 1``
+it hands this module what runs *after* it has resolved statistics,
+consulted its plan cache and built the algorithm.  Following Trummer &
+Koch, the workers run the unmodified serial optimizer, on one persistent
+forked pool per process and worker count, lent to one caller at a time;
+a search or a batch that finds it lent to another thread runs in process
+instead.
+
+* **Intra-query** — :func:`search` runs a TD-CMD / TD-CMDP search (also
+  TD-Auto's choice of one) cooperatively, or as it is; cost and plan are
+  the serial search's.
+* **Inter-query** — :func:`run_batch` hands the cache misses of
+  :meth:`Optimizer.optimize_many <repro.core.session.Optimizer.optimize_many>`
+  to the workers in chunks, one serial optimization each, so per-query
+  results are the serial ones by construction.
+
+The cooperative search (docs/ALGORITHMS.md, "Cooperative search (`jobs
+> 1`)"): every worker runs the bounded serial search of TD-CMD /
+TD-CMDP with two hooks (:class:`_Cooperative`): of the root's division
+stream, worker *w* of *k* keeps position *i* when ``i % k == w``; and a
+subquery missing from its memo is read from the pool's
+:class:`_CostTable` as a ``(cardinality, cost)`` stub if this search
+published it, else solved and published.  A subquery's solve depends on
+its bitset alone, so whichever worker publishes it publishes the serial
+search's cost and choice.  The bound reads floors alone (``_search``'s
+*floors*), so the counters a worker keeps (the root's, and each
+subquery's it publishes first) do not depend on timing; a duplicate
+solve is counted apart.
 
 The table: one float64 cost and one uint32 search generation per
 bitset, 2^20 slots (12 MiB virtual) of a shared anonymous mapping made
@@ -45,12 +60,15 @@ import threading
 import time
 import traceback
 from contextlib import nullcontext
+from functools import partial
 from multiprocessing.connection import wait as wait_connections
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..observability import runtime as obs
 from ..observability.spans import Span, Tracer
 from ..rdf.terms import Variable
+from ..sparql.ast import BGPQuery
+from .auto import AutonomousOptimizer
 from .enumeration import (
     CartesianProductError,
     EnumerationStats,
@@ -59,13 +77,18 @@ from .enumeration import (
     TopDownEnumerator,
     greedy_fallback_plan,
 )
-from .governance import AnytimeExpiry, Deadline, QueryBudget
+from .governance import AnytimeExpiry, CancellationToken, Deadline, QueryBudget
+from .join_graph import JoinGraph
 from .local_query import LocalQueryIndex
 from .optimizer import make_builder
 from .plans import JoinAlgorithm, PlanNode
-from .session import Optimizer
+from .session import OptimizeOptions, Optimizer
 from . import bitset as bs
 
+#: the measured break-even, in non-singleton connected subqueries:
+#: below it a ``jobs=2`` search is slower than the serial one
+#: (docs/PERFORMANCE.md, "When it pays off")
+_BREAK_EVEN = 300
 #: driver poll interval (budget and liveness) while it waits on replies
 _POLL_SECONDS = 0.05
 #: a pool worker exits after this long without a search, so no worker
@@ -86,6 +109,100 @@ _Choice = Tuple[Any, ...]
 _Candidate = Tuple[float, int, _Choice]
 #: one element of the ``divisions`` stream: (parts, variable, operators)
 _Division = Tuple[Tuple[int, ...], Variable, Sequence[JoinAlgorithm]]
+
+
+# ----------------------------------------------------------------------
+# the two entries: one search, one batch
+# ----------------------------------------------------------------------
+def search(algorithm: Any, jobs: int) -> OptimizationResult:
+    """Run *algorithm* (what the session built) with *jobs* workers.
+
+    TD-Auto hands ``jobs`` to the variant it chose and relabels its
+    result.  The one place that decides whether a search pools: only a
+    :class:`~.enumeration.TopDownEnumerator` (TD-CMD, TD-CMDP) with a
+    Cartesian-product-free plan, no Rule-3 local short-circuit at the
+    root, at most :data:`TABLE_PATTERNS` patterns and at least
+    ``_BREAK_EVEN`` non-singleton connected subqueries runs
+    cooperatively, with the serial search's cost and plan (the label
+    gains ``[parallel xN]``); anything else, and a search that finds the
+    pool lent, runs ``algorithm.optimize()``.  The search's budget
+    governs either way: the remaining deadline travels to the workers;
+    the driver polls the cancellation token and abandons the pool on
+    cancel.  An expiring anytime deadline yields the workers' best
+    complete root candidate, else the greedy plan.
+    """
+    if isinstance(algorithm, AutonomousOptimizer):
+        return algorithm.relabel(search(algorithm.choose(), jobs))
+    started = time.perf_counter()
+    if isinstance(algorithm, TopDownEnumerator):
+        join_graph = algorithm.join_graph
+        full = join_graph.full
+        # Rule 3 answers a local root immediately; nothing to parallelize
+        if (
+            join_graph.size <= TABLE_PATTERNS
+            and join_graph.is_connected(full)
+            and not (
+                algorithm.local_short_circuit and algorithm.local_index.is_local(full)
+            )
+            and _connected_at_least(join_graph, _BREAK_EVEN)
+        ):
+            driver = _CooperativeDriver(algorithm, jobs)
+            if driver.start():
+                return driver.search(started)
+    result: OptimizationResult = algorithm.optimize()
+    return result
+
+
+def _connected_at_least(join_graph: JoinGraph, limit: int) -> bool:
+    """Whether *join_graph* has *limit* non-singleton connected
+    subqueries, counted only that far.
+
+    Grown breadth-first by popcount (a dict keeps each level in a
+    deterministic order): every connected set of k patterns is one of
+    k-1 plus a neighbouring pattern.
+    """
+    level: Dict[int, None] = dict.fromkeys(bs.bit(i) for i in range(join_graph.size))
+    counted = 0
+    while level:
+        grown: Dict[int, None] = {}
+        for bits in level:
+            for i in bs.iter_bits(join_graph.neighbors(bits)):
+                grown[bits | bs.bit(i)] = None
+            if counted + len(grown) >= limit:
+                return True
+        counted += len(grown)
+        level = grown
+    return False
+
+
+def run_batch(
+    payloads: Sequence[Tuple[BGPQuery, OptimizeOptions]],
+    jobs: int,
+    cancellation: Optional[CancellationToken],
+) -> Optional[List[OptimizationResult]]:
+    """One serial session per ``(query, options)`` payload, in payload
+    order, on the pool of *jobs* workers; ``None`` while the pool is
+    lent to another thread's search.
+
+    Payloads travel in chunks (about four per worker), so a large batch
+    of small queries is not bound by per-item pickling.  Tokens do not
+    cross process boundaries, so the driver polls the token; a cancel,
+    an item's error (re-raised as it is) or a dead worker discards the
+    pool.
+    """
+    pool = _POOLS.borrow(jobs)
+    if pool is None:
+        return None
+    size = max(1, len(payloads) // (jobs * 4))
+    chunks = [("batch", payloads[start : start + size]) for start in range(0, len(payloads), size)]
+    poll = partial(QueryBudget(cancellation=cancellation).check_cancelled, phase="optimize")
+    complete = False
+    try:
+        replies = pool.exchange(chunks, poll)
+        complete = True
+    finally:
+        _POOLS.give_back(jobs, pool, keep=complete)
+    return [result for index in range(len(chunks)) for result in replies[index][1]]
 
 
 class _Reply(NamedTuple):
@@ -316,7 +433,7 @@ class _Pool:
             process = context.Process(
                 target=_worker_main,
                 args=(index, jobs, child, self.table),
-                name=f"memo-shard-{index}-of-{jobs}",
+                name=f"cooperative-{index}-of-{jobs}",
                 daemon=True,
             )
             process.start()
@@ -345,7 +462,7 @@ class _Pool:
                 try:
                     self.conns[worker].send(message)
                 except OSError:
-                    raise RuntimeError(f"memo-shard worker {worker} is gone") from None
+                    raise RuntimeError(f"cooperative worker {worker} is gone") from None
                 busy[self.conns[worker]] = (worker, index)
 
         for worker in range(len(self.conns)):
@@ -355,13 +472,13 @@ class _Pool:
             if not ready:  # only a busy worker's exit is a death: an idle one times out
                 for conn, process in zip(self.conns, self.procs):
                     if conn in busy and not process.is_alive():
-                        raise RuntimeError(f"memo-shard worker {busy[conn][0]} died")
+                        raise RuntimeError(f"cooperative worker {busy[conn][0]} died")
             for conn in ready:
                 worker, index = busy.pop(conn)
                 try:
                     reply = conn.recv()
                 except (EOFError, OSError):
-                    raise RuntimeError(f"memo-shard worker {worker} died") from None
+                    raise RuntimeError(f"cooperative worker {worker} died") from None
                 answered[worker] = time.perf_counter()
                 if reply[0] == "raised":  # the worker's traceback as the cause
                     raise reply[1] from RuntimeError(reply[2])

@@ -80,7 +80,7 @@ class EnumerationStats:
 
     The ``workers`` / ``per_worker_*`` / ``speedup`` / ``steals`` /
     ``duplicate_solves`` fields are filled only by the cooperative
-    parallel search (:mod:`.memo_shard`), whose work counters are those
+    parallel search (:mod:`.cooperative`), whose work counters are those
     of one memo its workers share; a serial run leaves them at their
     defaults (one worker, no breakdown).
     """
@@ -396,7 +396,7 @@ class TopDownEnumerator(PlanSearch):
         The serial search runs this with its own memo and
         :meth:`get_best_plan` (recursion on a miss).  A pool worker of
         the cooperative search, whose ``get_best_plan`` first reads the
-        pool's shared cost table (see :mod:`.memo_shard`), passes
+        pool's shared cost table (see :mod:`.cooperative`), passes
         *floors*: the bound then prices every part at its floor, in
         ``memo`` or not, and each part of a division that gets past it
         counts one memo hit, so what the loop counts depends on *bits*

@@ -60,12 +60,6 @@ ALGORITHMS: Dict[str, type] = {
     "triad-dp": TriADOptimizer,
 }
 
-#: algorithms the intra-query parallel search can split across workers
-#: (see :mod:`.parallel`): their whole search is the ``divisions`` hook
-#: plus the memo table; a session with ``jobs > 1`` runs every other
-#: algorithm serially
-PARALLELIZABLE_ALGORITHMS = ("td-cmd", "td-cmdp")
-
 
 def resolve_statistics(
     query: BGPQuery,

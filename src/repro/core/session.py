@@ -130,7 +130,7 @@ class OptimizeOptions:
     #: cross-query plan cache owned by the session
     plan_cache: Optional[PlanCache] = None
     #: processes this session may use, as one pool of *jobs* workers
-    #: per process (:mod:`.memo_shard`): across the queries of an
+    #: per process (:mod:`.cooperative`): across the queries of an
     #: :meth:`Optimizer.optimize_many` batch, and inside the search for
     #: one query (the cooperative TD-CMD / TD-CMDP search, where the
     #: workers split the root and share one cost table, also when
@@ -467,19 +467,21 @@ class Optimizer:
         item.  With ``jobs > 1`` every statistics and plan-cache lookup
         runs here first; more than one miss goes to the workers of the
         process's one pool, the cooperative search's
-        (:func:`repro.core.parallel.run_batch`), or runs in process
-        while another thread's search holds it.  Each miss is a serial
-        session given the options a serial :meth:`optimize` reads —
-        dataset, plan cache, tracer and adaptive state stay behind, the
-        driver polls the cancellation token — so every result equals a
-        serial call's, and an item's exception is raised as it is.
+        (:func:`repro.core.cooperative.run_batch`); a single miss, and
+        every miss while another thread's search holds the pool, is
+        searched here as :meth:`optimize` searches.  Each pooled miss is
+        a serial session given the options a serial :meth:`optimize`
+        reads — dataset, plan cache, tracer and adaptive state stay
+        behind, the driver polls the cancellation token — so every
+        result equals a serial call's, and an item's exception is raised
+        as it is.
         Verification and the cache store then run here, as for one query.
         """
         requests = [_normalize_request(item) for item in items]
         options = self.options
         if options.jobs == 1:
             return [self._optimize(*request) for request in requests]
-        from .parallel import run_batch
+        from .cooperative import run_batch
 
         results: Dict[int, OptimizationResult] = {}
         misses: List[Tuple[int, BGPQuery, StatisticsCatalog, Any]] = []
@@ -490,6 +492,7 @@ class Optimizer:
                     misses.append((index, query, statistics, context))
                 else:
                     results[index] = hit
+            fresh: Optional[List[OptimizationResult]] = None
             if len(misses) > 1:
                 serial = OptimizeOptions(
                     algorithm=options.algorithm,
@@ -506,7 +509,7 @@ class Optimizer:
                     options.jobs,
                     options.cancellation,
                 )
-            else:
+            if fresh is None:
                 fresh = [
                     self._search(query, statistics, self.budget_for(query))
                     for _, query, statistics, _ in misses
@@ -633,26 +636,13 @@ class Optimizer:
         budget: Optional[QueryBudget],
     ) -> OptimizationResult:
         """The search, for every algorithm and every ``jobs``."""
-        from .optimizer import PARALLELIZABLE_ALGORITHMS
-
-        options = self.options
         enumerator = self._build(query, statistics, budget)
-        search = enumerator
-        if options.jobs > 1 and options.algorithm_key == "td-auto":
-            # TD-Auto hands jobs to the variant it chose
-            search = enumerator.choose()
-        if (
-            options.jobs > 1
-            and search.algorithm_name.lower() in PARALLELIZABLE_ALGORITHMS
-        ):
-            from .parallel import search as pooled
+        if self.options.jobs == 1:
+            result: OptimizationResult = enumerator.optimize()
+            return result
+        from .cooperative import search
 
-            result: OptimizationResult = pooled(search, options.jobs)
-        else:
-            result = search.optimize()
-        if search is not enumerator:
-            result = enumerator.relabel(result)
-        return result
+        return search(enumerator, self.options.jobs)
 
     def _build(
         self,

@@ -18,7 +18,7 @@ Typical instrumentation::
         sp.set(plans_considered=stats.plans_considered)
 
 Sessions activate their tracer with :func:`activate`; the pool workers
-of the cooperative search (:mod:`repro.core.memo_shard`) activate a
+of the cooperative search (:mod:`repro.core.cooperative`) activate a
 private tracer and ship it back to the driver with their one reply.
 """
 

@@ -17,9 +17,8 @@ Design constraints, in order:
   plan);
 * **thread- and process-safe collection** — span recording takes a
   lock and span nesting is tracked per thread; worker processes (the
-  :mod:`repro.core.memo_shard` pool of the cooperative search) build
-  their own tracer, serialize
-  it with :meth:`Tracer.to_payload`, and the driver merges payloads
+  pool of :mod:`repro.core.cooperative`) build their own tracer,
+  serialize it with :meth:`Tracer.to_payload`, and the driver merges payloads
   deterministically with :meth:`Tracer.adopt` (stable id remapping,
   one *track* per worker).
 """

@@ -8,7 +8,7 @@ patterns all lie within two forward hops of some query vertex is local.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..rdf.encoding import EncodedGraph
 from ..rdf.terms import PatternTerm

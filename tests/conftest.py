@@ -74,12 +74,12 @@ def toy_query():
 
 @pytest.fixture
 def shard_small(monkeypatch):
-    """Pin ``parallel._BREAK_EVEN`` low (4 subqueries, the rule before the
-    break-even was measured) so small, fast queries exercise the
-    memo-shard pool."""
-    from repro.core import parallel
+    """Pin ``cooperative._BREAK_EVEN`` low (4 subqueries, the rule before
+    the break-even was measured) so small, fast queries exercise the
+    cooperative pool."""
+    from repro.core import cooperative
 
-    monkeypatch.setattr(parallel, "_BREAK_EVEN", 4)
+    monkeypatch.setattr(cooperative, "_BREAK_EVEN", 4)
 
 
 def make_query(text: str, name: str = ""):

@@ -1,8 +1,9 @@
 """Tests for the concurrency analyzer (analysis.concurrency).
 
-Each rule (LINT010–LINT013) is exercised on seeded bad source handed to
-``analyze_files`` under pretend paths — positive, negative, and
-suppression cases — and on a seeded defect in the live file it guards.
+Each rule (LINT010, LINT011, LINT013) is exercised on seeded bad source
+handed to ``analyze_files`` under pretend paths — positive, negative,
+and suppression cases — and on a seeded defect in the live file it
+guards.
 Plus the guard-comment grammar, the real-tree-clean gate and the CLI
 driver.
 """
@@ -218,67 +219,6 @@ class TestLint011BlockingUnderLock:
 
 
 # ----------------------------------------------------------------------
-# LINT012 — unpicklable values reaching a process boundary
-# ----------------------------------------------------------------------
-
-
-class TestLint012PickleSafety:
-    def test_lambda_submitted_to_pool_flagged(self):
-        src = """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def run():
-            with ProcessPoolExecutor() as pool:
-                return pool.submit(lambda: 1).result()
-        """
-        found = diags((COLD, src), select={"LINT012"})
-        assert [f.code for f in found] == ["LINT012"]
-        assert "lambda" in found[0].message
-
-    def test_lock_argument_flagged_through_assignment(self):
-        src = """
-        import threading
-        from concurrent.futures import ProcessPoolExecutor
-
-        def run(work):
-            guard = threading.Lock()
-            with ProcessPoolExecutor() as pool:
-                return pool.submit(work, guard)
-        """
-        assert codes((COLD, src), select={"LINT012"}) == ["LINT012"]
-
-    def test_process_target_lambda_flagged(self):
-        src = """
-        from multiprocessing import Process
-
-        def spawn():
-            worker = Process(target=lambda: 1)
-            worker.start()
-        """
-        assert codes((COLD, src), select={"LINT012"}) == ["LINT012"]
-
-    def test_plain_picklable_args_clean(self):
-        src = """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def run(work):
-            with ProcessPoolExecutor() as pool:
-                return pool.submit(work, 42, "query")
-        """
-        assert codes((COLD, src), select={"LINT012"}) == []
-
-    def test_suppression_with_justification(self):
-        src = """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def run():
-            with ProcessPoolExecutor() as pool:
-                return pool.submit(lambda: 1)  # lint: disable=LINT012 fork start method shares the closure
-        """
-        assert codes((COLD, src), select={"LINT012"}) == []
-
-
-# ----------------------------------------------------------------------
 # LINT013 — mutated module globals read in worker entry code
 # ----------------------------------------------------------------------
 
@@ -414,20 +354,12 @@ class TestLiveFileMutants:
             ),
         )
 
-    def test_lint012_lambda_submitted_to_the_batch_pool(self):
-        # the one pool's workers (searches and batches) started from a lambda
-        assert_live_mutant_caught(
-            "LINT012",
-            "core/memo_shard.py",
-            ("target=_worker_main,", "target=lambda *a: _worker_main(*a),"),
-        )
-
     def test_lint013_batch_worker_reads_a_mutated_global(self):
         # a module dict that _Pool.__init__ writes and the worker loop
         # _serve (reached through Context().run) reads
         assert_live_mutant_caught(
             "LINT013",
-            "core/memo_shard.py",
+            "core/cooperative.py",
             ("def _worker_main(", "_SIZES = {}\n\n\ndef _worker_main("),
             (
                 "        kind, payload = conn.recv()\n",

@@ -13,7 +13,7 @@ pool workers (``TopDownEnumerator._search``):
   the unbounded one (the values e17cc1f recorded), which the uncosted
   pass (:meth:`Optimizer.search_space`) must reproduce.  The ``jobs=2``
   cooperative search must agree on the large queries.  Under
-  ``memo_shard`` the file records, for those without partitioning, the
+  ``cooperative`` the file records, for those without partitioning, the
   work counters the two-worker pool reports: they do not depend on which
   worker solves a subquery first, so the pool, and its two shares run
   one after the other in process in either order, count exactly them;
@@ -47,7 +47,7 @@ from repro.core.enumeration import OptimizationTimeout, TopDownEnumerator
 from repro.core.governance import Deadline, QueryBudget, SteppingClock
 from repro.core.join_graph import QueryShape
 from repro.core.local_query import LocalQueryIndex
-from repro.core.memo_shard import _CooperativeDriver, _CostTable, _run_share
+from repro.core.cooperative import _CooperativeDriver, _CostTable, _run_share
 from repro.core.optimizer import make_builder
 from repro.core.plans import plan_signature
 from repro.core.pruning import PrunedTopDownEnumerator
@@ -170,7 +170,7 @@ def record():
             search_space=observe_space(item, algorithm, layout),
         )
         if sharded(item, algorithm) and layout == "none":
-            entry["memo_shard"] = observe_shares(item, algorithm, layout)
+            entry["cooperative"] = observe_shares(item, algorithm, layout)
         golden[f"{item.query.name}/{algorithm}/{layout}"] = entry
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = ",\n".join(  # one case per line, so a re-record diffs readably
@@ -205,7 +205,7 @@ class TestGoldenFile:
             key = f"{item.query.name}/{algorithm}/{layout}"
             expected = dict(golden[key])
             del expected["search_space"]
-            expected.pop("memo_shard", None)
+            expected.pop("cooperative", None)
             assert observe(run_case(item, algorithm, layout)) == expected, key
 
     def test_uncosted_pass_is_the_unbounded_search_space(self, golden, items):
@@ -235,7 +235,7 @@ class TestGoldenFile:
     def test_memo_shard_agrees_on_the_large_queries(self, golden, items):
         """jobs=2 runs the same loop in the workers: same cost and plan.
         Without partitioning, the pool counts exactly the recorded
-        ``memo_shard`` counters, and so do its two shares run one after
+        ``cooperative`` counters, and so do its two shares run one after
         the other in process, whichever runs first (the second then finds
         every subquery the first solved in the table: as far from the
         pool's timing as an order gets).  Every worker expands the root,
@@ -251,7 +251,7 @@ class TestGoldenFile:
             assert plan_signature(result.plan) == expected["signature"], key
             if layout == "none":
                 assert result.stats.workers == 2, key
-                counted = expected["memo_shard"]
+                counted = expected["cooperative"]
                 assert {name: getattr(result.stats, name) for name in COUNTERS} == counted, key
                 for order in ((0, 1), (1, 0)):
                     assert observe_shares(item, algorithm, layout, order=order) == counted, key

@@ -168,7 +168,7 @@ def build():
         "?z <http://e/p> <http://e/a> . }", name="q")
     dataset = Dataset(RDFGraph(triples))
     statistics = StatisticsCatalog.from_dataset(query, dataset)
-    # the memo-shard driver ships (query, statistics, partitioning, ...) to
+    # the cooperative driver ships (query, statistics, partitioning, ...) to
     # its search workers; the same objects stand in for that payload here
     payload = (query, statistics, HashSubjectObject())
     return terms, triples, dataset, payload

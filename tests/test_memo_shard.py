@@ -1,8 +1,8 @@
-"""Tests for the cooperative parallel search (core.memo_shard).
+"""Tests for the cooperative parallel search (core.cooperative).
 
 Contracts:
 
-* **the break-even count** — :func:`parallel._connected_at_least`
+* **the break-even count** — :func:`cooperative._connected_at_least`
   answers exactly whether a query has that many non-singleton connected
   subqueries (checked against a brute-force connectivity sweep);
 * **equivalence** — cost, algorithm label (less its ``[parallel xN]``
@@ -41,14 +41,13 @@ from repro.core import (
     Optimizer,
     QueryAborted,
     StatisticsCatalog,
-    memo_shard,
+    cooperative,
     optimize,
-    parallel,
 )
 from repro.core.enumeration import EnumerationStats, OptimizationTimeout, TopDownEnumerator
 from repro.core.governance import CancellationToken, Deadline, QueryBudget
 from repro.core.join_graph import JoinGraph
-from repro.core.memo_shard import (
+from repro.core.cooperative import (
     _IDLE_SECONDS,
     TABLE_PATTERNS,
     _CooperativeDriver,
@@ -107,14 +106,14 @@ class TestConnectedCount:
     def test_counts_exactly_the_connected_subqueries(self, query):
         join_graph = JoinGraph(query)
         count = entries(query)
-        assert parallel._connected_at_least(join_graph, count)
-        assert not parallel._connected_at_least(join_graph, count + 1)
+        assert cooperative._connected_at_least(join_graph, count)
+        assert not cooperative._connected_at_least(join_graph, count + 1)
 
     def test_chain_count(self):
         """A chain of n patterns has n-k+1 connected k-subqueries."""
         join_graph = JoinGraph(chain_query(6))
-        assert parallel._connected_at_least(join_graph, 5 + 4 + 3 + 2 + 1)
-        assert not parallel._connected_at_least(join_graph, 16)
+        assert cooperative._connected_at_least(join_graph, 5 + 4 + 3 + 2 + 1)
+        assert not cooperative._connected_at_least(join_graph, 16)
 
 
 def pool_pids(jobs=2):
@@ -123,7 +122,7 @@ def pool_pids(jobs=2):
     return sorted(
         process.pid
         for process in multiprocessing.active_children()
-        if process.name.startswith("memo-shard-") and process.name.endswith(suffix)
+        if process.name.startswith("cooperative-") and process.name.endswith(suffix)
     )
 
 
@@ -308,12 +307,12 @@ class TestMemoShardGovernance:
 
 
 class TestBreakEven:
-    """``parallel.search`` pools only from ``_BREAK_EVEN`` non-singleton
+    """``cooperative.search`` pools only from ``_BREAK_EVEN`` non-singleton
     connected subqueries on (measured: docs/PERFORMANCE.md)."""
 
     def test_serial_below_the_break_even_without_the_pool(self, monkeypatch):
         query = cycle_query(18)
-        assert entries(query) < parallel._BREAK_EVEN
+        assert entries(query) < cooperative._BREAK_EVEN
         monkeypatch.setattr(_CooperativeDriver, "start", no_pool)
         result = sharded(query, "td-cmdp", 2)
         serial = optimize(query, algorithm="td-cmdp")
@@ -324,7 +323,7 @@ class TestBreakEven:
 
     def test_sharded_at_the_break_even(self):
         query = cycle_query(19)
-        assert entries(query) >= parallel._BREAK_EVEN
+        assert entries(query) >= cooperative._BREAK_EVEN
         result = sharded(query, "td-cmdp", 2)
         serial = optimize(query, algorithm="td-cmdp")
         assert result.stats.workers == 2
@@ -490,7 +489,7 @@ class TestPoolLifecycle:
         still works: only a busy worker's exit is a death, so the batch
         completes with the serial costs."""
         assert wait_for_no_pool() == []
-        monkeypatch.setattr(memo_shard, "_IDLE_SECONDS", 0.2)  # the fork inherits it
+        monkeypatch.setattr(cooperative, "_IDLE_SECONDS", 0.2)  # the fork inherits it
         # one chunk each: a dense-12 (~0.5 s) and a chain that idles out first
         queries = [dense_query(12, random.Random(0)), chain_query(3)]
         results = Optimizer(OptimizeOptions(algorithm="td-cmd", jobs=2)).optimize_many(queries)
@@ -503,7 +502,7 @@ class TestPoolLifecycle:
         process: no process starts, the lent pool's workers see nothing,
         the costs are serial."""
         sharded(self.SMALL, "td-cmdp", 2)
-        lent = memo_shard._POOLS.borrow(2)
+        lent = cooperative._POOLS.borrow(2)
         assert lent is not None
 
         def no_start(process):
@@ -516,7 +515,7 @@ class TestPoolLifecycle:
             assert (lent.generation, lent.last_active) == (generation, active)
             assert pool_pids() == sorted(process.pid for process in lent.procs)
         finally:
-            memo_shard._POOLS.give_back(2, lent)
+            cooperative._POOLS.give_back(2, lent)
         assert [result.cost for result in batch] == [
             optimize(query).cost for query in small_batch()
         ]

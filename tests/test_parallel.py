@@ -1,4 +1,4 @@
-"""Tests for the session's two uses of ``jobs`` (core.parallel behind it).
+"""Tests for the session's two uses of ``jobs`` (core.cooperative behind it).
 
 The contract under test is *equivalence*: a pooled batch of
 ``Optimizer.optimize_many`` must return bit-identical plan costs and
@@ -9,6 +9,9 @@ expansions summed over its workers.
 """
 
 import random
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -22,15 +25,14 @@ from repro.core import (
     OptimizationTimeout,
     OptimizeOptions,
     Optimizer,
-    PARALLELIZABLE_ALGORITHMS,
     QueryAborted,
     StatisticsCatalog,
     TopDownEnumerator,
     make_builder,
     optimize,
 )
+from repro.core.cooperative import _CooperativeDriver, _Reply
 from repro.core.enumeration import EnumerationStats
-from repro.core.memo_shard import _CooperativeDriver, _Reply
 from repro.core.plan_cache import PlanCache
 from repro.partitioning import HashSubjectObject, PathBMC
 from repro.sparql import parse_query
@@ -43,6 +45,8 @@ from repro.workloads.generators import (
 )
 
 ALL_ALGORITHMS = sorted(ALGORITHMS)
+#: the algorithms whose search a ``jobs > 1`` session splits across workers
+COOPERATIVE_ALGORITHMS = ("td-cmd", "td-cmdp")
 WORK_COUNTERS = (
     "plans_considered",
     "divisions_enumerated",
@@ -209,7 +213,7 @@ class TestOptimizeMany:
 
 @pytest.mark.usefixtures("shard_small")
 class TestIntraQueryParallel:
-    @pytest.mark.parametrize("algorithm", PARALLELIZABLE_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", COOPERATIVE_ALGORITHMS)
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_matches_serial_exactly(self, algorithm, seed):
         """Parallel search == serial search: cost and plan.  Every worker
@@ -383,8 +387,33 @@ class TestOptimizeEntryPoint:
         """HGR and the baselines search serially whatever ``jobs``; so
         does TD-Auto when its choice is under the break-even."""
         query = cycle_query(6)
-        for algorithm in sorted(set(ALGORITHMS) - set(PARALLELIZABLE_ALGORITHMS)):
+        for algorithm in sorted(set(ALGORITHMS) - set(COOPERATIVE_ALGORITHMS)):
             result = session(algorithm, jobs=4).optimize(query)
             assert "[parallel" not in result.algorithm
             assert result.stats.workers == 1
             assert result.cost == optimize(query, algorithm=algorithm).cost
+
+    def test_jobs_1_never_imports_the_pool(self):
+        """``multiprocessing`` and the pool module load only when a
+        session with ``jobs > 1`` searches or batches: a ``jobs=1``
+        process (the CLI's default) pays neither the import nor its
+        memory."""
+        script = textwrap.dedent(
+            """
+            import random, sys
+            import repro
+            from repro import OptimizeOptions, Optimizer
+            from repro.workloads.generators import chain_query, dense_query
+
+            session = Optimizer(OptimizeOptions(jobs=1))
+            session.optimize(dense_query(10, random.Random(1)))
+            session.optimize_many([chain_query(5), dense_query(8, random.Random(2))])
+            loaded = [name for name in ("multiprocessing", "repro.core.cooperative")
+                      if name in sys.modules]
+            print(loaded)
+            """
+        )
+        ran = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert ran.stdout.strip() == "[]", ran.stdout + ran.stderr
