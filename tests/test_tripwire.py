@@ -5,8 +5,9 @@ back to.
 Each case is ``(pattern, paths, message)``, and a pattern matches as
 ``grep -E`` would, line by line; the two patterns that reach across
 lines do so on purpose.  The docs each comment names say why the surface
-went.  The history files (``CHANGES.md``, ``ROADMAP.md``, ``ISSUE.md``)
-may name what was removed, and so may this file.
+went.  The history files at the root (``CHANGES.md``, ``ROADMAP.md`` and
+any listed, space-separated, in ``$TRIPWIRE_HISTORY``) may name what was
+removed, and so may this file.
 """
 
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
+HISTORY = {"CHANGES.md", "ROADMAP.md", *os.environ.get("TRIPWIRE_HISTORY", "").split()}
 #: generated or cached trees a checkout may hold: never part of the program
 SKIPPED = {".git", ".hypothesis", ".pytest_cache", "__pycache__", "results", "out"}
 
