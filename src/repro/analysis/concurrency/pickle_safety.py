@@ -5,10 +5,9 @@ A fork-based worker inherits a *snapshot* of module globals.  A
 module-level mutable container that the module also mutates is a
 nondeterminism hazard when read inside a worker entry function (the
 snapshot depends on fork timing).  Entry functions are the module-level
-functions a ``Process(target=...)`` starts or a pool's ``submit`` /
-``map`` is handed; the check follows their same-module callees
-transitively, and a same-module function passed as a call's argument
-counts as a callee.
+functions a ``Process(target=...)`` starts, the one way the tree starts
+a worker; the check follows their same-module callees transitively, and
+a same-module function passed as a call's argument counts as a callee.
 
 Nothing here checks what is pickled: the one process boundary in the
 tree is a fork, which never pickles its target or arguments, and the
@@ -19,14 +18,10 @@ pooled test.
 from __future__ import annotations
 
 import ast
-import re
 from typing import List, Sequence, Set
 
 from ..lint.diagnostics import Diagnostic, Severity
 from .model import FunctionInfo, ModuleInfo, _terminal_name
-
-_POOLISH = re.compile(r"pool|executor", re.IGNORECASE)
-
 
 def _all_functions(module: ModuleInfo) -> List[FunctionInfo]:
     out = [module.functions[n] for n in sorted(module.functions)]
@@ -37,18 +32,9 @@ def _all_functions(module: ModuleInfo) -> List[FunctionInfo]:
 
 
 def _started(call: ast.Call) -> List[ast.expr]:
-    """What *call* starts in another process: a ``Process``'s target, or
-    the function a pool's ``submit`` / ``map`` is handed."""
-    func = call.func
-    if _terminal_name(func) == "Process":
+    """What *call* starts in another process: a ``Process``'s target."""
+    if _terminal_name(call.func) == "Process":
         return [keyword.value for keyword in call.keywords if keyword.arg == "target"]
-    if (
-        isinstance(func, ast.Attribute)
-        and func.attr in ("submit", "map")
-        and _POOLISH.search(_terminal_name(func.value) or "")
-        and call.args
-    ):
-        return [call.args[0]]
     return []
 
 
@@ -107,7 +93,7 @@ def check_worker_globals(modules: Sequence[ModuleInfo]) -> List[Diagnostic]:
                                 f"worker entry path '{name}' reads module "
                                 f"global '{node.id}', a mutable container "
                                 f"also mutated in this module — its forked "
-                                f"snapshot depends on submission timing"
+                                f"snapshot depends on fork timing"
                             ),
                         )
                     )

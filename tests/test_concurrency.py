@@ -226,7 +226,7 @@ class TestLint011BlockingUnderLock:
 class TestLint013WorkerGlobals:
     def test_mutated_global_read_in_entry_flagged(self):
         src = """
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
         CACHE = {}
 
@@ -236,9 +236,8 @@ class TestLint013WorkerGlobals:
         def work(item):
             return CACHE.get(item, 0)
 
-        def driver(items):
-            with ProcessPoolExecutor() as pool:
-                return list(pool.map(work, items))
+        def driver(item):
+            multiprocessing.Process(target=work, args=(item,)).start()
         """
         found = diags((COLD, src), select={"LINT013"})
         assert [f.code for f in found] == ["LINT013"]
@@ -246,7 +245,7 @@ class TestLint013WorkerGlobals:
 
     def test_read_through_same_module_callee_flagged(self):
         src = """
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
         CACHE = {}
 
@@ -259,9 +258,8 @@ class TestLint013WorkerGlobals:
         def work(item):
             return lookup(item)
 
-        def driver(items):
-            with ProcessPoolExecutor() as pool:
-                return list(pool.map(work, items))
+        def driver(item):
+            multiprocessing.Process(target=work, args=(item,)).start()
         """
         assert codes((COLD, src), select={"LINT013"}) == ["LINT013"]
 
@@ -290,16 +288,15 @@ class TestLint013WorkerGlobals:
 
     def test_unmutated_global_clean(self):
         src = """
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
         LIMITS = {"depth": 4}
 
         def work(item):
             return LIMITS.get("depth")
 
-        def driver(items):
-            with ProcessPoolExecutor() as pool:
-                return list(pool.map(work, items))
+        def driver(item):
+            multiprocessing.Process(target=work, args=(item,)).start()
         """
         assert codes((COLD, src), select={"LINT013"}) == []
 

@@ -5,21 +5,30 @@ back to.
 Each case is ``(pattern, paths, message)``, and a pattern matches as
 ``grep -E`` would, line by line; the two patterns that reach across
 lines do so on purpose.  The docs each comment names say why the surface
-went.  The history files at the root (``CHANGES.md``, ``ROADMAP.md`` and
-any listed, space-separated, in ``$TRIPWIRE_HISTORY``) may name what was
-removed, and so may this file.
+went.  The history files (``CHANGES.md``, ``ROADMAP.md``, ``ISSUE.md``)
+may name what was removed, and so may this file.
+
+Only tracked files are searched (``git ls-files``), so what a checkout
+holds beside the program (a virtualenv, an ``*.egg-info`` left by an
+editable install, a build tree) never trips a case; a tree with no git
+metadata is walked instead, less the generated trees in ``SKIPPED``.
 """
 
 import os
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-HISTORY = {"CHANGES.md", "ROADMAP.md", *os.environ.get("TRIPWIRE_HISTORY", "").split()}
-#: generated or cached trees a checkout may hold: never part of the program
-SKIPPED = {".git", ".hypothesis", ".pytest_cache", "__pycache__", "results", "out"}
+HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
+#: generated, cached or installed trees a checkout may hold: never part
+#: of the program (walked only where there is no git metadata)
+SKIPPED = {
+    ".git", ".hypothesis", ".pytest_cache", "__pycache__", "results", "out",
+    ".venv", "venv", "build", "dist", ".eggs",
+}
 
 TRIPWIRES = [
     # one parallel strategy, no deprecated surface, one deadline route
@@ -215,20 +224,38 @@ TRIPWIRES = [
 ]
 
 
-def searched_files(relative):
-    """The files under *relative* (a file or a directory), less the
-    history files and this one."""
+def _program_files(relative):
+    """The files under *relative* (a file or a directory): those git
+    tracks, or, in a tree with no git metadata, those a walk finds."""
+    if (ROOT / ".git").exists():
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--", relative],
+            cwd=ROOT, capture_output=True, check=True,
+        ).stdout.decode("utf-8")
+        for name in sorted(listed.split("\0")):
+            if name and (ROOT / name).is_file():  # a tracked file deleted is not there
+                yield ROOT / name
+        return
     top = ROOT / relative
     if top.is_file():
         yield top
         return
-    this = Path(__file__).resolve()
     for directory, subdirectories, files in os.walk(top):
-        subdirectories[:] = sorted(name for name in subdirectories if name not in SKIPPED)
+        subdirectories[:] = sorted(
+            name for name in subdirectories
+            if name not in SKIPPED and not name.endswith(".egg-info")
+        )
         for name in sorted(files):
-            path = Path(directory, name)
-            if path != this and not (path.parent == ROOT and name in HISTORY):
-                yield path
+            yield Path(directory, name)
+
+
+def searched_files(relative):
+    """The program files under *relative*, less the history files and
+    this one."""
+    this = Path(__file__).resolve()
+    for path in _program_files(relative):
+        if path != this and not (path.parent == ROOT and path.name in HISTORY):
+            yield path
 
 
 @pytest.mark.parametrize("pattern, paths, message", TRIPWIRES)
