@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
 
 from ..rdf.dataset import Dataset
@@ -42,8 +43,17 @@ class Partitioning:
 
     method_name: str
     fragments: List[EncodedGraph]
-    #: anchor vertex -> its node, in the order the method's ``layout`` placed them
-    vertex_placement: Dict[Term, int] = field(default_factory=dict)
+    #: anchor vertex id -> its node, in the order the method's ``layout`` placed them
+    anchor_nodes: Dict[int, int] = field(default_factory=dict)
+
+    @cached_property
+    def vertex_placement(self) -> Dict[Term, int]:
+        """:attr:`anchor_nodes` by anchor term, decoded the first time it
+        is read (for tests: nothing on the query path reads it)."""
+        if not self.anchor_nodes:
+            return {}
+        anchors = self.fragments[0].dictionary.decode_all(self.anchor_nodes)
+        return dict(zip(anchors, self.anchor_nodes.values()))
 
     @property
     def cluster_size(self) -> int:
@@ -133,11 +143,10 @@ class PartitioningMethod(abc.ABC):
         graph = dataset.encoded_graph()
         rank = text_rank(graph, self.anchor_candidates(graph))
         stored, placement = self.layout(graph, cluster_size, rank)
-        anchors = graph.dictionary.decode_all(placement)
         return Partitioning(
             method_name=self.name,
             fragments=[graph.gather(positions) for positions in stored],
-            vertex_placement=dict(zip(anchors, placement.values())),
+            anchor_nodes=placement,
         )
 
     def maximal_local_queries(self, query: BGPQuery) -> List[FrozenSet[TriplePattern]]:
@@ -169,22 +178,24 @@ class PartitioningMethod(abc.ABC):
 
 
 def text_rank(graph: EncodedGraph, vertices: Iterable[int]) -> Rank:
-    """*vertices* sorted by their terms' string form — the one vertex order
-    every method uses, so that element maps, placements and tie-breaks are
-    the same in every process — each mapped to its place in it.  Made once
-    per ``partition`` call: iterating it is the order, and any subset is
-    put in it by ``sorted(subset, key=rank.__getitem__)``."""
-    vertices = list(vertices)
-    texts = dict(zip(vertices, map(str, graph.dictionary.decode_all(vertices))))
-    return {v: place for place, v in enumerate(sorted(vertices, key=texts.__getitem__))}
+    """*vertices* sorted by their terms' N-Triples texts (the dictionary's
+    :attr:`~repro.rdf.encoding.TermDictionary.texts`) — the one vertex
+    order every method uses, so that element maps, placements and
+    tie-breaks are the same in every process — each mapped to its place
+    in it.  Made once per ``partition`` call: iterating it is the order,
+    and any subset is put in it by ``sorted(subset, key=rank.__getitem__)``."""
+    ordered = sorted(vertices, key=graph.dictionary.texts.__getitem__)
+    return {v: place for place, v in enumerate(ordered)}
 
 
 #: characters per memoised prefix state in :func:`hash_terms`
 _STRIDE = 8
 
 
-def hash_terms(terms: Iterable[Term], cluster_size: int) -> List[int]:
-    """:func:`hash_term` of each of *terms*, sharing work between them.
+def hash_terms(terms: Iterable[Union[Term, str]], cluster_size: int) -> List[int]:
+    """:func:`hash_term` of each of *terms* — terms or their N-Triples
+    texts, as the dictionary's ``texts`` hold them — sharing work
+    between them.
 
     The hash is djb2-xor over ``str(term)``: a state carried left to
     right, so texts with a common prefix share the state at its end.

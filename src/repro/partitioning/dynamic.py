@@ -22,7 +22,7 @@ AdPart run the same mechanism at different times):
 
 :func:`hot_placements` is the only place that decides where a hot
 query's matches go.  It works on the dataset's id columns: no term is
-decoded except to order anchors by text and to hash them.
+decoded, and anchors are ordered and hashed by their texts.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def hot_placements(
         ]
         rank = text_rank(graph, set(chain.from_iterable(rows)))
         anchors = [min(row, key=rank.__getitem__) for row in rows]
-        nodes = hash_terms(dictionary.decode_all(anchors), cluster_size)
+        nodes = hash_terms(map(dictionary.texts.__getitem__, anchors), cluster_size)
         for row, node in zip(rows, nodes):
             poll(budget)
             ids = row + constants
@@ -156,7 +156,7 @@ def hot_placements(
     wanted = set(replicated_predicates)
     if wanted:
         for predicate in graph.predicate_ids():
-            if str(dictionary.decode(predicate)) in wanted:
+            if dictionary.texts[predicate] in wanted:
                 extent = list(graph.scan(predicate=predicate))
                 for node in range(cluster_size):
                     poll(budget)

@@ -28,8 +28,9 @@ class HashSubjectObject(PartitioningMethod):
 
     def distribute(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Dict[int, int]:
         """Each anchor's node, in the order of *rank* (Eq. 2): the hash of
-        its term.  Every ranked vertex anchors a non-empty element."""
-        return dict(zip(rank, hash_terms(graph.dictionary.decode_all(rank), cluster_size)))
+        its term's text.  Every ranked vertex anchors a non-empty element."""
+        texts = map(graph.dictionary.texts.__getitem__, rank)
+        return dict(zip(rank, hash_terms(texts, cluster_size)))
 
     def layout(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Layout:
         """In bulk: one node mask per triple (:meth:`node_masks`), and per

@@ -17,7 +17,7 @@ In the generic model:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict
+from typing import Dict, List
 
 from ..rdf.encoding import EncodedGraph
 from .base import Rank
@@ -32,30 +32,37 @@ def greedy_edge_cut_partition(graph: EncodedGraph, cluster_size: int, rank: Rank
     vertices once it reaches the balanced capacity ``ceil(|V| / n)``.
     This is the classic lightweight substitute for METIS: connected
     neighborhoods land together, and part sizes are balanced within one vertex.
+
+    The walk is over rank places (ints ``0 .. |V| - 1``): each vertex's
+    neighbour places are collected and sorted once, so a visit only skips
+    the placed ones.  The result is in rank order.
     """
-    outgoing, incoming = graph.adjacency()
-    subjects, objects = graph.subjects, graph.objects
+    place = rank.__getitem__
+    subjects, objects = list(map(place, graph.subjects)), list(map(place, graph.objects))
+    adjacent: List[List[int]] = [[] for _ in rank]
+    for subject, object_ in zip(subjects, objects):
+        adjacent[subject].append(object_)
+        adjacent[object_].append(subject)
+    neighbours = [sorted(set(places)) for places in adjacent]
     capacity = -(-len(rank) // cluster_size)
-    placement: Dict[int, int] = {}
+    parts = [-1] * len(rank)  # by place: its part, or -1 while unplaced
     part = 0
     used = 0
-    for seed in rank:  # an already placed seed grows nothing
+    for seed in range(len(rank)):
+        if parts[seed] >= 0:  # an already placed seed grows nothing
+            continue
         queue = deque([seed])
         while queue:
             vertex = queue.popleft()
-            if vertex in placement:
+            if parts[vertex] >= 0:
                 continue
             if used >= capacity and part < cluster_size - 1:
                 part += 1
                 used = 0
-            placement[vertex] = part
+            parts[vertex] = part
             used += 1
-            neighbors = set(map(objects.__getitem__, outgoing.get(vertex, ())))
-            neighbors.update(map(subjects.__getitem__, incoming.get(vertex, ())))
-            queue.extend(
-                sorted(neighbors.difference(placement), key=rank.__getitem__)
-            )
-    return placement
+            queue.extend([v for v in neighbours[vertex] if parts[v] < 0])
+    return dict(zip(rank, parts))
 
 
 class UndirectedOneHop(HashSubjectObject):
@@ -70,5 +77,4 @@ class UndirectedOneHop(HashSubjectObject):
     def distribute(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Dict[int, int]:
         """The balanced partitioner's part of each ranked vertex, in rank order:
         the elements cover every triple, so their vertex graph is *graph*."""
-        placement = greedy_edge_cut_partition(graph, cluster_size, rank)
-        return {vertex: placement[vertex] for vertex in rank}
+        return greedy_edge_cut_partition(graph, cluster_size, rank)

@@ -5,8 +5,9 @@ speed to two decisions this module reproduces for the simulated
 cluster:
 
 * **dictionary encoding** — every term (IRI, literal, blank node) is
-  interned once into a dense integer id, so triples, bindings, and join
-  keys are machine integers instead of rich Python objects;
+  interned once, by its string, into a dense integer id, so triples,
+  bindings, and join keys are machine integers instead of rich Python
+  objects, and a string is turned back into a term only for output;
 * **exhaustive sorted indexes** — per predicate, the (subject, object)
   pairs are kept sorted both ways (SPO and OPS order), so any bound
   combination of a triple pattern is answered in O(log n + matches) by
@@ -14,10 +15,11 @@ cluster:
 
 :class:`TermDictionary` is the interning table (deterministic: ids are
 assigned in first-seen order, so the same dataset always produces the
-same ids) with a JSON save/load round trip.  :class:`EncodedGraph` is
-the columnar triple store: three parallel ``array('q')`` columns plus
-the per-predicate indexes, built from any :class:`~repro.rdf.triples.RDFGraph`
-against a shared dictionary.  A dataset is encoded once; partitioners
+same ids), keyed by each term's N-Triples text and building a term
+object only when its id is decoded, with a JSON save/load round trip.
+:class:`EncodedGraph` is the columnar triple store: three parallel
+``array('q')`` columns plus the per-predicate indexes, built from any
+:class:`~repro.rdf.triples.RDFGraph` against a shared dictionary.  A dataset is encoded once; partitioners
 place its triple *positions* and every worker fragment of a cluster is
 a :meth:`~EncodedGraph.gather` of the dataset's columns — which is how
 all fragments speak the same id space without a second encoding pass.
@@ -29,39 +31,45 @@ import json
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import chain, compress
-from operator import itemgetter, ne, or_
+from itertools import chain, compress, repeat
+from operator import is_, itemgetter, ne, or_
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .terms import BlankNode, IRI, Literal, Term
+from .terms import BlankNode, IRI, Literal, Term, term_of_text
 from .triples import _TERMS_OF, RDFGraph, Triple
 
 #: an encoded triple: (subject id, predicate id, object id)
 IdTriple = Tuple[int, int, int]
 
 
-class _InterningDict(Dict[Term, int]):
-    """term → id, where subscripting an unseen term gives it the next id.
+class _InterningDict(Dict[str, int]):
+    """text → id, where subscripting an unseen text gives it the next id.
 
-    ``get`` and ``in`` only look.  A term is hashed (a Python-level
-    call) once per subscription and once more when it is stored, and
-    subscriptions can be mapped over a term list with no loop in Python.
+    ``get`` and ``in`` only look.  Texts are mapped over with no loop in
+    Python, and a new one leaves its term unbuilt (``None``) until
+    something decodes its id.
     """
 
-    __slots__ = ("terms", "ids")
+    __slots__ = ("texts", "ids", "terms", "pending")
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: the interned terms in id order
-        self.terms: List[Term] = []
+    def __init__(self, texts: Iterable[str] = ()) -> None:
+        #: the interned texts in id order
+        self.texts: List[str] = list(texts)
         #: the ids handed out, in id order: the very int objects the map holds
-        self.ids: List[int] = []
+        self.ids: List[int] = list(range(len(self.texts)))
+        super().__init__(zip(self.texts, self.ids))
+        #: by id, its term once built (``None`` until then)
+        self.terms: List[Optional[Term]] = [None] * len(self.ids)
+        #: how many of ``terms`` are ``None``
+        self.pending = len(self.ids)
 
-    def __missing__(self, term: Term) -> int:
-        ident = self[term] = len(self.terms)
-        self.terms.append(term)
+    def __missing__(self, text: str) -> int:
+        ident = self[text] = len(self.ids)
+        self.texts.append(text)
         self.ids.append(ident)
+        self.terms.append(None)
+        self.pending += 1
         return ident
 
 
@@ -72,23 +80,27 @@ class TermDictionary:
     encoding the same term sequence always yields the same ids — the
     property the cross-worker shared id space and the plan-cache-style
     persistence both rely on.
+
+    A term is interned by its N-Triples text, ``str(term)``, which is
+    one-to-one over IRIs, literals and blank nodes.  Its ``Term`` object
+    is the one :meth:`encode` was given or, for a text interned as such
+    (:meth:`encode_texts`, what the N-Triples reader does), built the
+    first time something decodes its id; either way it is kept, so every
+    decode of an id returns the same object.
     """
 
-    __slots__ = ("_ids", "_terms")
+    __slots__ = ("_ids",)
 
     def __init__(self) -> None:
         self._ids = _InterningDict()
-        self._terms: List[Term] = self._ids.terms
 
-    def __getstate__(self) -> _InterningDict:
-        return self._ids
+    def __getstate__(self) -> List[str]:
+        return self._ids.texts
 
-    def __setstate__(self, ids: _InterningDict) -> None:
-        """Unpickle and copy: the term → id map *ids* is whole by now, but
-        pickle does not memoise ints, so the id list is rebuilt from the
-        map's own values (dict order is id order)."""
-        self._ids, self._terms = ids, ids.terms
-        ids.ids[:] = ids.values()
+    def __setstate__(self, texts: List[str]) -> None:
+        """Unpickle and copy: the ids are the texts' places, and each term
+        is built again when first decoded."""
+        self._ids = _InterningDict(texts)
 
     @property
     def ids(self) -> List[int]:
@@ -98,24 +110,48 @@ class TermDictionary:
         read of one makes a new int."""
         return self._ids.ids
 
+    @property
+    def texts(self) -> List[str]:
+        """Every term's N-Triples text in id order (read-only by
+        convention): what ranks and hashes a vertex, with no term built."""
+        return self._ids.texts
+
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._ids.ids)
 
     def __contains__(self, term: Term) -> bool:
-        return term in self._ids
+        return str(term) in self._ids
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TermDictionary):
             return NotImplemented
-        return self._terms == other._terms
+        return self._ids.texts == other._ids.texts
 
     def encode(self, term: Term) -> int:
         """The id of *term*, interning it if unseen."""
-        return self._ids[term]
+        return self._encode_all((term,))[0]
 
     def _encode_all(self, terms: Iterable[Term]) -> List[int]:
-        """:meth:`encode` each of *terms*, in order, with no per-term call."""
-        return list(map(self._ids.__getitem__, terms))
+        """:meth:`encode` each of *terms*, in order: one text per term,
+        and a Python step only where an id gets its (first) term."""
+        terms = list(terms)
+        interning = self._ids
+        idents = list(map(interning.__getitem__, map(str, terms)))
+        if interning.pending:
+            built = interning.terms
+            unbuilt = map(is_, map(built.__getitem__, idents), repeat(None))
+            # compress reads `unbuilt` one item at a time, so a repeat of
+            # an id filled here reads as built: each id keeps its first term
+            for ident, term in compress(zip(idents, terms), unbuilt):
+                built[ident] = term
+                interning.pending -= 1
+        return idents
+
+    def encode_texts(self, texts: Iterable[str]) -> List[int]:
+        """The id of each of *texts* — N-Triples texts of terms, exactly
+        as ``str(term)`` writes them — interning unseen ones; no term is
+        built."""
+        return list(map(self._ids.__getitem__, texts))
 
     def lookup(self, term: Term) -> Optional[int]:
         """The id of *term*, or ``None`` if it was never interned.
@@ -124,21 +160,37 @@ class TermDictionary:
         match nothing, so the scan short-circuits to an empty relation
         instead of polluting the dictionary.
         """
-        return self._ids.get(term)
+        return self._ids.get(str(term))
 
     def decode(self, ident: int) -> Term:
         """The term with id *ident* (raises ``IndexError`` if unknown)."""
         if ident < 0:
             raise IndexError(f"term ids are non-negative, got {ident}")
-        return self._terms[ident]
+        term = self._ids.terms[ident]
+        return term if term is not None else self.decode_all((ident,))[0]
 
     def decode_all(self, idents: Iterable[int]) -> List[Term]:
-        """:meth:`decode` each of *idents* (all known), with no per-id call."""
-        return list(map(self._terms.__getitem__, idents))
+        """:meth:`decode` each of *idents* (all known): one C-level ``map``
+        and, while some term of the dictionary is unbuilt, one identity
+        scan of what it read (``None in`` would call each term's
+        ``__eq__``); an unbuilt term is built from its text and kept."""
+        interning = self._ids
+        terms = interning.terms
+        if interning.pending and iter(idents) is idents:
+            idents = list(idents)  # read again if a term must be built
+        decoded = list(map(terms.__getitem__, idents))
+        if interning.pending and any(map(is_, decoded, repeat(None))):
+            missing = set(compress(idents, map(is_, decoded, repeat(None))))
+            texts = interning.texts
+            for ident in missing:
+                terms[ident] = term_of_text(texts[ident])
+            interning.pending -= len(missing)
+            decoded = list(map(terms.__getitem__, idents))
+        return decoded
 
     def terms(self) -> Iterator[Term]:
         """All interned terms in id order."""
-        return iter(self._terms)
+        return iter(self.decode_all(range(len(self))))
 
     # ------------------------------------------------------------------
     # persistence
@@ -146,7 +198,7 @@ class TermDictionary:
     def to_payload(self) -> dict:
         """A JSON-serializable snapshot (terms in id order)."""
         encoded: List[List[str]] = []
-        for term in self._terms:
+        for term in self.terms():
             if isinstance(term, IRI):
                 encoded.append(["i", term.value])
             elif isinstance(term, Literal):
@@ -471,18 +523,20 @@ class EncodedGraph:
     def predicate_runs(self) -> Dict[int, Tuple[array, array]]:
         """The one grouping pass: by predicate id (ascending), the subject
         ids and the object ids of its triples — two aligned columns in
-        table order.  What statistics count and indexes are sorted from."""
+        table order.  What statistics count and indexes are sorted from.
+        Each position goes to its predicate's bucket, and each bucket is
+        gathered from both columns."""
         if self._runs is None:
-            predicate_at = self._predicates.__getitem__
-            order = sorted(range(len(self)), key=predicate_at)
-            subjects, objects = _picked(self._subjects, order), _picked(self._objects, order)
-            self._runs = {}
-            start = 0
-            while start < len(order):
-                predicate = predicate_at(order[start])
-                end = bisect_right(order, predicate, start, key=predicate_at)
-                self._runs[predicate] = (subjects[start:end], objects[start:end])
-                start = end
+            buckets: Dict[int, List[int]] = defaultdict(list)
+            for position, predicate in enumerate(self._predicates):
+                buckets[predicate].append(position)
+            self._runs = {
+                predicate: (
+                    _picked(self._subjects, buckets[predicate]),
+                    _picked(self._objects, buckets[predicate]),
+                )
+                for predicate in sorted(buckets)
+            }
         return self._runs
 
     def predicate_ids(self) -> List[int]:

@@ -11,12 +11,12 @@ import io
 import re
 from array import array
 from itertools import chain, islice
-from operator import itemgetter, methodcaller
+from operator import methodcaller
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, TextIO, TypeVar, Union
 
-from .encoding import EncodedGraph, IdTriple, TermDictionary
-from .terms import BlankNode, IRI, Literal, Term
+from .encoding import EncodedGraph, TermDictionary
+from .terms import BlankNode, IRI, Literal, Term, term_of_text
 from .triples import _TERMS_OF, RDFGraph, Triple
 
 
@@ -34,31 +34,19 @@ class NTriplesError(ValueError):
 #: splits the line into term tokens; each group ends exactly where
 #: :func:`_parse_term` would stop (an IRI at its first ``>``, a blank
 #: node label at whitespace), so a token means the same alone as in its
-#: line, and :func:`_canonical_term` reads it without a walk.  Anything
-#: else goes through the strict parser below.
+#: line, and :func:`~repro.rdf.terms.term_of_text` reads it without a
+#: walk.  Anything else goes through the strict parser below.
 _NODE = r"<[^>]*>|_:[^ \t]*(?=[ \t])"
-_CANONICAL_LINE = re.compile(
+_SHAPE = (
     rf"({_NODE})[ \t]*(<[^>]*>)[ \t]*"
     rf'({_NODE}|"[^"\\]*"(?:@[A-Za-z0-9-]+|\^\^<[^>]*>)?)[ \t]*\.'
 )
-
-
-def _canonical_term(token: str) -> Term:
-    """The term of a token :data:`_CANONICAL_LINE` split off — what
-    ``_parse_term(token, 0, 0)[0]`` returns, cut at known places: the
-    regex lets no ``\\`` or ``"`` into a lexical form, so a literal ends
-    at its second ``"`` and has nothing to unescape."""
-    if token[0] == "<":
-        return IRI(token[1:-1])
-    if token[0] == "_":
-        return BlankNode(token[2:])
-    end = token.index('"', 1)
-    suffix = token[end + 1 :]
-    if suffix[:1] == "@":
-        return Literal(token[1:end], language=suffix[1:])
-    if suffix:
-        return Literal(token[1:end], datatype=suffix[3:-1])
-    return Literal(token[1:end])
+_CANONICAL_LINE = re.compile(_SHAPE)
+#: The same shape over a batch of lines, one match per canonical line.
+#: A match that ran on into the next line (a class such as ``[^>]``
+#: crosses a line break) covers two lines, so a batch is taken whole
+#: only when it has exactly as many matches as lines.
+_CANONICAL_LINES = re.compile(rf"^[ \t]*{_SHAPE}[ \t]*$", re.M)
 
 
 #: lines recognised at a time: what bounds the transient token lists
@@ -68,84 +56,112 @@ _Value = TypeVar("_Value")
 
 
 def _recognise(
-    stream: Iterable[str], value_of: Callable[[Term], _Value]
+    stream: Iterable[str],
+    values_of: Callable[[List[str]], List[_Value]],
+    value_of: Callable[[Term], _Value],
 ) -> Iterator[List[_Value]]:
     """The line recogniser behind both readers.
 
     Takes *stream* a batch of lines at a time and yields each batch's
-    triples as one flat ``[s, p, o, s, p, o, ...]`` list of
-    ``value_of(term)``.  A canonical line is split into tokens, and a
-    token's value is computed at its first appearance in the document
-    and then served from a memo; any other line goes through the strict
-    parser where it stands, so values are asked for in s, p, o order of
-    the lines.  A malformed line raises after the triples before it
-    have been yielded.  One byte-order mark opening the stream is
-    skipped; a U+FEFF anywhere else is malformed.
+    triples as one flat ``[s, p, o, s, p, o, ...]`` list of values: a
+    canonical line's tokens go to ``values_of(tokens)`` (a run of lines
+    at a time), the terms of any other line, as the strict parser reads
+    them where the line stands, to ``value_of(term)``.  A token is a
+    term's text, ``str(term)``, except where a literal holds a raw
+    carriage return (which its text escapes): such a line — possible
+    only in a string source, since a text-mode file turns a CR into a
+    line break — is read by the strict parser.  A batch whose every line
+    is canonical is split by one ``findall``.  A malformed line raises
+    after the triples before it have been yielded.  One byte-order mark
+    opening the stream is skipped; a U+FEFF anywhere else is malformed.
     """
     lines = iter(stream)
     stream = chain([next(lines, "").removeprefix("\ufeff")], lines)
-    memo: Dict[str, _Value] = {}
-    memoised = memo.__getitem__
-
-    def values_of(shapes: List["re.Match[str]"]) -> List[_Value]:
-        tokens = list(chain.from_iterable(map(_GROUPS, shapes)))
-        try:
-            return list(map(memoised, tokens))
-        except KeyError:  # first appearances
-            for token in dict.fromkeys(tokens):
-                if token not in memo:
-                    memo[token] = value_of(_canonical_term(token))
-            return list(map(memoised, tokens))
-
     lines_before = 0
-    while lines := list(map(str.strip, islice(stream, _BATCH_LINES))):
-        shapes = list(map(_CANONICAL_LINE.fullmatch, lines))
-        values: List[_Value] = []
-        start = 0
-        # comments, blank lines, and what only the strict parser reads
-        for at in [i for i, shape in enumerate(shapes) if shape is None]:
-            values += values_of(shapes[start:at])
-            start = at + 1
-            line = lines[at]
-            if line and not line.startswith("#"):
-                try:
-                    triple = _parse_line(line, lines_before + at + 1)
-                except NTriplesError:
-                    yield values
-                    raise
-                values += map(value_of, _TERMS_OF(triple))
-        values += values_of(shapes[start:])
-        yield values
-        lines_before += len(lines)
+    while batch := list(islice(stream, _BATCH_LINES)):
+        chunk = "".join(batch)
+        shapes = _CANONICAL_LINES.findall(chunk)
+        if len(shapes) == len(batch) and "\r" not in chunk:
+            yield values_of(list(chain.from_iterable(shapes)))
+        else:
+            yield from _line_by_line(batch, lines_before, values_of, value_of)
+        lines_before += len(batch)
+
+
+def _line_by_line(
+    batch: List[str],
+    lines_before: int,
+    values_of: Callable[[List[str]], List[_Value]],
+    value_of: Callable[[Term], _Value],
+) -> Iterator[List[_Value]]:
+    """:func:`_recognise` for a *batch* that is not canonical throughout:
+    one match per line, and the strict parser for what it rejects."""
+    lines = list(map(str.strip, batch))
+    shapes = [
+        None if "\r" in line else _CANONICAL_LINE.fullmatch(line) for line in lines
+    ]
+    values: List[_Value] = []
+    start = 0
+    # comments, blank lines, and what only the strict parser reads
+    for at in [i for i, shape in enumerate(shapes) if shape is None]:
+        values += values_of(list(chain.from_iterable(map(_GROUPS, shapes[start:at]))))
+        start = at + 1
+        line = lines[at]
+        if line and not line.startswith("#"):
+            try:
+                triple = _parse_line(line, lines_before + at + 1)
+            except NTriplesError:
+                yield values
+                raise
+            values += map(value_of, _TERMS_OF(triple))
+    values += values_of(list(chain.from_iterable(map(_GROUPS, shapes[start:]))))
+    yield values
+
+
+class _TermMemo(Dict[str, Term]):
+    """token → its term, built at the token's first appearance."""
+
+    def __missing__(self, token: str) -> Term:
+        term = self[token] = term_of_text(token)
+        return term
+
+    def terms_of(self, tokens: List[str]) -> List[Term]:
+        """The term of each of *tokens*, with no per-token call once seen."""
+        return list(map(self.__getitem__, tokens))
 
 
 def parse_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
     """Yield triples from an N-Triples document (string or file object).
 
-    Equal terms of one document are one object: a token's term is
-    parsed once and then served from a per-document memo, so a graph
+    Equal tokens of one document are one term object: a token's term is
+    built once and then served from a per-document memo, so a graph
     holds (and hashes) each distinct term once.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
-    for terms in _recognise(stream, lambda term: term):
+    for terms in _recognise(stream, _TermMemo().terms_of, lambda term: term):
         yield from map(Triple, terms[0::3], terms[1::3], terms[2::3])
 
 
 def load_ntriples(path: Union[str, Path]) -> RDFGraph:
     """Load an N-Triples file into a fresh :class:`RDFGraph`.
 
-    The file is parsed straight into a :class:`TermDictionary` and three
-    id columns (ids in first-seen s, p, o order, repeated triples
-    dropped); the graph returned is a view over them that builds its
-    ``Triple`` objects only if something reads it term by term.
+    The file is read straight into a :class:`TermDictionary`, which
+    interns each token's text and builds no term, and three id columns
+    (ids in first-seen s, p, o order, repeated triples dropped); the
+    graph returned is a view over them that builds its ``Triple``
+    objects only if something reads it term by term.
     """
     dictionary = TermDictionary()
-    rows: Dict[IdTriple, None] = {}
+    ids: List[int] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for ids in _recognise(handle, dictionary.encode):
-            rows.update(dict.fromkeys(zip(ids[0::3], ids[1::3], ids[2::3])))
-    columns = tuple(array("q", map(itemgetter(i), rows)) for i in range(3))
-    return RDFGraph._view_of(EncodedGraph(dictionary, columns))
+        for batch in _recognise(handle, dictionary.encode_texts, dictionary.encode):
+            ids += batch
+    columns = ids[0::3], ids[1::3], ids[2::3]
+    if len(set(zip(*columns))) < len(columns[0]):  # a triple repeats: keep its first
+        columns = tuple(map(list, zip(*dict.fromkeys(zip(*columns))))) or ([], [], [])
+    return RDFGraph._view_of(
+        EncodedGraph(dictionary, tuple(array("q", column) for column in columns))
+    )
 
 
 def serialize_ntriples(triples: Iterable[Triple]) -> str:

@@ -10,6 +10,7 @@ dictionary keys, set members, and sort keys throughout the engine.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from typing import Any, List, TypeVar, Union
 
@@ -158,6 +159,40 @@ Term = Union[IRI, Literal, BlankNode]
 
 #: Anything that may appear in a triple pattern.
 PatternTerm = Union[IRI, Literal, BlankNode, Variable]
+
+
+#: a literal's quoted lexical form in its text, escapes and all
+_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+#: the escapes ``Literal.__str__`` writes, and what each stands for
+_ESCAPED = re.compile(r'\\[\\"nr]')
+_UNESCAPED = {"\\\\": "\\", '\\"': '"', "\\n": "\n", "\\r": "\r"}
+
+
+def term_of_text(text: str) -> Term:
+    """The term whose N-Triples text (``str(term)``) is *text*.
+
+    The inverse of ``__str__`` over IRIs, literals and blank nodes, cut
+    at known places: an IRI's value is everything between its brackets
+    and a literal's suffix everything after its closing quote.  A
+    lexical form is unescaped only if it holds a backslash.
+    """
+    head = text[0]
+    if head == "<":
+        return IRI(text[1:-1])
+    if head == "_":
+        return BlankNode(text[2:])
+    end = text.index('"', 1)
+    lexical = text[1:end]
+    if "\\" in lexical:  # the first quote may be an escaped one
+        quoted = _QUOTED.match(text)
+        lexical = _ESCAPED.sub(lambda m: _UNESCAPED[m.group()], quoted.group(1))
+        end = quoted.end() - 1
+    suffix = text[end + 1 :]
+    if suffix[:1] == "@":
+        return Literal(lexical, language=suffix[1:])
+    if suffix:
+        return Literal(lexical, datatype=suffix[3:-1])
+    return Literal(lexical)
 
 
 def is_concrete(term: PatternTerm) -> bool:

@@ -647,3 +647,58 @@ class TestColdPathStaysOnIds:
         ]
         assert counts == {"triple": 0, "adjacency": 0, "permutation": 0, "from_graph": 0}
         assert "_triples" not in vars(graph)  # still undecoded
+
+
+class TestTermsBuiltOnDemand:
+    """The dictionary interns N-Triples texts: from the file to the plan
+    no ``IRI`` / ``Literal`` / ``BlankNode`` is built, and executing the
+    plan builds the terms of the result rows and no other, each once."""
+
+    @staticmethod
+    def _built_terms(monkeypatch):
+        """Every term made from here on (``__post_init__`` runs for a
+        construction, ``replace``, a copy and an unpickle alike)."""
+        built = []
+        for cls in (IRI, Literal, BlankNode):
+            def counting(self, _made=cls.__post_init__):
+                _made(self)
+                built.append(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return built
+
+    @pytest.mark.parametrize("name", sorted(PARTITIONINGS))
+    def test_only_the_rows_build_terms(self, name, monkeypatch, tmp_path):
+        generated = generate_lubm(scale=0.5, seed=2017).graph
+        query = lubm_queries()["L7"]
+        reference = evaluate_reference(query, RDFGraph(generated))
+        path = tmp_path / "lubm.nt"
+        save_ntriples(generated, path)
+        built = self._built_terms(monkeypatch)
+        dataset = Dataset(load_ntriples(path), name="lubm")
+        method = PARTITIONINGS[name]()
+        cluster = Cluster(method.partition(dataset, 4), dataset.dictionary)
+        statistics = StatisticsCatalog.from_dataset(query, dataset)
+        plan = Optimizer(
+            OptimizeOptions(statistics=statistics, partitioning=method)
+        ).optimize(query).plan
+        assert built == []
+        relation, _ = Executor(cluster).execute(plan, query)
+        assert relation.rows == reference.rows and len(relation.rows) > 100
+        in_rows = {term for row in relation.rows for term in row}
+        assert len(built) == len(in_rows) and set(built) == in_rows
+        built.clear()
+        assert Executor(cluster).execute(plan, query)[0].rows == reference.rows
+        assert built == []  # a decoded term is kept
+
+    def test_a_partitionings_anchor_terms_are_decoded_when_read(self, monkeypatch, tmp_path):
+        path = tmp_path / "lubm.nt"
+        save_ntriples(generate_lubm(scale=0.3, seed=2017).graph, path)
+        built = self._built_terms(monkeypatch)
+        dataset = Dataset(load_ntriples(path))
+        partitioning = HashSubjectObject().partition(dataset, 4)
+        assert built == [] and partitioning.anchor_nodes
+        placement = partitioning.vertex_placement
+        assert partitioning.vertex_placement is placement and len(built) == len(placement)
+        assert list(placement.values()) == list(partitioning.anchor_nodes.values())
+        assert [dataset.dictionary.lookup(t) for t in placement] == list(partitioning.anchor_nodes)

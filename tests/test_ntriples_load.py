@@ -43,6 +43,7 @@ from repro.rdf import (
     save_ntriples,
     triple,
 )
+from repro.rdf.terms import term_of_text
 from repro.workloads.lubm import generate_lubm
 from repro.workloads.uniprot import generate_uniprot
 
@@ -183,7 +184,7 @@ class TestCanonicalTokens:
     def test_direct_construction_equals_the_strict_parser(self, token):
         line = f"<http://e/s> <http://e/p> {token} ."
         assert ntriples._CANONICAL_LINE.fullmatch(line).group(3) == token  # canonical
-        direct = ntriples._canonical_term(token)
+        direct = term_of_text(token)
         strict = ntriples._parse_term(token, 0, 0)[0]
         assert type(direct) is type(strict) and direct == strict
         assert hash(direct) == hash(strict)
@@ -418,7 +419,7 @@ class TestLoadedGraphIsAView:
 
 
 # ----------------------------------------------------------------------
-# interning hashes a new term twice
+# interning hashes texts, never a term
 # ----------------------------------------------------------------------
 @pytest.fixture
 def hash_calls(monkeypatch):
@@ -438,16 +439,14 @@ class TestInterningHashCalls:
         terms += [Literal(str(i)) for i in range(100)]
         dictionary = TermDictionary()
         assert dictionary._encode_all(terms) == list(range(400))
-        assert hash_calls["hash"] == 2 * 400  # the lookup that misses, the store
-        hash_calls.clear()
+        assert hash_calls["hash"] == 0  # a term is interned by its text
         assert dictionary._encode_all(terms + terms[::-1]) == [
             *range(400), *reversed(range(400))
         ]
-        assert hash_calls["hash"] == 800  # known terms: once per occurrence
-        hash_calls.clear()
+        assert hash_calls["hash"] == 0
         mixed = [terms[7], IRI("http://e/x"), terms[7], IRI("http://e/y"), IRI("http://e/x")]
         assert dictionary._encode_all(mixed) == [7, 400, 7, 401, 400]
-        assert hash_calls["hash"] == len(mixed) + 2
+        assert hash_calls["hash"] == 0
         assert list(dictionary.terms())[400:] == [IRI("http://e/x"), IRI("http://e/y")]
 
     def test_lookups_do_not_intern(self):
@@ -461,6 +460,6 @@ class TestInterningHashCalls:
         dataset = Dataset(load_ntriples(uniprot_file))
         distinct = len(dataset.dictionary)
         assert distinct > 200
-        # every line of the file is canonical: two calls per distinct term
-        # to load it, and building the dataset hashes no term again
-        assert hash_calls["hash"] == 2 * distinct
+        # every line of the file is canonical: its tokens are interned as
+        # texts, and neither loading nor building the dataset hashes a term
+        assert hash_calls["hash"] == 0

@@ -131,6 +131,15 @@ TRIPWIRES = [
         "the id-row sink reappeared (docs/PERFORMANCE.md, 'One object per id')",
         id="id-row-sink",
     ),
+    # terms on demand: partitioners rank and hash a vertex by the
+    # dictionary's text, never by a term decoded for it; only the lazy
+    # `vertex_placement` decodes (docs/PERFORMANCE.md, "Terms on demand")
+    pytest.param(
+        r"(hash_terms\(|map\(str, *)[^\n]*decode_all\(",
+        ("src/repro/partitioning",),
+        "a partitioner decodes terms to rank or hash them (read TermDictionary.texts)",
+        id="decoded-rank-or-hash",
+    ),
     # one query path: the CLI runs queries through Optimizer.run (one
     # budget, one verifier, one `query` root span), never an executor
     # of its own, and no executor re-verifies a plan (docs/API.md,
