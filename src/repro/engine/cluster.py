@@ -81,8 +81,9 @@ class Cluster:
         """Partition *dataset* with *method* across *cluster_size* workers.
 
         The dataset's term dictionary becomes the cluster-wide id
-        space: fragments are gathered from the dataset's id columns,
-        nothing is encoded a second time.
+        space: fragments are views cut from the dataset's table
+        (:meth:`~repro.rdf.encoding.EncodedGraph.node_fragments`), nothing
+        is encoded a second time.
         """
         return cls(method.partition(dataset, cluster_size), dataset.dictionary)
 

@@ -31,15 +31,19 @@ from ..sparql.query_graph import QueryGraph
 
 #: vertex id -> its place in the shared vertex order (:func:`text_rank`)
 Rank = Dict[int, int]
-#: (per node, the ascending positions of the triples it stores; anchor -> its node)
-Layout = Tuple[List[List[int]], Dict[int, int]]
+#: (per triple position, its node mask — bit ``n`` set when node ``n`` stores
+#: the triple; anchor -> its node)
+Layout = Tuple[List[int], Dict[int, int]]
 
 
 @dataclass
 class Partitioning:
     """The outcome of partitioning a dataset across ``n`` nodes: per node
     one :class:`~repro.rdf.encoding.EncodedGraph` fragment over the dataset's
-    dictionary, in ascending position of the dataset's own columns."""
+    dictionary, in ascending position of the dataset's own columns — as
+    :meth:`partition` makes them, views of the dataset's table that copy
+    what a scan reads when it first reads it
+    (:meth:`~repro.rdf.encoding.EncodedGraph.node_fragments`)."""
 
     method_name: str
     fragments: List[EncodedGraph]
@@ -116,11 +120,10 @@ class PartitioningMethod(abc.ABC):
 
     @abc.abstractmethod
     def layout(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Layout:
-        """Both phases (Eqs. 1 and 2) as a :data:`Layout`: per node the
-        ascending positions of the triples in the elements placed there,
-        and each non-empty element's anchor -> its node.  *rank* is the
-        shared vertex order over :meth:`anchor_candidates`
-        (:func:`text_rank`)."""
+        """Both phases (Eqs. 1 and 2) as a :data:`Layout`: per triple
+        position the mask of the nodes whose elements hold it, and each
+        non-empty element's anchor -> its node.  *rank* is the shared
+        vertex order over :meth:`anchor_candidates` (:func:`text_rank`)."""
 
     # ------------------------------------------------------------------
     # the same combine, on the query graph
@@ -135,17 +138,19 @@ class PartitioningMethod(abc.ABC):
     # derived functionality
     # ------------------------------------------------------------------
     def partition(self, dataset: Dataset, cluster_size: int) -> Partitioning:
-        """Run both phases (:meth:`layout`) and gather each node's fragment,
-        in ascending triple position (an explicit order, so fragments do not
-        follow set iteration or the hash seed)."""
+        """Run both phases (:meth:`layout`) and wrap the one masks list
+        into each node's fragment: a view of the dataset's table in
+        ascending triple position (an explicit order, so fragments do not
+        follow set iteration or the hash seed), copied from it only as
+        scans read it."""
         if cluster_size < 1:
             raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
         graph = dataset.encoded_graph()
         rank = text_rank(graph, self.anchor_candidates(graph))
-        stored, placement = self.layout(graph, cluster_size, rank)
+        masks, placement = self.layout(graph, cluster_size, rank)
         return Partitioning(
             method_name=self.name,
-            fragments=[graph.gather(positions) for positions in stored],
+            fragments=graph.node_fragments(masks, cluster_size),
             anchor_nodes=placement,
         )
 

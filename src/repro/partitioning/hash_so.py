@@ -10,8 +10,7 @@ its triple patterns share a common vertex (Appendix A, Example 7).
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import and_, or_
+from operator import or_
 from typing import Dict, FrozenSet, List, Tuple
 
 from ..rdf.encoding import EncodedGraph
@@ -33,12 +32,9 @@ class HashSubjectObject(PartitioningMethod):
         return dict(zip(rank, hash_terms(texts, cluster_size)))
 
     def layout(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Layout:
-        """In bulk: one node mask per triple (:meth:`node_masks`), and per
-        node one ``compress`` over the ascending positions — no element,
-        no per-node set, no sort."""
-        masks, placement = self.node_masks(graph, cluster_size, rank)
-        selected = (map(and_, masks, repeat(1 << node)) for node in range(cluster_size))
-        return [list(compress(range(len(masks)), chosen)) for chosen in selected], placement
+        """In bulk: one node mask per triple (:meth:`node_masks`) — no
+        element, no per-node set, no sort."""
+        return self.node_masks(graph, cluster_size, rank)
 
     def node_masks(
         self, graph: EncodedGraph, cluster_size: int, rank: Rank

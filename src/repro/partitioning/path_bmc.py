@@ -76,7 +76,7 @@ class PathBMC(PartitioningMethod):
                 elements[v] = reach
                 remaining -= reach
         loads = [0] * cluster_size
-        stored: List[Set[int]] = [set() for _ in range(cluster_size)]
+        masks = [0] * len(graph)
         placement: Dict[int, int] = {}
         # heaviest first; equal weights in the shared vertex order (both sorts are stable)
         by_rank = sorted(elements, key=rank.__getitem__)
@@ -84,8 +84,10 @@ class PathBMC(PartitioningMethod):
             node = loads.index(min(loads))
             placement[vertex] = node
             loads[node] += len(elements[vertex])
-            stored[node].update(elements[vertex])
-        return [sorted(positions) for positions in stored], placement
+            bit = 1 << node
+            for position in elements[vertex]:
+                masks[position] |= bit
+        return masks, placement
 
     def combine_query(
         self, vertex: PatternTerm, query_graph: QueryGraph

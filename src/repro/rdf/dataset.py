@@ -61,10 +61,11 @@ class Dataset:
     def encoded_graph(self) -> EncodedGraph:
         """The whole dataset as one :class:`EncodedGraph`.
 
-        Built by :meth:`refresh`.  Partitioners place its triple
-        positions and gather every worker fragment from its columns
-        (sharing :attr:`dictionary`); statistics and single-node
-        columnar evaluation read its indexes.
+        Built by :meth:`refresh`.  Partitioners mark the nodes that store
+        each of its triple positions, and every worker fragment is a view
+        cut from it (:meth:`~repro.rdf.encoding.EncodedGraph.node_fragments`,
+        sharing :attr:`dictionary`); statistics and single-node columnar
+        evaluation read its indexes.
         """
         return self._encoded
 

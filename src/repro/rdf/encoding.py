@@ -20,9 +20,12 @@ object only when its id is decoded, with a JSON save/load round trip.
 :class:`EncodedGraph` is the columnar triple store: three parallel
 ``array('q')`` columns plus the per-predicate indexes, built from any
 :class:`~repro.rdf.triples.RDFGraph` against a shared dictionary.  A dataset is encoded once; partitioners
-place its triple *positions* and every worker fragment of a cluster is
-a :meth:`~EncodedGraph.gather` of the dataset's columns — which is how
-all fragments speak the same id space without a second encoding pass.
+mark, per triple *position*, the nodes that store it, and every worker
+fragment of a cluster is a view of the dataset's table through those
+marks (:meth:`~EncodedGraph.node_fragments`), cut one predicate at a
+time as scans read it — which is how all fragments speak the same id
+space without a second encoding pass, and why a cluster holds no second
+copy of its data.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import chain, compress, repeat
-from operator import is_, itemgetter, ne, or_
+from operator import and_, is_, itemgetter, ne, or_
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .terms import BlankNode, IRI, Literal, Term, term_of_text
 from .triples import _TERMS_OF, RDFGraph, Triple
@@ -385,7 +388,7 @@ class EncodedGraph:
 
     __slots__ = (
         "dictionary", "_subjects", "_predicates", "_objects",
-        "_indexes", "_runs", "_adjacency", "_decoded",
+        "_indexes", "_runs", "_positions", "_adjacency", "_decoded",
     )
 
     def __init__(
@@ -402,6 +405,9 @@ class EncodedGraph:
     def _drop_derived(self) -> None:
         self._indexes: Dict[int, PredicateIndex] = {}
         self._runs: Optional[Dict[int, Tuple[array, array]]] = None
+        #: the grouping pass's buckets, kept (from ``{}``) only once this
+        #: table has handed out fragments (:meth:`_keep_buckets`)
+        self._positions: Optional[Dict[int, array]] = None
         self._adjacency: Optional[Tuple[Dict[int, List[int]], Dict[int, List[int]]]] = None
         self._decoded: Optional[RDFGraph] = None
 
@@ -457,6 +463,29 @@ class EncodedGraph:
         """The triples at *positions*, in that order, as a new fragment."""
         columns = (self._subjects, self._predicates, self._objects)
         return EncodedGraph(self.dictionary, tuple(_picked(c, positions) for c in columns))
+
+    def node_fragments(self, masks: Sequence[int], cluster_size: int) -> List["EncodedGraph"]:
+        """Per node ``n < cluster_size``, its fragment of this table: the
+        triples whose mask in *masks* (one int per position, as a
+        partitioning layout gives them) has bit ``n`` set, in ascending
+        position — what ``gather`` of those positions holds.
+
+        Nothing is copied here.  A fragment is a view that cuts a
+        predicate's run from this table's grouping pass the first time a
+        scan reads it, gathers its base columns only when something reads
+        them (and then keeps them), counts its length off *masks*, and
+        pickles or copies as a plain fragment.  A triple appended to this
+        table later is in no fragment.  From here on this table's grouping
+        pass keeps its buckets of positions, for the fragments to cut by.
+        """
+        self._keep_buckets()
+        return [_NodeCut(self, masks, node) for node in range(cluster_size)]
+
+    def _keep_buckets(self) -> None:
+        """Have the grouping pass keep its per-predicate buckets of
+        positions (a pass made without them is dropped, to be made again)."""
+        if self._positions is None:
+            self._positions, self._runs = {}, None
 
     def merged(self, triples: "EncodedGraph") -> "EncodedGraph":
         """This fragment followed by those of *triples* it does not hold.
@@ -525,7 +554,9 @@ class EncodedGraph:
         ids and the object ids of its triples — two aligned columns in
         table order.  What statistics count and indexes are sorted from.
         Each position goes to its predicate's bucket, and each bucket is
-        gathered from both columns."""
+        gathered from both columns.  A table that has handed out
+        fragments keeps the buckets, as ``array('q')``, for them to cut
+        runs by (:meth:`node_fragments`)."""
         if self._runs is None:
             buckets: Dict[int, List[int]] = defaultdict(list)
             for position, predicate in enumerate(self._predicates):
@@ -537,6 +568,8 @@ class EncodedGraph:
                 )
                 for predicate in sorted(buckets)
             }
+            if self._positions is not None:
+                self._positions = {p: array("q", buckets[p]) for p in self._runs}
         return self._runs
 
     def predicate_ids(self) -> List[int]:
@@ -596,3 +629,104 @@ class EncodedGraph:
             f"EncodedGraph({len(self)} triples, "
             f"{len(self.dictionary)} dictionary terms)"
         )
+
+
+class _NodeCut(EncodedGraph):
+    """One node's fragment of a table, as :meth:`EncodedGraph.node_fragments`
+    makes it: the table, the layout's per-triple node masks and the node's
+    bit, and nothing copied until it is read.
+
+    * :meth:`index_for` cuts the predicate's run from the table's: the
+      triples of it whose mask, read through the table's bucket of
+      positions, has the bit;
+    * :meth:`predicate_runs` (and so :meth:`predicate_ids`) cuts every
+      predicate the same way, once;
+    * ``len`` counts the bit in the masks, once;
+    * the base columns are gathered when first read (``subjects``,
+      ``triples``, ``adjacency``, ``merged``, ``decoded``, ``gather``,
+      ``add_ids``) and kept; an append then makes it a fragment of its own.
+
+    It holds exactly ``table.gather`` of its positions, in that order, and
+    pickles and copies as that.
+    """
+
+    __slots__ = ("_table", "_masks", "_bit", "_length", "_absent")
+
+    def __init__(self, table: EncodedGraph, masks: Sequence[int], node: int) -> None:
+        self.dictionary = table.dictionary
+        self._drop_derived()
+        #: the table cut from (a plain graph), until an append detaches
+        #: this fragment from it
+        self._table: Optional[EncodedGraph] = table
+        self._masks, self._bit = masks, 1 << node
+        self._length: Optional[int] = None  # counted when first asked
+        #: predicates cut and found to have no triple here (``_indexes``
+        #: holds only indexes)
+        self._absent: Set[int] = set()
+
+    def __getattr__(self, name: str) -> array:
+        """Gather the base columns (Python looks here only while their
+        slots are empty) and return column *name*."""
+        if name not in ("_subjects", "_predicates", "_objects"):
+            raise AttributeError(name)
+        masks = self._masks
+        positions = list(compress(range(len(masks)), map(and_, masks, repeat(self._bit))))
+        gathered = self._table.gather(positions)  # type: ignore[union-attr]
+        self._subjects, self._predicates, self._objects = (
+            gathered._subjects, gathered._predicates, gathered._objects
+        )
+        return getattr(self, name)
+
+    def __reduce__(self):
+        """Pickle and copy as a plain fragment of its own columns."""
+        return EncodedGraph, (self.dictionary, (self.subjects, self.predicates, self.objects))
+
+    def _drop_derived(self) -> None:
+        super()._drop_derived()
+        self._table = None  # an append: the fragment's own columns from now on
+
+    def __len__(self) -> int:
+        if self._table is None:
+            return super().__len__()
+        if self._length is None:  # the node's bits, summed and shifted down
+            self._length = sum(map(and_, self._masks, repeat(self._bit))) // self._bit
+        return self._length
+
+    def _cut(self, predicate: int) -> Optional[Tuple[array, array]]:
+        """The run of *predicate* here (``None`` if it has no triple): the
+        table's run of it, less the triples whose mask lacks this node's
+        bit — read through the positions of the table's bucket."""
+        table: EncodedGraph = self._table  # type: ignore[assignment]
+        masks = self._masks
+        table._keep_buckets()  # (again, after an append to the table)
+        run = table.predicate_runs().get(predicate)
+        if run is None:
+            return None
+        bucket = table._positions[predicate]  # type: ignore[index]
+        if len(table) > len(masks):  # appended to since the layout
+            bucket = bucket[:bisect_left(bucket, len(masks))]
+        held = list(map(and_, map(masks.__getitem__, bucket), repeat(self._bit)))
+        if not any(held):
+            return None
+        return array("q", compress(run[0], held)), array("q", compress(run[1], held))
+
+    def predicate_runs(self) -> Dict[int, Tuple[array, array]]:
+        if self._runs is None and self._table is not None:
+            self._runs = {
+                predicate: run
+                for predicate in self._table.predicate_runs()
+                if (run := self._cut(predicate)) is not None
+            }
+        return super().predicate_runs()
+
+    def index_for(self, predicate: int) -> Optional[PredicateIndex]:
+        if self._runs is not None or self._table is None:
+            return super().index_for(predicate)
+        index = self._indexes.get(predicate)
+        if index is None and predicate not in self._absent:
+            run = self._cut(predicate)
+            if run is None:
+                self._absent.add(predicate)
+            else:
+                index = self._indexes[predicate] = PredicateIndex(self.dictionary.ids, *run)
+        return index

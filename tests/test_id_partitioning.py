@@ -8,15 +8,20 @@ that the cold columnar path never drops back to term-level objects.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from collections import Counter, defaultdict
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import OptimizeOptions, Optimizer, parse_query
 from repro.__main__ import PARTITIONINGS
-from repro.core import StatisticsCatalog
+from repro.core import PlanCache, StatisticsCatalog
 from repro.engine import Cluster, EncodedRelation, Executor, evaluate_reference
+from repro.engine import base as engine_base
 from repro.partitioning import (
     AdaptiveCluster,
     DynamicPartitioning,
@@ -28,7 +33,8 @@ from repro.partitioning import (
     hash_term,
 )
 from repro.partitioning.adaptive import COLOCATE, REPLICATE_PREDICATE
-from repro.partitioning.base import hash_terms, text_rank
+from repro.partitioning.base import Partitioning, hash_terms, text_rank
+from repro.partitioning.dynamic import hot_placements
 from repro.rdf import (
     BlankNode,
     Dataset,
@@ -39,6 +45,7 @@ from repro.rdf import (
     RDFGraph,
     TermDictionary,
     Triple,
+    encoding,
     load_ntriples,
     save_ntriples,
 )
@@ -157,33 +164,36 @@ class TestPartitionDifferential:
     @given(
         triples=_graphs(),
         cluster_size=st.sampled_from([1, 2, 3, 4, 7]),
-        label=st.sampled_from(["hash-so", "1f", "2f", "3f", "un-1-hop"]),
+        label=st.sampled_from(["hash-so", "1f", "2f", "3f", "un-1-hop", "path-bmc"]),
     )
     def test_bulk_masks_are_the_per_vertex_definition(self, triples, cluster_size, label):
         """The hash-placed family computes one node mask per triple, in
-        bulk.  Bit k of a triple's mask is set exactly when node k of the
-        term-level oracle — the paper's per-vertex definition, element by
-        element — holds the triple; ``layout`` reads each node's sorted
-        positions off the masks, and ``partition`` gathers them with the
-        vertex placement (values and key order)."""
+        bulk, and Path-BMC sets its elements' bits.  Bit k of a triple's
+        mask is set exactly when node k of the term-level oracle — the
+        paper's per-vertex definition, element by element — holds the
+        triple; ``layout`` returns the masks, and ``partition``'s fragments
+        are the gather of each node's positions off them, with the vertex
+        placement (values and key order)."""
         dataset = Dataset.from_triples(triples)
         graph = dataset.encoded_graph()
         method, oracle_method = (build() for build in METHOD_PAIRS[label])
         rank = text_rank(graph, method.anchor_candidates(graph))
         assert list(rank) == sorted(rank, key=lambda v: str(dataset.dictionary.decode(v)))
         assert list(rank.values()) == list(range(len(rank)))
-        masks, placement = method.node_masks(graph, cluster_size, rank)
+        node_masks = method.layout if label == "path-bmc" else method.node_masks
+        masks, placement = node_masks(graph, cluster_size, rank)
         assert len(masks) == len(graph)
         held = [set(g) for g in oracle_method.partition(dataset, cluster_size).node_graphs]
         decode = dataset.dictionary.decode
         for mask, ids in zip(masks, graph.triples()):
             stored_triple = Triple(*map(decode, ids))
             assert mask == sum(1 << node for node, g in enumerate(held) if stored_triple in g)
-        stored, layout_placement = method.layout(graph, cluster_size, rank)
+        layout_masks, layout_placement = method.layout(graph, cluster_size, rank)
+        assert layout_masks == masks
         assert list(layout_placement.items()) == list(placement.items())  # and in the same order
-        for node, positions in enumerate(stored):
-            assert positions == sorted(set(positions))
-            assert positions == [p for p, mask in enumerate(masks) if mask >> node & 1]
+        stored = [
+            [p for p, mask in enumerate(masks) if mask >> node & 1] for node in range(cluster_size)
+        ]
         partitioning = method.partition(dataset, cluster_size)
         assert [list(f.triples()) for f in partitioning.fragments] == [
             list(graph.gather(positions).triples()) for positions in stored
@@ -702,3 +712,285 @@ class TestTermsBuiltOnDemand:
         assert partitioning.vertex_placement is placement and len(built) == len(placement)
         assert list(placement.values()) == list(partitioning.anchor_nodes.values())
         assert [dataset.dictionary.lookup(t) for t in placement] == list(partitioning.anchor_nodes)
+
+
+@pytest.fixture(scope="module")
+def lubm_1_file(tmp_path_factory):
+    """LUBM scale 1, as the one-shot benchmark loads it."""
+    path = tmp_path_factory.mktemp("lubm") / "lubm.nt"
+    save_ntriples(generate_lubm(scale=1.0, seed=2017).graph, path)
+    return path
+
+
+class TestFragmentsOnDemand:
+    """A partitioning's fragments are views of the dataset's table: each
+    is the eager ``gather`` of its node's positions, whatever reads it and
+    in whatever order; a scan cuts the one predicate it reads, and nothing
+    on the query path copies a fragment's base columns."""
+
+    LABELS = ["hash-so", "1f", "2f", "3f", "path-bmc", "un-1-hop"]
+
+    @staticmethod
+    def _gathered(fragment):
+        """Whether *fragment* holds base columns (looked at without reading them)."""
+        try:
+            object.__getattribute__(fragment, "_subjects")
+        except AttributeError:
+            return False
+        return True
+
+    @staticmethod
+    def _orders(index):
+        if index is None:
+            return None
+        return index.spo_subjects, index.spo_objects, index.ops_objects, index.ops_subjects
+
+    @staticmethod
+    def _eager(dataset, method, cluster_size):
+        """What ``partition`` gathered before fragments were cut on demand."""
+        graph = dataset.encoded_graph()
+        rank = text_rank(graph, method.anchor_candidates(graph))
+        masks, placement = method.layout(graph, cluster_size, rank)
+        fragments = [
+            graph.gather([p for p, mask in enumerate(masks) if mask >> node & 1])
+            for node in range(cluster_size)
+        ]
+        return Partitioning(method.name, fragments, placement)
+
+    @staticmethod
+    def _triples(fragments):
+        return [list(fragment.triples()) for fragment in fragments]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        triples=_graphs(),
+        cluster_size=st.integers(min_value=1, max_value=5),
+        label=st.sampled_from(LABELS),
+        runs_first=st.booleans(),
+    )
+    def test_a_cut_fragment_is_the_eager_gather(self, triples, cluster_size, label, runs_first):
+        dataset = Dataset.from_triples(triples)
+        graph = dataset.encoded_graph()
+        method = METHOD_PAIRS[label][0]()
+        eager = self._eager(dataset, method, cluster_size)
+        partitioning = method.partition(dataset, cluster_size)
+        count = len(graph)
+        assert partitioning.replication_factor(count) == eager.replication_factor(count)
+        assert partitioning.imbalance() == eager.imbalance()
+        # every predicate, and an id that is none
+        probes = sorted(set(graph.predicates)) + sorted(set(graph.subjects) - set(graph.predicates))[:1]
+        ends = [None, graph.subjects[0], graph.objects[-1]]
+        for fragment, expected in zip(partitioning.fragments, eager.fragments):
+            assert len(fragment) == len(expected)
+            if runs_first:
+                assert fragment.predicate_runs() == expected.predicate_runs()
+            for predicate in probes:
+                index = fragment.index_for(predicate)
+                assert self._orders(index) == self._orders(expected.index_for(predicate))
+                assert fragment.index_for(predicate) is index
+                for subject, object_ in product(ends, ends):
+                    assert list(fragment.scan(subject, predicate, object_)) == list(
+                        expected.scan(subject, predicate, object_)
+                    )
+            assert fragment.predicate_ids() == expected.predicate_ids()
+            assert fragment.predicate_runs() == expected.predicate_runs()
+            for subject, object_ in product(ends, ends):
+                assert list(fragment.scan(subject, None, object_)) == list(
+                    expected.scan(subject, None, object_)
+                )
+            assert not self._gathered(fragment)
+            assert (fragment.subjects, fragment.predicates, fragment.objects) == (
+                expected.subjects, expected.predicates, expected.objects
+            )
+            assert list(fragment.triples()) == list(expected.triples())
+            assert self._gathered(fragment) and len(fragment) == len(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        triples=_graphs(),
+        cluster_size=st.integers(min_value=1, max_value=5),
+        label=st.sampled_from(LABELS),
+    )
+    def test_layout_changes_on_cut_fragments_are_the_eager_ones(self, triples, cluster_size, label):
+        """``add_triples``, ``DynamicPartitioning.partition`` and
+        ``AdaptiveCluster.apply`` (with a worker down) then ``heal``."""
+        dataset = Dataset.from_triples(triples)
+        graph = dataset.encoded_graph()
+        method = METHOD_PAIRS[label][0]()
+        cut, eager = method.partition(dataset, cluster_size), self._eager(dataset, method, cluster_size)
+        for node in range(cluster_size):
+            extra = graph.gather(range(node, len(graph), 2))
+            assert cut.add_triples(node, extra) == eager.add_triples(node, extra)
+        assert self._triples(cut.fragments) == self._triples(eager.fragments)
+
+        dynamic = DynamicPartitioning(method, [HOT], REPLICATED).partition(dataset, cluster_size)
+        expected = self._eager(dataset, method, cluster_size)
+        additions = hot_placements(dataset, cluster_size, [HOT], REPLICATED, None)
+        for node in sorted(additions):
+            expected.add_triples(node, additions[node])
+        assert self._triples(dynamic.fragments) == self._triples(expected.fragments)
+
+        proposals = [
+            MigrationProposal(COLOCATE, "hot", 2.0, query=HOT),
+            MigrationProposal(REPLICATE_PREDICATE, REPLICATED[0], 1.0, predicate=REPLICATED[0]),
+        ]
+        runs = []
+        for partitioning in (method.partition(dataset, cluster_size), self._eager(dataset, method, cluster_size)):
+            cluster = AdaptiveCluster(partitioning, dataset=dataset, base_method=method)
+            if cluster.size > 1:
+                cluster.fail_worker(0)
+            report = cluster.apply(proposals, replication_budget=10.0)
+            cluster.heal()
+            runs.append((report, self._triples(cluster.worker_fragments())))
+        assert runs[0] == runs[1]
+
+    def test_an_append_stays_out_and_a_copy_is_a_plain_fragment(self):
+        dataset = generate_lubm(scale=0.2, seed=5)
+        graph = dataset.encoded_graph()
+        method = HashSubjectObject()
+        eager = self._eager(dataset, method, 3)
+        partitioning = method.partition(dataset, 3)
+        first = partitioning.fragments[0]
+        predicate = graph.predicates[0]
+        first.index_for(predicate)  # one predicate cut before the append
+        for _ in range(3):  # appended to the dataset's table after partitioning
+            graph.add_ids(graph.subjects[0], predicate, graph.objects[1])
+        for fragment, expected in zip(partitioning.fragments, eager.fragments):
+            assert len(fragment) == len(expected)
+            assert fragment.predicate_runs() == expected.predicate_runs()
+            assert self._orders(fragment.index_for(predicate)) == self._orders(
+                expected.index_for(predicate)
+            )
+            assert not self._gathered(fragment)
+            for twin in (pickle.loads(pickle.dumps(fragment)), copy.copy(fragment), copy.deepcopy(fragment)):
+                assert type(twin) is EncodedGraph  # its own columns, not the dataset's table
+                assert list(twin.triples()) == list(expected.triples())
+            assert list(fragment.triples()) == list(expected.triples())
+        # an append to a fragment makes it one of its own
+        triple = (graph.subjects[5], predicate, graph.objects[0])
+        first.add_ids(*triple)
+        eager.fragments[0].add_ids(*triple)
+        assert len(first) == len(eager.fragments[0])
+        assert first.predicate_runs() == eager.fragments[0].predicate_runs()
+        assert self._orders(first.index_for(predicate)) == self._orders(
+            eager.fragments[0].index_for(predicate)
+        )
+
+    def test_only_a_table_with_fragments_keeps_its_buckets(self):
+        dataset = generate_lubm(scale=0.2, seed=5)
+        graph = dataset.encoded_graph()
+        runs = graph.predicate_runs()  # grouped before partitioning, as a caller may
+        assert graph._positions is None
+        fragments = HashSubjectObject().partition(dataset, 3).fragments
+        fragments[0].index_for(graph.predicates[0])
+        assert graph.predicate_runs() == runs  # grouped again, once, keeping the buckets
+        assert {p: list(b) for p, b in graph._positions.items()} == {
+            p: [at for at, q in enumerate(graph.predicates) if q == p] for p in runs
+        }
+        for fragment in fragments:  # a plain fragment keeps none
+            assert fragment.predicate_runs() and fragment._positions is None
+            copied = copy.copy(fragment)
+            assert copied.predicate_runs() == fragment.predicate_runs()
+            assert copied._positions is None
+
+    # ------------------------------------------------------------------
+    # what the query path copies
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _count_copies(monkeypatch):
+        """Record, from here on, every fragment that gathers its base
+        columns, every graph that runs the full grouping pass, every
+        predicate cut (by fragment) and every predicate scanned (by
+        fragment)."""
+        record = {"gathered": [], "grouped": [], "cuts": Counter(), "scanned": defaultdict(set)}
+        cut_class = encoding._NodeCut
+        gather = cut_class.__getattr__
+
+        def gathering(self, name):
+            if name in ("_subjects", "_predicates", "_objects"):
+                record["gathered"].append(self)
+            return gather(self, name)
+
+        group = EncodedGraph.predicate_runs
+
+        def grouping(self):
+            if self._runs is None:
+                record["grouped"].append(self)
+            return group(self)
+
+        cut = cut_class._cut
+
+        def cutting(self, predicate):
+            record["cuts"][id(self), predicate] += 1
+            return cut(self, predicate)
+
+        scan = engine_base.scan_pattern_encoded
+
+        def scanning(fragment, pattern):
+            record["scanned"][id(fragment)].add(fragment.dictionary.lookup(pattern.predicate))
+            return scan(fragment, pattern)
+
+        monkeypatch.setattr(cut_class, "__getattr__", gathering)
+        monkeypatch.setattr(EncodedGraph, "predicate_runs", grouping)
+        monkeypatch.setattr(cut_class, "_cut", cutting)
+        monkeypatch.setattr(engine_base, "scan_pattern_encoded", scanning)
+        return record
+
+    @staticmethod
+    def _assert_cut_on_demand(record, dataset, partitioning):
+        assert record["gathered"] == []
+        assert record["grouped"] == [dataset.encoded_graph()]  # one grouping pass
+        for fragment in partitioning.fragments:
+            cut = {p for (at, p) in record["cuts"] if at == id(fragment)}
+            assert cut == record["scanned"][id(fragment)] and cut
+        assert set(record["cuts"].values()) == {1}  # each once
+
+    @pytest.mark.parametrize("name", sorted(PARTITIONINGS))
+    def test_a_one_shot_op_cuts_what_it_scans_and_gathers_nothing(
+        self, name, lubm_1_file, monkeypatch
+    ):
+        """What ``python -m repro run`` does, on LUBM scale 1."""
+        record = self._count_copies(monkeypatch)
+        graph = load_ntriples(lubm_1_file)
+        dataset = Dataset(graph, name="lubm")
+        method = PARTITIONINGS[name]()
+        partitioning = method.partition(dataset, 4)
+        cluster = Cluster(partitioning, dataset.dictionary)
+        query = lubm_queries()["L7"]
+        statistics = StatisticsCatalog.from_dataset(query, dataset)
+        plan = Optimizer(OptimizeOptions(statistics=statistics, partitioning=method)).optimize(query).plan
+        relation, _ = Executor(cluster).execute(plan, query)
+        assert relation.rows
+        assert partitioning.replication_factor(len(graph)) >= 1.0 and partitioning.imbalance() >= 1.0
+        assert sum(map(len, cluster.worker_fragments())) >= len(graph)
+        self._assert_cut_on_demand(record, dataset, partitioning)
+        assert not record["scanned"].keys() - set(map(id, partitioning.fragments))
+
+    def test_a_serve_round_cuts_each_scanned_predicate_once(self, lubm_1_file, monkeypatch):
+        """One session and cluster (hash-so), L1-L10 twice on each engine:
+        the first round cuts what it scans, the rest cuts nothing more."""
+        record = self._count_copies(monkeypatch)
+        graph = load_ntriples(lubm_1_file)
+        dataset = Dataset(graph, name="lubm")
+        method = HashSubjectObject()
+        partitioning = method.partition(dataset, 4)
+        assert partitioning.replication_factor(len(graph)) > 1.0  # what a server reports first
+        cluster = Cluster(partitioning, dataset.dictionary)
+        cache = PlanCache()
+        queries = lubm_queries()
+        rows = {}
+        first_round = None
+        for engine in ("columnar", "pipelined", "columnar"):
+            session = Optimizer(
+                OptimizeOptions(dataset=dataset, partitioning=method, plan_cache=cache, engine=engine)
+            )
+            executor = Executor(cluster, engine=engine)
+            for label in [f"L{n}" for n in range(1, 11)]:
+                query = queries[label]
+                relation, _ = executor.execute(session.optimize(query).plan, query)
+                assert rows.setdefault(label, relation.rows) == relation.rows
+            if first_round is None:
+                first_round = sum(record["cuts"].values())
+        assert sum(record["cuts"].values()) == first_round  # later rounds cut nothing
+        assert partitioning.imbalance() >= 1.0
+        self._assert_cut_on_demand(record, dataset, partitioning)

@@ -140,6 +140,16 @@ TRIPWIRES = [
         "a partitioner decodes terms to rank or hash them (read TermDictionary.texts)",
         id="decoded-rank-or-hash",
     ),
+    # fragments on demand: a partitioning's fragments are views of the
+    # dataset's table, each predicate cut when a scan first reads it; no
+    # partitioner gathers a fragment's columns (docs/PERFORMANCE.md,
+    # "Fragments on demand")
+    pytest.param(
+        re.escape(".gather("),
+        ("src/repro/partitioning",),
+        "a partitioner gathers fragments eagerly (wrap the layout's masks: node_fragments)",
+        id="eager-fragment-gather",
+    ),
     # one query path: the CLI runs queries through Optimizer.run (one
     # budget, one verifier, one `query` root span), never an executor
     # of its own, and no executor re-verifies a plan (docs/API.md,
