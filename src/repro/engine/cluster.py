@@ -2,16 +2,17 @@
 
 Plays the role of the paper's 10-node RDF-3X + Hadoop testbed.  A
 :class:`Cluster` serves one :class:`~repro.rdf.encoding.EncodedGraph`
-fragment per worker (cut by a partitioning method from the dataset's id
-columns) plus the id-hash routing used by repartition joins.
+fragment per worker (a view of the dataset's table through the
+partitioning's node masks) plus the id-hash routing used by
+repartition joins.
 
 The cluster is *fault-aware*: workers can be marked dead
 (:meth:`fail_worker`), in which case their partition is re-routed to
 the next live worker from the durable replica the partitioning retains
-(``partitioning.fragments`` is the HDFS-replica stand-in: liveness
-changes never touch it, only a layout change — hot-query placement,
-static or online — merges into it), repartition routing skips dead
-workers, and scans read the degraded layout through
+(its node masks are the HDFS-replica stand-in: liveness changes never
+touch them, only hot-query placement, static or online, sets bits in
+them); a re-route is a union of node bits.  Repartition routing skips
+dead workers, and scans read the degraded layout through
 :meth:`worker_fragments`.  A fully healthy
 cluster behaves exactly as before faults existed — the healthy paths
 return the original structures untouched.
@@ -44,14 +45,14 @@ class Cluster:
         dictionary: Optional[TermDictionary] = None,
     ) -> None:
         self.partitioning = partitioning
-        if not partitioning.fragments:
+        if partitioning.cluster_size < 1:
             raise ValueError(
                 "a cluster needs at least one worker; the partitioning "
                 f"{partitioning.method_name!r} produced no node graphs"
             )
-        #: the cluster-wide term↔id table: the one the fragments carry
+        #: the cluster-wide term↔id table: the dataset table's
         #: (*dictionary* is accepted for callers that still pass it)
-        self.dictionary = partitioning.fragments[0].dictionary
+        self.dictionary = partitioning.table.dictionary
         # liveness/fragment state below is unlocked by design: a Cluster
         # is owned by one executor thread.  Liveness changes between
         # queries, or during one from that same thread (fault recovery;
@@ -60,9 +61,9 @@ class Cluster:
         # must either confine each Cluster to a session thread or add a
         # lock + `#: guarded-by:` declarations (concurrency audit, PR 8).
         self._dead: Set[int] = set()
-        #: degraded-mode fragment overrides: dead workers -> empty,
-        #: re-route targets -> their fragment merged with the lost one
-        self._override: Dict[int, EncodedGraph] = {}
+        #: degraded mode: slot -> the node bits it serves (a dead slot 0, a
+        #: re-route target its own and its dead slots'); others serve their own
+        self._override: Dict[int, int] = {}
         #: callbacks invoked by :meth:`heal` (e.g. a circuit breaker
         #: closing once its quarantined workers come back)
         self._heal_listeners: List[Callable[[], None]] = []
@@ -82,15 +83,15 @@ class Cluster:
 
         The dataset's term dictionary becomes the cluster-wide id
         space: fragments are views cut from the dataset's table
-        (:meth:`~repro.rdf.encoding.EncodedGraph.node_fragments`), nothing
-        is encoded a second time.
+        (:meth:`~repro.rdf.encoding.EncodedGraph.cut`), nothing is
+        encoded a second time.
         """
-        return cls(method.partition(dataset, cluster_size), dataset.dictionary)
+        return cls(method.partition(dataset, cluster_size))
 
     @property
     def size(self) -> int:
         """Number of worker slots (dead workers keep their slot)."""
-        return len(self.partitioning.fragments)
+        return self.partitioning.cluster_size
 
     # ------------------------------------------------------------------
     # liveness
@@ -114,9 +115,13 @@ class Cluster:
         """Whether *worker* is still alive."""
         return worker not in self._dead
 
+    def _bits(self, worker: int) -> int:
+        """The node bits *worker* serves (``0`` once dead)."""
+        return self._override.get(worker, 1 << worker)
+
     def worker_fragment(self, worker: int) -> EncodedGraph:
         """The encoded fragment *worker* currently serves (empty once dead)."""
-        return self._override.get(worker, self.partitioning.fragments[worker])
+        return self.partitioning.fragment(self._bits(worker))
 
     def worker_fragments(self) -> List[EncodedGraph]:
         """Per-slot encoded fragments: re-routed and migrated replicas included."""
@@ -130,29 +135,13 @@ class Cluster:
         """Per-slot term-level views (for tests; the executor reads fragments)."""
         return [self.worker_graph(i) for i in range(self.size)]
 
-    def merge_replica(self, worker: int, triples: EncodedGraph) -> int:
-        """Merge *triples* into the fragment *worker* serves; count additions.
-
-        The replica primitive behind fail-stop re-routing (and adaptive
-        migration onto a slot that serves an override,
-        :mod:`repro.partitioning.adaptive`), built on the same
-        :meth:`EncodedGraph.merged` as :meth:`Partitioning.add_triples`:
-        the served fragment is replaced by a merged copy, so
-        ``partitioning.fragments`` — the durable replica — is not
-        touched.  Does **not** bump the epoch; the caller owns the
-        batching of layout changes.
-        """
-        served = self.worker_fragment(worker)
-        self._override[worker] = merged = served.merged(triples)
-        return len(merged) - len(served)
-
     def fail_worker(self, worker: int) -> Tuple[int, int]:
         """Crash *worker* and re-route its partition in degraded mode.
 
-        The lost partition (recovered from the durable replica — the
-        partitioning's untouched fragment, plus anything a previous
-        re-route or adaptive migration already merged into this worker)
-        is merged into the next live worker's fragment.  Returns
+        The lost partition is recovered from the durable replica: the
+        node bits *worker* served (its own, plus any a previous re-route
+        gave it) join those of the next live worker, which so also serves
+        what is placed on them later, and *worker* serves none.  Returns
         ``(target, triples_moved)`` so the caller can price the replica
         re-scan.
         """
@@ -162,14 +151,14 @@ class Cluster:
             raise ValueError(f"worker {worker} is already dead")
         if self.live_size <= 1:
             raise ValueError("cannot fail the last live worker")
-        lost = self.worker_fragment(worker)
+        lost = self._bits(worker)
         self._dead.add(worker)
         live = self.live_workers
         target = next((i for i in live if i > worker), live[0])
-        self.merge_replica(target, lost)
-        self._override[worker] = EncodedGraph(self.dictionary)
+        self._override[target] = self._bits(target) | lost
+        self._override[worker] = 0
         self.epoch += 1
-        return target, len(lost)
+        return target, len(self.partitioning.fragment(lost))
 
     def add_heal_listener(self, callback: Callable[[], None]) -> None:
         """Register *callback* to run whenever the cluster heals.

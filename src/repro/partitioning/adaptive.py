@@ -21,8 +21,8 @@ module is that loop for the reproduction:
   triples).  What a proposal places is computed by the same
   :func:`~repro.partitioning.dynamic.hot_placements` a from-scratch
   :class:`~repro.partitioning.dynamic.DynamicPartitioning` uses and
-  is merged into the durable replica ``partitioning.fragments``, so it
-  survives worker death and :meth:`~repro.engine.cluster.Cluster.heal`
+  sets bits in the durable replica, the partitioning's node masks, so
+  it survives worker death and :meth:`~repro.engine.cluster.Cluster.heal`
   like any static placement; the layout ``epoch`` is bumped once per
   applied batch so in-flight pipelined scans restart cleanly.
 
@@ -100,7 +100,7 @@ class AdaptationReport:
 
     applied: List[MigrationProposal] = field(default_factory=list)
     skipped: List[MigrationProposal] = field(default_factory=list)
-    #: worker-fragment merges performed (one per (proposal, worker))
+    #: worker fragments grown (one per (proposal, worker) that gained a triple)
     migrations: int = 0
     #: extra triples stored by this batch, summed across workers
     replicated_triples: int = 0
@@ -280,25 +280,22 @@ class RepartitioningAdvisor:
 class AdaptiveCluster(Cluster):
     """A cluster that migrates fragments online under a budget.
 
-    Adapted placements go where static ones are: into the durable
-    replica ``partitioning.fragments``, which healthy workers serve
-    directly and :meth:`~repro.engine.cluster.Cluster.heal` restores.
-    A slot serving a degraded-mode override gets them through
-    :meth:`~repro.engine.cluster.Cluster.merge_replica` as well, and
-    fail-stop re-routing needs no changes — a dead worker's served
-    fragment (base partition plus placements) moves whole to the
-    re-route target.
+    Adapted placements go where static ones are: bits in the durable
+    replica, the partitioning's node masks.  So fail-stop re-routing
+    needs no changes: the re-route target serves the dead worker's bits,
+    base partition and placements alike (also those of a batch applied
+    while it is down), and :meth:`~repro.engine.cluster.Cluster.heal`
+    restores them.
     """
 
     def __init__(
         self,
         partitioning,
-        dictionary=None,
         *,
         dataset: Dataset,
         base_method: PartitioningMethod,
     ) -> None:
-        super().__init__(partitioning, dictionary)
+        super().__init__(partitioning)
         self.dataset = dataset
         self.base_method = base_method
         #: query shapes promoted to co-location, in promotion order
@@ -307,7 +304,7 @@ class AdaptiveCluster(Cluster):
         self.replicated_predicates: List[str] = []
         #: extra triples stored by adaptation, summed across workers
         self.replicated_triples = 0
-        #: worker-fragment merges performed by adaptation
+        #: worker fragments grown by adaptation
         self.migrations = 0
         #: bumped once per applied batch
         self.layout_version = 0
@@ -335,7 +332,8 @@ class AdaptiveCluster(Cluster):
         The budget is a fraction of the dataset's triples: total extra
         stored copies (summed over workers, cumulative across batches)
         never exceed ``replication_budget * len(dataset.graph)``.  A
-        proposal is costed before anything is merged, so it either fits
+        proposal is priced — the positions whose mask lacks the node's
+        bit — before any bit is set, so it either fits
         entirely or is skipped whole; cheaper ones after it may still
         apply.  The layout ``epoch`` is bumped **once** per batch that
         changed anything, so in-flight pipelined scans restart against
@@ -354,7 +352,7 @@ class AdaptiveCluster(Cluster):
             )
         limit = int(replication_budget * len(self.dataset.graph))
         report = AdaptationReport(epoch=self.epoch)
-        fragments = self.partitioning.fragments
+        partitioning = self.partitioning
         try:
             for proposal in proposals:
                 poll(budget)
@@ -364,24 +362,23 @@ class AdaptiveCluster(Cluster):
                     hot, predicates = [], [proposal.predicate]
                 else:
                     raise ValueError(f"malformed proposal {proposal!r}")
-                additions = hot_placements(self.dataset, self.size, hot, predicates, budget)
-                merged = {
-                    node: fragments[node].merged(additions[node])
-                    for node in sorted(additions)
+                masks = partitioning.masks
+                additions = {  # the positions whose mask lacks the node's bit, each once
+                    node: [p for p in dict.fromkeys(positions) if not masks[p] >> node & 1]
+                    for node, positions in hot_placements(
+                        partitioning.table, self.size, hot, predicates, budget
+                    ).items()
                 }
-                cost = sum(len(merged[node]) - len(fragments[node]) for node in merged)
+                cost = sum(map(len, additions.values()))
                 if self.replicated_triples + cost > limit:
                     report.skipped.append(proposal)
                     continue
                 # priced: commit whole and count at once, polling nothing
-                for node, fragment in merged.items():
-                    if fragment is fragments[node]:  # nothing new for this node
-                        continue
-                    fragments[node] = fragment
-                    if node in self._override:  # dead, or serving a re-routed partition too
-                        self.merge_replica(self._live(node), additions[node])
-                    report.migrations += 1
-                    self.migrations += 1
+                if cost:
+                    partitioning.place(additions)
+                grown = sum(map(bool, additions.values()))
+                report.migrations += grown
+                self.migrations += grown
                 report.applied.append(proposal)
                 report.replicated_triples += cost
                 self.replicated_triples += cost

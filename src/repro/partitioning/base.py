@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple, Union
 
 from ..rdf.dataset import Dataset
 from ..rdf.encoding import EncodedGraph
@@ -38,17 +38,31 @@ Layout = Tuple[List[int], Dict[int, int]]
 
 @dataclass
 class Partitioning:
-    """The outcome of partitioning a dataset across ``n`` nodes: per node
-    one :class:`~repro.rdf.encoding.EncodedGraph` fragment over the dataset's
-    dictionary, in ascending position of the dataset's own columns — as
-    :meth:`partition` makes them, views of the dataset's table that copy
-    what a scan reads when it first reads it
-    (:meth:`~repro.rdf.encoding.EncodedGraph.node_fragments`)."""
+    """The outcome of partitioning a dataset across ``cluster_size``
+    nodes: the dataset's encoded table and, per triple position, the one
+    record of placement — a node mask, bit ``n`` set when node ``n``
+    stores the triple.  The fragment of a node, or of any set of nodes,
+    is a view of the table through the masks
+    (:meth:`~repro.rdf.encoding.EncodedGraph.cut`).  :meth:`place` sets
+    bits in a new masks list read by new views, so a scan in flight keeps
+    the layout it started on."""
 
     method_name: str
-    fragments: List[EncodedGraph]
+    #: the dataset's encoded table (never changed)
+    table: EncodedGraph
+    #: per triple position of :attr:`table`, the mask of the nodes storing it
+    masks: List[int]
+    cluster_size: int
     #: anchor vertex id -> its node, in the order the method's ``layout`` placed them
     anchor_nodes: Dict[int, int] = field(default_factory=dict)
+    #: node bits -> their view of the current masks
+    _views: Dict[int, EncodedGraph] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # each node's view now (the table keeps the buckets views cut by
+        # from here on), any other set's when first asked for
+        bits = [1 << node for node in range(self.cluster_size)]
+        self._views = {b: self.table.cut(self.masks, b) for b in bits}
 
     @cached_property
     def vertex_placement(self) -> Dict[Term, int]:
@@ -56,25 +70,31 @@ class Partitioning:
         is read (for tests: nothing on the query path reads it)."""
         if not self.anchor_nodes:
             return {}
-        anchors = self.fragments[0].dictionary.decode_all(self.anchor_nodes)
+        anchors = self.table.dictionary.decode_all(self.anchor_nodes)
         return dict(zip(anchors, self.anchor_nodes.values()))
 
+    def fragment(self, bits: int) -> EncodedGraph:
+        """What the nodes in *bits* store between them (``0``: nothing)."""
+        if bits not in self._views:
+            self._views[bits] = self.table.cut(self.masks, bits)
+        return self._views[bits]
+
     @property
-    def cluster_size(self) -> int:
-        """Number of nodes the data was distributed over."""
-        return len(self.fragments)
+    def fragments(self) -> List[EncodedGraph]:
+        """Per node, its fragment (:meth:`fragment` of its one bit)."""
+        return [self.fragment(1 << node) for node in range(self.cluster_size)]
 
     @property
     def node_graphs(self) -> List[RDFGraph]:
         """Per-node term-level *views*, decoded on first use (for tests;
-        change a node through :meth:`add_triples`, never through its view)."""
+        a node gains triples through :meth:`place`, never through its view)."""
         return [fragment.decoded() for fragment in self.fragments]
 
-    def add_triples(self, node: int, triples: EncodedGraph) -> int:
-        """Store *triples* on *node* as well; return how many were new."""
-        before = self.fragments[node]
-        self.fragments[node] = merged = before.merged(triples)
-        return len(merged) - len(before)
+    def place(self, placements: Mapping[int, Iterable[int]]) -> None:
+        """Store the triples at *placements* (node -> positions) on those
+        nodes as well: their bits set in a new masks list, read by new views."""
+        self.masks = with_bits(self.masks, placements)
+        self.__post_init__()
 
     def total_stored_triples(self) -> int:
         """Stored triples including duplicates across nodes."""
@@ -138,8 +158,8 @@ class PartitioningMethod(abc.ABC):
     # derived functionality
     # ------------------------------------------------------------------
     def partition(self, dataset: Dataset, cluster_size: int) -> Partitioning:
-        """Run both phases (:meth:`layout`) and wrap the one masks list
-        into each node's fragment: a view of the dataset's table in
+        """Run both phases (:meth:`layout`) and keep the one masks list
+        over the dataset's table: each node's fragment is a view of it in
         ascending triple position (an explicit order, so fragments do not
         follow set iteration or the hash seed), copied from it only as
         scans read it."""
@@ -148,11 +168,7 @@ class PartitioningMethod(abc.ABC):
         graph = dataset.encoded_graph()
         rank = text_rank(graph, self.anchor_candidates(graph))
         masks, placement = self.layout(graph, cluster_size, rank)
-        return Partitioning(
-            method_name=self.name,
-            fragments=graph.node_fragments(masks, cluster_size),
-            anchor_nodes=placement,
-        )
+        return Partitioning(self.name, graph, masks, cluster_size, placement)
 
     def maximal_local_queries(self, query: BGPQuery) -> List[FrozenSet[TriplePattern]]:
         """All distinct maximal local queries of *query* (Appendix A).
@@ -180,6 +196,17 @@ class PartitioningMethod(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def with_bits(masks: List[int], placements: Mapping[int, Iterable[int]]) -> List[int]:
+    """A copy of *masks* with node ``n``'s bit set at each position of
+    ``placements[n]``."""
+    masks = list(masks)
+    for node, positions in placements.items():
+        bit = 1 << node
+        for position in positions:
+            masks[position] |= bit
+    return masks
 
 
 def text_rank(graph: EncodedGraph, vertices: Iterable[int]) -> Rank:

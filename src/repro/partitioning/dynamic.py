@@ -12,33 +12,33 @@ the hot list was fixed up front or grown online by
 :class:`~repro.partitioning.adaptive.AdaptiveCluster` (PHD-Store and
 AdPart run the same mechanism at different times):
 
-* on data it is the base method's layout plus :func:`hot_placements` —
-  each hot-query match co-located on the node its anchor hashes to,
-  each replicated predicate's extent copied onto every node;
+* on data it is the base method's layout with the bits of
+  :func:`hot_placements` set — each hot-query match co-located on the
+  node its anchor hashes to, each replicated predicate's extent on
+  every node;
 * ``combine_query`` returns the larger of the base maximal local query
   and the best hot-query intersection, per the appendix's two
   conditions (connected, and containing a pattern that touches ``v``),
   grown by the patterns over replicated predicates connected to it.
 
 :func:`hot_placements` is the only place that decides where a hot
-query's matches go.  It works on the dataset's id columns: no term is
-decoded, and anchors are ordered and hashed by their texts.
+query's matches go.  It works on the dataset's id columns and answers
+in triple positions: no term is decoded, and anchors are ordered and
+hashed by their texts.
 """
 
 from __future__ import annotations
 
 import hashlib
-from array import array
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..rdf.dataset import Dataset
 from ..rdf.encoding import EncodedGraph, IdTriple
 from ..rdf.terms import PatternTerm, Variable
 from ..sparql.ast import BGPQuery, TriplePattern
 from ..sparql.query_graph import QueryGraph
-from .base import Layout, Partitioning, PartitioningMethod, Rank, hash_terms, text_rank
+from .base import Layout, PartitioningMethod, Rank, hash_terms, text_rank, with_bits
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (core depends on us)
     from ..core.governance import QueryBudget
@@ -100,25 +100,26 @@ def poll(budget: Optional["QueryBudget"]) -> None:
 
 
 def hot_placements(
-    dataset: Dataset,
+    graph: EncodedGraph,
     cluster_size: int,
     hot_queries: Sequence[BGPQuery],
     replicated_predicates: Iterable[str],
     budget: Optional["QueryBudget"],
-) -> Dict[int, EncodedGraph]:
-    """The triples each node stores on top of the base layout.
+) -> Dict[int, List[int]]:
+    """The positions of *graph* (the dataset's table) each node stores
+    on top of the base layout, repeats allowed.
 
     Every match of a hot query goes, whole, to the node its *anchor*
     hashes to — the match's minimal binding by string form, so a layout
     does not depend on id assignment — which is the "redistribute so
     hot queries run locally" behaviour of [5], [45].  The extent of
-    every replicated predicate goes to every node.  Matching is the
-    columnar engine's (indexed scans, id hash joins) over the dataset's
-    encoded graph; a pattern is grounded straight from the id row.
-    Nothing is mutated: the caller merges (and, online, first costs)
-    what is returned.  *budget* is polled between matches.  A hot query
-    that binds no variable has no anchor: ``ValueError``, before
-    anything is matched.
+    every replicated predicate — its bucket of positions — goes to every
+    node.  Matching is the columnar engine's (indexed scans, id hash
+    joins) over the table; a pattern is grounded straight from the id
+    row and found in its predicate's run.  Nothing is mutated: the
+    caller sets the bits (and, online, first prices them).  *budget* is
+    polled between matches.  A hot query that binds no variable has no
+    anchor: ``ValueError``, before anything is matched.
     """
     from ..engine.columnar import multi_join_encoded, scan_pattern_encoded
 
@@ -126,9 +127,19 @@ def hot_placements(
     if ground is not None:
         label = ground.name or structural_signature(ground)
         raise ValueError(f"hot query {label!r} binds no variable to anchor its matches")
-    graph = dataset.encoded_graph()
     dictionary = graph.dictionary
-    placed: Dict[int, List[IdTriple]] = {}
+    positions = graph.predicate_positions()  # first, so the table is grouped once
+    runs = graph.predicate_runs()
+    # predicate id -> (subject id, object id) -> the triple's position
+    where: Dict[int, Dict[Tuple[int, int], int]] = {}
+
+    def position(triple: IdTriple) -> int:
+        subject, predicate, object_ = triple
+        if predicate not in where:
+            where[predicate] = dict(zip(zip(*runs[predicate]), positions[predicate]))
+        return where[predicate][subject, object_]
+
+    placed: Dict[int, List[int]] = {}
     for hot in hot_queries:
         matches = multi_join_encoded(
             [scan_pattern_encoded(graph, tp) for tp in hot.patterns]
@@ -152,21 +163,16 @@ def hot_placements(
         for row, node in zip(rows, nodes):
             poll(budget)
             ids = row + constants
-            placed.setdefault(node, []).extend(ground(ids) for ground in grounders)
+            placed.setdefault(node, []).extend(position(ground(ids)) for ground in grounders)
     wanted = set(replicated_predicates)
     if wanted:
         for predicate in graph.predicate_ids():
             if dictionary.texts[predicate] in wanted:
-                extent = list(graph.scan(predicate=predicate))
+                extent = positions[predicate]
                 for node in range(cluster_size):
                     poll(budget)
                     placed.setdefault(node, []).extend(extent)
-    return {
-        node: EncodedGraph(
-            dictionary, tuple(array("q", column) for column in zip(*triples))
-        )
-        for node, triples in placed.items()
-    }
+    return placed
 
 
 class DynamicPartitioning(PartitioningMethod):
@@ -208,18 +214,13 @@ class DynamicPartitioning(PartitioningMethod):
         return self.base.anchor_candidates(graph)
 
     def layout(self, graph: EncodedGraph, cluster_size: int, rank: Rank) -> Layout:
-        return self.base.layout(graph, cluster_size, rank)
-
-    def partition(self, dataset: Dataset, cluster_size: int) -> Partitioning:
-        """The base layout with :func:`hot_placements` merged in — the
-        layout :meth:`AdaptiveCluster.apply` reaches incrementally."""
-        partitioning = super().partition(dataset, cluster_size)
+        """The base layout with the bits of :func:`hot_placements` set —
+        the layout :meth:`AdaptiveCluster.apply` reaches incrementally."""
+        masks, placement = self.base.layout(graph, cluster_size, rank)
         additions = hot_placements(
-            dataset, cluster_size, self.hot_queries, self.replicated_predicates, None
+            graph, cluster_size, self.hot_queries, self.replicated_predicates, None
         )
-        for node in sorted(additions):
-            partitioning.add_triples(node, additions[node])
-        return partitioning
+        return with_bits(masks, additions), placement
 
     # ------------------------------------------------------------------
     # query side: base MLQ vs best hot-query intersection

@@ -3,7 +3,7 @@
 A :class:`Dataset` bundles an :class:`~repro.rdf.triples.RDFGraph` with
 its :class:`~repro.rdf.encoding.EncodedGraph` and the dataset-wide
 :class:`~repro.rdf.encoding.TermDictionary`.  Partitioners place its
-triples, clusters gather worker fragments from its id columns, and the
+triples, clusters serve worker fragments as views of its id columns, and the
 optimizer's exact statistics
 (:meth:`~repro.core.cardinality.StatisticsCatalog.from_dataset`) are
 counted off the same columns.
@@ -63,7 +63,7 @@ class Dataset:
 
         Built by :meth:`refresh`.  Partitioners mark the nodes that store
         each of its triple positions, and every worker fragment is a view
-        cut from it (:meth:`~repro.rdf.encoding.EncodedGraph.node_fragments`,
+        cut from it (:meth:`~repro.rdf.encoding.EncodedGraph.cut`,
         sharing :attr:`dictionary`); statistics and single-node columnar
         evaluation read its indexes.
         """

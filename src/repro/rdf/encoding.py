@@ -19,13 +19,14 @@ same ids), keyed by each term's N-Triples text and building a term
 object only when its id is decoded, with a JSON save/load round trip.
 :class:`EncodedGraph` is the columnar triple store: three parallel
 ``array('q')`` columns plus the per-predicate indexes, built from any
-:class:`~repro.rdf.triples.RDFGraph` against a shared dictionary.  A dataset is encoded once; partitioners
-mark, per triple *position*, the nodes that store it, and every worker
+:class:`~repro.rdf.triples.RDFGraph` against a shared dictionary.  A
+dataset is encoded once and its table never changes; partitioners mark,
+per triple *position*, the nodes that store it, and every worker
 fragment of a cluster is a view of the dataset's table through those
-marks (:meth:`~EncodedGraph.node_fragments`), cut one predicate at a
-time as scans read it — which is how all fragments speak the same id
-space without a second encoding pass, and why a cluster holds no second
-copy of its data.
+marks (:meth:`~EncodedGraph.cut`), cut one predicate at a time as scans
+read it — which is how all fragments speak the same id space without a
+second encoding pass, and why a cluster holds no second copy of its
+data.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import chain, compress, repeat
-from operator import and_, is_, itemgetter, ne, or_
+from operator import and_, countOf, is_, itemgetter, ne, or_
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -377,8 +378,8 @@ class EncodedGraph:
 
     The three ``array('q')`` columns are the base table (insertion
     order, mirroring the source graph; a worker fragment is in
-    ascending position of the dataset's table).  Everything else is
-    derived from them on first use and dropped by appends: the
+    ascending position of the dataset's table), never changed once
+    made.  Everything else is derived from them on first use: the
     per-predicate :class:`PredicateIndex` (one predicate at a time — a
     query touches a handful), the vertex adjacency the partitioners
     walk, and the decoded term-level view.  All fragments of one
@@ -427,13 +428,6 @@ class EncodedGraph:
             (array("q", ids[0::3]), array("q", ids[1::3]), array("q", ids[2::3])),
         )
 
-    def add_ids(self, subject: int, predicate: int, object_: int) -> None:
-        """Append one already-encoded triple (drops everything derived)."""
-        self._subjects.append(subject)
-        self._predicates.append(predicate)
-        self._objects.append(object_)
-        self._drop_derived()
-
     def __len__(self) -> int:
         return len(self._subjects)
 
@@ -457,29 +451,30 @@ class EncodedGraph:
         return zip(self._subjects, self._predicates, self._objects)
 
     # ------------------------------------------------------------------
-    # fragments: cut from, merged into and decoded back out of columns
+    # fragments: cut from and decoded back out of columns
     # ------------------------------------------------------------------
     def gather(self, positions: Sequence[int]) -> "EncodedGraph":
         """The triples at *positions*, in that order, as a new fragment."""
         columns = (self._subjects, self._predicates, self._objects)
         return EncodedGraph(self.dictionary, tuple(_picked(c, positions) for c in columns))
 
-    def node_fragments(self, masks: Sequence[int], cluster_size: int) -> List["EncodedGraph"]:
-        """Per node ``n < cluster_size``, its fragment of this table: the
+    def cut(self, masks: Sequence[int], bits: int) -> "EncodedGraph":
+        """The fragment of this table that the nodes in *bits* store: the
         triples whose mask in *masks* (one int per position, as a
-        partitioning layout gives them) has bit ``n`` set, in ascending
+        partitioning layout gives them) meets *bits*, in ascending
         position — what ``gather`` of those positions holds.
 
-        Nothing is copied here.  A fragment is a view that cuts a
+        Nothing is copied here.  The fragment is a view that cuts a
         predicate's run from this table's grouping pass the first time a
         scan reads it, gathers its base columns only when something reads
         them (and then keeps them), counts its length off *masks*, and
-        pickles or copies as a plain fragment.  A triple appended to this
-        table later is in no fragment.  From here on this table's grouping
-        pass keeps its buckets of positions, for the fragments to cut by.
+        pickles or copies as a plain fragment.  *masks* must not change
+        under it: a new placement is a new masks list and new views.  From
+        here on this table's grouping pass keeps its buckets of positions,
+        for the fragments to cut by.
         """
         self._keep_buckets()
-        return [_NodeCut(self, masks, node) for node in range(cluster_size)]
+        return _NodeCut(self, masks, bits)
 
     def _keep_buckets(self) -> None:
         """Have the grouping pass keep its per-predicate buckets of
@@ -487,36 +482,14 @@ class EncodedGraph:
         if self._positions is None:
             self._positions, self._runs = {}, None
 
-    def merged(self, triples: "EncodedGraph") -> "EncodedGraph":
-        """This fragment followed by those of *triples* it does not hold.
-
-        *triples* is another fragment over the same dictionary.
-        Nothing is mutated: the result is a new fragment, or this one
-        when nothing is new — ``len(result) - len(self)`` is the number
-        of triples added.
-        """
-        held = set(self.triples())
-        new = [t for t in dict.fromkeys(triples.triples()) if t not in held]
-        if not new:
-            return self
-        subjects, predicates, objects = zip(*new)
-        return EncodedGraph(
-            self.dictionary,
-            (
-                self._subjects + array("q", subjects),
-                self._predicates + array("q", predicates),
-                self._objects + array("q", objects),
-            ),
-        )
-
     def decoded(self) -> RDFGraph:
         """The term-level view of this fragment (one object, kept).
 
         For tests and for callers that want terms back; the engines and
         the partitioners never ask for it.  It is a *view* (see
         :class:`RDFGraph`): it builds its triples when first read term
-        by term, and writing to it detaches it — change the fragment
-        through its owner (:meth:`merged`), not through the view.
+        by term, and writing to it detaches it: a placement changes the
+        partitioning's masks, never the view.
         """
         view = self._decoded
         if view is None or view._encoded is None:  # none yet, or detached
@@ -556,7 +529,8 @@ class EncodedGraph:
         Each position goes to its predicate's bucket, and each bucket is
         gathered from both columns.  A table that has handed out
         fragments keeps the buckets, as ``array('q')``, for them to cut
-        runs by (:meth:`node_fragments`)."""
+        runs by (:meth:`cut`) and for placements to find positions by
+        (:meth:`predicate_positions`)."""
         if self._runs is None:
             buckets: Dict[int, List[int]] = defaultdict(list)
             for position, predicate in enumerate(self._predicates):
@@ -575,6 +549,15 @@ class EncodedGraph:
     def predicate_ids(self) -> List[int]:
         """All predicate ids with at least one triple, ascending."""
         return list(self.predicate_runs())
+
+    def predicate_positions(self) -> Dict[int, array]:
+        """By predicate id, the positions of its triples in this table,
+        ascending: aligned with its run in :meth:`predicate_runs`, read
+        after this call.  From here on the grouping pass keeps these
+        buckets, as for :meth:`cut`."""
+        self._keep_buckets()
+        self.predicate_runs()
+        return self._positions  # type: ignore[return-value]
 
     def index_for(self, predicate: int) -> Optional[PredicateIndex]:
         """The index of *predicate* (``None`` if it has no triples): made
@@ -632,33 +615,29 @@ class EncodedGraph:
 
 
 class _NodeCut(EncodedGraph):
-    """One node's fragment of a table, as :meth:`EncodedGraph.node_fragments`
-    makes it: the table, the layout's per-triple node masks and the node's
-    bit, and nothing copied until it is read.
+    """The fragment a set of nodes stores, as :meth:`EncodedGraph.cut`
+    makes it: the table, the layout's per-triple node masks and the
+    nodes' bits, and nothing copied until it is read.
 
     * :meth:`index_for` cuts the predicate's run from the table's: the
       triples of it whose mask, read through the table's bucket of
-      positions, has the bit;
+      positions, meets the bits;
     * :meth:`predicate_runs` (and so :meth:`predicate_ids`) cuts every
       predicate the same way, once;
-    * ``len`` counts the bit in the masks, once;
+    * ``len`` counts the masks that meet the bits, once;
     * the base columns are gathered when first read (``subjects``,
-      ``triples``, ``adjacency``, ``merged``, ``decoded``, ``gather``,
-      ``add_ids``) and kept; an append then makes it a fragment of its own.
+      ``triples``, ``adjacency``, ``decoded``, ``gather``) and kept.
 
     It holds exactly ``table.gather`` of its positions, in that order, and
     pickles and copies as that.
     """
 
-    __slots__ = ("_table", "_masks", "_bit", "_length", "_absent")
+    __slots__ = ("_table", "_masks", "_bits", "_length", "_absent")
 
-    def __init__(self, table: EncodedGraph, masks: Sequence[int], node: int) -> None:
+    def __init__(self, table: EncodedGraph, masks: Sequence[int], bits: int) -> None:
         self.dictionary = table.dictionary
         self._drop_derived()
-        #: the table cut from (a plain graph), until an append detaches
-        #: this fragment from it
-        self._table: Optional[EncodedGraph] = table
-        self._masks, self._bit = masks, 1 << node
+        self._table, self._masks, self._bits = table, masks, bits
         self._length: Optional[int] = None  # counted when first asked
         #: predicates cut and found to have no triple here (``_indexes``
         #: holds only indexes)
@@ -670,8 +649,8 @@ class _NodeCut(EncodedGraph):
         if name not in ("_subjects", "_predicates", "_objects"):
             raise AttributeError(name)
         masks = self._masks
-        positions = list(compress(range(len(masks)), map(and_, masks, repeat(self._bit))))
-        gathered = self._table.gather(positions)  # type: ignore[union-attr]
+        positions = list(compress(range(len(masks)), map(and_, masks, repeat(self._bits))))
+        gathered = self._table.gather(positions)
         self._subjects, self._predicates, self._objects = (
             gathered._subjects, gathered._predicates, gathered._objects
         )
@@ -681,46 +660,37 @@ class _NodeCut(EncodedGraph):
         """Pickle and copy as a plain fragment of its own columns."""
         return EncodedGraph, (self.dictionary, (self.subjects, self.predicates, self.objects))
 
-    def _drop_derived(self) -> None:
-        super()._drop_derived()
-        self._table = None  # an append: the fragment's own columns from now on
-
     def __len__(self) -> int:
-        if self._table is None:
-            return super().__len__()
-        if self._length is None:  # the node's bits, summed and shifted down
-            self._length = sum(map(and_, self._masks, repeat(self._bit))) // self._bit
+        if self._length is None:  # the masks less those that miss every bit
+            masks = self._masks
+            self._length = len(masks) - countOf(map(and_, masks, repeat(self._bits)), 0)
         return self._length
 
     def _cut(self, predicate: int) -> Optional[Tuple[array, array]]:
         """The run of *predicate* here (``None`` if it has no triple): the
-        table's run of it, less the triples whose mask lacks this node's
-        bit — read through the positions of the table's bucket."""
-        table: EncodedGraph = self._table  # type: ignore[assignment]
-        masks = self._masks
-        table._keep_buckets()  # (again, after an append to the table)
+        table's run of it, less the triples whose mask misses these nodes'
+        bits — read through the positions of the table's bucket."""
+        table = self._table
         run = table.predicate_runs().get(predicate)
         if run is None:
             return None
         bucket = table._positions[predicate]  # type: ignore[index]
-        if len(table) > len(masks):  # appended to since the layout
-            bucket = bucket[:bisect_left(bucket, len(masks))]
-        held = list(map(and_, map(masks.__getitem__, bucket), repeat(self._bit)))
+        held = list(map(and_, map(self._masks.__getitem__, bucket), repeat(self._bits)))
         if not any(held):
             return None
         return array("q", compress(run[0], held)), array("q", compress(run[1], held))
 
     def predicate_runs(self) -> Dict[int, Tuple[array, array]]:
-        if self._runs is None and self._table is not None:
+        if self._runs is None:
             self._runs = {
                 predicate: run
                 for predicate in self._table.predicate_runs()
                 if (run := self._cut(predicate)) is not None
             }
-        return super().predicate_runs()
+        return self._runs
 
     def index_for(self, predicate: int) -> Optional[PredicateIndex]:
-        if self._runs is not None or self._table is None:
+        if self._runs is not None:
             return super().index_for(predicate)
         index = self._indexes.get(predicate)
         if index is None and predicate not in self._absent:

@@ -320,17 +320,6 @@ class TestEncodedScan:
                 assert o in index.objects_for(s)
                 assert s in index.subjects_for(o)
 
-    def test_add_ids_invalidates_indexes(self):
-        dataset = random_dataset(random.Random(4))
-        encoded = dataset.encoded_graph()
-        pid = encoded.predicate_ids()[0]
-        before = len(encoded.index_for(pid))
-        s = dataset.dictionary.encode(IRI("http://e/fresh-subject"))
-        o = dataset.dictionary.encode(IRI("http://e/fresh-object"))
-        encoded.add_ids(s, pid, o)
-        assert len(encoded.index_for(pid)) == before + 1
-        assert encoded.index_for(pid).contains(s, o)
-
 
 #: an id table for the inputs below: ``ID_TABLE[i]`` is the one object for id *i*
 ID_TABLE = list(range(1000))

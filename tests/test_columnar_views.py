@@ -10,7 +10,7 @@ index probe, Cartesian, the zero-variable ``S p O`` and the ``?x p ?x``
 diagonal) with the partner's size swept across the probe-vs-hash
 threshold; the invariant that no operator output holds a row twice; the
 greedy join order; the snapshot a returned relation keeps when its
-fragment changes under it; the four places the executor
+fragment's layout changes; the four places the executor
 deduplicates what two workers both hold; and one object per id — every
 index order and every operator output holds the int objects the
 dictionary hands out.
@@ -74,18 +74,15 @@ def duplicate_free(relation: EncodedRelation) -> bool:
 
 
 def fragment_of(triples, dictionary=None) -> EncodedGraph:
-    """An encoded fragment holding *triples* (``(s, predicate, o)`` ints/IRI)."""
+    """A table holding *triples* (``(s, predicate, o)`` ints/IRI), in order."""
     dictionary = dictionary if dictionary is not None else TermDictionary()
-    fragment = EncodedGraph(dictionary)
     # a predicate the dictionary knows but this fragment has no triple of
     dictionary.encode(EMPTY)
-    for s, predicate, o in triples:
-        fragment.add_ids(
-            dictionary.encode(vertex(s)),
-            dictionary.encode(predicate),
-            dictionary.encode(vertex(o)),
-        )
-    return fragment
+    ids = [
+        (dictionary.encode(vertex(s)), dictionary.encode(predicate), dictionary.encode(vertex(o)))
+        for s, predicate, o in triples
+    ]
+    return EncodedGraph(dictionary, tuple(array("q", column) for column in zip(*ids)) or None)
 
 
 def handed_out(dictionary: TermDictionary) -> list:
@@ -491,7 +488,11 @@ class TestJoinOrder:
 class TestSnapshots:
     @pytest.mark.parametrize("materialized", [False, True])
     def test_add_ids_leaves_a_returned_scan_alone(self, materialized):
-        fragment = fragment_of([(1, P, 2), (1, P, 3), (4, P, 2)])
+        """Triples placed on a node after a scan of its fragment (new bits
+        in a new masks list, read by a new view) stay out of the scan."""
+        table = fragment_of([(1, P, 2), (1, P, 3), (4, P, 2), (1, P, 9), (8, P, 2)])
+        partitioning = Partitioning("placing", table, [1, 1, 1, 0, 0], cluster_size=1)
+        fragment = partitioning.fragment(1)
         patterns = [
             TriplePattern(A, P, B),
             TriplePattern(B, P, A),
@@ -501,23 +502,23 @@ class TestSnapshots:
         before = [scanned(fragment, tp, materialized) for tp in patterns]
         expected = [scan_pattern_eager(fragment, tp).rows for tp in patterns]
         d = fragment.dictionary
-        fragment.add_ids(d.encode(vertex(1)), d.encode(P), d.encode(vertex(9)))
-        fragment.add_ids(d.encode(vertex(8)), d.encode(P), d.encode(vertex(2)))
+        partitioning.place({0: [3, 4]})
         for relation, rows in zip(before, expected):
             assert len(relation) == len(rows)
             assert set(relation) == rows
         # the index a scan kept still answers for the snapshot it was taken from
         probe = EncodedRelation([A, C], d, {(d.lookup(vertex(1)), 0)})
         assert len(hash_join_encoded(before[0], probe)) == 2 or materialized
-        # a new scan sees the new triples
-        assert len(scan_pattern_encoded(fragment, patterns[0])) == 5
+        # a new scan, of the new view, sees the new triples
+        assert len(scan_pattern_encoded(fragment, patterns[0])) == 3
+        assert len(scan_pattern_encoded(partitioning.fragment(1), patterns[0])) == 5
 
     @pytest.mark.parametrize("materialized", [False, True])
     def test_fail_worker_leaves_a_returned_scan_alone(self, materialized):
         dataset = Dataset.from_triples(
             [triple(f"http://e/v{i}", "http://e/p", f"http://e/v{i + 1}") for i in range(40)]
         )
-        cluster = Cluster(HashSubjectObject().partition(dataset, 3), dataset.dictionary)
+        cluster = Cluster(HashSubjectObject().partition(dataset, 3))
         pattern = TriplePattern(A, P, B)
         before = [
             scanned(cluster.worker_fragment(worker), pattern, materialized)
@@ -578,13 +579,10 @@ def replicated_cluster():
     Worker 0 also holds ``v3 p v4``, worker 1 ``v5 p v6``; both hold
     every ``q`` triple, so ``?a p ?b . ?b q ?c`` joins locally on each.
     """
-    dictionary = TermDictionary()
     shared = [(1, P, 2), (2, Q, 7), (4, Q, 8), (6, Q, 9)]
-    fragments = [
-        fragment_of(shared + [(3, P, 4)], dictionary),
-        fragment_of(shared + [(5, P, 6)], dictionary),
-    ]
-    return Cluster(Partitioning("replicating", fragments), dictionary)
+    table = fragment_of(shared + [(3, P, 4), (5, P, 6)])
+    masks = [0b11] * len(shared) + [0b01, 0b10]
+    return Cluster(Partitioning("replicating", table, masks, cluster_size=2))
 
 
 def scan_node(index: int, pattern: TriplePattern, cardinality: float) -> ScanNode:
@@ -746,18 +744,13 @@ def lubm():
 
 
 def cluster_of(lubm) -> Cluster:
-    return Cluster(lubm.method.partition(lubm.dataset, 4), lubm.dataset.dictionary)
+    return Cluster(lubm.method.partition(lubm.dataset, 4))
 
 
 def copied(fragment: EncodedGraph, dictionary=None) -> EncodedGraph:
     """A fragment on copies of *fragment*'s base columns: nothing derived yet."""
     columns = (fragment.subjects, fragment.predicates, fragment.objects)
     return EncodedGraph(dictionary or fragment.dictionary, tuple(array("q", c) for c in columns))
-
-
-def anew(ident: int) -> int:
-    """An int equal to *ident*, made here (another object past the small-int cache)."""
-    return int(str(ident))
 
 
 class TestOneObjectPerId:
@@ -803,21 +796,11 @@ class TestOneObjectPerId:
         assert len(scan) == 3 and min(map(min, scan.columns)) > 256
         assert all(holds_dictionary_ids(column, dictionary) for column in scan.columns)
 
-    def test_after_add_ids(self, lubm):
-        fragment = copied(lubm.dataset.encoded_graph())
-        self.assert_one_object_per_id(fragment)  # both orders sorted before the append
-        d = fragment.dictionary
-        subject, predicate, object_ = fragment.subjects[-1], fragment.predicates[-1], 2000
-        given = anew(subject), anew(predicate), anew(object_)
-        assert given[0] is not d.ids[subject] and given[2] is not d.ids[object_]
-        fragment.add_ids(*given)
-        self.assert_one_object_per_id(fragment)
-        assert fragment.index_for(predicate).contains(subject, object_)
-
     def test_after_merged(self, lubm):
+        """Two nodes' fragments merged: the view of both their bits."""
         cluster = cluster_of(lubm)
-        first, second = cluster.worker_fragment(0), cluster.worker_fragment(1)
-        merged = first.merged(second)
+        first = cluster.worker_fragment(0)
+        merged = cluster.partitioning.fragment(0b11)
         assert len(merged) > len(first)
         self.assert_one_object_per_id(merged)
 

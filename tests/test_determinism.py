@@ -102,7 +102,7 @@ for name in ("hash-so", "2f", "path-bmc", "un-1-hop"):
     partitioning = method.partition(dataset, 4)
     session = Optimizer(OptimizeOptions(dataset=dataset, partitioning=method,
                                         engine="columnar"))
-    executor = Executor(Cluster(partitioning, dataset.dictionary), engine="columnar")
+    executor = Executor(Cluster(partitioning), engine="columnar")
     metrics = {}
     for label in ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8"):
         query = lubm_query(label)

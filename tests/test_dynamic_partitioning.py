@@ -8,7 +8,7 @@ from repro.core import bitset as bs
 from repro.engine import Cluster, Executor, evaluate_reference
 from repro.partitioning import DynamicPartitioning, HashSubjectObject
 from repro.partitioning.dynamic import hot_placements
-from repro.rdf import Dataset, EncodedGraph, triple
+from repro.rdf import Dataset, triple
 from repro.workloads import generate_lubm, lubm_query
 
 from . import partitioning_oracle as oracle
@@ -138,8 +138,11 @@ class TestEncodedHotMatching:
     @staticmethod
     def _placed(dataset, hot, cluster_size):
         """``hot_placements`` decoded: node -> set of triples."""
-        additions = hot_placements(dataset, cluster_size, [hot], (), None)
-        return {node: set(extra.decoded()) for node, extra in additions.items()}
+        graph = dataset.encoded_graph()
+        additions = hot_placements(graph, cluster_size, [hot], (), None)
+        return {
+            node: set(graph.gather(positions).decoded()) for node, positions in additions.items()
+        }
 
     @staticmethod
     def _expected(dataset, hot, cluster_size):
@@ -167,12 +170,8 @@ class TestEncodedHotMatching:
         cluster_size = 4
         method = DynamicPartitioning(HashSubjectObject(), [chain_query_3])
         layout = method.partition(chain_data, cluster_size)
-        expected = HashSubjectObject().partition(chain_data, cluster_size)
+        base = HashSubjectObject().partition(chain_data, cluster_size)
+        expected = [set(g) for g in base.node_graphs]
         for anchor, triples in oracle.reference_matches(chain_data, chain_query_3):
-            expected.add_triples(
-                oracle.hash_term(anchor, cluster_size),
-                EncodedGraph.from_graph(triples, chain_data.dictionary),
-            )
-        assert [set(g) for g in layout.node_graphs] == [
-            set(g) for g in expected.node_graphs
-        ]
+            expected[oracle.hash_term(anchor, cluster_size)].update(triples)
+        assert [set(g) for g in layout.node_graphs] == expected

@@ -159,7 +159,8 @@ class TestClusterLiveness:
             Cluster.build(dataset, HashSubjectObject(), cluster_size=-3)
 
     def test_partitioning_without_workers_rejected(self):
-        empty = Partitioning(method_name="broken", fragments=[])
+        dataset = Dataset.from_triples([triple("http://e/a", "http://e/p", "http://e/b")])
+        empty = Partitioning("broken", dataset.encoded_graph(), [0], cluster_size=0)
         with pytest.raises(ValueError, match="no node graphs"):
             Cluster(empty)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from array import array
 from collections import Counter, defaultdict
 from itertools import product
 
@@ -33,7 +34,7 @@ from repro.partitioning import (
     hash_term,
 )
 from repro.partitioning.adaptive import COLOCATE, REPLICATE_PREDICATE
-from repro.partitioning.base import Partitioning, hash_terms, text_rank
+from repro.partitioning.base import hash_terms, text_rank
 from repro.partitioning.dynamic import hot_placements
 from repro.rdf import (
     BlankNode,
@@ -335,11 +336,6 @@ def lubm_l7():
     )
 
 
-def _encoded(triples, dataset) -> EncodedGraph:
-    """Term-level *triples* over *dataset*'s dictionary: what the merge primitives take."""
-    return EncodedGraph.from_graph(triples, dataset.dictionary)
-
-
 def _decoded(fragment: EncodedGraph):
     decode = fragment.dictionary.decode
     return [Triple(decode(s), decode(p), decode(o)) for s, p, o in fragment.triples()]
@@ -364,28 +360,6 @@ class TestFaultsOnIdFragments:
         assert cluster.worker_fragments() == healthy  # the same objects
         assert executor.execute(plan, query)[0].rows == reference.rows
 
-    def test_merge_replica_counts_additions(self, lubm_l7):
-        dataset, query, method, plan, reference = lubm_l7
-        cluster = Cluster.build(dataset, method, cluster_size=3)
-        held = set(cluster.worker_graph(0))
-        extra = [t for t in cluster.worker_graph(1) if t not in held][:25]
-        assert extra
-        before = cluster.worker_fragment(0)
-        # with one repeat and one already held
-        added = cluster.merge_replica(
-            0, _encoded(extra + extra[:1] + [next(iter(held))], dataset)
-        )
-        assert added == len(extra)
-        assert len(cluster.worker_fragment(0)) == len(before) + len(extra)
-        assert cluster.partitioning.fragments[0] is before  # replica untouched
-        assert cluster.merge_replica(0, _encoded(extra, dataset)) == 0
-        # a whole fragment merges as it is
-        missing = set(cluster.worker_fragment(1).triples()) - set(
-            cluster.worker_fragment(0).triples()
-        )
-        assert cluster.merge_replica(0, cluster.worker_fragment(1)) == len(missing)
-        assert Executor(cluster).execute(plan, query)[0].rows == reference.rows
-
     def test_worker_graph_is_a_view_of_the_fragment(self, lubm_l7):
         dataset, _, method, _, _ = lubm_l7
         cluster = Cluster.build(dataset, method, cluster_size=3)
@@ -393,22 +367,39 @@ class TestFaultsOnIdFragments:
             assert list(cluster.worker_graph(worker)) == _decoded(cluster.worker_fragment(worker))
         view = cluster.worker_graph(0)
         assert cluster.worker_graph(0) is view  # decoded once
-        outsider = Triple(IRI("http://e/new"), IRI("http://e/p"), Literal("näw"))
-        assert cluster.merge_replica(0, _encoded([outsider], dataset)) == 1
-        assert outsider in cluster.worker_graph(0)
-        assert outsider not in view  # the old view is a snapshot, not written to
+        assert cluster.fail_worker(2)[0] == 0  # slot 0 serves node 2's bit too
+        lost = set(cluster.partitioning.node_graphs[2])
+        assert lost - set(view)
+        assert set(cluster.worker_graph(0)) == set(view) | lost
         assert list(cluster.worker_graph(0)) == _decoded(cluster.worker_fragment(0))
-        assert list(cluster.partitioning.node_graphs[0]) == list(view)
+        assert list(cluster.partitioning.node_graphs[0]) == list(view)  # a snapshot, kept
 
-    def test_partitioning_add_triples_is_the_same_primitive(self, lubm_l7):
-        dataset, _, method, _, _ = lubm_l7
-        partitioning = method.partition(dataset, 3)
-        sizes = [len(f) for f in partitioning.fragments]
-        extra = [t for t in partitioning.node_graphs[1] if t not in partitioning.node_graphs[0]]
-        assert partitioning.add_triples(0, _encoded(extra, dataset)) == len(extra)
-        assert partitioning.add_triples(0, _encoded(extra, dataset)) == 0
-        assert partitioning.total_stored_triples() == sum(sizes) + len(extra)
-        assert set(partitioning.node_graphs[0]) >= set(extra)
+    def test_placing_prices_only_the_missing_bits(self, lubm_l7):
+        """An applied proposal pays once per position a node gains: a
+        position placed twice, or one the node already stores, is free.
+        The bits go to a new masks list and new views."""
+        dataset, query, method, plan, reference = lubm_l7
+        cluster = AdaptiveCluster.build(dataset, method, 3)
+        partitioning = cluster.partitioning
+        masks, before = partitioning.masks, partitioning.fragments
+        sizes = [len(f) for f in before]
+        placed = hot_placements(partitioning.table, 3, [query], [], None)
+        distinct = {node: set(positions) for node, positions in placed.items()}
+        gained = {node: {p for p in distinct[node] if not masks[p] >> node & 1} for node in placed}
+        given, once, new = (sum(map(len, d.values())) for d in (placed, distinct, gained))
+        assert given > once > new > 0  # repeats, and some already held
+        colocate = MigrationProposal(COLOCATE, "L7", 1.0, query=query)
+        report = cluster.apply([colocate], replication_budget=10.0)
+        assert report.replicated_triples == new
+        assert partitioning.masks is not masks  # copied on write
+        assert all(partitioning.masks[p] >> node & 1 for node in placed for p in placed[node])
+        assert partitioning.total_stored_triples() == sum(sizes) + report.replicated_triples
+        assert [len(f) for f in before] == sizes  # the old views keep the old layout
+        fragments = partitioning.fragments
+        again = cluster.apply([colocate], replication_budget=10.0)
+        assert (again.replicated_triples, again.migrations) == (0, 0)
+        assert partitioning.fragments == fragments  # nothing placed: the same views
+        assert Executor(cluster).execute(plan, query)[0].rows == reference.rows
 
 
 class TestColdPathStaysOnIds:
@@ -441,7 +432,7 @@ class TestColdPathStaysOnIds:
     def _cold_rows(dataset, name, query):
         """What ``python -m repro run`` does once it has a dataset."""
         method = PARTITIONINGS[name]()
-        cluster = Cluster(method.partition(dataset, 4), dataset.dictionary)
+        cluster = Cluster(method.partition(dataset, 4))
         assert sum(map(len, cluster.worker_fragments())) >= dataset.triple_count
         statistics = StatisticsCatalog.from_dataset(query, dataset)
         session = Optimizer(
@@ -559,7 +550,7 @@ class TestColdPathStaysOnIds:
         for label in ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8"):
             query = lubm_queries()[label]
             method = PARTITIONINGS[name]()
-            cluster = Cluster(method.partition(dataset, 4), dataset.dictionary)
+            cluster = Cluster(method.partition(dataset, 4))
             built = counts["index"]
             statistics = StatisticsCatalog.from_dataset(query, dataset)
             assert counts["index"] == built  # counted off the grouped columns
@@ -609,11 +600,14 @@ class TestColdPathStaysOnIds:
         """Whichever order is read first is free of the repeat, has the
         right length, and the other is sorted from it; once an order
         exists the index holds id columns only."""
-        fragment = EncodedGraph(TermDictionary())
+        dictionary = TermDictionary()
         for n in range(10):  # ids 0-9 are known to the dictionary
-            fragment.dictionary.encode(IRI(f"http://e/v{n}"))
-        for s, o in [(5, 1), (2, 9), (5, 1), (2, 3), (7, 1), (2, 9)]:
-            fragment.add_ids(s, 0, o)
+            dictionary.encode(IRI(f"http://e/v{n}"))
+        given = [(5, 1), (2, 9), (5, 1), (2, 3), (7, 1), (2, 9)]
+        fragment = EncodedGraph(dictionary, (
+            array("q", [s for s, _ in given]), array("q", [0] * len(given)),
+            array("q", [o for _, o in given]),
+        ))
         pairs = {"spo": [(2, 3), (2, 9), (5, 1), (7, 1)], "ops": [(1, 5), (1, 7), (3, 2), (9, 2)]}
         columns = {"spo": ("spo_subjects", "spo_objects"), "ops": ("ops_objects", "ops_subjects")}
         index = fragment.index_for(0)
@@ -631,8 +625,9 @@ class TestColdPathStaysOnIds:
 
     def test_hot_placement_static_or_online_builds_no_triple(self, monkeypatch, tmp_path):
         """``DynamicPartitioning.partition`` and ``AdaptiveCluster.apply``
-        on a dataset nobody has decoded: matches are grounded, placed,
-        costed and merged as id triples, and both reach the same layout."""
+        on a dataset nobody has decoded: matches are grounded as id
+        triples, found in the table and placed and priced as node bits,
+        and both reach the same masks."""
         path = tmp_path / "lubm.nt"
         save_ntriples(generate_lubm(scale=0.5, seed=2017).graph, path)
         hot = lubm_queries()["L7"]
@@ -652,6 +647,7 @@ class TestColdPathStaysOnIds:
         )
         assert len(report.applied) == 2 and report.replicated_triples > 0
         assert repr(cluster.adapted_method()) == repr(method)
+        assert cluster.partitioning.masks == static.masks
         assert [set(f.triples()) for f in cluster.worker_fragments()] == [
             set(f.triples()) for f in static.fragments
         ]
@@ -687,7 +683,7 @@ class TestTermsBuiltOnDemand:
         built = self._built_terms(monkeypatch)
         dataset = Dataset(load_ntriples(path), name="lubm")
         method = PARTITIONINGS[name]()
-        cluster = Cluster(method.partition(dataset, 4), dataset.dictionary)
+        cluster = Cluster(method.partition(dataset, 4))
         statistics = StatisticsCatalog.from_dataset(query, dataset)
         plan = Optimizer(
             OptimizeOptions(statistics=statistics, partitioning=method)
@@ -746,16 +742,13 @@ class TestFragmentsOnDemand:
         return index.spo_subjects, index.spo_objects, index.ops_objects, index.ops_subjects
 
     @staticmethod
-    def _eager(dataset, method, cluster_size):
-        """What ``partition`` gathered before fragments were cut on demand."""
-        graph = dataset.encoded_graph()
-        rank = text_rank(graph, method.anchor_candidates(graph))
-        masks, placement = method.layout(graph, cluster_size, rank)
-        fragments = [
+    def _eager(graph, masks, cluster_size):
+        """Per node, what ``partition`` gathered before fragments were cut
+        on demand: the positions whose mask has its bit."""
+        return [
             graph.gather([p for p, mask in enumerate(masks) if mask >> node & 1])
             for node in range(cluster_size)
         ]
-        return Partitioning(method.name, fragments, placement)
 
     @staticmethod
     def _triples(fragments):
@@ -772,15 +765,16 @@ class TestFragmentsOnDemand:
         dataset = Dataset.from_triples(triples)
         graph = dataset.encoded_graph()
         method = METHOD_PAIRS[label][0]()
-        eager = self._eager(dataset, method, cluster_size)
         partitioning = method.partition(dataset, cluster_size)
-        count = len(graph)
-        assert partitioning.replication_factor(count) == eager.replication_factor(count)
-        assert partitioning.imbalance() == eager.imbalance()
+        assert partitioning.table is graph
+        eager = self._eager(graph, partitioning.masks, cluster_size)
+        sizes = [len(f) for f in eager]
+        assert partitioning.replication_factor(len(graph)) == sum(sizes) / len(graph)
+        assert partitioning.imbalance() == max(sizes) / (sum(sizes) / cluster_size)
         # every predicate, and an id that is none
         probes = sorted(set(graph.predicates)) + sorted(set(graph.subjects) - set(graph.predicates))[:1]
         ends = [None, graph.subjects[0], graph.objects[-1]]
-        for fragment, expected in zip(partitioning.fragments, eager.fragments):
+        for fragment, expected in zip(partitioning.fragments, eager):
             assert len(fragment) == len(expected)
             if runs_first:
                 assert fragment.predicate_runs() == expected.predicate_runs()
@@ -812,50 +806,59 @@ class TestFragmentsOnDemand:
         label=st.sampled_from(LABELS),
     )
     def test_layout_changes_on_cut_fragments_are_the_eager_ones(self, triples, cluster_size, label):
-        """``add_triples``, ``DynamicPartitioning.partition`` and
-        ``AdaptiveCluster.apply`` (with a worker down) then ``heal``."""
+        """``DynamicPartitioning.partition``, and ``AdaptiveCluster.apply``
+        with a worker down then ``heal``: the hot placements' bits set on
+        the base masks, and every fragment the gather of its node's
+        positions."""
         dataset = Dataset.from_triples(triples)
         graph = dataset.encoded_graph()
         method = METHOD_PAIRS[label][0]()
-        cut, eager = method.partition(dataset, cluster_size), self._eager(dataset, method, cluster_size)
-        for node in range(cluster_size):
-            extra = graph.gather(range(node, len(graph), 2))
-            assert cut.add_triples(node, extra) == eager.add_triples(node, extra)
-        assert self._triples(cut.fragments) == self._triples(eager.fragments)
-
+        base = method.partition(dataset, cluster_size).masks
+        expected = list(base)
+        for node, positions in hot_placements(graph, cluster_size, [HOT], REPLICATED, None).items():
+            for position in positions:
+                expected[position] |= 1 << node
         dynamic = DynamicPartitioning(method, [HOT], REPLICATED).partition(dataset, cluster_size)
-        expected = self._eager(dataset, method, cluster_size)
-        additions = hot_placements(dataset, cluster_size, [HOT], REPLICATED, None)
-        for node in sorted(additions):
-            expected.add_triples(node, additions[node])
-        assert self._triples(dynamic.fragments) == self._triples(expected.fragments)
+        assert dynamic.masks == expected
+        assert self._triples(dynamic.fragments) == self._triples(
+            self._eager(graph, expected, cluster_size)
+        )
 
-        proposals = [
-            MigrationProposal(COLOCATE, "hot", 2.0, query=HOT),
-            MigrationProposal(REPLICATE_PREDICATE, REPLICATED[0], 1.0, predicate=REPLICATED[0]),
-        ]
-        runs = []
-        for partitioning in (method.partition(dataset, cluster_size), self._eager(dataset, method, cluster_size)):
-            cluster = AdaptiveCluster(partitioning, dataset=dataset, base_method=method)
-            if cluster.size > 1:
-                cluster.fail_worker(0)
-            report = cluster.apply(proposals, replication_budget=10.0)
-            cluster.heal()
-            runs.append((report, self._triples(cluster.worker_fragments())))
-        assert runs[0] == runs[1]
+        cluster = AdaptiveCluster(
+            method.partition(dataset, cluster_size), dataset=dataset, base_method=method
+        )
+        if cluster.size > 1:
+            cluster.fail_worker(0)
+        report = cluster.apply(
+            [
+                MigrationProposal(COLOCATE, "hot", 2.0, query=HOT),
+                MigrationProposal(
+                    REPLICATE_PREDICATE, REPLICATED[0], 1.0, predicate=REPLICATED[0]
+                ),
+            ],
+            replication_budget=10.0,
+        )
+        cluster.heal()
+        masks = cluster.partitioning.masks
+        assert report.replicated_triples == sum(map(int.bit_count, masks)) - sum(
+            map(int.bit_count, base)
+        )
+        assert self._triples(cluster.worker_fragments()) == self._triples(
+            self._eager(graph, masks, cluster_size)
+        )
 
     def test_an_append_stays_out_and_a_copy_is_a_plain_fragment(self):
+        """A placement made after a view is cut stays out of it (it goes
+        to new views), and a copy of a view is a plain fragment."""
         dataset = generate_lubm(scale=0.2, seed=5)
         graph = dataset.encoded_graph()
-        method = HashSubjectObject()
-        eager = self._eager(dataset, method, 3)
-        partitioning = method.partition(dataset, 3)
-        first = partitioning.fragments[0]
+        partitioning = HashSubjectObject().partition(dataset, 3)
+        eager = self._eager(graph, partitioning.masks, 3)
+        fragments = partitioning.fragments
         predicate = graph.predicates[0]
-        first.index_for(predicate)  # one predicate cut before the append
-        for _ in range(3):  # appended to the dataset's table after partitioning
-            graph.add_ids(graph.subjects[0], predicate, graph.objects[1])
-        for fragment, expected in zip(partitioning.fragments, eager.fragments):
+        fragments[0].index_for(predicate)  # one predicate cut before the placement
+        partitioning.place({0: range(len(graph))})  # node 0 stores everything
+        for fragment, expected in zip(fragments, eager):
             assert len(fragment) == len(expected)
             assert fragment.predicate_runs() == expected.predicate_runs()
             assert self._orders(fragment.index_for(predicate)) == self._orders(
@@ -866,15 +869,10 @@ class TestFragmentsOnDemand:
                 assert type(twin) is EncodedGraph  # its own columns, not the dataset's table
                 assert list(twin.triples()) == list(expected.triples())
             assert list(fragment.triples()) == list(expected.triples())
-        # an append to a fragment makes it one of its own
-        triple = (graph.subjects[5], predicate, graph.objects[0])
-        first.add_ids(*triple)
-        eager.fragments[0].add_ids(*triple)
-        assert len(first) == len(eager.fragments[0])
-        assert first.predicate_runs() == eager.fragments[0].predicate_runs()
-        assert self._orders(first.index_for(predicate)) == self._orders(
-            eager.fragments[0].index_for(predicate)
-        )
+        # the new views read the new masks
+        assert partitioning.fragments[0] is not fragments[0]
+        assert list(partitioning.fragments[0].triples()) == list(graph.triples())
+        assert self._triples(partitioning.fragments[1:]) == self._triples(eager[1:])
 
     def test_only_a_table_with_fragments_keeps_its_buckets(self):
         dataset = generate_lubm(scale=0.2, seed=5)
@@ -955,7 +953,7 @@ class TestFragmentsOnDemand:
         dataset = Dataset(graph, name="lubm")
         method = PARTITIONINGS[name]()
         partitioning = method.partition(dataset, 4)
-        cluster = Cluster(partitioning, dataset.dictionary)
+        cluster = Cluster(partitioning)
         query = lubm_queries()["L7"]
         statistics = StatisticsCatalog.from_dataset(query, dataset)
         plan = Optimizer(OptimizeOptions(statistics=statistics, partitioning=method)).optimize(query).plan
@@ -975,7 +973,7 @@ class TestFragmentsOnDemand:
         method = HashSubjectObject()
         partitioning = method.partition(dataset, 4)
         assert partitioning.replication_factor(len(graph)) > 1.0  # what a server reports first
-        cluster = Cluster(partitioning, dataset.dictionary)
+        cluster = Cluster(partitioning)
         cache = PlanCache()
         queries = lubm_queries()
         rows = {}
@@ -994,3 +992,97 @@ class TestFragmentsOnDemand:
         assert sum(record["cuts"].values()) == first_round  # later rounds cut nothing
         assert partitioning.imbalance() >= 1.0
         self._assert_cut_on_demand(record, dataset, partitioning)
+
+
+#: joins the hot placements and the replicated predicates can make local
+SWEEP_QUERIES = [
+    HOT,
+    parse_query("SELECT * WHERE { ?x <http://e/p2> ?y . ?x <http://e/p0> ?z . }", name="p2p0"),
+    parse_query("SELECT * WHERE { ?x <http://e/name> ?n . ?x <http://e/p1> ?y . }", name="name"),
+]
+
+
+class TestOneFragmentKind:
+    """Every placement is a node bit over the dataset's table: a static
+    layout, hot queries and replicated predicates (static or applied
+    online) and fail-stop re-routing.  Whatever a cluster went through,
+    each slot serves one view of the table — no copy, no base column
+    gathered — holding the gather of the positions whose mask meets the
+    slot's bits, and queries return the reference rows."""
+
+    @staticmethod
+    def _assert_one_kind(cluster, dataset):
+        table, masks = cluster.partitioning.table, cluster.partitioning.masks
+        assert table is dataset.encoded_graph()
+        for worker, fragment in enumerate(cluster.worker_fragments()):
+            assert type(fragment) is encoding._NodeCut
+            bits = cluster._bits(worker)
+            expected = table.gather([p for p, mask in enumerate(masks) if mask & bits])
+            assert len(fragment) == len(expected)
+            assert fragment.predicate_runs() == expected.predicate_runs()
+            assert not TestFragmentsOnDemand._gathered(fragment)
+        method = cluster.adapted_method()
+        session = Optimizer(OptimizeOptions(dataset=dataset, partitioning=method))
+        executor = Executor(cluster)
+        for query in SWEEP_QUERIES:
+            relation, _ = executor.execute(session.optimize(query).plan, query)
+            assert relation.rows == evaluate_reference(query, dataset.graph).rows
+
+    @staticmethod
+    def _fail(cluster, picks):
+        for pick in picks:
+            if cluster.live_size > 1:
+                cluster.fail_worker(cluster.live_workers[pick % cluster.live_size])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        triples=_graphs(),
+        cluster_size=st.integers(min_value=1, max_value=5),
+        label=st.sampled_from(TestFragmentsOnDemand.LABELS),
+        static_hot=st.booleans(),
+        static_replicated=st.lists(st.sampled_from(REPLICATED), unique=True),
+        online_hot=st.booleans(),
+        online_replicated=st.lists(st.sampled_from(REPLICATED), unique=True),
+        fails=st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=2),
+    )
+    def test_every_placement_is_a_node_bit(
+        self, triples, cluster_size, label, static_hot, static_replicated,
+        online_hot, online_replicated, fails,
+    ):
+        dataset = Dataset.from_triples(triples)
+        method = METHOD_PAIRS[label][0]()
+        if static_hot or static_replicated:
+            method = DynamicPartitioning(method, [HOT] if static_hot else [], static_replicated)
+        cluster = AdaptiveCluster.build(dataset, method, cluster_size)
+        self._assert_one_kind(cluster, dataset)
+        self._fail(cluster, [pick for pick, before in fails if before])
+        self._assert_one_kind(cluster, dataset)
+        proposals = [MigrationProposal(COLOCATE, "hot", 2.0, query=HOT)] if online_hot else []
+        proposals += [
+            MigrationProposal(REPLICATE_PREDICATE, predicate, 1.0, predicate=predicate)
+            for predicate in online_replicated
+        ]
+        stored = cluster.partitioning.total_stored_triples()
+        report = cluster.apply(proposals, replication_budget=10.0)
+        assert cluster.partitioning.total_stored_triples() - stored == report.replicated_triples
+        self._assert_one_kind(cluster, dataset)
+        self._fail(cluster, [pick for pick, before in fails if not before])
+        self._assert_one_kind(cluster, dataset)
+        cluster.heal()
+        self._assert_one_kind(cluster, dataset)
+        assert cluster.worker_fragments() == cluster.partitioning.fragments
+
+    def test_hot_placement_serves_views(self, lubm_1_file):
+        """``DynamicPartitioning`` on LUBM scale 1 serves views of the
+        table, not merged copies of the base fragments, and runs its hot
+        query locally."""
+        dataset = Dataset(load_ntriples(lubm_1_file), name="lubm")
+        hot = lubm_queries()["L7"]
+        method = DynamicPartitioning(HashSubjectObject(), [hot])
+        partitioning = method.partition(dataset, 4)
+        assert all(type(fragment) is encoding._NodeCut for fragment in partitioning.fragments)
+        assert not any(map(TestFragmentsOnDemand._gathered, partitioning.fragments))
+        plan = Optimizer(OptimizeOptions(dataset=dataset, partitioning=method)).optimize(hot).plan
+        relation, metrics = Executor(Cluster(partitioning)).execute(plan, hot)
+        assert relation.rows == evaluate_reference(hot, dataset.graph).rows
+        assert metrics.total_tuples_shipped == 0

@@ -147,7 +147,7 @@ TRIPWIRES = [
     pytest.param(
         re.escape(".gather("),
         ("src/repro/partitioning",),
-        "a partitioner gathers fragments eagerly (wrap the layout's masks: node_fragments)",
+        "a partitioner gathers fragments eagerly (views of the layout's masks: EncodedGraph.cut)",
         id="eager-fragment-gather",
     ),
     # one query path: the CLI runs queries through Optimizer.run (one
@@ -239,6 +239,16 @@ TRIPWIRES = [
         ("src", "tests"),
         "the pickle-safety rule reappeared",
         id="2.15-pickle-rule",
+    ),
+    # one kind of fragment: every placement (a layout, hot queries, an
+    # adaptive batch, a fail-over) sets node bits over the dataset's
+    # table, which never changes; nothing appends to or copies a fragment
+    # (docs/API.md, "What 2.18 removed")
+    pytest.param(
+        r"\.merged\(|def merged\(|\badd_ids\b|\badd_triples\b|\bmerge_replica\b",
+        ("src",),
+        "a fragment append or copy reappeared in src/ (set node bits: Partitioning.place)",
+        id="2.18-fragment-copies",
     ),
 ]
 
