@@ -45,7 +45,7 @@ from .core import (
 from .rdf import Dataset, IRI, Literal, RDFGraph, Triple, Variable, triple
 from .sparql import BGPQuery, QueryGraph, TriplePattern, parse_query
 
-__version__ = "2.18.0"
+__version__ = "2.19.0"
 
 __all__ = [
     "optimize",

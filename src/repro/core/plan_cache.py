@@ -6,8 +6,9 @@ statistics over and over, and every repetition pays full TD-CMD
 enumeration.  PHD-Store-style systems amortize that by caching optimizer
 output across queries; this module is that layer for the reproduction.
 
-The cache key is a SHA-256 over a canonical form of everything the
-optimizer's answer depends on:
+The cache key is the canonical JSON text of everything the optimizer's
+answer depends on — the text itself, not a digest of it, so two calls
+share a key exactly when their canonical payloads are equal:
 
 * the triple patterns, with variables renamed by first appearance (so
   two queries identical up to variable naming share one entry),
@@ -27,7 +28,6 @@ round-trips through JSON so the CLI can keep it warm across processes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from collections import OrderedDict
@@ -69,8 +69,9 @@ def query_signature(
 ) -> Tuple[str, Dict[str, str]]:
     """The cache key for one optimization call, plus the variable map.
 
-    Returns ``(sha256 hex digest, actual→canonical variable mapping)``;
-    the mapping is needed again to canonicalize or restore plans.
+    Returns ``(canonical JSON text, actual→canonical variable mapping)``;
+    the text is the key (``json.loads`` gives the payload back) and the
+    mapping is needed again to canonicalize or restore plans.
     """
     mapping = canonical_variable_map(query)
     patterns: List[Dict[str, Any]] = []
@@ -96,8 +97,7 @@ def query_signature(
         "partitioning": repr(partitioning) if partitioning is not None else None,
         "patterns": patterns,
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest(), mapping
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")), mapping
 
 
 def _rename_plan(data: Dict[str, Any], rename: Dict[str, str]) -> Dict[str, Any]:
@@ -300,11 +300,15 @@ class PlanCache:
         """Rebuild a cache saved with :meth:`save`.
 
         *capacity* overrides the stored capacity (extra entries are
-        evicted oldest-first).
+        evicted oldest-first).  An entry not keyed by canonical JSON text
+        (a SHA-256 hex digest, as files written up to 2.18 hold) can never
+        be hit again, so it is skipped rather than given an LRU slot.
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         cache = cls(capacity=capacity or payload["capacity"])
         for key, entry in payload["entries"]:
+            if not key.startswith("{"):
+                continue
             cache._entries[key] = entry
             while len(cache._entries) > cache._capacity:
                 cache._entries.popitem(last=False)

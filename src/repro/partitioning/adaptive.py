@@ -28,10 +28,11 @@ module is that loop for the reproduction:
 
 The adapted layout is *described* by a ``DynamicPartitioning`` over the
 promoted hot queries and predicates
-(:meth:`AdaptiveCluster.adapted_method`); its ``repr`` fingerprints
-them, so plan-cache keys (which hash ``repr(partitioning)``) roll over
-precisely: entries optimized against the old layout simply stop
-matching, without touching entries for other partitionings.
+(:meth:`AdaptiveCluster.adapted_method`); its ``repr`` spells out
+their signatures, so plan-cache keys (which carry
+``repr(partitioning)``) roll over precisely: entries optimized against
+the old layout simply stop matching, without touching entries for other
+partitionings.
 
 The loop is driven by :meth:`repro.core.session.Optimizer.observe_execution`
 (see ``docs/PERFORMANCE.md`` § Adaptive repartitioning).

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple, Union
 
 from ..rdf.dataset import Dataset
@@ -53,8 +52,6 @@ class Partitioning:
     #: per triple position of :attr:`table`, the mask of the nodes storing it
     masks: List[int]
     cluster_size: int
-    #: anchor vertex id -> its node, in the order the method's ``layout`` placed them
-    anchor_nodes: Dict[int, int] = field(default_factory=dict)
     #: node bits -> their view of the current masks
     _views: Dict[int, EncodedGraph] = field(init=False, repr=False, compare=False)
 
@@ -63,15 +60,6 @@ class Partitioning:
         # from here on), any other set's when first asked for
         bits = [1 << node for node in range(self.cluster_size)]
         self._views = {b: self.table.cut(self.masks, b) for b in bits}
-
-    @cached_property
-    def vertex_placement(self) -> Dict[Term, int]:
-        """:attr:`anchor_nodes` by anchor term, decoded the first time it
-        is read (for tests: nothing on the query path reads it)."""
-        if not self.anchor_nodes:
-            return {}
-        anchors = self.table.dictionary.decode_all(self.anchor_nodes)
-        return dict(zip(anchors, self.anchor_nodes.values()))
 
     def fragment(self, bits: int) -> EncodedGraph:
         """What the nodes in *bits* store between them (``0``: nothing)."""
@@ -162,13 +150,26 @@ class PartitioningMethod(abc.ABC):
         over the dataset's table: each node's fragment is a view of it in
         ascending triple position (an explicit order, so fragments do not
         follow set iteration or the hash seed), copied from it only as
-        scans read it."""
+        scans read it.  The anchor placement is dropped: nothing on the
+        query path reads it (:meth:`placement` recomputes it)."""
+        graph, (masks, _) = self._layout(dataset, cluster_size)
+        return Partitioning(self.name, graph, masks, cluster_size)
+
+    def placement(self, dataset: Dataset, cluster_size: int) -> Dict[Term, int]:
+        """Each non-empty element's anchor term -> its node, in the order
+        :meth:`layout` placed them: the layout :meth:`partition` runs,
+        re-run with the same :func:`text_rank` (for tests and
+        diagnostics)."""
+        graph, (_, anchors) = self._layout(dataset, cluster_size)
+        return dict(zip(graph.dictionary.decode_all(anchors), anchors.values()))
+
+    def _layout(self, dataset: Dataset, cluster_size: int) -> Tuple[EncodedGraph, Layout]:
+        """The dataset's table and :meth:`layout` of it in the shared vertex order."""
         if cluster_size < 1:
             raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
         graph = dataset.encoded_graph()
         rank = text_rank(graph, self.anchor_candidates(graph))
-        masks, placement = self.layout(graph, cluster_size, rank)
-        return Partitioning(self.name, graph, masks, cluster_size, placement)
+        return graph, self.layout(graph, cluster_size, rank)
 
     def maximal_local_queries(self, query: BGPQuery) -> List[FrozenSet[TriplePattern]]:
         """All distinct maximal local queries of *query* (Appendix A).

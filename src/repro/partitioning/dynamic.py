@@ -29,7 +29,6 @@ hashed by their texts.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -183,9 +182,10 @@ class DynamicPartitioning(PartitioningMethod):
     such a predicate into a maximal local query it shares a variable
     with — the local join loses no matches.
 
-    ``repr`` (which plan-cache keys hash) carries a fingerprint of the
-    hot queries' structural signatures and the replicated predicates:
-    two layouts share cached plans exactly when they make the same
+    ``repr`` (which plan-cache keys carry) holds :attr:`fingerprint`, the
+    text of the hot queries' sorted structural signatures and the
+    replicated predicates — the payload itself, not a digest of it: two
+    layouts share cached plans exactly when they make the same
     subqueries local.
     """
 
@@ -199,8 +199,7 @@ class DynamicPartitioning(PartitioningMethod):
         self.hot_queries = list(hot_queries)
         self.replicated_predicates = tuple(sorted(set(replicated_predicates)))
         signatures = sorted(structural_signature(q) for q in self.hot_queries)
-        payload = "\n".join(signatures + list(self.replicated_predicates))
-        self.fingerprint = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+        self.fingerprint = "\n".join(signatures + list(self.replicated_predicates))
         predicates = len(self.replicated_predicates)
         self.name = (
             f"dynamic({base.name}+{len(self.hot_queries)}hot"
@@ -250,4 +249,4 @@ class DynamicPartitioning(PartitioningMethod):
         return frozenset(_absorb(set(best), replicated))
 
     def __repr__(self) -> str:
-        return f"DynamicPartitioning(name={self.name!r}, fingerprint={self.fingerprint})"
+        return f"DynamicPartitioning(name={self.name!r}, fingerprint={self.fingerprint!r})"

@@ -110,7 +110,7 @@ for name in ("hash-so", "2f", "path-bmc", "un-1-hop"):
         metrics[label] = [m.total_tuples_read, m.total_tuples_shipped,
                           m.total_tuples_produced, m.result_rows]
     pinned[name] = {
-        "placement": digest(f"{v} {n}" for v, n in partitioning.vertex_placement.items()),
+        "placement": digest(f"{v} {n}" for v, n in method.placement(dataset, 4).items()),
         "node_order": [digest(map(str, graph)) for graph in partitioning.node_graphs],
         "node_sizes": [len(graph) for graph in partitioning.node_graphs],
         "replication_factor": partitioning.replication_factor(len(dataset.graph)),
@@ -121,8 +121,8 @@ print(json.dumps(pinned))
 
 #: What ``_PIN_SCRIPT`` printed at commit bd95a0e (eager five-index graph,
 #: per-call dataclass hashing), except ``node_order``.  ``placement``
-#: digests ``vertex_placement`` in dict order; ``node_order`` digests each
-#: node's triples in iteration order.  That order used to follow the
+#: digests ``method.placement(dataset, 4)`` in dict order; ``node_order``
+#: digests each node's triples in iteration order.  That order used to follow the
 #: iteration order of frozensets of triples, and with it the string-hash
 #: seed; a node's fragment is now gathered in ascending position of the
 #: dataset's columns, so it was re-recorded once and holds under any seed.

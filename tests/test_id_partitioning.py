@@ -153,7 +153,9 @@ class TestPartitionDifferential:
         new = new_method().partition(dataset, cluster_size)
         old = old_method().partition(dataset, cluster_size)
         assert new.method_name == old.method_name
-        assert list(new.vertex_placement.items()) == list(old.vertex_placement.items())
+        assert list(new_method().placement(dataset, cluster_size).items()) == list(
+            old.vertex_placement.items()
+        )
         assert [set(g) for g in new.node_graphs] == [set(g) for g in old.node_graphs]
         count = dataset.triple_count
         assert new.replication_factor(count) == old.replication_factor(count)
@@ -200,7 +202,7 @@ class TestPartitionDifferential:
             list(graph.gather(positions).triples()) for positions in stored
         ]
         anchors = dataset.dictionary.decode_all(placement)
-        assert list(partitioning.vertex_placement.items()) == list(
+        assert list(method.placement(dataset, cluster_size).items()) == list(
             zip(anchors, placement.values())
         )
 
@@ -697,17 +699,22 @@ class TestTermsBuiltOnDemand:
         assert Executor(cluster).execute(plan, query)[0].rows == reference.rows
         assert built == []  # a decoded term is kept
 
-    def test_a_partitionings_anchor_terms_are_decoded_when_read(self, monkeypatch, tmp_path):
+    def test_anchor_terms_are_decoded_only_by_placement(self, monkeypatch, tmp_path):
+        """A partitioning keeps no anchor placement; ``placement`` re-runs
+        the layout and decodes its anchors, and nothing else."""
         path = tmp_path / "lubm.nt"
         save_ntriples(generate_lubm(scale=0.3, seed=2017).graph, path)
         built = self._built_terms(monkeypatch)
         dataset = Dataset(load_ntriples(path))
-        partitioning = HashSubjectObject().partition(dataset, 4)
-        assert built == [] and partitioning.anchor_nodes
-        placement = partitioning.vertex_placement
-        assert partitioning.vertex_placement is placement and len(built) == len(placement)
-        assert list(placement.values()) == list(partitioning.anchor_nodes.values())
-        assert [dataset.dictionary.lookup(t) for t in placement] == list(partitioning.anchor_nodes)
+        method = HashSubjectObject()
+        partitioning = method.partition(dataset, 4)
+        graph = dataset.encoded_graph()
+        _, anchors = method.layout(graph, 4, text_rank(graph, method.anchor_candidates(graph)))
+        assert built == [] and anchors and "anchor_nodes" not in vars(partitioning)
+        placement = method.placement(dataset, 4)
+        assert len(built) == len(placement) == len(anchors)
+        assert list(placement.values()) == list(anchors.values())
+        assert [dataset.dictionary.lookup(t) for t in placement] == list(anchors)
 
 
 @pytest.fixture(scope="module")

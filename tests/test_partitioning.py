@@ -42,7 +42,7 @@ class TestGenericModel:
     def test_cluster_size_respected(self, method):
         partitioning = method.partition(small_dataset(), cluster_size=4)
         assert partitioning.cluster_size == 4
-        assert all(0 <= n < 4 for n in partitioning.vertex_placement.values())
+        assert all(0 <= n < 4 for n in method.placement(small_dataset(), 4).values())
 
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.name)
     def test_replication_factor_at_least_one(self, method):
@@ -86,7 +86,7 @@ class TestSemanticHashData:
         ds = small_dataset()
         for cluster_size in (1, 3, 7):
             partitioning = SemanticHash(2).partition(ds, cluster_size)
-            node = partitioning.vertex_placement[IRI("http://e/a")]
+            node = SemanticHash(2).placement(ds, cluster_size)[IRI("http://e/a")]
             assert node == hash_term(IRI("http://e/a"), cluster_size)
             assert {
                 triple("http://e/a", "http://e/p", "http://e/b"),
@@ -109,14 +109,13 @@ class TestSemanticHashData:
 
 class TestPathBMC:
     def test_anchors_are_start_vertices(self):
-        partitioning = PathBMC().partition(small_dataset(), 2)
-        assert IRI("http://e/x") in partitioning.vertex_placement  # no incoming edges
+        assert IRI("http://e/x") in PathBMC().placement(small_dataset(), 2)  # no incoming edges
 
     def test_combine_is_forward_reachability(self):
         """x reaches every triple, so its node stores all five."""
         ds = small_dataset()
         partitioning = PathBMC().partition(ds, 2)
-        node = partitioning.vertex_placement[IRI("http://e/x")]
+        node = PathBMC().placement(ds, 2)[IRI("http://e/x")]
         assert stored_on(partitioning, node) == set(ds.graph)
 
     def test_cyclic_graph_fully_covered(self):

@@ -58,7 +58,8 @@ def test_partitioning_is_total_and_well_formed(
     for graph in partitioning.node_graphs:
         stored.update(graph)
     assert stored == set(dataset.graph)
-    assert all(0 <= node < cluster_size for node in partitioning.vertex_placement.values())
+    placement = method.placement(dataset, cluster_size)
+    assert all(0 <= node < cluster_size for node in placement.values())
     assert partitioning.replication_factor(dataset.triple_count) >= 1.0
     assert partitioning.imbalance() >= 1.0
 
@@ -76,7 +77,9 @@ def test_semantic_hash_elements_nest(seed, hops, cluster_size):
     dataset = random_dataset(seed, 20, 50)
     smaller = SemanticHash(hops).partition(dataset, cluster_size)
     larger = SemanticHash(hops + 1).partition(dataset, cluster_size)
-    assert smaller.vertex_placement == larger.vertex_placement
+    assert SemanticHash(hops).placement(dataset, cluster_size) == SemanticHash(
+        hops + 1
+    ).placement(dataset, cluster_size)
     for node in range(cluster_size):
         assert set(smaller.node_graphs[node]) <= set(larger.node_graphs[node])
 
@@ -90,8 +93,9 @@ def test_path_bmc_elements_are_forward_closed(seed, cluster_size):
     """Every triple reachable from an anchor is on that anchor's node."""
     dataset = random_dataset(seed, 15, 40)
     partitioning = PathBMC().partition(dataset, cluster_size)
-    assert partitioning.vertex_placement
-    for anchor, node in partitioning.vertex_placement.items():
+    placement = PathBMC().placement(dataset, cluster_size)
+    assert placement
+    for anchor, node in placement.items():
         stored = set(partitioning.node_graphs[node])
         seen, frontier = {anchor}, [anchor]
         while frontier:

@@ -1,17 +1,26 @@
 """Tests for the cross-query plan cache (core.plan_cache)."""
 
+import json
 import random
+import subprocess
+import sys
+import textwrap
+from dataclasses import asdict
 
 import pytest
 
 from repro.core import OptimizeOptions, Optimizer, StatisticsCatalog
 from repro.core.cardinality import PatternStatistics
-from repro.core.cost import CostParameters
+from repro.core.cost import PAPER_PARAMETERS, CostParameters
 from repro.core.plan_cache import PlanCache, canonical_variable_map, query_signature
 from repro.core.plans import validate_plan
-from repro.partitioning import HashSubjectObject
+from repro.partitioning import DynamicPartitioning, HashSubjectObject
+from repro.partitioning.dynamic import structural_signature
+from repro.rdf import save_ntriples, triple
+from repro.rdf.terms import Variable
 from repro.sparql import parse_query
-from repro.workloads.generators import cycle_query, tree_query
+from repro.sparql.ast import BGPQuery, TriplePattern
+from repro.workloads.generators import cycle_query, generate_workload, tree_query
 
 
 @pytest.fixture
@@ -191,6 +200,179 @@ class TestCacheBehavior:
         assert "PlanCache(" in repr(cache)
 
 
+def alpha_renamed(query, statistics, rng):
+    """*query* and its statistics with every variable renamed by a
+    shuffled one-to-one map, so only first appearance can line the
+    canonical names up."""
+    names = sorted(v.name for v in query.variables())
+    targets = [f"r{i}" for i in range(len(names))]
+    rng.shuffle(targets)
+    rename = {Variable(n): Variable(t) for n, t in zip(names, targets)}
+    renamed = BGPQuery(
+        [TriplePattern(*(rename.get(t, t) for t in tp.terms())) for tp in query],
+        name=f"{query.name}-renamed",
+    )
+    entries = [
+        PatternStatistics(
+            s.cardinality, {rename[v]: count for v, count in s.bindings.items()}
+        )
+        for s in statistics.per_pattern
+    ]
+    return renamed, StatisticsCatalog(renamed, entries)
+
+
+def canonical_payload(query, statistics, algorithm, partitioning=None):
+    """What a key must spell out, built independently of
+    :func:`query_signature` (as ``json.loads`` gives it back)."""
+    mapping = canonical_variable_map(query)
+
+    def spelled(term):
+        return f"?{mapping[term.name]}" if isinstance(term, Variable) else str(term)
+
+    return {
+        "algorithm": algorithm,
+        "parameters": asdict(PAPER_PARAMETERS),
+        "partitioning": None if partitioning is None else repr(partitioning),
+        "patterns": [
+            {
+                "terms": [spelled(term) for term in tp.terms()],
+                "cardinality": s.cardinality,
+                "bindings": sorted(
+                    [mapping[v.name], count] for v, count in s.bindings.items()
+                ),
+            }
+            for tp, s in zip(query, statistics.per_pattern)
+        ],
+    }
+
+
+class TestKeyIsTheCanonicalText:
+    """A key is the canonical JSON text of its payload, not a digest:
+    two calls share a key exactly when their payloads are equal."""
+
+    def test_exact_over_the_generated_workload(self):
+        hot = cycle_query(4)
+        layouts = [
+            None,
+            HashSubjectObject(),
+            DynamicPartitioning(HashSubjectObject(), [hot], ["<http://e/q>"]),
+        ]
+        rng = random.Random(2017)
+        keys, payloads = set(), set()
+        workload = list(generate_workload(sizes=range(2, 11), statistics_draws=2))
+        for item in workload:
+            for partitioning in layouts:
+                key, _ = query_signature(
+                    item.query, item.statistics, "td-cmd", partitioning=partitioning
+                )
+                payload = canonical_payload(
+                    item.query, item.statistics, "td-cmd", partitioning
+                )
+                assert json.loads(key) == payload
+                assert key == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                renamed = alpha_renamed(item.query, item.statistics, rng)
+                assert query_signature(
+                    *renamed, "td-cmd", partitioning=partitioning
+                )[0] == key
+                keys.add(key)
+                payloads.add(json.dumps(payload, sort_keys=True))
+        assert len(keys) == len(payloads) == len(workload) * len(layouts)
+
+    def test_dynamic_fingerprint_is_its_payload(self, query):
+        base = HashSubjectObject()
+        chain = parse_query("SELECT * WHERE { ?x <http://e/p> ?y . ?y <http://e/q> ?z . }")
+        renamed = parse_query("SELECT * WHERE { ?a <http://e/p> ?b . ?b <http://e/q> ?c . }")
+        layout = DynamicPartitioning(base, [query, chain], ["<http://e/r>", "<http://e/p>"])
+        signatures = sorted(structural_signature(q) for q in (query, chain))
+        assert layout.fingerprint == "\n".join(signatures + ["<http://e/p>", "<http://e/r>"])
+        assert repr(layout.fingerprint) in repr(layout)
+        # the same hot shapes, listed in another order and named apart
+        same = DynamicPartitioning(base, [renamed, query], ["<http://e/p>", "<http://e/r>"])
+        assert repr(same) == repr(layout)
+
+
+class TestNoDigestLibrary:
+    def test_the_serving_path_never_imports_hashlib(self, tmp_path):
+        """Load, all four partitioners, a cluster, a cached session (miss,
+        store, hit, invalidate), a batch, an adaptation round, a cache
+        file written and read back and a pooled search: OpenSSL's
+        digest module is never loaded, and nor is its memory."""
+        path = tmp_path / "data.nt"
+        save_ntriples(
+            [
+                t
+                for i in range(20)
+                for t in (
+                    triple(f"http://e/a{i}", "http://e/p", f"http://e/b{i}"),
+                    triple(f"http://e/b{i}", "http://e/q", f"http://e/c{i}"),
+                )
+            ],
+            path,
+        )
+        script = textwrap.dedent(
+            """
+            import sys
+            if {"hashlib", "_hashlib"} & set(sys.modules):
+                print("preloaded")
+                raise SystemExit
+            import random
+            import repro
+            from repro import OptimizeOptions, Optimizer, parse_query
+            from repro.__main__ import PARTITIONINGS
+            from repro.core import PlanCache, StatisticsCatalog
+            from repro.engine import Cluster, Executor
+            from repro.partitioning import AdaptiveCluster, DynamicPartitioning, HashSubjectObject
+            from repro.partitioning.adaptive import COLOCATE, MigrationProposal
+            from repro.partitioning.dynamic import structural_signature
+            from repro.rdf import Dataset, load_ntriples
+            from repro.workloads.generators import chain_query, dense_query
+
+            data, saved = sys.argv[1:]
+            dataset = Dataset(load_ntriples(data))
+            query = parse_query(
+                "SELECT * WHERE { ?x <http://e/p> ?y . ?y <http://e/q> ?z . }")
+            statistics = StatisticsCatalog.from_dataset(query, dataset)
+            cache = PlanCache()
+            for name, build in sorted(PARTITIONINGS.items()):
+                method = build()
+                cluster = Cluster(method.partition(dataset, 3))
+                session = Optimizer(OptimizeOptions(
+                    dataset=dataset, partitioning=method, plan_cache=cache))
+                result = session.optimize(query)
+                assert session.optimize(query).algorithm.endswith("+cache")
+                rows = Executor(cluster).execute(result.plan, query)[0].rows
+                assert len(rows) == 20, name
+                assert cache.lookup(query, statistics, "td-cmd", partitioning=method) is None
+                cache.store(query, statistics, "td-cmd", result, partitioning=method)
+                assert cache.lookup(query, statistics, "td-cmd", partitioning=method)
+                assert cache.invalidate(query, statistics, "td-cmd", partitioning=method)
+            session.optimize_many([query, chain_query(4)])
+            adaptive = AdaptiveCluster.build(dataset, HashSubjectObject(), 3)
+            report = adaptive.apply([MigrationProposal(
+                kind=COLOCATE, key=structural_signature(query), heat=1.0, query=query,
+            )], replication_budget=1.0)
+            method = adaptive.adapted_method()
+            assert report.changed and isinstance(method, DynamicPartitioning)
+            Optimizer(OptimizeOptions(
+                dataset=dataset, partitioning=method, plan_cache=cache)).optimize(query)
+            cache.save(saved)
+            assert len(PlanCache.load(saved)) == len(cache)
+            pooled = Optimizer(OptimizeOptions(algorithm="td-cmd", jobs=2)).optimize(
+                dense_query(10, random.Random(1)))
+            assert "[parallel x2]" in pooled.algorithm
+            print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+            """
+        )
+        ran = subprocess.run(
+            [sys.executable, "-c", script, str(path), str(tmp_path / "plans.json")],
+            capture_output=True, text=True,
+        )
+        assert ran.returncode == 0, ran.stderr
+        if ran.stdout.strip() == "preloaded":
+            pytest.skip("the interpreter loads hashlib at start-up")
+        assert ran.stdout.strip() == "[]", ran.stdout + ran.stderr
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, query, statistics):
         cache = PlanCache()
@@ -216,3 +398,21 @@ class TestPersistence:
         assert len(reloaded) == 1
         s1 = StatisticsCatalog.from_random(queries[1], random.Random(1))
         assert reloaded.lookup(queries[1], s1, "td-cmd") is not None
+
+    def test_digest_keyed_entries_load_cold(self, tmp_path, query, statistics):
+        """A file from before keys were text (a SHA-256 hex digest per
+        entry) loads empty: such an entry is never hit again, so it takes
+        no LRU slot; the first call misses and the second hits."""
+        cache = PlanCache()
+        cached_optimize(query, "td-cmd", statistics, cache)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        (_, entry), = json.loads(path.read_text(encoding="utf-8"))["entries"]
+        old = {"capacity": 4, "entries": [["0f3a9c" * 10 + "b7e2", entry]]}
+        path.write_text(json.dumps(old), encoding="utf-8")
+        reloaded = PlanCache.load(path)
+        assert len(reloaded) == 0 and reloaded.capacity == 4
+        cached_optimize(query, "td-cmd", statistics, reloaded)
+        assert (reloaded.stats.misses, reloaded.stats.hits) == (1, 0)
+        assert cached_optimize(query, "td-cmd", statistics, reloaded).algorithm.endswith("+cache")
+        assert (reloaded.stats.misses, reloaded.stats.hits) == (1, 1)

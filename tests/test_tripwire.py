@@ -132,8 +132,9 @@ TRIPWIRES = [
         id="id-row-sink",
     ),
     # terms on demand: partitioners rank and hash a vertex by the
-    # dictionary's text, never by a term decoded for it; only the lazy
-    # `vertex_placement` decodes (docs/PERFORMANCE.md, "Terms on demand")
+    # dictionary's text, never by a term decoded for it; only
+    # `PartitioningMethod.placement` decodes (docs/PERFORMANCE.md, "Terms
+    # on demand")
     pytest.param(
         r"(hash_terms\(|map\(str, *)[^\n]*decode_all\(",
         ("src/repro/partitioning",),
@@ -249,6 +250,16 @@ TRIPWIRES = [
         ("src",),
         "a fragment append or copy reappeared in src/ (set node bits: Partitioning.place)",
         id="2.18-fragment-copies",
+    ),
+    # hold only what the query path reads: a plan-cache key is its
+    # canonical text, so no digest library is loaded, and a partitioning
+    # keeps no anchor placement (docs/PERFORMANCE.md, "Resident
+    # footprint"; docs/API.md, "What 2.19 removed")
+    pytest.param(
+        r"import hashlib|from hashlib|anchor_nodes|vertex_placement",
+        ("src",),
+        "a digest import or a kept anchor placement reappeared in src/",
+        id="2.19-resident-footprint",
     ),
 ]
 
